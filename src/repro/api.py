@@ -27,8 +27,7 @@ all of them coherently.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -142,12 +141,9 @@ class ResilienceConfig:
 class PlacementConstraints:
     """Where -- and how -- the serving layer may place one request.
 
-    The one placement vocabulary of :mod:`repro.serve`, replacing the
-    flat grab-bag of per-request kwargs (``device=`` on
-    :class:`SolveRequest` is shimmed onto ``devices`` with a
-    ``DeprecationWarning``).  Keyword-only and eagerly validated: a
-    typo'd platform name or an impossible shard budget fails at
-    construction with the offending field named.
+    The one placement vocabulary of :mod:`repro.serve`.  Keyword-only
+    and eagerly validated: a typo'd platform name or an impossible
+    shard budget fails at construction with the offending field named.
 
     - ``devices``: platform names the job may run on (None = any lane);
     - ``max_shards``: upper bound on the rank count a gang may
@@ -218,9 +214,7 @@ class SolveRequest:
     :attr:`SolveReport.job_id`, ``framework`` pins the placement cost
     model to one port key, ``constraints`` carries the placement
     vocabulary (:class:`PlacementConstraints`: device allow-list, gang
-    sharding, headroom, priority).  The legacy ``device=`` kwarg still
-    works but emits a ``DeprecationWarning`` and is folded into
-    ``constraints.devices``.  All are validated eagerly here -- a
+    sharding, headroom, priority).  All are validated eagerly -- a
     typo'd port or platform name fails at request construction with
     the offending field named, not deep inside the scheduler.
 
@@ -255,7 +249,6 @@ class SolveRequest:
     telemetry: Telemetry | None = None
     job_id: str | None = None
     framework: str | None = None
-    device: str | None = None
     constraints: PlacementConstraints | None = None
     resume_from: str | Path | None = None
 
@@ -295,37 +288,6 @@ class SolveRequest:
                     f"unknown framework {self.framework!r}; expected "
                     f"one of {known}"
                 )
-        if self.device is not None:
-            from repro.gpu.platforms import DEVICES_BY_NAME
-
-            if self.device not in DEVICES_BY_NAME:
-                raise ValueError(
-                    f"unknown device {self.device!r}; expected one of "
-                    f"{sorted(DEVICES_BY_NAME)}"
-                )
-            if (self.constraints is not None
-                    and self.constraints.devices is not None):
-                if self.device not in self.constraints.devices:
-                    raise ValueError(
-                        f"device={self.device!r} conflicts with "
-                        f"constraints.devices="
-                        f"{self.constraints.devices!r}; drop the "
-                        "deprecated device= kwarg"
-                    )
-            else:
-                # First normalization of the legacy kwarg (replace()
-                # copies an already-folded pair silently).
-                warnings.warn(
-                    "SolveRequest(device=...) is deprecated; use "
-                    "constraints=PlacementConstraints(devices=("
-                    f"{self.device!r},))",
-                    DeprecationWarning, stacklevel=3,
-                )
-                base = (self.constraints if self.constraints is not None
-                        else PlacementConstraints())
-                object.__setattr__(
-                    self, "constraints",
-                    replace(base, devices=(self.device,)))
         if self.resume_from is not None and self.resilience is None:
             # Only the recovery driver restores a GlobalCheckpoint;
             # route there with the default no-fault config (see the
@@ -403,12 +365,7 @@ class RequestSpec:
 
     @classmethod
     def from_request(cls, request: "SolveRequest") -> "RequestSpec":
-        """Strip one request down to its picklable fields.
-
-        The legacy ``device`` kwarg is already folded into
-        ``constraints`` by ``SolveRequest.__post_init__``, so the wire
-        format carries constraints only.
-        """
+        """Strip one request down to its picklable fields."""
         return cls(
             ranks=request.ranks, atol=request.atol, btol=request.btol,
             conlim=request.conlim, iter_lim=request.iter_lim,
@@ -638,30 +595,18 @@ def solve(request: SolveRequest, *,
 def _solve_with_sessions(request: SolveRequest,
                          sessions: "object") -> SolveReport:
     """Session-aware wrapper: warm-start seed, solve, record back."""
-    from repro.sessions import record_solution, resolve_warm_start
+    from repro.sessions import (
+        record_if_clean,
+        seed_request,
+        stamp_warm_start,
+    )
     from repro.system.digest import system_digest
 
     digest = system_digest(request.system)
-    warm = None
-    eligible = (request.ranks == 1 and request.resilience is None
-                and request.x0 is None and request.resume_from is None)
-    if eligible:
-        warm = resolve_warm_start(sessions, request.system,
-                                  digest=digest)
-        if warm is not None:
-            request = replace(request, x0=warm.x0)
+    request, warm = seed_request(sessions, request, digest=digest)
     report = solve(request)
-    if (report.x is not None
-            and report.stop not in (StopReason.DEGRADED,
-                                    StopReason.ABORTED_FAULTS)):
-        record_solution(sessions, request.system, report,
-                        digest=digest)
-    if warm is not None:
-        report.warm_start = WarmStartInfo(
-            source_digest=warm.source_digest, exact=warm.exact,
-            depth=warm.depth, prior_itn=warm.prior_itn,
-            iterations_saved=warm.prior_itn - report.itn)
-    return report
+    record_if_clean(sessions, request.system, report, digest=digest)
+    return stamp_warm_start(report, warm)
 
 
 def batch_incompatibility(requests: "list[SolveRequest] | tuple[SolveRequest, ...]"

@@ -23,7 +23,6 @@ performance-deciding:
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -35,46 +34,6 @@ from repro.gpu.kernel import (
     grid_for,
     tuned_geometry,
 )
-
-#: Legacy config-key spellings accepted (with a DeprecationWarning) by
-#: the ``from_config`` constructors, mapped to their canonical names.
-#: These are the per-framework constructor kwargs that diverged before
-#: construction was unified behind ``frameworks.registry``; the shims
-#: WILL BE REMOVED in the next major revision -- migrate configs to
-#: the canonical spellings.
-_LEGACY_SUPPORT_KEYS: dict[str, str] = {
-    "toolchain": "compiler",
-    "atomic_rmw": "rmw_atomics",
-    "abstraction_overhead": "overhead",
-    "unsafe_atomics": "unsafe_fp_atomics_flag",
-}
-_LEGACY_PORT_KEYS: dict[str, str] = {
-    "name": "key",
-    "stream_overlap": "uses_streams",
-    "memory_pressure_sensitivity": "pressure_sensitivity",
-}
-
-
-def _canonicalize(config: Mapping[str, Any],
-                  legacy: Mapping[str, str],
-                  owner: str) -> dict[str, Any]:
-    """Translate legacy key spellings, warning on each use."""
-    out: dict[str, Any] = {}
-    for key, value in config.items():
-        canonical = legacy.get(key, key)
-        if canonical != key:
-            warnings.warn(
-                f"{owner} config key {key!r} is deprecated and will be "
-                f"removed; use {canonical!r}",
-                DeprecationWarning, stacklevel=3,
-            )
-        if canonical in out:
-            raise ValueError(
-                f"{owner} config sets {canonical!r} twice "
-                f"(directly and via legacy {key!r})"
-            )
-        out[canonical] = value
-    return out
 
 
 class UnsupportedPlatform(RuntimeError):
@@ -111,11 +70,8 @@ class VendorSupport:
         keyword-only ``config`` with canonical keys (``compiler``,
         ``geometry`` -- a :class:`GeometryPolicy` or its string value,
         ``rmw_atomics``, ``overhead``, ``unsafe_fp_atomics_flag``).
-        Legacy per-framework spellings are accepted with a
-        :class:`DeprecationWarning` (see ``_LEGACY_SUPPORT_KEYS``).
         """
-        kwargs = _canonicalize(config, _LEGACY_SUPPORT_KEYS,
-                               "VendorSupport")
+        kwargs = dict(config)
         geometry = kwargs.get("geometry")
         if isinstance(geometry, str):
             kwargs["geometry"] = GeometryPolicy(geometry)
@@ -165,11 +121,8 @@ class Port:
         (vendor name -> :meth:`VendorSupport.from_config` mapping),
         ``uses_streams``, ``pressure_sensitivity``, ``residuals`` (a
         list of ``[device, size_gb_or_None, factor]`` triples).
-        Legacy spellings (``name``, ``stream_overlap``,
-        ``memory_pressure_sensitivity``) are accepted with a
-        :class:`DeprecationWarning` and will be removed.
         """
-        kwargs = _canonicalize(config, _LEGACY_PORT_KEYS, "Port")
+        kwargs = dict(config)
         support = {
             (vendor if isinstance(vendor, Vendor) else Vendor(vendor)):
             (vs if isinstance(vs, VendorSupport)

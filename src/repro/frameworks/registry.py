@@ -49,9 +49,8 @@ PORTS_BY_KEY: dict[str, Port] = {p.key: p for p in ALL_PORTS}
 #: The declarative configs every port is constructed from, keyed like
 #: :data:`PORTS_BY_KEY`.  All framework modules build their ports via
 #: ``Port.from_config(config=...)`` -- one unified constructor
-#: signature instead of the divergent per-framework kwargs of earlier
-#: revisions (legacy spellings still parse with a DeprecationWarning;
-#: see :mod:`repro.frameworks.base`).
+#: signature with one canonical key spelling
+#: (see :mod:`repro.frameworks.base`).
 PORT_CONFIGS: dict[str, dict[str, Any]] = {
     config["key"]: config
     for config in (

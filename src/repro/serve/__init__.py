@@ -29,9 +29,8 @@ into the placement policy.
   once per distinct system and attached read-only by digest from
   worker processes;
 - :class:`ResultCache` -- deterministic LRU keyed by (system digest,
-  config digest); fused-batch members are cached individually; with
-  ``store_solutions > 0`` it also keeps recent solution vectors per
-  system digest (the in-memory precursor of
+  config digest); fused-batch members are cached individually
+  (solution vectors for warm starts live in
   :class:`repro.sessions.SessionStore`, which the scheduler consults
   -- pass ``sessions=`` -- to warm-start re-solves from exact-digest
   or ancestor solutions and to park/resume preempted solves; see

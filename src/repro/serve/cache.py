@@ -98,36 +98,20 @@ def fusion_key(request: SolveRequest) -> FusionKey:
 class ResultCache:
     """Thread-safe LRU cache of :class:`~repro.api.SolveReport`.
 
-    ``store_solutions`` (bytes, 0 = off) additionally keeps the most
-    recent solution vector ``x`` *per system digest* in its own
-    byte-budgeted LRU, consumable via :meth:`solution`.  This was the
-    warm-start groundwork; the consuming subsystem is now
-    ``repro.sessions``, whose disk-persisted
-    :class:`~repro.sessions.SessionStore` additionally records
-    convergence metadata and parent-digest lineage so re-solves of
-    incrementally grown systems seed ``x0`` from the nearest ancestor
-    (see ``docs/sessions.md``).  This in-memory variant remains for
-    embedders that want process-local warm starts without a store on
-    disk.  Solutions are indexed by system digest alone (not the full
-    request key) because a warm start does not need the old config to
-    match, only the unknown vector to line up.
+    Reports only: solution vectors kept for *warm starts* live in the
+    disk-persisted :class:`~repro.sessions.SessionStore`, which also
+    records convergence metadata and parent-digest lineage
+    (``docs/sessions.md``).
     """
 
     def __init__(self, capacity: int = 128,
-                 telemetry: Telemetry | None = None,
-                 store_solutions: int = 0) -> None:
+                 telemetry: Telemetry | None = None) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if store_solutions < 0:
-            raise ValueError(
-                f"store_solutions must be >= 0, got {store_solutions}")
         self.capacity = capacity
-        self.store_solutions = store_solutions
         self._tel = Telemetry.or_null(telemetry)
         self._lock = threading.Lock()
         self._store: OrderedDict[CacheKey, SolveReport] = OrderedDict()
-        self._solutions: "OrderedDict[str, object]" = OrderedDict()
-        self._solution_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -167,36 +151,6 @@ class ResultCache:
                 self._store.popitem(last=False)
                 self.evictions += 1
                 self._tel.counter("serve.cache.eviction").inc()
-            if self.store_solutions and report.x is not None:
-                self._remember_solution(key[0], report.x)
-
-    def _remember_solution(self, digest: str, x) -> None:
-        """Record ``x`` under the system digest (lock held by caller)."""
-        nbytes = int(getattr(x, "nbytes", 0))
-        if nbytes == 0 or nbytes > self.store_solutions:
-            return
-        prev = self._solutions.pop(digest, None)
-        if prev is not None:
-            self._solution_bytes -= int(prev.nbytes)
-        self._solutions[digest] = x
-        self._solution_bytes += nbytes
-        while self._solution_bytes > self.store_solutions:
-            _, old = self._solutions.popitem(last=False)
-            self._solution_bytes -= int(old.nbytes)
-            self._tel.counter("serve.cache.solution_eviction").inc()
-
-    def solution(self, system_digest: str):
-        """The most recent solution vector for one system, or None.
-
-        Keyed by system digest alone so a warm start can reuse a
-        solution produced under a different solver configuration.
-        The lookup refreshes LRU order within the solution budget.
-        """
-        with self._lock:
-            x = self._solutions.get(system_digest)
-            if x is not None:
-                self._solutions.move_to_end(system_digest)
-            return x
 
     def put_many(self, items: Iterable[tuple[CacheKey, SolveReport]]
                  ) -> None:
@@ -219,6 +173,4 @@ class ResultCache:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
                     "evictions": self.evictions,
-                    "size": len(self._store),
-                    "solutions": len(self._solutions),
-                    "solution_bytes": self._solution_bytes}
+                    "size": len(self._store)}

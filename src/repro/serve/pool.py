@@ -114,32 +114,27 @@ class DevicePool:
             ) from None
 
     def feasible(self, footprint_gb: float, *,
-                 device: str | None = None,
                  devices: Iterable[str] | None = None,
                  ) -> list[DeviceLane]:
         """Lanes that could ever hold the footprint (admission test).
 
-        ``device`` restricts to lanes of one platform (a pinned job);
-        ``devices`` to a :class:`~repro.api.PlacementConstraints`
-        allow-list of platform names.
+        ``devices`` restricts to a :class:`~repro.api.
+        PlacementConstraints` allow-list of platform names.
         """
         allowed = None if devices is None else set(devices)
         return [
             lane for lane in self.lanes
             if lane.holds(footprint_gb)
-            and (device is None or lane.spec.name == device)
             and (allowed is None or lane.spec.name in allowed)
         ]
 
     def placeable(self, footprint_gb: float, *,
-                  device: str | None = None,
                   devices: Iterable[str] | None = None,
                   exclude: Iterable[str] = ()) -> list[DeviceLane]:
         """Lanes whose *current* free memory holds the footprint."""
         excluded = set(exclude)
         return [
-            lane for lane in self.feasible(footprint_gb, device=device,
-                                           devices=devices)
+            lane for lane in self.feasible(footprint_gb, devices=devices)
             if lane.fits_now(footprint_gb)
             and lane.lane_id not in excluded
         ]
@@ -206,17 +201,6 @@ class DevicePool:
             self.reserve(lane_id, footprint_gb, job_id)
             done.append(lane_id)
         self._tel.counter("serve.gang.reservations").inc()
-
-    def release_gang(self, lane_ids: Sequence[str], footprint_gb: float,
-                     job_id: str, busy_s: float = 0.0) -> None:
-        """Release every lane of a gang.
-
-        Each lane held its shard for the whole solve, so every lane is
-        charged the full busy time (utilization is per-device truth,
-        not a job-level tally).
-        """
-        for lane_id in lane_ids:
-            self.release(lane_id, footprint_gb, job_id, busy_s=busy_s)
 
     # -- reporting ------------------------------------------------------
     def utilization(self, wall_s: float) -> dict[str, float]:

@@ -13,8 +13,7 @@ scenario like::
                                "priority": 100, "cache_dir": null}},
       "scheduler": {"workers": 4, "max_queue_depth": 32,
                     "cache_capacity": 64, "max_replacements": 1,
-                    "drain_timeout_s": 60.0,
-                    "store_solutions_mb": 0.0},
+                    "drain_timeout_s": 60.0, "mp_workers": null},
       "sessions": {"enabled": false, "dir": null, "budget_mb": 64,
                    "preempt_slice": null, "max_preemptions": 8},
       "load": {"n_jobs": 16, "mix": {"10": 0.5, "30": 0.3, "60": 0.2},
@@ -33,11 +32,10 @@ backend, fusion, the cost-model roster, and the gang-sharding knobs
 that feed each generated request's :class:`~repro.api.
 PlacementConstraints` (``allow_gang``/``max_shards``/
 ``memory_headroom``).  ``scheduler`` keeps only queueing/execution
-capacity.  The legacy layout -- a top-level ``pool`` section, a
-top-level ``tuning`` section, and ``backend``/``max_fuse``/
-``include_projected`` under ``scheduler`` -- still loads, with a
-``DeprecationWarning``; mixing the two layouts in one file is an
-error.
+capacity.  An unknown top-level key or ``scheduler`` key is an error
+that names the key -- a placement knob left under ``scheduler``, or a
+pre-``placement`` ``pool``/``tuning`` section, must not be silently
+ignored.
 
 ``mix`` maps nominal GB to weight; ``per_gcd`` resolves the MI250X to
 its 64 GB single-GCD entry for memory-fit decisions (see
@@ -50,8 +48,7 @@ stream emit same-matrix/different-b twins worth fusing;
 ``backend: "process"`` executes solves in a pool of spawned worker
 processes attached to the shared-memory system store
 (``drain_timeout_s`` bounds the graceful-shutdown join);
-``store_solutions_mb > 0`` keeps solution vectors in the result cache
-for warm starts; ``allow_gang`` lets a job whose footprint exceeds
+``allow_gang`` lets a job whose footprint exceeds
 every single device shard across ``max_shards`` lanes as a
 gang-scheduled multi-rank solve (see ``docs/serving.md``).
 
@@ -81,7 +78,6 @@ below interactive 0) covering the pool x load-mix cells.  See
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,7 +111,6 @@ class Scenario:
     #: (None = min(workers, cpu count); dispatch width and execution
     #: width are decoupled).
     mp_workers: int | None = None
-    store_solutions_mb: float = 0.0
     #: Tuning-aware placement pricing + background sweep jobs.
     tuning_enabled: bool = False
     #: Max sweep jobs enqueued per run (the covering set, truncated).
@@ -157,43 +152,31 @@ class Scenario:
         )
 
 
-#: Legacy ``scheduler`` keys that moved into the ``placement`` section.
-_MOVED_SCHED_KEYS = ("backend", "max_fuse", "include_projected")
+#: The sections a scenario document may carry, and the keys of the
+#: ``scheduler`` section (queueing/execution capacity only).
+_SECTIONS = ("placement", "scheduler", "sessions", "load")
+_SCHEDULER_KEYS = ("workers", "max_queue_depth", "cache_capacity",
+                   "max_replacements", "drain_timeout_s", "mp_workers")
+
+
+def _reject_unknown(where: str, doc: dict, known: tuple[str, ...]) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown {where} key(s) {unknown}; expected a subset of "
+            f"{list(known)} (pool/backend/fusion/gang/tuning knobs "
+            "live in the 'placement' section)")
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a :class:`Scenario` from a decoded JSON document.
 
-    Accepts the unified layout (one ``placement`` section) and the
-    legacy one (top-level ``pool``/``tuning``, placement-ish keys
-    under ``scheduler``) -- the latter with a ``DeprecationWarning``.
-    A document mixing both layouts is rejected: silently preferring
-    one would mask a half-migrated file.
+    Unknown top-level and ``scheduler`` keys raise with the key named.
     """
+    _reject_unknown("scenario", doc, _SECTIONS)
     sched = doc.get("scheduler", {})
-    placement = doc.get("placement")
-    legacy = [key for key in ("pool", "tuning") if key in doc]
-    legacy += [f"scheduler.{key}" for key in _MOVED_SCHED_KEYS
-               if key in sched]
-    if placement is not None and legacy:
-        raise ValueError(
-            "scenario mixes the unified 'placement' section with "
-            f"legacy keys {legacy}; move them under 'placement'"
-        )
-    if placement is None:
-        if legacy:
-            warnings.warn(
-                f"legacy scenario layout (keys {legacy}) is "
-                "deprecated; move pool/backend/fusion/tuning knobs "
-                "into one 'placement' section",
-                DeprecationWarning, stacklevel=3,
-            )
-        placement = dict(doc.get("pool", {}))
-        for key in _MOVED_SCHED_KEYS:
-            if key in sched:
-                placement[key] = sched[key]
-        if "tuning" in doc:
-            placement["tuning"] = doc["tuning"]
+    _reject_unknown("scheduler", sched, _SCHEDULER_KEYS)
+    placement = doc.get("placement", {})
     tuning = placement.get("tuning", {})
     sessions = doc.get("sessions", {})
     if (sessions.get("preempt_slice") is not None
@@ -229,8 +212,6 @@ def parse_scenario(doc: dict) -> Scenario:
                                         Scenario.drain_timeout_s)),
         mp_workers=(int(sched["mp_workers"])
                     if sched.get("mp_workers") is not None else None),
-        store_solutions_mb=float(sched.get("store_solutions_mb",
-                                           Scenario.store_solutions_mb)),
         tuning_enabled=bool(tuning.get("enabled",
                                        Scenario.tuning_enabled)),
         tuning_budget_jobs=int(tuning.get("budget_jobs",
@@ -278,10 +259,8 @@ def build_scheduler(scenario: Scenario,
     """
     pool = DevicePool(scenario.devices, per_gcd=scenario.per_gcd,
                       telemetry=telemetry)
-    cache = (ResultCache(
-        scenario.cache_capacity, telemetry=telemetry,
-        store_solutions=int(scenario.store_solutions_mb * 2**20))
-        if scenario.cache_capacity > 0 else None)
+    cache = (ResultCache(scenario.cache_capacity, telemetry=telemetry)
+             if scenario.cache_capacity > 0 else None)
     tuning: TuningService | None = None
     if scenario.tuning_enabled:
         tuned_cache = TunedConfigCache(scenario.tuning_cache_dir,

@@ -2,50 +2,67 @@
 
 One :class:`Scheduler` turns a stream of :class:`~repro.serve.job.
 ServeJob` submissions into completed :class:`~repro.api.SolveReport`
-instances by way of four mechanisms:
+instances.  :meth:`Scheduler.submit` is **admission control**: a job
+whose nominal footprint fits no device in the pool -- and cannot
+shard across several as a gang -- is rejected immediately (the
+paper's "60 GB fits only H100/MI250X" constraint, enforced at the
+door), and a full queue sheds load (``max_queue_depth`` backpressure
+bound).  Admitted jobs wait in ascending ``(priority, submission
+order)``.  From there ``workers`` dispatcher threads push every job,
+whatever it is, through one four-stage pipeline:
 
-- **admission control** -- a job whose nominal footprint fits no
-  device in the pool is rejected immediately (the paper's "60 GB fits
-  only H100/MI250X" constraint, enforced at the door), and a full
-  queue sheds load (``max_queue_depth`` backpressure bound);
-- **priority queue** -- admitted jobs wait in ascending
-  ``(priority, submission order)``;
-- **memory-aware placement** -- a worker takes the highest-priority
-  job whose footprint fits some lane's *current* free memory, and
-  among those lanes picks the cheapest by the
-  :class:`~repro.serve.cost.PlacementCostModel` (§V-B efficiency
-  ordering), reserving the footprint for the duration of the solve;
-- **execution** -- ``workers`` dispatcher threads push placed jobs
-  through a pluggable :class:`~repro.serve.worker` backend:
-  ``backend="thread"`` (default) calls :func:`repro.api.solve` (or an
-  injected ``solve_fn``) in-process, ``backend="process"`` ships
+- **place** (under the lock) -- take the highest-priority queued job
+  that fits some lane's *current* free memory, on the cheapest lane
+  by the :class:`~repro.serve.cost.PlacementCostModel` (§V-B
+  efficiency ordering, queueing-aware), and reserve its footprint; a
+  gang-eligible job no single lane can *ever* hold reserves an
+  all-or-nothing gang of lanes instead.  The stage also names the
+  job's *route* and gathers what the route needs from shared state:
+  fusion siblings (``max_fuse > 1``: queued jobs sharing the leader's
+  :meth:`~repro.serve.job.ServeJob.fusion_key`, reserved on the same
+  lane) or the parked progress of a preempted solve.
+- **open** -- the one place that accounts queue wait, builds the
+  :class:`~repro.api.Placement` of an attempt and appends it to the
+  placement log.
+- **run** -- the only route-specific stage: five small attempt bodies
+  under one retry loop.  A background ``work_fn``; a *solo* solve
+  (:class:`~repro.serve.cache.ResultCache` lookup, single-flight
+  coalescing, session warm start); a *sliced* solve
+  (``preempt_slice``: checkpointed iteration slices that a starved
+  more-urgent arrival can park mid-solve, resumed later -- possibly
+  on another device -- bit-for-bit, ``docs/sessions.md``); an R-rank
+  *gang* (``ranks`` rewritten to the lane count; the distributed
+  engine's row decomposition is the sharding); a K-member *fused
+  batch* (one :func:`repro.api.solve_batch` many-RHS sweep
+  demultiplexed per member, a member that aborts mid-batch retried
+  alone).  A DEGRADED/ABORTED attempt is *relocated* -- the blamed
+  lanes swapped for the cheapest spares all-or-nothing, the fault
+  seed re-derived -- and run again: a solo job on a different device,
+  a gang resuming from its :class:`~repro.resilience.
+  GlobalCheckpoint` (the re-placement path of ``docs/resilience.md``,
+  lifted from ranks to devices).  Solves execute through a pluggable
+  :class:`~repro.serve.worker` backend: ``backend="thread"``
+  (default) calls :func:`repro.api.solve` (or an injected
+  ``solve_fn``) on the dispatcher, ``backend="process"`` ships
   picklable request specs to a pool of spawned solve processes that
   attach the system zero-copy from the shared-memory
-  :class:`~repro.serve.shm.SystemStore` by content digest.  Either
-  way the dispatcher consults the
-  :class:`~repro.serve.cache.ResultCache` first and re-places a
-  DEGRADED/ABORTED resilient solve on a *different* device (the
-  re-placement path of ``docs/resilience.md``, lifted from ranks to
-  devices);
-- **request fusion** (``max_fuse > 1``) -- when a worker dequeues a
-  fusible job it also pulls up to ``max_fuse - 1`` queued jobs with
-  the same :meth:`~repro.serve.job.ServeJob.fusion_key` (same matrix
-  digest and shared engine configuration; ``b``/``damp``/``seed``/
-  ``x0`` free to differ) onto the same lane and solves them as one
-  :func:`repro.api.solve_batch` many-RHS batch, demultiplexing one
-  report, placement and cache entry per member.  A member that aborts
-  mid-batch (injected fault tripping the engine's non-finite guard)
-  is retried alone; its siblings' results are untouched;
-- **sessions** (``sessions=`` a :class:`repro.sessions.SessionStore`)
-  -- plain serial jobs warm start from the store's exact-digest or
-  nearest-ancestor solution (the seed's provenance lands on
-  :attr:`SolveReport.warm_start`) and deposit their solutions back;
-  with ``preempt_slice`` set, preemptible jobs of priority > 0 run as
-  checkpointed iteration slices so a starved more-urgent arrival can
-  *preempt* them mid-solve: the job parks its
-  :class:`~repro.resilience.GlobalCheckpoint` in the store, yields
-  the lane, and resumes later -- possibly on a different device --
-  bit-for-bit (``docs/sessions.md``).
+  :class:`~repro.serve.shm.SystemStore` by content digest.
+- **deliver** -- one ``finally``-guarded epilogue for every route and
+  every way out of it: deposit clean solutions in the
+  :class:`~repro.sessions.SessionStore`, drop the gang checkpoint
+  directory and the park file, release every reservation (busy time
+  charged once per lane), then either park-and-requeue a preempted
+  job or append one :class:`JobOutcome` per member and wake the
+  waiters.  A solve that *raises* -- a worker-process traceback, a
+  buggy injected hook -- is contained here, not propagated: the
+  members get failed outcomes (``serve.job_failures`` counter,
+  :attr:`ServeReport.failed`) and the dispatcher keeps serving, so
+  one poisoned request can neither shrink the dispatcher pool nor
+  strand a drain.
+
+The stage x route table, with every deliberate bypass (which routes
+skip the cache, which results are never cached or recorded), is in
+``docs/serving.md`` ("Execution pipeline").
 
 The submission front end is asynchronous: :meth:`Scheduler.submit`
 returns the admission decision immediately, :meth:`Scheduler.start`
@@ -56,12 +73,7 @@ dispatcher with a bounded timeout, and *surface* workers that never
 came back (``serve.workers_stuck`` counter,
 :attr:`ServeReport.stuck_workers`) instead of hanging the caller.
 :meth:`Scheduler.run` is the batch convenience wrapping all three,
-plus the open-loop arrival process.  A solve that *raises* -- a
-worker-process traceback, a buggy injected hook -- is contained, not
-propagated: the job gets a failed :class:`JobOutcome`
-(``serve.job_failures`` counter, :attr:`ServeReport.failed`) and the
-dispatcher keeps serving, so one poisoned request can neither shrink
-the dispatcher pool nor strand a drain.
+plus the open-loop arrival process.
 
 Determinism: with ``workers=1`` the placement log and cache hit/miss
 sequence are a pure function of the submission sequence -- the queue
@@ -84,7 +96,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -94,18 +106,22 @@ from repro.api import (
     ShardPlacement,
     SolveReport,
     SolveRequest,
-    WarmStartInfo,
     derive_seed,
 )
 from repro.api import solve as api_solve
 from repro.api import solve_batch as api_solve_batch
 from repro.core.engine import StopReason
 from repro.obs.telemetry import Telemetry
-from repro.sessions import SessionStore, resolve_warm_start
+from repro.sessions import (
+    SessionStore,
+    record_if_clean,
+    seed_request,
+    stamp_warm_start,
+)
 from repro.serve.cache import ResultCache
-from repro.serve.cost import PlacementCostModel
+from repro.serve.cost import CostEstimate, GangEstimate, PlacementCostModel
 from repro.serve.job import AdmissionDecision, ServeJob
-from repro.serve.pool import MEMORY_EPSILON_GB, DevicePool
+from repro.serve.pool import MEMORY_EPSILON_GB, DeviceLane, DevicePool
 from repro.serve.shm import SystemStore
 from repro.serve.worker import (
     BackendAborted,
@@ -131,6 +147,62 @@ class _Flight:
 
     done: threading.Event = field(default_factory=threading.Event)
     report: SolveReport | None = None
+
+
+@dataclass
+class _Member:
+    """One job riding a dispatch, with what deliver needs to close it."""
+
+    job: ServeJob
+    enqueued_at: float
+    wait_s: float = 0.0
+    #: One placement per attempt; ``log_index`` locates the latest in
+    #: :attr:`Scheduler.placement_log` (a cache hit re-marks it there).
+    placements: list[Placement] = field(default_factory=list)
+    log_index: int = -1
+    report: SolveReport | None = None
+    result: object | None = None
+    #: Deposit ``report`` in the session store at deliver (under
+    #: ``digest`` when the run stage already hashed the system).
+    record: bool = False
+    digest: str | None = None
+
+
+@dataclass
+class _Dispatch:
+    """One trip through place -> open -> run -> deliver.
+
+    ``lanes`` holds one lane id per rank (a single entry off the gang
+    route); every member reserved ``charge`` GB on each of them.
+    """
+
+    route: str
+    members: list[_Member]
+    lanes: list[str]
+    est: CostEstimate | GangEstimate
+    charge: float
+    attempt: int = 0
+    previous: tuple[str, ...] = ()
+    batch_id: str | None = None
+    #: Every lane id this dispatch has held; relocation never returns.
+    tried: set[str] = field(default_factory=set)
+    #: Relocation state: the re-derived fault seed of the current
+    #: attempt, the ranks lost so far (their scheduled deaths must not
+    #: replay on a replacement lane), and rank -> the lane the latest
+    #: relocation moved it off.
+    seed: int = 0
+    dead: set[int] = field(default_factory=set)
+    migrated: dict[int, str] = field(default_factory=dict)
+    ckpt_dir: str | None = None
+    #: Sliced route: iterations completed, and whether this dispatch
+    #: ends parked (re-queued) instead of delivered.
+    done_itn: int = 0
+    parked: bool = False
+
+    @property
+    def job(self) -> ServeJob:
+        """The leading (for most routes: the only) job."""
+        return self.members[0].job
 
 
 @dataclass
@@ -420,14 +492,7 @@ class Scheduler:
         :meth:`drain`).  After :meth:`drain`/:meth:`abort` every
         submission answers ``REJECTED_CLOSED``.
         """
-        feasible = self.pool.feasible(job.reserve_gb,
-                                      devices=job.constraints.devices)
-        priced = [
-            lane for lane in feasible
-            if self.cost_model.estimate(
-                job.nominal_gb, lane.spec,
-                framework=job.request.framework) is not None
-        ]
+        priced = self._priced(job)
         # Gang fallback: only when NO single lane can ever hold the
         # footprint does a gang-eligible job shard across lanes -- the
         # §V-B exclusion becomes a decomposition instead of a
@@ -454,10 +519,7 @@ class Scheduler:
             if not priced and gang_ranks is not None:
                 self.tel.counter("serve.gang.admitted",
                                  ranks=str(gang_ranks)).inc()
-            self._queue.append((job.sort_key(self._seq), job,
-                                time.perf_counter()))
-            self._seq += 1
-            self.tel.gauge("serve.queue_depth").set(len(self._queue))
+            self._enqueue(job)
             self._cond.notify()
             return decision
 
@@ -609,50 +671,55 @@ class Scheduler:
             if self._own_sessions and self.sessions is not None:
                 self.sessions.close()
 
-    # -- internals ------------------------------------------------------
-    def _next_placeable(self):
-        """Highest-priority queued job that fits free memory somewhere.
+    # -- stage 1: place (lock held, except for submit's capacity test) ---
+    def _priced(self, job: ServeJob, *, ranks: int = 1,
+                now: bool = False, exclude: Iterable[str] = ()
+                ) -> list[tuple[DeviceLane, CostEstimate]]:
+        """Lanes that can hold and price the job, with their estimates.
 
-        Returns ``(index, job, enqueued_at, choice)`` or None, where
-        ``choice`` is ``("single", lane, estimate)`` or
-        ``("gang", lanes, gang_estimate, per_lane_charge)``.  Skipping
-        over a head job that does not currently fit lets small jobs
-        flow around a large one waiting for H100-class memory
-        (bounded head-of-line blocking); the skip order is still
-        deterministic because both the scan and the tie-breaks are.
-        A job only places as a gang when no single lane could *ever*
-        hold it -- sharding is the escape hatch from the §V-B
-        exclusion, not a load-balancing device.
+        The one "priced feasible lanes" filter.  ``ranks > 1`` asks
+        about one shard of an R-rank gang instead of the whole job.
+        By default a lane qualifies on its *total* memory (admission:
+        could it ever run there?); with ``now`` on its *current* free
+        memory, minus the ``exclude`` lane ids (placement).
         """
-        order = sorted(range(len(self._queue)),
-                       key=lambda i: self._queue[i][0])
-        for idx in order:
-            _, job, enq = self._queue[idx]
-            lane = self._choose_lane(job)
-            if lane is not None:
-                return idx, job, enq, ("single",) + lane
-            if (self._gang_eligible(job)
-                    and not self._single_capacity(job)):
-                gang = self._choose_gang(job)
-                if gang is not None:
-                    return idx, job, enq, ("gang",) + gang
-        return None
+        if ranks == 1:
+            charge, nominal_gb = job.reserve_gb, job.nominal_gb
+        else:
+            charge = job.shard_reserve_gb(ranks)
+            nominal_gb = job.nominal_gb / ranks
+        devices = job.constraints.devices
+        lanes = (self.pool.placeable(charge, devices=devices,
+                                     exclude=exclude) if now
+                 else self.pool.feasible(charge, devices=devices))
+        priced = []
+        for lane in lanes:
+            est = self.cost_model.estimate(
+                nominal_gb, lane.spec, framework=job.request.framework)
+            if est is not None:
+                priced.append((lane, est))
+        return priced
+
+    def _cheapest(self, job: ServeJob, *, ranks: int = 1,
+                  exclude: Iterable[str] = ()
+                  ) -> list[tuple[DeviceLane, CostEstimate]]:
+        """Lanes the job fits on right now, cheapest first.
+
+        The one ranking key.  Queueing-aware price: a lane already
+        running k jobs finishes a new one ~(k+1)x later, so a slower
+        idle device can beat the fastest busy one.  Ties break by raw
+        cost then lane id -- fully deterministic.
+        """
+        return sorted(
+            self._priced(job, ranks=ranks, now=True, exclude=exclude),
+            key=lambda le: (le[1].seconds * (1 + len(le[0].lane)),
+                            le[1].seconds, le[0].lane_id))
 
     def _gang_eligible(self, job: ServeJob) -> bool:
         """Did the job opt in to gang sharding, and can it gang at all?"""
         cons = job.constraints
         return (cons.allow_gang and cons.max_shards >= 2
                 and job.gang_compatible)
-
-    def _single_capacity(self, job: ServeJob) -> bool:
-        """Could any single lane ever hold and price this job?"""
-        for lane in self.pool.feasible(job.reserve_gb,
-                                       devices=job.constraints.devices):
-            if self.cost_model.estimate(
-                    job.nominal_gb, lane.spec,
-                    framework=job.request.framework) is not None:
-                return True
-        return False
 
     def _gang_feasible_ranks(self, job: ServeJob) -> int | None:
         """Smallest rank count an empty pool could gang this job at.
@@ -664,184 +731,100 @@ class Scheduler:
         against *current* free memory, so an admitted gang job can
         always eventually place once the pool drains.
         """
-        cons = job.constraints
-        fw = job.request.framework
-        for ranks in range(2, cons.max_shards + 1):
-            charge = job.shard_reserve_gb(ranks)
-            lanes = [
-                lane for lane in self.pool.feasible(
-                    charge, devices=cons.devices)
-                if self.cost_model.estimate(
-                    job.nominal_gb / ranks, lane.spec,
-                    framework=fw) is not None
-            ]
+        for ranks in range(2, job.constraints.max_shards + 1):
+            lanes = [lane for lane, _ in self._priced(job, ranks=ranks)]
             if len(lanes) < ranks:
                 continue
             if self.cost_model.estimate_gang(
                     job.nominal_gb,
                     tuple(lane.spec for lane in lanes[:ranks]),
-                    framework=fw) is not None:
+                    framework=job.request.framework) is not None:
                 return ranks
         return None
 
     def _choose_gang(self, job: ServeJob):
         """Cheapest gang of lanes whose free memory holds the shards.
 
-        For each candidate rank count the lanes are ranked exactly
-        like :meth:`_choose_lane` (queueing-aware price of the
-        per-shard solve, deterministic tie-breaks), the R cheapest are
-        taken, and the combination is priced by
+        For each candidate rank count the R cheapest lanes by the
+        per-shard price (:meth:`_cheapest`) are taken, and the
+        combination is priced by
         :meth:`~repro.serve.cost.PlacementCostModel.estimate_gang`
         (slowest shard + modeled allreduce comm).  The best total
         across rank counts wins -- more ranks shrink the shards but
         grow the comm term, so the link model arbitrates.
         Returns ``(lanes, gang_estimate, per_lane_charge)`` or None.
         """
-        cons = job.constraints
-        fw = job.request.framework
         best = None
-        for ranks in range(2, cons.max_shards + 1):
-            charge = job.shard_reserve_gb(ranks)
-            lanes = self.pool.placeable(charge, devices=cons.devices)
-            if len(lanes) < ranks:
+        for ranks in range(2, job.constraints.max_shards + 1):
+            chosen = [lane for lane, _
+                      in self._cheapest(job, ranks=ranks)[:ranks]]
+            if len(chosen) < ranks:
                 continue
-            ranked = []
-            for lane in lanes:
-                est = self.cost_model.estimate(
-                    job.nominal_gb / ranks, lane.spec, framework=fw)
-                if est is None:
-                    continue
-                ranked.append((
-                    (est.seconds * (1 + len(lane.lane)), est.seconds,
-                     lane.lane_id),
-                    lane,
-                ))
-            if len(ranked) < ranks:
-                continue
-            ranked.sort(key=lambda t: t[0])
-            chosen = tuple(lane for _, lane in ranked[:ranks])
             gang_est = self.cost_model.estimate_gang(
                 job.nominal_gb, tuple(lane.spec for lane in chosen),
-                framework=fw)
+                framework=job.request.framework)
             if gang_est is None:
                 continue
             if best is None or gang_est.seconds < best[1].seconds:
-                best = (chosen, gang_est, charge)
+                best = (chosen, gang_est, job.shard_reserve_gb(ranks))
         return best
 
-    def _choose_lane(self, job: ServeJob, exclude: tuple[str, ...] = ()):
-        """Cheapest lane whose free memory holds the job, or None."""
-        lanes = self.pool.placeable(job.reserve_gb,
-                                    devices=job.constraints.devices,
-                                    exclude=exclude)
-        best = None
-        for lane in lanes:
-            est = self.cost_model.estimate(
-                job.nominal_gb, lane.spec,
-                framework=job.request.framework)
-            if est is None:
-                continue
-            # Queueing-aware price: a lane already running k jobs
-            # finishes a new one ~(k+1)x later, so a slower idle
-            # device can beat the fastest busy one.  Ties break by
-            # raw cost then lane id -- fully deterministic.
-            rank = (est.seconds * (1 + len(lane.lane)), est.seconds,
-                    lane.lane_id)
-            if best is None or rank < best[0]:
-                best = (rank, lane, est)
-        if best is None:
-            return None
-        return best[1], best[2]
+    def _next_placeable(self):
+        """Highest-priority queued job that fits free memory somewhere.
 
-    def _worker(self) -> None:
-        while True:
-            with self._cond:
-                choice = self._next_placeable()
-                while choice is None:
-                    if self._closed and not self._queue \
-                            and self._in_flight == 0:
-                        return
-                    if (self._queue and self._in_flight == 0
-                            and self._closed):
-                        # Nothing running will ever free memory; the
-                        # queue head passed admission, so this cannot
-                        # happen unless a caller mutated the pool.
-                        raise RuntimeError(
-                            "queued jobs can never be placed: "
-                            + ", ".join(j.job_id for _, j, _
-                                        in self._queue))
-                    self._cond.wait()
-                    choice = self._next_placeable()
-                idx, job, enqueued_at, placed = choice
-                del self._queue[idx]
-                self._in_flight += 1
-                members = [(job, enqueued_at)]
-                if placed[0] == "gang":
-                    _, lanes, gang_est, charge = placed
-                    self.pool.reserve_gang(
-                        [lane.lane_id for lane in lanes], charge,
-                        job.job_id)
-                else:
-                    _, lane, est = placed
-                    self.pool.reserve(lane.lane_id, job.reserve_gb,
-                                      job.job_id)
-                    if (self.max_fuse > 1 and job.fusible
-                            and not self._sliceable(job)):
-                        members += self._collect_siblings(job, lane)
-                self.tel.gauge("serve.queue_depth").set(
-                    len(self._queue))
-            try:
-                if placed[0] == "gang":
-                    self._execute_gang(job, lanes, gang_est, charge,
-                                       enqueued_at)
-                elif job.work_fn is not None:
-                    self._execute_work(job, lane, est, enqueued_at)
-                elif self._sliceable(job):
-                    self._execute_sliced(job, lane, est, enqueued_at)
-                elif len(members) == 1:
-                    self._execute(job, lane, est, enqueued_at)
-                else:
-                    self._execute_batch(members, lane, est)
-            except BackendAborted:
-                # The backend died underneath us (abort/forced stop):
-                # exit cleanly, the run is being torn down.
-                return
-            except Exception as exc:
-                # A solve failed outright -- a worker-process
-                # traceback, a buggy injected solve_fn.  The members
-                # get failed outcomes and this dispatcher keeps
-                # serving: letting the exception fly would silently
-                # shrink the dispatcher pool and leave drain() /
-                # wait_for_outcomes() waiting for outcomes that will
-                # never arrive.
-                self.tel.counter("serve.job_failures").inc(len(members))
-                now = time.perf_counter()
-                with self._cond:
-                    for mjob, menq in members:
-                        self.outcomes.append(JobOutcome(
-                            job=mjob,
-                            decision=AdmissionDecision.ADMITTED,
-                            queue_wait_s=now - menq,
-                            error=f"{type(exc).__name__}: {exc}",
-                        ))
-            finally:
-                with self._cond:
-                    self._in_flight -= len(members)
-                    self._cond.notify_all()
+        Returns ``(index, lanes, estimate, per_lane_charge)`` or None:
+        one lane with its :class:`~repro.serve.cost.CostEstimate`, or
+        a gang of lanes with their
+        :class:`~repro.serve.cost.GangEstimate`.  Skipping over a head
+        job that does not currently fit lets small jobs flow around a
+        large one waiting for H100-class memory (bounded head-of-line
+        blocking); the skip order is still deterministic because both
+        the scan and the tie-breaks are.  A job only places as a gang
+        when no single lane could *ever* hold it -- sharding is the
+        escape hatch from the §V-B exclusion, not a load-balancing
+        device.
+        """
+        order = sorted(range(len(self._queue)),
+                       key=lambda i: self._queue[i][0])
+        for idx in order:
+            job = self._queue[idx][1]
+            ranked = self._cheapest(job)
+            if ranked:
+                lane, est = ranked[0]
+                return idx, [lane], est, job.reserve_gb
+            if self._gang_eligible(job) and not self._priced(job):
+                gang = self._choose_gang(job)
+                if gang is not None:
+                    return (idx,) + gang
+        return None
 
-    def _collect_siblings(self, leader: ServeJob, lane
-                          ) -> list[tuple[ServeJob, float]]:
-        """Pull queued fusion-compatible jobs onto ``lane`` (locked).
+    def _sliceable(self, job: ServeJob) -> bool:
+        """Should this job run as preemptible checkpointed slices?
+
+        Priority 0 is the most-urgent class -- nothing outranks it,
+        so slicing it would pay checkpoint overhead for a preemption
+        that can never be demanded; every lower class rides the
+        sliced route whenever the scheduler has a slice length and a
+        session store to park in.
+        """
+        return (self.preempt_slice is not None
+                and self.sessions is not None
+                and job.priority > 0
+                and job.preemptible)
+
+    def _collect_siblings(self, leader: ServeJob, lane: DeviceLane
+                          ) -> list[_Member]:
+        """Pull queued fusion-compatible jobs onto ``lane``.
 
         Scans the queue in priority order, taking up to
         ``max_fuse - 1`` jobs whose :meth:`~repro.serve.job.ServeJob.
         fusion_key` matches the leader's and whose footprint still
         fits the lane's free memory; each taken sibling is reserved on
-        the lane (its own footprint, its own later release) and
-        counted in flight.
+        the lane under its own job id (the fusion key pins the
+        footprint, so every member charges the leader's amount).
         """
         key = leader.fusion_key()
-        picked: list[tuple[int, ServeJob, float]] = []
+        picked: list[tuple[int, _Member]] = []
         order = sorted(range(len(self._queue)),
                        key=lambda i: self._queue[i][0])
         for qi in order:
@@ -852,127 +835,297 @@ class Scheduler:
                     and lane.fits_now(cand.reserve_gb)):
                 self.pool.reserve(lane.lane_id, cand.reserve_gb,
                                   cand.job_id)
-                self._in_flight += 1
-                picked.append((qi, cand, enq))
-        for qi in sorted((p[0] for p in picked), reverse=True):
+                picked.append((qi, _Member(cand, enq)))
+        for qi in sorted((qi for qi, _ in picked), reverse=True):
             del self._queue[qi]
-        return [(cand, enq) for _, cand, enq in picked]
+        return [member for _, member in picked]
 
-    def _execute_work(self, job: ServeJob, lane, est,
-                      enqueued_at: float) -> None:
+    def _enqueue(self, job: ServeJob) -> None:
+        """Queue a job at *now* (admission, or a parked job's return)."""
+        self._queue.append((job.sort_key(self._seq), job,
+                            time.perf_counter()))
+        self._seq += 1
+        self.tel.gauge("serve.queue_depth").set(len(self._queue))
+
+    def _place(self) -> _Dispatch | None:
+        """Dequeue the next placeable job, reserve it, name its route.
+
+        Blocks until some queued job fits; returns None once the
+        scheduler is closed and idle.  Everything a route needs from
+        shared state is gathered here, under the lock: the gang's
+        all-or-nothing reservation, a fusible leader's siblings, a
+        sliceable job's parked progress.
+        """
+        choice = self._next_placeable()
+        while choice is None:
+            if self._closed and self._in_flight == 0:
+                if not self._queue:
+                    return None
+                # Nothing running will ever free memory; the queue
+                # head passed admission, so this cannot happen unless
+                # a caller mutated the pool.
+                raise RuntimeError(
+                    "queued jobs can never be placed: "
+                    + ", ".join(j.job_id for _, j, _ in self._queue))
+            self._cond.wait()
+            choice = self._next_placeable()
+        idx, lanes, est, charge = choice
+        _, job, enqueued_at = self._queue.pop(idx)
+        d = _Dispatch(route="solo", members=[_Member(job, enqueued_at)],
+                      lanes=[lane.lane_id for lane in lanes],
+                      est=est, charge=charge)
+        d.tried.update(d.lanes)
+        if len(lanes) > 1:
+            d.route = "gang"
+            self.pool.reserve_gang(d.lanes, charge, job.job_id)
+            self.tel.counter("serve.gang.placed",
+                             ranks=str(est.ranks)).inc()
+        else:
+            self.pool.reserve(d.lanes[0], charge, job.job_id)
+            if job.work_fn is not None:
+                d.route = "work"
+            elif self._sliceable(job):
+                d.route = "sliced"
+                parked = self.sessions.claim(job.job_id)
+                if parked is not None:
+                    d.done_itn, d.attempt = parked.itn, parked.attempt
+                    d.previous = parked.devices
+            elif self.max_fuse > 1 and job.fusible:
+                d.members += self._collect_siblings(job, lanes[0])
+                if len(d.members) > 1:
+                    d.route = "batch"
+                    d.batch_id = f"fuse-{job.job_id}"
+        self._in_flight += len(d.members)
+        self.tel.gauge("serve.queue_depth").set(len(self._queue))
+        return d
+
+    # -- the pipeline ----------------------------------------------------
+    def _worker(self) -> None:
+        while True:
+            with self._cond:
+                d = self._place()
+            if d is None or not self._dispatch(d):
+                return
+
+    def _dispatch(self, d: _Dispatch) -> bool:
+        """open -> run -> deliver for one placed dispatch.
+
+        A solve that fails outright -- a worker-process traceback, a
+        buggy injected ``solve_fn`` -- is contained: deliver gives the
+        members failed outcomes and this dispatcher keeps serving
+        (letting the exception fly would silently shrink the
+        dispatcher pool and leave ``drain()``/``wait_for_outcomes()``
+        waiting for outcomes that will never arrive).  Returns False
+        when the backend died underneath us (abort/forced stop): the
+        run is being torn down and the dispatcher exits.
+        """
+        # Pessimistic until the run stage returns: a BaseException that
+        # is not ours to contain (KeyboardInterrupt in a dispatcher)
+        # still passes through deliver as a failure, then propagates.
+        error: str | None = "dispatch interrupted"
+        alive = True
+        t0 = time.perf_counter()
+        try:
+            self._run(d)
+            error = None
+        except BackendAborted:
+            alive = False
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        finally:
+            self._deliver(d, t0, error, alive)
+        return alive
+
+    # -- stage 2: open ---------------------------------------------------
+    def _open(self, d: _Dispatch) -> None:
+        """Account the wait and log the placement of one attempt.
+
+        The only site that observes ``serve.queue_wait_s``, constructs
+        a :class:`~repro.api.Placement` or appends to the placement
+        log.  The wait is measured once per member, at its first
+        attempt; each member remembers where its placement sits in
+        the log so a cache hit can re-mark it without searching.
+        """
+        now = time.perf_counter()
+        shards: tuple[ShardPlacement, ...] = ()
+        if d.route == "gang":
+            shards = tuple(
+                ShardPlacement(
+                    rank=rank, device=lane_id, footprint_gb=d.charge,
+                    port_key=d.est.per_rank[rank].port_key,
+                    estimated_s=d.est.per_rank[rank].seconds,
+                    migrated_from=d.migrated.get(rank))
+                for rank, lane_id in enumerate(d.lanes))
+        for m in d.members:
+            if not m.placements:
+                m.wait_s = now - m.enqueued_at
+                self.tel.histogram("serve.queue_wait_s").observe(m.wait_s)
+            m.placements.append(Placement(
+                job_id=m.job.job_id,
+                device="+".join(d.lanes),
+                nominal_gb=m.job.nominal_gb,
+                footprint_gb=m.job.footprint_gb,
+                queue_wait_s=m.wait_s,
+                estimated_s=d.est.seconds,
+                port_key=d.est.port_key,
+                attempt=d.attempt,
+                previous_devices=d.previous,
+                batch_id=d.batch_id,
+                batch_size=len(d.members),
+                tuned=d.est.tuned,
+                shards=shards,
+            ))
+        with self._cond:
+            for m in d.members:
+                m.log_index = len(self.placement_log)
+                self.placement_log.append(m.placements[-1])
+
+    def _mark_hit(self, m: _Member) -> None:
+        """Flip the member's latest placement to a cache hit."""
+        hit = replace(m.placements[-1], cache_hit=True)
+        m.placements[-1] = hit
+        with self._cond:
+            self.placement_log[m.log_index] = hit
+
+    # -- stage 3: run ----------------------------------------------------
+    def _run(self, d: _Dispatch) -> None:
+        """Open and run attempts until one stands.
+
+        Each route's attempt body returns the ranks whose lanes its
+        result blames (none: the result stands).  While the
+        re-placement budget lasts those lanes are relocated and the
+        route runs again.
+        """
+        attempt = getattr(self, "_attempt_" + d.route)
+        while True:
+            self._open(d)
+            lost = attempt(d)
+            if (not lost or d.attempt >= self.max_replacements
+                    or not self._relocate(d, lost)):
+                return
+
+    def _relocate(self, d: _Dispatch, lost: list[int]) -> bool:
+        """Move the lost ranks' reservations to spare lanes, all or none.
+
+        The re-placement step of ``docs/resilience.md`` for every
+        route that has one: a solo job leaves the device that degraded
+        it, a gang moves each dead rank's shard.  Every spare is
+        *chosen* first -- the cheapest lanes by :meth:`_cheapest` on
+        the per-lane price, never one this dispatch has already held
+        -- and only when all lost ranks have one does any reservation
+        move.  Otherwise nothing is mutated and the caller delivers
+        the degraded result as-is rather than stranding a
+        half-migrated gang.  A relocated attempt runs on different
+        hardware, so its fault/retry streams re-derive from
+        ``(seed, attempt)``: the injected-fault realization must not
+        replay.
+        """
+        job = d.job
+        gang = d.route == "gang"
+        if not gang:
+            self.tel.counter("serve.replacement",
+                             from_device=d.lanes[0]).inc()
+        ranks = sorted({min(r, len(d.lanes) - 1) for r in lost})
+        with self._cond:
+            spares = self._cheapest(job, ranks=len(d.lanes),
+                                    exclude=d.tried)[:len(ranks)]
+            if len(spares) < len(ranks):
+                return False
+            d.previous += ("+".join(d.lanes),)
+            d.migrated = {}
+            for rank, (lane, est) in zip(ranks, spares):
+                self.pool.release(d.lanes[rank], d.charge, job.job_id)
+                self.pool.reserve(lane.lane_id, d.charge, job.job_id)
+                d.migrated[rank] = d.lanes[rank]
+                d.lanes[rank] = lane.lane_id
+                d.tried.add(lane.lane_id)
+                if not gang:
+                    d.est = est
+            self._cond.notify_all()
+        if gang:
+            self.tel.counter("serve.gang.migrations").inc(len(ranks))
+        d.attempt += 1
+        d.dead.update(lost)
+        d.seed = derive_seed(job.request.seed,
+                             _STREAM_REPLACEMENT + d.attempt)
+        return True
+
+    def _attempt_work(self, d: _Dispatch) -> None:
         """Run a background job's work function on its placed lane.
 
         The job already went through admission, the priority queue and
         placement like any solve (the contention *is* the exercise);
         here the dispatcher simply runs ``work_fn`` while holding the
-        lane reservation and records the return value.  An exception
-        propagates to the dispatcher's containment handler (failed
-        outcome, ``serve.job_failures``) after the lane is released.
+        lane reservation and keeps the return value for the outcome.
         """
-        wait_s = time.perf_counter() - enqueued_at
-        self.tel.histogram("serve.queue_wait_s").observe(wait_s)
-        placement = Placement(
-            job_id=job.job_id,
-            device=lane.lane_id,
-            nominal_gb=job.nominal_gb,
-            footprint_gb=job.footprint_gb,
-            queue_wait_s=wait_s,
-            estimated_s=est.seconds,
-            port_key=est.port_key,
-            tuned=est.tuned,
-        )
-        with self._cond:
-            self.placement_log.append(placement)
-        t0 = time.perf_counter()
-        try:
-            with self.tel.span("serve.background", job_id=job.job_id,
-                               device=lane.lane_id):
-                result = job.work_fn()
-        finally:
-            busy = time.perf_counter() - t0
-            with self._cond:
-                self.pool.release(lane.lane_id, job.reserve_gb,
-                                  job.job_id, busy_s=busy)
+        m = d.members[0]
+        with self.tel.span("serve.background", job_id=m.job.job_id,
+                           device=d.lanes[0]):
+            m.result = m.job.work_fn()
         self.tel.counter("serve.background_jobs").inc()
-        self.tel.histogram("serve.exec_s").observe(busy)
-        with self._cond:
-            self.outcomes.append(JobOutcome(
-                job=job, decision=AdmissionDecision.ADMITTED,
-                placements=(placement,),
-                queue_wait_s=wait_s, exec_s=busy,
-                result=result,
-            ))
 
-    def _execute(self, job: ServeJob, lane, est, enqueued_at: float
-                 ) -> None:
-        wait_s = time.perf_counter() - enqueued_at
-        self.tel.histogram("serve.queue_wait_s").observe(wait_s)
-        placements: list[Placement] = []
-        t0 = time.perf_counter()
-        attempt = 0
-        previous: tuple[str, ...] = ()
-        current_lane, current_est = lane, est
-        try:
-            while True:
-                placement = Placement(
-                    job_id=job.job_id,
-                    device=current_lane.lane_id,
-                    nominal_gb=job.nominal_gb,
-                    footprint_gb=job.footprint_gb,
-                    queue_wait_s=wait_s,
-                    estimated_s=current_est.seconds,
-                    port_key=current_est.port_key,
-                    attempt=attempt,
-                    previous_devices=previous,
-                    tuned=current_est.tuned,
-                )
+    def _attempt_solo(self, d: _Dispatch) -> list[int] | None:
+        """One solve: cache and single-flight lookup, warm start, solve."""
+        m = d.members[0]
+        request = m.job.request
+        m.record = False
+        key = self.cache.key(request) if self.cache is not None else None
+        with self.tel.span("serve.job", job_id=m.job.job_id,
+                           device=d.lanes[0], attempt=d.attempt):
+            flight = leader = shared = None
+            if key is not None:
                 with self._cond:
-                    self.placement_log.append(placement)
-                placements.append(placement)
-                report = self._solve_once(job, placement)
-                if report.placement is not None:
-                    # A cache/coalescing hit re-marked the placement.
-                    placements[-1] = report.placement
-                if (report.stop in REPLACE_ON
-                        and attempt < self.max_replacements):
-                    retry = self._replace(job, placement)
-                    if retry is not None:
-                        previous = previous + (current_lane.lane_id,)
-                        attempt += 1
-                        current_lane, current_est = retry
-                        continue
-                break
-        finally:
-            busy = time.perf_counter() - t0
-            with self._cond:
-                self.pool.release(current_lane.lane_id,
-                                  job.reserve_gb, job.job_id,
-                                  busy_s=busy)
-        report = replace(report, job_id=job.job_id,
-                         placement=placements[-1])
-        self.tel.histogram("serve.exec_s").observe(busy)
-        with self._cond:
-            self.outcomes.append(JobOutcome(
-                job=job, decision=AdmissionDecision.ADMITTED,
-                report=report, placements=tuple(placements),
-                queue_wait_s=wait_s, exec_s=busy,
-            ))
+                    shared = self.cache.get(key)
+                    if shared is None:
+                        leader = self._inflight.get(key)
+                        if leader is None:
+                            flight = self._inflight[key] = _Flight()
+            if leader is not None:
+                # An identical job is solving right now: coalesce
+                # instead of recomputing (request single-flight).  A
+                # leader that failed leaves no report; then we solve
+                # ourselves.
+                self.tel.counter("serve.coalesced").inc()
+                leader.done.wait()
+                shared = leader.report
+            if shared is not None:
+                m.report = shared
+                self._mark_hit(m)
+                return None
+            if d.attempt > 0 and request.resilience is not None:
+                request = replace(request, seed=d.seed)
+            warm = None
+            if self.sessions is not None:
+                m.digest = key[0] if key is not None else None
+                request, warm = seed_request(self.sessions, request,
+                                             digest=m.digest)
+            # Only a clean first attempt is publishable: re-placed
+            # attempts ran under a redrawn fault seed, degraded/
+            # aborted results must not be served to future twins, and
+            # a warm-started solve answered a *seeded* request -- its
+            # bits differ from the cold solve the cache key promises
+            # (the solution itself is equally valid and still feeds
+            # the session store).
+            publishable = False
+            try:
+                report = self._backend.solve(request)
+                publishable = (d.attempt == 0 and warm is None
+                               and report.stop not in REPLACE_ON)
+            finally:
+                if flight is not None:
+                    with self._cond:
+                        self._inflight.pop(key, None)
+                    if publishable:
+                        flight.report = replace(report, job_id=None,
+                                                placement=None)
+                    flight.done.set()
+            if publishable and key is not None:
+                self.cache.put(key, report)
+            m.record = d.attempt == 0
+            m.report = stamp_warm_start(report, warm)
+        return [0] if report.stop in REPLACE_ON else None
 
-    def _sliceable(self, job: ServeJob) -> bool:
-        """Should this job run as preemptible checkpointed slices?
-
-        Priority 0 is the most-urgent class -- nothing outranks it,
-        so slicing it would pay checkpoint overhead for a preemption
-        that can never be demanded; every lower class rides the
-        sliced path whenever the scheduler has a slice length and a
-        session store to park in.
-        """
-        return (self.preempt_slice is not None
-                and self.sessions is not None
-                and job.priority > 0
-                and job.preemptible)
-
-    def _preempt_wanted(self, job: ServeJob, lane) -> bool:
+    def _preempt_wanted(self, job: ServeJob, lane_id: str) -> bool:
         """Is a strictly more urgent queued job starved for this lane?
 
         True when some queued job with a lower priority value cannot
@@ -985,24 +1138,16 @@ class Scheduler:
         for _, queued, _ in self._queue:
             if queued.priority >= job.priority:
                 continue
-            if self._choose_lane(queued) is not None:
+            if self._cheapest(queued):
                 continue  # places without our help; no preemption
-            for cand in self.pool.feasible(
-                    queued.reserve_gb,
-                    devices=queued.constraints.devices):
-                if self.cost_model.estimate(
-                        queued.nominal_gb, cand.spec,
-                        framework=queued.request.framework) is None:
-                    continue
+            for cand, _ in self._priced(queued):
                 free = cand.free_gb + (
-                    job.reserve_gb if cand.lane_id == lane.lane_id
-                    else 0.0)
+                    job.reserve_gb if cand.lane_id == lane_id else 0.0)
                 if queued.reserve_gb <= free + MEMORY_EPSILON_GB:
                     return True
         return False
 
-    def _execute_sliced(self, job: ServeJob, lane, est,
-                        enqueued_at: float) -> None:
+    def _attempt_sliced(self, d: _Dispatch) -> None:
         """Run one solve as preemptible checkpointed slices.
 
         The request re-executes through the no-fault recovery driver
@@ -1012,10 +1157,10 @@ class Scheduler:
         in the session store's parking file).  Between segments --
         under the scheduler lock -- the dispatcher asks
         :meth:`_preempt_wanted`; if a more urgent queued job is
-        starved for this lane's memory, the job is *parked*: the lane
-        is released, the checkpoint and its progress metadata stay in
-        the store, and the job re-enters the queue to be resumed by a
-        later dispatch, possibly on a different lane (device
+        starved for this lane's memory, the dispatch ends *parked*:
+        deliver releases the lane, registers the checkpoint and its
+        progress in the store and re-queues the job, to be resumed by
+        a later dispatch, possibly on a different lane (device
         migration).  Checkpoint/resume is bit-for-bit, the engine's
         stop tests are iteration-limit-independent, and the fault-free
         1-rank recovery driver is bitwise the serial solver -- so the
@@ -1027,108 +1172,38 @@ class Scheduler:
 
         Sliced jobs bypass the result cache and single-flight: the
         executed request differs from the submitted one (same
-        reasoning as the gang path), so publishing under the original
+        reasoning as the gang route), so publishing under the original
         key would poison future twins.  The completed solution still
         lands in the session store for warm starts.
         """
-        sess = self.sessions
-        base = job.request
+        m = d.members[0]
+        job, base = m.job, m.job.request
         total = (base.iter_lim if base.iter_lim is not None
                  else 2 * base.system.dims.n_params)
-        ckpt = str(sess.park_path(job.job_id))
-        parked = sess.claim(job.job_id)
-        done = parked.itn if parked is not None else 0
-        attempt = parked.attempt if parked is not None else 0
-        previous = parked.devices if parked is not None else ()
-        resumed = parked is not None
-        wait_s = time.perf_counter() - enqueued_at
-        self.tel.histogram("serve.queue_wait_s").observe(wait_s)
-        placement = Placement(
-            job_id=job.job_id, device=lane.lane_id,
-            nominal_gb=job.nominal_gb, footprint_gb=job.footprint_gb,
-            queue_wait_s=wait_s, estimated_s=est.seconds,
-            port_key=est.port_key, attempt=attempt,
-            previous_devices=previous, tuned=est.tuned)
-        with self._cond:
-            self.placement_log.append(placement)
-        preempted = False
-        report: SolveReport | None = None
-        t0 = time.perf_counter()
-        try:
-            while True:
-                request = replace(
-                    base,
-                    resilience=ResilienceConfig(
-                        checkpoint_every=self.preempt_slice),
-                    iter_lim=min(done + self.preempt_slice, total),
-                    checkpoint_path=ckpt,
-                    resume_from=(ckpt if resumed or done > 0
-                                 else None))
-                with self.tel.span("serve.slice", job_id=job.job_id,
-                                   device=lane.lane_id,
-                                   start_itn=done):
-                    report = self._backend.solve(request)
-                done = report.itn
-                if (report.stop is not StopReason.ITERATION_LIMIT
-                        or done >= total):
-                    break
-                with self._cond:
-                    if (attempt < self.max_preemptions
-                            and self._preempt_wanted(job, lane)):
-                        preempted = True
-                        break
-        finally:
-            busy = time.perf_counter() - t0
+        ckpt = str(self.sessions.park_path(job.job_id))
+        while True:
+            request = replace(
+                base,
+                resilience=ResilienceConfig(
+                    checkpoint_every=self.preempt_slice),
+                iter_lim=min(d.done_itn + self.preempt_slice, total),
+                checkpoint_path=ckpt,
+                resume_from=ckpt if d.done_itn > 0 else None)
+            with self.tel.span("serve.slice", job_id=job.job_id,
+                               device=d.lanes[0], start_itn=d.done_itn):
+                report = self._backend.solve(request)
+            d.done_itn = report.itn
+            if (report.stop is not StopReason.ITERATION_LIMIT
+                    or d.done_itn >= total):
+                m.report, m.record = report, True
+                return
             with self._cond:
-                self.pool.release(lane.lane_id, job.reserve_gb,
-                                  job.job_id, busy_s=busy)
-                if preempted:
-                    # Park and re-enqueue *before* releasing the lock
-                    # so no dispatcher can dequeue the job ahead of
-                    # its parked state being registered.
-                    sess.park(job.job_id, itn=done,
-                              attempt=attempt + 1,
-                              devices=previous + (lane.lane_id,))
-                    self._preemptions += 1
-                    self.tel.counter("serve.sessions.preemption").inc()
-                    self._queue.append(
-                        (job.sort_key(self._seq), job,
-                         time.perf_counter()))
-                    self._seq += 1
-                    self.tel.gauge("serve.queue_depth").set(
-                        len(self._queue))
-                self._cond.notify_all()
-            if not preempted and report is None:
-                # The solve raised mid-slice; the containment path in
-                # _worker records the failure, the parked file must
-                # not outlive it.
-                sess.discard(job.job_id)
-        if preempted:
-            return
-        sess.discard(job.job_id)
-        report = replace(report, job_id=job.job_id,
-                         placement=placement)
-        if report.x is not None and report.stop not in REPLACE_ON:
-            self._record_session(base.system, report)
-        self.tel.histogram("serve.exec_s").observe(busy)
-        with self._cond:
-            self.outcomes.append(JobOutcome(
-                job=job, decision=AdmissionDecision.ADMITTED,
-                report=report, placements=(placement,),
-                queue_wait_s=wait_s, exec_s=busy,
-            ))
+                if (d.attempt < self.max_preemptions
+                        and self._preempt_wanted(job, d.lanes[0])):
+                    d.parked = True
+                    return
 
-    def _record_session(self, system, report: SolveReport,
-                        digest: str | None = None) -> None:
-        """Deposit a finished solution into the session store."""
-        if self.sessions is None or report.x is None:
-            return
-        from repro.sessions import record_solution
-
-        record_solution(self.sessions, system, report, digest=digest)
-
-    def _execute_gang(self, job: ServeJob, lanes, gang_est, charge,
-                      enqueued_at: float) -> None:
+    def _attempt_gang(self, d: _Dispatch) -> list[int] | None:
         """Run one solve sharded across a gang of reserved lanes.
 
         The request's ``ranks`` is rewritten to the gang's rank count
@@ -1136,411 +1211,179 @@ class Scheduler:
         engine's row decomposition (:mod:`repro.dist.decomposition`)
         *is* the sharding, each rank standing for one lane.  Because
         the executed request differs from the submitted one, gang jobs
-        bypass the result cache and single-flight entirely: publishing
+        bypass the result cache and single-flight entirely (publishing
         an R-rank result under the ranks=1 digest would poison future
-        twins.
+        twins) and are not recorded in the session store.
 
         Resilience fusion: with a :class:`~repro.api.ResilienceConfig`
         the gang checkpoints into a private directory, and a solve
-        that ends DEGRADED/ABORTED having lost ranks is *migrated* --
-        each dead rank's shard moves to a spare lane
-        (:meth:`_migrate_shards`), and the solve resumes from the last
-        :class:`~repro.resilience.GlobalCheckpoint` with the fired
-        rank-death entries dropped from the fault plan (the dead
+        that ends DEGRADED/ABORTED having lost ranks asks for those
+        ranks' shards to be relocated; the next attempt resumes from
+        the last :class:`~repro.resilience.GlobalCheckpoint` with the
+        fired rank-death entries dropped from the fault plan (the dead
         lane's faults must not replay on its replacement).
         """
-        wait_s = time.perf_counter() - enqueued_at
-        self.tel.histogram("serve.queue_wait_s").observe(wait_s)
-        self.tel.counter("serve.gang.placed",
-                         ranks=str(gang_est.ranks)).inc()
-        current = [lane.lane_id for lane in lanes]
-        request = replace(job.request, ranks=gang_est.ranks)
-        ckpt_dir: str | None = None
+        m = d.members[0]
+        request = replace(m.job.request, ranks=len(d.lanes))
+        ckpt: str | None = None
         if request.resilience is not None:
-            ckpt_dir = tempfile.mkdtemp(prefix=f"gang-{job.job_id}-")
-            request = replace(
-                request,
-                checkpoint_path=os.path.join(ckpt_dir, "gang-ckpt.npz"))
-        placements: list[Placement] = []
-        migrated: dict[int, str] = {}
-        attempt = 0
-        previous: tuple[str, ...] = ()
-        t0 = time.perf_counter()
-        try:
-            while True:
-                shards = tuple(
-                    ShardPlacement(
-                        rank=i,
-                        device=current[i],
-                        footprint_gb=charge,
-                        port_key=gang_est.per_rank[i].port_key,
-                        estimated_s=gang_est.per_rank[i].seconds,
-                        migrated_from=migrated.get(i),
-                    )
-                    for i in range(gang_est.ranks))
-                placement = Placement(
-                    job_id=job.job_id,
-                    device="+".join(current),
-                    nominal_gb=job.nominal_gb,
-                    footprint_gb=job.footprint_gb,
-                    queue_wait_s=wait_s,
-                    estimated_s=gang_est.seconds,
-                    port_key=gang_est.port_key,
-                    attempt=attempt,
-                    previous_devices=previous,
-                    tuned=gang_est.tuned,
-                    shards=shards,
-                )
-                with self._cond:
-                    self.placement_log.append(placement)
-                placements.append(placement)
-                with self.tel.span("serve.gang", job_id=job.job_id,
-                                   ranks=gang_est.ranks,
-                                   attempt=attempt):
-                    report = self._backend.solve(request)
-                lost = sorted(set(report.resilience.ranks_lost)) \
-                    if report.resilience is not None else []
-                if (report.stop in REPLACE_ON
-                        and attempt < self.max_replacements
-                        and lost
-                        and request.checkpoint_path is not None
-                        and os.path.exists(request.checkpoint_path)):
-                    moved = self._migrate_shards(job, current, lost,
-                                                 charge)
-                    if moved is not None:
-                        attempt += 1
-                        self.tel.counter(
-                            "serve.gang.migrations").inc(len(moved))
-                        migrated = {rank: old
-                                    for rank, (old, _) in moved.items()}
-                        previous = previous + (placement.device,)
-                        lost_set = set(lost)
-                        kept_deaths = tuple(
-                            d for d in request.resilience.rank_deaths
-                            if d[0] not in lost_set)
-                        request = replace(
-                            request,
-                            seed=derive_seed(job.request.seed,
-                                             _STREAM_REPLACEMENT
-                                             + attempt),
-                            resilience=replace(request.resilience,
-                                               rank_deaths=kept_deaths),
-                            resume_from=request.checkpoint_path,
-                        )
-                        continue
-                break
-        finally:
-            busy = time.perf_counter() - t0
-            with self._cond:
-                self.pool.release_gang(current, charge, job.job_id,
-                                       busy_s=busy)
-                self._cond.notify_all()
-            if ckpt_dir is not None:
-                shutil.rmtree(ckpt_dir, ignore_errors=True)
-        report = replace(report, job_id=job.job_id,
-                         placement=placements[-1])
-        self.tel.histogram("serve.exec_s").observe(busy)
-        with self._cond:
-            self.outcomes.append(JobOutcome(
-                job=job, decision=AdmissionDecision.ADMITTED,
-                report=report, placements=tuple(placements),
-                queue_wait_s=wait_s, exec_s=busy,
-            ))
+            if d.ckpt_dir is None:
+                d.ckpt_dir = tempfile.mkdtemp(
+                    prefix=f"gang-{m.job.job_id}-")
+            ckpt = os.path.join(d.ckpt_dir, "gang-ckpt.npz")
+            request = replace(request, checkpoint_path=ckpt)
+            if d.attempt > 0:
+                kept_deaths = tuple(
+                    death for death in request.resilience.rank_deaths
+                    if death[0] not in d.dead)
+                request = replace(
+                    request, seed=d.seed, resume_from=ckpt,
+                    resilience=replace(request.resilience,
+                                       rank_deaths=kept_deaths))
+        with self.tel.span("serve.gang", job_id=m.job.job_id,
+                           ranks=len(d.lanes), attempt=d.attempt):
+            m.report = report = self._backend.solve(request)
+        if (report.stop in REPLACE_ON and report.resilience is not None
+                and ckpt is not None and os.path.exists(ckpt)):
+            return sorted(set(report.resilience.ranks_lost))
+        return None
 
-    def _migrate_shards(self, job: ServeJob, current: list[str],
-                        ranks_lost: list[int], charge: float
-                        ) -> dict[int, tuple[str, str]] | None:
-        """Move each dead rank's shard to a spare lane (all or none).
-
-        Every replacement is *chosen* first -- ranked like
-        :meth:`_choose_lane` on the per-shard price, excluding every
-        lane the gang already occupies or has just claimed -- and only
-        once all dead ranks have a spare does any reservation move.
-        If any rank finds no spare, nothing is mutated and None is
-        returned: the caller delivers the degraded result as-is
-        rather than stranding a half-migrated gang.  Mutates
-        ``current`` in place; returns ``{rank: (old, new)}``.
-        """
-        with self._cond:
-            taken = set(current)
-            ranks = sorted({min(r, len(current) - 1)
-                            for r in ranks_lost})
-            choices: dict[int, str] = {}
-            for rank in ranks:
-                best = None
-                for lane in self.pool.placeable(
-                        charge, devices=job.constraints.devices,
-                        exclude=taken):
-                    est = self.cost_model.estimate(
-                        job.nominal_gb / len(current), lane.spec,
-                        framework=job.request.framework)
-                    if est is None:
-                        continue
-                    rank_key = (est.seconds * (1 + len(lane.lane)),
-                                est.seconds, lane.lane_id)
-                    if best is None or rank_key < best[0]:
-                        best = (rank_key, lane)
-                if best is None:
-                    return None
-                taken.add(best[1].lane_id)
-                choices[rank] = best[1].lane_id
-            moves: dict[int, tuple[str, str]] = {}
-            for rank, new_id in choices.items():
-                old = current[rank]
-                self.pool.release(old, charge, job.job_id)
-                self.pool.reserve(new_id, charge, job.job_id)
-                current[rank] = new_id
-                moves[rank] = (old, new_id)
-            self._cond.notify_all()
-            return moves
-
-    def _execute_batch(self, members: list[tuple[ServeJob, float]],
-                       lane, est) -> None:
+    def _attempt_batch(self, d: _Dispatch) -> None:
         """Solve a fused batch on one lane and demultiplex the results.
 
         Per member: a cache lookup first (hits leave the batch), then
         exact-duplicate members share one solve, then the remaining
         representatives run through ``batch_solve_fn`` as a single
-        many-RHS sweep.  Each member gets its own report (``job_id``
-        restored), its own placement (tagged with the shared
-        ``batch_id``) and its own cache entry.  A member stopping
+        many-RHS sweep.  Each member gets its own report, its own
+        placement (tagged with the shared ``batch_id``), its own cache
+        entry and its own session record.  A member stopping
         DEGRADED/ABORTED -- or a batch-solve failure -- falls back to
         individual ``solve_fn`` calls so one poisoned member never
-        takes its siblings down.
+        takes its siblings down.  Members do not warm start: a seed
+        per member would make the fused sweep's iteration counts
+        diverge, which is what fusion exists to avoid.
         """
-        now = time.perf_counter()
-        batch_id = f"fuse-{members[0][0].job_id}"
-        size = len(members)
+        lane_id = d.lanes[0]
         self.tel.counter("serve.fusion.batches").inc()
-        self.tel.counter("serve.fusion.members").inc(size)
-        placements: dict[str, Placement] = {}
-        waits: dict[str, float] = {}
-        for job, enqueued_at in members:
-            wait_s = now - enqueued_at
-            waits[job.job_id] = wait_s
-            self.tel.histogram("serve.queue_wait_s").observe(wait_s)
-            placement = Placement(
-                job_id=job.job_id,
-                device=lane.lane_id,
-                nominal_gb=job.nominal_gb,
-                footprint_gb=job.footprint_gb,
-                queue_wait_s=wait_s,
-                estimated_s=est.seconds,
-                port_key=est.port_key,
-                batch_id=batch_id,
-                batch_size=size,
-                tuned=est.tuned,
-            )
-            placements[job.job_id] = placement
-            with self._cond:
-                self.placement_log.append(placement)
+        self.tel.counter("serve.fusion.members").inc(len(d.members))
+        with self.tel.span("serve.batch", batch_id=d.batch_id,
+                           device=lane_id, members=len(d.members)):
+            # Cache hits leave the batch before it solves; exact
+            # duplicates (equal full cache key) share one solve --
+            # the batch-side analogue of single-flight.
+            groups: dict[object, list[_Member]] = {}
+            for m in d.members:
+                key = (self.cache.key(m.job.request)
+                       if self.cache is not None else None)
+                cached = (self.cache.get(key)
+                          if key is not None else None)
+                if cached is not None:
+                    m.report = cached
+                    self._mark_hit(m)
+                    continue
+                if key is None:
+                    key = ("nocache", m.job.job_id)
+                else:
+                    m.digest = key[0]
+                groups.setdefault(key, []).append(m)
+            requests = [group[0].job.request
+                        for group in groups.values()]
+            dupes = sum(len(group) - 1 for group in groups.values())
+            if dupes:
+                self.tel.counter("serve.coalesced").inc(dupes)
 
-        t0 = time.perf_counter()
-        reports: dict[str, SolveReport] = {}
-        try:
-            with self.tel.span("serve.batch", batch_id=batch_id,
-                               device=lane.lane_id, members=size):
-                # Cache hits leave the batch before it solves.
-                pending: list[ServeJob] = []
-                keys: dict[str, object] = {}
-                for job, _ in members:
-                    key = (self.cache.key(job.request)
-                           if self.cache is not None else None)
-                    keys[job.job_id] = key
-                    cached = (self.cache.get(key)
-                              if key is not None else None)
-                    if cached is not None:
-                        hit = self._mark_hit(placements[job.job_id])
-                        placements[job.job_id] = hit
-                        reports[job.job_id] = replace(
-                            cached, job_id=job.job_id, placement=hit)
-                    else:
-                        pending.append(job)
+            solved: list[SolveReport] = []
+            if len(requests) == 1:
+                solved = [self._backend.solve(requests[0])]
+            elif requests:
+                try:
+                    solved = self._backend.solve_batch(requests)
+                except BackendAborted:
+                    raise
+                except Exception:
+                    # The fused sweep itself failed: de-fuse and
+                    # run every representative alone.
+                    self.tel.counter("serve.fusion.fallback").inc()
+                    solved = [self._backend.solve(request)
+                              for request in requests]
 
-                # Exact duplicates (equal full cache key) share one
-                # solve -- the batch-side analogue of single-flight.
-                groups: dict[object, list[ServeJob]] = {}
-                for job in pending:
-                    gkey = keys[job.job_id]
-                    if gkey is None:
-                        gkey = ("nocache", job.job_id)
-                    groups.setdefault(gkey, []).append(job)
-                reps = [jobs[0] for jobs in groups.values()]
-                dupes = sum(len(jobs) - 1 for jobs in groups.values())
-                if dupes:
-                    self.tel.counter("serve.coalesced").inc(dupes)
+            publishable: list[tuple[object, SolveReport]] = []
+            for (key, group), report in zip(groups.items(), solved):
+                if report.stop in REPLACE_ON:
+                    # One member went bad inside the batch (e.g.
+                    # the engine's non-finite guard fired): retry
+                    # it alone, siblings keep their results.
+                    self.tel.counter("serve.fusion.member_retry").inc()
+                    report = self._backend.solve(group[0].job.request)
+                if (self.cache is not None
+                        and report.stop not in REPLACE_ON):
+                    publishable.append((key, report))
+                group[0].record = True
+                for m in group:
+                    with self.tel.span(
+                            "serve.job", job_id=m.job.job_id,
+                            device=lane_id, attempt=0,
+                            batch_id=d.batch_id):
+                        m.report = report
+            if publishable:
+                self.cache.put_many(publishable)
 
-                solved: list[SolveReport] = []
-                if len(reps) == 1:
-                    solved = [self._backend.solve(reps[0].request)]
-                elif reps:
-                    try:
-                        solved = self._backend.solve_batch(
-                            [j.request for j in reps])
-                    except BackendAborted:
-                        raise
-                    except Exception:
-                        # The fused sweep itself failed: de-fuse and
-                        # run every representative alone.
-                        self.tel.counter("serve.fusion.fallback").inc()
-                        solved = [self._backend.solve(j.request)
-                                  for j in reps]
+    # -- stage 4: deliver ------------------------------------------------
+    def _deliver(self, d: _Dispatch, t0: float, error: str | None,
+                 alive: bool) -> None:
+        """The one epilogue: record, clean up, release, report.
 
-                publishable: list[tuple[object, SolveReport]] = []
-                for rep_job, report in zip(reps, solved):
-                    if report.stop in REPLACE_ON:
-                        # One member went bad inside the batch (e.g.
-                        # the engine's non-finite guard fired): retry
-                        # it alone, siblings keep their results.
-                        self.tel.counter(
-                            "serve.fusion.member_retry").inc()
-                        report = self._backend.solve(rep_job.request)
-                    key = keys[rep_job.job_id]
-                    if key is not None and report.stop not in REPLACE_ON:
-                        publishable.append((key, report))
-                    for job in groups[key if key is not None
-                                      else ("nocache", rep_job.job_id)]:
-                        with self.tel.span(
-                                "serve.job", job_id=job.job_id,
-                                device=lane.lane_id, attempt=0,
-                                batch_id=batch_id):
-                            reports[job.job_id] = replace(
-                                report, job_id=job.job_id,
-                                placement=placements[job.job_id])
-                if self.cache is not None and publishable:
-                    self.cache.put_many(publishable)
-        finally:
-            busy = time.perf_counter() - t0
-            with self._cond:
-                # Busy time is charged once -- the lane was occupied
-                # `busy` seconds total, however many members rode it.
-                for i, (job, _) in enumerate(members):
-                    self.pool.release(lane.lane_id, job.reserve_gb,
-                                      job.job_id,
-                                      busy_s=busy if i == 0 else 0.0)
-        self.tel.histogram("serve.exec_s").observe(busy)
+        Runs for every route and every way out of the run stage --
+        clean return, a parked slice, a raised solve (``error``), a
+        torn-down backend (``alive`` False: nothing is reported, the
+        lanes are still returned).  In order: clean solutions go to
+        the session store where the route's contract allows (solo
+        first attempts, finished sliced solves, solved fused members;
+        never gang results); the gang checkpoint directory and -- for
+        a sliced solve that is not parking -- the park file are
+        dropped; then, under one lock hold, every reservation is
+        released (busy time charged once per lane), a preempted job
+        is parked and re-queued *before* any dispatcher can dequeue
+        it, the terminal outcomes are appended and waiters are woken.
+        """
+        ok = alive and error is None
+        if ok and self.sessions is not None:
+            for m in d.members:
+                if m.record and m.report is not None:
+                    record_if_clean(self.sessions, m.job.request.system,
+                                    m.report, digest=m.digest)
+        if d.ckpt_dir is not None:
+            shutil.rmtree(d.ckpt_dir, ignore_errors=True)
+        if d.route == "sliced" and not d.parked:
+            self.sessions.discard(d.job.job_id)
+        busy = time.perf_counter() - t0
+        outcomes = [] if d.parked or not alive else [
+            JobOutcome(
+                job=m.job, decision=AdmissionDecision.ADMITTED,
+                report=(replace(m.report, job_id=m.job.job_id,
+                                placement=m.placements[-1])
+                        if ok and m.report is not None else None),
+                placements=tuple(m.placements),
+                queue_wait_s=m.wait_s, exec_s=busy,
+                error=error, result=m.result)
+            for m in d.members]
         with self._cond:
-            for job, _ in members:
-                self.outcomes.append(JobOutcome(
-                    job=job, decision=AdmissionDecision.ADMITTED,
-                    report=reports[job.job_id],
-                    placements=(placements[job.job_id],),
-                    queue_wait_s=waits[job.job_id], exec_s=busy,
-                ))
-
-    def _solve_once(self, job: ServeJob, placement: Placement
-                    ) -> SolveReport:
-        """One attempt: cache and single-flight lookup, then solve."""
-        request = job.request
-        key = self.cache.key(request) if self.cache is not None else None
-        with self.tel.span("serve.job", job_id=job.job_id,
-                           device=placement.device,
-                           attempt=placement.attempt):
-            flight: _Flight | None = None
-            leader = True
-            if key is not None:
-                with self._cond:
-                    cached = self.cache.get(key)
-                    if cached is not None:
-                        return replace(cached,
-                                       placement=self._mark_hit(
-                                           placement))
-                    flight = self._inflight.get(key)
-                    if flight is None:
-                        flight = self._inflight[key] = _Flight()
-                    else:
-                        leader = False
-            if flight is not None and not leader:
-                # An identical job is solving right now: coalesce
-                # instead of recomputing (request single-flight).
-                self.tel.counter("serve.coalesced").inc()
-                flight.done.wait()
-                if flight.report is not None:
-                    return replace(flight.report,
-                                   placement=self._mark_hit(placement))
-                # Leader failed; fall through and solve ourselves.
-            if placement.attempt > 0 and request.resilience is not None:
-                # A re-placed attempt runs on different hardware: the
-                # injected-fault realization must not replay, so the
-                # fault/retry streams re-derive from (seed, attempt).
-                request = replace(
-                    request,
-                    seed=derive_seed(request.seed,
-                                     _STREAM_REPLACEMENT
-                                     + placement.attempt),
-                )
-            warm = None
-            if (self.sessions is not None and request.ranks == 1
-                    and request.resilience is None
-                    and request.x0 is None
-                    and request.resume_from is None):
-                warm = resolve_warm_start(
-                    self.sessions, request.system,
-                    digest=key[0] if key is not None else None)
-                if warm is not None:
-                    request = replace(request, x0=warm.x0)
-            try:
-                report = self._backend.solve(request)
-            except BaseException:
-                if leader and flight is not None:
-                    with self._cond:
-                        self._inflight.pop(key, None)
-                    flight.done.set()
-                raise
-            # Only a clean first attempt is publishable: re-placed
-            # attempts ran under a redrawn fault seed, degraded/
-            # aborted results must not be served to future twins, and
-            # a warm-started solve answered a *seeded* request -- its
-            # bits differ from the cold solve the cache key promises
-            # (the solution itself is equally valid and still feeds
-            # the session store).
-            publishable = (placement.attempt == 0
-                           and report.stop not in REPLACE_ON
-                           and warm is None)
-            if leader and flight is not None:
-                with self._cond:
-                    self._inflight.pop(key, None)
-                if publishable:
-                    flight.report = replace(report, job_id=None,
-                                            placement=None)
-                flight.done.set()
-            if key is not None and publishable:
-                self.cache.put(key, report)
-            if (placement.attempt == 0
-                    and report.stop not in REPLACE_ON):
-                self._record_session(
-                    request.system, report,
-                    digest=key[0] if key is not None else None)
-            if warm is not None:
-                report = replace(report, warm_start=WarmStartInfo(
-                    source_digest=warm.source_digest,
-                    exact=warm.exact, depth=warm.depth,
-                    prior_itn=warm.prior_itn,
-                    iterations_saved=warm.prior_itn - report.itn))
-            return report
-
-    def _mark_hit(self, placement: Placement) -> Placement:
-        """Flip the log entry for ``placement`` to a cache hit."""
-        with self._cond:
-            idx = self.placement_log.index(placement)
-            hit = replace(placement, cache_hit=True)
-            self.placement_log[idx] = hit
-        return hit
-
-    def _replace(self, job: ServeJob, placement: Placement):
-        """Pick a different lane for a degraded/aborted solve."""
-        self.tel.counter("serve.replacement",
-                         from_device=placement.device).inc()
-        with self._cond:
-            exclude = placement.previous_devices + (placement.device,)
-            choice = self._choose_lane(job, exclude=exclude)
-            if choice is None:
-                return None
-            new_lane, new_est = choice
-            # Move the reservation to the new lane.
-            self.pool.release(placement.device, job.reserve_gb,
-                              job.job_id)
-            self.pool.reserve(new_lane.lane_id, job.reserve_gb,
-                              job.job_id)
+            for lane_id in d.lanes:
+                for m in d.members:
+                    self.pool.release(
+                        lane_id, d.charge, m.job.job_id,
+                        busy_s=busy if m is d.members[0] else 0.0)
+            if d.parked:
+                self.sessions.park(d.job.job_id, itn=d.done_itn,
+                                   attempt=d.attempt + 1,
+                                   devices=d.previous + (d.lanes[0],))
+                self._preemptions += 1
+                self.tel.counter("serve.sessions.preemption").inc()
+                self._enqueue(d.job)
+            self.outcomes.extend(outcomes)
+            self._in_flight -= len(d.members)
             self._cond.notify_all()
-            return new_lane, new_est
+        for _ in d.members:
+            self.tel.histogram("serve.exec_s").observe(busy)
+        if error is not None:
+            self.tel.counter("serve.job_failures").inc(len(d.members))

@@ -17,6 +17,9 @@ removes is a direct wall-clock win.  This subsystem makes a solve a
   ``api.solve(..., sessions=store)`` and the serve scheduler;
 - :func:`record_solution` -- deposits a finished report back into the
   store, chaining the parent link;
+- :func:`seed_request` / :func:`record_if_clean` /
+  :func:`stamp_warm_start` -- the eligibility, record-guard and
+  provenance steps both consumers share;
 - preempt/checkpoint/resume -- the scheduler side lives in
   :mod:`repro.serve.scheduler` (``preempt_slice``): a low-priority
   solve runs as checkpointed slices, parks here when a more urgent
@@ -34,8 +37,11 @@ from repro.sessions.store import (
 )
 from repro.sessions.warmstart import (
     WarmStart,
+    record_if_clean,
     record_solution,
     resolve_warm_start,
+    seed_request,
+    stamp_warm_start,
 )
 
 __all__ = [
@@ -43,6 +49,9 @@ __all__ = [
     "SessionRecord",
     "SessionStore",
     "WarmStart",
+    "record_if_clean",
     "record_solution",
     "resolve_warm_start",
+    "seed_request",
+    "stamp_warm_start",
 ]

@@ -15,21 +15,27 @@ solution length does not match the request's unknown count are
 skipped -- lineage guarantees a shared unknown space, but the store
 may hold foreign records when callers share one directory across
 scenario families.
+
+The protocol around a session-aware solve -- who is *eligible* for a
+seed, how the seed lands on the request, which outcomes may be
+*recorded* back, and how the seed's provenance is *stamped* on the
+report -- lives here too (:func:`seed_request`,
+:func:`record_if_clean`, :func:`stamp_warm_start`), so
+``api.solve(..., sessions=)`` and the serve scheduler run one
+implementation of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.api import SolveReport, SolveRequest, WarmStartInfo
+from repro.core.engine import StopReason
 from repro.sessions.store import SessionStore
 from repro.system.digest import system_digest
 from repro.system.sparse import GaiaSystem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api import SolveReport
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ def resolve_warm_start(store: SessionStore, system: GaiaSystem, *,
 
 
 def record_solution(store: SessionStore, system: GaiaSystem,
-                    report: "SolveReport", *,
+                    report: SolveReport, *,
                     digest: str | None = None) -> str | None:
     """Deposit one finished solve's solution under its system digest.
 
@@ -94,3 +100,53 @@ def record_solution(store: SessionStore, system: GaiaSystem,
               stop=report.stop.name,
               parent=system.meta.get("parent_digest"))
     return digest
+
+
+def seed_request(store: SessionStore, request: SolveRequest, *,
+                 digest: str | None = None
+                 ) -> tuple[SolveRequest, WarmStart | None]:
+    """Seed an eligible request's ``x0`` from the store.
+
+    Only a *plain serial* request is eligible: the distributed and
+    recovery drivers take no ``x0``, a caller-provided ``x0`` wins
+    over the store, and a ``resume_from`` solve continues its own
+    checkpoint.  Returns the (possibly seeded) request and the
+    resolved :class:`WarmStart`, ``None`` when the request is
+    ineligible or nothing usable is stored.
+    """
+    if (request.ranks != 1 or request.resilience is not None
+            or request.x0 is not None
+            or request.resume_from is not None):
+        return request, None
+    warm = resolve_warm_start(store, request.system, digest=digest)
+    if warm is None:
+        return request, None
+    return replace(request, x0=warm.x0), warm
+
+
+def record_if_clean(store: SessionStore, system: GaiaSystem,
+                    report: SolveReport, *,
+                    digest: str | None = None) -> str | None:
+    """:func:`record_solution`, guarded by the "clean stop" test.
+
+    A DEGRADED / ABORTED_FAULTS solution reflects injected faults, not
+    the system, and must never seed a future solve.
+    """
+    if report.stop in (StopReason.DEGRADED, StopReason.ABORTED_FAULTS):
+        return None
+    return record_solution(store, system, report, digest=digest)
+
+
+def stamp_warm_start(report: SolveReport,
+                     warm: WarmStart | None) -> SolveReport:
+    """The report with the seed's provenance on ``warm_start``.
+
+    Returns a copy (the input may be shared with a cache or a
+    single-flight follower); ``report`` itself when ``warm`` is None.
+    """
+    if warm is None:
+        return report
+    return replace(report, warm_start=WarmStartInfo(
+        source_digest=warm.source_digest, exact=warm.exact,
+        depth=warm.depth, prior_itn=warm.prior_itn,
+        iterations_saved=warm.prior_itn - report.itn))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import (
     STRATEGY_PRESETS,
+    PlacementConstraints,
     ResilienceConfig,
     SolveRequest,
     SolveReport,
@@ -84,12 +85,15 @@ def test_request_rejects_unknown_framework_and_device(small_system):
     with pytest.raises(ValueError, match="framework 'FORTRAN'"):
         SolveRequest(system=small_system, framework="FORTRAN")
     with pytest.raises(ValueError, match="device 'K80'"):
-        SolveRequest(system=small_system, device="K80")
+        SolveRequest(system=small_system,
+                     constraints=PlacementConstraints(devices=("K80",)))
     # The full roster (including the projected C++26 port) and every
     # platform of the study are accepted.
     ok = SolveRequest(system=small_system, framework="PSTL+EXEC",
-                      device="MI250X")
-    assert ok.framework == "PSTL+EXEC" and ok.device == "MI250X"
+                      constraints=PlacementConstraints(
+                          devices=("MI250X",)))
+    assert ok.framework == "PSTL+EXEC"
+    assert ok.placement_constraints.devices == ("MI250X",)
 
 
 def test_job_id_threads_through_to_the_report(small_system):

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ResilienceConfig, SolveReport, SolveRequest, solve
+from repro.api import (
+    PlacementConstraints,
+    ResilienceConfig,
+    SolveReport,
+    SolveRequest,
+    solve,
+)
 from repro.core.engine import StopReason
 from repro.obs.telemetry import Telemetry
 from repro.serve import (
@@ -152,11 +158,11 @@ def test_admission_rejects_oversize_and_backpressure(small_system):
 def test_admission_respects_device_pin(small_system):
     pool = DevicePool(("V100", "H100"))
     sched = Scheduler(pool, workers=1, solve_fn=_stub_solve)
-    pinned = _stub_job(small_system, 10.0,
-                       request_kwargs={"device": "A100"})
+    pinned = _stub_job(small_system, 10.0, request_kwargs={
+        "constraints": PlacementConstraints(devices=("A100",))})
     assert sched.submit(pinned) is AdmissionDecision.REJECTED_TOO_LARGE
-    ok = _stub_job(small_system, 10.0,
-                   request_kwargs={"device": "V100"})
+    ok = _stub_job(small_system, 10.0, request_kwargs={
+        "constraints": PlacementConstraints(devices=("V100",))})
     assert sched.submit(ok) is AdmissionDecision.ADMITTED
     report = sched.run()
     assert report.placement_log[0].device == "V100"
@@ -217,8 +223,7 @@ def test_cache_serves_bitwise_identical_reports(small_system):
     assert cached is not None
     np.testing.assert_array_equal(cached.x, report.x)
     assert cache.stats() == {"hits": 1, "misses": 1, "evictions": 0,
-                             "size": 1, "solutions": 0,
-                             "solution_bytes": 0}
+                             "size": 1}
 
 
 def test_cache_lru_eviction(small_system):
@@ -234,48 +239,6 @@ def test_cache_lru_eviction(small_system):
         SolveRequest(system=small_system, iter_lim=5))) is None
     assert cache.get(cache.key(
         SolveRequest(system=small_system, iter_lim=7))) is not None
-
-
-def test_cache_stores_solutions_within_budget(small_system):
-    req = SolveRequest(system=small_system, iter_lim=10)
-    report = solve(req)
-    budget = report.x.nbytes  # room for exactly one vector
-    cache = ResultCache(8, store_solutions=budget)
-    key = cache.key(req)
-    cache.put(key, report)
-    digest = key[0]
-    np.testing.assert_array_equal(cache.solution(digest), report.x)
-    stats = cache.stats()
-    assert stats["solutions"] == 1
-    assert stats["solution_bytes"] == report.x.nbytes
-    # Keyed by system digest alone: a different config, same system,
-    # overwrites rather than accumulates.
-    req2 = SolveRequest(system=small_system, iter_lim=11)
-    cache.put(cache.key(req2), solve(req2))
-    assert cache.stats()["solutions"] == 1
-
-
-def test_cache_solution_budget_evicts_lru(small_system, noglob_system):
-    r1 = solve(SolveRequest(system=small_system, iter_lim=10))
-    r2 = solve(SolveRequest(system=noglob_system, iter_lim=10))
-    cache = ResultCache(8, store_solutions=max(r1.x.nbytes,
-                                               r2.x.nbytes))
-    k1 = cache.key(SolveRequest(system=small_system, iter_lim=10))
-    k2 = cache.key(SolveRequest(system=noglob_system, iter_lim=10))
-    cache.put(k1, r1)
-    cache.put(k2, r2)  # over budget -> the older solution is evicted
-    assert cache.solution(k1[0]) is None
-    np.testing.assert_array_equal(cache.solution(k2[0]), r2.x)
-    assert cache.stats()["solutions"] == 1
-
-
-def test_cache_solutions_off_by_default(small_system):
-    cache = ResultCache(8)
-    req = SolveRequest(system=small_system, iter_lim=10)
-    key = cache.key(req)
-    cache.put(key, solve(req))
-    assert cache.solution(key[0]) is None
-    assert cache.stats()["solution_bytes"] == 0
 
 
 # ---------------------------------------------------------------------
@@ -386,7 +349,7 @@ def test_small_jobs_flow_around_blocked_large_job(small_system):
 
 def test_scenario_roundtrip_and_example_file():
     scenario = parse_scenario({
-        "pool": {"devices": ["H100"], "per_gcd": False},
+        "placement": {"devices": ["H100"], "per_gcd": False},
         "scheduler": {"workers": 2, "cache_capacity": 0},
         "load": {"n_jobs": 3, "mix": {"10": 1.0},
                  "distinct_systems": 1, "scale": 1e-4,
@@ -414,7 +377,7 @@ def test_run_scenario_and_cli_smoke(tmp_path, capsys):
     assert len(report.completed) == 4 and not report.rejected
 
     doc = {
-        "pool": {"devices": ["A100", "H100"]},
+        "placement": {"devices": ["A100", "H100"]},
         "scheduler": {"workers": 2},
         "load": {"n_jobs": 4, "distinct_systems": 2, "scale": 1e-4,
                  "iter_lim": 20, "seed": 2},

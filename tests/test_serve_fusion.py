@@ -18,7 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import SolveReport, SolveRequest, solve
+from repro.api import (
+    PlacementConstraints,
+    SolveReport,
+    SolveRequest,
+    solve,
+)
 from repro.core.engine import StopReason
 from repro.obs.telemetry import Telemetry
 from repro.serve import (
@@ -111,7 +116,9 @@ def test_fusion_key_separates_engine_configs():
     assert base.fusion_key() != _job("b", system=other_sys).fusion_key()
     # placement-affecting job fields do too
     assert base.fusion_key() != _job("b", nominal_gb=30.0).fusion_key()
-    assert base.fusion_key() != _job("b", device="H100").fusion_key()
+    pinned = _job("b", constraints=PlacementConstraints(
+        devices=("H100",)))
+    assert base.fusion_key() != pinned.fusion_key()
 
 
 def test_shared_config_digest_ignores_rhs_fields():
@@ -365,7 +372,7 @@ def test_loadgen_validates_rhs_variants():
 @given(max_fuse=st.integers(1, 16))
 def test_scenario_parses_max_fuse(max_fuse):
     scenario = parse_scenario(
-        {"scheduler": {"max_fuse": max_fuse}})
+        {"placement": {"max_fuse": max_fuse}})
     assert scenario.max_fuse == max_fuse
 
 
@@ -381,9 +388,8 @@ def test_fused_stream_end_to_end_scenario():
 
     tel = Telemetry()
     scenario = parse_scenario({
-        "pool": {"devices": ["A100", "H100"]},
-        "scheduler": {"workers": 2, "max_fuse": 4,
-                      "cache_capacity": 64},
+        "placement": {"devices": ["A100", "H100"], "max_fuse": 4},
+        "scheduler": {"workers": 2, "cache_capacity": 64},
         "load": {"n_jobs": 10, "mix": {"10": 1.0},
                  "distinct_systems": 2, "rhs_variants": 3,
                  "scale": 1e-4, "seed": 3, "iter_lim": 30},

@@ -2,8 +2,8 @@
 
 Covers the PR's contracts:
 
-- :class:`~repro.api.PlacementConstraints` named-field validation and
-  the legacy ``device=`` shim (warn once, fold, conflict error);
+- :class:`~repro.api.PlacementConstraints` named-field validation
+  (the only placement vocabulary: ``SolveRequest(device=)`` is gone);
 - the admission/placement rounding agreement at the exact free-memory
   boundary (:data:`~repro.serve.pool.MEMORY_EPSILON_GB`);
 - all-or-nothing gang reservation (unit backout + a hypothesis
@@ -16,14 +16,12 @@ Covers the PR's contracts:
 - rank-death migration: a deterministic fault seed kills one rank
   mid-gang, the shard moves to a spare lane, and the solve resumes
   from the GlobalCheckpoint to convergence;
-- the unified scenario ``placement`` schema (legacy layout loads with
-  a warning, mixing layouts is an error).
+- the scenario ``placement`` schema (the pre-``placement`` layout and
+  any other unknown top-level/``scheduler`` key raise, key named).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -78,7 +76,7 @@ def _gang_request(system, **constraint_kwargs) -> SolveRequest:
 
 
 # ---------------------------------------------------------------------
-# PlacementConstraints validation + deprecation shims
+# PlacementConstraints validation
 # ---------------------------------------------------------------------
 
 def test_constraints_validate_named_fields():
@@ -102,22 +100,14 @@ def test_constraints_coerce_list_devices():
     assert cons.devices == ("H100", "A100")
 
 
-def test_legacy_device_kwarg_warns_and_folds(system):
-    with pytest.warns(DeprecationWarning, match="device="):
-        request = SolveRequest(system=system, device="A100")
+def test_device_kwarg_is_gone(system):
+    """``constraints.devices`` is the one way to pin a request."""
+    with pytest.raises(TypeError, match="device"):
+        SolveRequest(system=system, device="A100")  # type: ignore[call-arg]
+    request = SolveRequest(
+        system=system,
+        constraints=PlacementConstraints(devices=("A100",)))
     assert request.placement_constraints.devices == ("A100",)
-    # replace() copies re-run __post_init__ on the already-folded
-    # pair; they must stay silent (warn exactly once per request).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        copy = dataclasses.replace(request, seed=9)
-    assert copy.placement_constraints.devices == ("A100",)
-
-
-def test_legacy_device_conflicting_with_constraints_raises(system):
-    with pytest.raises(ValueError, match="conflicts"):
-        SolveRequest(system=system, device="T4",
-                     constraints=PlacementConstraints(devices=("H100",)))
 
 
 def test_constraints_priority_adopted_by_job(system):
@@ -424,26 +414,31 @@ def test_scenario_default_constraints_are_none():
     assert parse_scenario({}).constraints() is None
 
 
-def test_scenario_legacy_layout_warns():
-    legacy = {
-        "pool": {"devices": ["T4"]},
-        "scheduler": {"workers": 1, "backend": "thread",
-                      "max_fuse": 2},
-        "tuning": {"enabled": True},
-    }
-    with pytest.warns(DeprecationWarning, match="placement"):
-        scenario = parse_scenario(legacy)
-    assert scenario.devices == ("T4",)
-    assert scenario.max_fuse == 2
-    assert scenario.tuning_enabled
+def test_scenario_legacy_layout_rejected():
+    """The pre-``placement`` layout no longer loads: every key it used
+    raises with the key named instead of being silently ignored."""
+    for doc, key in [
+        ({"pool": {"devices": ["T4"]}}, "pool"),
+        ({"tuning": {"enabled": True}}, "tuning"),
+        ({"scheduler": {"workers": 1, "max_fuse": 2}}, "max_fuse"),
+        ({"scheduler": {"include_projected": True}},
+         "include_projected"),
+        ({"scheduler": {"store_solutions_mb": 1.0}},
+         "store_solutions_mb"),
+    ]:
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_scenario(doc)
 
 
 def test_scenario_mixed_layout_rejected():
-    with pytest.raises(ValueError, match="mixes"):
+    with pytest.raises(ValueError, match="'pool'"):
         parse_scenario({"placement": {}, "pool": {}})
-    with pytest.raises(ValueError, match="mixes"):
+    with pytest.raises(ValueError, match="'backend'"):
         parse_scenario({"placement": {},
                         "scheduler": {"backend": "thread"}})
+    # Plain typos are unknown keys too.
+    with pytest.raises(ValueError, match="'scheduller'"):
+        parse_scenario({"scheduller": {"workers": 2}})
 
 
 def test_gang_example_scenario_loads():
