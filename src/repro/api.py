@@ -28,10 +28,12 @@ all of them coherently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.aprod import AprodOperator
 from repro.core.engine import StopReason
 from repro.core.lsqr import (
     IterationCallback,
@@ -224,10 +226,12 @@ class SolveRequest:
     lane and resume mid-solve, and the session subsystem
     (``docs/sessions.md``) to resume preempted solves.  Only the
     recovery driver restores a GlobalCheckpoint, so ``resume_from``
-    without a ``resilience`` config used to raise ("resume_from
-    requires a resilience config"); it now synthesizes the default
-    no-fault :class:`ResilienceConfig` instead -- same driver, zero
-    injected faults, bit-identical to the serial solve.
+    without a ``resilience`` config synthesizes the default no-fault
+    :class:`ResilienceConfig` -- same driver, zero injected faults,
+    bit-identical to the serial solve.  The ``checkpoint_path`` dumps
+    of a solve *without* a resilience config are other formats
+    (``docs/architecture.md``); loading one says which, and what
+    resumes it.
     """
 
     system: GaiaSystem
@@ -290,8 +294,7 @@ class SolveRequest:
                 )
         if self.resume_from is not None and self.resilience is None:
             # Only the recovery driver restores a GlobalCheckpoint;
-            # route there with the default no-fault config (see the
-            # class docstring -- this used to raise).
+            # route there with the default no-fault config.
             object.__setattr__(self, "resilience", ResilienceConfig())
         distributed = self.ranks > 1 or self.resilience is not None
         if distributed and self.damp != 0.0:
@@ -584,12 +587,9 @@ def solve(request: SolveRequest, *,
     """
     if sessions is not None:
         return _solve_with_sessions(request, sessions)
-    gather, scatter = request.strategies
-    if request.resilience is not None:
-        return _solve_resilient(request, gather, scatter)
-    if request.ranks > 1:
-        return _solve_distributed(request, gather, scatter)
-    return _solve_serial(request, gather, scatter)
+    if request.resilience is not None or request.ranks > 1:
+        return _solve_spmd(request)
+    return _solve_serial(request)
 
 
 def _solve_with_sessions(request: SolveRequest,
@@ -661,109 +661,92 @@ def solve_batch(requests: "list[SolveRequest] | tuple[SolveRequest, ...]"
     if reason is not None:
         raise ValueError(f"requests cannot solve as one batch: {reason}")
     first = requests[0]
-    gather, scatter = first.strategies
     btol = first.btol if first.btol is not None else first.atol
     B = np.stack([r.system.rhs().astype(np.float64) for r in requests])
     results = lsqr_solve_batch(
-        first.system, B,
+        _operator(first, batch=len(requests)), B,
         damps=[r.damp for r in requests],
         atol=first.atol, btol=btol, conlim=first.conlim,
         iter_lim=first.iter_lim,
         precondition=first.precondition,
         calc_var=first.calc_var,
         x0s=[r.x0 for r in requests],
-        gather_strategy=gather, scatter_strategy=scatter,
         telemetry=first.telemetry,
     )
-    return [
-        SolveReport(
-            x=res.x, stop=res.istop, itn=res.itn,
-            r2norm=res.r2norm, ranks=1, m=res.m, n=res.n,
-            var=res.var, acond=res.acond,
-            mean_iteration_time=res.mean_iteration_time,
-            raw=res, job_id=req.job_id,
-        )
-        for req, res in zip(requests, results)
-    ]
+    return [_report(req, res) for req, res in zip(requests, results)]
 
 
-def _solve_serial(request: SolveRequest, gather: str,
-                  scatter: str) -> SolveReport:
+def _operator(request: SolveRequest, *, batch: int = 1) -> AprodOperator:
+    """The request's kernel operator: its preset's strategies."""
+    gather, scatter = request.strategies
+    return AprodOperator(
+        request.system, gather_strategy=gather, scatter_strategy=scatter,
+        batch_hint=batch, telemetry=request.telemetry,
+    )
+
+
+def _report(request: SolveRequest,
+            result: LSQRResult | DistributedResult,
+            resilience: ResilienceReport | None = None) -> SolveReport:
+    """The uniform report of whichever driver produced ``result``."""
+    serial = isinstance(result, LSQRResult)
+    return SolveReport(
+        x=result.x, stop=result.istop if serial else result.stop,
+        itn=result.itn, r2norm=result.r2norm,
+        ranks=1 if serial else result.n_ranks,
+        m=result.m, n=result.n, var=result.var,
+        acond=result.acond if serial else None,
+        mean_iteration_time=result.mean_iteration_time,
+        resilience=resilience, raw=result, job_id=request.job_id,
+    )
+
+
+def _solve_serial(request: SolveRequest) -> SolveReport:
     btol = request.btol if request.btol is not None else request.atol
-    result = lsqr_solve(
-        request.system,
+    return _report(request, lsqr_solve(
+        _operator(request),
         damp=request.damp,
         atol=request.atol, btol=btol, conlim=request.conlim,
         iter_lim=request.iter_lim,
         precondition=request.precondition,
         calc_var=request.calc_var,
         x0=request.x0,
-        gather_strategy=gather, scatter_strategy=scatter,
         callback=request.callback,
         telemetry=request.telemetry,
         checkpoint_every=request.checkpoint_every,
         checkpoint_path=request.checkpoint_path,
-    )
-    return SolveReport(
-        x=result.x, stop=result.istop, itn=result.itn,
-        r2norm=result.r2norm, ranks=1, m=result.m, n=result.n,
-        var=result.var, acond=result.acond,
-        mean_iteration_time=result.mean_iteration_time,
-        raw=result, job_id=request.job_id,
-    )
+    ))
 
 
-def _solve_distributed(request: SolveRequest, gather: str,
-                       scatter: str) -> SolveReport:
+def _solve_spmd(request: SolveRequest) -> SolveReport:
+    """The SPMD driver, inside the recovery driver when asked for."""
+    gather, scatter = request.strategies
     driver = DistributedLSQR(
         request.system, request.ranks,
         precondition=request.precondition,
         calc_var=request.calc_var,
-        gather_strategy=gather, scatter_strategy=scatter,
+        local_operator=partial(AprodOperator, gather_strategy=gather,
+                               scatter_strategy=scatter),
         telemetry=request.telemetry,
     )
-    result = driver.solve(
-        atol=request.atol, btol=request.btol, conlim=request.conlim,
-        iter_lim=request.iter_lim, callback=request.callback,
-        checkpoint_every=request.checkpoint_every,
-        checkpoint_path=request.checkpoint_path,
-    )
-    return SolveReport(
-        x=result.x, stop=result.stop, itn=result.itn,
-        r2norm=result.r2norm, ranks=result.n_ranks,
-        m=result.m, n=result.n, var=result.var,
-        mean_iteration_time=result.mean_iteration_time,
-        raw=result, job_id=request.job_id,
-    )
-
-
-def _solve_resilient(request: SolveRequest, gather: str,
-                     scatter: str) -> SolveReport:
+    stopping = dict(atol=request.atol, btol=request.btol,
+                    conlim=request.conlim, iter_lim=request.iter_lim,
+                    callback=request.callback)
     config = request.resilience
-    assert config is not None
-    driver = ResilientDistributedLSQR(
-        request.system, request.ranks,
+    if config is None:
+        return _report(request, driver.solve(
+            **stopping,
+            checkpoint_every=request.checkpoint_every,
+            checkpoint_path=request.checkpoint_path,
+        ))
+    result, chaos = ResilientDistributedLSQR(
+        driver,
         plan=request.fault_plan, retry=request.retry_policy,
-        precondition=request.precondition,
-        calc_var=request.calc_var,
-        gather_strategy=gather, scatter_strategy=scatter,
         checkpoint_every=config.checkpoint_every,
         checkpoint_path=request.checkpoint_path,
         max_restarts=config.max_restarts,
         min_ranks=config.min_ranks,
         allow_degraded=config.allow_degraded,
         norm_explosion_factor=config.norm_explosion_factor,
-        telemetry=request.telemetry,
-    )
-    result, report = driver.solve(
-        atol=request.atol, btol=request.btol, conlim=request.conlim,
-        iter_lim=request.iter_lim, callback=request.callback,
-        resume_from=request.resume_from,
-    )
-    return SolveReport(
-        x=result.x, stop=result.stop, itn=result.itn,
-        r2norm=result.r2norm, ranks=result.n_ranks,
-        m=result.m, n=result.n, var=result.var,
-        mean_iteration_time=result.mean_iteration_time,
-        resilience=report, raw=result, job_id=request.job_id,
-    )
+    ).solve(**stopping, resume_from=request.resume_from)
+    return _report(request, result, chaos)

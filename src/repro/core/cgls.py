@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.aprod import AprodOperator
-from repro.core.lsqr import Aprod
-from repro.core.precond import ColumnScaling, PreconditionedAprod
+from repro.core.lsqr import Aprod, resolve_rhs
+from repro.core.precond import prepare
 from repro.system.sparse import GaiaSystem
 
 
@@ -34,7 +34,7 @@ class CGLSResult:
 
 
 def cgls_solve(
-    system: GaiaSystem | Aprod,
+    system: GaiaSystem | AprodOperator | Aprod,
     b: np.ndarray | None = None,
     *,
     atol: float = 1e-10,
@@ -49,25 +49,8 @@ def cgls_solve(
     ``||A^T r|| <= atol * ||A^T b||`` or at ``iter_lim`` (default
     ``2n``).
     """
-    if isinstance(system, GaiaSystem):
-        if b is not None:
-            raise ValueError("b is taken from the GaiaSystem")
-        op: Aprod = AprodOperator(system)
-        b = system.rhs().astype(np.float64)
-        if precondition:
-            scaling = ColumnScaling.from_operator(op)  # type: ignore[arg-type]
-            op = PreconditionedAprod(op, scaling)  # type: ignore[arg-type]
-        else:
-            scaling = ColumnScaling.identity(op.shape[1])
-    else:
-        if b is None:
-            raise ValueError("a right-hand side is required with a raw "
-                             "operator")
-        if precondition:
-            raise ValueError("precondition=True needs a GaiaSystem")
-        op = system
-        b = np.asarray(b, dtype=np.float64)
-        scaling = ColumnScaling.identity(op.shape[1])
+    b = resolve_rhs(system, b)
+    op, scaling = prepare(system, precondition=precondition)
     if shift < 0 or not np.isfinite(shift):
         raise ValueError(f"shift must be >= 0, got {shift}")
 

@@ -18,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.aprod import AprodOperator
 from repro.core.engine import (
     Aprod,
     EngineState,
     LSQRStepEngine,
     SerialReduction,
 )
-from repro.core.precond import ColumnScaling, PreconditionedAprod
+from repro.core.precond import ColumnScaling, prepare
 from repro.system.sparse import GaiaSystem
 
 #: The checkpointable solver state is exactly the engine state.
@@ -55,13 +54,8 @@ class ResumableLSQR:
     _engine: LSQRStepEngine = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        op = AprodOperator(self.system)
-        if self.precondition:
-            self._scaling = ColumnScaling.from_operator(op)
-            self._op = PreconditionedAprod(op, self._scaling)
-        else:
-            self._scaling = ColumnScaling.identity(op.shape[1])
-            self._op = op
+        self._op, self._scaling = prepare(
+            self.system, precondition=self.precondition)
         self._engine = LSQRStepEngine(
             self._op, backend=SerialReduction(), damp=self.damp,
             atol=self.atol,

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.aprod import AprodOperator
 from repro.core.lsqr import LSQRResult, lsqr_solve
-from repro.core.precond import ColumnScaling, PreconditionedAprod
+from repro.core.precond import prepare
 from repro.system.sparse import GaiaSystem
 
 
@@ -127,13 +126,7 @@ def lsqr_solve_reorthogonalized(
     systems, quantifying how far plain LSQR drifts on ill-conditioned
     sphere reconstructions.
     """
-    op = AprodOperator(system)
-    if precondition:
-        scaling = ColumnScaling.from_operator(op)
-        pre = PreconditionedAprod(op, scaling)
-    else:
-        scaling = ColumnScaling.identity(op.shape[1])
-        pre = op  # type: ignore[assignment]
+    pre, scaling = prepare(system, precondition=precondition)
     basis: list[np.ndarray] = []
 
     class ReorthogonalizingOperator:
@@ -169,9 +162,7 @@ def lsqr_solve_reorthogonalized(
     )
     # Fold the preconditioner back (the wrapper solved the scaled
     # problem).
-    result.x = scaling.to_physical(result.x)
-    if result.var is not None:
-        result.var = scaling.scale_variance(result.var)
+    result.x, result.var = scaling.fold_back(result.x, result.var)
     return result
 
 
@@ -183,9 +174,7 @@ def orthogonality_drift(system: GaiaSystem, n_vectors: int = 30
     generated right vectors lose mutual orthogonality -- the effect
     reorthogonalization removes.
     """
-    op = AprodOperator(system)
-    scaling = ColumnScaling.from_operator(op)
-    pre = PreconditionedAprod(op, scaling)
+    pre, _ = prepare(system)
     b = system.rhs().astype(np.float64)
     beta = float(np.linalg.norm(b))
     if beta == 0:

@@ -44,7 +44,7 @@ from repro.core.engine import (
     SerialReduction,
     StopReason,
 )
-from repro.core.precond import ColumnScaling, PreconditionedAprod
+from repro.core.precond import ColumnScaling, prepare
 from repro.obs.telemetry import Telemetry
 from repro.system.sparse import GaiaSystem
 
@@ -105,7 +105,7 @@ IterationCallback = Callable[[int, np.ndarray, float], None]
 
 
 def lsqr_solve(
-    system: GaiaSystem | Aprod,
+    system: GaiaSystem | AprodOperator | Aprod,
     b: np.ndarray | None = None,
     *,
     damp: float = 0.0,
@@ -116,9 +116,6 @@ def lsqr_solve(
     precondition: bool = True,
     calc_var: bool = True,
     x0: np.ndarray | None = None,
-    gather_strategy: str = "auto",
-    scatter_strategy: str = "auto",
-    astro_scatter_strategy: str = "auto",
     callback: IterationCallback | None = None,
     clock: Callable[[], float] = time.perf_counter,
     telemetry: Telemetry | None = None,
@@ -131,11 +128,15 @@ def lsqr_solve(
     ----------
     system:
         A :class:`~repro.system.GaiaSystem` (the right-hand side is its
-        own, including constraint rows) or any object satisfying the
+        own, including constraint rows; the kernels resolve by system
+        shape, see :func:`~repro.core.kernels.plan.select_strategies`),
+        an :class:`~repro.core.aprod.AprodOperator` built with the
+        caller's own kernel strategies, or any object satisfying the
         :class:`Aprod` protocol together with an explicit ``b``.
     b:
-        Right-hand side; required (and only accepted) for raw
-        operators.
+        Right-hand side; required for raw operators, optional for an
+        ``AprodOperator`` (default: its system's own), not accepted
+        with a ``GaiaSystem``.
     damp:
         Tikhonov damping parameter of the regularized problem
         ``min ||A x - b||^2 + damp^2 ||x||^2``.
@@ -155,15 +156,6 @@ def lsqr_solve(
         ``b - A x0`` and returns ``x0 + dx`` -- how the production
         pipeline chains cycles.  With ``damp > 0`` the regularization
         applies to the correction, not to ``x0`` itself.
-    gather_strategy, scatter_strategy, astro_scatter_strategy:
-        Kernel strategies, forwarded to the operator (GaiaSystem input
-        only).  The default ``"auto"`` resolves by system shape
-        (:func:`~repro.core.kernels.plan.select_strategies`):
-        production-scale systems compile a fused
-        :class:`~repro.core.kernels.plan.AprodPlan` (packed gather +
-        deterministic sorted-segment scatter, zero per-iteration
-        kernel allocations), tiny ones keep the classic four-kernel
-        reference path.
     callback:
         Invoked after every iteration with
         ``(itn, x_physical, r2norm)``.
@@ -185,14 +177,9 @@ def lsqr_solve(
         holds the *correction* in preconditioned units.
     """
     tel = Telemetry.or_null(telemetry)
-    op, b, scaling = _prepare(
-        system, b,
-        precondition=precondition,
-        gather_strategy=gather_strategy,
-        scatter_strategy=scatter_strategy,
-        astro_scatter_strategy=astro_scatter_strategy,
-        telemetry=telemetry,
-    )
+    b = resolve_rhs(system, b)
+    op, scaling = prepare(system, precondition=precondition,
+                          telemetry=telemetry)
     m, n = op.shape
     if b.shape != (m,):
         raise ValueError(f"b has shape {b.shape}, expected ({m},)")
@@ -242,50 +229,22 @@ def lsqr_solve(
     return _finish(state, m, n, times, scaling, x_offset)
 
 
-def _prepare(
-    system: GaiaSystem | Aprod,
-    b: np.ndarray | None,
-    *,
-    precondition: bool,
-    gather_strategy: str,
-    scatter_strategy: str,
-    astro_scatter_strategy: str,
-    telemetry: Telemetry | None = None,
-) -> tuple[Aprod, np.ndarray, ColumnScaling]:
-    """Resolve the (operator, rhs, scaling) triple for every input form."""
+def resolve_rhs(system: GaiaSystem | AprodOperator | Aprod,
+                b: np.ndarray | None) -> np.ndarray:
+    """The right-hand side of every input form, as a private copy."""
     if isinstance(system, GaiaSystem):
         if b is not None:
             raise ValueError(
                 "b is taken from the GaiaSystem; pass an operator to "
                 "supply a custom right-hand side"
             )
-        op: Aprod = AprodOperator(
-            system,
-            gather_strategy=gather_strategy,
-            scatter_strategy=scatter_strategy,
-            astro_scatter_strategy=astro_scatter_strategy,
-            telemetry=telemetry,
-        )
-        b = system.rhs().astype(np.float64, copy=True)
-    else:
-        op = system
-        if b is None:
-            raise ValueError("a right-hand side is required with a raw "
-                             "operator")
-        b = np.asarray(b, dtype=np.float64).copy()
-
-    if precondition:
-        if isinstance(op, AprodOperator):
-            scaling = ColumnScaling.from_operator(op)
-            op = PreconditionedAprod(op, scaling)
-        else:
-            raise ValueError(
-                "precondition=True needs an AprodOperator or GaiaSystem "
-                "(raw operators cannot expose column norms)"
-            )
-    else:
-        scaling = ColumnScaling.identity(op.shape[1])
-    return op, b, scaling
+        return system.rhs().astype(np.float64, copy=True)
+    if b is not None:
+        return np.asarray(b, dtype=np.float64).copy()
+    if not isinstance(system, AprodOperator):
+        raise ValueError("a right-hand side is required with a raw "
+                         "operator")
+    return system.system.rhs().astype(np.float64, copy=True)
 
 
 def _finish(
@@ -297,10 +256,8 @@ def _finish(
     x_offset: np.ndarray,
 ) -> LSQRResult:
     """Fold the preconditioner and warm-start offset back in."""
-    x = scaling.to_physical(state.x) + x_offset
-    var = state.var
-    if var is not None:
-        var = scaling.scale_variance(var)
+    x, var = scaling.fold_back(state.x, state.var)
+    x += x_offset
     istop = (state.istop if state.istop is not None
              else StopReason.ITERATION_LIMIT)
     return LSQRResult(
@@ -312,7 +269,7 @@ def _finish(
 
 
 def lsqr_solve_batch(
-    system: GaiaSystem | BatchedAprod,
+    system: GaiaSystem | AprodOperator | BatchedAprod,
     B: np.ndarray | Sequence[np.ndarray],
     *,
     damps: float | Sequence[float] = 0.0,
@@ -323,10 +280,6 @@ def lsqr_solve_batch(
     precondition: bool = True,
     calc_var: bool = True,
     x0s: Sequence[np.ndarray | None] | None = None,
-    gather_strategy: str = "auto",
-    scatter_strategy: str = "auto",
-    astro_scatter_strategy: str = "auto",
-    batch_kernel: str = "auto",
     clock: Callable[[], float] = time.perf_counter,
     telemetry: Telemetry | None = None,
 ) -> list[LSQRResult]:
@@ -345,10 +298,16 @@ def lsqr_solve_batch(
     Parameters
     ----------
     system:
-        The shared matrix: a :class:`~repro.system.GaiaSystem` or any
-        :class:`~repro.core.engine.BatchedAprod` operator.  Unlike the
-        single-solve driver the stacked right-hand sides are always
-        explicit -- many RHS over one matrix is the whole point.
+        The shared matrix: a :class:`~repro.system.GaiaSystem`
+        (compiled with ``batch_hint=K``, so the fused plan's batched
+        workspaces count against the plan budget and a batched caller
+        may resolve classic where a solo caller would fuse), an
+        :class:`~repro.core.aprod.AprodOperator` built with the
+        caller's own strategies / ``batch_hint`` / ``batch_kernel``,
+        or any :class:`~repro.core.engine.BatchedAprod` operator.
+        Unlike the single-solve driver the stacked right-hand sides
+        are always explicit -- many RHS over one matrix is the whole
+        point.
     B:
         ``(K, m)`` stacked right-hand sides (constraint rows included),
         one member per row; e.g. ``np.stack([s.rhs() for s in members])``
@@ -363,17 +322,6 @@ def lsqr_solve_batch(
     x0s:
         Optional per-member warm starts (physical units), ``None``
         entries meaning a cold start.
-    gather_strategy, scatter_strategy, astro_scatter_strategy:
-        Kernel strategies (GaiaSystem input only).  ``"auto"`` resolves
-        with ``batch_hint=K`` so the fused plan's batched workspaces
-        are counted against the plan budget (a batched caller may
-        resolve classic where a solo caller would fuse).
-    batch_kernel:
-        How the batched products run (GaiaSystem input only):
-        ``"auto"`` takes the shared-read CSR SpMM pass on the fused
-        path at ``K >= SPMM_MIN_BATCH`` and production-like sizes,
-        ``"spmm"`` / ``"einsum"`` force it on or off (see
-        :class:`~repro.core.aprod.AprodOperator`).
     clock, telemetry:
         As for :func:`lsqr_solve`.  Iteration telemetry lands under
         ``lsqr_batch.*``; member ``j``'s ``iteration_times`` are the
@@ -391,29 +339,8 @@ def lsqr_solve_batch(
         np.asarray(damps, dtype=np.float64), (K,)
     ).copy()
 
-    if isinstance(system, GaiaSystem):
-        op: BatchedAprod = AprodOperator(
-            system,
-            gather_strategy=gather_strategy,
-            scatter_strategy=scatter_strategy,
-            astro_scatter_strategy=astro_scatter_strategy,
-            batch_hint=K,
-            batch_kernel=batch_kernel,
-            telemetry=telemetry,
-        )
-    else:
-        op = system
-    if precondition:
-        if not isinstance(op, AprodOperator):
-            raise ValueError(
-                "precondition=True needs an AprodOperator or GaiaSystem "
-                "(raw operators cannot expose column norms)"
-            )
-        scaling = ColumnScaling.from_operator(op)
-        op = PreconditionedAprod(op, scaling)
-    else:
-        scaling = ColumnScaling.identity(op.shape[1])
-
+    op, scaling = prepare(system, precondition=precondition, batch=K,
+                          telemetry=telemetry)
     m, n = op.shape
     if B.shape[1] != m:
         raise ValueError(f"B has {B.shape[1]} columns, expected {m}")

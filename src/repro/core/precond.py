@@ -6,6 +6,12 @@ of ``A`` are normalized to unit 2-norm, i.e. the solver iterates on
 ``x = D z``.  This equilibration is what makes the astrometric,
 attitude, instrumental and global sections -- whose natural scales
 differ by orders of magnitude -- converge together.
+
+:func:`prepare` is the one operator-preparation step of every solve
+driver (serial, batched, checkpointable, CGLS, the convergence
+diagnostics and both SPMD drivers): drivers *take* an operator and
+never build one, so the kernel-strategy vocabulary stays on
+:class:`~repro.core.aprod.AprodOperator`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.aprod import AprodOperator
+from repro.core.engine import Aprod
+from repro.obs.telemetry import Telemetry
+from repro.system.sparse import GaiaSystem
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,19 @@ class ColumnScaling:
         return cls(scale=scale)
 
     @classmethod
+    def from_system(cls, system: GaiaSystem) -> "ColumnScaling":
+        """Scaling of a whole system, without compiling its kernels.
+
+        Column norms read only the coefficient and index arrays, so
+        the plan-free classic operator computes them: bitwise
+        :meth:`from_operator` of any operator over ``system``, minus
+        the fused plan ``"auto"`` would compile and throw away.
+        """
+        return cls.from_operator(AprodOperator(
+            system, gather_strategy="vectorized",
+            scatter_strategy="bincount"))
+
+    @classmethod
     def identity(cls, n_params: int) -> "ColumnScaling":
         """No-op preconditioner (used by the unpreconditioned baseline)."""
         return cls(scale=np.ones(n_params))
@@ -58,6 +80,12 @@ class ColumnScaling:
     def scale_variance(self, var_z: np.ndarray) -> np.ndarray:
         """Map variance estimates of ``z`` to variances of ``x = D z``."""
         return var_z * self.scale**2
+
+    def fold_back(self, z: np.ndarray, var_z: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """A solve's ``(z, var)`` pair in physical units."""
+        return (self.to_physical(z),
+                None if var_z is None else self.scale_variance(var_z))
 
 
 class PreconditionedAprod:
@@ -137,3 +165,38 @@ class PreconditionedAprod:
             return tws.copy()
         out += tws
         return out
+
+
+def prepare(
+    system: GaiaSystem | AprodOperator | Aprod,
+    *,
+    precondition: bool = True,
+    scaling: ColumnScaling | None = None,
+    batch: int = 1,
+    telemetry: Telemetry | None = None,
+) -> tuple[Aprod, ColumnScaling]:
+    """The (operator the engine iterates on, its ``ColumnScaling``) pair.
+
+    ``system`` is a :class:`~repro.system.GaiaSystem` (compiled here
+    with the ``"auto"`` kernels for a trailing batch of ``batch``,
+    reporting to ``telemetry``), an :class:`AprodOperator` the caller
+    built with its own strategies, or any raw
+    :class:`~repro.core.engine.Aprod`.  ``precondition`` wraps it in
+    its Jacobi column scaling (raw operators cannot expose column
+    norms) and ``False`` returns it as is, with the identity scaling.
+    A given ``scaling`` is applied in place of the operator's own:
+    the row-sliced SPMD case, where the norms sum over every rank's
+    rows (:meth:`ColumnScaling.from_system`).
+    """
+    op = (AprodOperator(system, batch_hint=batch, telemetry=telemetry)
+          if isinstance(system, GaiaSystem) else system)
+    if scaling is None:
+        if not precondition:
+            return op, ColumnScaling.identity(op.shape[1])
+        if not isinstance(op, AprodOperator):
+            raise ValueError(
+                "precondition=True needs an AprodOperator or GaiaSystem "
+                "(raw operators cannot expose column norms)"
+            )
+        scaling = ColumnScaling.from_operator(op)
+    return PreconditionedAprod(op, scaling), scaling

@@ -141,17 +141,12 @@ def profile_distributed_solve(system, n_ranks: int, *, atol: float = 1e-10,
                               iter_lim: int | None = None
                               ) -> SolveCommReport:
     """Run the distributed solve with communication profiling."""
-    from repro.dist.runner import DistributedLSQR
+    from repro.dist.runner import CommReduction, DistributedLSQR
 
     solver = DistributedLSQR(system, n_ranks)
     profiles = [CommProfile() for _ in range(n_ranks)]
-    original_body = solver._rank_body
-
-    def profiled_body(comm: SimComm, *args):
-        return original_body(ProfiledComm(comm, profiles[comm.rank]),
-                             *args)
-
-    solver._rank_body = profiled_body  # type: ignore[method-assign]
+    solver._backend = lambda comm: CommReduction(  # type: ignore[method-assign]
+        ProfiledComm(comm, profiles[comm.rank]))
     result = solver.solve(atol=atol, iter_lim=iter_lim)
     # All ranks issue identical collective sequences; report rank 0.
     return SolveCommReport(n_ranks=n_ranks, itn=result.itn,

@@ -42,9 +42,13 @@ from repro.core.engine import (
     StopReason,
 )
 from repro.core.lsqr import IterationCallback
-from repro.core.precond import ColumnScaling, PreconditionedAprod
+from repro.core.precond import ColumnScaling, prepare
 from repro.dist.comm import CollectiveBus, SimComm
-from repro.dist.decomposition import partition_by_rows, slice_system
+from repro.dist.decomposition import (
+    RankBlock,
+    partition_by_rows,
+    slice_system,
+)
 from repro.obs.telemetry import Telemetry
 from repro.system.sparse import GaiaSystem
 
@@ -58,24 +62,14 @@ class CommReduction:
     ``rank`` and ``epoch``) and their payloads counted in the
     ``dist.allreduce_bytes`` counter; the timing max-over-ranks is a
     bare collective, exactly like the production measurement loop.
-
-    ``link_cost`` optionally prices each epoch on a modeled inter-GPU
-    link (``payload_bytes -> seconds``, e.g. :func:`repro.gpu.
-    interconnect.allreduce_seconds` partially applied); the running
-    total is :attr:`modeled_comm_s` -- what a gang of real devices
-    *would* have spent on the wire, accumulated alongside the
-    simulated run.
     """
 
     def __init__(self, comm: SimComm,
-                 telemetry: Telemetry | None = None,
-                 link_cost: Callable[[int], float] | None = None) -> None:
+                 telemetry: Telemetry | None = None) -> None:
         self.comm = comm
         self._tel = Telemetry.or_null(telemetry)
         self._rank = str(comm.rank)
         self._partial: np.ndarray | None = None
-        self.link_cost = link_cost
-        self.modeled_comm_s = 0.0
 
     def _reduced(self, value, *, epoch: str, op_name: str = "sum"):
         nbytes = value.nbytes if isinstance(value, np.ndarray) else 8
@@ -84,8 +78,6 @@ class CommReduction:
             out = self.comm.allreduce(value, op=op_name)
         self._tel.counter("dist.allreduce_bytes",
                           rank=self._rank).inc(nbytes)
-        if self.link_cost is not None:
-            self.modeled_comm_s += self.link_cost(nbytes)
         return out
 
     def norm_sq(self, u_local: np.ndarray, *, epoch: str) -> float:
@@ -121,9 +113,6 @@ class DistributedResult:
     var: np.ndarray | None = None
     m: int = 0
     n: int = 0
-    #: Modeled wire time of the run's reduction epochs (0.0 unless the
-    #: driver was given a ``link_cost``); max over ranks.
-    modeled_comm_s: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -157,6 +146,10 @@ class DistributedResult:
 class DistributedLSQR:
     """Driver binding a system to a rank count.
 
+    ``local_operator`` builds one rank's kernel operator from its row
+    block; the default compiles the ``"auto"`` kernels,
+    ``functools.partial(AprodOperator, ...)`` picks others.
+
     With ``telemetry``, each rank thread traces ``dist.iteration``
     spans containing exactly the two per-iteration ``dist.comm_epoch``
     spans of the production communication pattern (``epoch=normalize``
@@ -167,30 +160,28 @@ class DistributedLSQR:
     def __init__(self, system: GaiaSystem, n_ranks: int,
                  *, precondition: bool = True,
                  calc_var: bool = True,
-                 gather_strategy: str = "auto",
-                 scatter_strategy: str = "auto",
-                 astro_scatter_strategy: str = "auto",
-                 link_cost: Callable[[int], float] | None = None,
+                 local_operator: Callable[[GaiaSystem], AprodOperator]
+                 = AprodOperator,
                  telemetry: Telemetry | None = None) -> None:
         self.system = system
         self.n_ranks = n_ranks
         self.precondition = precondition
         self.calc_var = calc_var
-        self.gather_strategy = gather_strategy
-        self.scatter_strategy = scatter_strategy
-        self.astro_scatter_strategy = astro_scatter_strategy
-        self.link_cost = link_cost
+        self.local_operator = local_operator
         self.telemetry = telemetry
         self.blocks = partition_by_rows(system, n_ranks)
 
-    def _local_operator(self, block) -> AprodOperator:
-        """One rank's kernel operator with the driver's strategies."""
-        return AprodOperator(
-            slice_system(self.system, block),
-            gather_strategy=self.gather_strategy,
-            scatter_strategy=self.scatter_strategy,
-            astro_scatter_strategy=self.astro_scatter_strategy,
-        )
+    def global_scaling(self) -> ColumnScaling:
+        """The preconditioner: global state (column norms sum over all
+        rows) computed once and broadcast, like the production
+        initialization step."""
+        if self.precondition:
+            return ColumnScaling.from_system(self.system)
+        return ColumnScaling.identity(self.system.dims.n_params)
+
+    def _backend(self, comm: SimComm) -> CommReduction:
+        """One rank's reduction backend (``dist/profile.py`` swaps it)."""
+        return CommReduction(comm, telemetry=self.telemetry)
 
     def solve(self, *, atol: float = 1e-10, btol: float | None = None,
               conlim: float = 1e8, iter_lim: int | None = None,
@@ -210,100 +201,89 @@ class DistributedLSQR:
         are per rank); ``resume_from`` restarts from such a set,
         which requires the same system and rank count.
         """
-        n = self.system.dims.n_params
+        def start(comm, fresh):
+            if resume_from is None:
+                return fresh()
+            return EngineState.load(rank_state_path(resume_from, comm.rank))
+
+        def after_step(comm, state, final):
+            if (checkpoint_path is not None
+                    and checkpoint_every is not None
+                    and (final or state.itn % checkpoint_every == 0)):
+                state.save(rank_state_path(checkpoint_path, comm.rank))
+
+        return self.run(
+            self.blocks, self.global_scaling(), backend=self._backend,
+            start=start, after_step=after_step, atol=atol, btol=btol,
+            conlim=conlim, iter_lim=iter_lim, callback=callback,
+        )
+
+    def run(self, blocks: list[RankBlock], scaling: ColumnScaling, *,
+            backend: Callable[[SimComm], CommReduction],
+            start: Callable[[SimComm, Callable[[], EngineState]],
+                            EngineState],
+            after_step: Callable[[SimComm, EngineState, bool], None],
+            atol: float, btol: float | None, conlim: float,
+            iter_lim: int | None,
+            callback: IterationCallback | None) -> DistributedResult:
+        """One SPMD attempt: the rank loop every SPMD solve shares.
+
+        The plain and the recovery driver differ only in what they
+        plug in: each rank's reduction ``backend``; its ``start(comm,
+        fresh)`` state (``fresh()`` begins the bidiagonalization from
+        the rank's right-hand side); and ``after_step(comm, state,
+        final)``, run after every iteration before the callback and
+        once more, ``final=True``, after the loop (per-rank dumps
+        here; the corruption screen and global checkpoints there).
+        """
         if btol is None:
             btol = atol
         if iter_lim is None:
-            iter_lim = 2 * n
+            iter_lim = 2 * self.system.dims.n_params
 
-        # The preconditioner is global state computed once (column
-        # norms are a sum over all rows) and broadcast, exactly like
-        # the production initialization step.
-        if self.precondition:
-            scaling = ColumnScaling.from_operator(AprodOperator(self.system))
-        else:
-            scaling = ColumnScaling.identity(n)
+        def rank_body(comm: SimComm) -> DistributedResult:
+            local_op = self.local_operator(
+                slice_system(self.system, blocks[comm.rank]))
+            op, _ = prepare(local_op, scaling=scaling)
+            reduction = backend(comm)
+            engine = LSQRStepEngine(
+                op, backend=reduction, atol=atol, btol=btol,
+                conlim=conlim, calc_var=self.calc_var,
+                telemetry=self.telemetry, span_prefix="dist",
+                span_labels={"rank": str(comm.rank)}, phase_spans=False,
+            )
+            state = start(comm, lambda: engine.start(
+                local_op.system.rhs().astype(np.float64)))
+            times: list[float] = []
+            while state.istop is None and state.itn < iter_lim:
+                t0 = time.perf_counter()
+                engine.step(state)
+                times.append(reduction.time_max(time.perf_counter() - t0))
+                after_step(comm, state, False)
+                if callback is not None and comm.rank == 0:
+                    callback(state.itn, scaling.to_physical(state.x),
+                             state.r2norm)
+            after_step(comm, state, True)
+            x, var = scaling.fold_back(state.x, state.var)
+            return DistributedResult(
+                x=x, itn=state.itn, r2norm=state.r2norm,
+                n_ranks=len(blocks), max_iteration_times=times,
+                stop=(state.istop if state.istop is not None
+                      else StopReason.ITERATION_LIMIT),
+                var=var, m=self.system.n_rows,
+                n=self.system.dims.n_params,
+            )
 
-        bus = CollectiveBus(self.n_ranks)
-        results = bus.run(self._rank_body, scaling, atol, btol, conlim,
-                          iter_lim, callback, checkpoint_every,
-                          checkpoint_path, resume_from)
-        xs = [r[0] for r in results]
-        for x_other in xs[1:]:
-            if not np.array_equal(xs[0], x_other):
+        results = CollectiveBus(len(blocks)).run(rank_body)
+        for other in results[1:]:
+            if not np.array_equal(results[0].x, other.x):
                 raise AssertionError(
                     "ranks diverged: replicated state must be identical"
                 )
-        return DistributedResult(
-            x=xs[0],
-            itn=results[0][1],
-            r2norm=results[0][2],
-            n_ranks=self.n_ranks,
-            max_iteration_times=results[0][3],
-            stop=results[0][5],
-            var=results[0][4],
-            m=self.system.n_rows,
-            n=n,
-            modeled_comm_s=max(r[6] for r in results),
-        )
-
-    # ------------------------------------------------------------------
-    def _rank_body(
-        self,
-        comm: SimComm,
-        scaling: ColumnScaling,
-        atol: float,
-        btol: float,
-        conlim: float,
-        iter_lim: int,
-        callback: IterationCallback | None,
-        checkpoint_every: int | None,
-        checkpoint_path: str | Path | None,
-        resume_from: str | Path | None,
-    ) -> tuple[np.ndarray, int, float, list[float],
-               np.ndarray | None, StopReason, float]:
-        block = self.blocks[comm.rank]
-        local_op = self._local_operator(block)
-        local = local_op.system
-        op = PreconditionedAprod(local_op, scaling)
-        tel = self.telemetry
-        backend = CommReduction(comm, telemetry=tel,
-                                link_cost=self.link_cost)
-        engine = LSQRStepEngine(
-            op, backend=backend, atol=atol, btol=btol, conlim=conlim,
-            calc_var=self.calc_var, telemetry=tel, span_prefix="dist",
-            span_labels={"rank": str(comm.rank)}, phase_spans=False,
-        )
-
-        if resume_from is not None:
-            state = EngineState.load(
-                _rank_state_path(resume_from, comm.rank))
-        else:
-            state = engine.start(local.rhs().astype(np.float64))
-        times: list[float] = []
-        while state.istop is None and state.itn < iter_lim:
-            t0 = time.perf_counter()
-            engine.step(state)
-            times.append(backend.time_max(time.perf_counter() - t0))
-            if callback is not None and comm.rank == 0:
-                callback(state.itn, scaling.to_physical(state.x),
-                         state.r2norm)
-            if (checkpoint_path is not None
-                    and checkpoint_every is not None
-                    and state.itn % checkpoint_every == 0):
-                state.save(_rank_state_path(checkpoint_path, comm.rank))
-        if checkpoint_path is not None and checkpoint_every is not None:
-            state.save(_rank_state_path(checkpoint_path, comm.rank))
-        var = state.var
-        if var is not None:
-            var = scaling.scale_variance(var)
-        istop = (state.istop if state.istop is not None
-                 else StopReason.ITERATION_LIMIT)
-        return (scaling.to_physical(state.x), state.itn, state.r2norm,
-                times, var, istop, backend.modeled_comm_s)
+        return results[0]
 
 
-def _rank_state_path(path: str | Path, rank: int) -> Path:
+def rank_state_path(path: str | Path, rank: int) -> Path:
     """Per-rank engine-state file: ``<path>.rank<r>.npz``."""
     path = Path(path)
     if path.suffix == ".npz":
@@ -320,14 +300,11 @@ def distributed_lsqr_solve(
     atol: float = 1e-10,
     btol: float | None = None,
     iter_lim: int | None = None,
-    gather_strategy: str = "auto",
-    scatter_strategy: str = "auto",
     telemetry: Telemetry | None = None,
     callback: IterationCallback | None = None,
 ) -> DistributedResult:
     """Convenience wrapper around :class:`DistributedLSQR`."""
     return DistributedLSQR(
         system, n_ranks, precondition=precondition, calc_var=calc_var,
-        gather_strategy=gather_strategy, scatter_strategy=scatter_strategy,
         telemetry=telemetry,
     ).solve(atol=atol, btol=btol, iter_lim=iter_lim, callback=callback)

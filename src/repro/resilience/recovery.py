@@ -34,24 +34,22 @@ the :class:`ResilienceReport` the solve returns next to its
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.aprod import AprodOperator
 from repro.core.convergence import NormExplosionGuard
-from repro.core.engine import EngineState, LSQRStepEngine, StopReason
+from repro.core.engine import EngineState, StopReason
 from repro.core.lsqr import IterationCallback
-from repro.core.precond import ColumnScaling, PreconditionedAprod
-from repro.dist.comm import CollectiveBus, SimComm
-from repro.dist.decomposition import (
-    RankBlock,
-    partition_by_rows,
-    slice_system,
+from repro.core.precond import ColumnScaling
+from repro.dist.comm import SimComm
+from repro.dist.decomposition import RankBlock, partition_by_rows
+from repro.dist.runner import (
+    DistributedLSQR,
+    DistributedResult,
+    rank_state_path,
 )
-from repro.dist.runner import DistributedResult
 from repro.obs.telemetry import Telemetry
 from repro.resilience.faults import (
     CorruptionDetected,
@@ -62,7 +60,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.injection import ChaosStats, ResilientCommReduction
 from repro.resilience.policy import RetryPolicy
-from repro.system.sparse import GaiaSystem
 
 
 @dataclass
@@ -85,6 +82,10 @@ class GlobalCheckpoint:
     u_con: np.ndarray
     scalars: dict[str, float]
     var: np.ndarray | None = None
+
+    #: Archive members :meth:`load` requires (``var`` is optional).
+    _MEMBERS = frozenset(
+        {"itn", "x", "v", "w", "u_obs", "u_con", "scalars"})
 
     @classmethod
     def assemble(cls, state: EngineState, u_blocks: list[np.ndarray],
@@ -145,8 +146,34 @@ class GlobalCheckpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "GlobalCheckpoint":
-        """Reload a snapshot written by :meth:`save`."""
-        with np.load(Path(path)) as zf:
+        """Reload a snapshot written by :meth:`save`.
+
+        ``path`` comes from outside the program (``resume_from``), so
+        the archive's members are checked before any is read: the two
+        other checkpoint formats the solvers write are named in the
+        error, with the reader that resumes them.
+        """
+        path = Path(path)
+        ranked = rank_state_path(path, 0)
+        if not path.exists() and ranked.exists():
+            raise ValueError(
+                f"{path} is not a GlobalCheckpoint: found the per-rank "
+                f"EngineState set ({ranked.name}, ...) of a plain "
+                f"ranks>1 solve, which DistributedLSQR.solve("
+                f"resume_from=) reads on the same rank count"
+            )
+        with np.load(path) as zf:
+            missing = cls._MEMBERS - set(zf.files)
+            if missing:
+                found = ("a serial EngineState dump, which "
+                         "ResumableLSQR.run(resume_from=) reads"
+                         if "u" in zf.files else
+                         "neither that nor an EngineState dump "
+                         f"(members {sorted(zf.files)})")
+                raise ValueError(
+                    f"{path} is not a GlobalCheckpoint (no "
+                    f"{sorted(missing)}): found {found}"
+                )
             return cls(
                 itn=int(zf["itn"]), x=zf["x"].copy(), v=zf["v"].copy(),
                 w=zf["w"].copy(), u_obs=zf["u_obs"].copy(),
@@ -206,12 +233,17 @@ class ResilienceReport:
 
 
 class ResilientDistributedLSQR:
-    """Chaos-tolerant driver over the shared LSQR step engine.
+    """Chaos-tolerant recovery around a :class:`~repro.dist.runner.
+    DistributedLSQR`.
 
-    The fault-free path is byte-identical to
-    :class:`~repro.dist.runner.DistributedLSQR` (same engine, same
-    reduction epochs); the plan/policy pair adds injection, retry,
-    rollback and degraded re-decomposition around it.
+    ``driver`` supplies everything a plain SPMD solve needs (system,
+    rank count, preconditioning, rank-local operators, telemetry) and
+    the shared rank loop (:meth:`~repro.dist.runner.DistributedLSQR.
+    run`), so the fault-free path is byte-identical to
+    ``driver.solve()``; this class adds only what is its own: fault
+    injection and retry in the reduction backend, the corruption
+    screen, validated global checkpoints, and the restart loop that
+    rolls back or re-decomposes onto the survivors.
 
     Parameters
     ----------
@@ -236,46 +268,34 @@ class ResilientDistributedLSQR:
         NormExplosionGuard`).
     """
 
-    def __init__(self, system: GaiaSystem, n_ranks: int, *,
+    def __init__(self, driver: DistributedLSQR, *,
                  plan: FaultPlan | None = None,
                  retry: RetryPolicy | None = None,
-                 precondition: bool = True,
-                 calc_var: bool = True,
-                 gather_strategy: str = "auto",
-                 scatter_strategy: str = "auto",
-                 astro_scatter_strategy: str = "auto",
                  checkpoint_every: int = 10,
                  checkpoint_path: str | Path | None = None,
                  max_restarts: int = 3,
                  min_ranks: int = 1,
                  allow_degraded: bool = True,
-                 norm_explosion_factor: float = 1.5,
-                 telemetry: Telemetry | None = None) -> None:
+                 norm_explosion_factor: float = 1.5) -> None:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if min_ranks < 1 or min_ranks > n_ranks:
+        if min_ranks < 1 or min_ranks > driver.n_ranks:
             raise ValueError(
-                f"min_ranks must be in [1, {n_ranks}], got {min_ranks}"
+                f"min_ranks must be in [1, {driver.n_ranks}], "
+                f"got {min_ranks}"
             )
-        self.system = system
-        self.n_ranks = n_ranks
+        self.driver = driver
         self.plan = plan if plan is not None else FaultPlan()
         self.retry = retry if retry is not None else RetryPolicy()
-        self.precondition = precondition
-        self.calc_var = calc_var
-        self.gather_strategy = gather_strategy
-        self.scatter_strategy = scatter_strategy
-        self.astro_scatter_strategy = astro_scatter_strategy
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path
         self.max_restarts = max_restarts
         self.min_ranks = min_ranks
         self.allow_degraded = allow_degraded
         self.norm_explosion_factor = norm_explosion_factor
-        self.telemetry = telemetry
-        self._tel = Telemetry.or_null(telemetry)
+        self._tel = Telemetry.or_null(driver.telemetry)
         self._last_good: GlobalCheckpoint | None = None
         self._checkpoints_taken = 0
 
@@ -302,25 +322,18 @@ class ResilientDistributedLSQR:
         :class:`ResilienceReport` with the full fault/retry/recovery
         tally.
         """
-        n = self.system.dims.n_params
-        if btol is None:
-            btol = atol
-        if iter_lim is None:
-            iter_lim = 2 * n
-        if self.precondition:
-            scaling = ColumnScaling.from_operator(
-                AprodOperator(self.system))
-        else:
-            scaling = ColumnScaling.identity(n)
-
+        driver = self.driver
+        scaling = driver.global_scaling()
         plan = self.plan
-        alive = self.n_ranks
+        alive = driver.n_ranks
         attempt = 0
         events: list[FaultEvent] = []
         stats = ChaosStats()
         report = ResilienceReport(stop=StopReason.ABORTED_FAULTS,
                                   engine_stop=None,
                                   events=events, final_ranks=alive)
+        stopping = dict(atol=atol, btol=btol, conlim=conlim,
+                        iter_lim=iter_lim, callback=callback)
         checkpoint: GlobalCheckpoint | None = None
         if resume_from is not None:
             checkpoint = (resume_from
@@ -330,19 +343,9 @@ class ResilientDistributedLSQR:
             self._tel.counter("resilience.resumes").inc()
 
         while True:
-            blocks = partition_by_rows(self.system, alive)
-            shards = (checkpoint.shard(blocks)
-                      if checkpoint is not None else None)
-            bus = CollectiveBus(alive)
             try:
-                with self._tel.span("resilience.attempt",
-                                    ranks=str(alive),
-                                    generation=str(attempt)):
-                    results = bus.run(
-                        self._rank_body, blocks, shards, scaling, plan,
-                        attempt, atol, btol, conlim, iter_lim, callback,
-                        events, stats,
-                    )
+                result = self._attempt(alive, checkpoint, plan, attempt,
+                                       events, stats, scaling, stopping)
                 break
             except RankDied as exc:
                 report.ranks_lost.append(exc.rank)
@@ -371,26 +374,14 @@ class ResilientDistributedLSQR:
                 return self._aborted(self._last_good, scaling, alive,
                                      report, stats)
 
-        xs = [r[0] for r in results]
-        for x_other in xs[1:]:
-            if not np.array_equal(xs[0], x_other):
-                raise AssertionError(
-                    "ranks diverged: replicated state must be identical"
-                )
-        engine_stop = results[0][5]
-        stop = (StopReason.DEGRADED if alive < self.n_ranks
-                else engine_stop)
-        report.stop = stop
-        report.engine_stop = engine_stop
+        report.engine_stop = result.stop
+        if alive < driver.n_ranks:
+            result.stop = StopReason.DEGRADED
+        report.stop = result.stop
         report.retries = stats.retries
         report.final_ranks = alive
         report.checkpoints_taken = self._checkpoints_taken
-        return DistributedResult(
-            x=xs[0], itn=results[0][1], r2norm=results[0][2],
-            n_ranks=alive, max_iteration_times=results[0][3],
-            stop=stop, var=results[0][4],
-            m=self.system.n_rows, n=n,
-        ), report
+        return result, report
 
     # ------------------------------------------------------------------
     def _aborted(self, checkpoint: GlobalCheckpoint | None,
@@ -398,15 +389,13 @@ class ResilientDistributedLSQR:
                  report: ResilienceReport, stats: ChaosStats,
                  ) -> tuple[DistributedResult, ResilienceReport]:
         """Best-effort result when the resilience budget is exhausted."""
-        n = self.system.dims.n_params
+        system = self.driver.system
+        n = system.dims.n_params
         self._tel.counter("resilience.aborts").inc()
         if checkpoint is not None:
-            x = scaling.to_physical(checkpoint.x)
+            x, var = scaling.fold_back(checkpoint.x, checkpoint.var)
             itn = checkpoint.itn
             r2norm = checkpoint.scalars["r2norm"]
-            var = checkpoint.var
-            if var is not None:
-                var = scaling.scale_variance(var)
         else:
             x, itn, r2norm, var = np.zeros(n), 0, float("inf"), None
         report.stop = StopReason.ABORTED_FAULTS
@@ -417,7 +406,7 @@ class ResilientDistributedLSQR:
         return DistributedResult(
             x=x, itn=itn, r2norm=r2norm, n_ranks=alive,
             max_iteration_times=[], stop=StopReason.ABORTED_FAULTS,
-            var=var, m=self.system.n_rows, n=n,
+            var=var, m=system.n_rows, n=n,
         ), report
 
     # ------------------------------------------------------------------
@@ -445,76 +434,54 @@ class ResilientDistributedLSQR:
             self._last_good.save(self.checkpoint_path)
 
     # ------------------------------------------------------------------
-    def _rank_body(
-        self,
-        comm: SimComm,
-        blocks: list[RankBlock],
-        shards: list[EngineState] | None,
-        scaling: ColumnScaling,
-        plan: FaultPlan,
-        generation: int,
-        atol: float,
-        btol: float,
-        conlim: float,
-        iter_lim: int,
-        callback: IterationCallback | None,
-        events: list[FaultEvent],
-        stats: ChaosStats,
-    ) -> tuple[np.ndarray, int, float, list[float],
-               np.ndarray | None, StopReason]:
-        block = blocks[comm.rank]
-        local_op = AprodOperator(
-            slice_system(self.system, block),
-            gather_strategy=self.gather_strategy,
-            scatter_strategy=self.scatter_strategy,
-            astro_scatter_strategy=self.astro_scatter_strategy,
-        )
-        op = PreconditionedAprod(local_op, scaling)
-        backend = ResilientCommReduction(
-            comm, plan, self.retry,
-            base_itn=(shards[comm.rank].itn if shards is not None else 0),
-            generation=generation, sink=events, stats=stats,
-            telemetry=self.telemetry,
-        )
-        engine = LSQRStepEngine(
-            op, backend=backend, atol=atol, btol=btol, conlim=conlim,
-            calc_var=self.calc_var, telemetry=self.telemetry,
-            span_prefix="dist", span_labels={"rank": str(comm.rank)},
-            phase_spans=False,
-        )
-        if shards is not None:
-            state = shards[comm.rank]
-        else:
-            state = engine.start(
-                local_op.system.rhs().astype(np.float64))
-        guard = NormExplosionGuard(factor=self.norm_explosion_factor)
-        if state.itn > 0:
-            guard.check(state.r2norm)  # seed the running minimum
-        self._take_checkpoint(comm, state, blocks)
-        times: list[float] = []
-        while state.istop is None and state.itn < iter_lim:
-            t0 = time.perf_counter()
-            engine.step(state)
-            times.append(backend.time_max(time.perf_counter() - t0))
-            corrupt = (not np.isfinite(state.beta)
-                       or not np.isfinite(state.alfa)
-                       or guard.check(state.r2norm))
-            if comm.allreduce(int(corrupt), op="max"):
-                self._tel.counter("resilience.corruption_detected",
-                                  rank=str(comm.rank)).inc()
-                raise CorruptionDetected(
-                    f"state validation failed at iteration {state.itn}"
-                )
-            if callback is not None and comm.rank == 0:
-                callback(state.itn, scaling.to_physical(state.x),
-                         state.r2norm)
-            if state.itn % self.checkpoint_every == 0:
+    def _attempt(self, alive: int, checkpoint: GlobalCheckpoint | None,
+                 plan: FaultPlan, generation: int,
+                 events: list[FaultEvent], stats: ChaosStats,
+                 scaling: ColumnScaling, stopping: dict,
+                 ) -> DistributedResult:
+        """One pass of the shared rank loop on ``alive`` ranks.
+
+        Plugs this driver's own parts into :meth:`~repro.dist.runner.
+        DistributedLSQR.run`: the fault-injecting backend, the start
+        from ``checkpoint``'s shards, and -- after every step -- the
+        corruption screen and the periodic global checkpoint.
+        """
+        blocks = partition_by_rows(self.driver.system, alive)
+        shards = checkpoint.shard(blocks) if checkpoint is not None else None
+        guards = [NormExplosionGuard(factor=self.norm_explosion_factor)
+                  for _ in blocks]
+
+        def backend(comm: SimComm) -> ResilientCommReduction:
+            return ResilientCommReduction(
+                comm, plan, self.retry,
+                base_itn=shards[comm.rank].itn if shards is not None else 0,
+                generation=generation, sink=events, stats=stats,
+                telemetry=self.driver.telemetry,
+            )
+
+        def start(comm, fresh):
+            state = shards[comm.rank] if shards is not None else fresh()
+            if state.itn > 0:
+                guards[comm.rank].check(state.r2norm)  # seed the minimum
+            self._take_checkpoint(comm, state, blocks)
+            return state
+
+        def after_step(comm, state, final):
+            if not final:
+                corrupt = (not np.isfinite(state.beta)
+                           or not np.isfinite(state.alfa)
+                           or guards[comm.rank].check(state.r2norm))
+                if comm.allreduce(int(corrupt), op="max"):
+                    self._tel.counter("resilience.corruption_detected",
+                                      rank=str(comm.rank)).inc()
+                    raise CorruptionDetected(
+                        f"state validation failed at iteration {state.itn}"
+                    )
+            if final or state.itn % self.checkpoint_every == 0:
                 self._take_checkpoint(comm, state, blocks)
-        self._take_checkpoint(comm, state, blocks)
-        var = state.var
-        if var is not None:
-            var = scaling.scale_variance(var)
-        istop = (state.istop if state.istop is not None
-                 else StopReason.ITERATION_LIMIT)
-        return (scaling.to_physical(state.x), state.itn, state.r2norm,
-                times, var, istop)
+
+        with self._tel.span("resilience.attempt", ranks=str(alive),
+                            generation=str(generation)):
+            return self.driver.run(blocks, scaling, backend=backend,
+                                   start=start, after_step=after_step,
+                                   **stopping)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.aprod import AprodOperator
 from repro.core.lsqr import LSQRResult, lsqr_solve
 from repro.frameworks.executor import ModeledRun, run_modeled
 from repro.frameworks.registry import port_by_key
@@ -110,7 +111,8 @@ def solvergaia_sim(
     system = make_system(twin, seed=seed, noise_sigma=1e-9)
     strategies = (_port_strategies(port, dev) if port.supports(dev)
                   else {})
-    numerics = lsqr_solve(system, atol=1e-10, btol=1e-10, **strategies)
+    numerics = lsqr_solve(AprodOperator(system, **strategies),
+                          atol=1e-10, btol=1e-10)
     return SolverSimResult(
         framework=framework,
         device=device,

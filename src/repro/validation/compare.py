@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.aprod import AprodOperator
 from repro.core.lsqr import LSQRResult, lsqr_solve
 from repro.core.variance import MICROARCSEC_RAD, standard_errors
 from repro.frameworks.base import Port
@@ -113,13 +114,12 @@ def solve_production_reference(
     accumulation.
     """
     res = lsqr_solve(
-        system,
+        AprodOperator(system, scatter_strategy="atomic",
+                      astro_scatter_strategy="atomic"),
         atol=1e-13,
         btol=1e-13,
         iter_lim=iter_lim,
         calc_var=True,
-        scatter_strategy="atomic",
-        astro_scatter_strategy="atomic",
     )
     return _to_solution("CUDA-production", "Leonardo-A100", res)
 
@@ -133,12 +133,11 @@ def solve_as_port(
 ) -> PortSolution:
     """Solve the system the way ``port`` executes on ``device``."""
     res = lsqr_solve(
-        system,
+        AprodOperator(system, **_port_strategies(port, device)),
         atol=1e-13,
         btol=1e-13,
         iter_lim=iter_lim,
         calc_var=True,
-        **_port_strategies(port, device),
     )
     return _to_solution(port.key, device.name, res)
 

@@ -50,6 +50,16 @@ def noglob_system(noglob_dims):
     return make_system(noglob_dims, seed=23, noise_sigma=1e-10)
 
 
+@pytest.fixture(scope="session")
+def plan_system():
+    """Big enough that every block of a 3-rank split sits above
+    ``FUSED_MIN_OBS``: ``auto`` and ``fused`` really compile a plan,
+    serially and per rank."""
+    dims = SystemDims(n_stars=600, n_obs=15000, n_deg_freedom_att=12,
+                      n_instr_params=18, n_glob_params=1)
+    return make_system(dims, seed=7, noise_sigma=1e-9)
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -152,13 +152,8 @@ def test_plan_matches_reference_without_glob(noglob_system, rng):
 
 
 def test_plan_solution_matches_reference_solve(small_system):
-    fused = lsqr_solve(small_system, gather_strategy="fused",
-                       scatter_strategy="sorted_segment", iter_lim=40,
-                       calc_var=False)
-    ref = lsqr_solve(small_system, gather_strategy="vectorized",
-                     scatter_strategy="bincount",
-                     astro_scatter_strategy="bincount", iter_lim=40,
-                     calc_var=False)
+    fused, ref = (lsqr_solve(op, iter_lim=40, calc_var=False)
+                  for op in _fused_and_reference(small_system))
     np.testing.assert_allclose(fused.x, ref.x, rtol=1e-8, atol=1e-10)
 
 

@@ -1,0 +1,135 @@
+"""The drivers-take-an-operator seam, checked on the source itself.
+
+Every solve driver consumes one ``prepare`` step
+(:func:`repro.core.precond.prepare`) and never builds its own
+operator, so the kernel-strategy vocabulary stays on
+``AprodOperator``, the preconditioner is assembled in one module, and
+the SPMD rank loop exists once.  The AST checks keep that structure
+from drifting back; the plan-build count shows what it buys (an R-rank
+solve compiles R plans, not R+1).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro.api import ResilienceConfig, SolveRequest, solve
+from repro.core.kernels.plan import FUSED_MIN_OBS, AprodPlan
+from repro.dist import partition_by_rows
+from repro.serve.job import ServeJob
+from repro.serve.pool import DevicePool
+from repro.serve.scheduler import Scheduler
+from repro.sessions import SessionStore
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Options that configure ``AprodOperator`` (or, for ``link_cost``,
+#: nothing at all) and must not reappear on a driver signature.
+OPERATOR_OPTIONS = {"gather_strategy", "scatter_strategy",
+                    "astro_scatter_strategy", "batch_kernel", "link_cost"}
+
+
+def _trees():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def _functions(tree, prefix=""):
+    """``(qualified name, node)`` of every function, methods included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+
+
+def _callers(name):
+    """Modules with a call whose callee is (or ends in) ``name``."""
+    found = set()
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if (getattr(callee, "id", None) == name
+                    or getattr(callee, "attr", None) == name):
+                found.add(module)
+    return found
+
+
+def test_operator_options_live_on_aprod_operator_only():
+    owners = set()
+    for module, tree in _trees():
+        for name, fn in _functions(tree):
+            a = fn.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            if params & OPERATOR_OPTIONS:
+                owners.add(f"{module}:{name}")
+    assert owners == {"core/aprod.py:AprodOperator.__init__"}
+
+
+def test_the_preconditioner_is_assembled_in_one_module():
+    assert _callers("PreconditionedAprod") == {"core/precond.py"}
+    assert _callers("from_operator") == {"core/precond.py"}
+
+
+def test_one_spmd_rank_body_and_one_divergence_check():
+    bodies, checks = [], []
+    for module, tree in _trees():
+        if module.startswith(("dist/", "resilience/")):
+            bodies += [f"{module}:{name}" for name, _ in _functions(tree)
+                       if name.endswith("rank_body")]
+        checks += [module for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str)
+                   and node.value.startswith("ranks diverged")]
+    assert bodies == ["dist/runner.py:DistributedLSQR.run.rank_body"]
+    assert checks == ["dist/runner.py"]
+
+
+# ----------------------------------------------------------------------
+# What the seam buys: no throwaway plan for the global scaling
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def plans_built(monkeypatch):
+    """Count ``AprodPlan`` compilations (any thread)."""
+    built = []
+    init = AprodPlan.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AprodPlan, "__init__", counting)
+    return built
+
+
+def test_spmd_solves_compile_one_plan_per_rank(plan_system, plans_built):
+    # "auto" compiles a plan only above FUSED_MIN_OBS, so the count
+    # discriminates only when every rank block is that large.
+    assert all(b.n_rows >= FUSED_MIN_OBS
+               for b in partition_by_rows(plan_system, 3))
+    solve(SolveRequest(system=plan_system, iter_lim=3,
+                       resilience=ResilienceConfig()))
+    assert len(plans_built) == 1
+    plans_built.clear()
+    solve(SolveRequest(system=plan_system, iter_lim=3, ranks=3))
+    assert len(plans_built) == 3
+
+
+def test_a_sliced_job_compiles_one_plan_per_segment(
+        plan_system, plans_built, tmp_path):
+    segments, preempt_slice = 3, 2
+    request = SolveRequest(system=plan_system, atol=0.0, btol=0.0,
+                           iter_lim=segments * preempt_slice)
+    with SessionStore(tmp_path) as store:
+        sched = Scheduler(DevicePool(("V100",)), workers=1,
+                          sessions=store, preempt_slice=preempt_slice)
+        sched.start()
+        sched.submit(ServeJob(request=request, nominal_gb=10.0,
+                              priority=5, job_id="sliced"))
+        report = sched.drain()
+    assert report.completed[0].report.itn == segments * preempt_slice
+    assert len(plans_built) == segments

@@ -9,9 +9,12 @@ full ``StopReason``, and a reduction backend is pluggable in
 isolation.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.api import STRATEGY_PRESETS
 from repro.core import lsqr_solve
 from repro.core.aprod import AprodOperator
 from repro.core.checkpoint import LSQRState, ResumableLSQR
@@ -22,7 +25,7 @@ from repro.core.engine import (
     StopReason,
 )
 from repro.core.precond import ColumnScaling, PreconditionedAprod
-from repro.dist import distributed_lsqr_solve
+from repro.dist import DistributedLSQR, distributed_lsqr_solve
 from repro.obs import Telemetry
 from repro.obs.telemetry import NULL_TELEMETRY
 
@@ -37,10 +40,14 @@ def _engine_for(system, **kwargs):
 # ----------------------------------------------------------------------
 # Serial == distributed at one rank, bitwise
 # ----------------------------------------------------------------------
-def test_one_rank_distributed_is_bitwise_serial(small_system):
-    serial = lsqr_solve(small_system, atol=1e-12, btol=1e-12)
-    dist = distributed_lsqr_solve(small_system, 1, atol=1e-12,
-                                  btol=1e-12)
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_PRESETS))
+def test_one_rank_distributed_is_bitwise_serial(plan_system, strategy):
+    gather, scatter = STRATEGY_PRESETS[strategy]
+    operator = partial(AprodOperator, gather_strategy=gather,
+                       scatter_strategy=scatter)
+    serial = lsqr_solve(operator(plan_system), atol=1e-12, btol=1e-12)
+    dist = DistributedLSQR(plan_system, 1, local_operator=operator
+                           ).solve(atol=1e-12, btol=1e-12)
     assert dist.itn == serial.itn
     assert dist.stop == serial.istop
     assert np.array_equal(dist.x, serial.x)

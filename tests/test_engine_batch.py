@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SolveRequest, batch_incompatibility, solve, solve_batch
+from repro.core.aprod import AprodOperator
 from repro.core.engine import (
     ISTOP_RUNNING,
     BatchedLSQRStepEngine,
@@ -80,12 +81,17 @@ def batch_case(draw):
     return system, members, damps
 
 
+def _operator(system, gather, scatter, **kw):
+    """Drivers take an operator: the strategies live on AprodOperator."""
+    return AprodOperator(system, gather_strategy=gather,
+                         scatter_strategy=scatter, **kw)
+
+
 def _serial_results(members, damps, *, gather, scatter, iter_lim=30,
                     **kw):
     return [
-        lsqr_solve(m, damp=d, iter_lim=iter_lim,
-                   gather_strategy=gather, scatter_strategy=scatter,
-                   **kw)
+        lsqr_solve(_operator(m, gather, scatter), damp=d,
+                   iter_lim=iter_lim, **kw)
         for m, d in zip(members, damps)
     ]
 
@@ -93,9 +99,9 @@ def _serial_results(members, damps, *, gather, scatter, iter_lim=30,
 def _batched_results(system, members, damps, *, gather, scatter,
                      iter_lim=30, **kw):
     B = np.stack([m.rhs() for m in members])
-    return lsqr_solve_batch(system, B, damps=damps, iter_lim=iter_lim,
-                            gather_strategy=gather,
-                            scatter_strategy=scatter, **kw)
+    return lsqr_solve_batch(
+        _operator(system, gather, scatter, batch_hint=len(members)), B,
+        damps=damps, iter_lim=iter_lim, **kw)
 
 
 def _assert_member_equal(batched, serial, *, rtol=None):
@@ -155,12 +161,11 @@ def test_batched_matches_serial_on_fused_path(case):
 def test_batch_of_one_matches_serial(small_system, gather, scatter):
     """K=1 is the degenerate batch: same answer as the plain driver
     (bitwise on classic; rtol pin on the fused plan)."""
-    serial = lsqr_solve(small_system, iter_lim=40,
-                        gather_strategy=gather,
-                        scatter_strategy=scatter)
+    serial = lsqr_solve(_operator(small_system, gather, scatter),
+                        iter_lim=40)
     (batched,) = lsqr_solve_batch(
-        small_system, small_system.rhs()[None, :], iter_lim=40,
-        gather_strategy=gather, scatter_strategy=scatter)
+        _operator(small_system, gather, scatter),
+        small_system.rhs()[None, :], iter_lim=40)
     rtol = None if gather == "vectorized" else 1e-12
     _assert_member_equal(batched, serial, rtol=rtol)
 
@@ -173,14 +178,13 @@ def test_warm_start_members_match_serial(small_system):
            rng.normal(scale=1e-2, size=n)]
     members = [small_system] * 3
     damps = [0.0, 0.0, 1e-3]
-    serial = [lsqr_solve(m, damp=d, iter_lim=25, x0=x0,
-                         gather_strategy="vectorized",
-                         scatter_strategy="bincount")
+    serial = [lsqr_solve(_operator(m, "vectorized", "bincount"),
+                         damp=d, iter_lim=25, x0=x0)
               for m, d, x0 in zip(members, damps, x0s)]
     batched = lsqr_solve_batch(
-        small_system, np.stack([m.rhs() for m in members]),
-        damps=damps, x0s=x0s, iter_lim=25,
-        gather_strategy="vectorized", scatter_strategy="bincount")
+        _operator(small_system, "vectorized", "bincount", batch_hint=3),
+        np.stack([m.rhs() for m in members]),
+        damps=damps, x0s=x0s, iter_lim=25)
     for b, s in zip(batched, serial):
         _assert_member_equal(b, s)
 
@@ -463,8 +467,9 @@ def test_spmm_batch_matches_serial_fused_solves():
 
     # batch_kernel="einsum" must force the plan path even at K=8
     forced = lsqr_solve_batch(
-        system, np.stack([m.rhs() for m in members]), iter_lim=40,
-        batch_kernel="einsum")
+        AprodOperator(system, batch_hint=len(members),
+                      batch_kernel="einsum"),
+        np.stack([m.rhs() for m in members]), iter_lim=40)
     for f, s in zip(forced, serial):
         assert f.itn == s.itn
         np.testing.assert_allclose(f.x, s.x, rtol=1e-12, atol=0)

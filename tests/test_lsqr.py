@@ -98,7 +98,7 @@ def test_injectable_clock(small_system):
 def test_input_validation(small_system):
     op = AprodOperator(small_system)
     with pytest.raises(ValueError, match="right-hand side"):
-        lsqr_solve(op)
+        lsqr_solve(op.as_linear_operator())  # raw: no system to ask
     with pytest.raises(ValueError, match="taken from the GaiaSystem"):
         lsqr_solve(small_system, np.zeros(3))
     with pytest.raises(ValueError, match="damp"):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.aprod import AprodOperator
 from repro.core.lsqr import lsqr_solve
 from repro.dist.runner import distributed_lsqr_solve
 from repro.frameworks import port_by_key
@@ -145,9 +146,10 @@ def test_two_ports_identical_solution_and_launch_counts(small_system):
         port = port_by_key(port_key)
         device = device_by_name(device_name)
         tel = Telemetry()
-        res = lsqr_solve(small_system, atol=1e-12, btol=1e-12,
-                         iter_lim=200, telemetry=tel,
-                         **_port_strategies(port, device))
+        op = AprodOperator(small_system, telemetry=tel,
+                           **_port_strategies(port, device))
+        res = lsqr_solve(op, atol=1e-12, btol=1e-12, iter_lim=200,
+                         telemetry=tel)
         model_iteration(port, device, small_system.dims, telemetry=tel)
         kernel_calls = {
             labels: v

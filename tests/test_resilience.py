@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.api import ResilienceConfig, SolveRequest, solve
+from repro.api import (
+    STRATEGY_PRESETS,
+    ResilienceConfig,
+    SolveRequest,
+    solve,
+)
+from repro.core.aprod import AprodOperator
 from repro.core.convergence import NormExplosionGuard
 from repro.core.engine import EngineState, StopReason
+from repro.dist import DistributedLSQR
 from repro.obs import Telemetry, to_markdown
 from repro.resilience import (
     FaultKind,
@@ -225,11 +234,16 @@ def test_exhausted_retries_abort_the_solve(small_system):
     assert "ABORTED_FAULTS" in summary and "comm_drop" in summary
 
 
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_PRESETS))
 def test_resilient_driver_without_faults_matches_plain_distributed(
-        small_system):
-    reference = solve(SolveRequest(system=small_system, ranks=3,
-                                   iter_lim=60))
-    driver = ResilientDistributedLSQR(small_system, 3)
+        plan_system, strategy):
+    reference = solve(SolveRequest(system=plan_system, ranks=3,
+                                   iter_lim=60, strategy=strategy))
+    gather, scatter = STRATEGY_PRESETS[strategy]
+    driver = ResilientDistributedLSQR(DistributedLSQR(
+        plan_system, 3,
+        local_operator=partial(AprodOperator, gather_strategy=gather,
+                               scatter_strategy=scatter)))
     result, chaos = driver.solve(iter_lim=60)
     assert result.stop is reference.stop
     assert chaos.stop is reference.stop
@@ -289,7 +303,6 @@ def test_checkpoint_path_writes_global_snapshots(small_system, tmp_path):
 
 
 def _batched_engine(system, k):
-    from repro.core.aprod import AprodOperator
     from repro.core.engine import BatchedLSQRStepEngine
 
     op = AprodOperator(system, gather_strategy="vectorized",

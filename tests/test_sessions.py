@@ -291,6 +291,33 @@ class TestResumeFrom:
                            resume_from=str(tmp_path / "ck.npz"))
         assert req.resilience is cfg
 
+    def test_resuming_a_serial_dump_names_format_and_reader(
+            self, tmp_path):
+        """``api.solve`` writes an EngineState dump on the serial path;
+        ``resume_from`` (the GlobalCheckpoint reader) must say so
+        instead of dying on a missing archive member."""
+        system, path = tiny_system(), tmp_path / "ck.npz"
+        solve(SolveRequest(system=system, iter_lim=20,
+                           checkpoint_every=5, checkpoint_path=path))
+        with pytest.raises(ValueError) as err:
+            solve(SolveRequest(system=system, resume_from=path))
+        assert str(path) in str(err.value)
+        assert "serial EngineState dump" in str(err.value)
+        assert "ResumableLSQR.run(resume_from=)" in str(err.value)
+
+    def test_resuming_a_per_rank_set_names_format_and_reader(
+            self, tmp_path):
+        """The plain ranks>1 driver writes ``<stem>.rank<r>.npz``."""
+        system, path = tiny_system(), tmp_path / "ck.npz"
+        solve(SolveRequest(system=system, ranks=2, iter_lim=20,
+                           checkpoint_every=5, checkpoint_path=path))
+        assert not path.exists()
+        with pytest.raises(ValueError) as err:
+            solve(SolveRequest(system=system, resume_from=path))
+        assert str(path) in str(err.value)
+        assert "ck.rank0.npz" in str(err.value)
+        assert "DistributedLSQR.solve(resume_from=)" in str(err.value)
+
     def test_resumable_lsqr_resume_from(self, tmp_path):
         system = tiny_system()
         ref = ResumableLSQR(system).run(iter_lim=40)
