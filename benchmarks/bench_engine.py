@@ -3,10 +3,11 @@
 The engine refactor moved the Paige & Saunders iteration body out of
 three hand-rolled loops into :class:`repro.core.engine.LSQRStepEngine`
 with preallocated per-iteration workspaces.  This bench pins down what
-that costs (or saves) on the serial hot path: iterations/sec and
-heap allocations per iteration, engine vs the pre-refactor loop body
-(which built fresh ``w / rho`` / ``t1 * w`` / ``dk * dk`` temporaries
-every iteration).
+that must not change on the serial hot path: bitwise ``x``/``var``
+against the pre-refactor loop body (which built fresh ``w / rho`` /
+``t1 * w`` / ``dk * dk`` temporaries every iteration) and strictly
+fewer heap allocations inside the loop.  Both rates are reported; no
+ratio of them is (it sat inside run-to-run noise: 1.003x, 1.00x).
 
 Runs two ways:
 
@@ -185,7 +186,6 @@ def measure(dims=BENCH_DIMS, iters=BENCH_ITERS, repeats=BENCH_REPEATS):
         "repeats": repeats,
         "engine_iters_per_sec": total / t_engine,
         "seed_loop_iters_per_sec": total / t_seed,
-        "speedup_vs_seed_loop": t_seed / t_engine,
         "engine_loop_alloc_bytes": alloc_engine,
         "seed_loop_alloc_bytes": alloc_seed,
         "bitwise_x_match": bool(np.array_equal(state.x, x_seed)),
@@ -206,8 +206,8 @@ def test_engine_hot_path_parity(benchmark, write_result):
         f"loop alloc {stats['engine_loop_alloc_bytes']} B\n"
         f"  seed loop: {stats['seed_loop_iters_per_sec']:.0f} it/s, "
         f"loop alloc {stats['seed_loop_alloc_bytes']} B\n"
-        f"  speedup: {stats['speedup_vs_seed_loop']:.2f}x; bitwise x "
-        f"match: {stats['bitwise_x_match']}",
+        f"  bitwise x match: {stats['bitwise_x_match']}, "
+        f"var: {stats['bitwise_var_match']}",
     )
     # The refactor must not change the math nor regress allocations:
     # the preallocated workspaces should allocate strictly less inside
@@ -221,8 +221,8 @@ def test_engine_hot_path_parity(benchmark, write_result):
 def main(output: Path) -> None:
     stats = measure()
     output.write_text(json.dumps(stats, indent=2) + "\n")
-    print(f"{output}: engine {stats['engine_iters_per_sec']:.0f} it/s "
-          f"({stats['speedup_vs_seed_loop']:.2f}x seed loop), "
+    print(f"{output}: engine {stats['engine_iters_per_sec']:.0f} it/s, "
+          f"seed loop {stats['seed_loop_iters_per_sec']:.0f} it/s, "
           f"loop alloc {stats['engine_loop_alloc_bytes']} B vs "
           f"{stats['seed_loop_alloc_bytes']} B, bitwise x match: "
           f"{stats['bitwise_x_match']}")

@@ -19,7 +19,7 @@ same solution, pinned to rtol 1e-6 against the cold solve).
 solve as ``preempt_slice``-iteration checkpointed slices; an urgent
 job arrives mid-solve, preempts it at the next slice boundary, runs,
 and the preempted solve resumes from its parked
-:class:`~repro.resilience.GlobalCheckpoint`.  Measured on the thread
+:class:`~repro.core.engine.EngineState` archive.  Measured on the thread
 AND process backends: *latency to preemption* (the urgent job's
 queue wait -- bounded by one slice instead of the whole low-priority
 solve) and the resumed solve's report, which must be **bitwise**

@@ -27,7 +27,7 @@ all of them coherently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -220,18 +220,13 @@ class SolveRequest:
     typo'd port or platform name fails at request construction with
     the offending field named, not deep inside the scheduler.
 
-    ``resume_from`` names a :class:`~repro.resilience.GlobalCheckpoint`
-    ``.npz`` to warm the resilient driver's recovery state from; the
-    serving layer uses it to migrate a gang's dead shard to a spare
-    lane and resume mid-solve, and the session subsystem
-    (``docs/sessions.md``) to resume preempted solves.  Only the
-    recovery driver restores a GlobalCheckpoint, so ``resume_from``
-    without a ``resilience`` config synthesizes the default no-fault
-    :class:`ResilienceConfig` -- same driver, zero injected faults,
-    bit-identical to the serial solve.  The ``checkpoint_path`` dumps
-    of a solve *without* a resilience config are other formats
-    (``docs/architecture.md``); loading one says which, and what
-    resumes it.
+    ``checkpoint_path`` receives an :class:`~repro.core.engine.
+    EngineState` archive from the driver the request dispatches to;
+    ``resume_from`` continues one -- written by any driver on any
+    rank count over the same system (with ``x0``, pass the same
+    ``x0`` again), bitwise the uninterrupted solve on the same
+    driver and rank count.  The serving layer migrates a gang's dead
+    shard and parks preempted solves (``docs/sessions.md``) with it.
     """
 
     system: GaiaSystem
@@ -292,10 +287,6 @@ class SolveRequest:
                     f"unknown framework {self.framework!r}; expected "
                     f"one of {known}"
                 )
-        if self.resume_from is not None and self.resilience is None:
-            # Only the recovery driver restores a GlobalCheckpoint;
-            # route there with the default no-fault config.
-            object.__setattr__(self, "resilience", ResilienceConfig())
         distributed = self.ranks > 1 or self.resilience is not None
         if distributed and self.damp != 0.0:
             raise ValueError(
@@ -333,6 +324,11 @@ class SolveRequest:
             derive_seed(self.seed, _STREAM_RETRY))
 
 
+#: :class:`SolveRequest` fields that never cross a process boundary
+#: (the system travels by digest, the other two are live objects).
+_LIVE_FIELDS = frozenset({"system", "callback", "telemetry"})
+
+
 @dataclass(frozen=True)
 class RequestSpec:
     """The picklable remainder of a :class:`SolveRequest`.
@@ -344,63 +340,27 @@ class RequestSpec:
     in the parent process).  This is the wire format of the process
     worker pool: :meth:`from_request` strips a request down to plain
     data, :meth:`to_request` rehydrates it against the attached
-    system on the worker side.
+    system on the worker side.  The field list is derived from
+    :class:`SolveRequest`, so a field added there crosses the
+    boundary without being restated here.
     """
 
-    ranks: int = 1
-    atol: float = 1e-10
-    btol: float | None = None
-    conlim: float = 1e8
-    iter_lim: int | None = None
-    damp: float = 0.0
-    precondition: bool = True
-    calc_var: bool = True
-    strategy: str = "auto"
-    seed: int = 0
-    x0: np.ndarray | None = None
-    resilience: ResilienceConfig | None = None
-    checkpoint_every: int | None = None
-    checkpoint_path: str | None = None
-    job_id: str | None = None
-    framework: str | None = None
-    constraints: PlacementConstraints | None = None
-    resume_from: str | None = None
+    values: dict[str, object]
 
     @classmethod
     def from_request(cls, request: "SolveRequest") -> "RequestSpec":
         """Strip one request down to its picklable fields."""
-        return cls(
-            ranks=request.ranks, atol=request.atol, btol=request.btol,
-            conlim=request.conlim, iter_lim=request.iter_lim,
-            damp=request.damp, precondition=request.precondition,
-            calc_var=request.calc_var, strategy=request.strategy,
-            seed=request.seed, x0=request.x0,
-            resilience=request.resilience,
-            checkpoint_every=request.checkpoint_every,
-            checkpoint_path=(str(request.checkpoint_path)
-                             if request.checkpoint_path is not None
-                             else None),
-            job_id=request.job_id, framework=request.framework,
-            constraints=request.constraints,
-            resume_from=(str(request.resume_from)
-                         if request.resume_from is not None else None),
-        )
+        values = {f.name: getattr(request, f.name)
+                  for f in fields(SolveRequest)
+                  if f.name not in _LIVE_FIELDS}
+        return cls({name: str(v) if isinstance(v, Path) else v
+                    for name, v in values.items()})
 
     def to_request(self, system: GaiaSystem, *,
                    telemetry: Telemetry | None = None) -> "SolveRequest":
         """Rehydrate a full request against ``system``."""
-        return SolveRequest(
-            system=system, ranks=self.ranks, atol=self.atol,
-            btol=self.btol, conlim=self.conlim, iter_lim=self.iter_lim,
-            damp=self.damp, precondition=self.precondition,
-            calc_var=self.calc_var, strategy=self.strategy,
-            seed=self.seed, x0=self.x0, resilience=self.resilience,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_path=self.checkpoint_path,
-            telemetry=telemetry, job_id=self.job_id,
-            framework=self.framework, constraints=self.constraints,
-            resume_from=self.resume_from,
-        )
+        return SolveRequest(system=system, telemetry=telemetry,
+                            **self.values)
 
 
 @dataclass(frozen=True)
@@ -715,6 +675,7 @@ def _solve_serial(request: SolveRequest) -> SolveReport:
         telemetry=request.telemetry,
         checkpoint_every=request.checkpoint_every,
         checkpoint_path=request.checkpoint_path,
+        resume_from=request.resume_from,
     ))
 
 
@@ -738,6 +699,7 @@ def _solve_spmd(request: SolveRequest) -> SolveReport:
             **stopping,
             checkpoint_every=request.checkpoint_every,
             checkpoint_path=request.checkpoint_path,
+            resume_from=request.resume_from,
         ))
     result, chaos = ResilientDistributedLSQR(
         driver,

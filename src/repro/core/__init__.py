@@ -16,7 +16,7 @@ matrix-vector products ``aprod1`` (``b += A x``) and ``aprod2``
   (bidiagonalization + Givens update, full stopping rules, variance
   accumulation) parameterized by a pluggable ``ReductionBackend``;
 - :mod:`repro.core.lsqr` -- the serial driver over the engine, with
-  damping, warm start, timing hooks and checkpoint dumps;
+  damping, warm start, timing hooks and checkpoint dump / resume;
 - :mod:`repro.core.variance` -- standard errors of the solution;
 - :mod:`repro.core.baseline` -- a textbook LSQR and a SciPy
   cross-check used as comparators.
@@ -39,7 +39,6 @@ from repro.core.convergence import (
     lsqr_solve_reorthogonalized,
     orthogonality_drift,
 )
-from repro.core.checkpoint import LSQRState, ResumableLSQR
 
 __all__ = [
     "AprodOperator",
@@ -61,6 +60,4 @@ __all__ = [
     "ConvergenceHistory",
     "lsqr_solve_reorthogonalized",
     "orthogonality_drift",
-    "LSQRState",
-    "ResumableLSQR",
 ]

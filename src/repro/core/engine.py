@@ -8,8 +8,7 @@ with the AVU-GSR customizations (damping, variance accumulation, the
 full ``istop`` stopping rules), parameterized by *how reductions
 happen*:
 
-- :class:`SerialReduction` reduces locally (the serial and
-  checkpointable solvers);
+- :class:`SerialReduction` reduces locally (the serial solver);
 - ``repro.dist.runner.CommReduction`` wraps the simulated MPI
   collectives, so the distributed solver runs the very same
   ``step()`` -- it inherits stopping rules, checkpoint/resume and
@@ -17,11 +16,14 @@ happen*:
 
 The drivers (:func:`repro.core.lsqr.lsqr_solve`,
 :class:`repro.dist.runner.DistributedLSQR`,
-:class:`repro.core.checkpoint.ResumableLSQR`) own policy: right-hand
-sides, preconditioning, iteration budgets, timing and result types.
-The engine owns the numerics.  Its entire iteration state is the
-explicit, serializable :class:`EngineState`; per-iteration workspaces
-are preallocated once so the hot loop performs no array allocations.
+:class:`repro.resilience.ResilientDistributedLSQR`) own policy:
+right-hand sides, preconditioning, iteration budgets, timing and
+result types.  The engine owns the numerics.  Its entire iteration
+state is the explicit, serializable :class:`EngineState` -- with ``u``
+in global row order, its ``.npz`` archive is the one checkpoint format
+every driver writes and resumes (:func:`resume_state`); per-iteration
+workspaces are preallocated once so the hot loop performs no array
+allocations.
 
 The batched variant (:class:`BatchedEngineState` /
 :class:`BatchedLSQRStepEngine`) stacks K compatible solves -- same
@@ -36,7 +38,11 @@ member's trajectory is the serial trajectory (see
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -203,11 +209,13 @@ class EngineState:
         """True when no state field holds a NaN/Inf."""
         return not self.validate()
 
+    #: Archive members :meth:`load` requires (``var`` is optional).
+    _MEMBERS = frozenset({"itn", "x", "u", "v", "w", "scalars", "istop"})
+
     def save(self, path: str | Path) -> Path:
-        """Serialize the state to ``.npz``."""
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = path.with_suffix(".npz")
+        """Serialize the state to ``.npz``, through a temporary sibling:
+        a kill mid-write never tears an archive already at ``path``."""
+        path = Path(path).with_suffix(".npz")
         arrays = dict(
             itn=self.itn, x=self.x, u=self.u, v=self.v, w=self.w,
             scalars=np.array([getattr(self, f) for f in self._SCALARS]),
@@ -217,23 +225,66 @@ class EngineState:
         )
         if self.var is not None:
             arrays["var"] = self.var
-        np.savez_compressed(path, **arrays)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez_compressed(fh, **arrays)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "EngineState":
-        """Reload a state written by :meth:`save`."""
-        with np.load(Path(path)) as zf:
-            scalars = dict(zip(cls._SCALARS, (float(s)
-                                              for s in zf["scalars"])))
-            code = int(zf["istop"][0])
-            return cls(
-                itn=int(zf["itn"]), x=zf["x"].copy(), u=zf["u"].copy(),
-                v=zf["v"].copy(), w=zf["w"].copy(),
-                var=zf["var"].copy() if "var" in zf else None,
-                istop=None if code < 0 else StopReason(code),
-                **scalars,
-            )
+        """Reload a state written by :meth:`save`.
+
+        ``path`` may come from outside the program (``resume_from``):
+        a truncated or foreign ``.npz`` is a :class:`ValueError`.
+        """
+        path = Path(path).with_suffix(".npz")
+        try:
+            with np.load(path) as zf:
+                missing = cls._MEMBERS - set(zf.files)
+                if missing:
+                    raise ValueError(
+                        f"{path} is not an EngineState archive: no "
+                        f"{sorted(missing)} among its members "
+                        f"{sorted(zf.files)}"
+                    )
+                scalars = dict(zip(cls._SCALARS,
+                                   (float(s) for s in zf["scalars"])))
+                code = int(zf["istop"][0])
+                return cls(
+                    itn=int(zf["itn"]), x=zf["x"].copy(),
+                    u=zf["u"].copy(), v=zf["v"].copy(),
+                    w=zf["w"].copy(),
+                    var=zf["var"].copy() if "var" in zf else None,
+                    istop=None if code < 0 else StopReason(code),
+                    **scalars,
+                )
+        except zipfile.BadZipFile as exc:
+            raise ValueError(
+                f"{path} is not a readable .npz archive (truncated or "
+                f"corrupt): {exc}"
+            ) from exc
+
+
+def resume_state(resume_from: "str | Path | EngineState",
+                 m: int, n: int) -> EngineState:
+    """The state a driver continues from: a live one or the path of an
+    archive any driver wrote, checked against the ``(m, n)`` system."""
+    if isinstance(resume_from, EngineState):
+        state, source = resume_from, "the resume_from state"
+    else:
+        state, source = EngineState.load(resume_from), str(resume_from)
+    if state.u.size != m or state.x.size != n:
+        raise ValueError(
+            f"{source} holds a solve of {state.u.size} rows x "
+            f"{state.x.size} unknowns; the system has {m} x {n}"
+        )
+    return state
 
 
 class LSQRStepEngine:

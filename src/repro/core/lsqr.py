@@ -16,7 +16,7 @@ of the paper: ACM TOMS 1982a/b) with the AVU-GSR customizations:
 
 The iteration body itself lives in :mod:`repro.core.engine` -- one
 :class:`~repro.core.engine.LSQRStepEngine` shared with the
-distributed and checkpointable drivers.  This module is the *serial
+distributed and recovery drivers.  This module is the *serial
 driver*: it prepares the preconditioned operator and right-hand side,
 runs the engine with the local :class:`~repro.core.engine.
 SerialReduction` backend, owns timing/callback/checkpoint policy, and
@@ -43,6 +43,7 @@ from repro.core.engine import (
     LSQRStepEngine,
     SerialReduction,
     StopReason,
+    resume_state,
 )
 from repro.core.precond import ColumnScaling, prepare
 from repro.obs.telemetry import Telemetry
@@ -121,6 +122,7 @@ def lsqr_solve(
     telemetry: Telemetry | None = None,
     checkpoint_every: int | None = None,
     checkpoint_path: str | Path | None = None,
+    resume_from: str | Path | EngineState | None = None,
 ) -> LSQRResult:
     """Solve ``min ||A x - b||_2`` (optionally damped) with LSQR.
 
@@ -169,12 +171,18 @@ def lsqr_solve(
         iteration counters and an ``lsqr.iteration_time_s`` histogram.
     checkpoint_every, checkpoint_path:
         When both are given, the engine state is serialized to
-        ``checkpoint_path`` every ``checkpoint_every`` iterations (and
-        once more at the end) -- the batch-queue crash-recovery dump.
-        Resume by loading the :class:`~repro.core.engine.EngineState`
-        into a :class:`~repro.core.checkpoint.ResumableLSQR` built
-        over the same system and parameters.  With ``x0`` the state
-        holds the *correction* in preconditioned units.
+        ``checkpoint_path`` every ``checkpoint_every`` iterations and
+        at the end (once: a run ending on a checkpoint iteration does
+        not write it again) -- the batch-queue crash-recovery dump.
+        With ``x0`` the state holds the *correction* in preconditioned
+        units.
+    resume_from:
+        Continue a prior run: a live
+        :class:`~repro.core.engine.EngineState` or the path of an
+        archive any driver wrote over the same system and parameters
+        (a run that used ``x0`` passes the same ``x0`` again).  The
+        continued run is bit-for-bit the uninterrupted one; preempt/
+        park/resume (:mod:`repro.sessions`) rests on this.
     """
     tel = Telemetry.or_null(telemetry)
     b = resolve_rhs(system, b)
@@ -210,7 +218,10 @@ def lsqr_solve(
         conlim=conlim, calc_var=calc_var, telemetry=telemetry,
         span_prefix="lsqr",
     )
-    state = engine.start(b)
+    state = (engine.start(b) if resume_from is None
+             else resume_state(resume_from, m, n))
+    checkpointing = (checkpoint_path is not None
+                     and checkpoint_every is not None)
     times: list[float] = []
     while state.istop is None and state.itn < iter_lim:
         t0 = clock()
@@ -221,10 +232,11 @@ def lsqr_solve(
         if callback is not None:
             callback(state.itn, scaling.to_physical(state.x) + x_offset,
                      state.r2norm)
-        if (checkpoint_path is not None and checkpoint_every is not None
-                and state.itn % checkpoint_every == 0):
+        if checkpointing and state.itn % checkpoint_every == 0:
             state.save(checkpoint_path)
-    if checkpoint_path is not None and checkpoint_every is not None:
+    # The final dump, unless the last iteration just wrote it.
+    if checkpointing and not (times
+                              and state.itn % checkpoint_every == 0):
         state.save(checkpoint_path)
     return _finish(state, m, n, times, scaling, x_offset)
 

@@ -8,7 +8,7 @@ attitude, instrumental and global sections -- whose natural scales
 differ by orders of magnitude -- converge together.
 
 :func:`prepare` is the one operator-preparation step of every solve
-driver (serial, batched, checkpointable, CGLS, the convergence
+driver (serial, batched, CGLS, the convergence
 diagnostics and both SPMD drivers): drivers *take* an operator and
 never build one, so the kernel-strategy vocabulary stays on
 :class:`~repro.core.aprod.AprodOperator`.

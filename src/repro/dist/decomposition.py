@@ -10,10 +10,12 @@ balancing row counts.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.engine import EngineState
 from repro.system.sparse import GaiaSystem
 
 
@@ -108,6 +110,42 @@ def partition_by_rows(
         )
         for k in range(n_ranks)
     ]
+
+
+def gather_state(state: EngineState,
+                 u_blocks: list[np.ndarray]) -> EngineState:
+    """A copy of one rank's state with ``u`` in global row order.
+
+    ``x``/``v``/``w``/``var`` and the scalars are replicated, and the
+    rank blocks' ``u`` concatenate to the serial ``u`` because the
+    last rank owns the constraint rows: the result is the
+    rank-count-independent checkpoint :meth:`EngineState.save` writes.
+    """
+    return copy.deepcopy(replace(state, u=np.concatenate(u_blocks)))
+
+
+def shard_state(state: EngineState,
+                blocks: list[RankBlock]) -> list[EngineState]:
+    """Per-rank copies of a global state, for any decomposition.
+
+    Each block gets its row range of ``u`` (the constraint tail past
+    the observation rows rides with its owner); ``istop`` is cleared,
+    the shards continue iterating.  The tail's length only the system
+    knows: :func:`~repro.core.engine.resume_state` checks the total.
+    """
+    n_obs = blocks[-1].row_stop
+    if n_obs > state.u.size:
+        raise ValueError(
+            f"decomposition covers {n_obs} rows, "
+            f"checkpoint holds {state.u.size}"
+        )
+    shards = []
+    for block in blocks:
+        u = state.u[block.row_start:block.row_stop]
+        if block.owns_constraints:
+            u = np.concatenate([u, state.u[n_obs:]])
+        shards.append(copy.deepcopy(replace(state, u=u, istop=None)))
+    return shards
 
 
 def load_balance_report(blocks: list[RankBlock]) -> str:

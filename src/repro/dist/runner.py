@@ -22,7 +22,7 @@ shared :class:`~repro.core.engine.LSQRStepEngine` with a
 the simulated MPI collectives.  The distributed solve therefore
 inherits the serial solver's full Paige & Saunders stopping rules
 (reported as :class:`~repro.core.engine.StopReason`), per-iteration
-convergence callbacks, and engine-state checkpoint/resume.
+convergence callbacks, and the serial solver's checkpoint archive.
 """
 
 from __future__ import annotations
@@ -40,13 +40,16 @@ from repro.core.engine import (
     EngineState,
     LSQRStepEngine,
     StopReason,
+    resume_state,
 )
 from repro.core.lsqr import IterationCallback
 from repro.core.precond import ColumnScaling, prepare
 from repro.dist.comm import CollectiveBus, SimComm
 from repro.dist.decomposition import (
     RankBlock,
+    gather_state,
     partition_by_rows,
+    shard_state,
     slice_system,
 )
 from repro.obs.telemetry import Telemetry
@@ -188,29 +191,39 @@ class DistributedLSQR:
               callback: IterationCallback | None = None,
               checkpoint_every: int | None = None,
               checkpoint_path: str | Path | None = None,
-              resume_from: str | Path | None = None,
+              resume_from: str | Path | EngineState | None = None,
               ) -> DistributedResult:
         """Run the SPMD solve; all ranks converge to the same x.
 
         ``btol`` defaults to ``atol``.  ``callback`` is invoked on
         rank 0 after every iteration with ``(itn, x_physical,
         r2norm)`` -- the same convergence-tracing hook as the serial
-        solver.  With ``checkpoint_every``/``checkpoint_path`` each
-        rank periodically serializes its engine state to
-        ``<path>.rank<r>.npz`` (``u`` is row-distributed, so states
-        are per rank); ``resume_from`` restarts from such a set,
-        which requires the same system and rank count.
+        solver.  With ``checkpoint_every``/``checkpoint_path`` rank 0
+        periodically (and at the end) writes one
+        :class:`~repro.core.engine.EngineState` archive holding the
+        gathered global ``u``; ``resume_from`` continues such an
+        archive -- written by any driver on any rank count -- over
+        the same system.
         """
+        shards = None
+        if resume_from is not None:
+            shards = shard_state(
+                resume_state(resume_from, self.system.n_rows,
+                             self.system.dims.n_params), self.blocks)
+        saved_itn: list[int | None] = [None] * self.n_ranks
+
         def start(comm, fresh):
-            if resume_from is None:
-                return fresh()
-            return EngineState.load(rank_state_path(resume_from, comm.rank))
+            return fresh() if shards is None else shards[comm.rank]
 
         def after_step(comm, state, final):
-            if (checkpoint_path is not None
-                    and checkpoint_every is not None
-                    and (final or state.itn % checkpoint_every == 0)):
-                state.save(rank_state_path(checkpoint_path, comm.rank))
+            if (checkpoint_path is None or checkpoint_every is None
+                    or saved_itn[comm.rank] == state.itn
+                    or not (final or state.itn % checkpoint_every == 0)):
+                return
+            saved_itn[comm.rank] = state.itn
+            snapshot = gather_checkpoint(comm, state)
+            if snapshot is not None:
+                snapshot.save(checkpoint_path)
 
         return self.run(
             self.blocks, self.global_scaling(), backend=self._backend,
@@ -233,8 +246,8 @@ class DistributedLSQR:
         fresh)`` state (``fresh()`` begins the bidiagonalization from
         the rank's right-hand side); and ``after_step(comm, state,
         final)``, run after every iteration before the callback and
-        once more, ``final=True``, after the loop (per-rank dumps
-        here; the corruption screen and global checkpoints there).
+        once more, ``final=True``, after the loop (checkpoint dumps
+        here; the corruption screen and validated checkpoints there).
         """
         if btol is None:
             btol = atol
@@ -283,12 +296,13 @@ class DistributedLSQR:
         return results[0]
 
 
-def rank_state_path(path: str | Path, rank: int) -> Path:
-    """Per-rank engine-state file: ``<path>.rank<r>.npz``."""
-    path = Path(path)
-    if path.suffix == ".npz":
-        path = path.with_suffix("")
-    return path.with_name(f"{path.name}.rank{rank}.npz")
+def gather_checkpoint(comm: SimComm,
+                      state: EngineState) -> EngineState | None:
+    """Collective: the global-``u`` state on rank 0, None elsewhere."""
+    u_blocks = comm.allgather(state.u)
+    if comm.rank != 0:
+        return None
+    return gather_state(state, u_blocks)
 
 
 def distributed_lsqr_solve(

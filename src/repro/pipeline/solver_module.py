@@ -65,8 +65,8 @@ class SolverModule:
         self.checkpoint_every = checkpoint_every
         self.damp = damp
         # Optional engine-state dump: every checkpoint_every iterations
-        # the full EngineState is serialized here, resumable with
-        # repro.core.checkpoint.ResumableLSQR over the same system.
+        # the EngineState archive is written here; SolveRequest(
+        # resume_from=) over the same system continues it.
         self.state_checkpoint_path = state_checkpoint_path
 
     def solve(self, system: GaiaSystem,

@@ -5,16 +5,10 @@ deterministic, seed-driven :class:`FaultPlan` injects communication
 drops, timeouts, stragglers, payload corruption and rank death into
 the solver's reduction epochs; a :class:`RetryPolicy` bounds how each
 epoch fights back; :class:`ResilientDistributedLSQR` recovers what
-retry cannot -- rolling back to validated global checkpoints and
-re-decomposing onto surviving ranks.  See ``docs/resilience.md``.
-
-The same no-fault recovery driver (a default
-:class:`~repro.api.ResilienceConfig`) doubles as the serving layer's
-preempt/park/resume engine: the scheduler runs preemptible solves as
-checkpointed slices whose :class:`GlobalCheckpoint` parks in a
-:class:`~repro.sessions.SessionStore` when a more urgent job needs
-the device, then resumes bit-for-bit -- possibly elsewhere.  See
-``docs/sessions.md``.
+retry cannot -- rolling back to validated checkpoints and
+re-decomposing onto surviving ranks.  Its checkpoints are the
+:class:`~repro.core.engine.EngineState` archive every driver writes
+and resumes.  See ``docs/resilience.md``.
 """
 
 from repro.resilience.faults import (
@@ -33,7 +27,6 @@ from repro.resilience.faults import (
 from repro.resilience.injection import ChaosStats, ResilientCommReduction
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.recovery import (
-    GlobalCheckpoint,
     ResilienceReport,
     ResilientDistributedLSQR,
 )
@@ -47,7 +40,6 @@ __all__ = [
     "FaultEvent",
     "FaultKind",
     "FaultPlan",
-    "GlobalCheckpoint",
     "PayloadCorrupted",
     "RankDied",
     "ResilienceReport",

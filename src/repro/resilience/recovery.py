@@ -2,11 +2,13 @@
 
 The distributed solver's engine states are rank-local (``u`` is
 row-distributed), so recovering from a lost rank needs a *global*
-snapshot: :class:`GlobalCheckpoint` reassembles the row-distributed
-``u`` from all rank blocks next to the replicated vectors and the
-Paige & Saunders scalars, and can re-shard itself onto **any** rank
-count -- which is exactly what turns "rank 2 died" into "re-decompose
-onto the three survivors and continue from iteration 40".
+snapshot: an :class:`~repro.core.engine.EngineState` whose ``u`` is
+gathered from all rank blocks (:func:`~repro.dist.decomposition.
+gather_state`) re-shards onto **any** rank count
+(:func:`~repro.dist.decomposition.shard_state`) -- which is exactly
+what turns "rank 2 died" into "re-decompose onto the three survivors
+and continue from iteration 40".  It is the same archive every other
+driver writes and resumes.
 
 :class:`ResilientDistributedLSQR` is the recovery driver over the
 shared step engine.  Each solve attempt runs the normal SPMD body with
@@ -15,7 +17,7 @@ ResilientCommReduction`; every iteration passes a corruption screen
 (NaN guards plus the :class:`~repro.core.convergence.
 NormExplosionGuard` -- LSQR's residual is non-increasing, so growth
 betrays poisoned state), and every ``checkpoint_every`` iterations a
-validated global checkpoint is taken.  Escalated faults then drive the
+validated checkpoint is taken.  Escalated faults then drive the
 state machine of ``docs/resilience.md``:
 
 - ``RankDied``      -> re-decompose onto the survivors, resume from
@@ -40,15 +42,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.convergence import NormExplosionGuard
-from repro.core.engine import EngineState, StopReason
+from repro.core.engine import EngineState, StopReason, resume_state
 from repro.core.lsqr import IterationCallback
 from repro.core.precond import ColumnScaling
 from repro.dist.comm import SimComm
-from repro.dist.decomposition import RankBlock, partition_by_rows
+from repro.dist.decomposition import partition_by_rows, shard_state
 from repro.dist.runner import (
     DistributedLSQR,
     DistributedResult,
-    rank_state_path,
+    gather_checkpoint,
 )
 from repro.obs.telemetry import Telemetry
 from repro.resilience.faults import (
@@ -60,128 +62,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.injection import ChaosStats, ResilientCommReduction
 from repro.resilience.policy import RetryPolicy
-
-
-@dataclass
-class GlobalCheckpoint:
-    """A rank-count-independent snapshot of the distributed solve.
-
-    ``u_obs`` holds the row-space vector over the global star-sorted
-    observation order; ``u_con`` is the constraint-row tail (owned by
-    the last rank).  ``x``/``v``/``w`` and the scalars are replicated
-    state (identical on every rank, preconditioned units), so rank 0's
-    copies represent all ranks.  :meth:`shard` cuts the snapshot for
-    an arbitrary decomposition -- the enabler of degraded restarts.
-    """
-
-    itn: int
-    x: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    u_obs: np.ndarray
-    u_con: np.ndarray
-    scalars: dict[str, float]
-    var: np.ndarray | None = None
-
-    #: Archive members :meth:`load` requires (``var`` is optional).
-    _MEMBERS = frozenset(
-        {"itn", "x", "v", "w", "u_obs", "u_con", "scalars"})
-
-    @classmethod
-    def assemble(cls, state: EngineState, u_blocks: list[np.ndarray],
-                 blocks: list[RankBlock]) -> "GlobalCheckpoint":
-        """Build the snapshot from one rank's replicated state plus the
-        gathered per-rank ``u`` blocks."""
-        obs_parts: list[np.ndarray] = []
-        u_con = np.empty(0)
-        for u_block, block in zip(u_blocks, blocks):
-            obs_parts.append(u_block[:block.n_rows])
-            if block.owns_constraints:
-                u_con = u_block[block.n_rows:].copy()
-        return cls(
-            itn=state.itn,
-            x=state.x.copy(), v=state.v.copy(), w=state.w.copy(),
-            u_obs=np.concatenate(obs_parts), u_con=u_con,
-            scalars={f: float(getattr(state, f))
-                     for f in EngineState._SCALARS},
-            var=None if state.var is None else state.var.copy(),
-        )
-
-    def shard(self, blocks: list[RankBlock]) -> list[EngineState]:
-        """Per-rank engine states for a (possibly new) decomposition."""
-        if blocks[-1].row_stop != self.u_obs.size:
-            raise ValueError(
-                f"decomposition covers {blocks[-1].row_stop} rows, "
-                f"checkpoint holds {self.u_obs.size}"
-            )
-        states = []
-        for block in blocks:
-            u = self.u_obs[block.row_start:block.row_stop].copy()
-            if block.owns_constraints and self.u_con.size:
-                u = np.concatenate([u, self.u_con])
-            states.append(EngineState(
-                itn=self.itn, x=self.x.copy(), u=u, v=self.v.copy(),
-                w=self.w.copy(),
-                var=None if self.var is None else self.var.copy(),
-                istop=None, **self.scalars,
-            ))
-        return states
-
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> Path:
-        """Serialize to ``.npz`` (batch-queue crash recovery)."""
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = path.with_suffix(".npz")
-        arrays = dict(
-            itn=self.itn, x=self.x, v=self.v, w=self.w,
-            u_obs=self.u_obs, u_con=self.u_con,
-            scalars=np.array([self.scalars[f]
-                              for f in EngineState._SCALARS]),
-        )
-        if self.var is not None:
-            arrays["var"] = self.var
-        np.savez_compressed(path, **arrays)
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "GlobalCheckpoint":
-        """Reload a snapshot written by :meth:`save`.
-
-        ``path`` comes from outside the program (``resume_from``), so
-        the archive's members are checked before any is read: the two
-        other checkpoint formats the solvers write are named in the
-        error, with the reader that resumes them.
-        """
-        path = Path(path)
-        ranked = rank_state_path(path, 0)
-        if not path.exists() and ranked.exists():
-            raise ValueError(
-                f"{path} is not a GlobalCheckpoint: found the per-rank "
-                f"EngineState set ({ranked.name}, ...) of a plain "
-                f"ranks>1 solve, which DistributedLSQR.solve("
-                f"resume_from=) reads on the same rank count"
-            )
-        with np.load(path) as zf:
-            missing = cls._MEMBERS - set(zf.files)
-            if missing:
-                found = ("a serial EngineState dump, which "
-                         "ResumableLSQR.run(resume_from=) reads"
-                         if "u" in zf.files else
-                         "neither that nor an EngineState dump "
-                         f"(members {sorted(zf.files)})")
-                raise ValueError(
-                    f"{path} is not a GlobalCheckpoint (no "
-                    f"{sorted(missing)}): found {found}"
-                )
-            return cls(
-                itn=int(zf["itn"]), x=zf["x"].copy(), v=zf["v"].copy(),
-                w=zf["w"].copy(), u_obs=zf["u_obs"].copy(),
-                u_con=zf["u_con"].copy(),
-                scalars=dict(zip(EngineState._SCALARS,
-                                 (float(s) for s in zf["scalars"]))),
-                var=zf["var"].copy() if "var" in zf else None,
-            )
 
 
 @dataclass
@@ -242,8 +122,8 @@ class ResilientDistributedLSQR:
     run`), so the fault-free path is byte-identical to
     ``driver.solve()``; this class adds only what is its own: fault
     injection and retry in the reduction backend, the corruption
-    screen, validated global checkpoints, and the restart loop that
-    rolls back or re-decomposes onto the survivors.
+    screen, validate-before-keep checkpoints, and the restart loop
+    that rolls back or re-decomposes onto the survivors.
 
     Parameters
     ----------
@@ -252,7 +132,7 @@ class ResilientDistributedLSQR:
         the per-epoch :class:`~repro.resilience.policy.RetryPolicy`.
         Defaults inject nothing / retry 3 times.
     checkpoint_every:
-        Iterations between validated global checkpoints.
+        Iterations between validated checkpoints.
     checkpoint_path:
         Optional ``.npz`` destination for each good checkpoint.
     max_restarts:
@@ -296,25 +176,25 @@ class ResilientDistributedLSQR:
         self.allow_degraded = allow_degraded
         self.norm_explosion_factor = norm_explosion_factor
         self._tel = Telemetry.or_null(driver.telemetry)
-        self._last_good: GlobalCheckpoint | None = None
+        self._last_good: EngineState | None = None
         self._checkpoints_taken = 0
 
     # ------------------------------------------------------------------
     def solve(self, *, atol: float = 1e-10, btol: float | None = None,
               conlim: float = 1e8, iter_lim: int | None = None,
               callback: IterationCallback | None = None,
-              resume_from: "GlobalCheckpoint | str | Path | None" = None,
+              resume_from: str | Path | EngineState | None = None,
               ) -> tuple[DistributedResult, ResilienceReport]:
         """Run the chaos-tolerant SPMD solve.
 
-        ``resume_from`` warm-starts the recovery loop from a previously
-        saved :class:`GlobalCheckpoint` (an instance or a ``.npz``
-        path): the first attempt shards that snapshot across the
-        current rank count instead of starting from iteration zero.  A
-        global checkpoint is rank-count independent, so a solve can
-        resume on a different decomposition than the one that saved it
-        -- the serving layer's shard-migration path relies on exactly
-        this.
+        ``resume_from`` warm-starts the recovery loop from an
+        :class:`~repro.core.engine.EngineState` archive (an instance
+        or a ``.npz`` path) any driver wrote: the first attempt shards
+        it across the current rank count instead of starting from
+        iteration zero.  The archive is rank-count independent, so a
+        solve can resume on a different decomposition than the one
+        that saved it -- the serving layer's shard-migration path
+        relies on exactly this.
 
         Returns the :class:`~repro.dist.runner.DistributedResult`
         (``stop`` reports the recovery path: ``DEGRADED`` after rank
@@ -334,11 +214,10 @@ class ResilientDistributedLSQR:
                                   events=events, final_ranks=alive)
         stopping = dict(atol=atol, btol=btol, conlim=conlim,
                         iter_lim=iter_lim, callback=callback)
-        checkpoint: GlobalCheckpoint | None = None
+        checkpoint: EngineState | None = None
         if resume_from is not None:
-            checkpoint = (resume_from
-                          if isinstance(resume_from, GlobalCheckpoint)
-                          else GlobalCheckpoint.load(resume_from))
+            checkpoint = resume_state(resume_from, driver.system.n_rows,
+                                      driver.system.dims.n_params)
             self._last_good = checkpoint
             self._tel.counter("resilience.resumes").inc()
 
@@ -384,7 +263,7 @@ class ResilientDistributedLSQR:
         return result, report
 
     # ------------------------------------------------------------------
-    def _aborted(self, checkpoint: GlobalCheckpoint | None,
+    def _aborted(self, checkpoint: EngineState | None,
                  scaling: ColumnScaling, alive: int,
                  report: ResilienceReport, stats: ChaosStats,
                  ) -> tuple[DistributedResult, ResilienceReport]:
@@ -395,7 +274,7 @@ class ResilientDistributedLSQR:
         if checkpoint is not None:
             x, var = scaling.fold_back(checkpoint.x, checkpoint.var)
             itn = checkpoint.itn
-            r2norm = checkpoint.scalars["r2norm"]
+            r2norm = checkpoint.r2norm
         else:
             x, itn, r2norm, var = np.zeros(n), 0, float("inf"), None
         report.stop = StopReason.ABORTED_FAULTS
@@ -410,31 +289,25 @@ class ResilientDistributedLSQR:
         ), report
 
     # ------------------------------------------------------------------
-    def _take_checkpoint(self, comm: SimComm, state: EngineState,
-                         blocks: list[RankBlock]) -> None:
-        """Gather, validate and store one global checkpoint.
+    def _take_checkpoint(self, comm: SimComm, state: EngineState) -> None:
+        """Gather, validate and keep one checkpoint.
 
-        The allgather is collective (every rank participates); only
-        rank 0 assembles.  A checkpoint is stored only when the full
+        The gather is collective (every rank participates); only rank
+        0 holds the result.  A checkpoint is kept only when the full
         state passes the NaN guard -- a corrupted snapshot would turn
         rollback into replay-of-the-corruption.
         """
-        u_blocks = comm.allgather(state.u)
-        if comm.rank != 0:
+        snapshot = gather_checkpoint(comm, state)
+        if snapshot is None or snapshot.validate():
             return
-        if state.validate():
-            return
-        if any(not np.all(np.isfinite(ub)) for ub in u_blocks):
-            return
-        self._last_good = GlobalCheckpoint.assemble(state, u_blocks,
-                                                    blocks)
+        self._last_good = snapshot
         self._checkpoints_taken += 1
         self._tel.counter("resilience.checkpoints").inc()
         if self.checkpoint_path is not None:
-            self._last_good.save(self.checkpoint_path)
+            snapshot.save(self.checkpoint_path)
 
     # ------------------------------------------------------------------
-    def _attempt(self, alive: int, checkpoint: GlobalCheckpoint | None,
+    def _attempt(self, alive: int, checkpoint: EngineState | None,
                  plan: FaultPlan, generation: int,
                  events: list[FaultEvent], stats: ChaosStats,
                  scaling: ColumnScaling, stopping: dict,
@@ -444,10 +317,11 @@ class ResilientDistributedLSQR:
         Plugs this driver's own parts into :meth:`~repro.dist.runner.
         DistributedLSQR.run`: the fault-injecting backend, the start
         from ``checkpoint``'s shards, and -- after every step -- the
-        corruption screen and the periodic global checkpoint.
+        corruption screen and the periodic checkpoint.
         """
         blocks = partition_by_rows(self.driver.system, alive)
-        shards = checkpoint.shard(blocks) if checkpoint is not None else None
+        shards = (shard_state(checkpoint, blocks)
+                  if checkpoint is not None else None)
         guards = [NormExplosionGuard(factor=self.norm_explosion_factor)
                   for _ in blocks]
 
@@ -463,7 +337,7 @@ class ResilientDistributedLSQR:
             state = shards[comm.rank] if shards is not None else fresh()
             if state.itn > 0:
                 guards[comm.rank].check(state.r2norm)  # seed the minimum
-            self._take_checkpoint(comm, state, blocks)
+            self._take_checkpoint(comm, state)
             return state
 
         def after_step(comm, state, final):
@@ -478,7 +352,7 @@ class ResilientDistributedLSQR:
                         f"state validation failed at iteration {state.itn}"
                     )
             if final or state.itn % self.checkpoint_every == 0:
-                self._take_checkpoint(comm, state, blocks)
+                self._take_checkpoint(comm, state)
 
         with self._tel.span("resilience.attempt", ranks=str(alive),
                             generation=str(generation)):

@@ -119,7 +119,7 @@ class ServeJob:
         request must not already be distributed, and must carry nothing
         the distributed engine forbids (``damp``/``x0``) or that the
         gang path manages itself (``checkpoint_path`` -- migration owns
-        the GlobalCheckpoint file).  Background work functions never
+        the checkpoint file).  Background work functions never
         gang.
         """
         r = self.request
@@ -165,15 +165,16 @@ class ServeJob:
         """Can the scheduler run this job as checkpointed slices?
 
         The sliced path (``docs/sessions.md``) re-executes the request
-        through the no-fault recovery driver in ``preempt_slice``
-        -iteration segments so a more urgent arrival can park it mid-
-        solve.  That driver is bitwise the serial solver only for a
-        *plain* serial request: ``damp``/``x0`` are serial-only
-        features the distributed engine rejects, a caller-provided
-        resilience config would change the numerics (each slice
-        restart would reset its fault streams), callbacks / telemetry
-        / explicit checkpointing need the solo driver's side channels,
-        and background work functions never slice.
+        on the driver it dispatches to in ``preempt_slice``-iteration
+        segments, each resuming the previous one's
+        :class:`~repro.core.engine.EngineState` archive, so a more
+        urgent arrival can park it mid-solve.  Only a *plain* serial
+        request is admitted: a caller-provided resilience config would
+        change the numerics (each slice restart would reset its fault
+        streams), callbacks / telemetry / explicit checkpointing need
+        the solo driver's side channels, ``damp``/``x0``/``ranks > 1``
+        jobs have not been let in yet, and background work functions
+        never slice.
         """
         if self.work_fn is not None:
             return False

@@ -38,9 +38,8 @@ whatever it is, through one four-stage pipeline:
   alone).  A DEGRADED/ABORTED attempt is *relocated* -- the blamed
   lanes swapped for the cheapest spares all-or-nothing, the fault
   seed re-derived -- and run again: a solo job on a different device,
-  a gang resuming from its :class:`~repro.resilience.
-  GlobalCheckpoint` (the re-placement path of ``docs/resilience.md``,
-  lifted from ranks to devices).  Solves execute through a pluggable
+  a gang resuming from its checkpoint archive (the re-placement path
+  of ``docs/resilience.md``, lifted from ranks to devices).  Solves execute through a pluggable
   :class:`~repro.serve.worker` backend: ``backend="thread"``
   (default) calls :func:`repro.api.solve` (or an injected
   ``solve_fn``) on the dispatcher, ``backend="process"`` ships
@@ -102,7 +101,6 @@ import numpy as np
 
 from repro.api import (
     Placement,
-    ResilienceConfig,
     ShardPlacement,
     SolveReport,
     SolveRequest,
@@ -1150,25 +1148,23 @@ class Scheduler:
     def _attempt_sliced(self, d: _Dispatch) -> None:
         """Run one solve as preemptible checkpointed slices.
 
-        The request re-executes through the no-fault recovery driver
-        in ``preempt_slice``-iteration segments: each segment resumes
-        from the previous one's :class:`GlobalCheckpoint` (the
-        driver's unconditional end-of-run checkpoint lands directly
-        in the session store's parking file).  Between segments --
-        under the scheduler lock -- the dispatcher asks
-        :meth:`_preempt_wanted`; if a more urgent queued job is
-        starved for this lane's memory, the dispatch ends *parked*:
-        deliver releases the lane, registers the checkpoint and its
-        progress in the store and re-queues the job, to be resumed by
-        a later dispatch, possibly on a different lane (device
-        migration).  Checkpoint/resume is bit-for-bit, the engine's
-        stop tests are iteration-limit-independent, and the fault-free
-        1-rank recovery driver is bitwise the serial solver -- so the
-        final ``x``/``itn``/``r2norm``/``stop``/``var`` are exactly
-        the uninterrupted solve's (locked down by
-        ``tests/test_serve_sessions.py``; ``acond`` and the raw
-        driver result reflect the recovery driver and are the only
-        fields that differ from a plain serial report).
+        The request re-executes on the driver it dispatches to anyway
+        (the serial ``lsqr_solve``: :attr:`ServeJob.preemptible`
+        admits nothing else) in ``preempt_slice``-iteration segments:
+        each segment resumes from the previous one's
+        :class:`~repro.core.engine.EngineState` archive, written once,
+        at the segment's last iteration, straight into the session
+        store's parking file.  Between segments -- under the scheduler
+        lock -- the dispatcher asks :meth:`_preempt_wanted`; if a more
+        urgent queued job is starved for this lane's memory, the
+        dispatch ends *parked*: deliver releases the lane, registers
+        the checkpoint and its progress in the store and re-queues the
+        job, to be resumed by a later dispatch, possibly on a
+        different lane (device migration).  Checkpoint/resume is
+        bit-for-bit and the engine's stop tests are
+        iteration-limit-independent, so the finished report is the
+        uninterrupted serial report in every field (locked down by
+        ``tests/test_serve_sessions.py``).
 
         Sliced jobs bypass the result cache and single-flight: the
         executed request differs from the submitted one (same
@@ -1184,8 +1180,7 @@ class Scheduler:
         while True:
             request = replace(
                 base,
-                resilience=ResilienceConfig(
-                    checkpoint_every=self.preempt_slice),
+                checkpoint_every=self.preempt_slice,
                 iter_lim=min(d.done_itn + self.preempt_slice, total),
                 checkpoint_path=ckpt,
                 resume_from=ckpt if d.done_itn > 0 else None)
@@ -1219,7 +1214,7 @@ class Scheduler:
         the gang checkpoints into a private directory, and a solve
         that ends DEGRADED/ABORTED having lost ranks asks for those
         ranks' shards to be relocated; the next attempt resumes from
-        the last :class:`~repro.resilience.GlobalCheckpoint` with the
+        the last :class:`~repro.core.engine.EngineState` archive with the
         fired rank-death entries dropped from the fault plan (the dead
         lane's faults must not replay on its replacement).
         """

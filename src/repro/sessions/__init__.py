@@ -11,7 +11,7 @@ removes is a direct wall-clock win.  This subsystem makes a solve a
   lineage store mapping system digest -> (solution ``x``, convergence
   metadata, parent digest), with an LRU byte budget, atomic writes
   and ``serve.sessions.*`` telemetry; it also parks the
-  :class:`~repro.resilience.GlobalCheckpoint` of preempted solves;
+  :class:`~repro.core.engine.EngineState` archive of preempted solves;
 - :func:`resolve_warm_start` / :class:`WarmStart` -- exact-digest or
   nearest-ancestor ``x0`` resolution, consumed by
   ``api.solve(..., sessions=store)`` and the serve scheduler;

@@ -17,8 +17,8 @@ Layout: one directory, two kinds of files.
   never leaves a truncated record, and re-indexed by a directory scan
   on reopen, so a store survives the process that filled it.
 - ``park-<job id>.npz`` + ``park-<job id>.json`` -- a *parked* solve:
-  the :class:`~repro.resilience.GlobalCheckpoint` of a preempted job
-  (written by the recovery driver straight into :meth:`park_path`)
+  the :class:`~repro.core.engine.EngineState` archive of a preempted
+  job (written by its solve driver straight into :meth:`park_path`)
   plus a metadata sidecar (iterations done, preemption attempt,
   devices visited).  Parked state is claimed and discarded by the
   scheduler's preempt/resume path (``docs/sessions.md``).
@@ -204,9 +204,9 @@ class SessionStore:
     def park_path(self, key: str) -> Path:
         """Where a job's preemption checkpoint lives (``park-<key>.npz``).
 
-        The scheduler hands this path to the recovery driver as
-        ``checkpoint_path``, so the driver's unconditional end-of-run
-        checkpoint *is* the parked state -- no extra copy.
+        The scheduler hands this path to the driver the request
+        dispatches to as ``checkpoint_path``, so the driver's
+        end-of-run checkpoint *is* the parked state -- no extra copy.
         """
         return self.root / f"park-{key}.npz"
 
@@ -217,7 +217,7 @@ class SessionStore:
         if not path.exists():
             raise FileNotFoundError(
                 f"no checkpoint at {path}: park() registers a file the "
-                "recovery driver already wrote")
+                "solve driver already wrote")
         parked = ParkedSession(key=key, path=str(path), itn=int(itn),
                                attempt=int(attempt),
                                devices=tuple(devices))

@@ -61,5 +61,21 @@ def plan_system():
 
 
 @pytest.fixture()
+def saved_itns(monkeypatch):
+    """The ``itn`` of every ``EngineState.save`` call (any thread)."""
+    from repro.core.engine import EngineState
+
+    saves = []
+    real_save = EngineState.save
+
+    def counting_save(state, path):
+        saves.append(state.itn)
+        return real_save(state, path)
+
+    monkeypatch.setattr(EngineState, "save", counting_save)
+    return saves
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -3,8 +3,10 @@
 Every solve driver consumes one ``prepare`` step
 (:func:`repro.core.precond.prepare`) and never builds its own
 operator, so the kernel-strategy vocabulary stays on
-``AprodOperator``, the preconditioner is assembled in one module, and
-the SPMD rank loop exists once.  The AST checks keep that structure
+``AprodOperator``, the preconditioner is assembled in one module, the
+SPMD rank loop exists once, and solver state has one on-disk format
+with one serializer (``EngineState.save`` / ``.load``).  The AST
+checks keep that structure
 from drifting back; the plan-build count shows what it buys (an R-rank
 solve compiles R plans, not R+1).
 """
@@ -87,6 +89,27 @@ def test_one_spmd_rank_body_and_one_divergence_check():
                    and node.value.startswith("ranks diverged")]
     assert bodies == ["dist/runner.py:DistributedLSQR.run.rank_body"]
     assert checks == ["dist/runner.py"]
+
+
+def test_one_checkpoint_format_with_one_serializer():
+    solver = ("core/", "dist/", "resilience/")
+    for archive_io in ("savez_compressed", "savez", "load"):
+        assert {m for m in _callers(archive_io)
+                if m.startswith(solver)} <= {"core/engine.py"}, archive_io
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        for gone in ("GlobalCheckpoint", "ResumableLSQR", "LSQRState",
+                     "rank_state_path"):
+            assert gone not in text, (path, gone)
+    assert not (SRC / "core" / "checkpoint.py").exists()
+
+
+def test_api_never_invents_a_resilience_config():
+    tree = ast.parse((SRC / "api.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "ResilienceConfig"]
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

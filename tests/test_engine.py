@@ -1,7 +1,7 @@
 """The single-step-engine contract: one iteration body, many drivers.
 
 Locks the tentpole guarantees of the ``repro.core.engine`` refactor:
-the serial, distributed and checkpointable solvers all execute the
+the serial, distributed and recovery drivers all execute the
 same Paige & Saunders body, so a 1-rank distributed solve is
 *bitwise* the serial solve, checkpoint/resume reproduces the
 uninterrupted trajectory exactly, the distributed result carries the
@@ -17,14 +17,13 @@ import pytest
 from repro.api import STRATEGY_PRESETS
 from repro.core import lsqr_solve
 from repro.core.aprod import AprodOperator
-from repro.core.checkpoint import LSQRState, ResumableLSQR
 from repro.core.engine import (
     EngineState,
     LSQRStepEngine,
     SerialReduction,
     StopReason,
 )
-from repro.core.precond import ColumnScaling, PreconditionedAprod
+from repro.core.precond import ColumnScaling, PreconditionedAprod, prepare
 from repro.dist import DistributedLSQR, distributed_lsqr_solve
 from repro.obs import Telemetry
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -118,26 +117,82 @@ def test_engine_state_roundtrip_resumes_exactly(small_system, tmp_path):
 
 def test_lsqr_solve_checkpoint_resumes_via_resumable(small_system,
                                                      tmp_path):
-    """A crash-recovery dump from lsqr_solve continues bit-for-bit."""
+    """A crash-recovery dump from lsqr_solve continues bit-for-bit --
+    through ``lsqr_solve(resume_from=)`` and stepped by hand."""
     path = tmp_path / "solve_ckpt.npz"
     full = lsqr_solve(small_system, atol=1e-12, btol=1e-12)
     lsqr_solve(small_system, atol=1e-12, btol=1e-12, iter_lim=9,
                checkpoint_every=3, checkpoint_path=path)
-    state = LSQRState.load(path)
+    state = EngineState.load(path)
     assert state.itn == 9 and not state.done
-    solver = ResumableLSQR(small_system, atol=1e-12)
-    state = solver.step(state, 10_000)
+    resumed = lsqr_solve(small_system, atol=1e-12, btol=1e-12,
+                         resume_from=path)
+    assert resumed.itn == full.itn and resumed.istop == full.istop
+    assert resumed.acond == full.acond
+    assert np.array_equal(resumed.x, full.x)
+    assert np.array_equal(resumed.var, full.var)
+
+    op, scaling = prepare(small_system)
+    engine = LSQRStepEngine(op, atol=1e-12, btol=1e-12)
+    while not state.done:
+        engine.step(state)
     assert state.itn == full.itn
-    assert np.array_equal(solver.solution(state), full.x)
+    assert np.array_equal(scaling.to_physical(state.x), full.x)
 
 
-def test_resumable_reports_full_stop_reason(small_system):
-    solver = ResumableLSQR(small_system, atol=1e-12)
-    state = solver.run()
+def test_resumable_reports_full_stop_reason(small_system, tmp_path):
+    """The archive of a finished solve carries its ``StopReason``."""
+    path = tmp_path / "done.npz"
+    ref = lsqr_solve(small_system, atol=1e-12, btol=1e-12,
+                     checkpoint_every=50, checkpoint_path=path)
+    state = EngineState.load(path)
     assert state.done
     assert state.istop in (StopReason.LSQ_ATOL, StopReason.ATOL_BTOL)
-    ref = lsqr_solve(small_system, atol=1e-12, btol=1e-12)
     assert state.istop == ref.istop and state.itn == ref.itn
+
+
+def test_final_checkpoint_is_written_once(small_system, tmp_path,
+                                         saved_itns):
+    """A run ending on a checkpoint iteration does not write the same
+    state twice; one ending between two still gets its final dump."""
+    path = tmp_path / "ckpt.npz"
+    lsqr_solve(small_system, atol=0.0, btol=0.0, iter_lim=10,
+               checkpoint_every=5, checkpoint_path=path)
+    assert saved_itns == [5, 10]
+    saved_itns.clear()
+    lsqr_solve(small_system, atol=0.0, btol=0.0, iter_lim=12,
+               checkpoint_every=5, checkpoint_path=path)
+    assert saved_itns == [5, 10, 12]
+    saved_itns.clear()
+    DistributedLSQR(small_system, 2).solve(
+        atol=0.0, iter_lim=10, checkpoint_every=5, checkpoint_path=path)
+    assert saved_itns == [5, 10]  # rank 0 alone writes, once per checkpoint
+
+
+def test_failed_save_keeps_the_previous_archive(small_system, tmp_path,
+                                                monkeypatch):
+    """``save`` writes a temporary sibling and moves it into place: a
+    write that dies halfway leaves the old archive loadable and no
+    debris next to it."""
+    engine, _ = _engine_for(small_system)
+    state = engine.start(small_system.rhs().astype(np.float64))
+    engine.step(state)
+    path = state.save(tmp_path / "park.npz")
+    engine.step(state)
+
+    real = np.savez_compressed
+
+    def dies_halfway(file, **arrays):
+        real(file, **arrays)
+        file.truncate(file.tell() // 2)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez_compressed", dies_halfway)
+    with pytest.raises(OSError, match="disk full"):
+        state.save(path)
+    monkeypatch.undo()
+    assert EngineState.load(path).itn == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["park.npz"]
 
 
 # ----------------------------------------------------------------------

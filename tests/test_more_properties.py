@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import lsqr_solve
-from repro.core.checkpoint import ResumableLSQR
 from repro.system import SystemDims, apply_weights, make_system
 
 _dims = SystemDims(n_stars=8, n_obs=160, n_deg_freedom_att=6,
@@ -63,15 +62,16 @@ def test_binary_io_roundtrip_property(seed, tmp_path_factory):
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**16), cut=st.integers(1, 40))
-def test_checkpoint_split_invariance(seed, cut):
+def test_checkpoint_split_invariance(seed, cut, tmp_path_factory):
     """Splitting the iteration budget at any point changes nothing."""
     system = make_system(_dims, seed=seed, noise_sigma=1e-10)
-    solver = ResumableLSQR(system, atol=1e-12)
-    straight = solver.run()
-    split = solver.start()
-    split = solver.step(split, cut)
-    split = solver.step(split, 10_000)
+    path = tmp_path_factory.mktemp("split") / "cut.npz"
+    straight = lsqr_solve(system, atol=1e-12, btol=1e-12)
+    lsqr_solve(system, atol=1e-12, btol=1e-12, iter_lim=cut,
+               checkpoint_every=cut, checkpoint_path=path)
+    split = lsqr_solve(system, atol=1e-12, btol=1e-12, resume_from=path)
     assert split.itn == straight.itn
+    assert split.istop == straight.istop
     assert np.array_equal(split.x, straight.x)
 
 

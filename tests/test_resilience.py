@@ -17,11 +17,16 @@ from repro.core.aprod import AprodOperator
 from repro.core.convergence import NormExplosionGuard
 from repro.core.engine import EngineState, StopReason
 from repro.dist import DistributedLSQR
+from repro.dist.decomposition import (
+    RankBlock,
+    gather_state,
+    partition_by_rows,
+    shard_state,
+)
 from repro.obs import Telemetry, to_markdown
 from repro.resilience import (
     FaultKind,
     FaultPlan,
-    GlobalCheckpoint,
     ResilientDistributedLSQR,
     RetryPolicy,
     UnrecoverableFault,
@@ -252,35 +257,68 @@ def test_resilient_driver_without_faults_matches_plain_distributed(
 
 
 # ---------------------------------------------------------------------------
-# GlobalCheckpoint
+# Global checkpoints: gather_state / shard_state + EngineState.save / .load
 
 
 def test_global_checkpoint_roundtrip_and_shard_validation(tmp_path):
-    n, m = 6, 12
+    n, m, n_con = 6, 12, 2
     state = EngineState(
         itn=4, x=np.arange(n, dtype=float), u=np.zeros(3),
         v=np.ones(n), w=np.ones(n), var=np.ones(n),
+        istop=StopReason.ITERATION_LIMIT,
         **{f: float(i) for i, f in enumerate(EngineState._SCALARS)},
     )
-    from repro.dist.decomposition import RankBlock
-
-    blocks = [RankBlock(0, 0, 7), RankBlock(1, 7, m, owns_constraints=True)]
     u_blocks = [np.arange(7, dtype=float),
-                np.arange(7, dtype=float)[:5] + 100]  # 5 obs rows, no tail
-    ckpt = GlobalCheckpoint.assemble(state, u_blocks, blocks)
-    assert ckpt.u_obs.size == m and ckpt.u_con.size == 0
+                np.arange(5 + n_con, dtype=float) + 100]  # 5 obs + tail
+    ckpt = gather_state(state, u_blocks)
+    assert ckpt.u.size == m + n_con
+    assert not np.shares_memory(ckpt.x, state.x)
 
-    path = ckpt.save(tmp_path / "ckpt")
-    loaded = GlobalCheckpoint.load(path)
-    np.testing.assert_array_equal(loaded.u_obs, ckpt.u_obs)
-    assert loaded.scalars == ckpt.scalars
+    loaded = EngineState.load(ckpt.save(tmp_path / "ckpt"))
+    np.testing.assert_array_equal(loaded.u, np.concatenate(u_blocks))
+    assert all(getattr(loaded, f) == getattr(state, f)
+               for f in EngineState._SCALARS)
     assert loaded.itn == 4
 
-    shards = loaded.shard([RankBlock(0, 0, m, owns_constraints=True)])
-    assert len(shards) == 1 and shards[0].u.size == m
-    assert shards[0].istop is None
+    # the same decomposition gets its blocks back, the tail with its owner
+    same = shard_state(loaded, [RankBlock(0, 0, 7),
+                                RankBlock(1, 7, m, owns_constraints=True)])
+    for shard, block in zip(same, u_blocks):
+        np.testing.assert_array_equal(shard.u, block)
+    # re-shard onto fewer ranks
+    (one,) = shard_state(loaded, [RankBlock(0, 0, m, owns_constraints=True)])
+    np.testing.assert_array_equal(one.u, loaded.u)
+    assert one.istop is None
+    assert not np.shares_memory(one.x, loaded.x)
     with pytest.raises(ValueError, match="decomposition"):
-        loaded.shard([RankBlock(0, 0, m - 1, owns_constraints=True)])
+        shard_state(loaded, [RankBlock(0, 0, m + n_con + 1,
+                                       owns_constraints=True)])
+
+
+def test_gathered_rank_blocks_are_the_serial_state(small_system, tmp_path):
+    """The last rank owns the constraint rows, so a 3-rank dump holds
+    the vectors of the serial dump, in its order (values to the
+    serial-vs-distributed tolerance), and re-shards onto any count."""
+    paths = {}
+    for ranks in (1, 3):
+        paths[ranks] = tmp_path / f"r{ranks}.npz"
+        solve(SolveRequest(system=small_system, ranks=ranks, iter_lim=12,
+                           checkpoint_every=6,
+                           checkpoint_path=paths[ranks]))
+    serial, dist = (EngineState.load(paths[r]) for r in (1, 3))
+    assert dist.itn == serial.itn == 12
+    assert dist.u.shape == serial.u.shape == (small_system.n_rows,)
+    for name in ("x", "u", "v", "w", "var"):
+        np.testing.assert_allclose(getattr(dist, name),
+                                   getattr(serial, name),
+                                   rtol=1e-8, atol=1e-10, err_msg=name)
+    for ranks in (2, 4):
+        blocks = partition_by_rows(small_system, ranks)
+        shards = shard_state(dist, blocks)
+        np.testing.assert_array_equal(
+            np.concatenate([s.u for s in shards]), dist.u)
+        assert [s.u.size for s in shards[:-1]] == [
+            b.n_rows for b in blocks[:-1]]
 
 
 def test_checkpoint_path_writes_global_snapshots(small_system, tmp_path):
@@ -291,9 +329,9 @@ def test_checkpoint_path_writes_global_snapshots(small_system, tmp_path):
         resilience=ResilienceConfig(checkpoint_every=10),
     ))
     assert path.exists()
-    ckpt = GlobalCheckpoint.load(path)
+    ckpt = EngineState.load(path)
     assert ckpt.itn <= report.itn
-    assert ckpt.u_obs.size == small_system.dims.n_obs
+    assert ckpt.u.size == small_system.n_rows
 
 
 # ---------------------------------------------------------------------------

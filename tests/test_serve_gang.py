@@ -15,7 +15,7 @@ Covers the PR's contracts:
   contract at R > 1;
 - rank-death migration: a deterministic fault seed kills one rank
   mid-gang, the shard moves to a spare lane, and the solve resumes
-  from the GlobalCheckpoint to convergence;
+  from the checkpoint archive to convergence;
 - the scenario ``placement`` schema (the pre-``placement`` layout and
   any other unknown top-level/``scheduler`` key raise, key named).
 """
@@ -341,7 +341,7 @@ def test_gang_rank_death_migrates_to_spare_lane(system):
 
     ``max_restarts=0, allow_degraded=False`` makes the first attempt
     abort with the rank recorded lost; the scheduler must move that
-    shard to the spare lane, resume from the gang's GlobalCheckpoint,
+    shard to the spare lane, resume from the gang's checkpoint archive,
     and converge -- with the migration visible in the shard placement
     and zero reservations leaked.
     """

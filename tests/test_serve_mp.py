@@ -239,6 +239,47 @@ def test_request_spec_roundtrip():
     assert rebuilt.telemetry is None
 
 
+def test_request_spec_carries_every_request_field(tmp_path):
+    """The wire form is derived from ``SolveRequest``: every field but
+    the system and the two live objects survives the process boundary
+    (pickle included) with a non-default value, paths as ``str``."""
+    import dataclasses
+    import pickle
+
+    from repro.api import PlacementConstraints, ResilienceConfig
+
+    system = _small_system()
+    common = dict(
+        atol=1e-9, btol=1e-8, conlim=1e6, iter_lim=17,
+        precondition=False, calc_var=False, strategy="classic", seed=42,
+        checkpoint_every=4, checkpoint_path=tmp_path / "out.npz",
+        job_id="rt-2", framework="CUDA",
+        constraints=PlacementConstraints(priority=3),
+    )
+    # damp / x0 are serial-only, so two requests cover the field list.
+    spmd = dict(ranks=2, resilience=ResilienceConfig(checkpoint_every=3),
+                resume_from=tmp_path / "in.npz")
+    serial = dict(damp=0.25, x0=np.ones(system.dims.n_params))
+    names = {f.name for f in dataclasses.fields(SolveRequest)}
+    assert set(common | spmd | serial) == names - {
+        "system", "callback", "telemetry"}
+    defaults = SolveRequest(system=system)
+    for values in (common | spmd, common | serial):
+        request = SolveRequest(system=system, callback=print, **values)
+        spec = pickle.loads(pickle.dumps(RequestSpec.from_request(request)))
+        rebuilt = spec.to_request(system)
+        assert rebuilt.callback is None and rebuilt.telemetry is None
+        for name, value in values.items():
+            got = getattr(rebuilt, name)
+            if name == "x0":
+                np.testing.assert_array_equal(got, value)
+                continue
+            assert got != getattr(defaults, name), name
+            assert got == (str(value) if name in ("checkpoint_path",
+                                                  "resume_from")
+                           else value), name
+
+
 # ---------------------------------------------------------------------
 # thread/process equivalence
 # ---------------------------------------------------------------------

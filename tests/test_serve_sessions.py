@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import SolveRequest, solve
+from repro.obs import Telemetry
 from repro.serve.job import ServeJob
 from repro.serve.loadgen import LoadGenerator, LoadSpec
 from repro.serve.pool import DevicePool
@@ -107,9 +108,9 @@ class TestSchedulerWarmStart:
 # ----------------------------------------------------------------------
 # Preempt / park / resume
 # ----------------------------------------------------------------------
-def run_preemption(backend, tmp_path, iter_lim=48):
+def run_preemption(backend, tmp_path, iter_lim=48, telemetry=None):
     """One low-priority sliced solve preempted by an urgent arrival
-    on a single-lane pool; returns (serve report, low job report,
+    on a single-lane pool; returns (serve report, reports by job id,
     reference report, store leftovers)."""
     system = make_system(dims_from_gb(0.004), seed=0, noise_sigma=1e-9)
     low_req = SolveRequest(system=system, iter_lim=iter_lim,
@@ -122,7 +123,7 @@ def run_preemption(backend, tmp_path, iter_lim=48):
     store = SessionStore(tmp_path)
     sched = Scheduler(pool, workers=2, sessions=store,
                       preempt_slice=4, backend=backend,
-                      mp_workers=2)
+                      mp_workers=2, telemetry=telemetry)
     sched.start()
     sched.submit(ServeJob(request=low_req, nominal_gb=20.0,
                           priority=5, job_id="low"))
@@ -140,19 +141,32 @@ def run_preemption(backend, tmp_path, iter_lim=48):
     return report, by_id, reference, leftovers
 
 
+def assert_the_serial_report(low, reference, tel):
+    """The preempted, parked, resumed solve is the never-preempted
+    direct ``api.solve`` in every numeric field, and ran on the serial
+    driver: nothing of the recovery or SPMD drivers in its telemetry."""
+    np.testing.assert_array_equal(low.x, reference.x)
+    np.testing.assert_array_equal(low.var, reference.var)
+    assert low.r2norm == reference.r2norm
+    assert low.itn == reference.itn
+    assert low.stop == reference.stop
+    assert low.acond == reference.acond and low.acond is not None
+    assert low.ranks == reference.ranks == 1
+    assert low.resilience is None
+    assert tel.tracer.find("serve.slice")
+    assert not [c.name for c in tel.metrics.counters()
+                if c.name.startswith(("resilience.", "dist."))]
+    assert not [name for name in tel.tracer.span_names()
+                if name.startswith(("resilience.", "dist."))]
+
+
 class TestPreemption:
     def test_thread_backend_bitwise_resume(self, tmp_path):
+        tel = Telemetry()
         report, by_id, reference, leftovers = run_preemption(
-            "thread", tmp_path)
+            "thread", tmp_path, telemetry=tel)
         assert report.preemptions >= 1
-        low = by_id["low"]
-        # The preempted, parked, resumed solve is bitwise the
-        # never-preempted one.
-        np.testing.assert_array_equal(low.x, reference.x)
-        assert low.r2norm == reference.r2norm
-        assert low.itn == reference.itn
-        assert low.stop == reference.stop
-        np.testing.assert_array_equal(low.var, reference.var)
+        assert_the_serial_report(by_id["low"], reference, tel)
         # Resume segments carry provenance: a later attempt that
         # remembers where the job ran before.
         resumed = [p for p in report.placement_log
@@ -163,17 +177,39 @@ class TestPreemption:
         assert "preempt/park/resume" in report.summary()
 
     def test_process_backend_bitwise_resume(self, tmp_path):
+        tel = Telemetry()
         report, by_id, reference, leftovers = run_preemption(
-            "process", tmp_path)
+            "process", tmp_path, telemetry=tel)
         assert report.preemptions >= 1
-        low = by_id["low"]
-        np.testing.assert_array_equal(low.x, reference.x)
-        assert low.itn == reference.itn
+        assert_the_serial_report(by_id["low"], reference, tel)
+        # The worker's solver telemetry crossed the process boundary:
+        # the serial driver's spans are there, no other driver's.
+        assert "lsqr.iteration" in tel.tracer.span_names()
         assert leftovers == ()
         # The process backend must not leak shared-memory segments.
         from repro.serve.shm import active_segments
 
         assert active_segments() == []
+
+    def test_one_checkpoint_write_per_segment(self, tmp_path,
+                                              saved_itns):
+        """Each segment ends on its checkpoint iteration: the in-loop
+        save covers the final state and is not repeated."""
+        system = make_system(dims_from_gb(0.003), seed=0,
+                             noise_sigma=1e-9)
+        tel = Telemetry()
+        with SessionStore(tmp_path) as store:
+            sched = Scheduler(DevicePool(("V100",)), workers=1,
+                              sessions=store, preempt_slice=2,
+                              telemetry=tel)
+            sched.start()
+            sched.submit(ServeJob(
+                request=SolveRequest(system=system, iter_lim=10),
+                nominal_gb=10.0, priority=5, job_id="sliced"))
+            report = sched.drain()
+        assert report.completed[0].report.itn == 10
+        assert len(tel.tracer.find("serve.slice")) == 5
+        assert saved_itns == [2, 4, 6, 8, 10]
 
     def test_priority_zero_never_sliced(self, tmp_path):
         # Default traffic stays on the cached fast path: priority 0

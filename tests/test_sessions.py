@@ -4,8 +4,8 @@ Covers the session store's disk contract (atomic persistence, LRU
 byte budget, parked-checkpoint immunity), the incremental-observation
 system growth (:func:`append_observations` /
 :func:`make_observation_block`), warm-start resolution and its
-solution equivalence, and the relaxed ``resume_from`` admission on
-:class:`~repro.api.SolveRequest`.
+solution equivalence, and ``resume_from`` across every driver
+:func:`repro.api.solve` dispatches to.
 """
 
 import dataclasses
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.api import ResilienceConfig, SolveRequest, solve
 from repro.core.aprod import aprod1
-from repro.core.checkpoint import ResumableLSQR
+from repro.core.engine import EngineState
+from repro.core.lsqr import lsqr_solve
 from repro.sessions import (
     SessionStore,
     record_solution,
@@ -277,13 +278,21 @@ class TestWarmStart:
 
 
 # ----------------------------------------------------------------------
-# resume_from relaxation and driver resume
+# resume_from: one archive, every driver
 # ----------------------------------------------------------------------
+#: The drivers ``api.solve`` dispatches to, as request fields, with
+#: the rank count each runs on.
+WRITERS = {"serial": dict(ranks=1), "ranks2": dict(ranks=2),
+           "recovery2": dict(ranks=2, resilience=ResilienceConfig())}
+READERS = {"serial": dict(ranks=1), "ranks3": dict(ranks=3),
+           "recovery2": dict(ranks=2, resilience=ResilienceConfig())}
+
+
 class TestResumeFrom:
-    def test_request_synthesizes_default_resilience(self, tmp_path):
+    def test_resume_from_keeps_the_dispatch(self, tmp_path):
         req = SolveRequest(system=tiny_system(),
                            resume_from=str(tmp_path / "ck.npz"))
-        assert req.resilience == ResilienceConfig()
+        assert req.resilience is None
 
     def test_explicit_resilience_untouched(self, tmp_path):
         cfg = ResilienceConfig(checkpoint_every=3)
@@ -291,48 +300,92 @@ class TestResumeFrom:
                            resume_from=str(tmp_path / "ck.npz"))
         assert req.resilience is cfg
 
-    def test_resuming_a_serial_dump_names_format_and_reader(
-            self, tmp_path):
-        """``api.solve`` writes an EngineState dump on the serial path;
-        ``resume_from`` (the GlobalCheckpoint reader) must say so
-        instead of dying on a missing archive member."""
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_cross_driver_resume(self, writer, reader, tmp_path):
+        """A 15-iteration dump of any driver resumes to 40 on any
+        driver and rank count: bitwise the uninterrupted run on the
+        same rank count (no-fault recovery is bitwise the SPMD
+        driver), within the serial-vs-distributed tolerance of
+        ``test_api.py`` otherwise."""
         system, path = tiny_system(), tmp_path / "ck.npz"
-        solve(SolveRequest(system=system, iter_lim=20,
-                           checkpoint_every=5, checkpoint_path=path))
-        with pytest.raises(ValueError) as err:
-            solve(SolveRequest(system=system, resume_from=path))
-        assert str(path) in str(err.value)
-        assert "serial EngineState dump" in str(err.value)
-        assert "ResumableLSQR.run(resume_from=)" in str(err.value)
+        solve(SolveRequest(system=system, iter_lim=15, checkpoint_every=5,
+                           checkpoint_path=path, **WRITERS[writer]))
+        assert EngineState.load(path).itn == 15
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
+        ref = solve(SolveRequest(system=system, iter_lim=40,
+                                 **READERS[reader]))
+        resumed = solve(SolveRequest(system=system, iter_lim=40,
+                                     resume_from=path, **READERS[reader]))
+        assert resumed.itn == ref.itn and resumed.stop is ref.stop
+        if WRITERS[writer]["ranks"] == READERS[reader]["ranks"]:
+            np.testing.assert_array_equal(resumed.x, ref.x)
+            np.testing.assert_array_equal(resumed.var, ref.var)
+            assert resumed.r2norm == ref.r2norm
+            assert resumed.acond == ref.acond
+        else:
+            np.testing.assert_allclose(resumed.x, ref.x,
+                                       rtol=1e-8, atol=1e-10)
 
-    def test_resuming_a_per_rank_set_names_format_and_reader(
-            self, tmp_path):
-        """The plain ranks>1 driver writes ``<stem>.rank<r>.npz``."""
+    def test_truncated_archive_is_a_value_error(self, tmp_path):
         system, path = tiny_system(), tmp_path / "ck.npz"
-        solve(SolveRequest(system=system, ranks=2, iter_lim=20,
+        solve(SolveRequest(system=system, iter_lim=10, checkpoint_every=5,
+                           checkpoint_path=path))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        for ranks in (1, 2):
+            with pytest.raises(ValueError, match="truncated") as err:
+                solve(SolveRequest(system=system, ranks=ranks,
+                                   resume_from=path))
+            assert str(path) in str(err.value)
+
+    def test_foreign_archive_is_a_value_error(self, tmp_path):
+        """A session record is an ``.npz`` too, but not a checkpoint."""
+        system = tiny_system()
+        with SessionStore(tmp_path) as store:
+            record_solution(store, system,
+                            solve(SolveRequest(system=system)))
+        (record,) = tmp_path.glob("sol-*.npz")
+        with pytest.raises(ValueError, match="EngineState") as err:
+            solve(SolveRequest(system=system, resume_from=record))
+        assert str(record) in str(err.value)
+        assert "'u'" in str(err.value)  # what is missing is named
+
+    def test_archive_of_another_system_is_a_value_error(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        solve(SolveRequest(system=tiny_system(), iter_lim=10,
                            checkpoint_every=5, checkpoint_path=path))
-        assert not path.exists()
-        with pytest.raises(ValueError) as err:
-            solve(SolveRequest(system=system, resume_from=path))
-        assert str(path) in str(err.value)
-        assert "ck.rank0.npz" in str(err.value)
-        assert "DistributedLSQR.solve(resume_from=)" in str(err.value)
+        grown = make_system(dataclasses.replace(DIMS, n_obs=200), seed=0)
+        for extra in (dict(), dict(ranks=2),
+                      dict(resilience=ResilienceConfig())):
+            with pytest.raises(ValueError, match="rows") as err:
+                solve(SolveRequest(system=grown, resume_from=path,
+                                   **extra))
+            assert str(path) in str(err.value)
 
     def test_resumable_lsqr_resume_from(self, tmp_path):
+        """``lsqr_solve`` reads the archive it writes (x0 and damp
+        included: the caller passes the same values again)."""
         system = tiny_system()
-        ref = ResumableLSQR(system).run(iter_lim=40)
+        x0 = np.full(system.dims.n_params, 1e-3)
+        kwargs = dict(x0=x0, damp=1e-3)
+        ref = lsqr_solve(system, iter_lim=40, **kwargs)
         ckpt = tmp_path / "state.npz"
-        ResumableLSQR(system).run(iter_lim=15, checkpoint_path=ckpt)
-        resumed = ResumableLSQR(system).run(iter_lim=40,
-                                            resume_from=ckpt)
+        lsqr_solve(system, iter_lim=15, checkpoint_every=15,
+                   checkpoint_path=ckpt, **kwargs)
+        resumed = lsqr_solve(system, iter_lim=40, resume_from=ckpt,
+                             **kwargs)
         assert resumed.itn == ref.itn
         np.testing.assert_array_equal(resumed.x, ref.x)
+        assert resumed.acond == ref.acond
 
-    def test_resume_from_live_state(self):
+    def test_resume_from_live_state(self, tmp_path):
         system = tiny_system()
-        solver = ResumableLSQR(system)
-        ref = ResumableLSQR(system).run(iter_lim=40)
-        partial = solver.run(iter_lim=15)
-        resumed = solver.run(iter_lim=40, resume_from=partial)
-        assert resumed.itn == ref.itn
+        ref = lsqr_solve(system, iter_lim=40)
+        ckpt = tmp_path / "state.npz"
+        lsqr_solve(system, iter_lim=15, checkpoint_every=15,
+                   checkpoint_path=ckpt)
+        live = EngineState.load(ckpt)
+        resumed = lsqr_solve(system, iter_lim=40, resume_from=live)
+        assert resumed.itn == ref.itn == live.itn
         np.testing.assert_array_equal(resumed.x, ref.x)
