@@ -3,7 +3,7 @@
 The plan layer (:mod:`repro.core.kernels.plan`) compiles an
 :class:`~repro.core.aprod.AprodOperator` into a packed gather-einsum
 ``aprod1`` and a sorted-segment ``aprod2`` with every workspace
-preallocated.  This bench pins the three claims the refactor makes:
+preallocated.  This bench pins the four claims the plan makes:
 
 - **throughput**: LSQR engine iterations/sec of the fused plan vs the
   seed ``vectorized``/``bincount`` four-kernel path on the
@@ -17,14 +17,18 @@ preallocated.  This bench pins the three claims the refactor makes:
 - **agreement**: ``np.allclose`` of the engine solutions and of the raw
   ``aprod1``/``aprod2`` products, plus *bitwise* repeatability of the
   sorted-segment scatter (same plan re-applied, and a freshly rebuilt
-  plan) -- the determinism atomics cannot offer.
+  plan, whose four generated arrays are equal too) -- the determinism
+  atomics cannot offer;
+- **accounting**: the plan holds what ``plan_workspace_bytes`` -- the
+  number the strategy heuristic budgets with -- predicts, within 1 %.
 
 Runs two ways:
 
 - ``make bench-aprod`` (``python benchmarks/bench_aprod_plan.py``)
   writes the machine-readable result to ``BENCH_aprod.json``;
   ``--smoke`` switches to a tiny system and asserts the acceptance
-  floor (fused >= baseline, zero kernel allocations) for CI;
+  floor (fused >= baseline, zero kernel allocations, workspace
+  accounting, equal rebuilt plan) for CI;
 - under pytest it rides the normal bench harness and writes
   ``results/aprod_plan.txt``.
 """
@@ -41,7 +45,7 @@ import numpy as np
 
 from repro.core.aprod import AprodOperator
 from repro.core.engine import LSQRStepEngine, SerialReduction
-from repro.core.kernels.plan import select_strategies
+from repro.core.kernels.plan import plan_workspace_bytes, select_strategies
 from repro.core.precond import ColumnScaling, PreconditionedAprod
 from repro.frameworks.tuning import tune_host_kernels
 from repro.system import SystemDims, make_system
@@ -146,7 +150,14 @@ def _kernel_agreement(system, seed_op, fused_op, rng):
     rebuilt = AprodOperator(system, **FUSED_STRATEGIES)
     v_rebuilt = np.zeros(n)
     rebuilt.aprod2(y, out=v_rebuilt)
+    scatters = (fused_op.plan._scatter, rebuilt.plan._scatter)
+    generated = [[getattr(s, name) for s in scatters]
+                 for name in ("_sorted_values", "_sorted_rows",
+                              "_seg_starts", "segment_cols")]
     return {
+        "plan_arrays_equal_rebuild": all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in generated),
         "aprod1_allclose": bool(np.allclose(u_fused, u_seed)),
         "aprod2_allclose": bool(np.allclose(v_fused, v_seed)),
         "aprod2_bitwise_repeat": bool(np.array_equal(v_fused, v_again)),
@@ -187,6 +198,7 @@ def measure(dims=BENCH_DIMS, iters=BENCH_ITERS, repeats=BENCH_REPEATS):
         "x_allclose": bool(np.allclose(x_fused, x_seed)),
         "plan_build_ms": plan.build_seconds * 1e3,
         "plan_workspace_mb": plan.workspace_nbytes / 2**20,
+        "plan_workspace_predicted_mb": plan_workspace_bytes(dims) / 2**20,
         "selection": {
             "gather": select_strategies(dims).gather,
             "scatter": select_strategies(dims).scatter,
@@ -227,6 +239,7 @@ def test_aprod_plan_hot_path(benchmark, write_result):
     assert stats["aprod2_allclose"]
     assert stats["aprod2_bitwise_repeat"]
     assert stats["aprod2_bitwise_rebuild"]
+    assert stats["plan_arrays_equal_rebuild"]
     assert stats["zero_kernel_alloc"], stats["fused_loop_alloc_bytes"]
     assert (stats["fused_loop_alloc_bytes"]
             < stats["seed_loop_alloc_bytes"])
@@ -250,10 +263,16 @@ def main(output: Path, smoke: bool = False) -> int:
           and stats["aprod2_bitwise_rebuild"]
           and stats["zero_kernel_alloc"])
     if smoke:
-        ok = ok and stats["speedup_vs_seed"] >= 1.0
+        held, predicted = (stats["plan_workspace_mb"],
+                           stats["plan_workspace_predicted_mb"])
+        accounted = abs(predicted - held) <= 0.01 * held
+        ok = (ok and stats["speedup_vs_seed"] >= 1.0 and accounted
+              and stats["plan_arrays_equal_rebuild"])
         print(f"smoke: fused >= baseline: "
               f"{stats['speedup_vs_seed'] >= 1.0}, zero kernel alloc: "
-              f"{stats['zero_kernel_alloc']}")
+              f"{stats['zero_kernel_alloc']}, workspace {held:.2f} MiB "
+              f"vs predicted {predicted:.2f} MiB: {accounted}, rebuilt "
+              f"plan arrays equal: {stats['plan_arrays_equal_rebuild']}")
     return 0 if ok else 1
 
 

@@ -7,7 +7,8 @@
 
 each executed as four per-submatrix kernels.  :class:`AprodOperator`
 binds a :class:`~repro.system.GaiaSystem` to a choice of kernel
-strategies, caches the reconstructed column indices, handles the
+strategies, holds the reconstructed column indices once (in the plan's
+packed block when it compiles one), handles the
 constraint rows appended below the observation block, and optionally
 reports per-kernel work to a profiler hook (the Python analogue of
 running under ``nsys``/``rocprof``).
@@ -157,15 +158,34 @@ class AprodOperator:
         self.kernel_hook = kernel_hook
         self.telemetry = telemetry
 
+        self._plan: AprodPlan | None = None
+        if (gather_strategy == FUSED_GATHER
+                or scatter_strategy == SORTED_SEGMENT_SCATTER):
+            t0 = time.perf_counter()
+            self._plan = AprodPlan(system)
+            build_ms = (time.perf_counter() - t0) * 1e3
+            if telemetry is not None:
+                telemetry.gauge("aprod.plan_build_ms").set(build_ms)
+                telemetry.gauge("aprod.plan_workspace_bytes").set(
+                    float(self._plan.workspace_nbytes)
+                )
+
         d = system.dims
-        # Column caches: rebuilt once, reused every iteration (the GPU
+        # Column caches: derived once, reused every iteration (the GPU
         # ports keep the index arrays device-resident for the same
-        # reason).
-        self._astro_cols = k_astro.columns(system.matrix_index_astro)
-        self._att_cols = k_att.columns(
-            system.matrix_index_att, d.att_stride, d.att_offset
-        )
-        self._instr_cols = k_instr.columns(system.instr_col, d.instr_offset)
+        # reason).  A compiled plan already packed them: a mixed
+        # strategy reads its per-block columns as slices of that block,
+        # never a second derivation.
+        if self._plan is not None:
+            (self._astro_cols, self._att_cols,
+             self._instr_cols) = self._plan.block_columns()
+        else:
+            self._astro_cols = k_astro.columns(system.matrix_index_astro)
+            self._att_cols = k_att.columns(
+                system.matrix_index_att, d.att_stride, d.att_offset
+            )
+            self._instr_cols = k_instr.columns(system.instr_col,
+                                               d.instr_offset)
         self._glob_col = d.glob_offset if d.n_glob_params else -1
 
         # The SpMM decision is fixed per operator (by the *intended*
@@ -186,18 +206,6 @@ class AprodOperator:
                 and system.dims.n_obs >= FUSED_MIN_OBS
             )
         self._csr = None  # lazy (A, A^T) pair for the SpMM pass
-
-        self._plan: AprodPlan | None = None
-        if (gather_strategy == FUSED_GATHER
-                or scatter_strategy == SORTED_SEGMENT_SCATTER):
-            t0 = time.perf_counter()
-            self._plan = AprodPlan(system)
-            build_ms = (time.perf_counter() - t0) * 1e3
-            if telemetry is not None:
-                telemetry.gauge("aprod.plan_build_ms").set(build_ms)
-                telemetry.gauge("aprod.plan_workspace_bytes").set(
-                    float(self._plan.workspace_nbytes)
-                )
 
     # ------------------------------------------------------------------
     @property
@@ -418,15 +426,19 @@ class AprodOperator:
         sysm = self.system
         d = sysm.dims
         out = np.zeros(d.n_params)
-        column_sq_norms(sysm.astro_values, self._astro_cols, out)
-        column_sq_norms(sysm.att_values, self._att_cols, out)
-        column_sq_norms(sysm.instr_values, self._instr_cols, out)
-        if d.n_glob_params:
-            column_sq_norms(
-                sysm.glob_values[:, :1],
-                np.full((d.n_obs, 1), self._glob_col, dtype=np.int64),
-                out,
-            )
+        if self._plan is not None:
+            # Bitwise the per-section passes below, in one reduction.
+            self._plan.column_sq_norms(out)
+        else:
+            column_sq_norms(sysm.astro_values, self._astro_cols, out)
+            column_sq_norms(sysm.att_values, self._att_cols, out)
+            column_sq_norms(sysm.instr_values, self._instr_cols, out)
+            if d.n_glob_params:
+                column_sq_norms(
+                    sysm.glob_values[:, :1],
+                    np.full((d.n_obs, 1), self._glob_col, dtype=np.int64),
+                    out,
+                )
         if sysm.constraints is not None:
             for r in sysm.constraints:
                 column_sq_norms(r.vals[None, :], r.cols[None, :], out)

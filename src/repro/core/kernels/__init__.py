@@ -24,9 +24,9 @@ Scatter strategies and their GPU analogues:
 ``sorted``          ``np.add.reduceat`` over pre-sorted keys (astro
                     only)
 ``sorted_segment``  whole-matrix ``np.add.reduceat`` over a plan-built
-                    argsort permutation (:mod:`~repro.core.kernels.
-                    plan`) -- collision-free *and* bitwise
-                    deterministic
+                    column order (:mod:`~repro.core.kernels.plan`,
+                    one counting-sort pass) -- collision-free *and*
+                    bitwise deterministic
 ``loop``            pure-Python reference used to validate the others
 ==================  ===================================================
 

@@ -1,4 +1,4 @@
-"""Fused ``aprod`` execution plans (packed gather, sort-segment scatter).
+"""Fused ``aprod`` execution plans (packed gather, sorted-segment scatter).
 
 The four-kernel dispatch in :mod:`repro.core.aprod` mirrors the GPU
 ports kernel-for-kernel, which is faithful but leaves the host analogue
@@ -13,16 +13,20 @@ achievable efficiency.  This module is the tuned counterpart:
   column indices are packed into one contiguous ``(n_obs, k_total)``
   pair, so the forward product is a single gather-multiply-reduce pass
   instead of four kernels with four fancy-index temporaries.
-- **Sort-segment scatter** (``aprod2``): the flattened column keys are
-  argsorted once (stable), the segment boundaries between distinct
-  columns are precomputed, and every transpose product becomes a
-  collision-free ``np.add.reduceat`` segment reduction -- the host
-  analogue of replacing atomic read-modify-write with a sorted,
-  deterministic reduction tree.  Two applications of the same plan are
-  *bitwise identical* (summation order is frozen at build time).
-- **Zero-allocation hot loop**: every gather / contribution / segment
-  workspace is preallocated by the plan, so the per-iteration kernels
-  allocate no arrays at all -- extending the guarantee
+- **Sorted-segment scatter** (``aprod2``): one stable counting-sort
+  pass over the flattened column keys (a CSR -> CSC conversion, O(nnz))
+  puts the coefficients in column order and yields the segment
+  boundaries between distinct columns, and every transpose product
+  becomes a collision-free ``np.add.reduceat`` segment reduction --
+  the host analogue of replacing atomic read-modify-write with a
+  sorted, deterministic reduction tree.  Two applications of the same
+  plan are *bitwise identical* (summation order is frozen at build
+  time).
+- **Zero-allocation hot loop**: the row / segment workspaces and one
+  nnz-sized scratch plane (the gathered operand of ``aprod1`` and the
+  contributions of ``aprod2`` are never live together) are
+  preallocated by the plan, so the per-iteration kernels allocate no
+  arrays at all -- extending the guarantee
   :class:`~repro.core.engine.LSQRStepEngine` already makes for the
   solver vectors down into the kernels.
 - **Trailing batch axis**: both passes generalize to ``K`` stacked
@@ -50,6 +54,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+# Module level, never inside the build: the first import costs ~0.1 s,
+# which no first request of a worker process should pay.
+import scipy.sparse as sp
 
 from repro.system.sparse import GaiaSystem
 from repro.system.structure import (
@@ -65,10 +72,17 @@ FUSED_GATHER = "fused"
 #: Strategy name routed to :meth:`AprodPlan.aprod2`.
 SORTED_SEGMENT_SCATTER = "sorted_segment"
 
-#: Below this observation count the one-off plan build (argsort over
-#: the nnz keys) dominates any per-iteration win; the heuristic keeps
-#: the classic four-kernel path.
+#: Below this observation count the one-off plan build (packing plus a
+#: counting sort of the nnz keys) is not worth any per-iteration win,
+#: and the heuristic keeps the classic four-kernel path -- whose
+#: results stay bitwise those of the reference kernels.
 FUSED_MIN_OBS = 4096
+
+#: Where the astro / attitude / instrumental sections of a packed row
+#: end (a global column, when present, follows the last).
+_ASTRO_END = ASTRO_PARAMS_PER_STAR
+_ATT_END = _ASTRO_END + ATT_PARAMS_PER_ROW
+_INSTR_END = _ATT_END + INSTR_PARAMS_PER_ROW
 
 #: Workspace budget of one plan.  Past this the heuristic falls back
 #: to the cache-blocked ``chunked`` kernels instead of materializing
@@ -124,19 +138,55 @@ def fused_gather_dot(
         out += row_work
 
 
+def _column_order(values: np.ndarray, cols: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Column-sorted ``(values, rows, segment starts, segment columns)``.
+
+    CSR -> CSC is a stable counting sort of the flat keys, O(nnz): a
+    column lists its entries in row-major order, duplicates inside one
+    row left to right (neither format is canonicalized on the way) --
+    the order a stable comparison sort of the keys would give.
+    """
+    m, k = values.shape
+    if m * k == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return np.zeros(0), empty, empty, empty
+    keys = np.ascontiguousarray(cols, dtype=np.int64).reshape(-1)
+    if int(keys.min()) < 0:
+        raise ValueError(
+            f"negative column key {int(keys.min())}: a scatter target "
+            "must be a valid index into the output"
+        )
+    csc = sp.csr_matrix(
+        (np.ascontiguousarray(values, dtype=np.float64).reshape(-1), keys,
+         np.arange(0, m * k + 1, k)),
+        shape=(m, int(keys.max()) + 1),
+    ).tocsc()
+    # A column without entries repeats its indptr, and reduceat on a
+    # repeated start returns the *next* element, not 0: only occupied
+    # columns become segments.
+    occupied = np.diff(csc.indptr) > 0
+    # int64 throughout: scipy hands back int32 when it fits, and np.take
+    # converts (allocates) non-intp indices on every call.
+    return (csc.data, csc.indices.astype(np.int64),
+            csc.indptr[:-1][occupied].astype(np.int64),
+            np.flatnonzero(occupied))
+
+
 class SortedSegmentScatter:
     """Collision-free scatter-add for one frozen ``(values, cols)`` pair.
 
-    Build once, apply every iteration: the constructor argsorts the
-    flattened column keys (stable, so ties keep row-major order),
-    derives the segment boundaries between distinct columns, gathers
-    the coefficients into sorted order, and preallocates the nnz-sized
-    contribution workspace.  :meth:`add_into` then accumulates
+    Build once, apply every iteration: the constructor puts the
+    coefficients in column order with one stable counting-sort pass
+    (ties keep row-major order, entries of one row their left-to-right
+    order), keeps one segment per column that has entries, and
+    preallocates the nnz-sized contribution workspace.
+    :meth:`add_into` then accumulates
     ``out[cols[i, j]] += values[i, j] * y[i]`` as one gather, one
     multiply and one ``np.add.reduceat`` -- no collisions, no per-call
     allocations, and a summation order frozen at build time, so the
     result is bitwise reproducible across applications (the property
-    atomic scatter cannot offer).
+    atomic scatter cannot offer).  Column keys must be non-negative.
     """
 
     def __init__(self, values: np.ndarray, cols: np.ndarray) -> None:
@@ -148,45 +198,31 @@ class SortedSegmentScatter:
         m, k = values.shape
         self.shape = (m, k)
         self.nnz = m * k
-        cols_flat = np.ascontiguousarray(cols, dtype=np.int64).reshape(-1)
-        perm = np.argsort(cols_flat, kind="stable")
-        sorted_cols = cols_flat[perm]
-        if self.nnz:
-            starts = np.concatenate(
-                [[0], np.flatnonzero(np.diff(sorted_cols)) + 1]
-            )
-        else:
-            starts = np.zeros(0, dtype=np.int64)
-        #: Flat coefficient stream, permuted into column-sorted order.
-        self._sorted_values = np.ascontiguousarray(
-            values, dtype=np.float64).reshape(-1)[perm]
-        #: Row index feeding each sorted slot (gathers ``y``).
-        self._sorted_rows = ((perm // k).astype(np.int64) if k
-                             else np.zeros(0, dtype=np.int64))
-        self._seg_starts = starts
-        #: One target column per segment, strictly increasing.
-        self.segment_cols = sorted_cols[starts] if self.nnz else starts
+        # The coefficient stream in column order, the row feeding each
+        # sorted slot (gathers ``y``), where each segment starts, and
+        # its target column (one per segment, strictly increasing).
+        (self._sorted_values, self._sorted_rows, self._seg_starts,
+         self.segment_cols) = _column_order(values, cols)
         self.n_segments = int(self.segment_cols.shape[0])
-        self._contrib = np.empty(self.nnz)
-        self._seg_sums = np.empty(self.n_segments)
-        self._col_ws = np.empty(self.n_segments)
-        # Batched (K, .) workspaces, allocated lazily by ensure_batch:
-        # one contribution plane and two segment planes per member.
-        self._contrib_b: np.ndarray | None = None
-        self._seg_sums_b: np.ndarray | None = None
-        self._col_ws_b: np.ndarray | None = None
+        self._alloc_workspaces(1)
+
+    def _alloc_workspaces(self, k: int) -> None:
+        """One contribution plane and two segment planes per member."""
+        self._contrib_b = np.empty((k, self.nnz))
+        self._seg_sums_b = np.empty((k, self.n_segments))
+        self._col_ws_b = np.empty((k, self.n_segments))
+        # The single-member pass works in member 0's planes.
+        self._contrib = self._contrib_b[0]
+        self._seg_sums = self._seg_sums_b[0]
+        self._col_ws = self._col_ws_b[0]
 
     @property
     def workspace_nbytes(self) -> int:
         """Bytes held by the precomputed index/value/workspace arrays."""
-        total = (self._sorted_values.nbytes + self._sorted_rows.nbytes
-                 + self._seg_starts.nbytes + self.segment_cols.nbytes
-                 + self._contrib.nbytes + self._seg_sums.nbytes
-                 + self._col_ws.nbytes)
-        for ws in (self._contrib_b, self._seg_sums_b, self._col_ws_b):
-            if ws is not None:
-                total += ws.nbytes
-        return total
+        return (self._sorted_values.nbytes + self._sorted_rows.nbytes
+                + self._seg_starts.nbytes + self.segment_cols.nbytes
+                + self._contrib_b.nbytes + self._seg_sums_b.nbytes
+                + self._col_ws_b.nbytes)
 
     def ensure_batch(self, k: int) -> None:
         """Preallocate the batched workspaces for batch width ``k``.
@@ -197,10 +233,8 @@ class SortedSegmentScatter:
         """
         if k < 1:
             raise ValueError(f"batch width must be >= 1, got {k}")
-        if self._contrib_b is None or self._contrib_b.shape[0] < k:
-            self._contrib_b = np.empty((k, self.nnz))
-            self._seg_sums_b = np.empty((k, self.n_segments))
-            self._col_ws_b = np.empty((k, self.n_segments))
+        if self._contrib_b.shape[0] < k:
+            self._alloc_workspaces(k)
 
     def add_into(self, y: np.ndarray, out: np.ndarray) -> None:
         """Accumulate the scatter of ``values * y[:, None]`` into ``out``."""
@@ -273,26 +307,28 @@ class AprodPlan:
     Packs the four coefficient blocks into one ``(n_obs, k_total)``
     value/column pair (``k_total`` = 23, or 24 with a global column),
     builds the :class:`SortedSegmentScatter` over the packed keys, and
-    preallocates the gather and row workspaces.  The resulting products
-    cover the observation rows only -- constraint rows stay with the
-    dispatching :class:`~repro.core.aprod.AprodOperator`.
+    preallocates the row workspace.  The gathered operand of
+    :meth:`aprod1` lives in the scatter's contribution plane: each
+    product overwrites the whole plane before reading it and neither
+    outlives its call, so one nnz-sized scratch plane per batch member
+    serves both (an operator was never safe to share between threads).
+    The resulting products cover the observation rows only --
+    constraint rows stay with the dispatching
+    :class:`~repro.core.aprod.AprodOperator`, which also reads its
+    per-block columns as slices of :attr:`packed_cols`.
     """
 
     def __init__(self, system: GaiaSystem) -> None:
         t0 = time.perf_counter()
         d = system.dims
-        k_total = (ASTRO_PARAMS_PER_STAR + ATT_PARAMS_PER_ROW
-                   + INSTR_PARAMS_PER_ROW
-                   + (1 if d.n_glob_params else 0))
+        k_total = _INSTR_END + (1 if d.n_glob_params else 0)
         m = d.n_obs
         self.n_obs = m
         self.k_total = k_total
         self.n_params = d.n_params
         values = np.empty((m, k_total))
         cols = np.empty((m, k_total), dtype=np.int64)
-        a_end = ASTRO_PARAMS_PER_STAR
-        t_end = a_end + ATT_PARAMS_PER_ROW
-        i_end = t_end + INSTR_PARAMS_PER_ROW
+        a_end, t_end, i_end = _ASTRO_END, _ATT_END, _INSTR_END
         values[:, :a_end] = system.astro_values
         cols[:, :a_end] = system.astro_columns()
         values[:, a_end:t_end] = system.att_values
@@ -306,23 +342,26 @@ class AprodPlan:
             raise ValueError("packed columns outside the unknown space")
         self.packed_values = values
         self.packed_cols = cols
-        self._gather_ws = np.empty((m, k_total))
-        self._row_ws = np.empty(m)
-        self._gather_ws_b: np.ndarray | None = None
-        self._row_ws_b: np.ndarray | None = None
         self._scatter = SortedSegmentScatter(values, cols)
+        self._row_ws_b = np.empty((1, m))
+        self._row_ws = self._row_ws_b[0]
         self.build_seconds = time.perf_counter() - t0
 
     @property
     def workspace_nbytes(self) -> int:
         """Total bytes preallocated by the plan (packed + workspaces)."""
-        total = (self.packed_values.nbytes + self.packed_cols.nbytes
-                 + self._gather_ws.nbytes + self._row_ws.nbytes
-                 + self._scatter.workspace_nbytes)
-        for ws in (self._gather_ws_b, self._row_ws_b):
-            if ws is not None:
-                total += ws.nbytes
-        return total
+        return (self.packed_values.nbytes + self.packed_cols.nbytes
+                + self._row_ws_b.nbytes + self._scatter.workspace_nbytes)
+
+    def block_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Astro / attitude / instrumental sections of :attr:`packed_cols`.
+
+        Views, not copies: the per-block kernels of a mixed strategy
+        read the columns the plan already packed.
+        """
+        cols = self.packed_cols
+        return (cols[:, :_ASTRO_END], cols[:, _ASTRO_END:_ATT_END],
+                cols[:, _ATT_END:_INSTR_END])
 
     def ensure_batch(self, k: int) -> None:
         """Preallocate batched gather/scatter workspaces for width ``k``.
@@ -333,9 +372,9 @@ class AprodPlan:
         """
         if k < 1:
             raise ValueError(f"batch width must be >= 1, got {k}")
-        if self._gather_ws_b is None or self._gather_ws_b.shape[0] < k:
-            self._gather_ws_b = np.empty((k, self.n_obs, self.k_total))
+        if self._row_ws_b.shape[0] < k:
             self._row_ws_b = np.empty((k, self.n_obs))
+            self._row_ws = self._row_ws_b[0]
         self._scatter.ensure_batch(k)
 
     def aprod1(self, x: np.ndarray, obs_out: np.ndarray) -> None:
@@ -345,14 +384,30 @@ class AprodPlan:
         one gather plus one fused multiply-reduce into the
         preallocated workspaces.
         """
-        np.take(x, self.packed_cols, mode="clip", out=self._gather_ws)
-        np.einsum("ij,ij->i", self._gather_ws, self.packed_values,
+        gather = self._scatter._contrib.reshape(self.n_obs, self.k_total)
+        np.take(x, self.packed_cols, mode="clip", out=gather)
+        np.einsum("ij,ij->i", gather, self.packed_values,
                   out=self._row_ws)
         obs_out += self._row_ws
 
     def aprod2(self, y_obs: np.ndarray, out: np.ndarray) -> None:
         """``out += A_obs.T @ y`` as one deterministic segment reduction."""
         self._scatter.add_into(y_obs, out)
+
+    def column_sq_norms(self, out: np.ndarray) -> None:
+        """Accumulate the squared column norms of ``A_obs`` into ``out``.
+
+        One keyed reduction over the contiguous packed block, squares
+        staged in the scratch plane.  The four sections are disjoint
+        column ranges, so every column sums the same terms in the same
+        row-major order as a per-section
+        :func:`~repro.core.kernels.gather_scatter.column_sq_norms`
+        pass -- bitwise the same norms.
+        """
+        squares = self._scatter._contrib
+        np.square(self.packed_values.reshape(-1), out=squares)
+        out += np.bincount(self.packed_cols.reshape(-1), weights=squares,
+                           minlength=self.n_params)
 
     # -- trailing batch axis -------------------------------------------
     def aprod1_batch(self, X: np.ndarray, obs_out: np.ndarray) -> None:
@@ -370,7 +425,8 @@ class AprodPlan:
             )
         k = X.shape[0]
         self.ensure_batch(k)
-        gather = self._gather_ws_b[:k]
+        gather = self._scatter._contrib_b[:k].reshape(
+            k, self.n_obs, self.k_total)
         rows = self._row_ws_b[:k]
         np.take(X, self.packed_cols, axis=1, mode="clip", out=gather)
         np.einsum("bij,ij->bi", gather, self.packed_values, out=rows)
@@ -403,24 +459,22 @@ class StrategySelection:
 def plan_workspace_bytes(dims: SystemDims, batch: int = 1) -> int:
     """Predicted workspace footprint of an :class:`AprodPlan`.
 
-    Packed values + columns + gather workspace (``8 B`` each per nnz),
-    plus the scatter's sorted values / rows / contribution streams and
-    the segment arrays (bounded by ``n_params``).  With ``batch > 1``
-    the per-member workspaces -- the gather and contribution planes
-    (one nnz-sized plane each per member), the row reduction and the
-    two segment planes -- multiply by the batch width while the packed
-    coefficients and sorted index streams stay shared.
+    Five nnz-sized planes of ``8 B`` (packed values and columns, the
+    scatter's sorted values and rows, one scratch plane), the row
+    reduction, and the four segment arrays (bounded by ``n_params``).
+    With ``batch > 1`` the per-member workspaces -- one scratch plane,
+    one row reduction and the two segment planes -- come once more per
+    member, while the packed coefficients and sorted index streams
+    stay shared.  Equals :attr:`AprodPlan.workspace_nbytes` (after
+    ``ensure_batch(batch)``) whenever every unknown has an
+    observation.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    k_total = (ASTRO_PARAMS_PER_STAR + ATT_PARAMS_PER_ROW
-               + INSTR_PARAMS_PER_ROW + (1 if dims.n_glob_params else 0))
+    k_total = _INSTR_END + (1 if dims.n_glob_params else 0)
     nnz = dims.n_obs * k_total
-    base = 6 * nnz * 8 + 4 * dims.n_params * 8
-    if batch > 1:
-        base += ((batch - 1)
-                 * (2 * nnz + dims.n_obs + 2 * dims.n_params) * 8)
-    return base
+    per_member = nnz + dims.n_obs + 2 * dims.n_params
+    return (4 * nnz + 2 * dims.n_params + batch * per_member) * 8
 
 
 def select_strategies(dims: SystemDims, batch: int = 1
@@ -428,9 +482,9 @@ def select_strategies(dims: SystemDims, batch: int = 1
     """Choose host kernel strategies from the system shape alone.
 
     Mirrors the paper's per-platform geometry tuning (§IV/§V-B) on the
-    host: the fused plan wins once its one-off build cost (an argsort
-    over the nnz keys) amortizes over the iterations and its packed
-    workspaces fit the budget.
+    host: the fused plan wins once its one-off build cost (packing plus
+    one counting-sort pass over the nnz keys) amortizes over the
+    iterations and its packed workspaces fit the budget.
 
     - tiny systems (``n_obs`` < :data:`FUSED_MIN_OBS`): classic
       four-kernel path -- the plan build dominates, and bitwise

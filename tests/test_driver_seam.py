@@ -8,15 +8,19 @@ SPMD rank loop exists once, and solver state has one on-disk format
 with one serializer (``EngineState.save`` / ``.load``).  The AST
 checks keep that structure
 from drifting back; the plan-build count shows what it buys (an R-rank
-solve compiles R plans, not R+1).
+solve compiles R plans, not R+1).  Each of those builds is one
+counting-sort pass that holds the column block once -- guarded on the
+source and on the heap.
 """
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from repro.api import ResilienceConfig, SolveRequest, solve
+from repro.core.aprod import AprodOperator
 from repro.core.kernels.plan import FUSED_MIN_OBS, AprodPlan
 from repro.dist import partition_by_rows
 from repro.serve.job import ServeJob
@@ -110,6 +114,25 @@ def test_api_never_invents_a_resilience_config():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "ResilienceConfig"]
     assert calls == []
+
+
+def test_the_plan_is_generated_without_a_comparison_sort():
+    tree = ast.parse((SRC / "core" / "kernels" / "plan.py").read_text())
+    sorts = {"argsort", "sort", "lexsort", "unique"}
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & sorts
+
+
+def test_a_fused_operator_holds_its_plan_and_no_second_column_block(
+        plan_system):
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    op = AprodOperator(plan_system)
+    held = tracemalloc.get_traced_memory()[0] - base
+    tracemalloc.stop()
+    assert op.plan is not None
+    assert held <= 1.03 * op.plan.workspace_nbytes
 
 
 # ----------------------------------------------------------------------
