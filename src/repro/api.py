@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.aprod import AprodOperator
-from repro.core.engine import StopReason
+from repro.core.engine import CONVERGED, StopReason
 from repro.core.lsqr import (
     IterationCallback,
     LSQRResult,
@@ -472,23 +472,15 @@ class SolveReport:
     placement: Placement | None = None
     warm_start: WarmStartInfo | None = None
 
-    _CONVERGED = (
-        StopReason.X_ZERO,
-        StopReason.ATOL_BTOL,
-        StopReason.LSQ_ATOL,
-        StopReason.ATOL_EPS,
-        StopReason.LSQ_EPS,
-    )
-
     @property
     def converged(self) -> bool:
         """True when the solve met a convergence test -- including a
         degraded solve whose surviving ranks converged."""
-        if self.stop in self._CONVERGED:
+        if self.stop in CONVERGED:
             return True
         return (self.stop is StopReason.DEGRADED
                 and self.resilience is not None
-                and self.resilience.engine_stop in self._CONVERGED)
+                and self.resilience.engine_stop in CONVERGED)
 
     def standard_errors(self) -> np.ndarray:
         """Least-squares standard errors from the ``var`` estimate."""
@@ -592,6 +584,8 @@ def batch_incompatibility(requests: "list[SolveRequest] | tuple[SolveRequest, ..
             return f"requests[{i}] has a per-iteration callback"
         if r.checkpoint_every is not None or r.checkpoint_path is not None:
             return f"requests[{i}] checkpoints mid-solve"
+        if r.resume_from is not None:
+            return f"requests[{i}] resumes a checkpoint"
         for f in ("atol", "btol", "conlim", "iter_lim", "precondition",
                   "calc_var", "strategy"):
             if getattr(r, f) != getattr(first, f):

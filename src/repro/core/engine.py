@@ -30,10 +30,12 @@ The batched variant (:class:`BatchedEngineState` /
 matrix, different right-hand sides and damping -- along a leading
 batch axis, so one ``aprod1_batch`` / ``aprod2_batch`` pass advances
 every still-running member at once while converged members stay
-frozen bit-for-bit at their own stopping iteration.  The scalar
-recurrences run per member in exactly the serial order, so each
-member's trajectory is the serial trajectory (see
-``tests/test_engine_batch.py`` for the pinned equivalence contract).
+frozen bit-for-bit at their own stopping iteration.  Only the two
+products are batched: each member is an :class:`EngineState` over rows
+of the stacks, and everything after the bidiagonalization is the one
+:func:`_update` both engines call, so a member's trajectory is the
+serial trajectory by construction (``tests/test_engine_batch.py`` pins
+the equivalence contract).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import enum
 import os
 import tempfile
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -85,6 +87,13 @@ class StopReason(enum.IntEnum):
     # engine itself, reported by drivers that survive injected faults.
     DEGRADED = 8        #: finished after losing ranks (degraded mode).
     ABORTED_FAULTS = 9  #: resilience budget exhausted; solve aborted.
+
+
+#: The codes that mean a convergence test fired (not a limit or fault).
+CONVERGED = frozenset({
+    StopReason.X_ZERO, StopReason.ATOL_BTOL, StopReason.LSQ_ATOL,
+    StopReason.ATOL_EPS, StopReason.LSQ_EPS,
+})
 
 
 class ReductionBackend(Protocol):
@@ -287,6 +296,109 @@ def resume_state(resume_from: "str | Path | EngineState",
     return state
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _plan_workspace_bytes(op: Aprod) -> int:
+    """Bytes of the operator's plan workspaces, when it exposes them."""
+    plan = getattr(op, "plan", None)
+    if plan is None:
+        plan = getattr(getattr(op, "op", None), "plan", None)
+    return 0 if plan is None else plan.workspace_nbytes
+
+
+def _update(s: EngineState, dk: np.ndarray, tmp: np.ndarray, damp: float,
+            atol: float, btol: float, ctol: float) -> tuple[float, float]:
+    """The Paige & Saunders update after one bidiagonalization step.
+
+    ``s`` already holds the new ``beta``, ``alfa``, ``u``, ``v`` and
+    ``anorm``; this eliminates the damping, rotates, advances ``x`` /
+    ``w`` / ``var`` in place through the ``dk`` / ``tmp`` workspaces,
+    refreshes the norm estimates and sets ``istop`` when a stopping rule
+    fires.  It is the only copy of the recurrence: the serial engine
+    calls it once per step, the batched engine once per running member.
+    Returns ``(test1, test2)`` for the batched engine's non-finite
+    guard, which must not live here -- a serial or SPMD solve that
+    stopped itself on a NaN would pre-empt the recovery driver's
+    rollback.
+    """
+    dampsq = damp * damp
+    beta = s.beta
+
+    # Eliminate the damping parameter.
+    rhobar1 = float(np.sqrt(s.rhobar**2 + dampsq))
+    cs1 = s.rhobar / rhobar1
+    sn1 = damp / rhobar1
+    psi = sn1 * s.phibar
+    s.phibar = cs1 * s.phibar
+
+    # Plane rotation updating x and w.
+    rho = float(np.sqrt(rhobar1**2 + beta**2))
+    cs = rhobar1 / rho
+    sn = beta / rho
+    theta = sn * s.alfa
+    s.rhobar = -cs * s.alfa
+    phi = cs * s.phibar
+    s.phibar = sn * s.phibar
+    tau = sn * phi
+
+    t1 = phi / rho
+    t2 = -theta / rho
+    np.divide(s.w, rho, out=dk)
+    np.multiply(s.w, t1, out=tmp)
+    s.x += tmp
+    s.w *= t2
+    s.w += s.v
+    s.ddnorm += float(np.dot(dk, dk))
+    if s.var is not None:
+        np.multiply(dk, dk, out=tmp)
+        s.var += tmp
+
+    # Norm estimates (see Paige & Saunders 1982a, §5).
+    delta = s.sn2 * rho
+    gambar = -s.cs2 * rho
+    rhs = phi - delta * s.z
+    zbar = rhs / gambar
+    s.xnorm = float(np.sqrt(s.xxnorm + zbar**2))
+    gamma = float(np.sqrt(gambar**2 + theta**2))
+    s.cs2 = gambar / gamma
+    s.sn2 = theta / gamma
+    s.z = rhs / gamma
+    s.xxnorm += s.z * s.z
+
+    s.acond = s.anorm * float(np.sqrt(s.ddnorm))
+    res1 = s.phibar**2
+    s.res2 += psi**2
+    s.rnorm = float(np.sqrt(res1 + s.res2))
+    s.arnorm = s.alfa * abs(tau)
+
+    r1sq = s.rnorm**2 - dampsq * s.xxnorm
+    s.r1norm = float(np.sqrt(abs(r1sq)))
+    if r1sq < 0.0:
+        s.r1norm = -s.r1norm
+    s.r2norm = s.rnorm
+
+    # Stopping tests.
+    test1 = s.rnorm / s.bnorm
+    test2 = s.arnorm / (s.anorm * s.rnorm + _EPS)
+    test3 = 1.0 / (s.acond + _EPS)
+    rtol = btol + atol * s.anorm * s.xnorm / s.bnorm
+    t1_test = test1 / (1.0 + s.anorm * s.xnorm / s.bnorm)
+    if 1.0 + test3 <= 1.0:
+        s.istop = StopReason.CONLIM_EPS
+    elif 1.0 + test2 <= 1.0:
+        s.istop = StopReason.LSQ_EPS
+    elif 1.0 + t1_test <= 1.0:
+        s.istop = StopReason.ATOL_EPS
+    elif test3 <= ctol:
+        s.istop = StopReason.CONLIM_WARN
+    elif test2 <= atol:
+        s.istop = StopReason.LSQ_ATOL
+    elif test1 <= rtol:
+        s.istop = StopReason.ATOL_BTOL
+    return test1, test2
+
+
 class LSQRStepEngine:
     """One LSQR iteration, parameterized by a reduction backend.
 
@@ -342,7 +454,6 @@ class LSQRStepEngine:
                            else Telemetry.or_null(None))
         self._prefix = span_prefix
         self._labels = dict(span_labels or {})
-        self._eps = float(np.finfo(np.float64).eps)
         self._ctol = 1.0 / conlim if conlim > 0 else 0.0
         self._dampsq = damp * damp
         n = op.shape[1]
@@ -359,13 +470,8 @@ class LSQRStepEngine:
     def workspace_bytes(self) -> int:
         """Bytes preallocated for the hot loop (engine vectors plus the
         operator's plan workspaces, when it exposes them)."""
-        total = self._dk.nbytes + self._tmp.nbytes
-        plan = getattr(self.op, "plan", None)
-        if plan is None:
-            plan = getattr(getattr(self.op, "op", None), "plan", None)
-        if plan is not None:
-            total += plan.workspace_nbytes
-        return total
+        return (self._dk.nbytes + self._tmp.nbytes
+                + _plan_workspace_bytes(self.op))
 
     # ------------------------------------------------------------------
     def start(self, b_local: np.ndarray) -> EngineState:
@@ -446,81 +552,8 @@ class LSQRStepEngine:
                         s.v /= alfa
 
             with ptel.span(f"{self._prefix}.update"):
-                # Eliminate the damping parameter.
-                rhobar1 = float(np.sqrt(s.rhobar**2 + self._dampsq))
-                cs1 = s.rhobar / rhobar1
-                sn1 = self.damp / rhobar1
-                psi = sn1 * s.phibar
-                s.phibar = cs1 * s.phibar
-
-                # Plane rotation updating x and w.
-                rho = float(np.sqrt(rhobar1**2 + beta**2))
-                cs = rhobar1 / rho
-                sn = beta / rho
-                theta = sn * s.alfa
-                s.rhobar = -cs * s.alfa
-                phi = cs * s.phibar
-                s.phibar = sn * s.phibar
-                tau = sn * phi
-
-                t1 = phi / rho
-                t2 = -theta / rho
-                dk, tmp = self._dk, self._tmp
-                np.divide(s.w, rho, out=dk)
-                np.multiply(s.w, t1, out=tmp)
-                s.x += tmp
-                s.w *= t2
-                s.w += s.v
-                s.ddnorm += float(np.dot(dk, dk))
-                if s.var is not None:
-                    np.multiply(dk, dk, out=tmp)
-                    s.var += tmp
-
-                # Norm estimates (see Paige & Saunders 1982a, §5).
-                delta = s.sn2 * rho
-                gambar = -s.cs2 * rho
-                rhs = phi - delta * s.z
-                zbar = rhs / gambar
-                s.xnorm = float(np.sqrt(s.xxnorm + zbar**2))
-                gamma = float(np.sqrt(gambar**2 + theta**2))
-                s.cs2 = gambar / gamma
-                s.sn2 = theta / gamma
-                s.z = rhs / gamma
-                s.xxnorm += s.z * s.z
-
-                s.acond = s.anorm * float(np.sqrt(s.ddnorm))
-                res1 = s.phibar**2
-                s.res2 += psi**2
-                s.rnorm = float(np.sqrt(res1 + s.res2))
-                s.arnorm = s.alfa * abs(tau)
-
-                r1sq = s.rnorm**2 - self._dampsq * s.xxnorm
-                s.r1norm = float(np.sqrt(abs(r1sq)))
-                if r1sq < 0.0:
-                    s.r1norm = -s.r1norm
-                s.r2norm = s.rnorm
-
-                # Stopping tests.
-                eps = self._eps
-                test1 = s.rnorm / s.bnorm
-                test2 = s.arnorm / (s.anorm * s.rnorm + eps)
-                test3 = 1.0 / (s.acond + eps)
-                rtol = (self.btol
-                        + self.atol * s.anorm * s.xnorm / s.bnorm)
-                t1_test = test1 / (1.0 + s.anorm * s.xnorm / s.bnorm)
-
-        if 1.0 + test3 <= 1.0:
-            s.istop = StopReason.CONLIM_EPS
-        elif 1.0 + test2 <= 1.0:
-            s.istop = StopReason.LSQ_EPS
-        elif 1.0 + t1_test <= 1.0:
-            s.istop = StopReason.ATOL_EPS
-        elif test3 <= self._ctol:
-            s.istop = StopReason.CONLIM_WARN
-        elif test2 <= self.atol:
-            s.istop = StopReason.LSQ_ATOL
-        elif test1 <= rtol:
-            s.istop = StopReason.ATOL_BTOL
+                _update(s, self._dk, self._tmp, self.damp, self.atol,
+                        self.btol, self._ctol)
         return s
 
 
@@ -556,47 +589,41 @@ ISTOP_RUNNING = -1
 
 @dataclass
 class BatchedEngineState:
-    """The state of ``K`` stacked LSQR solves after per-member ``itn``.
+    """``K`` stacked LSQR solves: four stacks and ``K`` serial states.
 
-    The layout is batch-major C order: ``X``/``U``/``V``/``W`` hold one
-    member per *row*, so each member's vector is a contiguous view and
-    per-member norms (``np.dot`` on a row) are bitwise identical to the
-    serial engine's.  Every Paige & Saunders scalar becomes a ``(K,)``
-    array; ``istop`` is an int array with :data:`ISTOP_RUNNING` (-1)
-    marking members still iterating.  Converged members freeze at their
-    own ``itn`` -- subsequent steps never touch their rows.
+    The layout is batch-major C order: ``X``/``U``/``V``/``W`` (and
+    ``var``) hold one member per *row*, which is what the batched
+    products read and write.  ``members[j]`` is member ``j``'s whole
+    state as an :class:`EngineState` whose vectors are *views* of row
+    ``j`` -- contiguous, so per-member norms are bitwise the serial
+    engine's -- and whose scalars, ``itn`` and ``istop`` are its own, in
+    the one checkpoint format every driver resumes.  Converged members
+    freeze at their own ``itn``: later steps never touch their rows.
     """
 
-    itn: np.ndarray
     X: np.ndarray
     U: np.ndarray
     V: np.ndarray
     W: np.ndarray
-    alfa: np.ndarray
-    beta: np.ndarray
-    rhobar: np.ndarray
-    phibar: np.ndarray
-    anorm: np.ndarray
-    acond: np.ndarray
-    ddnorm: np.ndarray
-    res2: np.ndarray
-    xnorm: np.ndarray
-    xxnorm: np.ndarray
-    z: np.ndarray
-    cs2: np.ndarray
-    sn2: np.ndarray
-    bnorm: np.ndarray
-    rnorm: np.ndarray
-    r1norm: np.ndarray
-    r2norm: np.ndarray
-    arnorm: np.ndarray
     var: np.ndarray | None
-    istop: np.ndarray
+    members: list[EngineState]
 
     @property
     def batch(self) -> int:
         """Number of stacked members."""
-        return self.X.shape[0]
+        return len(self.members)
+
+    @property
+    def itn(self) -> np.ndarray:
+        """Per-member iteration counts."""
+        return np.array([m.itn for m in self.members], dtype=np.int64)
+
+    @property
+    def istop(self) -> np.ndarray:
+        """Per-member stopping codes, :data:`ISTOP_RUNNING` (-1) for
+        members still iterating."""
+        return np.array([ISTOP_RUNNING if m.istop is None else int(m.istop)
+                         for m in self.members], dtype=np.int64)
 
     @property
     def active(self) -> np.ndarray:
@@ -606,66 +633,54 @@ class BatchedEngineState:
     @property
     def done(self) -> bool:
         """True once every member has a stopping reason."""
-        return bool(np.all(self.istop != ISTOP_RUNNING))
+        return all(m.done for m in self.members)
 
     def stop_reason(self, j: int) -> StopReason | None:
         """Member ``j``'s stopping reason, None while running."""
-        code = int(self.istop[j])
-        return None if code == ISTOP_RUNNING else StopReason(code)
+        return self.members[j].istop
 
     def member(self, j: int) -> EngineState:
         """A standalone :class:`EngineState` copy of member ``j``."""
-        scalars = {f: float(getattr(self, f)[j])
-                   for f in EngineState._SCALARS}
-        return EngineState(
-            itn=int(self.itn[j]), x=self.X[j].copy(), u=self.U[j].copy(),
-            v=self.V[j].copy(), w=self.W[j].copy(),
-            var=None if self.var is None else self.var[j].copy(),
-            istop=self.stop_reason(j), **scalars,
-        )
+        m = self.members[j]
+        return replace(m, x=m.x.copy(), u=m.u.copy(), v=m.v.copy(),
+                       w=m.w.copy(),
+                       var=None if m.var is None else m.var.copy())
 
     def abort_member(
         self, j: int,
         reason: StopReason = StopReason.ABORTED_FAULTS,
     ) -> None:
         """Freeze member ``j`` with ``reason`` (no-op if already done)."""
-        if int(self.istop[j]) == ISTOP_RUNNING:
-            self.istop[j] = int(reason)
+        if not self.members[j].done:
+            self.members[j].istop = reason
 
     def validate_member(self, j: int) -> list[str]:
         """NaN/Inf guard over one member's state (see
         :meth:`EngineState.validate`)."""
-        bad = [f for f in EngineState._SCALARS
-               if not np.isfinite(getattr(self, f)[j])]
-        for name in ("X", "U", "V", "W"):
-            if not np.all(np.isfinite(getattr(self, name)[j])):
-                bad.append(name.lower())
-        if self.var is not None and not np.all(np.isfinite(self.var[j])):
-            bad.append("var")
-        return bad
+        return self.members[j].validate()
 
 
 class BatchedLSQRStepEngine:
     """One LSQR iteration advancing every running member of a batch.
 
-    The iteration body is the serial :meth:`LSQRStepEngine.step` lifted
-    to a leading batch axis.  The heavy passes -- ``aprod1``, the
-    transpose accumulation and the ``x``/``w`` vector updates -- run
-    once over the compacted active set (``aprod1_batch`` /
-    ``aprod2_batch`` plus broadcast row scaling), while the scalar
-    recurrences and norms run per member in Python floats in exactly
-    the serial order, so each member reproduces the serial trajectory.
-    Row scaling by a per-member scalar and per-row ``np.dot`` norms are
-    elementwise-identical to their serial counterparts, which is what
-    makes the classic kernel path bitwise and the fused path
-    reassociation-only (rtol ~ 1e-15 observed, pinned at 1e-12).
+    What is batched is the two products: ``aprod1_batch`` /
+    ``aprod2_batch`` run once over the running members' ``U`` / ``V``
+    rows (compacted into workspaces once a member has frozen), with
+    per-row ``np.dot`` norms and broadcast row scaling that are
+    elementwise the serial operations.  Each running member then goes
+    through :func:`_update`, the serial engine's own recurrence, on its
+    row views.  That makes the classic kernel path bitwise the serial
+    solve and the fused path reassociation-only (the batched einsum
+    contracts in another order: rtol ~ 1e-15 observed, pinned at 1e-12).
 
-    Per-member stopping uses the same rules as the serial engine; a
-    member whose recurrence goes non-finite (e.g. a fault injected into
-    its rhs mid-batch) is frozen with :attr:`StopReason.ABORTED_FAULTS`
-    on that iteration while its siblings continue unharmed -- member
-    rows never mix in any batched pass, so corruption cannot leak
-    across the batch.
+    Per-member stopping is therefore the serial rules; on top of them
+    a member whose recurrence went non-finite (e.g. a fault injected
+    into its rhs mid-batch) is frozen with
+    :attr:`StopReason.ABORTED_FAULTS` on that iteration while its
+    siblings continue unharmed -- member rows never mix in any batched
+    pass, so corruption cannot leak across the batch.  The guard is
+    applied here, after the shared update, and only here: the serial
+    and SPMD drivers leave a poisoned state to the recovery driver.
 
     Parameters
     ----------
@@ -698,14 +713,14 @@ class BatchedLSQRStepEngine:
             raise ValueError(f"batch must be >= 1, got {batch}")
         damps = np.broadcast_to(
             np.asarray(damps, dtype=np.float64), (batch,)
-        ).copy()
+        )
         if np.any(damps < 0) or not np.all(np.isfinite(damps)):
             raise ValueError("every damp must be finite and >= 0")
         if atol < 0 or btol < 0:
             raise ValueError("atol and btol must be >= 0")
         self.op = op
         self.batch = batch
-        self.damps = damps
+        self.damps: list[float] = damps.tolist()
         self.atol = atol
         self.btol = btol
         self.conlim = conlim
@@ -713,33 +728,24 @@ class BatchedLSQRStepEngine:
         self._tel = Telemetry.or_null(telemetry)
         self._prefix = span_prefix
         self._labels = dict(span_labels or {})
-        self._eps = float(np.finfo(np.float64).eps)
         self._ctol = 1.0 / conlim if conlim > 0 else 0.0
-        self._dampsq = damps * damps
         m, n = op.shape
-        # Full-width hot-loop workspaces: active members are compacted
-        # into the leading rows each step, so the loop allocates
-        # nothing regardless of how convergence staggers.
+        # Full-width hot-loop workspaces: once a member has frozen, the
+        # running members' U / V rows are compacted into the leading
+        # rows for the batched products, so the loop allocates no
+        # vector regardless of how convergence staggers.  The update
+        # works member by member and needs one dk / tmp pair.
         self._Uws = np.empty((batch, m))
         self._Vws = np.empty((batch, n))
-        self._Xws = np.empty((batch, n))
-        self._Wws = np.empty((batch, n))
-        self._DKws = np.empty((batch, n))
-        self._TMPws = np.empty((batch, n))
+        self._dk = np.empty(n)
+        self._tmp = np.empty(n)
 
     @property
     def workspace_bytes(self) -> int:
         """Bytes preallocated for the batched hot loop (engine stacks
         plus the operator's plan workspaces, when it exposes them)."""
-        total = (self._Uws.nbytes + self._Vws.nbytes + self._Xws.nbytes
-                 + self._Wws.nbytes + self._DKws.nbytes
-                 + self._TMPws.nbytes)
-        plan = getattr(self.op, "plan", None)
-        if plan is None:
-            plan = getattr(getattr(self.op, "op", None), "plan", None)
-        if plan is not None:
-            total += plan.workspace_nbytes
-        return total
+        return (self._Uws.nbytes + self._Vws.nbytes + self._dk.nbytes
+                + self._tmp.nbytes + _plan_workspace_bytes(self.op))
 
     # ------------------------------------------------------------------
     def start(self, B: np.ndarray) -> BatchedEngineState:
@@ -756,35 +762,26 @@ class BatchedLSQRStepEngine:
         if B.shape != (K, m):
             raise ValueError(f"B must be ({K}, {m}), got {B.shape}")
         U = np.ascontiguousarray(B, dtype=np.float64).copy()
-        beta = np.empty(K)
-        for j in range(K):
-            beta[j] = float(np.sqrt(np.dot(U[j], U[j])))
+        beta = np.array([float(np.sqrt(np.dot(u, u))) for u in U])
         np.divide(U, beta[:, None], out=U, where=beta[:, None] > 0.0)
         V = np.zeros((K, n))
         self.op.aprod2_batch(U, out=V)
-        alfa = np.empty(K)
-        for j in range(K):
-            alfa[j] = float(np.sqrt(np.dot(V[j], V[j])))
+        alfa = np.array([float(np.sqrt(np.dot(v, v))) for v in V])
         np.divide(V, alfa[:, None], out=V, where=alfa[:, None] > 0.0)
-        istop = np.full(K, ISTOP_RUNNING, dtype=np.int64)
-        istop[(beta > 0.0) & (alfa == 0.0)] = int(StopReason.LSQ_ATOL)
-        istop[beta == 0.0] = int(StopReason.X_ZERO)
-        zeros = np.zeros(K)
-        return BatchedEngineState(
-            itn=np.zeros(K, dtype=np.int64),
-            X=np.zeros((K, n)), U=U, V=V, W=V.copy(),
-            alfa=alfa.copy(), beta=beta.copy(),
-            rhobar=alfa.copy(), phibar=beta.copy(),
-            anorm=zeros.copy(), acond=zeros.copy(),
-            ddnorm=zeros.copy(), res2=zeros.copy(),
-            xnorm=zeros.copy(), xxnorm=zeros.copy(),
-            z=zeros.copy(), cs2=np.full(K, -1.0), sn2=zeros.copy(),
-            bnorm=beta.copy(), rnorm=beta.copy(),
-            r1norm=beta.copy(), r2norm=beta.copy(),
-            arnorm=alfa * beta,
-            var=np.zeros((K, n)) if self.calc_var else None,
-            istop=istop,
-        )
+        X, W = np.zeros((K, n)), V.copy()
+        var = np.zeros((K, n)) if self.calc_var else None
+        members = [
+            EngineState(
+                itn=0, x=X[j], u=U[j], v=V[j], w=W[j], alfa=a, beta=b,
+                rhobar=a, phibar=b, bnorm=b, rnorm=b, r1norm=b, r2norm=b,
+                arnorm=a * b, var=None if var is None else var[j],
+                istop=(StopReason.X_ZERO if b == 0.0
+                       else StopReason.LSQ_ATOL if a == 0.0 else None),
+            )
+            for j, (a, b) in enumerate(zip(alfa.tolist(), beta.tolist()))
+        ]
+        return BatchedEngineState(X=X, U=U, V=V, W=W, var=var,
+                                  members=members)
 
     # ------------------------------------------------------------------
     def step(self, s: BatchedEngineState) -> BatchedEngineState:
@@ -797,44 +794,47 @@ class BatchedLSQRStepEngine:
         k = idx.size
         if k == 0:
             return s
-        s.itn[idx] += 1
+        run = [s.members[j] for j in idx]
+        damps = [self.damps[j] for j in idx]
+        for mem in run:
+            mem.itn += 1
         with self._tel.span(f"{self._prefix}.iteration", **self._labels,
-                            itn=int(s.itn[idx].max()), active=k):
+                            itn=max(mem.itn for mem in run), active=k):
             # With every member still running the state stacks ARE the
-            # compacted views -- operate on them in place and skip the
-            # gather/scatter copies entirely (the common case until the
-            # first member converges).
+            # compacted views -- the products run on them in place and
+            # the gather/scatter copies are skipped entirely (the
+            # common case until the first member converges).
             full = k == s.batch
-            DK, TMP = self._DKws[:k], self._TMPws[:k]
             if full:
-                U, V, X, W = s.U, s.V, s.X, s.W
+                U, V = s.U, s.V
             else:
                 U, V = self._Uws[:k], self._Vws[:k]
-                X, W = self._Xws[:k], self._Wws[:k]
                 np.take(s.U, idx, axis=0, out=U)
                 np.take(s.V, idx, axis=0, out=V)
-                np.take(s.X, idx, axis=0, out=X)
-                np.take(s.W, idx, axis=0, out=W)
-            old_alfa = s.alfa[idx].copy()
-            dampsq = self._dampsq[idx]
 
             # Bidiagonalization: next beta, u, alfa, v -- one batched
             # pass each way, per-row norms.
-            U *= -old_alfa[:, None]
+            U *= -np.array([mem.alfa for mem in run])[:, None]
             self.op.aprod1_batch(V, out=U)
-            beta = np.empty(k)
-            for j in range(k):
-                beta[j] = float(np.sqrt(np.dot(U[j], U[j])))
+            beta = np.array([float(np.sqrt(np.dot(u, u))) for u in U])
             np.divide(U, beta[:, None], out=U, where=beta[:, None] > 0.0)
+            for mem, damp, b in zip(run, damps, beta.tolist()):
+                mem.beta = b
+                if b > 0.0:
+                    # anorm advances with the *old* alfa, as in the
+                    # serial step: before the transpose pass below.
+                    mem.anorm = float(np.sqrt(
+                        mem.anorm**2 + mem.alfa**2 + b**2 + damp * damp
+                    ))
 
-            new_alfa = old_alfa.copy()
             if np.all(beta > 0.0):
                 V *= -beta[:, None]
                 self.op.aprod2_batch(U, out=V)
-                for j in range(k):
-                    new_alfa[j] = float(np.sqrt(np.dot(V[j], V[j])))
-                np.divide(V, new_alfa[:, None], out=V,
-                          where=new_alfa[:, None] > 0.0)
+                alfa = np.array([float(np.sqrt(np.dot(v, v))) for v in V])
+                np.divide(V, alfa[:, None], out=V,
+                          where=alfa[:, None] > 0.0)
+                for mem, a in zip(run, alfa.tolist()):
+                    mem.alfa = a
             else:
                 # Exact-breakdown members (beta == 0) skip the
                 # transpose pass, matching the serial engine; run the
@@ -842,136 +842,23 @@ class BatchedLSQRStepEngine:
                 for j in np.flatnonzero(beta > 0.0):
                     V[j] *= -beta[j]
                     self.op.aprod2(U[j], out=V[j])
-                    a = float(np.sqrt(np.dot(V[j], V[j])))
-                    new_alfa[j] = a
+                    a = run[j].alfa = float(np.sqrt(np.dot(V[j], V[j])))
                     if a > 0.0:
                         V[j] /= a
 
-            # Per-member scalar recurrences, phase one: damping
-            # elimination and the plane rotation (serial order, Python
-            # floats -- bitwise the serial scalars).
-            rho_a = np.empty(k)
-            t1_a = np.empty(k)
-            t2_a = np.empty(k)
-            phi_a = np.empty(k)
-            tau_a = np.empty(k)
-            psi_a = np.empty(k)
-            theta_a = np.empty(k)
-            for j in range(k):
-                g = int(idx[j])
-                beta_j = float(beta[j])
-                s.beta[g] = beta_j
-                if beta_j > 0.0:
-                    s.anorm[g] = float(np.sqrt(
-                        float(s.anorm[g])**2 + float(old_alfa[j])**2
-                        + beta_j**2 + float(dampsq[j])
-                    ))
-                s.alfa[g] = float(new_alfa[j])
-
-                rhobar1 = float(np.sqrt(
-                    float(s.rhobar[g])**2 + float(dampsq[j])
-                ))
-                cs1 = float(s.rhobar[g]) / rhobar1
-                sn1 = float(self.damps[g]) / rhobar1
-                psi_a[j] = sn1 * float(s.phibar[g])
-                s.phibar[g] = cs1 * float(s.phibar[g])
-
-                rho = float(np.sqrt(rhobar1**2 + beta_j**2))
-                cs = rhobar1 / rho
-                sn = beta_j / rho
-                theta_a[j] = sn * float(new_alfa[j])
-                s.rhobar[g] = -cs * float(new_alfa[j])
-                phi_a[j] = cs * float(s.phibar[g])
-                s.phibar[g] = sn * float(s.phibar[g])
-                tau_a[j] = sn * phi_a[j]
-                rho_a[j] = rho
-                t1_a[j] = phi_a[j] / rho
-                t2_a[j] = -theta_a[j] / rho
-
-            # Batched x / w update (broadcast row scaling: elementwise
-            # identical to the serial vector ops).
-            np.divide(W, rho_a[:, None], out=DK)
-            np.multiply(W, t1_a[:, None], out=TMP)
-            X += TMP
-            W *= t2_a[:, None]
-            W += V
-            if s.var is not None:
-                np.multiply(DK, DK, out=TMP)
-                if full:
-                    s.var += TMP
-                else:
-                    s.var[idx] += TMP
-
-            # Per-member scalar recurrences, phase two: norm estimates
-            # and the stopping tests.
-            eps = self._eps
-            for j in range(k):
-                g = int(idx[j])
-                s.ddnorm[g] = float(s.ddnorm[g]) + float(
-                    np.dot(DK[j], DK[j])
-                )
-                delta = float(s.sn2[g]) * rho_a[j]
-                gambar = -float(s.cs2[g]) * rho_a[j]
-                rhs = phi_a[j] - delta * float(s.z[g])
-                zbar = rhs / gambar
-                s.xnorm[g] = float(np.sqrt(float(s.xxnorm[g]) + zbar**2))
-                gamma = float(np.sqrt(gambar**2 + theta_a[j]**2))
-                s.cs2[g] = gambar / gamma
-                s.sn2[g] = theta_a[j] / gamma
-                s.z[g] = rhs / gamma
-                s.xxnorm[g] = float(s.xxnorm[g]) + float(s.z[g])**2
-
-                s.acond[g] = float(s.anorm[g]) * float(
-                    np.sqrt(float(s.ddnorm[g]))
-                )
-                res1 = float(s.phibar[g])**2
-                s.res2[g] = float(s.res2[g]) + psi_a[j]**2
-                s.rnorm[g] = float(np.sqrt(res1 + float(s.res2[g])))
-                s.arnorm[g] = float(s.alfa[g]) * abs(tau_a[j])
-
-                r1sq = (float(s.rnorm[g])**2
-                        - float(dampsq[j]) * float(s.xxnorm[g]))
-                r1 = float(np.sqrt(abs(r1sq)))
-                s.r1norm[g] = -r1 if r1sq < 0.0 else r1
-                s.r2norm[g] = float(s.rnorm[g])
-
-                test1 = float(s.rnorm[g]) / float(s.bnorm[g])
-                test2 = float(s.arnorm[g]) / (
-                    float(s.anorm[g]) * float(s.rnorm[g]) + eps
-                )
-                test3 = 1.0 / (float(s.acond[g]) + eps)
-                rtol = (self.btol + self.atol * float(s.anorm[g])
-                        * float(s.xnorm[g]) / float(s.bnorm[g]))
-                t1_test = test1 / (
-                    1.0 + float(s.anorm[g]) * float(s.xnorm[g])
-                    / float(s.bnorm[g])
-                )
-
-                if not (np.isfinite(test1) and np.isfinite(test2)
-                        and np.isfinite(float(s.xnorm[g]))):
-                    # A non-finite recurrence (injected fault, bit
-                    # flip) can never satisfy a stopping rule -- freeze
-                    # this member alone; member rows never mix in any
-                    # batched pass, so siblings are unaffected.
-                    s.istop[g] = int(StopReason.ABORTED_FAULTS)
-                elif 1.0 + test3 <= 1.0:
-                    s.istop[g] = int(StopReason.CONLIM_EPS)
-                elif 1.0 + test2 <= 1.0:
-                    s.istop[g] = int(StopReason.LSQ_EPS)
-                elif 1.0 + t1_test <= 1.0:
-                    s.istop[g] = int(StopReason.ATOL_EPS)
-                elif test3 <= self._ctol:
-                    s.istop[g] = int(StopReason.CONLIM_WARN)
-                elif test2 <= self.atol:
-                    s.istop[g] = int(StopReason.LSQ_ATOL)
-                elif test1 <= rtol:
-                    s.istop[g] = int(StopReason.ATOL_BTOL)
-
-            # Scatter the advanced rows back (in-place already when
-            # the whole batch was active).
+            # Scatter the advanced rows back (in place already when the
+            # whole batch was active) before any update reads ``v``.
             if not full:
                 s.U[idx] = U
                 s.V[idx] = V
-                s.X[idx] = X
-                s.W[idx] = W
+
+            for mem, damp in zip(run, damps):
+                test1, test2 = _update(mem, self._dk, self._tmp, damp,
+                                       self.atol, self.btol, self._ctol)
+                if not (np.isfinite(test1) and np.isfinite(test2)
+                        and np.isfinite(mem.xnorm)):
+                    # A non-finite recurrence (injected fault, bit
+                    # flip) can never satisfy a stopping rule -- freeze
+                    # this member alone, over whatever the chain set.
+                    mem.istop = StopReason.ABORTED_FAULTS
         return s

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.aprod import AprodOperator
 from repro.core.engine import (
+    CONVERGED,
     Aprod,
     BatchedAprod,
     BatchedLSQRStepEngine,
@@ -85,13 +86,7 @@ class LSQRResult:
     @property
     def converged(self) -> bool:
         """True when the solve stopped on a convergence test."""
-        return self.istop in (
-            StopReason.X_ZERO,
-            StopReason.ATOL_BTOL,
-            StopReason.LSQ_ATOL,
-            StopReason.ATOL_EPS,
-            StopReason.LSQ_EPS,
-        )
+        return self.istop in CONVERGED
 
     @property
     def mean_iteration_time(self) -> float:
@@ -385,7 +380,7 @@ def lsqr_solve_batch(
     )
     state = engine.start(B)
     times: list[float] = []
-    while state.active.size > 0 and len(times) < iter_lim:
+    while not state.done and len(times) < iter_lim:
         t0 = clock()
         active = int(state.active.size)
         engine.step(state)
@@ -394,10 +389,5 @@ def lsqr_solve_batch(
         tel.counter("lsqr_batch.member_iterations").inc(active)
         tel.histogram("lsqr_batch.iteration_time_s").observe(times[-1])
 
-    results: list[LSQRResult] = []
-    for j in range(K):
-        member = state.member(j)
-        results.append(_finish(
-            member, m, n, times[: member.itn], scaling, offsets[j],
-        ))
-    return results
+    return [_finish(member, m, n, times[: member.itn], scaling, offset)
+            for member, offset in zip(state.members, offsets)]

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.aprod import AprodOperator
 from repro.core.engine import (
+    CONVERGED,
     Aprod,
     EngineState,
     LSQRStepEngine,
@@ -120,13 +121,7 @@ class DistributedResult:
     @property
     def converged(self) -> bool:
         """True when the solve stopped on a convergence test."""
-        return self.stop in (
-            StopReason.X_ZERO,
-            StopReason.ATOL_BTOL,
-            StopReason.LSQ_ATOL,
-            StopReason.ATOL_EPS,
-            StopReason.LSQ_EPS,
-        )
+        return self.stop in CONVERGED
 
     def standard_errors(self) -> np.ndarray:
         """Least-squares standard errors (as in the serial solver)."""

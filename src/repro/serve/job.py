@@ -146,9 +146,10 @@ class ServeJob:
 
         Only plain serial solves fuse: distributed runs, resilient
         (fault-injected) runs, per-iteration callbacks, mid-solve
-        checkpointing and per-request telemetry sinks all need the
-        solo driver (their side effects cannot be demultiplexed from a
-        shared batched sweep).  Background work functions never fuse.
+        checkpointing, checkpoint resumes and per-request telemetry
+        sinks all need the solo driver (their side effects cannot be
+        demultiplexed from a shared batched sweep, which always starts
+        cold).  Background work functions never fuse.
         """
         if self.work_fn is not None:
             return False
@@ -158,6 +159,7 @@ class ServeJob:
                 and r.callback is None
                 and r.checkpoint_every is None
                 and r.checkpoint_path is None
+                and r.resume_from is None
                 and r.telemetry is None)
 
     @property

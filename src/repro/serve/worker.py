@@ -14,9 +14,10 @@ runs* is this module's job, behind one small surface:
   :class:`~repro.api.RequestSpec` values plus a system *digest*; each
   worker attaches the system zero-copy from the shared-memory
   :mod:`~repro.serve.shm` store, solves with the same
-  :func:`repro.api.solve`, and streams back a plain-data report
-  payload plus a serialized :mod:`repro.obs` dump that the parent
-  merges into its registry.  Identical numerics (the solve is a pure
+  :func:`repro.api.solve`, and streams back the
+  :class:`~repro.api.SolveReport` (minus ``raw``) plus a serialized
+  :mod:`repro.obs` dump that the parent merges into its registry.
+  Identical numerics (the solve is a pure
   function of the request), no GIL contention -- and the pool's width
   is independent of the scheduler's dispatch width, so execution
   parallelism can match the physical cores while admission/placement
@@ -42,12 +43,12 @@ import queue as queue_mod
 import signal
 import threading
 import traceback
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.api import RequestSpec, SolveReport, SolveRequest
 from repro.api import solve as api_solve
 from repro.api import solve_batch as api_solve_batch
-from repro.core.engine import StopReason
 from repro.obs.telemetry import Telemetry
 from repro.serve import shm
 
@@ -57,37 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class BackendAborted(RuntimeError):
     """The backend was stopped/killed while this call was pending."""
-
-
-def report_to_payload(report: SolveReport) -> dict:
-    """Flatten a report to plain picklable data (worker -> parent).
-
-    ``raw`` (the driver-specific result object) is deliberately
-    dropped: it holds workspaces and engine internals that have no
-    business crossing a process boundary.  Everything the serving
-    layer and its tests consume survives.
-    """
-    return {
-        "x": report.x, "stop": int(report.stop), "itn": report.itn,
-        "r2norm": report.r2norm, "ranks": report.ranks,
-        "m": report.m, "n": report.n, "var": report.var,
-        "acond": report.acond,
-        "mean_iteration_time": report.mean_iteration_time,
-        "resilience": report.resilience, "job_id": report.job_id,
-    }
-
-
-def payload_to_report(payload: dict) -> SolveReport:
-    """Rebuild a :class:`SolveReport` from its wire payload."""
-    return SolveReport(
-        x=payload["x"], stop=StopReason(payload["stop"]),
-        itn=payload["itn"], r2norm=payload["r2norm"],
-        ranks=payload["ranks"], m=payload["m"], n=payload["n"],
-        var=payload["var"], acond=payload["acond"],
-        mean_iteration_time=payload["mean_iteration_time"],
-        resilience=payload["resilience"], raw=None,
-        job_id=payload["job_id"],
-    )
 
 
 class ThreadBackend:
@@ -212,13 +182,13 @@ class ProcessBackend:
         digest = self._store.publish(request.system)
         collect = isinstance(self._scheduler.tel, Telemetry)
         try:
-            payload, tel_dump = self._call(
+            report, tel_dump = self._call(
                 ("solve", RequestSpec.from_request(request), digest,
                  collect))
         finally:
             self._store.release(digest)
         self._scheduler.tel.absorb(tel_dump, track_prefix="mp/")
-        return payload_to_report(payload)
+        return report
 
     def solve_batch(self, requests: list[SolveRequest]
                     ) -> list[SolveReport]:
@@ -231,13 +201,13 @@ class ProcessBackend:
         specs = [RequestSpec.from_request(r) for r in requests]
         collect = isinstance(self._scheduler.tel, Telemetry)
         try:
-            payloads, tel_dump = self._call(
+            reports, tel_dump = self._call(
                 ("batch", specs, digests, collect))
         finally:
             for digest in digests:
                 self._store.release(digest)
         self._scheduler.tel.absorb(tel_dump, track_prefix="mp/")
-        return [payload_to_report(p) for p in payloads]
+        return reports
 
     def _call(self, task: tuple):
         """Dispatch one task and block until its result routes back."""
@@ -385,10 +355,12 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
     Attaches systems from the shared-memory store by digest (cached
     per worker -- a hot system is mapped once), runs the exact same
     :func:`repro.api.solve` / :func:`repro.api.solve_batch` the thread
-    backend runs, and ships back plain-data payloads plus an optional
-    telemetry dump.  A failing task answers with the traceback and the
-    worker keeps serving; only the ``None`` sentinel (or a terminate)
-    ends it.
+    backend runs, and ships back the report dataclasses -- without
+    ``raw``, the driver's result object, whose workspaces and engine
+    internals have no business crossing a process boundary -- plus an
+    optional telemetry dump.  A failing task answers with the
+    traceback and the worker keeps serving; only the ``None`` sentinel
+    (or a terminate) ends it.
     """
     # The parent owns interrupt handling; a Ctrl-C must not tear the
     # pool down underneath a graceful drain.
@@ -417,14 +389,14 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
                     _, _, spec, digest, _ = task
                     request = spec.to_request(_system(digest),
                                               telemetry=tel)
-                    body = report_to_payload(api_solve(request))
+                    body = replace(api_solve(request), raw=None)
                 else:
                     _, _, specs, digests, _ = task
                     requests = [
                         spec.to_request(_system(digest), telemetry=tel)
                         for spec, digest in zip(specs, digests)
                     ]
-                    body = [report_to_payload(r)
+                    body = [replace(r, raw=None)
                             for r in api_solve_batch(requests)]
                 dump = tel.dump() if tel is not None else None
                 result_q.put(("result", call_id, "ok", (body, dump)))
@@ -444,7 +416,5 @@ __all__ = [
     "BackendAborted",
     "ProcessBackend",
     "ThreadBackend",
-    "payload_to_report",
-    "report_to_payload",
     "worker_main",
 ]

@@ -4,7 +4,8 @@ Every solve driver consumes one ``prepare`` step
 (:func:`repro.core.precond.prepare`) and never builds its own
 operator, so the kernel-strategy vocabulary stays on
 ``AprodOperator``, the preconditioner is assembled in one module, the
-SPMD rank loop exists once, and solver state has one on-disk format
+SPMD rank loop exists once, the Paige & Saunders update and its
+stopping chain exist once, and solver state has one on-disk format
 with one serializer (``EngineState.save`` / ``.load``).  The AST
 checks keep that structure
 from drifting back; the plan-build count shows what it buys (an R-rank
@@ -106,6 +107,21 @@ def test_one_checkpoint_format_with_one_serializer():
                      "rank_state_path"):
             assert gone not in text, (path, gone)
     assert not (SRC / "core" / "checkpoint.py").exists()
+
+
+def test_the_stopping_chain_exists_once():
+    """One recurrence: the batched engine advances its members through
+    the serial update, so exactly one function assigns a code only the
+    six-way stopping chain can produce."""
+    owners = [
+        f"{module}:{name}"
+        for module, tree in _trees() for name, fn in _functions(tree)
+        if any(isinstance(node, ast.Assign)
+               and any(getattr(leaf, "attr", None) == "CONLIM_EPS"
+                       for leaf in ast.walk(node.value))
+               for node in ast.walk(fn))
+    ]
+    assert owners == ["core/engine.py:_update"]
 
 
 def test_api_never_invents_a_resilience_config():

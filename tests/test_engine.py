@@ -257,6 +257,21 @@ def test_step_on_done_state_is_noop(small_system):
     assert np.array_equal(state.x, before)
 
 
+def test_a_poisoned_serial_state_keeps_running(small_system):
+    """The non-finite guard is the batched engine's alone: a serial (or
+    SPMD) step never stops itself on a NaN -- it leaves the poisoned
+    state for the recovery driver's validate-and-roll-back to find."""
+    engine, _ = _engine_for(small_system, atol=1e-10, btol=1e-10)
+    state = engine.start(small_system.rhs().astype(np.float64))
+    for _ in range(3):
+        engine.step(state)
+    state.u[0] = np.nan
+    for _ in range(3):
+        engine.step(state)
+    assert state.istop is None and state.itn == 6
+    assert not state.is_finite
+
+
 # ----------------------------------------------------------------------
 # Telemetry fallback helper
 # ----------------------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.core.kernels.plan import (
     select_strategies,
 )
 from repro.core.lsqr import lsqr_solve, lsqr_solve_batch
+from repro.core.precond import prepare
 from repro.obs.telemetry import Telemetry
 from repro.system import SystemDims, make_system
 
@@ -248,7 +249,7 @@ def test_batched_state_active_done_and_abort(small_system):
     assert list(state.active) == [0, 2]
     assert state.stop_reason(1) is StopReason.ABORTED_FAULTS
     # abort is idempotent on already-stopped members
-    state.istop[2] = int(StopReason.ATOL_BTOL)
+    state.members[2].istop = StopReason.ATOL_BTOL
     state.abort_member(2)
     assert state.stop_reason(2) is StopReason.ATOL_BTOL
 
@@ -261,6 +262,48 @@ def test_batched_state_active_done_and_abort(small_system):
     # member() copies: mutating the view must not touch the batch
     member.x[:] = -1.0
     assert not np.any(state.X[0] == -1.0)
+
+
+@pytest.mark.parametrize("gather,scatter,rtol",
+                         [("vectorized", "bincount", None),
+                          ("fused", "sorted_segment", 1e-12)])
+def test_member_checkpoint_resumes_through_the_serial_driver(
+        small_system, tmp_path, gather, scatter, rtol):
+    """A batch member IS an EngineState: saved mid-batch it resumes
+    through ``lsqr_solve(resume_from=)`` to the batch's own result for
+    that member (bitwise on classic, the rtol pin on the fused plan)."""
+    rng = np.random.default_rng(5)
+    damps = [0.0, 1e-3, 0.1]
+    members = [dataclasses.replace(
+        small_system,
+        known_terms=small_system.known_terms + rng.normal(
+            scale=1e-6, size=small_system.known_terms.shape))
+        for _ in damps]
+    batched = _batched_results(small_system, members, damps,
+                               gather=gather, scatter=scatter, iter_lim=40)
+
+    op, _ = prepare(_operator(small_system, gather, scatter, batch_hint=3),
+                    precondition=True, batch=3)
+    engine = BatchedLSQRStepEngine(op, batch=3, damps=damps)
+    state = engine.start(np.stack([m.rhs() for m in members]))
+    for _ in range(7):
+        engine.step(state)
+    assert list(state.itn) == [7, 7, 7]
+    for j, (member, damp) in enumerate(zip(members, damps)):
+        path = state.members[j].save(tmp_path / f"member{j}")
+        resumed = lsqr_solve(_operator(member, gather, scatter),
+                             damp=damp, iter_lim=40, resume_from=path)
+        assert resumed.itn > 7
+        _assert_member_equal(resumed, batched[j], rtol=rtol)
+
+
+def test_batched_workspace_bytes_is_what_the_engine_holds(small_system):
+    op = _operator(small_system, "fused", "sorted_segment", batch_hint=3)
+    engine = BatchedLSQRStepEngine(op, batch=3)
+    held = sum(a.nbytes for a in vars(engine).values()
+               if isinstance(a, np.ndarray))
+    assert held > 0 and op.plan.workspace_nbytes > 0
+    assert engine.workspace_bytes == held + op.plan.workspace_nbytes
 
 
 def test_batched_engine_rejects_bad_shapes(small_system):
@@ -324,6 +367,20 @@ def test_batch_incompatibility_names_the_offending_field(
 
     with pytest.raises(ValueError, match="cannot solve as one batch"):
         solve_batch([base, dataclasses.replace(base, atol=1e-6)])
+
+
+def test_a_resuming_request_never_rides_in_a_batch(small_system):
+    """``solve`` honours ``resume_from`` (here: fails on the missing
+    archive); a batch always starts cold, so it must refuse the request
+    rather than silently drop the field."""
+    base = SolveRequest(system=small_system, iter_lim=20)
+    resumed = dataclasses.replace(base, resume_from="/nonexistent.npz")
+    with pytest.raises(FileNotFoundError):
+        solve(resumed)
+    assert batch_incompatibility([base, resumed]) == \
+        "requests[1] resumes a checkpoint"
+    with pytest.raises(ValueError, match="resumes a checkpoint"):
+        solve_batch([resumed, base])
 
 
 def test_lsqr_solve_batch_validates_b(small_system):

@@ -216,6 +216,24 @@ def test_differing_matrix_never_fuses():
                for o in report.completed)
 
 
+def test_a_resuming_job_is_not_fused(tmp_path):
+    """A fused batch starts every member cold, so fusing a request
+    that carries ``resume_from`` would silently drop it."""
+    ckpt = tmp_path / "state.npz"
+    solve(SolveRequest(system=_variant(2), iter_lim=5, strategy="classic",
+                       checkpoint_every=5, checkpoint_path=ckpt))
+    resuming = _job("b", variant=2, resume_from=ckpt)
+    assert not resuming.fusible
+    tel = Telemetry()
+    _, report = _run([_job("a", variant=1), resuming], tel=tel)
+    assert tel.counter("serve.fusion.batches").value == 0
+    (resumed,) = [o.report for o in report.completed
+                  if o.job.job_id == "b"]
+    straight = solve(_job("c", variant=2).request)
+    assert resumed.itn == straight.itn
+    np.testing.assert_array_equal(resumed.x, straight.x)
+
+
 def test_unfusible_jobs_pass_through_solo():
     tel = Telemetry()
     jobs = [_job("a", variant=1),

@@ -319,6 +319,48 @@ def test_process_backend_bitwise_identical_to_thread():
     assert active_segments() == []
 
 
+def test_every_report_field_but_raw_survives_the_process_boundary():
+    """The reply crosses as the dataclass it is: whatever the driver
+    put on a ``SolveReport`` the thread backend delivers, the process
+    backend delivers too (``raw``, the driver's own result object,
+    stays in the worker)."""
+    from repro.api import ResilienceConfig
+
+    system = _small_system()
+
+    def reports(backend):
+        jobs = [ServeJob(request=SolveRequest(
+                    system=system, iter_lim=12, job_id=job_id, **kwargs),
+                    nominal_gb=10.0, job_id=job_id)
+                for job_id, kwargs in (
+                    ("serial", {}),
+                    ("chaos", dict(ranks=2, resilience=ResilienceConfig())))]
+        done = _sched(backend, workers=1, drain_timeout=120.0).run(jobs)
+        return {o.job.job_id: o.report for o in done.completed}
+
+    thread, proc = reports("thread"), reports("process")
+    crossed = set()
+    for job_id, want in thread.items():
+        got = proc[job_id]
+        assert want.raw is not None and got.raw is None
+        for f in dataclasses.fields(SolveReport):
+            a, b = getattr(want, f.name), getattr(got, f.name)
+            if f.name in ("raw", "placement"):
+                continue  # placement is stamped parent-side, with waits
+            if f.name == "mean_iteration_time":
+                assert a > 0 and b > 0  # wall clock: present, not equal
+            elif isinstance(a, np.ndarray):
+                np.testing.assert_array_equal(b, a)
+            else:
+                assert b == a, (job_id, f.name)
+            if b is not None:
+                crossed.add(f.name)
+    # warm_start needs a session store; every other field was exercised
+    assert crossed == {f.name for f in dataclasses.fields(SolveReport)
+                       } - {"raw", "placement", "warm_start"}
+    assert active_segments() == []
+
+
 def test_process_backend_inline_fallback_for_injected_solve_fn():
     def stub(request):
         return SolveReport(x=np.zeros(3), stop=StopReason.ATOL_BTOL,
