@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-obs telemetry-smoke chaos-smoke bench-engine bench-aprod bench-aprod-smoke serve-smoke serve-mp-smoke serve-bench bench-batch-smoke tune-smoke tune-bench gang-smoke sessions-smoke sessions-bench
+.PHONY: test test-obs telemetry-smoke chaos-smoke bench-engine serve-smoke serve-mp-smoke serve-bench bench-batch-smoke tune-smoke tune-bench gang-smoke sessions-smoke sessions-bench
 
 # The full tier-1 suite (ROADMAP.md's verify command).
 test:
@@ -33,16 +33,6 @@ chaos-smoke:
 # and loop allocations, engine vs the pre-refactor loop body.
 bench-engine:
 	$(PYTHON) benchmarks/bench_engine.py --output BENCH_engine.json
-
-# Fused aprod plan vs the seed four-kernel path: iterations/sec,
-# hot-loop allocations, allclose + bitwise-determinism checks.
-bench-aprod:
-	$(PYTHON) benchmarks/bench_aprod_plan.py --output BENCH_aprod.json
-
-# CI-sized variant: tiny system, asserts fused >= baseline and zero
-# kernel allocations (nonzero exit on violation).
-bench-aprod-smoke:
-	$(PYTHON) benchmarks/bench_aprod_plan.py --smoke --output BENCH_aprod_smoke.json
 
 # Serving-layer smoke (< 30 s): the example scenario end to end via
 # the CLI, then the CI-sized throughput bench with its invariants

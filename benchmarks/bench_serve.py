@@ -25,13 +25,17 @@ speedup more exposed to scheduler overhead and machine noise).
 (``distinct_systems=1, rhs_variants=K``) run twice through a
 single-worker, cache-less scheduler: once per-job (``max_fuse=1``)
 and once fused (``max_fuse=K``), so the only difference is the
-batched many-RHS engine.  At K=8 the fused path must clear **3x**
-the per-job jobs/s -- the win is the engine's shared-read SpMM pass
-plus one plan/preconditioner build per batch instead of per job --
-while demultiplexing **bitwise** what a direct
-:func:`repro.api.solve_batch` of the same members produces, with
-every member's solution matching its solo solve to the batched
-kernel contract (rtol 1e-9; observed ulp-level).  ``make
+batched many-RHS engine.  Both paths apply the same compiled CSR
+matrix, so the ratio prices fusion alone: one matrix read per product
+for the whole batch, and one plan/preconditioner build per batch
+instead of per job.  At K=8 that reads 1.6-1.9x on the 2-vCPU
+reference host (five runs: per-job 10.9-12.2 jobs/s, fused 18.4-20.3
+jobs/s) and the bar is **1.2x**.  (The 3x bar this replaced was
+cleared, at 3.5x, only while the per-job path ran the slower emulated
+products and the K=8 batch already ran CSR: it measured the kernel
+gap.)  The fused run must demultiplex **bitwise** what a direct
+:func:`repro.api.solve_batch` of the same members produces, and
+every member must be **bitwise** its solo solve.  ``make
 bench-batch-smoke`` (``--batch-smoke``) runs the K=4 CI version at a
 >1x bar.
 
@@ -241,7 +245,7 @@ def run_bench(spec: LoadSpec, *, workers: int = 4,
 
 
 def run_fusion_bench(spec: LoadSpec, *, k: int,
-                     min_speedup: float = 3.0) -> dict:
+                     min_speedup: float = 1.2) -> dict:
     """E36: fused (``max_fuse=k``) vs per-job scheduling, same stream.
 
     Both runs use one worker and no cache, so fusion is the only
@@ -279,19 +283,13 @@ def run_fusion_bench(spec: LoadSpec, *, k: int,
             if not np.array_equal(served[job_id].x, ref.x):
                 demux_mismatches.append(job_id)
 
-    # -- solution quality: every member matches its solo solve to the
-    # batched-kernel contract (rtol 1e-9, same istop, itn within 1).
-    worst_rel = 0.0
-    istop_mismatches, itn_drift = [], []
-    for job_id, ref in solo.items():
-        got = served[job_id]
-        denom = float(np.max(np.abs(ref.x))) or 1.0
-        rel = float(np.max(np.abs(got.x - ref.x))) / denom
-        worst_rel = max(worst_rel, rel)
-        if got.stop != ref.stop:
-            istop_mismatches.append(job_id)
-        if abs(got.itn - ref.itn) > 1:
-            itn_drift.append(job_id)
+    # -- solution quality: every member is bitwise its solo solve
+    # (solution, stop reason and iteration count).
+    solo_mismatches = [
+        job_id for job_id, ref in solo.items()
+        if not (np.array_equal(served[job_id].x, ref.x)
+                and served[job_id].stop == ref.stop
+                and served[job_id].itn == ref.itn)]
 
     n_batches = len(batches)
     fused_members = sum(len(m) for m in batches.values())
@@ -325,17 +323,13 @@ def run_fusion_bench(spec: LoadSpec, *, k: int,
                 fused_tel.counter("serve.fusion.fallback").value),
         },
         "demux_mismatches": demux_mismatches,
-        "worst_rel_error_vs_solo": worst_rel,
-        "istop_mismatches": istop_mismatches,
-        "itn_drift_gt_1": itn_drift,
+        "solo_mismatches": solo_mismatches,
     }
     doc["passed"] = (speedup >= min_speedup
                      and n_batches >= 1
                      and fused_members == spec.n_jobs
                      and not demux_mismatches
-                     and worst_rel <= 1e-9
-                     and not istop_mismatches
-                     and not itn_drift
+                     and not solo_mismatches
                      and len(fused_report.completed) == spec.n_jobs)
     return doc
 
@@ -629,8 +623,8 @@ def _print_fusion(doc: dict, label: str = "fusion") -> None:
           f"{doc['fused_batches']} batch(es) of "
           f"{doc['workload']['max_fuse']} max")
     print(f"{label}: demux mismatches: "
-          f"{doc['demux_mismatches'] or 'none'}; worst member error "
-          f"vs solo: {doc['worst_rel_error_vs_solo']:.2e}")
+          f"{doc['demux_mismatches'] or 'none'}; members not bitwise "
+          f"their solo solve: {doc['solo_mismatches'] or 'none'}")
 
 
 def main(argv=None) -> int:
@@ -680,8 +674,7 @@ def main(argv=None) -> int:
     doc = run_bench(spec, workers=args.workers,
                     min_speedup=min_speedup)
     if not args.smoke:
-        doc["fusion"] = run_fusion_bench(FUSION_SPEC, k=8,
-                                         min_speedup=3.0)
+        doc["fusion"] = run_fusion_bench(FUSION_SPEC, k=8)
         doc["sustained"] = run_sustained_bench(SUSTAINED_SPEC,
                                                workers=args.workers)
         doc["gang"] = run_gang_bench(**GANG_SPEC)
@@ -727,8 +720,7 @@ def test_serve_fusion_smoke(results_dir):
     doc = run_fusion_bench(FUSION_SMOKE_SPEC, k=4, min_speedup=1.0)
     assert doc["fused_batches"] >= 1
     assert not doc["demux_mismatches"]
-    assert not doc["istop_mismatches"]
-    assert doc["worst_rel_error_vs_solo"] <= 1e-9
+    assert not doc["solo_mismatches"]
     (results_dir / "batch_smoke.json").write_text(
         json.dumps(doc, indent=2))
 

@@ -53,9 +53,9 @@ from repro.system.sparse import GaiaSystem
 
 #: ``SolveRequest.strategy`` presets mapped to the kernel strategy
 #: pair ``(gather, scatter)`` of :class:`~repro.core.aprod.
-#: AprodOperator`.  ``fused`` is the packed-plan fast path (one fused
-#: gather kernel, deterministic sorted-segment scatter); ``classic``
-#: is the four-kernel production-style path.
+#: AprodOperator`.  ``fused`` is the compiled-plan fast path (one CSR
+#: product each way); ``classic`` is the four-kernel production-style
+#: path.
 STRATEGY_PRESETS: dict[str, tuple[str, str]] = {
     "auto": ("auto", "auto"),
     "fused": ("fused", "sorted_segment"),
@@ -606,10 +606,9 @@ def solve_batch(requests: "list[SolveRequest] | tuple[SolveRequest, ...]"
     :func:`batch_incompatibility`; they may differ in rhs, ``damp``,
     ``seed``, ``x0`` and ``job_id``.  One
     :class:`~repro.core.engine.BatchedLSQRStepEngine` then advances
-    all members per iteration, and each member's report matches the
-    report ``solve`` would have produced for it alone (bitwise on the
-    classic kernel path, rtol 1e-12 on the fused plan path), in
-    request order.
+    all members per iteration, and each member's report is bitwise
+    the report ``solve`` would have produced for it alone, on every
+    kernel preset, in request order.
     """
     reason = batch_incompatibility(requests)
     if reason is not None:

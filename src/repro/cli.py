@@ -569,9 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--strategy", default="auto",
                    choices=("auto", "fused", "classic"),
                    help="kernel strategy preset (auto = shape "
-                        "heuristic; fused = packed-plan gather + "
-                        "sorted-segment scatter; classic = four-kernel "
-                        "production-style path)")
+                        "heuristic; fused = the compiled CSR matrix; "
+                        "classic = four-kernel production-style path)")
     s.add_argument("--ranks", type=int, default=1,
                    help="run the distributed driver on N simulated "
                         "MPI ranks (same step engine, same stopping "

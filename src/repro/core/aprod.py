@@ -7,20 +7,20 @@
 
 each executed as four per-submatrix kernels.  :class:`AprodOperator`
 binds a :class:`~repro.system.GaiaSystem` to a choice of kernel
-strategies, holds the reconstructed column indices once (in the plan's
-packed block when it compiles one), handles the
+strategies, holds the matrix in the one form those strategies read
+(the reconstructed block columns, or the compiled matrix), handles the
 constraint rows appended below the observation block, and optionally
 reports per-kernel work to a profiler hook (the Python analogue of
 running under ``nsys``/``rocprof``).
 
 Beyond the four-kernel reference path, the operator can compile the
-system into a fused :class:`~repro.core.kernels.plan.AprodPlan`
+system into an :class:`~repro.core.kernels.plan.AprodPlan`
 (``gather_strategy="fused"`` / ``scatter_strategy="sorted_segment"``):
-one packed gather pass for ``aprod1`` and one deterministic sorted
-segment reduction for ``aprod2``, with every workspace preallocated at
-plan-build time.  ``"auto"`` resolves the strategies from the system
-shape via :func:`~repro.core.kernels.plan.select_strategies` -- the
-host analogue of the paper's per-platform kernel tuning.
+``A_obs`` as one SciPy CSR matrix, applied both ways through the
+library's own kernels, solo and ``K``-wide alike.  ``"auto"`` resolves
+the strategies from the system shape via
+:func:`~repro.core.kernels.plan.select_strategies` -- the host
+analogue of the paper's per-platform kernel tuning.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.core.kernels import instr as k_instr
 from repro.core.kernels.gather_scatter import column_sq_norms
 from repro.core.kernels.plan import (
     FUSED_GATHER,
-    FUSED_MIN_OBS,
     SORTED_SEGMENT_SCATTER,
     AprodPlan,
     select_strategies,
@@ -51,20 +50,11 @@ KERNEL_NAMES = (
     "aprod2_astro", "aprod2_att", "aprod2_instr", "aprod2_glob",
 )
 
-#: Kernel names of the fused plan path (one kernel per direction).
+#: Kernel names of the compiled plan path (one kernel per direction).
 FUSED_KERNEL_NAMES = ("aprod1_fused", "aprod2_fused")
 
 #: Hook signature: (kernel_name, rows, nnz) -> None.
 KernelHook = Callable[[str, int, int], None]
-
-#: Minimum batch width at which ``batch_kernel="auto"`` switches the
-#: batched products to the CSR SpMM pass: below this the einsum plan
-#: kernels amortize enough, and the narrower the batch the less the
-#: shared matrix read buys.
-SPMM_MIN_BATCH = 4
-
-#: Valid ``batch_kernel`` settings.
-BATCH_KERNELS = ("auto", "spmm", "einsum")
 
 
 class AprodOperator:
@@ -77,15 +67,15 @@ class AprodOperator:
     gather_strategy:
         Strategy for all ``aprod1`` kernels (see
         :data:`~repro.core.kernels.GATHER_STRATEGIES`), plus
-        ``"fused"`` (the packed single-pass plan kernel) and
+        ``"fused"`` (the compiled plan's CSR product) and
         ``"auto"`` (shape heuristic; the default).
     scatter_strategy:
         Strategy for the colliding ``aprod2`` kernels (attitude and
         instrumental; see
         :data:`~repro.core.kernels.SCATTER_STRATEGIES`), plus
         ``"sorted_segment"`` (the whole transpose product as one
-        collision-free, bitwise-deterministic segment reduction) and
-        ``"auto"``.
+        collision-free, bitwise-deterministic product with the
+        compiled matrix) and ``"auto"``.
     astro_scatter_strategy:
         Strategy for the astrometric ``aprod2`` kernel; defaults to the
         collision-free ``bincount`` reduction and accepts the
@@ -94,21 +84,10 @@ class AprodOperator:
     batch_hint:
         Intended trailing batch width of the callers (1 = single
         solve).  Only consulted by the ``"auto"`` strategy resolution:
-        the fused plan's per-member workspaces multiply by the batch
-        width, so a batched caller may resolve to the cache-blocked
-        kernels where a solo caller would fuse (see
+        a stacked product allocates its operand and result columns per
+        member, so a wide enough batch may resolve to the cache-blocked
+        kernels where a solo caller would compile a plan (see
         :func:`~repro.core.kernels.plan.select_strategies`).
-    batch_kernel:
-        How :meth:`aprod1_batch` / :meth:`aprod2_batch` execute:
-        ``"auto"`` (default) routes batches of
-        :data:`SPMM_MIN_BATCH`-plus members on the fused path at
-        production-like sizes through one CSR SpMM pass -- the shared
-        matrix read is the whole point of a many-RHS sweep -- and
-        keeps the einsum plan kernels otherwise; ``"spmm"`` /
-        ``"einsum"`` force the choice.  SpMM summation order differs
-        from the plan kernels at the reassociation level, so it only
-        engages where the equivalence contract is already rtol-pinned
-        (never on the bitwise classic presets).
     kernel_hook:
         Optional callable invoked after each kernel with
         ``(name, rows, nnz)``.
@@ -129,20 +108,13 @@ class AprodOperator:
         scatter_strategy: str = "auto",
         astro_scatter_strategy: str = "auto",
         batch_hint: int = 1,
-        batch_kernel: str = "auto",
         kernel_hook: KernelHook | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.system = system
         if batch_hint < 1:
             raise ValueError(f"batch_hint must be >= 1, got {batch_hint}")
-        if batch_kernel not in BATCH_KERNELS:
-            raise ValueError(
-                f"unknown batch_kernel {batch_kernel!r}; expected one "
-                f"of {BATCH_KERNELS}"
-            )
         self.batch_hint = batch_hint
-        self.batch_kernel = batch_kernel
         if "auto" in (gather_strategy, scatter_strategy,
                       astro_scatter_strategy):
             selection = select_strategies(system.dims, batch=batch_hint)
@@ -171,15 +143,13 @@ class AprodOperator:
                 )
 
         d = system.dims
-        # Column caches: derived once, reused every iteration (the GPU
-        # ports keep the index arrays device-resident for the same
-        # reason).  A compiled plan already packed them: a mixed
-        # strategy reads its per-block columns as slices of that block,
-        # never a second derivation.
-        if self._plan is not None:
-            (self._astro_cols, self._att_cols,
-             self._instr_cols) = self._plan.block_columns()
-        else:
+        # Column caches of the block kernels: derived once, reused every
+        # iteration (the GPU ports keep the index arrays device-resident
+        # for the same reason).  An operator that runs both products
+        # through its plan has no block kernel to feed and holds the
+        # matrix once, compiled.
+        if (gather_strategy != FUSED_GATHER
+                or scatter_strategy != SORTED_SEGMENT_SCATTER):
             self._astro_cols = k_astro.columns(system.matrix_index_astro)
             self._att_cols = k_att.columns(
                 system.matrix_index_att, d.att_stride, d.att_offset
@@ -187,25 +157,6 @@ class AprodOperator:
             self._instr_cols = k_instr.columns(system.instr_col,
                                                d.instr_offset)
         self._glob_col = d.glob_offset if d.n_glob_params else -1
-
-        # The SpMM decision is fixed per operator (by the *intended*
-        # batch width, not the per-call active count), so one batched
-        # solve runs the same kernel for its whole trajectory however
-        # convergence staggers.  ``"auto"`` takes the SpMM pass only on
-        # the fused (rtol-pinned) path: the classic presets keep their
-        # bitwise per-member guarantee at every size.
-        if batch_kernel == "spmm":
-            self._batch_spmm = True
-        elif batch_kernel == "einsum":
-            self._batch_spmm = False
-        else:
-            self._batch_spmm = (
-                (gather_strategy == FUSED_GATHER
-                 or scatter_strategy == SORTED_SEGMENT_SCATTER)
-                and batch_hint >= SPMM_MIN_BATCH
-                and system.dims.n_obs >= FUSED_MIN_OBS
-            )
-        self._csr = None  # lazy (A, A^T) pair for the SpMM pass
 
     # ------------------------------------------------------------------
     @property
@@ -215,22 +166,8 @@ class AprodOperator:
 
     @property
     def plan(self) -> AprodPlan | None:
-        """The compiled fused plan, if either strategy routes through one."""
+        """The compiled plan, if either strategy routes through one."""
         return self._plan
-
-    def _spmm_csr(self):
-        """The lazily built ``(A, A^T)`` CSR pair of the SpMM pass.
-
-        One sparse matrix-times-multiple-vectors product reads the
-        coefficients once for the whole batch -- the block-Krylov
-        amortization a per-member loop (or a per-member einsum plane)
-        cannot get.  Constraint rows are part of the CSR, so the SpMM
-        branches skip the per-member constraint loops too.
-        """
-        if self._csr is None:
-            a = self.system.to_scipy_csr()
-            self._csr = (a, a.T.tocsr())
-        return self._csr
 
     def _emit(self, name: str, rows: int, nnz: int) -> None:
         if self.kernel_hook is not None:
@@ -288,9 +225,9 @@ class AprodOperator:
 
         Returns the (n_params,) accumulator; allocates it when ``out``
         is None.  With ``scatter_strategy="sorted_segment"`` the whole
-        observation block reduces in one deterministic pass whose
-        summation order is frozen at plan-build time, so repeated
-        applications are bitwise identical.
+        observation block reduces in one CSR product whose summation
+        order is frozen at plan-build time, so repeated applications
+        are bitwise identical.
         """
         sysm = self.system
         d = sysm.dims
@@ -337,12 +274,10 @@ class AprodOperator:
 
         ``X`` is ``(K, n_params)`` batch-major; returns the
         ``(K, n_rows)`` accumulator (allocated when ``out`` is None).
-        On the SpMM path (see ``batch_kernel``) one CSR product reads
-        the matrix once for the whole batch; the fused plan advances
-        all members in one packed gather/einsum pass; any other
-        strategy falls back to a per-member loop through
-        :meth:`aprod1`, so member ``j`` is always exactly
-        ``aprod1(X[j])``.
+        The compiled plan reads the matrix once for the whole batch
+        (one CSR product over the stacked operand); any other strategy
+        loops per member through :meth:`aprod1`.  Either way member
+        ``j`` is bitwise ``aprod1(X[j])``.
         """
         sysm = self.system
         d = sysm.dims
@@ -358,11 +293,7 @@ class AprodOperator:
                 f"out has shape {out.shape}, expected "
                 f"({k}, {sysm.n_rows})"
             )
-        if self._batch_spmm:
-            a, _ = self._spmm_csr()
-            out += (a @ np.ascontiguousarray(X.T)).T
-            self._emit("aprod1_spmm", k * sysm.n_rows, k * a.nnz)
-        elif self.gather_strategy == FUSED_GATHER:
+        if self.gather_strategy == FUSED_GATHER:
             plan = self._plan
             assert plan is not None
             plan.aprod1_batch(X, out[:, : d.n_obs])
@@ -382,10 +313,10 @@ class AprodOperator:
         """``out[j] += A.T @ Y[j]`` for a stacked batch of row vectors.
 
         ``Y`` is ``(K, n_rows)``; returns the ``(K, n_params)``
-        accumulator.  The sorted-segment plan reduces all members in
-        one batched ``reduceat`` pass with the build-time summation
-        order, so member ``j`` is bitwise ``aprod2(Y[j])``; other
-        strategies loop per member.
+        accumulator.  The compiled plan reduces all members in one
+        CSR product with the build-time summation order; other
+        strategies loop per member.  Either way member ``j`` is bitwise
+        ``aprod2(Y[j])``.
         """
         sysm = self.system
         d = sysm.dims
@@ -401,11 +332,7 @@ class AprodOperator:
                 f"out has shape {out.shape}, expected "
                 f"({k}, {d.n_params})"
             )
-        if self._batch_spmm:
-            _, at = self._spmm_csr()
-            out += (at @ np.ascontiguousarray(Y.T)).T
-            self._emit("aprod2_spmm", k * d.n_params, k * at.nnz)
-        elif self.scatter_strategy == SORTED_SEGMENT_SCATTER:
+        if self.scatter_strategy == SORTED_SEGMENT_SCATTER:
             plan = self._plan
             assert plan is not None
             plan.aprod2_batch(Y[:, : d.n_obs], out)

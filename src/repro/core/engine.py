@@ -458,11 +458,7 @@ class LSQRStepEngine:
         self._dampsq = damp * damp
         n = op.shape[1]
         # Hot-loop workspaces, allocated once: the loop itself performs
-        # no array allocations.  The same guarantee extends into the
-        # kernels when `op` runs a fused AprodPlan (the "fused" /
-        # "sorted_segment" strategies), making the whole iteration
-        # allocation-free -- bench_aprod_plan.py pins this with a
-        # tracemalloc probe.
+        # no array allocations (each product allocates its result).
         self._dk = np.empty(n)
         self._tmp = np.empty(n)
 
@@ -669,9 +665,9 @@ class BatchedLSQRStepEngine:
     per-row ``np.dot`` norms and broadcast row scaling that are
     elementwise the serial operations.  Each running member then goes
     through :func:`_update`, the serial engine's own recurrence, on its
-    row views.  That makes the classic kernel path bitwise the serial
-    solve and the fused path reassociation-only (the batched einsum
-    contracts in another order: rtol ~ 1e-15 observed, pinned at 1e-12).
+    row views.  Member ``j`` of either batched product is bitwise the
+    single product, so a batch member is bitwise its serial solve on
+    every kernel preset.
 
     Per-member stopping is therefore the serial rules; on top of them
     a member whose recurrence went non-finite (e.g. a fault injected

@@ -23,16 +23,16 @@ Scatter strategies and their GPU analogues:
                     collision-free reduction tree
 ``sorted``          ``np.add.reduceat`` over pre-sorted keys (astro
                     only)
-``sorted_segment``  whole-matrix ``np.add.reduceat`` over a plan-built
-                    column order (:mod:`~repro.core.kernels.plan`,
-                    one counting-sort pass) -- collision-free *and*
-                    bitwise deterministic
+``sorted_segment``  whole-matrix transpose product with the plan's one
+                    CSR matrix (:mod:`~repro.core.kernels.plan`,
+                    each column summed in row-major order) --
+                    collision-free *and* bitwise deterministic
 ``loop``            pure-Python reference used to validate the others
 ==================  ===================================================
 
-:mod:`repro.core.kernels.plan` compiles a whole system into a fused
-execution plan (packed gather for ``aprod1``, the sort-segment scatter
-for ``aprod2``, preallocated workspaces) -- the tuned hot path the
+:mod:`repro.core.kernels.plan` compiles a whole system into one
+SciPy CSR matrix (``A_obs``, applied as it is for ``aprod1`` and
+through its transpose view for ``aprod2``) -- the tuned hot path the
 ``"auto"`` strategy selection targets.
 """
 
@@ -44,9 +44,7 @@ from repro.core.kernels.gather_scatter import (
 )
 from repro.core.kernels.plan import (
     AprodPlan,
-    SortedSegmentScatter,
     StrategySelection,
-    fused_gather_dot,
     select_strategies,
 )
 from repro.core.kernels import astro, att, glob, instr
@@ -57,9 +55,7 @@ __all__ = [
     "gather_dot",
     "scatter_add",
     "AprodPlan",
-    "SortedSegmentScatter",
     "StrategySelection",
-    "fused_gather_dot",
     "select_strategies",
     "astro",
     "att",

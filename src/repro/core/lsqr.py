@@ -3,8 +3,9 @@
 A faithful implementation of Paige & Saunders' LSQR (refs [20], [21]
 of the paper: ACM TOMS 1982a/b) with the AVU-GSR customizations:
 
-- the matrix products are the structured ``aprod1`` / ``aprod2``
-  kernels (never a materialized sparse matrix);
+- the matrix products are the ``aprod1`` / ``aprod2`` of an
+  :class:`~repro.core.aprod.AprodOperator`: the paper's four
+  structured block kernels, or one compiled CSR matrix;
 - columns are equilibrated by the Jacobi right-preconditioner
   (:mod:`repro.core.precond`);
 - constraint rows ride below the observation block;
@@ -297,21 +298,18 @@ def lsqr_solve_batch(
     member per iteration with one batched ``aprod`` pass each way, and
     members that converge early freeze (their own ``itn``/``istop``)
     while the rest keep iterating.  Member ``j``'s result matches
-    ``lsqr_solve(system_with_b_j, damp=damps[j], ...)`` to the pinned
-    equivalence contract of ``tests/test_engine_batch.py``: bitwise on
-    the classic kernel path, rtol 1e-12 on the fused plan path (where
-    the einsum contraction order may differ).
+    ``lsqr_solve(system_with_b_j, damp=damps[j], ...)`` bitwise, on
+    every kernel preset (``tests/test_engine_batch.py``).
 
     Parameters
     ----------
     system:
         The shared matrix: a :class:`~repro.system.GaiaSystem`
-        (compiled with ``batch_hint=K``, so the fused plan's batched
-        workspaces count against the plan budget and a batched caller
-        may resolve classic where a solo caller would fuse), an
+        (compiled with ``batch_hint=K``, so the columns a stacked
+        product allocates count against the plan budget), an
         :class:`~repro.core.aprod.AprodOperator` built with the
-        caller's own strategies / ``batch_hint`` / ``batch_kernel``,
-        or any :class:`~repro.core.engine.BatchedAprod` operator.
+        caller's own strategies / ``batch_hint``, or any
+        :class:`~repro.core.engine.BatchedAprod` operator.
         Unlike the single-solve driver the stacked right-hand sides
         are always explicit -- many RHS over one matrix is the whole
         point.

@@ -97,9 +97,8 @@ class PreconditionedAprod:
 
     Both directions run through two preallocated unknown-space
     workspaces (the scaled input of ``aprod1``, the unscaled transpose
-    product of ``aprod2``), so wrapping an allocation-free operator --
-    e.g. one running a fused :class:`~repro.core.kernels.plan.
-    AprodPlan` -- keeps the LSQR hot loop allocation-free end to end.
+    product of ``aprod2``), so the wrapper adds no allocation to the
+    products it wraps.
     """
 
     def __init__(self, op: AprodOperator, scaling: ColumnScaling) -> None:

@@ -9,10 +9,9 @@ the compiler default.
 
 :func:`tune_host_kernels` is the same idea turned on the *host*
 reproduction: given only the system shape it selects the aprod kernel
-strategies (classic four-kernel, fused plan, or cache-blocked) via
+strategies (classic four-kernel, compiled plan, or cache-blocked) via
 :func:`repro.core.kernels.plan.select_strategies` and reports the
-modeled memory traffic of the classic vs. fused hot paths -- the
-quantity the fused plan actually optimizes.
+memory the compiled plan would hold.
 
 Both sweeps are one-shot: called with explicit dims, they answer for
 exactly that shape.  The *online* layer on top of them lives in
@@ -182,28 +181,14 @@ def tune_port(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class HostTuningResult:
-    """Shape-driven host strategy selection plus its traffic model.
+    """Shape-driven host strategy selection plus the plan's footprint.
 
-    ``classic_bytes_per_iter`` counts the per-iteration heap traffic
-    of the four-kernel path (the fancy-index gathers, einsum results
-    and full-width bincount buffers all allocated fresh each call);
-    ``fused_bytes_per_iter`` counts the bytes the fused plan streams
-    through its *preallocated* workspaces instead.  The ratio is the
-    modeled allocation-traffic saving, not a wall-clock prediction --
-    ``benchmarks/bench_aprod_plan.py`` measures the latter.
+    Measured seconds and computed GB/s of either kernel family are
+    ``bench/``'s ``aprod.aprod{1,2}_s`` / ``aprod.aprod{1,2}_gbs``.
     """
 
     selection: StrategySelection
     plan_workspace_bytes: int
-    classic_bytes_per_iter: int
-    fused_bytes_per_iter: int
-
-    @property
-    def traffic_ratio(self) -> float:
-        """classic / fused per-iteration allocation traffic."""
-        if self.fused_bytes_per_iter == 0:
-            return 1.0
-        return self.classic_bytes_per_iter / self.fused_bytes_per_iter
 
 
 def tune_host_kernels(dims: SystemDims) -> HostTuningResult:
@@ -211,25 +196,9 @@ def tune_host_kernels(dims: SystemDims) -> HostTuningResult:
 
     The decision itself is :func:`repro.core.kernels.plan.
     select_strategies` (so ``AprodOperator(..., "auto")`` and this
-    report can never disagree); this wrapper adds the memory-traffic
-    accounting that motivates it.
+    report can never disagree).
     """
-    nnz = dims.nnz
-    m = dims.n_obs
-    n = dims.n_params
-    # Four-kernel path, per iteration: aprod1 gathers x[cols] (nnz
-    # doubles) and allocates one einsum row-result per submatrix
-    # (3 m); aprod2 materializes the contribution products (nnz) and
-    # one full-parameter-width bincount buffer per colliding kernel
-    # (3 n) -- every one of these is a fresh heap allocation.
-    classic = (nnz + 3 * m) * 8 + (nnz + 3 * n) * 8
-    # Fused plan, per iteration: one packed gather + multiply + row
-    # reduction (nnz + m) and one contribution gather + segment
-    # reduction (nnz + n), all into preallocated workspaces.
-    fused = (nnz + m) * 8 + (nnz + n) * 8
     return HostTuningResult(
         selection=select_strategies(dims),
         plan_workspace_bytes=plan_workspace_bytes(dims),
-        classic_bytes_per_iter=classic,
-        fused_bytes_per_iter=fused,
     )

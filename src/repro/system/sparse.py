@@ -192,38 +192,55 @@ class GaiaSystem:
         return out
 
     # ------------------------------------------------------------------
-    # Conversions (test / cross-check paths; not used by the solver)
+    # Conversions
     # ------------------------------------------------------------------
-    def to_scipy_csr(self) -> "scipy.sparse.csr_matrix":
-        """Expand to a SciPy CSR matrix, including constraint rows.
+    def observation_csr(self) -> "scipy.sparse.csr_matrix":
+        """The observation block as a SciPy CSR matrix, ``(n_obs, n_params)``.
 
-        Intended for correctness cross-checks on small systems; the
-        solver itself never materializes this.
+        The one place the four coefficient blocks are packed into a
+        single stream: every row lists its astrometric, attitude,
+        instrumental and (when present) global coefficients in that
+        order, left to right.  The matrix is handed over as packed --
+        never canonicalized -- so that order is the summation order of
+        every product taken with it; SciPy picks the index dtype
+        (int32 below 2**31 coefficients).
         """
         import scipy.sparse as sp
 
         d = self.dims
         m = d.n_obs
         per_row = d.nnz_per_row
+        a_end = ASTRO_PARAMS_PER_STAR
+        t_end = a_end + ATT_PARAMS_PER_ROW
+        i_end = t_end + INSTR_PARAMS_PER_ROW
         cols = np.empty((m, per_row), dtype=np.int64)
         vals = np.empty((m, per_row), dtype=np.float64)
-        cols[:, :5] = self.astro_columns()
-        vals[:, :5] = self.astro_values
-        cols[:, 5:17] = self.att_columns()
-        vals[:, 5:17] = self.att_values
-        cols[:, 17:23] = self.instr_columns()
-        vals[:, 17:23] = self.instr_values
+        cols[:, :a_end] = self.astro_columns()
+        vals[:, :a_end] = self.astro_values
+        cols[:, a_end:t_end] = self.att_columns()
+        vals[:, a_end:t_end] = self.att_values
+        cols[:, t_end:i_end] = self.instr_columns()
+        vals[:, t_end:i_end] = self.instr_values
         if d.n_glob_params:
-            cols[:, 23] = d.glob_offset
-            vals[:, 23] = self.glob_values[:, 0]
+            cols[:, i_end] = d.glob_offset
+            vals[:, i_end] = self.glob_values[:, 0]
         indptr = np.arange(0, (m + 1) * per_row, per_row, dtype=np.int64)
-        obs = sp.csr_matrix(
-            (vals.ravel(), cols.ravel(), indptr), shape=(m, d.n_params)
+        return sp.csr_matrix(
+            (vals.reshape(-1), cols.reshape(-1), indptr),
+            shape=(m, d.n_params),
         )
+
+    def to_scipy_csr(self) -> "scipy.sparse.csr_matrix":
+        """The whole matrix as SciPy CSR: observation block, then the
+        constraint rows."""
+        import scipy.sparse as sp
+
+        obs = self.observation_csr()
         if self.constraints is None or len(self.constraints) == 0:
             return obs
-        return sp.vstack([obs, self.constraints.to_scipy_csr(d.n_params)],
-                         format="csr")
+        return sp.vstack(
+            [obs, self.constraints.to_scipy_csr(self.dims.n_params)],
+            format="csr")
 
     def to_dense(self) -> np.ndarray:
         """Expand to a dense ndarray (small systems only)."""

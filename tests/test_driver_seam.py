@@ -10,14 +10,16 @@ with one serializer (``EngineState.save`` / ``.load``).  The AST
 checks keep that structure
 from drifting back; the plan-build count shows what it buys (an R-rank
 solve compiles R plans, not R+1).  Each of those builds is one
-counting-sort pass that holds the column block once -- guarded on the
-source and on the heap.
+counting-sort pass, and the compiled pair is the only form of the
+matrix a fused operator ever holds -- guarded on the source and on the
+heap.
 """
 
 import ast
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import ResilienceConfig, SolveRequest, solve
@@ -34,7 +36,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: Options that configure ``AprodOperator`` (or, for ``link_cost``,
 #: nothing at all) and must not reappear on a driver signature.
 OPERATOR_OPTIONS = {"gather_strategy", "scatter_strategy",
-                    "astro_scatter_strategy", "batch_kernel", "link_cost"}
+                    "astro_scatter_strategy", "link_cost"}
 
 
 def _trees():
@@ -142,13 +144,19 @@ def test_the_plan_is_generated_without_a_comparison_sort():
 
 def test_a_fused_operator_holds_its_plan_and_no_second_column_block(
         plan_system):
-    tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    op = AprodOperator(plan_system)
-    held = tracemalloc.get_traced_memory()[0] - base
-    tracemalloc.stop()
-    assert op.plan is not None
-    assert held <= 1.03 * op.plan.workspace_nbytes
+    """... nor, once a batch has run through it, a second matrix."""
+    for batch in (1, 8):
+        X = np.zeros((batch, plan_system.dims.n_params))
+        Y = np.zeros((batch, plan_system.n_rows))
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        op = AprodOperator(plan_system, batch_hint=batch)
+        op.aprod1_batch(X, out=Y)
+        op.aprod2_batch(Y, out=X)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.stop()
+        assert op.plan is not None
+        assert held <= 1.03 * op.plan.workspace_nbytes, batch
 
 
 # ----------------------------------------------------------------------

@@ -5,14 +5,12 @@ This file is the contract the batched solve path
 :func:`repro.core.lsqr.lsqr_solve_batch`, :func:`repro.api.solve_batch`)
 is pinned by:
 
-- on the **classic** kernel preset every member of a batched solve is
-  *bitwise* identical to the serial solve of that member alone --
-  trajectory (``itn``, ``istop``), solution, residual norms and
-  variance estimates;
-- on the **fused** plan preset the einsum contraction may associate
-  the per-row dot products differently from the serial kernels, so the
-  pin relaxes to rtol 1e-12 on the float outputs while ``itn`` and
-  ``istop`` stay exact;
+- on every kernel preset (``classic``, ``fused``, ``auto``) every
+  member of a batched solve is *bitwise* identical to the serial solve
+  of that member alone -- trajectory (``itn``, ``istop``), solution,
+  residual norms and variance estimates: the block kernels loop per
+  member, and member ``j`` of a stacked CSR product adds its terms in
+  the order of the single product;
 - early-converging members freeze (their own ``itn``/``istop``) while
   the rest of the batch keeps iterating;
 - the auto strategy heuristic never selects a fused plan whose
@@ -29,7 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import SolveRequest, batch_incompatibility, solve, solve_batch
+from repro.api import (
+    STRATEGY_PRESETS,
+    SolveRequest,
+    batch_incompatibility,
+    solve,
+    solve_batch,
+)
 from repro.core.aprod import AprodOperator
 from repro.core.engine import (
     ISTOP_RUNNING,
@@ -105,23 +109,14 @@ def _batched_results(system, members, damps, *, gather, scatter,
         damps=damps, iter_lim=iter_lim, **kw)
 
 
-def _assert_member_equal(batched, serial, *, rtol=None):
+def _assert_member_equal(batched, serial):
     assert batched.itn == serial.itn
     assert batched.istop == serial.istop
-    if rtol is None:
-        np.testing.assert_array_equal(batched.x, serial.x)
-        assert batched.r2norm == serial.r2norm
-        assert batched.acond == serial.acond
-        if serial.var is not None:
-            np.testing.assert_array_equal(batched.var, serial.var)
-    else:
-        np.testing.assert_allclose(batched.x, serial.x, rtol=rtol,
-                                   atol=0)
-        np.testing.assert_allclose(batched.r2norm, serial.r2norm,
-                                   rtol=rtol, atol=0)
-        if serial.var is not None:
-            np.testing.assert_allclose(batched.var, serial.var,
-                                       rtol=rtol, atol=1e-300)
+    np.testing.assert_array_equal(batched.x, serial.x)
+    assert batched.r2norm == serial.r2norm
+    assert batched.acond == serial.acond
+    if serial.var is not None:
+        np.testing.assert_array_equal(batched.var, serial.var)
 
 
 # ----------------------------------------------------------------------
@@ -129,15 +124,16 @@ def _assert_member_equal(batched, serial, *, rtol=None):
 # ----------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
-@given(case=batch_case())
-def test_batched_matches_serial_bitwise_on_classic_path(case):
-    """Classic kernels: every member of the batch is bitwise the
-    serial solve -- trajectory, solution, norms and variance."""
+@given(case=batch_case(), preset=st.sampled_from(sorted(STRATEGY_PRESETS)))
+def test_batched_matches_serial_bitwise_on_every_preset(case, preset):
+    """Every member of the batch is bitwise the serial solve --
+    trajectory, solution, norms and variance."""
     system, members, damps = case
-    serial = _serial_results(members, damps, gather="vectorized",
-                             scatter="bincount")
-    batched = _batched_results(system, members, damps,
-                               gather="vectorized", scatter="bincount")
+    gather, scatter = STRATEGY_PRESETS[preset]
+    serial = _serial_results(members, damps, gather=gather,
+                             scatter=scatter)
+    batched = _batched_results(system, members, damps, gather=gather,
+                               scatter=scatter)
     for b, s in zip(batched, serial):
         _assert_member_equal(b, s)
 
@@ -145,30 +141,28 @@ def test_batched_matches_serial_bitwise_on_classic_path(case):
 @settings(max_examples=15, deadline=None)
 @given(case=batch_case())
 def test_batched_matches_serial_on_fused_path(case):
-    """Fused plan: einsum reassociation forbids a bitwise pin, so the
-    contract is rtol 1e-12 with exact itn/istop."""
+    """Compiled plan: member ``j`` of a stacked CSR product is bitwise
+    the single product, so the batch is bitwise here too."""
     system, members, damps = case
     serial = _serial_results(members, damps, gather="fused",
                              scatter="sorted_segment")
     batched = _batched_results(system, members, damps, gather="fused",
                                scatter="sorted_segment")
     for b, s in zip(batched, serial):
-        _assert_member_equal(b, s, rtol=1e-12)
+        _assert_member_equal(b, s)
 
 
 @pytest.mark.parametrize("gather,scatter",
                          [("vectorized", "bincount"),
                           ("fused", "sorted_segment")])
 def test_batch_of_one_matches_serial(small_system, gather, scatter):
-    """K=1 is the degenerate batch: same answer as the plain driver
-    (bitwise on classic; rtol pin on the fused plan)."""
+    """K=1 is the degenerate batch: bitwise the plain driver."""
     serial = lsqr_solve(_operator(small_system, gather, scatter),
                         iter_lim=40)
     (batched,) = lsqr_solve_batch(
         _operator(small_system, gather, scatter),
         small_system.rhs()[None, :], iter_lim=40)
-    rtol = None if gather == "vectorized" else 1e-12
-    _assert_member_equal(batched, serial, rtol=rtol)
+    _assert_member_equal(batched, serial)
 
 
 def test_warm_start_members_match_serial(small_system):
@@ -264,14 +258,14 @@ def test_batched_state_active_done_and_abort(small_system):
     assert not np.any(state.X[0] == -1.0)
 
 
-@pytest.mark.parametrize("gather,scatter,rtol",
-                         [("vectorized", "bincount", None),
-                          ("fused", "sorted_segment", 1e-12)])
+@pytest.mark.parametrize("gather,scatter",
+                         [("vectorized", "bincount"),
+                          ("fused", "sorted_segment")])
 def test_member_checkpoint_resumes_through_the_serial_driver(
-        small_system, tmp_path, gather, scatter, rtol):
+        small_system, tmp_path, gather, scatter):
     """A batch member IS an EngineState: saved mid-batch it resumes
     through ``lsqr_solve(resume_from=)`` to the batch's own result for
-    that member (bitwise on classic, the rtol pin on the fused plan)."""
+    that member, bitwise."""
     rng = np.random.default_rng(5)
     damps = [0.0, 1e-3, 0.1]
     members = [dataclasses.replace(
@@ -294,7 +288,7 @@ def test_member_checkpoint_resumes_through_the_serial_driver(
         resumed = lsqr_solve(_operator(member, gather, scatter),
                              damp=damp, iter_lim=40, resume_from=path)
         assert resumed.itn > 7
-        _assert_member_equal(resumed, batched[j], rtol=rtol)
+        _assert_member_equal(resumed, batched[j])
 
 
 def test_batched_workspace_bytes_is_what_the_engine_holds(small_system):
@@ -431,11 +425,11 @@ def test_batch_multiplier_pushes_selection_off_the_fused_plan():
                       n_glob_params=1)
     solo = select_strategies(dims)
     assert solo.fused
-    wide = select_strategies(dims, batch=64)
+    wide = select_strategies(dims, batch=256)
     assert not wide.fused
     assert wide.gather == "chunked"
-    assert "batch=64" in wide.reason
-    assert plan_workspace_bytes(dims, 64) > PLAN_BUDGET_BYTES
+    assert "batch=256" in wide.reason
+    assert plan_workspace_bytes(dims, 256) > PLAN_BUDGET_BYTES
 
 
 def test_plan_workspace_bytes_monotone_in_batch():
@@ -451,7 +445,7 @@ def test_plan_workspace_bytes_monotone_in_batch():
 
 
 # ----------------------------------------------------------------------
-# The SpMM batched kernel: shared-matrix-read pass at production sizes
+# Above FUSED_MIN_OBS: one stacked CSR product per direction
 # ----------------------------------------------------------------------
 
 def _spmm_scale_system():
@@ -460,51 +454,28 @@ def _spmm_scale_system():
     return make_system(dims, seed=7, noise_sigma=1e-9)
 
 
-def test_auto_batch_kernel_routes_spmm_only_on_the_fused_path():
-    from repro.core.aprod import SPMM_MIN_BATCH, AprodOperator
-
+def test_classic_presets_run_the_block_kernels_in_a_batch():
     system = _spmm_scale_system()
     calls = []
-    op = AprodOperator(system, batch_hint=SPMM_MIN_BATCH,
+    op = AprodOperator(system, batch_hint=4,
                        kernel_hook=lambda name, *_: calls.append(name))
     assert op.gather_strategy == "fused"  # auto at this size
-    X = np.zeros((SPMM_MIN_BATCH, system.dims.n_params))
-    op.aprod1_batch(X)
-    assert calls == ["aprod1_spmm"]
-
-    # forcing einsum keeps the plan kernels
-    calls.clear()
-    op = AprodOperator(system, batch_hint=SPMM_MIN_BATCH,
-                       batch_kernel="einsum",
-                       kernel_hook=lambda name, *_: calls.append(name))
-    op.aprod1_batch(X)
+    op.aprod1_batch(np.zeros((4, system.dims.n_params)))
     assert calls == ["aprod1_fused"]
 
-    # narrow batches stay on einsum under auto
-    calls.clear()
-    op = AprodOperator(system, batch_hint=SPMM_MIN_BATCH - 1,
-                       kernel_hook=lambda name, *_: calls.append(name))
-    op.aprod1_batch(X[: SPMM_MIN_BATCH - 1])
-    assert calls == ["aprod1_fused"]
-
-    # the bitwise classic presets never take the SpMM pass
     calls.clear()
     op = AprodOperator(system, gather_strategy="vectorized",
-                       scatter_strategy="bincount",
-                       batch_hint=SPMM_MIN_BATCH,
+                       scatter_strategy="bincount", batch_hint=4,
                        kernel_hook=lambda name, *_: calls.append(name))
-    op.aprod1_batch(X[:1])
-    assert "aprod1_spmm" not in calls and "aprod1_astro" in calls
-
-    with pytest.raises(ValueError, match="batch_kernel"):
-        AprodOperator(system, batch_kernel="blas")
+    op.aprod1_batch(np.zeros((1, system.dims.n_params)))
+    assert "aprod1_fused" not in calls and "aprod1_astro" in calls
 
 
 def test_spmm_batch_matches_serial_fused_solves():
-    """The SpMM pass reassociates per-row sums relative to the plan
-    einsum, so the pin is rtol (observed agreement is ulp-level);
-    stopping behaviour must survive the reassociation."""
+    """A K=8 batch on the ``auto`` preset at a size where it compiles
+    the plan: every member bitwise its serial solve."""
     system = _spmm_scale_system()
+    assert system.dims.n_obs >= FUSED_MIN_OBS
     rng = np.random.default_rng(5)
     members = [system] + [
         dataclasses.replace(
@@ -517,16 +488,4 @@ def test_spmm_batch_matches_serial_fused_solves():
     batched = lsqr_solve_batch(
         system, np.stack([m.rhs() for m in members]), iter_lim=40)
     for b, s in zip(batched, serial):
-        assert b.istop == s.istop
-        assert abs(b.itn - s.itn) <= 1
-        np.testing.assert_allclose(b.x, s.x, rtol=1e-9, atol=1e-300)
-        np.testing.assert_allclose(b.r2norm, s.r2norm, rtol=1e-9)
-
-    # batch_kernel="einsum" must force the plan path even at K=8
-    forced = lsqr_solve_batch(
-        AprodOperator(system, batch_hint=len(members),
-                      batch_kernel="einsum"),
-        np.stack([m.rhs() for m in members]), iter_lim=40)
-    for f, s in zip(forced, serial):
-        assert f.itn == s.itn
-        np.testing.assert_allclose(f.x, s.x, rtol=1e-12, atol=0)
+        _assert_member_equal(b, s)

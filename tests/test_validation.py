@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import SolveRequest, solve
+from repro.core.kernels.plan import FUSED_MIN_OBS
 from repro.frameworks.registry import ALL_PORTS, port_by_key
 from repro.gpu.platforms import H100, MI250X
 from repro.system import SystemDims, make_system
 from repro.validation import (
+    PortSolution,
     compare_solutions,
     run_validation,
     solve_as_port,
@@ -117,3 +120,21 @@ def test_summary_renders(val_system):
                             devices=(H100,))
     text = report.summary()
     assert "HIP" in text and "astrometric" in text and "PASS" in text
+
+
+def test_compiled_plan_passes_the_fig6_gate():
+    """The SSV-C gate on the kernel no port emulation runs: a
+    ``strategy="fused"`` solve (the compiled CSR pair) of a system big
+    enough that ``auto`` would pick it too."""
+    dims = SystemDims(n_stars=150, n_obs=FUSED_MIN_OBS + 404,
+                      n_deg_freedom_att=12, n_instr_params=24,
+                      n_glob_params=0)
+    system = make_system(dims, seed=13, noise_sigma=1e-9)
+    report = solve(SolveRequest(system=system, strategy="fused",
+                                atol=1e-13, btol=1e-13))
+    candidate = PortSolution(port_key="fused", device_name="host",
+                             x=report.x, se=report.standard_errors(),
+                             itn=report.itn, r2norm=report.r2norm)
+    comp = compare_solutions(solve_production_reference(system), candidate,
+                             dims)
+    assert comp.passed, comp.sections
