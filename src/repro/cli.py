@@ -192,9 +192,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(f"default {config.default_iteration_s:.4f} s -> tuned "
               f"{config.tuned_iteration_s:.4f} s "
               f"({config.gain:.1%} reduction)")
-        print(f"host plan: gather={config.host_gather} "
-              f"scatter={config.host_scatter} "
-              f"astro_scatter={config.host_astro_scatter}")
+        print(f"host kernels: {config.host_kernels}")
         stats = service.cache.stats()
         print(f"cache: {spec.digest()[:16]}... "
               f"({stats['hits']} hits / {stats['misses']} misses, "

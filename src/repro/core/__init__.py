@@ -5,9 +5,8 @@ iterative LSQR solve whose cost is dominated by the two sparse
 matrix-vector products ``aprod1`` (``b += A x``) and ``aprod2``
 (``x += A^T b``), each implemented as four per-submatrix kernels.
 
-- :mod:`repro.core.kernels` -- gather/scatter kernels per submatrix,
-  each with several execution strategies (the Python analogue of the
-  paper's per-framework kernel implementations);
+- :mod:`repro.core.kernels` -- the two kernel sets: the four
+  per-submatrix block kernels and the compiled CSR plan;
 - :mod:`repro.core.aprod` -- the ``aprod{1,2}`` dispatch layer and the
   :class:`~repro.core.aprod.AprodOperator`;
 - :mod:`repro.core.precond` -- the column-scaling (Jacobi)

@@ -1,4 +1,4 @@
-"""Shared gather-dot and scatter-add primitives.
+"""Shared gather-dot and scatter-add primitives of the block kernels.
 
 Every ``aprod1`` kernel is a row-parallel *gather-dot*:
 ``out[i] += sum_j values[i, j] * x[cols[i, j]]`` -- trivially parallel,
@@ -7,24 +7,22 @@ no collisions (the GPU ports map one thread per row).
 Every ``aprod2`` kernel is a *scatter-add*:
 ``out[cols[i, j]] += values[i, j] * y[i]`` -- different rows may hit
 the same column, which is why the GPU ports need atomic operations
-(§IV).  Each strategy here corresponds to a different way of resolving
-those collisions; all strategies are numerically equivalent up to
-floating-point summation order, and the test suite pins them against
-the ``loop`` reference.
+(§IV).  Here the collisions resolve through a keyed reduction
+(``np.bincount``), collision-free and deterministic.
+
+Both walk the rows in :data:`CHUNK_ROWS` blocks, so what a product
+allocates while it runs is bounded by one block, not by the system.
+The gather is bitwise the whole-array gather (rows are independent);
+the scatter adds one keyed partial sum per block, so it is bitwise the
+whole-array reduction up to :data:`CHUNK_ROWS` rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Valid strategy names for :func:`gather_dot`.
-GATHER_STRATEGIES = ("vectorized", "chunked", "loop")
-
-#: Valid strategy names for :func:`scatter_add`.
-SCATTER_STRATEGIES = ("atomic", "bincount", "chunked", "loop")
-
-#: Row-block size of the ``chunked`` strategies -- the host analogue
-#: of processing the observation stream in launch-sized batches, which
+#: Row-block size of both primitives -- the host analogue of
+#: processing the observation stream in launch-sized batches, which
 #: keeps each batch's gather/scatter working set cache-resident.
 CHUNK_ROWS = 8192
 
@@ -39,103 +37,43 @@ def _check_pair(values: np.ndarray, cols: np.ndarray) -> None:
 
 
 def gather_dot(
-    values: np.ndarray,
-    cols: np.ndarray,
-    x: np.ndarray,
-    out: np.ndarray,
-    *,
-    strategy: str = "vectorized",
+    values: np.ndarray, cols: np.ndarray, x: np.ndarray, out: np.ndarray
 ) -> None:
     """Accumulate ``out[i] += values[i, :] . x[cols[i, :]]`` in place.
 
-    Parameters
-    ----------
-    values, cols:
-        ``(m, k)`` coefficients and their global column indices.
-    x:
-        Unknown-space vector being multiplied.
-    out:
-        ``(m,)`` accumulator (observation space), updated in place.
-    strategy:
-        ``"vectorized"`` (fancy-index gather + einsum), ``"chunked"``
-        (the same gather in :data:`CHUNK_ROWS` row blocks, keeping the
-        working set cache-resident) or ``"loop"`` (pure-Python
-        reference).
+    ``values`` / ``cols`` are the ``(m, k)`` coefficients and their
+    global column indices, ``x`` the unknown-space operand and ``out``
+    the ``(m,)`` observation-space accumulator.
     """
     _check_pair(values, cols)
     if out.shape != (values.shape[0],):
         raise ValueError(
             f"out has shape {out.shape}, expected ({values.shape[0]},)"
         )
-    if strategy == "vectorized":
-        out += np.einsum("ij,ij->i", values, x[cols])
-    elif strategy == "chunked":
-        for lo in range(0, values.shape[0], CHUNK_ROWS):
-            hi = lo + CHUNK_ROWS
-            out[lo:hi] += np.einsum("ij,ij->i", values[lo:hi],
-                                    x[cols[lo:hi]])
-    elif strategy == "loop":
-        for i in range(values.shape[0]):
-            out[i] += float(np.dot(values[i], x[cols[i]]))
-    else:
-        raise ValueError(
-            f"unknown gather strategy {strategy!r}; "
-            f"expected one of {GATHER_STRATEGIES}"
-        )
+    for lo in range(0, values.shape[0], CHUNK_ROWS):
+        hi = lo + CHUNK_ROWS
+        out[lo:hi] += np.einsum("ij,ij->i", values[lo:hi], x[cols[lo:hi]])
 
 
 def scatter_add(
-    values: np.ndarray,
-    cols: np.ndarray,
-    y: np.ndarray,
-    out: np.ndarray,
-    *,
-    strategy: str = "bincount",
+    values: np.ndarray, cols: np.ndarray, y: np.ndarray, out: np.ndarray
 ) -> None:
     """Accumulate ``out[cols[i, j]] += values[i, j] * y[i]`` in place.
 
-    Parameters
-    ----------
-    values, cols:
-        ``(m, k)`` coefficients and their global column indices.
-    y:
-        ``(m,)`` observation-space vector.
-    out:
-        Unknown-space accumulator, updated in place.
-    strategy:
-        ``"atomic"`` (``np.add.at``, the RMW-atomic analogue),
-        ``"bincount"`` (keyed reduction, collision-free), ``"chunked"``
-        (the bincount reduction in :data:`CHUNK_ROWS` row blocks) or
-        ``"loop"`` (pure-Python reference).
+    ``y`` is the ``(m,)`` observation-space operand and ``out`` the
+    unknown-space accumulator; each row block adds its keyed reduction.
     """
     _check_pair(values, cols)
     if y.shape != (values.shape[0],):
         raise ValueError(
             f"y has shape {y.shape}, expected ({values.shape[0]},)"
         )
-    if strategy == "atomic":
-        np.add.at(out, cols.ravel(), (values * y[:, None]).ravel())
-    elif strategy == "bincount":
-        contrib = (values * y[:, None]).ravel()
-        flat = cols.ravel()
-        out += np.bincount(flat, weights=contrib,
-                           minlength=out.shape[0])[: out.shape[0]]
-    elif strategy == "chunked":
-        for lo in range(0, values.shape[0], CHUNK_ROWS):
-            hi = lo + CHUNK_ROWS
-            contrib = (values[lo:hi] * y[lo:hi, None]).ravel()
-            out += np.bincount(cols[lo:hi].ravel(), weights=contrib,
-                               minlength=out.shape[0])[: out.shape[0]]
-    elif strategy == "loop":
-        k = values.shape[1]
-        for i in range(values.shape[0]):
-            for j in range(k):
-                out[cols[i, j]] += values[i, j] * y[i]
-    else:
-        raise ValueError(
-            f"unknown scatter strategy {strategy!r}; "
-            f"expected one of {SCATTER_STRATEGIES}"
-        )
+    n = out.shape[0]
+    for lo in range(0, values.shape[0], CHUNK_ROWS):
+        hi = lo + CHUNK_ROWS
+        contrib = (values[lo:hi] * y[lo:hi, None]).ravel()
+        out += np.bincount(cols[lo:hi].ravel(), weights=contrib,
+                           minlength=n)[:n]
 
 
 def column_sq_norms(
@@ -143,8 +81,10 @@ def column_sq_norms(
 ) -> None:
     """Accumulate per-column sums of squared coefficients into ``out``.
 
-    Used by the Jacobi column preconditioner; collision handling uses
-    the keyed-reduction path.
+    Used by the Jacobi column preconditioner.  One keyed reduction over
+    the whole block, never row-blocked: each column sums its terms in
+    row-major order, the order the compiled plan's norms reproduce bit
+    for bit.
     """
     _check_pair(values, cols)
     out += np.bincount(

@@ -1,6 +1,6 @@
 """The compiled ``aprod`` plan: one SciPy CSR matrix per bound system.
 
-The four-kernel dispatch in :mod:`repro.core.aprod` mirrors the GPU
+The block kernels (:mod:`repro.core.kernels.blocks`) mirror the GPU
 ports kernel-for-kernel, which is faithful but leaves the host analogue
 of the paper's central tuning axis unexploited: §III-B identifies
 ``aprod1``/``aprod2`` as the two dominant, memory-bound costs of every
@@ -36,9 +36,10 @@ the achievable efficiency.  This module is the tuned counterpart.
 
 :func:`select_strategies` is the shape-based heuristic (re-exported
 through :mod:`repro.frameworks.tuning`) that decides when the plan
-pays for itself; :class:`~repro.core.aprod.AprodOperator` resolves its
-``"auto"`` strategies through it.  ``docs/kernel_plan.md`` has the
-measurements.
+pays for itself, and :func:`resolve_kernels` reads the
+``(gather_strategy, scatter_strategy)`` pair
+:class:`~repro.core.aprod.AprodOperator` takes as the spelling of one
+kernel set.  ``docs/kernel_plan.md`` has the measurements.
 """
 
 from __future__ import annotations
@@ -54,20 +55,30 @@ import scipy.sparse as sp
 from repro.system.sparse import GaiaSystem
 from repro.system.structure import SystemDims
 
-#: Strategy name routed to :meth:`AprodPlan.aprod1`.
+#: The ``gather_strategy`` / ``scatter_strategy`` spelling of the
+#: compiled set (the names predate the CSR matrix; ``bench/`` and
+#: ``SolveRequest.strategies`` spell them).
 FUSED_GATHER = "fused"
-
-#: Strategy name routed to :meth:`AprodPlan.aprod2`.
 SORTED_SEGMENT_SCATTER = "sorted_segment"
+
+#: The strategy pair that spells each kernel set; ``("auto", "auto")``
+#: leaves the choice to :func:`select_strategies`.
+KERNEL_SET_SPELLINGS = {
+    (FUSED_GATHER, SORTED_SEGMENT_SCATTER): "compiled",
+    ("vectorized", "bincount"): "blocks",
+}
+
+#: Kernel names the compiled set reports (one kernel per direction).
+FUSED_KERNEL_NAMES = ("aprod1_fused", "aprod2_fused")
 
 #: Below this observation count the one-off plan build (packing the
 #: nnz coefficients) is not worth any per-iteration win, and the
-#: heuristic keeps the classic four-kernel path -- whose results stay
-#: bitwise those of the reference kernels.
+#: heuristic keeps the block kernels.
 FUSED_MIN_OBS = 4096
 
 #: Memory budget of one plan.  Past this the heuristic falls back to
-#: the cache-blocked ``chunked`` kernels instead of materializing the
+#: the row-blocked block kernels, which hold about half the bytes and
+#: allocate one row block at a time, instead of materializing the
 #: compiled matrix.
 PLAN_BUDGET_BYTES = 4 << 30
 
@@ -102,6 +113,11 @@ class AprodPlan:
         # column, so a column sums its entries in row-major order,
         # duplicates inside one row left to right.
         self.At = a.T
+        self.work = {
+            product: ((name, self.n_obs, self.n_obs * self.k_total),)
+            for product, name in zip(("aprod1", "aprod2"),
+                                     FUSED_KERNEL_NAMES)
+        }
         self.build_seconds = time.perf_counter() - t0
 
     @property
@@ -154,18 +170,11 @@ class AprodPlan:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class StrategySelection:
-    """Resolved host kernel strategies for one system shape."""
+    """The host kernel set for one system shape: ``"compiled"`` (an
+    :class:`AprodPlan`) or ``"blocks"`` (the block kernels)."""
 
-    gather: str
-    scatter: str
-    astro_scatter: str
+    kernels: str
     reason: str
-
-    @property
-    def fused(self) -> bool:
-        """True when the selection routes through an :class:`AprodPlan`."""
-        return (self.gather == FUSED_GATHER
-                or self.scatter == SORTED_SEGMENT_SCATTER)
 
 
 def plan_workspace_bytes(dims: SystemDims, batch: int = 1) -> int:
@@ -187,50 +196,64 @@ def plan_workspace_bytes(dims: SystemDims, batch: int = 1) -> int:
 
 def select_strategies(dims: SystemDims, batch: int = 1
                       ) -> StrategySelection:
-    """Choose host kernel strategies from the system shape alone.
+    """Choose the host kernel set from the system shape alone.
 
     Mirrors the paper's per-platform geometry tuning (§IV/§V-B) on the
     host: the compiled plan wins once its one-off build cost (packing
     the nnz coefficients) amortizes over the iterations and the matrix
     fits the budget.
 
-    - tiny systems (``n_obs`` < :data:`FUSED_MIN_OBS`): classic
-      four-kernel path -- the plan build dominates, and bitwise
-      continuity with the reference path matters more than throughput;
-    - oversized plans (footprint past :data:`PLAN_BUDGET_BYTES`):
-      cache-blocked ``chunked`` kernels;
-    - everything else: the compiled matrix, under the strategy names
-      ``fused`` (gather) and ``sorted_segment`` (scatter).
+    - tiny systems (``n_obs`` < :data:`FUSED_MIN_OBS`): the block
+      kernels -- the plan build dominates;
+    - oversized plans (footprint past :data:`PLAN_BUDGET_BYTES`): the
+      block kernels, row-blocked, so they hold about half the plan's
+      bytes and allocate one row block at a time;
+    - everything else: the compiled matrix.
 
     ``batch`` is the intended trailing batch width: every further
     member adds the columns a stacked product allocates
     (:func:`plan_workspace_bytes`), so a system that compiles a plan
     solo can exceed the budget once enough members ride on it -- the
-    heuristic then falls back to the cache-blocked kernels for the
-    whole batch.
+    heuristic then falls back to the block kernels for the whole batch.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if dims.n_obs < FUSED_MIN_OBS:
         return StrategySelection(
-            gather="vectorized", scatter="bincount",
-            astro_scatter="bincount",
+            kernels="blocks",
             reason=(f"n_obs={dims.n_obs} < {FUSED_MIN_OBS}: plan build "
-                    "would dominate; classic four-kernel path"),
+                    "would dominate; block kernels"),
         )
     footprint = plan_workspace_bytes(dims, batch)
     if footprint > PLAN_BUDGET_BYTES:
         return StrategySelection(
-            gather="chunked", scatter="chunked",
-            astro_scatter="bincount",
+            kernels="blocks",
             reason=(f"plan workspaces ({footprint / 2**30:.1f} GiB at "
-                    f"batch={batch}) exceed the budget; cache-blocked "
-                    "kernels"),
+                    f"batch={batch}) exceed the budget; row-blocked "
+                    "block kernels"),
         )
     return StrategySelection(
-        gather=FUSED_GATHER, scatter=SORTED_SEGMENT_SCATTER,
-        astro_scatter="bincount",
+        kernels="compiled",
         reason=(f"n_obs={dims.n_obs}: fused plan amortizes "
                 f"({footprint / 2**20:.0f} MiB workspaces at "
                 f"batch={batch})"),
     )
+
+
+def resolve_kernels(gather: str, scatter: str, dims: SystemDims,
+                    batch: int = 1) -> str:
+    """The kernel set a ``(gather_strategy, scatter_strategy)`` pair
+    names: one of :data:`KERNEL_SET_SPELLINGS`, or ``("auto", "auto")``
+    for :func:`select_strategies`'s choice at trailing width ``batch``.
+    """
+    if (gather, scatter) == ("auto", "auto"):
+        return select_strategies(dims, batch).kernels
+    try:
+        return KERNEL_SET_SPELLINGS[gather, scatter]
+    except KeyError:
+        spellings = ", ".join(f"{g!r}/{s!r} ({name})" for (g, s), name
+                              in KERNEL_SET_SPELLINGS.items())
+        raise ValueError(
+            f"gather_strategy={gather!r}, scatter_strategy={scatter!r} "
+            f"name no one kernel set; expected {spellings} or "
+            "'auto'/'auto'") from None

@@ -56,9 +56,9 @@ class ColumnScaling:
         """Scaling of a whole system, without compiling its kernels.
 
         Column norms read only the coefficient and index arrays, so
-        the plan-free classic operator computes them: bitwise
-        :meth:`from_operator` of any operator over ``system``, minus
-        the fused plan ``"auto"`` would compile and throw away.
+        the block kernels compute them: bitwise :meth:`from_operator`
+        of any operator over ``system``, minus the fused plan
+        ``"auto"`` would compile and throw away.
         """
         return cls.from_operator(AprodOperator(
             system, gather_strategy="vectorized",

@@ -9,7 +9,7 @@ the compiler default.
 
 :func:`tune_host_kernels` is the same idea turned on the *host*
 reproduction: given only the system shape it selects the aprod kernel
-strategies (classic four-kernel, compiled plan, or cache-blocked) via
+set (the compiled plan or the block kernels) via
 :func:`repro.core.kernels.plan.select_strategies` and reports the
 memory the compiled plan would hold.
 
@@ -181,9 +181,9 @@ def tune_port(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class HostTuningResult:
-    """Shape-driven host strategy selection plus the plan's footprint.
+    """Shape-driven host kernel-set selection plus the plan's footprint.
 
-    Measured seconds and computed GB/s of either kernel family are
+    Measured seconds and computed GB/s of either kernel set are
     ``bench/``'s ``aprod.aprod{1,2}_s`` / ``aprod.aprod{1,2}_gbs``.
     """
 
@@ -192,7 +192,7 @@ class HostTuningResult:
 
 
 def tune_host_kernels(dims: SystemDims) -> HostTuningResult:
-    """Select host aprod strategies for one system shape.
+    """Select the host aprod kernel set for one system shape.
 
     The decision itself is :func:`repro.core.kernels.plan.
     select_strategies` (so ``AprodOperator(..., "auto")`` and this

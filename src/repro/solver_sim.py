@@ -27,7 +27,7 @@ from repro.frameworks.registry import port_by_key
 from repro.gpu.platforms import device_by_name
 from repro.system.generator import make_system
 from repro.system.sizing import dims_from_gb
-from repro.validation.compare import _port_strategies
+from repro.validation.compare import port_operator
 
 #: Row count of the scaled-down numerical twin of the requested size.
 NUMERICS_ROWS = 20_000
@@ -109,10 +109,9 @@ def solvergaia_sim(
     else:
         twin = dims
     system = make_system(twin, seed=seed, noise_sigma=1e-9)
-    strategies = (_port_strategies(port, dev) if port.supports(dev)
-                  else {})
-    numerics = lsqr_solve(AprodOperator(system, **strategies),
-                          atol=1e-10, btol=1e-10)
+    op = (port_operator(system, port, dev) if port.supports(dev)
+          else AprodOperator(system))
+    numerics = lsqr_solve(op, atol=1e-10, btol=1e-10)
     return SolverSimResult(
         framework=framework,
         device=device,

@@ -62,17 +62,24 @@ class TunedConfigCache:
         assert self.path is not None
         return self.path / f"{digest}.json"
 
+    @staticmethod
+    def _read(file: Path) -> TunedConfig | None:
+        """The entry ``file`` holds, or None when there is no readable
+        entry at that address (missing, foreign, truncated, renamed, or
+        written in an older schema)."""
+        try:
+            cfg = TunedConfig.from_json(file.read_text())
+        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+            return None
+        return cfg if cfg.spec.digest() == file.stem else None
+
     def _load_index(self) -> None:
         """Rebuild the cell index from disk (cold-start warm state)."""
         assert self.path is not None
         for file in sorted(self.path.glob("*.json")):
-            try:
-                cfg = TunedConfig.from_json(file.read_text())
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue  # foreign or truncated file: not ours
-            if cfg.spec.digest() != file.stem:
-                continue  # renamed/corrupt entry: address must match
-            self._cell_digest[cfg.spec.cell] = file.stem
+            cfg = self._read(file)
+            if cfg is not None:
+                self._cell_digest[cfg.spec.cell] = file.stem
 
     def _write(self, digest: str, config: TunedConfig) -> None:
         assert self.path is not None
@@ -94,8 +101,9 @@ class TunedConfigCache:
     def get(self, spec: SweepSpec) -> TunedConfig | None:
         """The tuned config for ``spec``, or None on a miss.
 
-        Memory first, then disk (promoting to memory), then miss;
-        a miss whose cell is present under another digest also counts
+        Memory first, then disk (promoting to memory), then miss; a
+        file at the digest that is not a readable entry is a miss too.
+        A miss whose cell is present under another digest also counts
         as ``serve.tuning.stale``.
         """
         digest = spec.digest()
@@ -105,9 +113,8 @@ class TunedConfigCache:
             self._hit()
             return config
         if self.path is not None:
-            file = self._file(digest)
-            if file.exists():
-                config = TunedConfig.from_json(file.read_text())
+            config = self._read(self._file(digest))
+            if config is not None:
                 self._remember(digest, config)
                 self._hit()
                 return config

@@ -125,9 +125,10 @@ class TunedConfig:
 
     ``tuned_iteration_s / default_iteration_s`` is the ratio the
     placement cost model applies to its nominal (out-of-the-box)
-    estimate; the host-plan strategies record what
+    estimate; ``host_kernels`` records the host kernel set
     :func:`~repro.frameworks.tuning.tune_host_kernels` selected for
-    the size-class representative shape.
+    the size-class representative shape (``"compiled"`` or
+    ``"blocks"``).
     """
 
     spec: SweepSpec
@@ -135,9 +136,7 @@ class TunedConfig:
     atomic_cap: int | None
     tuned_iteration_s: float
     default_iteration_s: float
-    host_gather: str
-    host_scatter: str
-    host_astro_scatter: str
+    host_kernels: str
     model_evals: int
 
     @property
@@ -167,9 +166,7 @@ class TunedConfig:
                 "atomic_cap": self.atomic_cap,
                 "tuned_iteration_s": self.tuned_iteration_s,
                 "default_iteration_s": self.default_iteration_s,
-                "host_gather": self.host_gather,
-                "host_scatter": self.host_scatter,
-                "host_astro_scatter": self.host_astro_scatter,
+                "host_kernels": self.host_kernels,
                 "model_evals": self.model_evals,
             },
             sort_keys=True,
@@ -194,9 +191,7 @@ class TunedConfig:
             atomic_cap=doc["atomic_cap"],
             tuned_iteration_s=doc["tuned_iteration_s"],
             default_iteration_s=doc["default_iteration_s"],
-            host_gather=doc["host_gather"],
-            host_scatter=doc["host_scatter"],
-            host_astro_scatter=doc["host_astro_scatter"],
+            host_kernels=doc["host_kernels"],
             model_evals=doc["model_evals"],
         )
 
@@ -265,8 +260,6 @@ class GeometrySweeper:
             atomic_cap=best_cap,
             tuned_iteration_s=best_time,
             default_iteration_s=sweep[(256, None)],
-            host_gather=host.selection.gather,
-            host_scatter=host.selection.scatter,
-            host_astro_scatter=host.selection.astro_scatter,
+            host_kernels=host.selection.kernels,
             model_evals=evals,
         )

@@ -6,6 +6,12 @@ with the one-to-one line as reference; the text requires (a) agreement
 within 1 sigma and (b) the mean and standard deviation of the
 standard-error differences below the 10 micro-arcsecond target.  The
 functions here compute exactly those quantities, per solution section.
+
+Ports differ from production in how ``aprod2`` resolves its scatter
+collisions.  :class:`PortKernels` is the block kernel set with a port's
+summation order, and :func:`port_operator` the operator a port's
+execution on a device corresponds to; the production reference is the
+same emulation with the atomic scatter on every block.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.aprod import AprodOperator
+from repro.core.kernels.blocks import BlockKernels
 from repro.core.lsqr import LSQRResult, lsqr_solve
 from repro.core.variance import MICROARCSEC_RAD, standard_errors
 from repro.frameworks.base import Port
@@ -84,24 +91,86 @@ class ValidationComparison:
         )
 
 
-def _port_strategies(port: Port, device: DeviceSpec) -> dict[str, str]:
-    """Kernel strategies a port's execution corresponds to.
+class PortKernels(BlockKernels):
+    """The block kernels with one port's ``aprod2`` summation order.
 
-    Ports whose atomics are native RMW reproduce the unordered-scatter
-    summation order (``np.add.at``); CAS-loop ports retry in key order
-    (``bincount``); tuned language-level ports additionally use the
-    astrometric collision-free fast path on star-sorted data.  The
-    numerical results differ only in floating-point rounding -- the
-    very differences the §V-C validation is designed to bound.
+    Ports whose atomics are native RMW add into a column in an
+    unordered scatter (``np.add.at``, ``atomic=True``); CAS-loop ports
+    retry in key order, which is the block kernels' own keyed
+    reduction.  Tuned language-level ports additionally take the
+    astrometric collision-free fast path on star-sorted data
+    (``star_sorted=True``): one segment sum per star writes each star's
+    five unknowns exactly once (§IV).  The global column stays one dot
+    product either way.  The results differ only in floating-point
+    rounding -- the very differences the §V-C validation is designed to
+    bound.
     """
-    mode = port.atomic_mode(device)
-    scatter = "atomic" if mode is AtomicMode.RMW else "bincount"
-    astro = "sorted" if port.framework in ("CUDA", "HIP", "SYCL") else scatter
-    return {
-        "gather_strategy": "vectorized",
-        "scatter_strategy": scatter,
-        "astro_scatter_strategy": astro,
-    }
+
+    def __init__(self, system: GaiaSystem, *, atomic: bool,
+                 star_sorted: bool) -> None:
+        super().__init__(system)
+        self.atomic = atomic
+        self.star_sorted = star_sorted
+
+    def scatter_block(self, name: str, values: np.ndarray, cols: np.ndarray,
+                      y_obs: np.ndarray, out: np.ndarray) -> None:
+        if name == "astro" and self.star_sorted:
+            star_segment_scatter(values, cols, y_obs, out)
+        elif self.atomic:
+            atomic_scatter(values, cols, y_obs, out)
+        else:
+            super().scatter_block(name, values, cols, y_obs, out)
+
+
+def atomic_scatter(values: np.ndarray, cols: np.ndarray, y: np.ndarray,
+                   out: np.ndarray) -> None:
+    """``out[cols[i, j]] += values[i, j] * y[i]`` as one unordered
+    ``np.add.at`` scatter: the RMW-atomic analogue."""
+    np.add.at(out, cols.ravel(), (values * y[:, None]).ravel())
+
+
+def star_segment_scatter(values: np.ndarray, cols: np.ndarray,
+                         y: np.ndarray, out: np.ndarray) -> None:
+    """``out += A_astro.T @ y`` as one ``np.add.reduceat`` segment sum
+    per star; the rows must be star-sorted (the production layout)."""
+    start = cols[:, 0]
+    if start.size == 0:
+        return
+    if np.any(np.diff(start) < 0):
+        raise ValueError(
+            "the star-segment scatter requires star-sorted rows")
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(start)) + 1])
+    sums = np.add.reduceat(values * y[:, None], bounds, axis=0)
+    # One segment per star: its first row's columns are the star's.
+    out[cols[bounds].ravel()] += sums.ravel()
+
+
+class PortOperator(AprodOperator):
+    """An :class:`~repro.core.aprod.AprodOperator` on
+    :class:`PortKernels`: the Fig. 6 port emulation."""
+
+    def __init__(self, system: GaiaSystem, *, atomic: bool,
+                 star_sorted: bool, **operator_kwargs) -> None:
+        self._port = dict(atomic=atomic, star_sorted=star_sorted)
+        super().__init__(system, gather_strategy="vectorized",
+                         scatter_strategy="bincount", **operator_kwargs)
+
+    def _build_kernels(self, name: str) -> PortKernels:
+        return PortKernels(self.system, **self._port)
+
+
+def port_operator(system: GaiaSystem, port: Port, device: DeviceSpec,
+                  **operator_kwargs) -> PortOperator:
+    """The operator ``port``'s execution on ``device`` corresponds to.
+
+    RMW-atomic ports scatter unordered; the tuned language-level ports
+    (CUDA, HIP, SYCL) reduce the astrometric block per star.
+    ``operator_kwargs`` (``kernel_hook``, ``telemetry``) pass through.
+    """
+    return PortOperator(
+        system, atomic=port.atomic_mode(device) is AtomicMode.RMW,
+        star_sorted=port.framework in ("CUDA", "HIP", "SYCL"),
+        **operator_kwargs)
 
 
 def solve_production_reference(
@@ -109,13 +178,12 @@ def solve_production_reference(
 ) -> PortSolution:
     """The stand-in for the CUDA code in production on Leonardo.
 
-    Runs the solver with the production kernel configuration (plain
-    atomic scatter everywhere) to full convergence with variance
-    accumulation.
+    Runs the solver on the production kernel configuration (plain
+    atomic scatter on every block, the block kernels at every size) to
+    full convergence with variance accumulation.
     """
     res = lsqr_solve(
-        AprodOperator(system, scatter_strategy="atomic",
-                      astro_scatter_strategy="atomic"),
+        PortOperator(system, atomic=True, star_sorted=False),
         atol=1e-13,
         btol=1e-13,
         iter_lim=iter_lim,
@@ -133,7 +201,7 @@ def solve_as_port(
 ) -> PortSolution:
     """Solve the system the way ``port`` executes on ``device``."""
     res = lsqr_solve(
-        AprodOperator(system, **_port_strategies(port, device)),
+        port_operator(system, port, device),
         atol=1e-13,
         btol=1e-13,
         iter_lim=iter_lim,

@@ -28,12 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SolveRequest, solve, solve_batch
+import loop_reference
 from repro.core.aprod import FUSED_KERNEL_NAMES, AprodOperator
 from repro.core.engine import LSQRStepEngine, SerialReduction
-from repro.core.kernels.gather_scatter import gather_dot, scatter_add
+from repro.core.kernels import BlockKernels
 from repro.core.kernels.plan import (
     FUSED_GATHER,
     FUSED_MIN_OBS,
+    KERNEL_SET_SPELLINGS,
     PLAN_BUDGET_BYTES,
     SORTED_SEGMENT_SCATTER,
     AprodPlan,
@@ -45,7 +47,7 @@ from repro.core.precond import ColumnScaling, PreconditionedAprod
 from repro.dist import partition_by_rows
 from repro.dist.decomposition import slice_system
 from repro.obs.telemetry import Telemetry
-from repro.system import SystemDims, make_system
+from repro.system import GaiaSystem, SystemDims, make_system
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +93,7 @@ def _assert_gather_is_the_loop_reference(plan, values, cols, n, rng):
     base = rng.normal(size=(3, m))
     ref, solo, batched = base.copy(), base.copy(), base.copy()
     for j in range(3):
-        gather_dot(values, cols, X[j], ref[j], strategy="loop")
+        loop_reference.gather_dot(values, cols, X[j], ref[j])
         plan.aprod1(X[j], solo[j])
     np.testing.assert_allclose(solo, ref, rtol=1e-12, atol=1e-12)
     plan.aprod1_batch(X, batched)
@@ -104,7 +106,7 @@ def _assert_scatter_is_the_loop_reference(plan, values, cols, n, rng):
     base = rng.normal(size=(3, n))
     ref, solo, batched = base.copy(), base.copy(), base.copy()
     for j in range(3):
-        scatter_add(values, cols, Y[j], ref[j], strategy="loop")
+        loop_reference.scatter_add(values, cols, Y[j], ref[j])
         plan.aprod2(Y[j], solo[j])
     np.testing.assert_allclose(solo, ref, rtol=1e-12, atol=1e-12)
     plan.aprod2_batch(Y, batched)
@@ -176,8 +178,7 @@ def _fused_and_reference(system):
     fused = AprodOperator(system, gather_strategy=FUSED_GATHER,
                           scatter_strategy=SORTED_SEGMENT_SCATTER)
     ref = AprodOperator(system, gather_strategy="vectorized",
-                        scatter_strategy="bincount",
-                        astro_scatter_strategy="bincount")
+                        scatter_strategy="bincount")
     return fused, ref
 
 
@@ -238,8 +239,7 @@ def test_plan_emits_fused_kernel_telemetry(small_system, rng):
 def test_auto_resolves_classic_below_min_obs(small_system):
     op = AprodOperator(small_system)  # fixtures sit below FUSED_MIN_OBS
     assert small_system.dims.n_obs < FUSED_MIN_OBS
-    assert op.gather_strategy == "vectorized"
-    assert op.scatter_strategy == "bincount"
+    assert isinstance(op.kernels, BlockKernels)
     assert op.plan is None
 
 
@@ -247,10 +247,7 @@ def test_auto_resolves_fused_above_min_obs():
     dims = SystemDims(n_stars=200, n_obs=FUSED_MIN_OBS,
                       n_deg_freedom_att=24, n_instr_params=30,
                       n_glob_params=1)
-    selection = select_strategies(dims)
-    assert selection.fused
-    assert selection.gather == FUSED_GATHER
-    assert selection.scatter == SORTED_SEGMENT_SCATTER
+    assert select_strategies(dims).kernels == "compiled"
     op = AprodOperator(make_system(dims, seed=3))
     assert op.plan is not None
     assert op.plan.k_total == 24
@@ -262,20 +259,22 @@ def test_auto_falls_back_to_chunked_past_budget():
                       n_glob_params=1)
     assert plan_workspace_bytes(huge) > PLAN_BUDGET_BYTES
     selection = select_strategies(huge)
-    assert not selection.fused
-    assert selection.gather == "chunked"
-    assert selection.scatter == "chunked"
+    assert selection.kernels == "blocks"
+    assert "row-blocked" in selection.reason
 
 
 def test_explicit_strategies_remain_selectable(small_system, rng):
-    """The pre-plan strategies stay available and agree with each other."""
+    """Each spelling of a kernel set selects it, whatever ``auto`` would
+    pick, and the two sets agree."""
     x = rng.normal(size=small_system.dims.n_params)
-    results = [
-        AprodOperator(small_system, gather_strategy=g).aprod1(x)
-        for g in ("vectorized", "chunked", "loop", "fused")
-    ]
-    for got in results[1:]:
-        np.testing.assert_allclose(got, results[0], rtol=1e-12)
+    results = []
+    for (gather, scatter), name in KERNEL_SET_SPELLINGS.items():
+        op = AprodOperator(small_system, gather_strategy=gather,
+                           scatter_strategy=scatter)
+        assert isinstance(op.kernels, {"compiled": AprodPlan,
+                                       "blocks": BlockKernels}[name])
+        results.append(op.aprod1(x))
+    np.testing.assert_allclose(results[0], results[1], rtol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -384,23 +383,45 @@ def test_fused_column_scaling_is_bitwise_from_system(plan_system):
     assert fused.plan is not None
     expected = ColumnScaling.from_system(plan_system).scale
     assert np.array_equal(ColumnScaling.from_operator(fused).scale, expected)
-    mixed = AprodOperator(plan_system, gather_strategy=FUSED_GATHER,
-                          scatter_strategy="bincount")
-    assert np.array_equal(mixed.column_sq_norms(),
-                          fused.column_sq_norms())
 
 
-def test_mixed_strategy_runs_block_kernels_beside_the_plan(plan_system,
-                                                           rng):
-    x = rng.normal(size=plan_system.dims.n_params)
-    y = rng.normal(size=plan_system.n_rows)
-    mixed = AprodOperator(plan_system, gather_strategy=FUSED_GATHER,
-                          scatter_strategy="bincount")
-    classic = AprodOperator(plan_system, gather_strategy="vectorized",
-                            scatter_strategy="bincount")
-    assert np.array_equal(mixed.aprod1(x),
-                          AprodOperator(plan_system).aprod1(x))
-    assert np.array_equal(mixed.aprod2(y), classic.aprod2(y))
+@pytest.fixture()
+def derived_columns(monkeypatch):
+    """Names of the ``GaiaSystem.*_columns`` derivations made (the block
+    columns, which packing a plan derives too)."""
+    derived = []
+    for name in ("astro_columns", "att_columns", "instr_columns"):
+        real = getattr(GaiaSystem, name)
+
+        def counting(self, _real=real, _name=name):
+            derived.append(_name)
+            return _real(self)
+
+        monkeypatch.setattr(GaiaSystem, name, counting)
+    return derived
+
+
+@pytest.mark.parametrize("preset", ["auto", "fused", "classic"])
+def test_an_operator_holds_exactly_one_kernel_set(
+        small_system, plan_system, derived_columns, preset):
+    """By construction, on both sides of ``FUSED_MIN_OBS``: an operator
+    holds one plan or one set of block columns, never both, and derives
+    the block columns once for whichever it builds."""
+    for system in (small_system, plan_system):
+        derived_columns.clear()
+        gather, scatter = SolveRequest(system=system,
+                                       strategy=preset).strategies
+        op = AprodOperator(system, gather_strategy=gather,
+                           scatter_strategy=scatter)
+        assert sorted(derived_columns) == ["astro_columns", "att_columns",
+                                           "instr_columns"]
+        held = [value for value in vars(op).values()
+                if isinstance(value, (AprodPlan, BlockKernels))]
+        assert held == [op.kernels]
+        assert (op.plan is None) == isinstance(op.kernels, BlockKernels)
+        if preset == "auto":
+            assert (op.plan is not None) == (
+                system.dims.n_obs >= FUSED_MIN_OBS)
 
 
 @pytest.fixture()

@@ -35,8 +35,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Options that configure ``AprodOperator`` (or, for ``link_cost``,
 #: nothing at all) and must not reappear on a driver signature.
-OPERATOR_OPTIONS = {"gather_strategy", "scatter_strategy",
-                    "astro_scatter_strategy", "link_cost"}
+OPERATOR_OPTIONS = {"gather_strategy", "scatter_strategy", "link_cost"}
 
 
 def _trees():
@@ -140,6 +139,29 @@ def test_the_plan_is_generated_without_a_comparison_sort():
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not called & sorts
+
+
+def test_the_operator_products_make_no_strategy_comparison():
+    """One dispatch: the products call the operator's one kernel set,
+    so none of them compares anything against a string."""
+    tree = ast.parse((SRC / "core" / "aprod.py").read_text())
+    methods = {name: fn for name, fn in _functions(tree)
+               if name.startswith("AprodOperator.")}
+    products = ("aprod1", "aprod2", "aprod1_batch", "aprod2_batch",
+                "column_sq_norms")
+    for product in products:
+        fn = methods[f"AprodOperator.{product}"]
+        compared = [node.lineno for node in ast.walk(fn)
+                    if isinstance(node, ast.Compare)
+                    and any(isinstance(leaf, ast.Constant)
+                            and isinstance(leaf.value, str)
+                            for leaf in [node.left, *node.comparators])]
+        assert compared == [], product
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        for gone in ("astro_scatter", "GATHER_STRATEGIES",
+                     "SCATTER_STRATEGIES", "ASTRO_SCATTER", "GLOB_SCATTER"):
+            assert gone not in text, (path, gone)
 
 
 def test_a_fused_operator_holds_its_plan_and_no_second_column_block(

@@ -411,23 +411,22 @@ def test_auto_never_selects_fused_plan_over_budget(
                       n_deg_freedom_att=n_att, n_instr_params=n_instr,
                       n_glob_params=n_glob)
     sel = select_strategies(dims, batch=batch)
-    if sel.fused:
+    if sel.kernels == "compiled":
         assert plan_workspace_bytes(dims, batch) <= PLAN_BUDGET_BYTES
         assert n_obs >= FUSED_MIN_OBS
 
 
 def test_batch_multiplier_pushes_selection_off_the_fused_plan():
     """A shape that compiles a fused plan solo falls back to the
-    cache-blocked kernels once the batch multiplier blows the
+    row-blocked block kernels once the batch multiplier blows the
     budget -- the satellite scenario this heuristic exists for."""
     dims = SystemDims(n_stars=1000, n_obs=2_000_000,
                       n_deg_freedom_att=100, n_instr_params=100,
                       n_glob_params=1)
     solo = select_strategies(dims)
-    assert solo.fused
+    assert solo.kernels == "compiled"
     wide = select_strategies(dims, batch=256)
-    assert not wide.fused
-    assert wide.gather == "chunked"
+    assert wide.kernels == "blocks"
     assert "batch=256" in wide.reason
     assert plan_workspace_bytes(dims, 256) > PLAN_BUDGET_BYTES
 
@@ -459,7 +458,7 @@ def test_classic_presets_run_the_block_kernels_in_a_batch():
     calls = []
     op = AprodOperator(system, batch_hint=4,
                        kernel_hook=lambda name, *_: calls.append(name))
-    assert op.gather_strategy == "fused"  # auto at this size
+    assert op.plan is not None  # auto at this size
     op.aprod1_batch(np.zeros((4, system.dims.n_params)))
     assert calls == ["aprod1_fused"]
 

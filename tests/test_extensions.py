@@ -1,5 +1,5 @@
 """Tests for the extension features: warm start, executors-future
-port, architectural efficiency, exporters, chunked kernels."""
+port, architectural efficiency, exporters, row-blocked kernels."""
 
 import numpy as np
 import pytest
@@ -184,23 +184,27 @@ def test_json_export(mini_study, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Chunked kernels
+# Row-blocked (chunked) block kernels
 # ----------------------------------------------------------------------
-def test_chunked_strategies_agree(small_system, rng):
+def test_chunked_strategies_agree(plan_system, rng):
+    """The block kernels walk 15 000 observations in two row blocks and
+    agree with the compiled set."""
     from repro.core.aprod import AprodOperator
 
-    x = rng.normal(size=small_system.dims.n_params)
-    y = rng.normal(size=small_system.n_rows)
-    ref = AprodOperator(small_system)
-    chunked = AprodOperator(small_system, gather_strategy="chunked",
-                            scatter_strategy="chunked",
-                            astro_scatter_strategy="chunked")
-    assert np.allclose(chunked.aprod1(x), ref.aprod1(x), rtol=1e-12)
-    assert np.allclose(chunked.aprod2(y), ref.aprod2(y), rtol=1e-11)
+    x = rng.normal(size=plan_system.dims.n_params)
+    y = rng.normal(size=plan_system.n_rows)
+    compiled = AprodOperator(plan_system)
+    blocks = AprodOperator(plan_system, gather_strategy="vectorized",
+                           scatter_strategy="bincount")
+    assert compiled.plan is not None and blocks.plan is None
+    assert np.allclose(blocks.aprod1(x), compiled.aprod1(x), rtol=1e-12)
+    assert np.allclose(blocks.aprod2(y), compiled.aprod2(y), rtol=1e-11)
 
 
 def test_chunked_crosses_chunk_boundary(rng):
-    """Exercise more rows than one chunk to cover the loop."""
+    """Across a block boundary the row-blocked gather is bitwise the
+    whole-array gather (rows are independent); the scatter adds one
+    partial sum per block, within rounding of the whole-array one."""
     from repro.core.kernels import gather_scatter as gs
 
     m = gs.CHUNK_ROWS + 123
@@ -208,13 +212,11 @@ def test_chunked_crosses_chunk_boundary(rng):
     cols = rng.integers(0, 50, size=(m, 3))
     x = rng.normal(size=50)
     y = rng.normal(size=m)
-    ref_g = np.zeros(m)
-    gs.gather_dot(values, cols, x, ref_g, strategy="vectorized")
     out_g = np.zeros(m)
-    gs.gather_dot(values, cols, x, out_g, strategy="chunked")
-    assert np.allclose(out_g, ref_g)
-    ref_s = np.zeros(50)
-    gs.scatter_add(values, cols, y, ref_s, strategy="bincount")
+    gs.gather_dot(values, cols, x, out_g)
+    assert np.array_equal(out_g, np.einsum("ij,ij->i", values, x[cols]))
     out_s = np.zeros(50)
-    gs.scatter_add(values, cols, y, out_s, strategy="chunked")
-    assert np.allclose(out_s, ref_s)
+    gs.scatter_add(values, cols, y, out_s)
+    whole = np.bincount(cols.ravel(), weights=(values * y[:, None]).ravel(),
+                        minlength=50)
+    assert np.allclose(out_s, whole)

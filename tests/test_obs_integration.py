@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.aprod import AprodOperator
 from repro.core.lsqr import lsqr_solve
 from repro.dist.runner import distributed_lsqr_solve
 from repro.frameworks import port_by_key
@@ -24,7 +23,7 @@ from repro.gpu.profiler import KernelEvent, Profiler
 from repro.gpu.timing import KernelTiming
 from repro.gpu.trace import trace_iteration
 from repro.obs import Telemetry
-from repro.validation.compare import _port_strategies
+from repro.validation.compare import port_operator
 
 ITERATION_PHASES = ("lsqr.aprod1", "lsqr.normalize", "lsqr.aprod2",
                     "lsqr.update")
@@ -146,8 +145,7 @@ def test_two_ports_identical_solution_and_launch_counts(small_system):
         port = port_by_key(port_key)
         device = device_by_name(device_name)
         tel = Telemetry()
-        op = AprodOperator(small_system, telemetry=tel,
-                           **_port_strategies(port, device))
+        op = port_operator(small_system, port, device, telemetry=tel)
         res = lsqr_solve(op, atol=1e-12, btol=1e-12, iter_lim=200,
                          telemetry=tel)
         model_iteration(port, device, small_system.dims, telemetry=tel)

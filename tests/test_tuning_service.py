@@ -11,6 +11,7 @@ with its generation-counter memo invalidation.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import threading
 
@@ -181,6 +182,27 @@ def test_model_version_bump_marks_cell_stale(tmp_path):
     assert cache.stale == 1 and cache.misses == 2
     # The orphaned entry stays on disk under its own digest.
     assert (tmp_path / f"{spec.digest()}.json").exists()
+
+
+def test_a_pre_change_entry_is_a_miss_not_a_crash(tmp_path):
+    """An entry in the format from before the host kernel set was one
+    field (``host_gather`` / ``host_scatter`` / ``host_astro_scatter``),
+    at its spec's own digest: the index and ``get`` both skip it, and
+    the service re-sweeps over it."""
+    spec = default_spec("CUDA", "T4", "10GB")
+    doc = json.loads(GeometrySweeper().sweep(spec).to_json())
+    del doc["host_kernels"]
+    doc.update(host_gather="vectorized", host_scatter="bincount",
+               host_astro_scatter="bincount")
+    entry = tmp_path / f"{spec.digest()}.json"
+    entry.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    cache = TunedConfigCache(tmp_path)
+    assert len(cache) == 0
+    assert cache.get(spec) is None
+    assert cache.misses == 1 and cache.hits == 0
+    cfg = TuningService(cache=cache).tune(spec)
+    assert cfg.host_kernels in ("compiled", "blocks")
+    assert entry.read_bytes() == cfg.to_json().encode()
 
 
 def test_cache_lru_eviction():

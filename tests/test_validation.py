@@ -138,3 +138,29 @@ def test_compiled_plan_passes_the_fig6_gate():
     comp = compare_solutions(solve_production_reference(system), candidate,
                              dims)
     assert comp.passed, comp.sections
+
+
+def test_the_production_reference_runs_block_kernels_at_every_size(
+        monkeypatch):
+    """At a size where ``auto`` compiles a plan, the reference still
+    holds the block kernels alone and runs nothing but them."""
+    from repro.validation import compare
+
+    dims = SystemDims(n_stars=150, n_obs=FUSED_MIN_OBS + 404,
+                      n_deg_freedom_att=12, n_instr_params=24,
+                      n_glob_params=0)
+    system = make_system(dims, seed=13, noise_sigma=1e-9)
+    ops, seen = [], set()
+    real = compare.lsqr_solve
+
+    def spy(op, **kwargs):
+        ops.append(op)
+        op.kernel_hook = lambda name, *_: seen.add(name)
+        return real(op, **kwargs)
+
+    monkeypatch.setattr(compare, "lsqr_solve", spy)
+    compare.solve_production_reference(system, iter_lim=3)
+    [op] = ops
+    assert op.plan is None
+    assert seen == {f"aprod{d}_{block}" for d in (1, 2)
+                    for block in ("astro", "att", "instr")}
