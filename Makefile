@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-obs telemetry-smoke chaos-smoke bench-engine serve-smoke serve-mp-smoke serve-bench bench-batch-smoke tune-smoke tune-bench gang-smoke sessions-smoke sessions-bench
+.PHONY: test test-obs telemetry-smoke chaos-smoke bench-engine serve-smoke serve-mp-smoke serve-bench bench-batch-smoke tune-smoke tune-bench gang-smoke sessions-smoke sessions-bench bench-ab
 
 # The full tier-1 suite (ROADMAP.md's verify command).
 test:
@@ -104,3 +104,15 @@ sessions-bench:
 # docs/serving.md).
 serve-bench:
 	$(PYTHON) benchmarks/bench_serve.py --output BENCH_serve.json
+
+# Parent/change A/B of the benchmark (bench/): PAIRS alternating pairs
+# of `bench/run.py --all` on BASE (exported with `git archive` into a
+# temporary directory) and on this checkout, seeds SEED0, SEED0+1, ...,
+# then bench/compare.py.  With METRIC= and WORKLOAD= also the per-pair
+# values and the win count.
+BASE ?= HEAD~1
+PAIRS ?= 10
+SEED0 ?= 1
+bench-ab:
+	$(PYTHON) tools/bench_ab.py --base $(BASE) --pairs $(PAIRS) --seed0 $(SEED0) \
+	    $(if $(METRIC),--metric $(METRIC)) $(if $(WORKLOAD),--workload $(WORKLOAD))

@@ -333,14 +333,15 @@ _LIVE_FIELDS = frozenset({"system", "callback", "telemetry"})
 class RequestSpec:
     """The picklable remainder of a :class:`SolveRequest`.
 
-    Everything a solve needs *except* the system (which travels by
-    content digest through the :class:`repro.serve.shm.SystemStore`)
-    and the two process-unfriendly live objects (``callback``,
-    ``telemetry`` -- the serving layer keeps requests carrying either
-    in the parent process).  This is the wire format of the process
-    worker pool: :meth:`from_request` strips a request down to plain
-    data, :meth:`to_request` rehydrates it against the attached
-    system on the worker side.  The field list is derived from
+    Everything a solve needs *except* the system (whose matrix travels
+    by matrix digest through the :class:`repro.serve.shm.SystemStore`
+    and whose right-hand side rides beside the spec) and the two
+    process-unfriendly live objects (``callback``, ``telemetry`` -- the
+    serving layer keeps requests carrying either in the parent
+    process).  This is the wire format of the process worker pool:
+    :meth:`from_request` strips a request down to plain data,
+    :meth:`to_request` rehydrates it against the system rebuilt on the
+    worker side.  The field list is derived from
     :class:`SolveRequest`, so a field added there crosses the
     boundary without being restated here.
     """

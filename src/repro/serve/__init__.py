@@ -17,7 +17,7 @@ into the placement policy.
   dispatcher threads pushing placed jobs through a pluggable worker
   backend (``backend="thread"`` solves in-process;
   ``backend="process"`` ships picklable specs to a pool of spawned
-  solve processes that attach systems zero-copy from the
+  solve processes that attach matrices zero-copy from the
   :class:`SystemStore`), and re-placement of DEGRADED/ABORTED
   resilient solves on a different device; with ``max_fuse > 1`` it
   also coalesces fusion-compatible queued requests (equal
@@ -25,9 +25,10 @@ into the placement policy.
   configuration) into one batched many-RHS
   :func:`repro.api.solve_batch` sweep;
 - :class:`SystemStore` -- content-addressed shared-memory segments
-  holding :class:`~repro.system.sparse.GaiaSystem` arrays, published
-  once per distinct system and attached read-only by digest from
-  worker processes;
+  holding the matrix of a :class:`~repro.system.sparse.GaiaSystem`,
+  published once per distinct matrix and attached read-only by matrix
+  digest from worker processes (the right-hand side rides in each
+  task);
 - :class:`ResultCache` -- deterministic LRU keyed by (system digest,
   config digest); fused-batch members are cached individually
   (solution vectors for warm starts live in
@@ -83,7 +84,7 @@ from repro.serve.scheduler import (
     Scheduler,
     ServeReport,
 )
-from repro.serve.shm import AttachedSystem, SystemStore, active_segments
+from repro.serve.shm import AttachedMatrix, SystemStore, active_segments
 from repro.serve.worker import (
     BackendAborted,
     ProcessBackend,
@@ -92,7 +93,7 @@ from repro.serve.worker import (
 
 __all__ = [
     "AdmissionDecision",
-    "AttachedSystem",
+    "AttachedMatrix",
     "BACKENDS",
     "BackendAborted",
     "CostEstimate",

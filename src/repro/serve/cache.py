@@ -45,7 +45,6 @@ from repro.obs.telemetry import Telemetry
 # stack); re-exported here because every historical caller imported
 # them from this module.
 from repro.system.digest import (  # noqa: F401  (re-export)
-    _hash_matrix,
     matrix_digest,
     system_digest,
 )

@@ -43,9 +43,10 @@ whatever it is, through one four-stage pipeline:
   :class:`~repro.serve.worker` backend: ``backend="thread"``
   (default) calls :func:`repro.api.solve` (or an injected
   ``solve_fn``) on the dispatcher, ``backend="process"`` ships
-  picklable request specs to a pool of spawned solve processes that
-  attach the system zero-copy from the shared-memory
-  :class:`~repro.serve.shm.SystemStore` by content digest.
+  picklable request specs and right-hand sides to a pool of spawned
+  solve processes that attach the matrix zero-copy from the
+  shared-memory :class:`~repro.serve.shm.SystemStore` by matrix
+  digest.
 - **deliver** -- one ``finally``-guarded epilogue for every route and
   every way out of it: deposit clean solutions in the
   :class:`~repro.sessions.SessionStore`, drop the gang checkpoint

@@ -1,54 +1,71 @@
-"""Content-addressed shared-memory segment store for system arrays.
+"""Content-addressed shared-memory segment store for system matrices.
 
 The process worker pool (``Scheduler(backend="process")``) must hand
 each :class:`~repro.system.sparse.GaiaSystem` to its workers without
 pickling the coefficient arrays through a pipe -- the paper-scale
 60 GB system would be copied once per job.  Instead the parent
-:class:`SystemStore` *publishes* each system once into a
+:class:`SystemStore` *publishes* each distinct **matrix** once into a
 :class:`multiprocessing.shared_memory.SharedMemory` segment named by
-the system's content digest (:func:`repro.serve.cache.system_digest`),
-and every worker :func:`attach`\\ es by digest, mapping the same
-physical pages zero-copy: the arrays a worker solves on are read-only
-NumPy views straight into the segment.
+its matrix digest (:func:`repro.system.digest.matrix_digest`), and
+every worker :func:`attach`\\ es by digest, mapping the same physical
+pages zero-copy: the matrix a worker solves on is read-only NumPy views
+straight into the segment.  The right-hand side (``known_terms`` and
+the constraint rhs values) is not in the segment: it rides in each
+task, and the worker binds it to the views with
+:meth:`AttachedMatrix.system`.  Jobs that differ only in their
+right-hand side -- the members of a fused batch, a stream of
+re-observations -- share one segment and one worker mapping.
 
-Segment layout (one segment per system)::
+Segment layout (one segment per matrix)::
 
-    [8-byte little-endian header length][pickled header][array blocks]
+    [8-byte little-endian header length][JSON header][array blocks]
 
-The header carries the dimension tuple, the (name, shape, dtype,
-offset) table of the eight coefficient arrays -- each block 64-byte
-aligned -- and the (tiny) constraint rows pickled whole.  ``meta`` is
-*not* shipped: it is free-form provenance, irrelevant to the numerics,
-and reconstructed systems get a fresh ``{"shm_digest": ...}`` marker
-instead.  Content addressing makes publication idempotent: two
-publishers of byte-identical systems share one segment.
+The header is JSON in a fixed schema, never a pickle: the segment name
+is a predictable content address, so any local process could
+pre-create it, and reading its header must not be able to run code.
+It carries the dimension tuple, the ``(name, shape, dtype, offset)``
+table of the blocks -- the seven matrix arrays, then each constraint
+row's ``cols`` and ``vals``, every block 64-byte aligned and written
+with ``np.copyto`` straight into the mapping -- and the constraint
+labels.  A header that does not parse into exactly that schema, with
+every block inside the mapping, makes the segment *not ready*.
+``meta`` is not shipped: it is free-form provenance, irrelevant to the
+numerics, and attached systems get a fresh ``{"shm_digest": ...}``
+marker instead.  Content addressing makes publication idempotent: two
+publishers of byte-identical matrices share one segment.
 
 The header-length field doubles as the **publication marker**: a
 fresh segment is zero-filled, the publisher writes header and array
 blocks first and the length field *last*, so a nonzero length means
 the segment is complete.  A publisher whose create loses the name
-race (:class:`FileExistsError`) waits for the marker before co-owning
-the segment, and a segment whose marker never appears -- a partial
-leftover of a crashed earlier run -- is unlinked and re-created
-rather than served as garbage under a valid content address.
+race (:class:`FileExistsError`) co-owns the existing segment only if
+it belongs to this user alone (no group or world write bit), carries
+a complete header in the schema, and its blocks hash back to the
+digest.  Anything else -- a partial leftover of a crashed earlier run,
+a payload another process planted under the predictable name -- is
+unlinked and re-created rather than served under a valid content
+address; :func:`attach` refuses a segment that fails the ownership or
+header check.
 
 Lifecycle: the parent store refcounts :meth:`SystemStore.release` and
 unlinks either eagerly (``linger=False``) when a count hits zero or at
-:meth:`SystemStore.close`.  Worker-side :func:`attach` handles close
-their mapping only -- the parent owns unlinking.  On Python < 3.13 the
-resource tracker registers *attaching* processes as owners too (no
-``track=`` parameter), which would double-unlink at worker exit --
-and because spawned children share the parent's tracker process,
-unregistering *after* the fact would strip the parent's legitimate
-claim.  :func:`attach` therefore suppresses registration during the
-mapping call, keeping single ownership with the publisher
+:meth:`SystemStore.close`.  Workers keep one attachment per matrix and
+close their mappings when they exit -- the parent owns unlinking.  On
+Python < 3.13 the resource tracker registers *attaching* processes as
+owners too (no ``track=`` parameter), which would double-unlink at
+worker exit -- and because spawned children share the parent's tracker
+process, unregistering *after* the fact would strip the parent's
+legitimate claim.  :func:`attach` therefore suppresses registration
+during the mapping call, keeping single ownership with the publisher
 (``make serve-mp-smoke`` asserts zero leaked segments via
 :func:`active_segments`).
 """
 
 from __future__ import annotations
 
-import pickle
+import json
+import math
+import os
 import threading
 import time
 import weakref
@@ -58,9 +75,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.serve.cache import system_digest
 from repro.system.constraints import ConstraintRow, ConstraintSet
-from repro.system.sparse import GaiaSystem
+from repro.system.digest import matrix_digest
+from repro.system.sparse import MATRIX_FIELDS, GaiaSystem
 from repro.system.structure import SystemDims
 
 #: Every segment the store creates is named with this prefix, which is
@@ -75,18 +92,12 @@ _ALIGN = 64
 #: declaring it a stale leftover of a crashed run and re-creating it.
 _ADOPT_TIMEOUT_S = 10.0
 
-#: The eight coefficient/index/rhs arrays shipped as raw blocks, in
-#: canonical order.
-_ARRAY_FIELDS = (
-    "astro_values", "matrix_index_astro",
-    "att_values", "matrix_index_att",
-    "instr_values", "instr_col",
-    "glob_values", "known_terms",
-)
+#: The keys of a segment header, exactly.
+_HEADER_KEYS = frozenset({"dims", "blocks", "constraints", "total"})
 
 
 def _segment_name(digest: str) -> str:
-    """Shared-memory name of one system digest (content address)."""
+    """Shared-memory name of one matrix digest (content address)."""
     return SEGMENT_PREFIX + digest[:40]
 
 
@@ -94,37 +105,49 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _pack(system: GaiaSystem) -> tuple[bytes, list[tuple[str, np.ndarray, int]]]:
-    """Header bytes plus the (name, contiguous array, offset) plan."""
+def _block_names(labels: list[str] | None) -> list[str]:
+    """Block names of a matrix with these constraint labels, in order."""
+    names = list(MATRIX_FIELDS)
+    for i in range(len(labels or ())):
+        names += [f"constraint{i}.cols", f"constraint{i}.vals"]
+    return names
+
+
+def _pack(system: GaiaSystem
+          ) -> tuple[bytes, list[tuple[np.ndarray, int]], int]:
+    """Header bytes, the (array, offset) plan and the segment size."""
     d = system.dims
-    entries = []
-    blocks: list[tuple[str, np.ndarray, int]] = []
+    rows = system.constraints
+    labels = None if rows is None else [r.label for r in rows]
+    arrays = [getattr(system, name) for name in MATRIX_FIELDS]
+    arrays += [arr for r in rows or () for arr in (r.cols, r.vals)]
+    table = []
+    blocks: list[tuple[np.ndarray, int]] = []
     offset = 0  # relative to the start of the array region
-    for name in _ARRAY_FIELDS:
-        arr = np.ascontiguousarray(getattr(system, name))
+    for name, arr in zip(_block_names(labels), arrays):
         offset = _align(offset)
-        entries.append((name, arr.shape, arr.dtype.str, offset))
-        blocks.append((name, arr, offset))
+        table.append([name, list(arr.shape), arr.dtype.str, offset])
+        blocks.append((arr, offset))
         offset += arr.nbytes
-    constraints = None
-    if system.constraints is not None:
-        constraints = [
-            (np.ascontiguousarray(r.cols), np.ascontiguousarray(r.vals),
-             float(r.rhs), r.label)
-            for r in system.constraints
-        ]
-    header = pickle.dumps({
-        "dims": (d.n_stars, d.n_obs, d.n_deg_freedom_att,
-                 d.n_instr_params, d.n_glob_params),
-        "arrays": entries,
-        "constraints": constraints,
+    header = json.dumps({
+        "dims": [d.n_stars, d.n_obs, d.n_deg_freedom_att,
+                 d.n_instr_params, d.n_glob_params],
+        "blocks": table,
+        "constraints": labels,
         "total": offset,
-    })
-    return header, blocks
+    }).encode()
+    return header, blocks, _align(8 + len(header)) + offset
+
+
+def _block(buf: memoryview, base: int, shape, dtype, offset: int
+           ) -> np.ndarray:
+    """The array view of one block of a segment."""
+    return np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=buf,
+                      offset=base + offset)
 
 
 def _write_segment(shm_seg: shared_memory.SharedMemory, header: bytes,
-                   blocks: list[tuple[str, np.ndarray, int]]) -> None:
+                   blocks: list[tuple[np.ndarray, int]]) -> None:
     """Fill a fresh (zero-filled) segment; publication marker last.
 
     The 8-byte header-length field stays zero until every other byte
@@ -134,60 +157,55 @@ def _write_segment(shm_seg: shared_memory.SharedMemory, header: bytes,
     buf = shm_seg.buf
     buf[8:8 + len(header)] = header
     base = _align(8 + len(header))
-    for _, arr, offset in blocks:
-        start = base + offset
-        buf[start:start + arr.nbytes] = arr.tobytes()
-    buf[:8] = np.uint64(len(header)).tobytes()
+    for arr, offset in blocks:
+        np.copyto(_block(buf, base, arr.shape, arr.dtype, offset), arr)
+    buf[:8] = len(header).to_bytes(8, "little")
 
 
-def _segment_ready(shm_seg: shared_memory.SharedMemory) -> bool:
-    """True when the segment carries a complete publication.
+def _require(condition: bool) -> None:
+    if not condition:
+        raise ValueError("segment header outside the schema")
 
-    Checks the publication marker (nonzero header length written last
-    by :func:`_write_segment`) and cross-checks the header's recorded
-    array-region size against the mapping, so a partially written
-    leftover never validates.
+
+def _ints(values) -> bool:
+    return isinstance(values, list) and all(
+        type(v) is int and v >= 0 for v in values)
+
+
+def _read_header(buf: memoryview) -> dict | None:
+    """The segment's header, or None unless it is complete and valid.
+
+    Checks the publication marker (the nonzero header length written
+    last by :func:`_write_segment`), parses the header as JSON and
+    accepts it only in the exact schema :func:`_pack` writes, with
+    every block inside the mapping -- so neither a partially written
+    leftover nor a foreign payload ever validates.
     """
-    (hlen,) = np.frombuffer(shm_seg.buf[:8], dtype="<u8")
-    hlen = int(hlen)
-    if hlen == 0 or 8 + hlen > shm_seg.size:
-        return False
+    hlen = int.from_bytes(buf[:8], "little")
+    if hlen == 0 or 8 + hlen > len(buf):
+        return None
     try:
-        header = pickle.loads(bytes(shm_seg.buf[8:8 + hlen]))
-        total = _align(8 + hlen) + int(header["total"])
-    except Exception:
-        return False
-    return total <= shm_seg.size
-
-
-def _unpack(buf: memoryview, digest: str) -> GaiaSystem:
-    """Rebuild a system over read-only views into ``buf``."""
-    (hlen,) = np.frombuffer(buf[:8], dtype="<u8")
-    header = pickle.loads(bytes(buf[8:8 + int(hlen)]))
-    base = _align(8 + int(hlen))
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape, dtype, offset in header["arrays"]:
-        start = base + offset
-        arr = np.frombuffer(
-            buf, dtype=np.dtype(dtype),
-            count=int(np.prod(shape, dtype=np.int64)) if shape else 1,
-            offset=start,
-        ).reshape(shape)
-        arr.flags.writeable = False
-        arrays[name] = arr
-    constraints = None
-    if header["constraints"] is not None:
-        constraints = ConstraintSet(rows=[
-            ConstraintRow(cols=cols, vals=vals, rhs=rhs, label=label)
-            for cols, vals, rhs, label in header["constraints"]
-        ])
-    dims = SystemDims(*header["dims"])
-    return GaiaSystem(
-        dims=dims,
-        constraints=constraints,
-        meta={"shm_digest": digest},
-        **arrays,
-    )
+        header = json.loads(bytes(buf[8:8 + hlen]))
+        _require(isinstance(header, dict) and set(header) == _HEADER_KEYS)
+        total, dims, labels = (header["total"], header["dims"],
+                               header["constraints"])
+        _require(_ints([total]) and _align(8 + hlen) + total <= len(buf))
+        _require(_ints(dims) and len(dims) == 5)
+        SystemDims(*dims)
+        _require(labels is None or (isinstance(labels, list) and all(
+            isinstance(label, str) for label in labels)))
+        table = header["blocks"]
+        _require(isinstance(table, list) and all(
+            isinstance(entry, list) and len(entry) == 4 for entry in table))
+        _require([entry[0] for entry in table] == _block_names(labels))
+        for _, shape, dtype, offset in table:
+            _require(isinstance(dtype, str))
+            dt = np.dtype(dtype)
+            _require(dt.kind in "iuf" and _ints(shape) and _ints([offset])
+                     and offset + dt.itemsize * math.prod(shape) <= total)
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        return None
+    return header
 
 
 #: Serializes the register-suppression window against concurrent
@@ -220,35 +238,138 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = orig
 
 
+def _foreign(seg: shared_memory.SharedMemory) -> bool:
+    """Whether another user owns this segment or could rewrite it."""
+    st = os.fstat(seg._fd)
+    return st.st_uid != os.getuid() or bool(st.st_mode & 0o022)
+
+
+def rhs_of(system: GaiaSystem) -> tuple:
+    """The right-hand side a task carries beside its matrix digest.
+
+    ``(known_terms, constraint rhs values)``, the second None for a
+    system without a constraint set; :meth:`AttachedMatrix.system`
+    takes exactly these two arguments back.
+    """
+    rows = system.constraints
+    return (system.known_terms,
+            None if rows is None else tuple(float(r.rhs) for r in rows))
+
+
 @dataclass
-class AttachedSystem:
-    """A worker-side zero-copy view of one published system."""
+class AttachedMatrix:
+    """Zero-copy, read-only views of one published matrix.
+
+    :meth:`system` binds a right-hand side to the views; every system
+    built from one attachment shares its pages.
+    """
 
     digest: str
-    system: GaiaSystem
-    _shm: shared_memory.SharedMemory
+    dims: SystemDims
+    #: The seven :data:`~repro.system.sparse.MATRIX_FIELDS` views.
+    arrays: dict[str, np.ndarray]
+    #: ``(cols, vals, label)`` of each constraint row, or None when the
+    #: published system had no constraint set.
+    constraint_rows: list[tuple[np.ndarray, np.ndarray, str]] | None
+    #: The mapping (None for :meth:`SystemStore.attach`'s in-process
+    #: views, whose mapping the store owns).
+    _shm: shared_memory.SharedMemory | None = None
+
+    def system(self, known_terms: np.ndarray,
+               constraint_rhs=None) -> GaiaSystem:
+        """A system over the shared matrix with this right-hand side.
+
+        ``constraint_rhs`` holds one value per constraint row, or is
+        None for a system without a constraint set.  The system is
+        validated like any other: its right-hand side crossed a process
+        boundary.
+        """
+        rows = self.constraint_rows or []
+        rhs = () if constraint_rhs is None else tuple(constraint_rhs)
+        if len(rhs) != len(rows):
+            raise ValueError(
+                f"{len(rhs)} constraint rhs values for the {len(rows)} "
+                "constraint rows of the published matrix")
+        constraints = None
+        if constraint_rhs is not None:
+            constraints = ConstraintSet(rows=[
+                ConstraintRow(cols=cols, vals=vals, rhs=float(value),
+                              label=label)
+                for (cols, vals, label), value in zip(rows, rhs)])
+        return GaiaSystem(dims=self.dims, known_terms=known_terms,
+                          constraints=constraints,
+                          meta={"shm_digest": self.digest},
+                          **self.arrays)
 
     def close(self) -> None:
         """Unmap the segment (the parent owns unlinking)."""
-        # The system's arrays alias the mapping; drop them first so
-        # BufferError cannot fire on platforms that check exports.
-        self.system = None  # type: ignore[assignment]
+        # The views alias the mapping; drop them first so BufferError
+        # cannot fire on platforms that check exports.
+        self.arrays = {}
+        self.constraint_rows = None
+        if self._shm is None:
+            return
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover - view still exported
             pass
 
 
-def attach(digest: str) -> AttachedSystem:
-    """Map one published system by digest (worker side, zero-copy)."""
+def _views(buf: memoryview, header: dict, digest: str,
+           shm: shared_memory.SharedMemory | None) -> AttachedMatrix:
+    """Read-only views of one segment's matrix (``header`` validated)."""
+    base = _align(8 + int.from_bytes(buf[:8], "little"))
+    views = {}
+    for name, shape, dtype, offset in header["blocks"]:
+        arr = _block(buf, base, shape, dtype, offset)
+        arr.flags.writeable = False
+        views[name] = arr
+    labels = header["constraints"]
+    rows = None if labels is None else [
+        (views[f"constraint{i}.cols"], views[f"constraint{i}.vals"], label)
+        for i, label in enumerate(labels)]
+    return AttachedMatrix(
+        digest=digest, dims=SystemDims(*header["dims"]),
+        arrays={name: views[name] for name in MATRIX_FIELDS},
+        constraint_rows=rows, _shm=shm)
+
+
+def _adoptable(seg: shared_memory.SharedMemory, digest: str) -> bool:
+    """Whether an existing segment may be served under ``digest``.
+
+    It must be this user's and writable by nobody else, carry a
+    complete header in the schema within ``_ADOPT_TIMEOUT_S`` (a
+    concurrent publisher may still be writing it), and its blocks must
+    hash to ``digest`` -- the matrix digest does not cover the
+    right-hand side, so a zero one is bound for the check.
+    """
+    if _foreign(seg):
+        return False
+    deadline = time.monotonic() + _ADOPT_TIMEOUT_S
+    while (header := _read_header(seg.buf)) is None:
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+    view = _views(seg.buf, header, digest, None)
+    rows = view.constraint_rows
+    try:
+        system = view.system(np.zeros(view.dims.n_obs),
+                             None if rows is None else [0.0] * len(rows))
+    except (ValueError, TypeError):
+        return False
+    return matrix_digest(system) == digest
+
+
+def attach(digest: str) -> AttachedMatrix:
+    """Map one published matrix by digest (worker side, zero-copy)."""
     shm = _attach_untracked(_segment_name(digest))
-    if not _segment_ready(shm):
+    header = None if _foreign(shm) else _read_header(shm.buf)
+    if header is None:
         shm.close()
         raise RuntimeError(
-            f"segment for digest {digest!r} is incomplete "
+            f"segment for digest {digest!r} is incomplete or foreign "
             "(publisher crashed mid-write?)")
-    system = _unpack(shm.buf, digest)
-    return AttachedSystem(digest=digest, system=system, _shm=shm)
+    return _views(shm.buf, header, digest, shm)
 
 
 def active_segments() -> list[str]:
@@ -265,22 +386,23 @@ def active_segments() -> list[str]:
 
 
 class SystemStore:
-    """Parent-side publisher and owner of system segments.
+    """Parent-side publisher and owner of matrix segments.
 
-    ``publish`` is idempotent and content-addressed: the digest *is*
-    the key, byte-identical systems share one segment, and the digest
-    of an already-seen system object is memoized (by ``id``, with a
-    weakref guard against id reuse) so the hash is paid once per
-    object, not once per job.
+    ``publish`` is idempotent and content-addressed: the matrix digest
+    *is* the key, systems with byte-identical matrices (whatever their
+    right-hand sides) share one segment, and each publish counts one
+    reference.  The digest of an already-seen system object is memoized
+    (by ``id``, with a weakref guard against id reuse) so the hash is
+    paid once per object, not once per job.
 
     ``linger=True`` (the default) keeps zero-refcount segments mapped
     until :meth:`close` -- the serving pattern, where the next job for
-    a hot system arrives right after the last one released it.
+    a hot matrix arrives right after the last one released it.
     ``linger=False`` unlinks eagerly at refcount zero.
 
     Every mutation (publish/release/close) is serialized by one store
     lock, so concurrent scheduler dispatchers publishing the same
-    system cannot hand out a digest while its blocks are still being
+    matrix cannot hand out a digest while its blocks are still being
     copied, and refcounts stay exact under concurrent publish/release.
     """
 
@@ -296,12 +418,12 @@ class SystemStore:
 
     # -- publishing -----------------------------------------------------
     def digest_of(self, system: GaiaSystem) -> str:
-        """The (memoized) content digest of one system object."""
+        """The (memoized) matrix digest of one system object."""
         key = id(system)
         memo = self._digest_memo.get(key)
         if memo is not None and memo[0]() is system:
             return memo[1]
-        digest = system_digest(system)
+        digest = matrix_digest(system)
         try:
             ref = weakref.ref(system,
                               lambda _: self._digest_memo.pop(key, None))
@@ -311,7 +433,8 @@ class SystemStore:
         return digest
 
     def publish(self, system: GaiaSystem) -> str:
-        """Ensure ``system`` is in shared memory; return its digest."""
+        """Ensure ``system``'s matrix is in shared memory; return its
+        matrix digest (the key :meth:`attach` and workers map by)."""
         digest = self.digest_of(system)  # hash outside the lock
         with self._lock:
             if self._closed:
@@ -319,33 +442,35 @@ class SystemStore:
             if digest in self._segments:
                 self._refs[digest] += 1
                 return digest
-            header, blocks = _pack(system)
-            total = _align(8 + len(header)) + _pack_total(blocks)
-            shm = self._create_or_adopt(_segment_name(digest), total,
-                                        header, blocks)
+            shm = self._create_or_adopt(digest, *_pack(system))
             self._segments[digest] = shm
             self._refs[digest] = 1
             return digest
 
-    def _create_or_adopt(self, name: str, total: int, header: bytes,
-                         blocks: list[tuple[str, np.ndarray, int]]
+    def _create_or_adopt(self, digest: str, header: bytes,
+                         blocks: list[tuple[np.ndarray, int]], size: int
                          ) -> shared_memory.SharedMemory:
-        """Create-and-fill the named segment, or co-own a complete one.
+        """Create-and-fill the named segment, or co-own a verified one.
 
-        A same-name segment can already exist for two reasons: another
-        live publisher (a second store in this or another process) is
-        mid-write, or a crashed earlier run left a partial segment
-        behind.  The publication marker tells them apart: wait up to
-        ``_ADOPT_TIMEOUT_S`` for the marker, co-own the segment once
-        it validates, and unlink-and-recreate if it never does.  The
-        plain attach (tracker registration included) is deliberate:
-        this store takes unlink responsibility for the segment.
+        A same-name segment can already exist for three reasons:
+        another live publisher (a second store in this or another
+        process) is mid-write, a crashed earlier run left a partial
+        segment behind, or some other process planted a payload there.
+        :func:`_adoptable` tells them apart: the segment is co-owned
+        only when it is this user's alone, complete, and holds exactly
+        the matrix ``digest`` names; anything else is unlinked and
+        re-created.  A name another user holds cannot be unlinked, and
+        publishing fails with :class:`PermissionError` rather than
+        serving that user's arrays.  The plain attach (tracker
+        registration included) is deliberate: this store takes unlink
+        responsibility for the segment.
         """
+        name = _segment_name(digest)
         while True:
             try:
                 with _TRACK_LOCK:
                     seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=total)
+                        name=name, create=True, size=size)
             except FileExistsError:
                 pass
             else:
@@ -355,29 +480,23 @@ class SystemStore:
                 seg = shared_memory.SharedMemory(name=name)
             except FileNotFoundError:
                 continue  # unlinked under us; retry the create
-            deadline = time.monotonic() + _ADOPT_TIMEOUT_S
-            while not _segment_ready(seg):
-                if time.monotonic() >= deadline:
-                    # Stale partial leftover: reclaim the name.
-                    try:
-                        seg.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-                    seg.close()
-                    seg = None
-                    break
-                time.sleep(0.01)
-            if seg is not None:
+            if _adoptable(seg, digest):
                 return seg
+            try:  # stale, foreign or forged: reclaim the name
+                seg.unlink()
+            except FileNotFoundError:  # pragma: no cover
+                pass
+            finally:
+                seg.close()
 
     # -- lifecycle ------------------------------------------------------
-    def attach(self, digest: str) -> GaiaSystem:
-        """In-process zero-copy view of one published system."""
+    def attach(self, digest: str) -> AttachedMatrix:
+        """In-process zero-copy views of one published matrix."""
         with self._lock:
             shm = self._segments.get(digest)
         if shm is None:
             raise KeyError(f"digest {digest!r} is not published")
-        return _unpack(shm.buf, digest)
+        return _views(shm.buf, _read_header(shm.buf), digest, None)
 
     def refcount(self, digest: str) -> int:
         """Outstanding publishes of one digest (0 when unknown)."""
@@ -426,18 +545,11 @@ class SystemStore:
         self.close()
 
 
-def _pack_total(blocks: list[tuple[str, np.ndarray, int]]) -> int:
-    """Size of the array region described by a ``_pack`` plan."""
-    if not blocks:
-        return 0
-    _, arr, offset = blocks[-1]
-    return offset + arr.nbytes
-
-
 __all__ = [
     "SEGMENT_PREFIX",
-    "AttachedSystem",
+    "AttachedMatrix",
     "SystemStore",
     "active_segments",
     "attach",
+    "rhs_of",
 ]

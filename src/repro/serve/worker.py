@@ -11,10 +11,13 @@ runs* is this module's job, behind one small surface:
   sinks), but concurrent numpy solves contend on the GIL.
 - :class:`ProcessBackend` -- a persistent pool of spawned worker
   processes.  Requests travel as picklable
-  :class:`~repro.api.RequestSpec` values plus a system *digest*; each
-  worker attaches the system zero-copy from the shared-memory
-  :mod:`~repro.serve.shm` store, solves with the same
-  :func:`repro.api.solve`, and streams back the
+  :class:`~repro.api.RequestSpec` values plus a *matrix digest* and the
+  right-hand side (``known_terms`` and the constraint rhs values, about
+  1 MiB at 134 218 observations); each worker maps every matrix once
+  from the shared-memory :mod:`~repro.serve.shm` store, builds the
+  job's system over those read-only views plus the task's right-hand
+  side, solves with the same :func:`repro.api.solve`, and streams back
+  the
   :class:`~repro.api.SolveReport` (minus ``raw``) plus a serialized
   :mod:`repro.obs` dump that the parent merges into its registry.
   Identical numerics (the solve is a pure
@@ -33,7 +36,9 @@ Shutdown contract: :meth:`stop` is graceful (sentinel per worker,
 bounded join, then terminate leftovers); :meth:`kill` is immediate
 (abort path).  Both fail still-pending calls with
 :class:`BackendAborted` so no scheduler thread waits forever on a
-solve that will never return.
+solve that will never return, and both release the two queues once
+the workers are gone, so their named semaphores (``/dev/shm/sem.*``)
+go with them instead of outliving the pool.
 """
 
 from __future__ import annotations
@@ -112,9 +117,10 @@ class ProcessBackend:
 
     The parent keeps one task queue and one result queue; a router
     thread resolves results back to the waiting scheduler thread by
-    call id.  Workers attach systems from the shared-memory store by
-    digest (zero-copy) and cache the attachment, so a hot system is
-    mapped once per worker, not once per job.
+    call id.  Workers attach matrices from the shared-memory store by
+    matrix digest (zero-copy) and keep the attachment, so a hot matrix
+    is mapped once per worker, not once per job -- whatever right-hand
+    side each job brings.
     """
 
     name = "process"
@@ -145,6 +151,9 @@ class ProcessBackend:
             return
         self._started = True
         self._task_q = self._ctx.Queue()
+        # A task write into a pipe with no reader left fails quietly
+        # and ends the feeder thread (see _teardown).
+        self._task_q._ignore_epipe = True
         self._result_q = self._ctx.Queue()
         self._procs = [
             self._ctx.Process(
@@ -184,7 +193,7 @@ class ProcessBackend:
         try:
             report, tel_dump = self._call(
                 ("solve", RequestSpec.from_request(request), digest,
-                 collect))
+                 shm.rhs_of(request.system), collect))
         finally:
             self._store.release(digest)
         self._scheduler.tel.absorb(tel_dump, track_prefix="mp/")
@@ -199,10 +208,11 @@ class ProcessBackend:
             return self._scheduler.batch_solve_fn(requests)
         digests = [self._store.publish(r.system) for r in requests]
         specs = [RequestSpec.from_request(r) for r in requests]
+        rhs = [shm.rhs_of(r.system) for r in requests]
         collect = isinstance(self._scheduler.tel, Telemetry)
         try:
             reports, tel_dump = self._call(
-                ("batch", specs, digests, collect))
+                ("batch", specs, digests, rhs, collect))
         finally:
             for digest in digests:
                 self._store.release(digest)
@@ -224,8 +234,9 @@ class ProcessBackend:
             call_id = self._next_call
             self._next_call += 1
             self._pending[call_id] = call
+            task_q = self._task_q
         try:
-            self._task_q.put((call_id,) + task)
+            task_q.put((call_id,) + task)
         except (OSError, ValueError):
             # Teardown closed the queue between our registration and
             # the put; unregister and fail like any aborted call.
@@ -244,9 +255,10 @@ class ProcessBackend:
 
     # -- result routing -------------------------------------------------
     def _route(self) -> None:
+        result_q = self._result_q  # teardown drops the attribute
         while True:
             try:
-                msg = self._result_q.get(timeout=0.1)
+                msg = result_q.get(timeout=0.1)
             except queue_mod.Empty:
                 dead = bool(self._procs) and all(
                     not p.is_alive() for p in self._procs)
@@ -263,7 +275,7 @@ class ProcessBackend:
                 if done or dead:
                     return
                 continue
-            except (OSError, EOFError):  # pragma: no cover - torn queue
+            except (OSError, EOFError, ValueError):  # torn/closed queue
                 return
             kind = msg[0]
             if kind == "ready":
@@ -334,14 +346,35 @@ class ProcessBackend:
             call.event.set()
 
     def _teardown(self) -> None:
-        for q in (self._task_q, self._result_q):
-            if q is None:
-                continue
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
+        """Close and release both queues (the workers are gone).
+
+        Each queue holds three named semaphores that live exactly as
+        long as the queue object and its feeder thread.  The task
+        queue's feeder may be blocked writing a task larger than the
+        pipe buffer that no worker will ever read -- and the parent's
+        own, never-used reader end keeps that pipe open.  Closing it
+        (the move :mod:`concurrent.futures` makes on terminate) fails
+        the write with EPIPE, which the queue ignores since
+        :meth:`start`, so the feeder exits.  Every join is bounded: a
+        worker that outlived its terminate still holds a reader end,
+        and its queue is abandoned rather than waited on.  The router
+        drops its reference when the closed result queue fails its
+        next read.
+        """
+        task_q, result_q = self._task_q, self._result_q
+        self._task_q = self._result_q = None
+        if task_q is not None:
+            # Before close(): the feeder closes this same reader once it
+            # meets the sentinel close() queues, and must find it closed.
+            task_q._reader.close()
+            task_q.close()
+            task_q.cancel_join_thread()  # never an unbounded join at exit
+            if task_q._thread is not None:
+                task_q._thread.join(1.0)
+        if result_q is not None:
+            result_q.close()
+        if self._router is not None:
+            self._router.join(1.0)
 
     @property
     def alive_workers(self) -> int:
@@ -352,8 +385,12 @@ class ProcessBackend:
 def worker_main(worker_id: int, task_q, result_q) -> None:
     """Entry point of one spawned solve worker.
 
-    Attaches systems from the shared-memory store by digest (cached
-    per worker -- a hot system is mapped once), runs the exact same
+    Attaches matrices from the shared-memory store by digest, one
+    mapping per matrix for the worker's lifetime (each new mapping
+    ticks ``serve.mp.attach``), builds each job's system over the
+    read-only views plus the right-hand side its task carries -- and
+    validates it, since that input crossed a process boundary -- runs
+    the exact same
     :func:`repro.api.solve` / :func:`repro.api.solve_batch` the thread
     backend runs, and ships back the report dataclasses -- without
     ``raw``, the driver's result object, whose workspaces and engine
@@ -368,14 +405,15 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic host
         pass
-    attached: dict[str, shm.AttachedSystem] = {}
+    attached: dict[str, shm.AttachedMatrix] = {}
     result_q.put(("ready", worker_id, None, None))
 
-    def _system(digest: str):
-        att = attached.get(digest)
-        if att is None:
-            att = attached[digest] = shm.attach(digest)
-        return att.system
+    def _system(digest: str, rhs: tuple, tel: Telemetry | None):
+        matrix = attached.get(digest)
+        if matrix is None:
+            matrix = attached[digest] = shm.attach(digest)
+            Telemetry.or_null(tel).counter("serve.mp.attach").inc()
+        return matrix.system(*rhs)
 
     try:
         while True:
@@ -386,15 +424,17 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
             try:
                 tel = Telemetry() if task[-1] else None
                 if kind == "solve":
-                    _, _, spec, digest, _ = task
-                    request = spec.to_request(_system(digest),
+                    _, _, spec, digest, rhs, _ = task
+                    request = spec.to_request(_system(digest, rhs, tel),
                                               telemetry=tel)
                     body = replace(api_solve(request), raw=None)
                 else:
-                    _, _, specs, digests, _ = task
+                    _, _, specs, digests, rhs, _ = task
                     requests = [
-                        spec.to_request(_system(digest), telemetry=tel)
-                        for spec, digest in zip(specs, digests)
+                        spec.to_request(_system(digest, member, tel),
+                                        telemetry=tel)
+                        for spec, digest, member in zip(specs, digests,
+                                                        rhs)
                     ]
                     body = [replace(r, raw=None)
                             for r in api_solve_batch(requests)]

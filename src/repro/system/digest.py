@@ -9,12 +9,18 @@ cheap to compare, and three subsystems key off them:
 - ``repro.serve`` caches solve reports under ``(system digest, config
   digest)`` and fuses many-RHS batches under the :func:`matrix_digest`
   (rhs excluded);
-- ``repro.serve.shm`` publishes system arrays into shared memory under
-  the system digest for zero-copy attach by worker processes;
+- ``repro.serve.shm`` publishes one shared-memory segment per matrix
+  under the matrix digest for zero-copy attach by worker processes (the
+  right-hand side rides in each task);
 - ``repro.sessions`` persists solution vectors under the system digest
   and chains grown systems parent -> child by digest lineage, so a
   re-solve of an incrementally extended system can warm start from its
   ancestor's solution (``docs/sessions.md``).
+
+The hex values are outputs -- session record names, warm-start
+provenance, cache keys -- and stay byte-identical across releases.
+Arrays are fed to SHA-256 as buffers (C order, exactly the bytes
+``tobytes()`` would give) with no intermediate copy.
 
 The functions lived in ``repro.serve.cache`` first; they moved here so
 the ``system`` and ``sessions`` layers can address content without
@@ -25,7 +31,9 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.system.sparse import GaiaSystem
+import numpy as np
+
+from repro.system.sparse import MATRIX_FIELDS, GaiaSystem
 
 
 def _hash_matrix(h: "hashlib._Hash", system: GaiaSystem,
@@ -39,19 +47,14 @@ def _hash_matrix(h: "hashlib._Hash", system: GaiaSystem,
     d = system.dims
     h.update(repr((d.n_stars, d.n_obs, d.n_deg_freedom_att,
                    d.n_instr_params, d.n_glob_params)).encode())
-    for arr in (
-        system.astro_values, system.matrix_index_astro,
-        system.att_values, system.matrix_index_att,
-        system.instr_values, system.instr_col,
-        system.glob_values,
-    ):
-        h.update(arr.tobytes())
+    for name in MATRIX_FIELDS:
+        h.update(np.ascontiguousarray(getattr(system, name)))
     if include_rhs:
-        h.update(system.known_terms.tobytes())
+        h.update(np.ascontiguousarray(system.known_terms))
     if system.constraints is not None:
         for row in system.constraints:
-            h.update(row.cols.tobytes())
-            h.update(row.vals.tobytes())
+            h.update(np.ascontiguousarray(row.cols))
+            h.update(np.ascontiguousarray(row.vals))
             if include_rhs:
                 h.update(repr(row.rhs).encode())
 

@@ -41,6 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
     from repro.system.constraints import ConstraintSet
 
+#: The seven arrays that make up the observation matrix (``known_terms``
+#: is the right-hand side), in the order they are hashed and shipped.
+MATRIX_FIELDS = (
+    "astro_values", "matrix_index_astro",
+    "att_values", "matrix_index_att",
+    "instr_values", "instr_col",
+    "glob_values",
+)
+
 
 @dataclass
 class GaiaSystem:
@@ -159,28 +168,41 @@ class GaiaSystem:
         """``(n_obs,)`` star index observed by each row."""
         return self.matrix_index_astro // ASTRO_PARAMS_PER_STAR
 
-    def att_columns(self) -> np.ndarray:
+    # Each column derivation writes into ``out`` -- any integer block,
+    # e.g. a column slice of observation_csr's packed index block -- or
+    # into a fresh int64 block, and computes in the block's dtype.
+    def _column_block(self, width: int, out: np.ndarray | None
+                      ) -> np.ndarray:
+        if out is None:
+            return np.empty((self.dims.n_obs, width), dtype=np.int64)
+        return out
+
+    def att_columns(self, out: np.ndarray | None = None) -> np.ndarray:
         """Global columns of all 12 attitude coefficients, ``(n_obs, 12)``.
 
         Axis ``a``, in-block position ``j`` maps to section-local column
         ``matrix_index_att + a * att_stride + j``.
         """
         d = self.dims
-        base = self.matrix_index_att[:, None]
-        axis_off = (np.arange(ATT_AXES) * d.att_stride)[None, :, None]
-        block_off = np.arange(ATT_BLOCK_SIZE)[None, None, :]
-        local = base[:, None] + axis_off + block_off  # (n_obs, 3, 4)
-        return local.reshape(d.n_obs, ATT_PARAMS_PER_ROW) + d.att_offset
+        axis_off = (np.arange(ATT_AXES) * d.att_stride)[:, None]
+        block_off = np.arange(ATT_BLOCK_SIZE)[None, :]
+        offsets = (axis_off + block_off).reshape(-1) + d.att_offset
+        out = self._column_block(ATT_PARAMS_PER_ROW, out)
+        return np.add(self.matrix_index_att[:, None], offsets, out=out,
+                      dtype=out.dtype)
 
-    def astro_columns(self) -> np.ndarray:
+    def astro_columns(self, out: np.ndarray | None = None) -> np.ndarray:
         """Global columns of the 5 astrometric coefficients, ``(n_obs, 5)``."""
-        return self.matrix_index_astro[:, None] + np.arange(
-            ASTRO_PARAMS_PER_STAR
-        )
+        out = self._column_block(ASTRO_PARAMS_PER_STAR, out)
+        return np.add(self.matrix_index_astro[:, None],
+                      np.arange(ASTRO_PARAMS_PER_STAR), out=out,
+                      dtype=out.dtype)
 
-    def instr_columns(self) -> np.ndarray:
+    def instr_columns(self, out: np.ndarray | None = None) -> np.ndarray:
         """Global columns of the 6 instrumental coefficients, ``(n_obs, 6)``."""
-        return self.instr_col.astype(np.int64) + self.dims.instr_offset
+        out = self._column_block(INSTR_PARAMS_PER_ROW, out)
+        return np.add(self.instr_col, self.dims.instr_offset, out=out,
+                      dtype=out.dtype)
 
     def row_norms_squared(self) -> np.ndarray:
         """Squared 2-norm of every observation row (constraints excluded)."""
@@ -202,29 +224,37 @@ class GaiaSystem:
         instrumental and (when present) global coefficients in that
         order, left to right.  The matrix is handed over as packed --
         never canonicalized -- so that order is the summation order of
-        every product taken with it; SciPy picks the index dtype
-        (int32 below 2**31 coefficients).
+        every product taken with it.
+
+        The final ``(n_obs, nnz_per_row)`` index and value blocks are
+        allocated once, and each section is written straight into its
+        column slice.  The index dtype follows SciPy's own rule (int32
+        while ``n_obs``, ``n_params`` and the coefficient count all stay
+        below 2**31, int64 past that), so the constructor keeps the
+        three arrays as they are and copies nothing.
         """
         import scipy.sparse as sp
 
         d = self.dims
         m = d.n_obs
         per_row = d.nnz_per_row
+        index = (np.int32 if max(m, d.n_params, m * per_row) < 2**31
+                 else np.int64)
         a_end = ASTRO_PARAMS_PER_STAR
         t_end = a_end + ATT_PARAMS_PER_ROW
         i_end = t_end + INSTR_PARAMS_PER_ROW
-        cols = np.empty((m, per_row), dtype=np.int64)
+        cols = np.empty((m, per_row), dtype=index)
         vals = np.empty((m, per_row), dtype=np.float64)
-        cols[:, :a_end] = self.astro_columns()
+        self.astro_columns(out=cols[:, :a_end])
         vals[:, :a_end] = self.astro_values
-        cols[:, a_end:t_end] = self.att_columns()
+        self.att_columns(out=cols[:, a_end:t_end])
         vals[:, a_end:t_end] = self.att_values
-        cols[:, t_end:i_end] = self.instr_columns()
+        self.instr_columns(out=cols[:, t_end:i_end])
         vals[:, t_end:i_end] = self.instr_values
         if d.n_glob_params:
             cols[:, i_end] = d.glob_offset
             vals[:, i_end] = self.glob_values[:, 0]
-        indptr = np.arange(0, (m + 1) * per_row, per_row, dtype=np.int64)
+        indptr = np.arange(0, (m + 1) * per_row, per_row, dtype=index)
         return sp.csr_matrix(
             (vals.reshape(-1), cols.reshape(-1), indptr),
             shape=(m, d.n_params),

@@ -393,9 +393,9 @@ def derived_columns(monkeypatch):
     for name in ("astro_columns", "att_columns", "instr_columns"):
         real = getattr(GaiaSystem, name)
 
-        def counting(self, _real=real, _name=name):
+        def counting(self, out=None, _real=real, _name=name):
             derived.append(_name)
-            return _real(self)
+            return _real(self, out=out)
 
         monkeypatch.setattr(GaiaSystem, name, counting)
     return derived

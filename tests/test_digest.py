@@ -1,0 +1,91 @@
+"""The content digests: hex values pinned, arrays hashed as buffers.
+
+A digest's hex value is an output -- it names session records
+(``sol-<digest>.npz``), lands in ``WarmStartInfo.source_digest`` and
+keys the result cache -- so it must not move when the hashing code
+does.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.system import digest as digest_mod
+from repro.system import make_system
+from repro.system.digest import matrix_digest, system_digest
+from repro.system.sparse import MATRIX_FIELDS
+from repro.system.structure import SystemDims
+
+_GLOB = SystemDims(n_stars=20, n_obs=600, n_deg_freedom_att=12,
+                   n_instr_params=18, n_glob_params=1)
+_NOGLOB = SystemDims(n_stars=25, n_obs=750, n_deg_freedom_att=10,
+                     n_instr_params=15, n_glob_params=0)
+
+#: (dims, seed, with_constraints) -> (system_digest, matrix_digest).
+PINS = {
+    (_GLOB, 11, True): (
+        "89a14911dfe54fad0a81b5922973cffdb190efa3749e34dfa59908b064e4e51a",
+        "4eb85d9b9c4491563f56d89f4795fbcd603c8739b2a70d579f14c212ade38981"),
+    (_GLOB, 11, False): (
+        "a7bc3ea053be2296c07c64cdac155b1873bc577421dc94ac89a44f647a7092ac",
+        "63a755feba44955f279b79328141020aebd10b37b1be603f2559ea08e6da02a3"),
+    (_NOGLOB, 23, True): (
+        "d195f895ce5a0a70f91ae79881da65ce21d3c9abe4d9cac8b39246b979bcec18",
+        "c76b23f293f3b77ff8002616ff2b0718ffec37b3c01ec1498826a004876f8a5a"),
+    (_NOGLOB, 23, False): (
+        "4e92cc5f829e1827ec08d2013f7f3d2503583a4d22bc4c4a798f8647daeeb20c",
+        "b20510fe0e7ec63eeb2a509772dc7976b5baae4a62dea2bdb91c01796abeedb3"),
+}
+
+
+def _pinned(key):
+    dims, seed, with_constraints = key
+    return make_system(dims, seed=seed, noise_sigma=1e-10,
+                       with_constraints=with_constraints)
+
+
+@pytest.mark.parametrize("key", list(PINS), ids=[
+    "glob+constraints", "glob", "noglob+constraints", "noglob"])
+def test_digest_hex_values_are_pinned(key):
+    """Pin: both digests of fixed systems, exactly as first recorded."""
+    system = _pinned(key)
+    assert (system_digest(system), matrix_digest(system)) == PINS[key]
+
+
+def test_layout_does_not_change_the_digest():
+    """Pin: an array is hashed by its C-order bytes, whatever its
+    memory layout."""
+    system = _pinned((_GLOB, 11, True))
+    fortran = dataclasses.replace(
+        system, att_values=np.asfortranarray(system.att_values),
+        known_terms=np.repeat(system.known_terms, 2)[::2])
+    assert not fortran.att_values.flags.c_contiguous
+    assert not fortran.known_terms.flags.c_contiguous
+    assert system_digest(fortran) == PINS[(_GLOB, 11, True)][0]
+    assert matrix_digest(fortran) == PINS[(_GLOB, 11, True)][1]
+
+
+class _Recorder:
+    """A hash sink that records what each ``update`` was handed."""
+
+    def __init__(self):
+        self.fed = []
+
+    def update(self, data):
+        self.fed.append(data)
+
+
+def test_arrays_are_hashed_as_buffers_not_byte_copies():
+    system = _pinned((_GLOB, 11, True))
+    sink = _Recorder()
+    digest_mod._hash_matrix(sink, system, include_rhs=True)
+    arrays = sink.fed[1:]  # after the dimension tuple
+    n_rows = len(system.constraints)
+    assert len(arrays) == len(MATRIX_FIELDS) + 1 + 3 * n_rows
+    copies = [d for d in arrays if isinstance(d, bytes)
+              and len(d) >= system.dims.n_obs]
+    assert copies == []
+    assert sink.fed[1] is system.astro_values

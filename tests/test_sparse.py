@@ -2,9 +2,98 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.system import GaiaSystem, make_system
+from repro.system.sparse import MATRIX_FIELDS
 from repro.system.structure import SystemDims
+
+
+def observation_csr_reference(system):
+    """The packing built the long way: int64 column temporaries copied
+    into an int64 block, then SciPy picks the index dtype and converts."""
+    d = system.dims
+    m, per_row = d.n_obs, d.nnz_per_row
+    base = system.matrix_index_att[:, None, None]
+    axis_off = (np.arange(3) * d.att_stride)[None, :, None]
+    att = (base + axis_off + np.arange(4)[None, None, :]).reshape(m, 12)
+    cols = np.empty((m, per_row), dtype=np.int64)
+    vals = np.empty((m, per_row), dtype=np.float64)
+    cols[:, :5] = system.matrix_index_astro[:, None] + np.arange(5)
+    vals[:, :5] = system.astro_values
+    cols[:, 5:17] = att + d.att_offset
+    vals[:, 5:17] = system.att_values
+    cols[:, 17:23] = system.instr_col.astype(np.int64) + d.instr_offset
+    vals[:, 17:23] = system.instr_values
+    if d.n_glob_params:
+        cols[:, 23] = d.glob_offset
+        vals[:, 23] = system.glob_values[:, 0]
+    indptr = np.arange(0, (m + 1) * per_row, per_row, dtype=np.int64)
+    return sp.csr_matrix((vals.reshape(-1), cols.reshape(-1), indptr),
+                         shape=(m, d.n_params))
+
+
+def _random_systems():
+    rng = np.random.default_rng(2024)
+    for seed in range(4):
+        n_stars = int(rng.integers(1, 40))
+        dims = SystemDims(
+            n_stars=n_stars,
+            n_obs=n_stars + int(rng.integers(0, 400)),
+            n_deg_freedom_att=int(rng.integers(4, 30)),
+            n_instr_params=int(rng.integers(6, 40)),
+            n_glob_params=int(rng.integers(0, 2)))
+        yield make_system(dims, seed=seed, shuffle_rows=bool(seed % 2))
+
+
+@pytest.mark.parametrize("fixture", ["small_system", "shuffled_system",
+                                     "noglob_system", "plan_system",
+                                     "random"])
+def test_observation_csr_is_the_reference_packing(request, fixture):
+    """Pin: every array of the in-place packing is ``array_equal``,
+    dtype for dtype, to the int64-then-SciPy construction."""
+    systems = (list(_random_systems()) if fixture == "random"
+               else [request.getfixturevalue(fixture)])
+    for system in systems:
+        got = system.observation_csr()
+        want = observation_csr_reference(system)
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_observation_csr_hands_scipy_its_final_arrays(small_system):
+    """The index and value blocks are packed once, in their final
+    dtype, and SciPy keeps them as they are: no conversion copy."""
+    a = small_system.observation_csr()
+    block = (small_system.dims.n_obs, small_system.dims.nnz_per_row)
+    for arr in (a.data, a.indices):
+        assert arr.base is not None and arr.base.shape == block
+    assert a.indices.dtype == a.indptr.dtype == np.int32
+
+
+def test_column_derivations_write_into_a_given_block(small_system):
+    for name, width in (("astro_columns", 5), ("att_columns", 12),
+                        ("instr_columns", 6)):
+        derive = getattr(small_system, name)
+        packed = np.full((small_system.dims.n_obs, width + 2), -1,
+                         dtype=np.int32)
+        out = packed[:, 1:-1]
+        assert derive(out=out) is out
+        default = derive()
+        assert default.dtype == np.int64
+        assert np.array_equal(out, default)
+        assert np.all(packed[:, [0, -1]] == -1)
+
+
+def test_construction_leaves_caller_arrays_writable(small_dims):
+    """Pin: a system never takes write access away from its arrays."""
+    system = make_system(small_dims, seed=5)
+    for name in MATRIX_FIELDS + ("known_terms",):
+        assert getattr(system, name).flags.writeable, name
+    for row in system.constraints:
+        assert row.cols.flags.writeable and row.vals.flags.writeable
 
 
 def test_validate_accepts_generated_system(small_system):
