@@ -108,11 +108,12 @@ serve-bench:
 # Parent/change A/B of the benchmark (bench/): PAIRS alternating pairs
 # of `bench/run.py --all` on BASE (exported with `git archive` into a
 # temporary directory) and on this checkout, seeds SEED0, SEED0+1, ...,
-# then bench/compare.py.  With METRIC= and WORKLOAD= also the per-pair
-# values and the win count.
+# then bench/compare.py.  With WORKLOAD= only that workload, untraced
+# (`bench/run.py --workload W --trace 0`).  Either way the per-pair
+# end-to-end values, win counts, medians and quartile distances follow.
 BASE ?= HEAD~1
 PAIRS ?= 10
 SEED0 ?= 1
 bench-ab:
 	$(PYTHON) tools/bench_ab.py --base $(BASE) --pairs $(PAIRS) --seed0 $(SEED0) \
-	    $(if $(METRIC),--metric $(METRIC)) $(if $(WORKLOAD),--workload $(WORKLOAD))
+	    $(if $(WORKLOAD),--workload $(WORKLOAD))

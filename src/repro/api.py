@@ -261,6 +261,14 @@ class SolveRequest:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # A NaN passes every comparison below and would silently
+        # disable a stopping test; an infinite conlim means "no limit".
+        for name in ("atol", "btol", "conlim", "damp"):
+            value = getattr(self, name)
+            if value is not None and (np.isnan(value) or (
+                    np.isinf(value) and name != "conlim")):
+                wanted = "a number" if name == "conlim" else "finite"
+                raise ValueError(f"{name} must be {wanted}, got {value}")
         if self.atol < 0:
             raise ValueError(f"atol must be >= 0, got {self.atol}")
         if self.btol is not None and self.btol < 0:
@@ -272,6 +280,13 @@ class SolveRequest:
                 f"iter_lim must be >= 1, got {self.iter_lim}")
         if self.damp < 0:
             raise ValueError(f"damp must be >= 0, got {self.damp}")
+        if self.x0 is not None:
+            n = self.system.dims.n_params
+            if np.shape(self.x0) != (n,):
+                raise ValueError(f"x0 has shape {np.shape(self.x0)}, "
+                                 f"expected ({n},)")
+            if not np.all(np.isfinite(self.x0)):
+                raise ValueError("x0 must be finite")
         if (self.checkpoint_every is not None
                 and self.checkpoint_every < 1):
             raise ValueError(

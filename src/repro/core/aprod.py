@@ -20,16 +20,19 @@ running under ``nsys``/``rocprof``) and applies the constraint rows
 appended below the observation block.  ``"auto"`` picks the set from
 the system shape via :func:`~repro.core.kernels.plan.select_strategies`
 -- the host analogue of the paper's per-platform kernel tuning.
+
+The one-shot :func:`aprod1` and :func:`column_sq_norms` stream a system
+one row block at a time instead of binding an operator to it.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.core.kernels import gather_scatter
 from repro.core.kernels.blocks import BlockKernels
-from repro.core.kernels.gather_scatter import column_sq_norms
 from repro.core.kernels.plan import (  # noqa: F401 (re-exported names)
     FUSED_KERNEL_NAMES,
     AprodPlan,
@@ -40,6 +43,9 @@ from repro.system.sparse import GaiaSystem
 
 #: Hook signature: (kernel_name, rows, nnz) -> None.
 KernelHook = Callable[[str, int, int], None]
+
+#: Kernel-set class by the name :func:`resolve_kernels` returns.
+KERNEL_SETS = {"blocks": BlockKernels, "compiled": AprodPlan}
 
 
 def _check(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
@@ -119,15 +125,13 @@ class AprodOperator:
 
     def _build_kernels(self, name: str) -> AprodPlan | BlockKernels:
         """The kernel set ``name`` over :attr:`system` (built once)."""
-        if name == "blocks":
-            return BlockKernels(self.system)
-        plan = AprodPlan(self.system)
-        if self.telemetry is not None:
+        kernels = KERNEL_SETS[name](self.system)
+        if isinstance(kernels, AprodPlan) and self.telemetry is not None:
             self.telemetry.gauge("aprod.plan_build_ms").set(
-                plan.build_seconds * 1e3)
+                kernels.build_seconds * 1e3)
             self.telemetry.gauge("aprod.plan_workspace_bytes").set(
-                float(plan.workspace_nbytes))
-        return plan
+                float(kernels.workspace_nbytes))
+        return kernels
 
     # ------------------------------------------------------------------
     @property
@@ -244,9 +248,7 @@ class AprodOperator:
         """
         out = np.zeros(self.system.dims.n_params)
         self.kernels.column_sq_norms(out)
-        if self.system.constraints is not None:
-            for r in self.system.constraints:
-                column_sq_norms(r.vals[None, :], r.cols[None, :], out)
+        _add_constraint_sq_norms(self.system, out)
         return out
 
     def as_linear_operator(self):
@@ -261,11 +263,63 @@ class AprodOperator:
         )
 
 
+def _row_blocks(system: GaiaSystem
+                ) -> Iterator[tuple[int, int, GaiaSystem]]:
+    """``(lo, hi, rows lo:hi)`` down ``system``'s observation block in
+    :data:`~repro.core.kernels.gather_scatter.CHUNK_ROWS` steps; each
+    block is a view (:meth:`~repro.system.GaiaSystem.row_range`)."""
+    m, step = system.dims.n_obs, gather_scatter.CHUNK_ROWS
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        yield lo, hi, system.row_range(lo, hi)
+
+
+def _add_constraint_sq_norms(system: GaiaSystem, out: np.ndarray) -> None:
+    """Add the constraint rows' squared coefficients into ``out``, row
+    by row after the observation block (their columns are distinct)."""
+    if system.constraints is not None:
+        for r in system.constraints:
+            gather_scatter.column_sq_norms(r.vals[None, :], r.cols[None, :],
+                                           out)
+
+
 def aprod1(system: GaiaSystem, x: np.ndarray) -> np.ndarray:
-    """One-shot ``A @ x`` (builds a transient operator)."""
-    return AprodOperator(system).aprod1(x)
+    """One-shot ``A @ x``, compiled one row block at a time.
+
+    The kernel set is resolved once, from the whole system's dims (a
+    short tail block still runs the set the whole operator would), and
+    each row block writes its own rows.  Rows are independent, so the
+    result is bitwise ``AprodOperator(system).aprod1(x)``, while the
+    call holds one block of compiled kernels, not the whole system's.
+    """
+    d = system.dims
+    _check("x", x, (d.n_params,))
+    out = np.zeros(system.n_rows)
+    kernel_set = KERNEL_SETS[resolve_kernels("auto", "auto", d)]
+    for lo, hi, rows in _row_blocks(system):
+        kernel_set(rows).aprod1(x, out[lo:hi])
+    if system.constraints is not None:
+        out[d.n_obs:] += system.constraints.apply_forward(x)
+    return out
 
 
 def aprod2(system: GaiaSystem, y: np.ndarray) -> np.ndarray:
-    """One-shot ``A.T @ y`` (builds a transient operator)."""
+    """One-shot ``A.T @ y`` (builds a transient operator: the column
+    sums cross row blocks, so it is not streamed)."""
     return AprodOperator(system).aprod2(y)
+
+
+def column_sq_norms(system: GaiaSystem) -> np.ndarray:
+    """One-shot squared column norms of ``A``, streamed by row block.
+
+    Each row block's block kernels add into one zeroed accumulator,
+    then the constraint rows are added once: every column sums its
+    terms in row-major order, bitwise
+    :meth:`AprodOperator.column_sq_norms` on either kernel set, while
+    the pass holds one block's column indices, not the system's.
+    """
+    out = np.zeros(system.dims.n_params)
+    for _, _, rows in _row_blocks(system):
+        BlockKernels(rows).column_sq_norms(out)
+    _add_constraint_sq_norms(system, out)
+    return out

@@ -92,9 +92,10 @@ class BlockKernels:
 
     def column_sq_norms(self, out: np.ndarray) -> None:
         """Accumulate the squared column norms of ``A_obs`` into ``out``:
-        one whole-block keyed reduction per block."""
+        one row-major pass per block (the blocks own disjoint columns)."""
         for _, values, cols in self.blocks:
             column_sq_norms(values, cols, out)
         if self.glob is not None:
             column_sq_norms(self.glob[:, None],
-                            np.full((self.n_obs, 1), self.glob_col), out)
+                            np.broadcast_to(self.glob_col, (self.n_obs, 1)),
+                            out)

@@ -10,8 +10,9 @@ the same column, which is why the GPU ports need atomic operations
 (§IV).  Here the collisions resolve through a keyed reduction
 (``np.bincount``), collision-free and deterministic.
 
-Both walk the rows in :data:`CHUNK_ROWS` blocks, so what a product
-allocates while it runs is bounded by one block, not by the system.
+Both -- and the column norms -- walk the rows in :data:`CHUNK_ROWS`
+blocks, so what a pass allocates while it runs is bounded by one
+block, not by the system.
 The gather is bitwise the whole-array gather (rows are independent);
 the scatter adds one keyed partial sum per block, so it is bitwise the
 whole-array reduction up to :data:`CHUNK_ROWS` rows.
@@ -81,12 +82,21 @@ def column_sq_norms(
 ) -> None:
     """Accumulate per-column sums of squared coefficients into ``out``.
 
-    Used by the Jacobi column preconditioner.  One keyed reduction over
-    the whole block, never row-blocked: each column sums its terms in
-    row-major order, the order the compiled plan's norms reproduce bit
-    for bit.
+    The Jacobi column preconditioner's pass, for both kernel sets.  It
+    walks :data:`CHUNK_ROWS` row blocks, squares each into one reused
+    buffer and adds the squares straight into ``out`` with
+    ``np.add.at``, one entry at a time in row-major order.  Every
+    column continues one chain from what ``out`` holds, so over a
+    zeroed ``out`` a column sums its terms in row-major order: bitwise
+    a whole-block ``np.bincount`` and the CSC product of the squares,
+    while the pass allocates one block of squares, not an nnz-sized
+    copy.  (A keyed partial sum per block added with ``out +=`` would
+    re-associate every column that straddles two blocks.)
     """
     _check_pair(values, cols)
-    out += np.bincount(
-        cols.ravel(), weights=(values**2).ravel(), minlength=out.shape[0]
-    )[: out.shape[0]]
+    m = values.shape[0]
+    squares = np.empty((min(m, CHUNK_ROWS), values.shape[1]))
+    for lo in range(0, m, CHUNK_ROWS):
+        block = squares[:min(m - lo, CHUNK_ROWS)]
+        np.square(values[lo:lo + CHUNK_ROWS], out=block)
+        np.add.at(out, cols[lo:lo + CHUNK_ROWS].ravel(), block.ravel())

@@ -14,8 +14,9 @@ the achievable efficiency.  This module is the tuned counterpart.
   observation_csr`, the one site that packs the four blocks) -- O(nnz),
   no sort of any kind, never canonicalized.  Its transpose is the CSC
   *view* of the same three arrays: nothing is built for it.
-- **Apply**: both products, their ``K``-wide forms and the column
-  norms go through the format's native kernels over that one matrix.
+- **Apply**: both products and their ``K``-wide forms go through the
+  format's native kernels over that one matrix (the column norms read
+  its arrays a row block at a time).
   ``A @ x`` sums each row left to right; ``A.T @ y`` walks the same
   rows and adds every coefficient into its column, so a column sums
   its terms in row-major order (the host analogue of replacing atomic
@@ -48,10 +49,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-# Module level, never inside the build: the first import costs ~0.1 s,
-# which no first request of a worker process should pay.
-import scipy.sparse as sp
+# Module level, never inside the build (``observation_csr`` imports it
+# lazily): the first import costs ~0.1 s, which no first request of a
+# worker process should pay.
+import scipy.sparse  # noqa: F401
 
+from repro.core.kernels.gather_scatter import column_sq_norms
 from repro.system.sparse import GaiaSystem
 from repro.system.structure import SystemDims
 
@@ -151,18 +154,17 @@ class AprodPlan:
     def column_sq_norms(self, out: np.ndarray) -> None:
         """Accumulate the squared column norms of ``A_obs`` into ``out``.
 
-        The transpose product of the squared coefficients with a vector
-        of ones: each column adds its terms in row-major order, which is
-        the order of a per-section :func:`~repro.core.kernels.
-        gather_scatter.column_sq_norms` pass (``np.bincount``) --
-        bitwise the same norms.  The squares are the one nnz-sized
-        transient of a preconditioner build; the sum must run through
-        the whole block in one product to keep that order.
+        Every packed row holds exactly ``k_total`` entries, so
+        ``A.data`` / ``A.indices`` are ``(n_obs, k_total)`` blocks in
+        storage order, and :func:`~repro.core.kernels.gather_scatter.
+        column_sq_norms` walks them a row block at a time: each column
+        adds its terms in row-major order, as the block kernels'
+        per-section passes do -- bitwise the same norms -- and the pass
+        allocates one row block of squares, not an nnz-sized copy.
         """
-        a = self.A
-        squares = sp.csc_matrix((np.square(a.data), a.indices, a.indptr),
-                                shape=self.At.shape)
-        out += squares @ np.ones(self.n_obs)
+        shape = (self.n_obs, self.k_total)
+        column_sq_norms(self.A.data.reshape(shape),
+                        self.A.indices.reshape(shape), out)
 
 
 # ----------------------------------------------------------------------

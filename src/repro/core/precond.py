@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.aprod import AprodOperator
+from repro.core.aprod import AprodOperator, column_sq_norms
 from repro.core.engine import Aprod
 from repro.obs.telemetry import Telemetry
 from repro.system.sparse import GaiaSystem
@@ -41,9 +41,8 @@ class ColumnScaling:
     scale: np.ndarray
 
     @classmethod
-    def from_operator(cls, op: AprodOperator) -> "ColumnScaling":
-        """Build from the squared column norms of the bound system."""
-        sq = op.column_sq_norms()
+    def _from_squares(cls, sq: np.ndarray) -> "ColumnScaling":
+        """Build from squared column norms."""
         if np.any(sq < 0) or not np.all(np.isfinite(sq)):
             raise ValueError("column norms must be finite and non-negative")
         norms = np.sqrt(sq)
@@ -52,17 +51,23 @@ class ColumnScaling:
         return cls(scale=scale)
 
     @classmethod
+    def from_operator(cls, op: AprodOperator) -> "ColumnScaling":
+        """Build from the squared column norms of the bound system."""
+        return cls._from_squares(op.column_sq_norms())
+
+    @classmethod
     def from_system(cls, system: GaiaSystem) -> "ColumnScaling":
         """Scaling of a whole system, without compiling its kernels.
 
-        Column norms read only the coefficient and index arrays, so
-        the block kernels compute them: bitwise :meth:`from_operator`
-        of any operator over ``system``, minus the fused plan
-        ``"auto"`` would compile and throw away.
+        The norms stream ``system``'s rows one row block at a time into
+        one accumulator and add the constraint rows once at the end
+        (:func:`~repro.core.aprod.column_sq_norms`): bitwise
+        :meth:`from_operator` of any operator over ``system``, while
+        the pass holds one row block -- neither the plan ``"auto"``
+        would compile and throw away nor the whole system's column
+        indices.
         """
-        return cls.from_operator(AprodOperator(
-            system, gather_strategy="vectorized",
-            scatter_strategy="bincount"))
+        return cls._from_squares(column_sq_norms(system))
 
     @classmethod
     def identity(cls, n_params: int) -> "ColumnScaling":

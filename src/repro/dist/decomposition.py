@@ -178,20 +178,11 @@ def slice_system(system: GaiaSystem, block: RankBlock) -> GaiaSystem:
 
     The local system shares the *global* unknown space (the dims keep
     the global parameter counts) but holds only the block's
-    observation rows; the constraint set rides with its owner.
+    observation rows (:meth:`~repro.system.GaiaSystem.row_range`); the
+    constraint set rides with its owner.
     """
-    sl = slice(block.row_start, block.row_stop)
-    local_dims = replace(system.dims, n_obs=block.n_rows)
-    return GaiaSystem(
-        dims=local_dims,
-        astro_values=system.astro_values[sl],
-        matrix_index_astro=system.matrix_index_astro[sl],
-        att_values=system.att_values[sl],
-        matrix_index_att=system.matrix_index_att[sl],
-        instr_values=system.instr_values[sl],
-        instr_col=system.instr_col[sl],
-        glob_values=system.glob_values[sl],
-        known_terms=system.known_terms[sl],
+    return system.row_range(
+        block.row_start, block.row_stop,
         constraints=system.constraints if block.owns_constraints else None,
         meta={**{k: v for k, v in system.meta.items() if k != "x_true"},
               "rank_block": (block.rank, block.row_start, block.row_stop)},

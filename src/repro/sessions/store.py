@@ -39,6 +39,7 @@ import json
 import os
 import tempfile
 import threading
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs.telemetry import Telemetry
+
+#: What reading a record may raise when its file is gone, truncated or
+#: foreign: such a record is dropped from the index, never served.
+_UNREADABLE = (OSError, KeyError, ValueError, zipfile.BadZipFile)
 
 
 @dataclass(frozen=True)
@@ -164,9 +169,10 @@ class SessionStore:
         try:
             with np.load(path) as npz:
                 x = np.array(npz["x"])
-        except (OSError, KeyError, ValueError):
-            # A record deleted or corrupted behind our back (e.g. a
-            # concurrent store over the same directory): forget it.
+        except _UNREADABLE:
+            # A record deleted, truncated or corrupted behind our back
+            # (e.g. a concurrent store over the same directory, a
+            # crash mid-copy): forget it, and the solve runs cold.
             with self._lock:
                 self._index.pop(digest, None)
             return None
@@ -315,7 +321,7 @@ class SessionStore:
                     r2norm = float(npz["r2norm"])
                     stop = str(npz["stop"])
                     parent = str(npz["parent"]) or None
-            except (OSError, KeyError, ValueError):
+            except _UNREADABLE:
                 continue
             self._index[digest] = (path, path.stat().st_size, itn,
                                    r2norm, stop, parent)

@@ -22,7 +22,7 @@ magnitude relative to the dense matrix, as the paper notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -167,6 +167,33 @@ class GaiaSystem:
     def star_ids(self) -> np.ndarray:
         """``(n_obs,)`` star index observed by each row."""
         return self.matrix_index_astro // ASTRO_PARAMS_PER_STAR
+
+    def row_range(self, start: int, stop: int, *,
+                  constraints: "ConstraintSet | None" = None,
+                  meta: dict | None = None) -> "GaiaSystem":
+        """Observation rows ``[start, stop)`` over the same unknowns.
+
+        The one row-slicing site: every array is a view of this
+        system's, the dims keep the global parameter counts (only
+        ``n_obs`` shrinks) and the result is validated like any system,
+        so a range past the last row is a ``ValueError``.  It carries
+        ``constraints`` and ``meta`` as given -- none and empty by
+        default.
+        """
+        sl = slice(start, stop)
+        return GaiaSystem(
+            dims=replace(self.dims, n_obs=stop - start),
+            astro_values=self.astro_values[sl],
+            matrix_index_astro=self.matrix_index_astro[sl],
+            att_values=self.att_values[sl],
+            matrix_index_att=self.matrix_index_att[sl],
+            instr_values=self.instr_values[sl],
+            instr_col=self.instr_col[sl],
+            glob_values=self.glob_values[sl],
+            known_terms=self.known_terms[sl],
+            constraints=constraints,
+            meta={} if meta is None else meta,
+        )
 
     # Each column derivation writes into ``out`` -- any integer block,
     # e.g. a column slice of observation_csr's packed index block -- or

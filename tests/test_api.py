@@ -81,6 +81,39 @@ def test_request_validation_is_eager(small_system):
         SolveRequest(system=small_system, checkpoint_every=0)
 
 
+# A NaN passes every ``< 0`` / ``<= 0`` test: a NaN atol made rtol NaN,
+# so no tolerance test could fire and a job ran to its iteration limit.
+@pytest.mark.parametrize("field", ["atol", "btol", "conlim", "damp"])
+def test_request_rejects_a_nan_tolerance(small_system, field):
+    with pytest.raises(ValueError, match=field):
+        SolveRequest(system=small_system, **{field: float("nan")})
+
+
+@pytest.mark.parametrize("field", ["atol", "btol", "damp"])
+def test_request_rejects_an_infinite_tolerance(small_system, field):
+    with pytest.raises(ValueError, match=field):
+        SolveRequest(system=small_system, **{field: float("inf")})
+
+
+def test_an_infinite_conlim_still_means_no_limit(small_system):
+    report = solve(SolveRequest(system=small_system, conlim=float("inf")))
+    assert report.converged
+
+
+def test_request_rejects_a_non_finite_x0(small_system):
+    x0 = np.zeros(small_system.dims.n_params)
+    x0[3] = np.nan
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        SolveRequest(system=small_system, x0=x0)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        SolveRequest(system=small_system, x0=np.full_like(x0, np.inf))
+
+
+def test_request_rejects_an_x0_of_the_wrong_shape(small_system):
+    with pytest.raises(ValueError, match="x0 has shape"):
+        SolveRequest(system=small_system, x0=np.zeros(3))
+
+
 def test_request_rejects_unknown_framework_and_device(small_system):
     with pytest.raises(ValueError, match="framework 'FORTRAN'"):
         SolveRequest(system=small_system, framework="FORTRAN")

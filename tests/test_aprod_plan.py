@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import SolveRequest, solve, solve_batch
@@ -32,6 +32,7 @@ import loop_reference
 from repro.core.aprod import FUSED_KERNEL_NAMES, AprodOperator
 from repro.core.engine import LSQRStepEngine, SerialReduction
 from repro.core.kernels import BlockKernels
+from repro.core.kernels.gather_scatter import CHUNK_ROWS, column_sq_norms
 from repro.core.kernels.plan import (
     FUSED_GATHER,
     FUSED_MIN_OBS,
@@ -375,14 +376,48 @@ def test_negative_column_key_is_rejected_at_build():
 
 def test_fused_column_scaling_is_bitwise_from_system(plan_system):
     """``from_system``'s docstring promise, for the operator that takes
-    its norms from the compiled matrix (the transpose product of the
-    squared coefficients with ones)."""
+    its norms from the compiled matrix (its ``(n_obs, k_total)`` view,
+    a row block at a time)."""
     assert plan_system.dims.n_glob_params
     assert len(plan_system.constraints)
     fused = AprodOperator(plan_system)
     assert fused.plan is not None
     expected = ColumnScaling.from_system(plan_system).scale
     assert np.array_equal(ColumnScaling.from_operator(fused).scale, expected)
+
+
+def _whole_block_sq_norms(values, cols, n):
+    """The reference: one keyed reduction over the whole block, each
+    column summing its squares in row-major order from 0.0."""
+    return np.bincount(cols.ravel(), weights=(values**2).ravel(),
+                       minlength=n)[:n]
+
+
+@settings(max_examples=25, deadline=None)
+@given(blocks=st.integers(0, 2), tail=st.integers(0, 300),
+       k=st.integers(1, 6), n=st.integers(1, 40),
+       repeat=st.booleans(), seed=st.integers(0, 2**16))
+@example(blocks=2, tail=77, k=4, n=30, repeat=True, seed=0)
+def test_row_blocked_norms_are_bitwise_the_whole_block_reduction(
+        blocks, tail, k, n, repeat, seed):
+    """Pin: walking ``CHUNK_ROWS`` row blocks into one accumulator keeps
+    every column's row-major chain, for row counts on and off the block
+    size, keys repeated inside a row, and the plan's ``(m, k)`` view of
+    its arrays.  Magnitudes spread over eight decades, so a
+    re-associated sum (a partial per block) would show in the bits."""
+    m = max(1, blocks * CHUNK_ROWS + tail)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-4, 5, (m, k))
+    cols = rng.integers(0, n, size=(m, k))
+    if repeat:
+        cols[:, -1] = cols[:, 0]
+    expected = _whole_block_sq_norms(values, cols, n)
+    out = np.zeros(n)
+    column_sq_norms(values, cols, out)
+    assert np.array_equal(out, expected)
+    out = np.zeros(n)
+    AprodPlan(_Block(values, cols, n)).column_sq_norms(out)
+    assert np.array_equal(out, expected)
 
 
 @pytest.fixture()

@@ -87,3 +87,28 @@ def test_attitude_indices_span_valid_range(small_system):
     assert idx.max() <= d.n_deg_freedom_att - 4
     # The epoch sweep should cover most of the knot range.
     assert idx.max() - idx.min() >= (d.n_deg_freedom_att - 4) // 2
+
+
+def test_a_star_with_fewer_rows_than_unknowns_is_unobserved():
+    """Why some benchmark seeds miss ``x_true`` (``solve_cold`` seed 33):
+    the draw guarantees a star one row, and this one got 4 against its
+    five unknowns.  The system is rank-deficient: the solve still stops
+    on its tolerance, every other unknown is within 50 noise sigmas,
+    and the star's error lies along the direction its rows leave
+    unobserved (the null vector of its 4 x 5 coefficient block)."""
+    from repro.api import SolveRequest, solve
+    from repro.system.sizing import dims_from_gb
+
+    noise = 1e-9
+    system = make_system(dims_from_gb(0.001), seed=9028, noise_sigma=noise)
+    rows = np.bincount(system.star_ids, minlength=system.dims.n_stars)
+    (star,) = np.flatnonzero(rows < 5)
+    assert rows[star] == 4
+    report = solve(SolveRequest(system=system))
+    assert report.converged
+    error = report.x - system.meta["x_true"]
+    block = slice(5 * star, 5 * star + 5)
+    beyond = np.flatnonzero(np.abs(error) > 50 * noise)
+    assert beyond.size and set(beyond) <= set(range(5 * star, 5 * star + 5))
+    null = np.linalg.svd(system.astro_values[system.star_ids == star])[2][-1]
+    assert abs(error[block] @ null) > 0.999 * np.linalg.norm(error[block])

@@ -260,6 +260,28 @@ class TestWarmStart:
             assert again.warm_start.iterations_saved > 0
             assert "warm start" in again.summary()
 
+    def test_a_truncated_record_is_a_cold_solve(self, tmp_path):
+        """A record cut to half its size (a torn copy) is forgotten,
+        not served: the session solve completes cold, and a reopened
+        store indexes the records that are whole."""
+        system, other = tiny_system(), tiny_system(seed=1)
+
+        def truncate():
+            path = tmp_path / f"sol-{system_digest(system)}.npz"
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+        with SessionStore(tmp_path) as store:
+            cold = solve(SolveRequest(system=system), sessions=store)
+            solve(SolveRequest(system=other), sessions=store)
+            truncate()
+            again = solve(SolveRequest(system=system), sessions=store)
+        assert again.warm_start is None
+        np.testing.assert_array_equal(again.x, cold.x)
+        truncate()
+        with SessionStore(tmp_path) as store:
+            assert len(store) == 1
+            assert store.get(system_digest(other)) is not None
+
     def test_resolve_warm_start_miss(self, tmp_path):
         with SessionStore(tmp_path) as store:
             assert resolve_warm_start(store, tiny_system()) is None
