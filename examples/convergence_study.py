@@ -1,12 +1,10 @@
 """Convergence behaviour of the sphere-reconstruction solve.
 
-Shows why the production solver is a *customized, preconditioned*
-LSQR: the raw sphere-reconstruction system is quasi-degenerate (the
-attitude/astrometric gauge freedom), Lanczos vectors lose
-orthogonality, and the Jacobi equilibration plus the constraint rows
-are what keep the iteration count bounded.  Compares LSQR, CGLS, the
+Compares preconditioned and unpreconditioned LSQR, CGLS, the
 reorthogonalized diagnostic variant and the AGIS-style block solver
-on the same data.
+on the same synthetic system: the Jacobi equilibration is what keeps
+the iteration count bounded, and on a well-conditioned system the
+reorthogonalization buys nothing.
 
 Run:  python examples/convergence_study.py
 """
@@ -20,12 +18,12 @@ from repro.core import (
     lsqr_solve_reorthogonalized,
     orthogonality_drift,
 )
-from repro.pipeline import compare_with_agis, make_catalog, system_from_catalog
 from repro.system import SystemDims, make_system
+from repro.validation import compare_with_agis
 
 
 def main() -> None:
-    print("A. Well-conditioned synthetic system")
+    print("Well-conditioned synthetic system")
     print("-" * 60)
     dims = SystemDims(n_stars=60, n_obs=1800, n_deg_freedom_att=16,
                       n_instr_params=30)
@@ -51,27 +49,6 @@ def main() -> None:
     agis = compare_with_agis(system, pre.x, n_sweeps=60)
     print(f"  AGIS-style block solver agrees to rms "
           f"{agis.rms_diff_astro:.2e} rad in {agis.n_sweeps} sweeps")
-
-    print("\nB. Quasi-degenerate catalog-built system (the real shape)")
-    print("-" * 60)
-    catalog = make_catalog(40, 25, seed=3)
-    ill = system_from_catalog(catalog, n_deg_freedom_att=16,
-                              n_instr_params=32, seed=4,
-                              noise_sigma=1e-9)
-    hist2 = ConvergenceHistory()
-    res = lsqr_solve(ill, atol=1e-8, btol=1e-8,
-                     iter_lim=6 * ill.dims.n_params, callback=hist2)
-    print(f"  LSQR: {res.istop.name} after {res.itn} iterations "
-          f"(cond ~ {res.acond:.1e})")
-    print(f"  orthogonality drift over 60 vectors: "
-          f"{orthogonality_drift(ill, 60):.2e}  "
-          "(vs ~1e-12 on the well-conditioned system)")
-    checkpoints = hist2.r2norms[:: max(1, len(hist2.r2norms) // 8)]
-    print("  residual decay:",
-          " -> ".join(f"{r:.2e}" for r in checkpoints[:8]))
-    print("\nThe gauge quasi-degeneracy (a global rotation absorbed "
-          "between attitude\nand star positions) is why the production "
-          "code adds constraint equations\nand preconditioning (SSIII-B).")
 
 
 if __name__ == "__main__":

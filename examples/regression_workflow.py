@@ -8,11 +8,11 @@ and platform winners moved.
 Run:  python examples/regression_workflow.py
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
 from repro.frameworks.registry import ALL_PORTS
-from repro.frameworks.sensitivity import _perturb
 from repro.gpu.platforms import ALL_DEVICES
 from repro.portability import diff_studies, load_study, save_study
 from repro.portability.study import run_study
@@ -35,8 +35,8 @@ def main() -> None:
 
         print("\n3) 'Upgrade' the H100 (+30% bandwidth) and re-run")
         devices = tuple(
-            _perturb(d, "mem_bandwidth_gbs", 1.3) if d.name == "H100"
-            else d
+            dataclasses.replace(d, mem_bandwidth_gbs=d.mem_bandwidth_gbs * 1.3)
+            if d.name == "H100" else d
             for d in ALL_DEVICES
         )
         changed = run_study(sizes=(10.0,), devices=devices,

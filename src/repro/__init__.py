@@ -18,9 +18,7 @@ AVU-GSR case study"* (SC-W 2024):
 - :mod:`repro.dist` -- a simulated MPI layer reproducing the solver's
   distributed decomposition;
 - :mod:`repro.validation` -- the cross-port correctness harness
-  (Fig. 6 of the paper);
-- :mod:`repro.pipeline` -- the AVU-GSR pipeline shell around the
-  solver (Fig. 1 of the paper).
+  (Fig. 6 of the paper) and the AGIS-style cross-check.
 
 See ``DESIGN.md`` for the system inventory and the per-experiment
 index, and ``EXPERIMENTS.md`` for paper-vs-measured results.

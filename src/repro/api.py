@@ -12,9 +12,7 @@ The :class:`SolveRequest` names the *what* (system, rank count, kernel
 strategy preset, stopping parameters, optional
 :class:`ResilienceConfig`); :func:`solve` picks the driver and returns
 a uniform :class:`SolveReport`.  The CLI ``solve``/``chaos``
-subcommands and the pipeline's
-:class:`~repro.pipeline.solver_module.SolverModule` are thin adapters
-over this module.
+subcommands are thin adapters over this module.
 
 Reproducibility contract: ``SolveRequest.seed`` is the *only* seed.
 The fault plan and the retry-jitter RNG each derive their own stream

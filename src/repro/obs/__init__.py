@@ -13,8 +13,8 @@ reproduction's single measurement substrate:
   gauges and histograms;
 - :class:`~repro.obs.telemetry.Telemetry` -- the facade the
   instrumented hot paths (``core/lsqr.py``, ``core/aprod.py``,
-  ``frameworks/executor.py``, ``dist/runner.py``,
-  ``pipeline/pipeline.py``) accept as an optional argument;
+  ``frameworks/executor.py``, ``dist/runner.py``) accept as an
+  optional argument;
 - :mod:`repro.obs.export` -- Chrome-trace JSON (Perfetto-loadable,
   merging with the :mod:`repro.gpu.trace` kernel timelines), flat
   JSON, and markdown summaries.

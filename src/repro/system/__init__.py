@@ -56,7 +56,6 @@ from repro.system.solution import SolutionSections, split_solution
 from repro.system.constraints import ConstraintSet, attitude_null_space_constraints
 from repro.system.dataset import load_system, save_system
 from repro.system.storage import StorageFootprint, mission_dims, storage_comparison
-from repro.system.weighting import apply_weights, effective_observations
 from repro.system.merge import (
     append_observations,
     concatenate_systems,
@@ -92,8 +91,6 @@ __all__ = [
     "StorageFootprint",
     "mission_dims",
     "storage_comparison",
-    "apply_weights",
-    "effective_observations",
     "append_observations",
     "concatenate_systems",
     "split_rows",

@@ -32,7 +32,7 @@ def save_system(system: GaiaSystem, path: str | Path) -> Path:
         if k == "x_true":
             continue  # stored as a real array below
         if isinstance(v, np.ndarray):
-            v = v.tolist()  # e.g. outlier_rows
+            v = v.tolist()
         meta[k] = v
     payload: dict[str, np.ndarray] = {
         "format_version": np.int64(_FORMAT_VERSION),

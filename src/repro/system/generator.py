@@ -99,8 +99,6 @@ def make_system(
     with_constraints: bool = True,
     x_true: np.ndarray | None = None,
     obs_distribution: str = "uniform",
-    outlier_fraction: float = 0.0,
-    outlier_sigma: float = 0.0,
 ) -> GaiaSystem:
     """Generate a synthetic system with the AVU-GSR sparsity structure.
 
@@ -127,10 +125,6 @@ def make_system(
     obs_distribution:
         Per-star transit-count profile: ``"uniform"`` or the
         heavy-tailed ``"powerlaw"`` of the real scanning law.
-    outlier_fraction, outlier_sigma:
-        Corrupt a random fraction of known terms with extra Gaussian
-        noise of the given sigma -- the gross outliers the pipeline's
-        robust weighting exists to reject.
 
     Under-observed stars: each star gets one guaranteed row plus a
     multinomial share of the rest (:func:`_star_of_row`), so at the
@@ -152,12 +146,6 @@ def make_system(
     ) else seed
     if noise_sigma < 0 or not np.isfinite(noise_sigma):
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if not 0 <= outlier_fraction <= 1:
-        raise ValueError(
-            f"outlier_fraction must be in [0, 1], got {outlier_fraction}"
-        )
-    if outlier_fraction and outlier_sigma <= 0:
-        raise ValueError("outliers need a positive outlier_sigma")
 
     m = dims.n_obs
     star = _star_of_row(dims, rng, obs_distribution)
@@ -234,12 +222,6 @@ def make_system(
     known = b_full[:m]
     if noise_sigma:
         known = known + rng.normal(scale=noise_sigma, size=m)
-    if outlier_fraction:
-        n_out = int(round(outlier_fraction * m))
-        hit = rng.choice(m, size=n_out, replace=False)
-        known = np.asarray(known, dtype=np.float64).copy()
-        known[hit] += rng.normal(scale=outlier_sigma, size=n_out)
-        system.meta["outlier_rows"] = np.sort(hit)
     system.known_terms = np.ascontiguousarray(known)
     system.validate()
     return system

@@ -3,7 +3,7 @@
 The solution of the AVU-GSR system concatenates four physically
 distinct parameter groups.  :class:`SolutionSections` gives named,
 zero-copy access to them, plus the per-star astrometric table used by
-the validation harness and the de-rotation stage.
+the validation harness and the AGIS cross-check.
 """
 
 from __future__ import annotations

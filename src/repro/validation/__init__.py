@@ -8,8 +8,17 @@ run with the production kernel configuration; each port re-solves the
 same system with its own kernel strategies (different floating-point
 summation orders, exactly like different GPU scatter schedules) and
 the harness performs the same comparisons.
+
+:mod:`repro.validation.agis` reaches the same least-squares solution
+by a different algorithm (block Gauss-Seidel over each star's 5 x 5
+Gram, AGIS's iteration style) and cross-checks a solve against it.
 """
 
+from repro.validation.agis import (
+    AgisComparison,
+    agis_like_solution,
+    compare_with_agis,
+)
 from repro.validation.compare import (
     MICROARCSEC_THRESHOLD_UAS,
     PortSolution,
@@ -30,6 +39,9 @@ from repro.validation.fig6 import (
 from repro.validation.montecarlo import MonteCarloResult, run_monte_carlo
 
 __all__ = [
+    "AgisComparison",
+    "agis_like_solution",
+    "compare_with_agis",
     "MICROARCSEC_THRESHOLD_UAS",
     "PortSolution",
     "SectionComparison",

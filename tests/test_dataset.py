@@ -59,12 +59,10 @@ def test_version_guard(tmp_path, small_system):
 
 
 def test_roundtrip_with_array_valued_meta(tmp_path, small_dims):
-    """Generator metadata containing arrays (outlier_rows) must
-    serialize -- regression test for the JSON-encoding of meta."""
-    system = make_system(small_dims, seed=8, noise_sigma=1e-9,
-                         outlier_fraction=0.05, outlier_sigma=1e-6)
+    """Metadata containing arrays must serialize -- regression test
+    for the JSON-encoding of meta."""
+    system = make_system(small_dims, seed=8, noise_sigma=1e-9)
+    system.meta["flagged_rows"] = np.array([3, 17, 42])
     loaded = load_system(save_system(system, tmp_path / "out.npz"))
-    assert loaded.meta["outlier_rows"] == (
-        system.meta["outlier_rows"].tolist()
-    )
+    assert loaded.meta["flagged_rows"] == [3, 17, 42]
     assert np.array_equal(loaded.known_terms, system.known_terms)

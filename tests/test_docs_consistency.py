@@ -24,7 +24,7 @@ def test_design_experiment_benches_exist():
 def test_design_modules_exist():
     text = (ROOT / "DESIGN.md").read_text()
     modules = set(re.findall(r"`((?:core|system|gpu|frameworks|"
-                             r"portability|dist|validation|pipeline)"
+                             r"portability|dist|validation)"
                              r"/[\w/]+\.py)`", text))
     assert modules
     for mod in modules:
@@ -40,11 +40,32 @@ def test_experiments_md_references_real_benches():
 
 
 def test_readme_examples_exist():
+    """README's Quickstart names exactly the example scripts: no orphan
+    example, no missing file."""
     text = (ROOT / "README.md").read_text()
-    examples = set(re.findall(r"examples/(\w+\.py)", text))
-    assert len(examples) >= 10
-    for name in examples:
-        assert (ROOT / "examples" / name).exists(), name
+    quickstart = text.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"examples/(\w+\.py)", quickstart))
+    on_disk = {p.name for p in (ROOT / "examples").glob("*.py")}
+    assert named == on_disk
+
+
+def test_cli_subcommands_are_documented():
+    """DESIGN.md's S9 row and README's subcommand count match the
+    parser."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = set(sub.choices)
+    design = (ROOT / "DESIGN.md").read_text()
+    (row,) = [ln for ln in design.splitlines() if ln.startswith("| S9 |")]
+    documented = re.search(r"`repro-gaia ([\w|]+)`", row).group(1)
+    assert set(documented.split("|")) == parsed
+    readme = (ROOT / "README.md").read_text()
+    count = re.search(r"\((\d+) subcommands\)", readme).group(1)
+    assert int(count) == len(parsed)
 
 
 def test_every_bench_file_is_indexed():

@@ -1,21 +1,18 @@
 """End-to-end artifact workflow integration test.
 
-Chains the full production path: generate -> binary dump -> per-rank
-ingestion -> distributed solve -> validation against the production
-reference -> AGIS cross-check -> portability study -> report.  One
-test, every subsystem.
+Chains the full production path: generate -> distributed solve ->
+validation against the production reference -> AGIS cross-check ->
+portability study -> report.  One test, every subsystem.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import lsqr_solve, standard_errors
-from repro.dist import distributed_lsqr_solve, partition_by_rows
-from repro.io import read_rank_block, write_binary_system
-from repro.pipeline import compare_with_agis
+from repro.dist import distributed_lsqr_solve
 from repro.portability import run_study
 from repro.system import SystemDims, make_system
-from repro.validation import run_validation
+from repro.validation import compare_with_agis, run_validation
 
 
 @pytest.fixture(scope="module")
@@ -25,20 +22,10 @@ def workflow_system():
     return make_system(dims, seed=99, noise_sigma=1e-9)
 
 
-def test_full_artifact_workflow(workflow_system, tmp_path):
+def test_full_artifact_workflow(workflow_system):
     system = workflow_system
 
-    # 1. Ship the dataset as a production-style binary dump.
-    path = write_binary_system(system, tmp_path / "dataset.gsrb")
-
-    # 2. Each simulated rank ingests only its row window; the windows
-    #    match the in-memory decomposition.
-    blocks = partition_by_rows(system, 3)
-    for block in blocks:
-        local = read_rank_block(path, block.row_start, block.row_stop)
-        assert local.dims.n_obs == block.n_rows
-
-    # 3. Distributed solve equals the serial solve.
+    # 1. Distributed solve equals the serial solve.
     serial = lsqr_solve(system, atol=1e-12, btol=1e-12)
     dist = distributed_lsqr_solve(system, 3, atol=1e-12)
     # The distributed driver stops on its arnorm-only rule, a hair
@@ -47,17 +34,17 @@ def test_full_artifact_workflow(workflow_system, tmp_path):
         serial.x
     )
 
-    # 4. Validation: every port agrees with production within the
+    # 2. Validation: every port agrees with production within the
     #    paper's criteria.
     report = run_validation(system, dataset_label="workflow")
     assert report.all_passed, report.summary()
 
-    # 5. Independent AGIS-style cross-check.
+    # 3. Independent AGIS-style cross-check.
     comparison = compare_with_agis(system, serial.x, n_sweeps=80,
                                    tol_rad=1e-11)
     assert comparison.passed(1e-10)
 
-    # 6. The solution is physically sane: standard errors positive,
+    # 4. The solution is physically sane: standard errors positive,
     #    truth recovered within a few sigma nearly everywhere.
     se = standard_errors(serial)
     x_true = system.meta["x_true"]
@@ -67,7 +54,7 @@ def test_full_artifact_workflow(workflow_system, tmp_path):
     # bound here.
     assert np.quantile(pull, 0.95) < 8.0
 
-    # 7. The portability study runs on the same installation and
+    # 5. The portability study runs on the same installation and
     #    reproduces the headline ranking.
     study = run_study(sizes=(10.0,), jitter=0.0, repetitions=1)
     p = study.p_scores(10.0)

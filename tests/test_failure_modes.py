@@ -109,12 +109,19 @@ def test_comm_timeout_on_missing_message():
 
 
 def test_weighted_system_with_all_zero_weights(small_system):
-    """Zeroing every observation leaves only the constraint rows; the
-    solve returns the constraint-consistent zero solution."""
-    from repro.system import apply_weights
+    """Zeroing every observation row (all weights zero) leaves only the
+    constraint rows; the solve returns the constraint-consistent zero
+    solution."""
+    import dataclasses
 
-    weighted = apply_weights(small_system,
-                             np.zeros(small_system.dims.n_obs))
+    weighted = dataclasses.replace(
+        small_system,
+        astro_values=np.zeros_like(small_system.astro_values),
+        att_values=np.zeros_like(small_system.att_values),
+        instr_values=np.zeros_like(small_system.instr_values),
+        glob_values=np.zeros_like(small_system.glob_values),
+        known_terms=np.zeros_like(small_system.known_terms),
+    )
     res = lsqr_solve(weighted, atol=1e-10, btol=1e-10)
     assert np.all(np.isfinite(res.x))
     assert np.linalg.norm(res.x) < 1e-6

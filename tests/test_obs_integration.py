@@ -225,31 +225,6 @@ def test_iteration_trace_records_to_registry(small_dims):
 
 
 # ----------------------------------------------------------------------
-# Pipeline spans
-# ----------------------------------------------------------------------
-def test_pipeline_stage_spans():
-    from repro.pipeline.pipeline import AvuGsrPipeline
-
-    tel = Telemetry()
-    pipe = AvuGsrPipeline(n_stars=12, obs_per_star=12,
-                          n_deg_freedom_att=8, n_instr_params=12,
-                          telemetry=tel)
-    pipe.run()
-    names = set(tel.tracer.span_names())
-    for stage in ("pipeline.preprocess", "pipeline.system_generation",
-                  "pipeline.solve", "pipeline.derotation",
-                  "pipeline.statistics", "pipeline.weights"):
-        assert stage in names
-    assert tel.metrics.counter_value("pipeline.cycles") == 1
-    # The solver's iteration spans nest under the solve stage.
-    by_id = {s.span_id: s for s in tel.spans}
-    iters = tel.tracer.find("lsqr.iteration")
-    assert iters
-    for s in iters:
-        assert by_id[s.parent_id].name == "pipeline.solve"
-
-
-# ----------------------------------------------------------------------
 # CLI smoke: exporters can't silently rot
 # ----------------------------------------------------------------------
 def test_cli_telemetry_chrome_export(tmp_path, capsys):

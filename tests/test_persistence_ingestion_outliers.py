@@ -1,11 +1,8 @@
-"""Tests for study persistence, solution ingestion and the generator's
-outlier / skew options."""
+"""Tests for study persistence and the generator's skew option."""
 
 import numpy as np
 import pytest
 
-from repro.pipeline import SolverModule, SolutionCatalog, ingest_solution
-from repro.pipeline.ingestion import FLAG_DOWNWEIGHTED, FLAG_FEW_OBS
 from repro.portability import diff_studies, load_study, save_study
 from repro.portability.study import run_study
 from repro.system import SystemDims, make_system
@@ -48,64 +45,6 @@ def test_load_rejects_foreign_json(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Solution ingestion
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def solved(small_system):
-    out = SolverModule(atol=1e-10, btol=1e-10).solve(small_system)
-    return small_system, out
-
-
-def test_catalog_shapes_and_content(solved):
-    system, out = solved
-    cat = ingest_solution(system, out)
-    assert cat.n_stars == system.dims.n_stars
-    assert np.array_equal(
-        cat.params.ravel(),
-        out.result.x[: system.dims.n_astro_params],
-    )
-    assert int(cat.n_obs.sum()) == system.dims.n_obs
-    assert np.all(cat.errors > 0)
-
-
-def test_catalog_flags(solved):
-    system, out = solved
-    w = np.ones(system.dims.n_obs)
-    w[system.star_ids == 2] = 0.1  # star 2 heavily downweighted
-    cat = ingest_solution(system, out, weights=w)
-    assert cat.flags[2] & FLAG_DOWNWEIGHTED
-    assert not cat.good()[2]
-    # Stars observed fewer than 5 times get flagged.
-    few = np.flatnonzero(cat.n_obs < 5)
-    assert np.all(cat.flags[few] & FLAG_FEW_OBS)
-
-
-def test_catalog_roundtrips(solved, tmp_path):
-    system, out = solved
-    cat = ingest_solution(system, out)
-    back = SolutionCatalog.load_npz(cat.save_npz(tmp_path / "cat"))
-    assert np.array_equal(back.params, cat.params)
-    assert np.array_equal(back.flags, cat.flags)
-    csv_path = cat.save_csv(tmp_path / "cat.csv")
-    lines = csv_path.read_text().splitlines()
-    assert len(lines) == cat.n_stars + 1
-    assert lines[0].startswith("star_id,ra,dec,parallax")
-
-
-def test_catalog_validation(solved):
-    system, out = solved
-    with pytest.raises(ValueError, match="weights"):
-        ingest_solution(system, out, weights=np.ones(3))
-
-
-def test_catalog_uas_view(solved):
-    system, out = solved
-    cat = ingest_solution(system, out)
-    assert np.allclose(cat.table_uas(),
-                       cat.params / 4.84813681109536e-12, rtol=1e-6)
-
-
-# ----------------------------------------------------------------------
 # Generator options
 # ----------------------------------------------------------------------
 def test_powerlaw_distribution_is_skewed(small_dims):
@@ -120,34 +59,3 @@ def test_powerlaw_distribution_is_skewed(small_dims):
 def test_unknown_distribution_rejected(small_dims):
     with pytest.raises(ValueError, match="obs distribution"):
         make_system(small_dims, obs_distribution="gaussian")
-
-
-def test_outlier_injection_and_robust_recovery(small_dims):
-    """The pipeline's weighting rejects injected outliers: the
-    re-weighted solve lands closer to the truth than the naive one."""
-    from repro.core import lsqr_solve
-    from repro.pipeline.statistics import residuals, update_weights
-    from repro.system import apply_weights
-
-    system = make_system(small_dims, seed=6, noise_sigma=1e-9,
-                         outlier_fraction=0.03, outlier_sigma=1e-6)
-    x_true = system.meta["x_true"]
-    assert len(system.meta["outlier_rows"]) == round(
-        0.03 * small_dims.n_obs
-    )
-    naive = lsqr_solve(system, atol=1e-12, btol=1e-12)
-    w = update_weights(residuals(system, naive.x))
-    robust = lsqr_solve(apply_weights(system, w), atol=1e-12,
-                        btol=1e-12)
-    err_naive = np.linalg.norm(naive.x - x_true)
-    err_robust = np.linalg.norm(robust.x - x_true)
-    assert err_robust < err_naive
-    # The injected rows are the downweighted ones.
-    assert np.mean(w[system.meta["outlier_rows"]]) < 0.3
-
-
-def test_outlier_validation(small_dims):
-    with pytest.raises(ValueError, match="outlier_fraction"):
-        make_system(small_dims, outlier_fraction=1.5)
-    with pytest.raises(ValueError, match="outlier_sigma"):
-        make_system(small_dims, outlier_fraction=0.1)

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from repro.core import lsqr_solve
-from repro.pipeline import compare_with_agis
-from repro.pipeline.agis import agis_like_solution
 from repro.solver_sim import (
     _check_solutions_agree,
     compare_frameworks,
     solvergaia_sim,
 )
 from repro.validation import (
+    agis_like_solution,
+    compare_with_agis,
     ascii_scatter,
     fig6_scatter,
     render_fig6,

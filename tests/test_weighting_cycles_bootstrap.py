@@ -1,10 +1,7 @@
-"""Tests for observation weighting, multi-cycle pipeline, bootstrap P
-intervals and the ASCII figure renderers."""
+"""Tests for bootstrap P intervals and the ASCII figure renderers."""
 
-import numpy as np
 import pytest
 
-from repro.core import lsqr_solve
 from repro.portability import (
     bar_chart,
     bootstrap_p,
@@ -13,112 +10,6 @@ from repro.portability import (
     render_fig5,
 )
 from repro.portability.study import run_study
-from repro.system import apply_weights, effective_observations
-
-
-# ----------------------------------------------------------------------
-# Weighting
-# ----------------------------------------------------------------------
-def test_unit_weights_change_nothing(small_system):
-    w = np.ones(small_system.dims.n_obs)
-    weighted = apply_weights(small_system, w)
-    assert np.array_equal(weighted.known_terms, small_system.known_terms)
-    assert np.array_equal(weighted.astro_values,
-                          small_system.astro_values)
-    assert weighted.meta["weighted"] is True
-
-
-def test_zero_weight_removes_observation_influence(small_system):
-    """Zeroing one noisy observation moves the solution toward what a
-    system without it would give."""
-    w = np.ones(small_system.dims.n_obs)
-    # Corrupt one observation badly, then weight it out.
-    corrupted = apply_weights(small_system, w)  # deep-ish copy
-    corrupted.known_terms = corrupted.known_terms.copy()
-    corrupted.known_terms[5] += 1.0  # gross outlier
-    biased = lsqr_solve(corrupted, atol=1e-12, btol=1e-12)
-    w[5] = 0.0
-    cleaned = lsqr_solve(apply_weights(corrupted, w), atol=1e-12,
-                         btol=1e-12)
-    reference = lsqr_solve(small_system, atol=1e-12, btol=1e-12)
-    err_biased = np.linalg.norm(biased.x - reference.x)
-    err_cleaned = np.linalg.norm(cleaned.x - reference.x)
-    assert err_cleaned < 0.01 * err_biased
-
-
-def test_weighted_solution_matches_scipy(small_system, rng):
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    w = rng.uniform(0.2, 1.0, small_system.dims.n_obs)
-    weighted = apply_weights(small_system, w)
-    ours = lsqr_solve(weighted, atol=1e-13, btol=1e-13)
-    s = np.concatenate([np.sqrt(w),
-                        np.ones(len(small_system.constraints))])
-    a = sp.diags(s) @ small_system.to_scipy_csr()
-    b = s * small_system.rhs()
-    ref = spla.lsqr(a, b, atol=1e-13, btol=1e-13, iter_lim=20000)[0]
-    assert np.allclose(ours.x, ref, rtol=1e-7, atol=1e-14)
-
-
-def test_weight_validation(small_system):
-    with pytest.raises(ValueError, match="shape"):
-        apply_weights(small_system, np.ones(3))
-    bad = np.ones(small_system.dims.n_obs)
-    bad[0] = -1
-    with pytest.raises(ValueError, match="non-negative"):
-        apply_weights(small_system, bad)
-
-
-def test_effective_observations():
-    assert effective_observations(np.ones(10)) == pytest.approx(10.0)
-    w = np.zeros(10)
-    w[0] = 1.0
-    assert effective_observations(w) == pytest.approx(1.0)
-    assert effective_observations(np.zeros(4)) == 0.0
-
-
-# ----------------------------------------------------------------------
-# Multi-cycle pipeline
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def cycles():
-    from repro.pipeline import AvuGsrPipeline
-
-    pipeline = AvuGsrPipeline(n_stars=20, obs_per_star=18,
-                              n_deg_freedom_att=8, n_instr_params=16,
-                              seed=5, noise_sigma=2e-9)
-    return pipeline.run_cycles(3)
-
-
-def test_cycles_all_converge(cycles):
-    assert len(cycles) == 3
-    assert all(c.converged for c in cycles)
-
-
-def test_later_cycles_are_weighted(cycles):
-    assert "weighted" not in cycles[0].system.meta
-    assert cycles[1].system.meta.get("weighted") is True
-
-
-def test_weighting_does_not_degrade_fit(cycles):
-    """Robust weighting must not blow up the reduced chi-square."""
-    assert cycles[-1].stats.reduced_chi2 < cycles[0].stats.reduced_chi2 \
-        + 0.5
-
-
-def test_solutions_stay_consistent_across_cycles(cycles):
-    x0 = cycles[0].solver_output.result.x
-    x2 = cycles[-1].solver_output.result.x
-    rel = np.linalg.norm(x2 - x0) / np.linalg.norm(x0)
-    assert rel < 0.05  # re-weighting refines, not rewrites
-
-
-def test_run_cycles_validation():
-    from repro.pipeline import AvuGsrPipeline
-
-    with pytest.raises(ValueError):
-        AvuGsrPipeline().run_cycles(0)
 
 
 # ----------------------------------------------------------------------
