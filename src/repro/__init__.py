@@ -24,23 +24,4 @@ See ``DESIGN.md`` for the system inventory and the per-experiment
 index, and ``EXPERIMENTS.md`` for paper-vs-measured results.
 """
 
-from repro.system import GaiaSystem, SystemDims, make_system, system_from_gb
-from repro.core import LSQRResult, lsqr_solve
-from repro.portability import pennycook_p, run_study
-from repro.solver_sim import SolverSimResult, solvergaia_sim
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "GaiaSystem",
-    "SystemDims",
-    "make_system",
-    "system_from_gb",
-    "LSQRResult",
-    "lsqr_solve",
-    "pennycook_p",
-    "run_study",
-    "SolverSimResult",
-    "solvergaia_sim",
-    "__version__",
-]

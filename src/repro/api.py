@@ -439,8 +439,8 @@ class WarmStartInfo:
     ``iterations_saved`` is measured against the *source* solve:
     ``prior_itn - itn``, i.e. how many fewer iterations this solve
     spent than the stored run that produced the seed.  (The true
-    cold-start delta of the same system needs a cold control solve;
-    ``benchmarks/bench_sessions.py`` measures that one.)
+    cold-start delta of the same system needs a cold control solve,
+    which this field does not run.)
     """
 
     source_digest: str

@@ -170,6 +170,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from repro.frameworks import port_by_key
+    from repro.gpu.platforms import device_by_name
+
+    port, device = port_by_key(args.port), device_by_name(args.device)
+    if not port.supports(device):
+        print(f"repro-gaia tune: {port.key} cannot target {device.name}",
+              file=sys.stderr)
+        return 2
     if args.cache_dir is not None:
         # Service mode: route the sweep through the online tuning
         # service so repeats are cache hits and the result persists.
@@ -199,13 +207,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
               f"{stats['entries']} entries in {args.cache_dir})")
         return 0
 
-    from repro.frameworks import port_by_key, tune_port
-    from repro.gpu.platforms import device_by_name
+    from repro.frameworks import tune_port
     from repro.system.sizing import dims_from_gb
 
-    result = tune_port(port_by_key(args.port),
-                       device_by_name(args.device),
-                       dims_from_gb(args.size_gb))
+    result = tune_port(port, device, dims_from_gb(args.size_gb))
     print(f"{result.port_key} on {result.device_name}: "
           f"best geometry = {result.best_block_size} threads/block, "
           f"atomic grid cap = {result.best_atomic_cap} x SMs")
@@ -543,7 +548,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-gaia`` argument parser."""
+    """The ``repro-gaia`` argument parser.
+
+    ``--port`` / ``--framework`` / ``--device`` take their choices from
+    the port and platform registries, so an unknown key is a usage
+    error (exit status 2, one line), not a traceback; ``tune --port``
+    offers only the ports with geometry control somewhere.
+    """
+    from repro.frameworks.base import GeometryPolicy
+    from repro.frameworks.registry import ALL_PORTS
+    from repro.gpu.platforms import ALL_DEVICES
+
+    ports = tuple(port.key for port in ALL_PORTS)
+    devices = tuple(device.name for device in ALL_DEVICES)
+    tunable = tuple(
+        port.key for port in ALL_PORTS
+        if all(port.vendor_support(device).geometry
+               is not GeometryPolicy.FIXED_256
+               for device in ALL_DEVICES if port.supports(device)))
     parser = argparse.ArgumentParser(
         prog="repro-gaia",
         description="Gaia AVU-GSR performance-portability reproduction",
@@ -604,8 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scaling",
                         help="model multi-GPU weak/strong scaling")
     sc.add_argument("--mode", choices=("weak", "strong"), default="weak")
-    sc.add_argument("--port", default="CUDA")
-    sc.add_argument("--device", default="A100")
+    sc.add_argument("--port", default="CUDA", choices=ports)
+    sc.add_argument("--device", default="A100", choices=devices)
     sc.add_argument("--per-gpu-gb", type=float, default=10.0)
     sc.add_argument("--total-gb", type=float, default=60.0)
     sc.set_defaults(fn=_cmd_scaling)
@@ -617,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=_cmd_validate)
 
     t = sub.add_parser("tune", help="sweep kernel geometry for one port")
-    t.add_argument("--port", default="CUDA")
-    t.add_argument("--device", default="T4")
+    t.add_argument("--port", default="CUDA", choices=tunable)
+    t.add_argument("--device", default="T4", choices=devices)
     t.add_argument("--size-gb", type=float, default=10.0)
     t.add_argument("--cache-dir", default=None,
                    help="route the sweep through the online tuning "
@@ -631,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     tb.set_defaults(fn=_cmd_tables)
 
     en = sub.add_parser("energy", help="energy-per-iteration outlook")
-    en.add_argument("--port", default="HIP")
+    en.add_argument("--port", default="HIP", choices=ports)
     en.add_argument("--size-gb", type=float, default=10.0)
     en.set_defaults(fn=_cmd_energy)
 
@@ -651,8 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="the artifact's solvergaiaSim run for one framework/device",
     )
-    sim.add_argument("--framework", default="HIP")
-    sim.add_argument("--device", default="H100")
+    sim.add_argument("--framework", default="HIP", choices=ports)
+    sim.add_argument("--device", default="H100", choices=devices)
     sim.add_argument("--size-gb", type=float, default=10.0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--iterations", type=int, default=100)
@@ -667,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
     te.add_argument("--seed", type=int, default=0)
     te.add_argument("--iterations", type=int, default=60,
                     help="LSQR iteration cap for the instrumented solve")
-    te.add_argument("--port", default="CUDA")
-    te.add_argument("--device", default="A100",
+    te.add_argument("--port", default="CUDA", choices=ports)
+    te.add_argument("--device", default="A100", choices=devices,
                     help="modeled device for the kernel timeline")
     te.add_argument("--export",
                     choices=("chrome", "json", "markdown", "all"),

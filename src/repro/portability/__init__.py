@@ -37,7 +37,6 @@ from repro.portability.divergence import (
     navigation_chart,
 )
 from repro.portability.bootstrap import PInterval, bootstrap_p
-from repro.portability.markdown_report import build_report, write_report
 from repro.portability.compare_runs import StudyDiff, diff_studies
 from repro.portability.persistence import load_study, save_study
 from repro.portability.p3_compat import p3_records, write_p3_csv
@@ -73,8 +72,6 @@ __all__ = [
     "navigation_chart",
     "PInterval",
     "bootstrap_p",
-    "build_report",
-    "write_report",
     "StudyDiff",
     "diff_studies",
     "save_study",

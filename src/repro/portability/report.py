@@ -1,8 +1,8 @@
 """Text rendering of the study results (the figure/table regenerator).
 
 Every figure of §V is a view over the study's time table; these
-formatters print the same rows/series as ASCII tables so the benchmark
-harness can emit them verbatim into ``results/``.
+formatters print the same rows/series as ASCII tables for the
+``repro-gaia study`` subcommand.
 """
 
 from __future__ import annotations

@@ -37,9 +37,7 @@ into the placement policy.
   or ancestor solutions and to park/resume preempted solves; see
   ``docs/sessions.md``);
 - :class:`LoadGenerator` -- seeded open-loop streams of mixed
-  10/30/60 GB-shaped (scaled-down) jobs; :func:`run_closed_loop`
-  drives a stream at fixed concurrency instead (the capacity-probe
-  regime);
+  10/30/60 GB-shaped (scaled-down) jobs;
 - :func:`run_scenario` -- one JSON scenario file to a full
   :class:`ServeReport` (the ``repro-gaia serve`` subcommand).
 
@@ -61,11 +59,7 @@ from repro.serve.cost import (
     PlacementCostModel,
 )
 from repro.serve.job import AdmissionDecision, ServeJob
-from repro.serve.loadgen import (
-    LoadGenerator,
-    LoadSpec,
-    run_closed_loop,
-)
+from repro.serve.loadgen import LoadGenerator, LoadSpec
 from repro.serve.pool import (
     MEMORY_EPSILON_GB,
     DeviceLane,
@@ -121,7 +115,6 @@ __all__ = [
     "matrix_digest",
     "parse_scenario",
     "request_key",
-    "run_closed_loop",
     "run_scenario",
     "shared_config_digest",
     "system_digest",

@@ -262,46 +262,3 @@ class LoadGenerator:
                 ))
         return out
 
-
-def run_closed_loop(scheduler, jobs: list[ServeJob], *,
-                    concurrency: int, wait_timeout: float | None = None):
-    """Drive ``jobs`` through ``scheduler`` at a fixed concurrency.
-
-    The closed-loop regime: at most ``concurrency`` jobs are
-    outstanding at any instant -- each completion (or rejection)
-    admits the next submission, the way a fixed client population
-    behaves.  Used by the sustained-load benchmark to measure the
-    *capacity* of a backend (jobs/s with the pipeline always full but
-    never over-full), the anchor the open-loop overload sweep is
-    calibrated against.  Arrival offsets on the jobs are ignored;
-    submission order is preserved.  Returns the
-    :class:`~repro.serve.scheduler.ServeReport` from the final drain.
-
-    Each wait for a free slot is bounded by ``wait_timeout`` (default:
-    the scheduler's ``drain_timeout``).  If no outcome lands within
-    the bound -- every dispatcher wedged on solves that will never
-    return -- the driver stops offering load and drains, whose own
-    bounded join then surfaces the stuck workers, instead of blocking
-    the benchmark forever.
-    """
-    if concurrency < 1:
-        raise ValueError(
-            f"concurrency must be >= 1, got {concurrency}")
-    if wait_timeout is None:
-        wait_timeout = scheduler.drain_timeout
-    scheduler.start()
-    # Capacity probes pre-start the backend; the measured window is
-    # the submission loop, not the (process-spawn) warmup.
-    scheduler.reset_clock()
-    submitted = 0
-    for job in jobs:
-        # Outstanding work is submitted - len(outcomes): rejections
-        # resolve at submit time, completions when a dispatcher
-        # finishes, so the difference is exactly the in-flight count.
-        if submitted - len(scheduler.outcomes) >= concurrency:
-            if not scheduler.wait_for_outcomes(
-                    submitted - concurrency + 1, timeout=wait_timeout):
-                break  # pipeline wedged; drain will surface it
-        scheduler.submit(job)
-        submitted += 1
-    return scheduler.drain()

@@ -1,6 +1,6 @@
 """Scenario files: one JSON document describing a whole serving run.
 
-The ``repro-gaia serve`` subcommand (and ``make serve-smoke``) runs a
+The ``repro-gaia serve`` subcommand (and ``make smoke``) runs a
 scenario like::
 
     {

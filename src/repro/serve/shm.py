@@ -57,7 +57,7 @@ worker exit -- and because spawned children share the parent's tracker
 process, unregistering *after* the fact would strip the parent's
 legitimate claim.  :func:`attach` therefore suppresses registration
 during the mapping call, keeping single ownership with the publisher
-(``make serve-mp-smoke`` asserts zero leaked segments via
+(``make smoke`` asserts zero leaked segments via
 :func:`active_segments`).
 """
 
@@ -377,7 +377,7 @@ def active_segments() -> list[str]:
 
     POSIX shared memory is backed by ``/dev/shm``; a segment that
     outlives every process is a leak this function makes visible
-    (``make serve-mp-smoke`` asserts it returns ``[]`` after a run).
+    (``make smoke`` asserts it returns ``[]`` after a run).
     """
     root = Path("/dev/shm")
     if not root.is_dir():  # pragma: no cover - non-POSIX host

@@ -11,6 +11,7 @@ from repro.frameworks import port_by_key
 from repro.frameworks.sensitivity import (
     NEXTGEN_AMD,
     NEXTGEN_NVIDIA,
+    PERTURBED_FIELDS,
     SensitivityOutcome,
     sensitivity_sweep,
     whatif_study,
@@ -141,6 +142,16 @@ def test_conclusions_robust_to_bandwidth_and_atomics():
         assert o.conclusions_hold, (o.field, o.factor, o.ranking()[:3])
 
 
+def test_conclusions_robust_to_cas_and_geometry():
+    """E25's other two fields: with the two above, every field of
+    PERTURBED_FIELDS survives a +-20-25 % perturbation."""
+    fields = ("cas_loop_factor", "geometry_sensitivity")
+    assert {"mem_bandwidth_gbs", "atomic_gups", *fields} == set(
+        PERTURBED_FIELDS)
+    for o in sensitivity_sweep(fields=fields, factors=(0.8, 1.25)):
+        assert o.conclusions_hold, (o.field, o.factor, o.ranking()[:3])
+
+
 def test_sensitivity_rejects_unknown_field():
     with pytest.raises(ValueError, match="unknown field"):
         sensitivity_sweep(fields=("memory_gb",))
@@ -157,6 +168,8 @@ def test_whatif_platforms_preserve_ranking():
     # boards -- the paper's core motivation.
     assert p["HIP"] > 0.9
     assert p["SYCL+ACPP"] > 0.85
+    # CUDA cannot touch the new AMD board either.
+    assert study.efficiencies(10.0)["CUDA"]["NextGen-AMD"] is None
 
 
 def test_nextgen_boards_are_faster():

@@ -100,3 +100,27 @@ def test_telemetry_subcommand(tmp_path, capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["tune", "--port", "NOPE"],
+    ["tune", "--port", "PSTL+ACPP"],  # fixed geometry: nothing to tune
+    ["tune", "--device", "NOPE"],
+    ["energy", "--port", "NOPE"],
+    ["scaling", "--device", "NOPE"],
+    ["simulate", "--framework", "NOPE"],
+    ["telemetry", "--port", "NOPE"],
+])
+def test_unknown_port_or_device_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    assert "Traceback" not in err
+
+
+def test_tune_rejects_a_vendor_mismatch_in_one_line(capsys):
+    assert main(["tune", "--port", "CUDA", "--device", "MI250X"]) == 2
+    err = capsys.readouterr().err
+    assert err == "repro-gaia tune: CUDA cannot target MI250X\n"

@@ -81,13 +81,14 @@ def test_sliced_systems_validate(small_system):
 # ----------------------------------------------------------------------
 # Distributed solve
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("n_ranks", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_ranks", [1, 2, 3, 4, 5, 8])
 def test_distributed_matches_serial(small_system, n_ranks):
     serial = lsqr_solve(small_system, atol=1e-12, btol=1e-12)
     dist = distributed_lsqr_solve(small_system, n_ranks, atol=1e-12)
     rel = np.linalg.norm(dist.x - serial.x) / np.linalg.norm(serial.x)
     assert rel < 1e-9
     assert dist.n_ranks == n_ranks
+    assert abs(dist.itn - serial.itn) <= 3
 
 
 def test_distributed_iteration_counts_match(small_system):

@@ -1,10 +1,11 @@
 """Consistency checks between the documentation and the code.
 
-The per-experiment index of DESIGN.md and the deliverables described
-in README.md must point at files and symbols that exist -- these tests
-keep the docs from rotting.
+The per-experiment evidence of EXPERIMENTS.md and DESIGN.md and the
+deliverables described in README.md must point at tests, files and
+symbols that exist -- these tests keep the docs from rotting.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -12,13 +13,96 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: A tier-1 test id as the docs cite it: ``tests/x.py::test_y`` or
+#: ``tests/x.py::TestClass::test_y`` (a parametrize suffix is allowed).
+TEST_ID = re.compile(r"`(tests/\w+\.py)::((?:\w+::)?test_\w+)(?:\[[^\]]*\])?`")
+
+
+def _collected(path: str, name: str) -> bool:
+    """Whether pytest collects ``name`` from ``path``: a module-level
+    ``test_*`` function, or a ``test_*`` method of a ``Test*`` class."""
+    body = ast.parse((ROOT / path).read_text()).body
+    *owner, func = name.split("::")
+    if owner:
+        classes = [node for node in body if isinstance(node, ast.ClassDef)
+                   and node.name == owner[0]]
+        if not classes or not owner[0].startswith("Test"):
+            return False
+        body = classes[0].body
+    return any(isinstance(node, ast.FunctionDef) and node.name == func
+               for node in body)
+
+
+def _evidence_cells():
+    """(where, text) of every evidence cell: the evidence column of
+    each ``| E<n> |`` row of EXPERIMENTS.md and of DESIGN.md's
+    per-experiment index, and each ``Evidence:`` paragraph."""
+    experiments = (ROOT / "EXPERIMENTS.md").read_text()
+    for line in experiments.splitlines():
+        if re.match(r"\| E\d+ \|", line):
+            yield line.split(" | ")[0], line.split(" | ")[2]
+    for para in experiments.split("\n\n"):
+        if para.startswith("Evidence:"):
+            yield "EXPERIMENTS.md paragraph", para
+    for line in (ROOT / "DESIGN.md").read_text().splitlines():
+        if re.match(r"\| E\d+ \|", line):
+            yield "DESIGN.md " + line.split(" | ")[0], line.split(" | ")[-1]
+
+
+def test_every_experiment_cites_collected_evidence():
+    """Each evidence cell names tier-1 tests that pytest collects, or
+    points at the benchmark (`bench/`), or says the claim was removed
+    (or refers to another row: "as E5")."""
+    cells = list(_evidence_cells())
+    assert len(cells) > 50
+    for where, cell in cells:
+        ids = TEST_ID.findall(cell)
+        for path, name in ids:
+            assert (ROOT / path).exists() and _collected(path, name), (
+                f"{where}: {path}::{name} is not a collected test")
+        assert (ids or "`bench/" in cell or "removed" in cell
+                or re.fullmatch(r"\s*as E\d+\s*\|?\s*", cell)), (
+            f"{where}: no tier-1 test, `bench/` or 'removed' in {cell!r}")
+
+
+#: A benchmark path as the docs cite it: `bench/` or `bench/run.py`.
+BENCH_PATH = re.compile(r"`(bench/[\w./-]*)`")
+
+
+def _bench_references_exist(doc: str):
+    """Every `bench/...` path ``doc`` cites exists, and none of the
+    retired per-figure ``bench_*.py`` scripts is still named."""
+    text = (ROOT / doc).read_text()
+    paths = set(BENCH_PATH.findall(text))
+    assert paths, f"no benchmark references found in {doc}"
+    for path in paths:
+        assert (ROOT / path).exists(), f"{doc}: {path}"
+    stale = re.findall(r"bench_\w+\.py", text)
+    assert not stale, f"{doc} names retired scripts {stale}"
+
 
 def test_design_experiment_benches_exist():
-    text = (ROOT / "DESIGN.md").read_text()
-    benches = set(re.findall(r"benchmarks/(bench_\w+\.py)", text))
-    assert benches, "no bench references found in DESIGN.md"
-    for name in benches:
-        assert (ROOT / "benchmarks" / name).exists(), name
+    _bench_references_exist("DESIGN.md")
+
+
+def test_experiments_md_references_real_benches():
+    _bench_references_exist("EXPERIMENTS.md")
+
+
+def test_every_bench_file_is_indexed():
+    """No orphan benchmarks: each workload BENCHMARK.json declares is
+    named in EXPERIMENTS.md, and each declared benchmark path exists."""
+    import json
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    indexed = (ROOT / "EXPERIMENTS.md").read_text()
+    workloads = [w["name"] for w in spec["workloads"]]
+    assert workloads
+    for name in workloads:
+        assert f"`{name}`" in indexed, name
+    for path in spec["paths"]:
+        assert (ROOT / path).is_dir(), path
+    assert (ROOT / spec["command"][-1]).exists()
 
 
 def test_design_modules_exist():
@@ -29,14 +113,6 @@ def test_design_modules_exist():
     assert modules
     for mod in modules:
         assert (ROOT / "src" / "repro" / mod).exists(), mod
-
-
-def test_experiments_md_references_real_benches():
-    text = (ROOT / "EXPERIMENTS.md").read_text()
-    benches = set(re.findall(r"`(bench_\w+\.py)", text))
-    assert benches
-    for name in benches:
-        assert (ROOT / "benchmarks" / name).exists(), name
 
 
 def test_readme_examples_exist():
@@ -66,15 +142,6 @@ def test_cli_subcommands_are_documented():
     readme = (ROOT / "README.md").read_text()
     count = re.search(r"\((\d+) subcommands\)", readme).group(1)
     assert int(count) == len(parsed)
-
-
-def test_every_bench_file_is_indexed():
-    """No orphan benchmarks: each bench file appears in EXPERIMENTS.md
-    or DESIGN.md."""
-    indexed = ((ROOT / "EXPERIMENTS.md").read_text()
-               + (ROOT / "DESIGN.md").read_text())
-    for path in (ROOT / "benchmarks").glob("bench_*.py"):
-        assert path.name in indexed, path.name
 
 
 def test_every_source_module_has_a_docstring():

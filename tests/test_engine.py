@@ -27,6 +27,8 @@ from repro.core.precond import ColumnScaling, PreconditionedAprod, prepare
 from repro.dist import DistributedLSQR, distributed_lsqr_solve
 from repro.obs import Telemetry
 from repro.obs.telemetry import NULL_TELEMETRY
+from repro.system import SystemDims, make_system
+from loop_reference import lsqr_loop
 
 
 def _engine_for(system, **kwargs):
@@ -34,6 +36,28 @@ def _engine_for(system, **kwargs):
     scaling = ColumnScaling.from_operator(op)
     return (LSQRStepEngine(PreconditionedAprod(op, scaling), **kwargs),
             scaling)
+
+
+# ----------------------------------------------------------------------
+# The engine is the textbook loop body, bitwise
+# ----------------------------------------------------------------------
+def test_engine_steps_are_bitwise_the_loop_body():
+    """Preallocated workspaces change no bit: 25 engine steps give the
+    ``x`` and ``var`` of the loop written with fresh temporaries."""
+    dims = SystemDims(n_stars=120, n_obs=3_600, n_deg_freedom_att=24,
+                      n_instr_params=36, n_glob_params=1)
+    op = AprodOperator(make_system(dims, seed=7, noise_sigma=1e-10))
+    pre = PreconditionedAprod(op, ColumnScaling.from_operator(op))
+    b = op.system.rhs().astype(np.float64)
+    engine = LSQRStepEngine(pre, backend=SerialReduction(), atol=0.0,
+                            btol=0.0, conlim=0.0, calc_var=True)
+    state = engine.start(b.copy())
+    for _ in range(25):
+        engine.step(state)
+    assert state.istop is None
+    x, var = lsqr_loop(pre, b, 25)
+    assert np.array_equal(state.x, x)
+    assert np.array_equal(state.var, var)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Keeps the examples (deliverable b) from rotting: each is executed as
 ``__main__`` with its output captured.  Only the quick ones run here;
-the heavyweight studies are exercised by the benchmark harness.
+the heavier studies (``portability_study.py``, ``beyond_the_paper.py``,
+...) print what other tier-1 tests already assert, and the serving
+scenarios run under ``make smoke``.
 """
 
 import io

@@ -6,9 +6,10 @@ import pytest
 from repro.frameworks import model_iteration, port_by_key, run_modeled
 from repro.frameworks.base import UnsupportedPlatform
 from repro.frameworks.executor import memory_pressure_factor
+from repro.frameworks.registry import ALL_PORTS
 from repro.gpu import Profiler
 from repro.gpu.memory import DeviceOutOfMemory
-from repro.gpu.platforms import A100, H100, MI250X, T4, V100
+from repro.gpu.platforms import ALL_DEVICES, A100, H100, MI250X, T4, V100
 from repro.system.sizing import dims_from_gb
 
 
@@ -60,6 +61,14 @@ def test_production_variant_about_2x_slower(dims10):
     prod = model_iteration(port_by_key("CUDA"), A100, dims10,
                            variant="production").total
     assert prod / opt == pytest.approx(2.0, abs=0.35)
+    # The speed-up is size-insensitive (the paper's 42 GB run needed
+    # several A100s; the model measures it at sizes one A100 holds).
+    for gb in (1.0, 30.0):
+        dims = dims_from_gb(gb)
+        ratio = (model_iteration(port_by_key("CUDA"), A100, dims,
+                                 variant="production").total
+                 / model_iteration(port_by_key("CUDA"), A100, dims).total)
+        assert 1.5 < ratio < 2.6, gb
 
 
 def test_unknown_variant_rejected(dims10):
@@ -98,6 +107,29 @@ def test_run_modeled_determinism(dims10):
     a = run_modeled(port_by_key("HIP"), H100, dims10, size_gb=10.0, seed=5)
     b = run_modeled(port_by_key("HIP"), H100, dims10, size_gb=10.0, seed=5)
     assert a.repetition_means == b.repetition_means
+
+
+def test_every_run_fits_the_artifact_budget():
+    """Artifact appendix B2: one 100-iteration run 'should not exceed 5
+    minutes'.  The CAS-loop cells on MI250X (SYCL+DPCPP, OMP+LLVM: the
+    broken codegen of SSV-B) overrun it in the calibrated model, a
+    known deviation (EXPERIMENTS.md, E31)."""
+    cas_on_amd = {("SYCL+DPCPP", "MI250X"), ("OMP+LLVM", "MI250X")}
+    fractions = []
+    for size in (10.0, 30.0, 60.0):
+        dims = dims_from_gb(size)
+        for port in ALL_PORTS:
+            for device in ALL_DEVICES:
+                run = run_modeled(port, device, dims, size_gb=size)
+                if not run.supported:
+                    continue
+                fractions.append(run.setup_time / run.total_run_time)
+                if (port.key, device.name) in cas_on_amd:
+                    continue
+                assert run.total_run_time < 300.0, (size, port.key,
+                                                    device.name)
+    # The matrices are copied once; the loop dominates everywhere.
+    assert max(fractions) < 0.5
 
 
 def test_run_modeled_records_exclusions(dims10):

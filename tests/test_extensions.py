@@ -90,9 +90,21 @@ def test_executors_close_the_pstl_gap(exec_study):
         assert p["PSTL+EXEC"] > p["PSTL+V"] + 0.1, size
     avg_exec = exec_study.average_p("PSTL+EXEC")
     avg_pstl = exec_study.average_p("PSTL+V")
+    avg_hip = exec_study.average_p("HIP")
     assert avg_exec > avg_pstl + 0.15
-    # But executors do not beat the language-level champions.
-    assert avg_exec < exec_study.average_p("HIP")
+    assert avg_exec == pytest.approx(0.80, abs=0.08)
+    # Executors close most -- but not all -- of the gap to the
+    # language-level champions.
+    assert avg_hip - avg_exec < 0.55 * (avg_hip - avg_pstl)
+    assert avg_exec < avg_hip
+    # The lift concentrates where the paper located the gap: the
+    # geometry-sensitive T4/V100 and the 64-wide MI250X; on H100
+    # (optimum already 256) the change is small.
+    eff = exec_study.efficiencies(10.0)
+    for platform in ("T4", "V100", "MI250X"):
+        assert (eff["PSTL+EXEC"][platform]
+                > eff["PSTL+V"][platform] + 0.15), platform
+    assert abs(eff["PSTL+EXEC"]["H100"] - eff["PSTL+V"]["H100"]) < 0.1
 
 
 def test_executors_geometry_is_tuned():
@@ -106,12 +118,15 @@ def test_executors_geometry_is_tuned():
 # Architectural efficiency
 # ----------------------------------------------------------------------
 def test_architectural_efficiency_in_unit_interval():
+    """Scatter/atomic-heavy kernels run far from peak everywhere: the
+    memory-bound story of SSVI."""
     dims = dims_from_gb(10.0)
     for device in ALL_DEVICES:
-        for key in ("HIP", "PSTL+V"):
-            e = architectural_efficiency(port_by_key(key), device, dims,
-                                         size_gb=10.0)
-            assert 0 < e < 1, (key, device.name)
+        for port in ALL_PORTS:
+            if not port.supports(device):
+                continue
+            e = architectural_efficiency(port, device, dims, size_gb=10.0)
+            assert 0 < e < 0.5, (port.key, device.name)
 
 
 def test_architectural_p_zero_when_unsupported():
@@ -121,6 +136,8 @@ def test_architectural_p_zero_when_unsupported():
     p = architectural_p(port_by_key("HIP"), tuple(ALL_DEVICES), dims,
                         size_gb=10.0)
     assert 0 < p < 1
+    assert p > architectural_p(port_by_key("PSTL+V"), tuple(ALL_DEVICES),
+                               dims, size_gb=10.0)
 
 
 def test_architectural_ranks_match_application_ranks():

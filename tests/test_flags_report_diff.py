@@ -1,4 +1,4 @@
-"""Tests for compile commands, the Markdown report and study diffs."""
+"""Tests for compile commands and study diffs."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.frameworks import (
 )
 from repro.frameworks.registry import ALL_PORTS
 from repro.gpu.platforms import ALL_DEVICES, A100, H100, MI250X, T4, V100
-from repro.portability import build_report, diff_studies, write_report
+from repro.portability import diff_studies
 from repro.portability.study import run_study
 
 
@@ -76,31 +76,13 @@ def test_unknown_device_arch_raises():
 
 
 # ----------------------------------------------------------------------
-# Markdown report
+# Study diff
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def study():
     return run_study(sizes=(10.0,), jitter=0.0, repetitions=1)
 
 
-def test_report_contains_all_sections(study):
-    text = build_report(study, extra_blocks={"Storage": "custom 21 TB"})
-    for heading in ("Fig. 3", "Fig. 4", "Fig. 5",
-                    "Fastest port per platform", "Storage"):
-        assert heading in text
-    assert "| HIP |" in text
-    assert "0.98" in text  # the paper column
-    assert "custom 21 TB" in text
-
-
-def test_report_written_to_disk(study, tmp_path):
-    path = write_report(study, tmp_path / "REPORT.md")
-    assert path.read_text().startswith("# Reproduction report")
-
-
-# ----------------------------------------------------------------------
-# Study diff
-# ----------------------------------------------------------------------
 def test_self_diff_is_clean(study):
     assert diff_studies(study, study).clean
     assert "identical" in diff_studies(study, study).summary()

@@ -10,8 +10,10 @@ from repro.gpu.kernel import (
     grid_for,
     tuned_geometry,
 )
-from repro.gpu.platforms import H100, MI250X, T4
+from repro.gpu.platforms import ALL_DEVICES, H100, MI250X, T4
 from repro.gpu.timing import KernelWork
+from repro.gpu.workload import build_iteration_workload
+from repro.system.sizing import dims_from_gb
 
 
 # ----------------------------------------------------------------------
@@ -50,6 +52,30 @@ def test_geometry_efficiency_peaks_at_optimum():
     h_alt = geometry_efficiency(H100, grid_for(n, 32))
     assert h_best == pytest.approx(1.0)
     assert h_alt > worse
+
+
+def test_pstl_fixed_256_against_the_block_size_optimum():
+    """SSV-B's PSTL geometry study: the optimum is 32 on T4/V100, 256 on
+    A100/H100 and one 64-wide wavefront on MI250X, and PSTL's fixed 256
+    costs T4 the 30-45 % gap."""
+    workload = build_iteration_workload(dims_from_gb(10.0))
+    block_sizes = (32, 64, 128, 256, 512)
+
+    def iteration_time(device, tpb):
+        grid = grid_for(workload.dims.n_obs, tpb)
+        return sum(
+            kernel_time(device, w, grid,
+                        atomic_mode=(AtomicMode.RMW if w.atomic_updates
+                                     else AtomicMode.NONE)).total
+            for w in workload.all_kernels)
+
+    sweep = {device.name: {tpb: iteration_time(device, tpb)
+                           for tpb in block_sizes}
+             for device in ALL_DEVICES}
+    best = {name: min(row, key=row.get) for name, row in sweep.items()}
+    assert best == {"T4": 32, "V100": 32, "A100": 256, "H100": 256,
+                    "MI250X": 64}
+    assert 1.3 < sweep["T4"][256] / sweep["T4"][32] < 1.9
 
 
 def test_small_grids_underutilize():
@@ -93,6 +119,19 @@ def test_cas_costs_more_than_rmw():
     rmw = atomic_time(MI250X, 10**8, 10**4, AtomicMode.RMW)
     cas = atomic_time(MI250X, 10**8, 10**4, AtomicMode.CAS_LOOP)
     assert cas > 10 * rmw  # the SSV-B MI250X cliff
+    # On the attitude scatter of a 10 GB iteration the MI250X cliff
+    # dwarfs the NVIDIA one.
+    (att,) = [w for w in build_iteration_workload(dims_from_gb(10.0)).aprod2
+              if w.name == "aprod2_att"]
+
+    def ratio(device):
+        return (atomic_time(device, att.atomic_updates, att.atomic_targets,
+                            AtomicMode.CAS_LOOP)
+                / atomic_time(device, att.atomic_updates,
+                              att.atomic_targets, AtomicMode.RMW))
+
+    assert ratio(MI250X) > 10
+    assert ratio(MI250X) > 3 * ratio(H100)
 
 
 def test_contention_increases_cost():

@@ -123,6 +123,7 @@ def test_table1_components():
         "CUDA", "NVC++", "AdaptiveCpp", "HIP", "Clang", "DPC++"
     }
     assert SOFTWARE_VERSIONS_NVIDIA["CUDA"] == ("12.3", "11.8", "12.3")
+    assert SOFTWARE_VERSIONS_NVIDIA["AdaptiveCpp"] == ("24.06",) * 3
 
 
 def test_table2_table3_cover_all_framework_compiler_pairs():
@@ -136,6 +137,11 @@ def test_table2_table3_cover_all_framework_compiler_pairs():
     assert "-munsafe-fp-atomics" not in COMPILE_FLAGS_AMD[
         ("OpenMP", "clang++")
     ]
+    amd = " ".join(COMPILE_FLAGS_AMD.values())
+    assert amd.count("-munsafe-fp-atomics") == 5
+    assert "gfx90a" in amd
+    nvidia = " ".join(COMPILE_FLAGS_NVIDIA.values())
+    assert "-stdpar=gpu" in nvidia and "nvptx64-nvidia-cuda" in nvidia
 
 
 def test_table4_cluster_map():

@@ -1,8 +1,7 @@
-"""Direct tests for the text/Markdown formatting layer."""
+"""Direct tests for the text formatting layer."""
 
 import pytest
 
-from repro.portability.markdown_report import _fmt, _md_table
 from repro.portability.report import (
     format_efficiency_table,
     format_p_table,
@@ -44,16 +43,3 @@ def test_p_table_sorted_and_with_paper_column():
     assert order == ["HIP", "SYCL", "CUDA"]
     assert "0.940" in lines[3]  # paper column next to HIP
 
-
-def test_md_table_shape():
-    text = _md_table(["a", "b"], [["1", "2"], ["3", "4"]])
-    lines = text.splitlines()
-    assert lines[0] == "| a | b |"
-    assert lines[1] == "|---|---|"
-    assert len(lines) == 4
-
-
-def test_fmt_handles_none():
-    assert _fmt(None) == "—"
-    assert _fmt(0.98765) == "0.988"
-    assert _fmt(0.5, 1) == "0.5"

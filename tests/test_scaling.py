@@ -24,6 +24,13 @@ def test_weak_scaling_efficiency_band(weak_curve):
     values = [eff[n] for n in sorted(eff)]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert 0.90 <= eff[256] < 1.0
+    # PSTL hides the same allreduce behind more compute: a nearly equal
+    # normalized efficiency, a slower iteration at every GPU count.
+    pstl = weak_scaling(port_by_key("PSTL+V"), A100, per_gpu_gb=10.0)
+    assert pstl.efficiency()[256] > 0.85
+    assert abs(pstl.efficiency()[256] - eff[256]) < 0.05
+    for pc, pp in zip(weak_curve.points, pstl.points):
+        assert pp.iteration_time > pc.iteration_time
 
 
 def test_weak_scaling_comm_grows_with_ranks(weak_curve):
@@ -41,6 +48,9 @@ def test_strong_scaling_decays_faster_than_weak(weak_curve):
     # Iteration time still strictly decreases when splitting the work.
     times = [p.iteration_time for p in strong.points]
     assert all(b < a for a, b in zip(times, times[1:]))
+    # Still compute-dominated at 16 GPUs.
+    assert s_eff[16] > 0.85
+    assert times[-1] < times[0] / 10
 
 
 def test_intra_node_faster_than_inter_node():

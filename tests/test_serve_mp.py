@@ -32,7 +32,6 @@ from repro.serve import (
     ServeJob,
     SystemStore,
     active_segments,
-    run_closed_loop,
 )
 from repro.serve import shm as shm_mod
 from repro.serve.cache import matrix_digest, system_digest
@@ -877,34 +876,12 @@ def test_keyboard_interrupt_leaves_no_processes_or_segments():
 
 
 # ---------------------------------------------------------------------
-# closed-loop driver
+# closed-loop primitive
 # ---------------------------------------------------------------------
 
-def test_run_closed_loop_bounds_outstanding_jobs():
-    lock = threading.Lock()
-    state = {"now": 0, "max": 0}
-
-    def tracked(request):
-        with lock:
-            state["now"] += 1
-            state["max"] = max(state["max"], state["now"])
-        time.sleep(0.02)
-        with lock:
-            state["now"] -= 1
-        return SolveReport(x=np.zeros(2), stop=StopReason.ATOL_BTOL,
-                           itn=1, r2norm=0.0, ranks=1, m=2, n=2)
-
-    sched = _sched("thread", workers=4, solve_fn=tracked)
-    jobs = [ServeJob(request=SolveRequest(system=_small_system(),
-                                          iter_lim=5),
-                     nominal_gb=10.0) for _ in range(10)]
-    report = run_closed_loop(sched, jobs, concurrency=2)
-    assert len(report.completed) == 10
-    assert state["max"] <= 2
-
-
-def test_run_closed_loop_bounded_wait_returns_despite_wedged_worker():
-    """A wedged pipeline times the slot wait out instead of hanging."""
+def test_wait_for_outcomes_times_out_on_a_wedged_worker():
+    """A wedged pipeline times the outcome wait out instead of hanging,
+    and the wait succeeds once the worker delivers."""
     release = threading.Event()
 
     def wedged(request):
@@ -912,15 +889,12 @@ def test_run_closed_loop_bounded_wait_returns_despite_wedged_worker():
         return SolveReport(x=np.zeros(2), stop=StopReason.ATOL_BTOL,
                            itn=1, r2norm=0.0, ranks=1, m=2, n=2)
 
-    sched = _sched("thread", workers=1, solve_fn=wedged,
-                   drain_timeout=0.2)
-    jobs = [ServeJob(request=SolveRequest(system=_small_system(),
-                                          iter_lim=5),
-                     nominal_gb=10.0) for _ in range(3)]
-    report = run_closed_loop(sched, jobs, concurrency=1,
-                             wait_timeout=0.2)
-    assert report.stuck_workers == ("serve-w0",)
-    # Unwedge and let the thread exit so the test leaves nothing behind.
+    sched = _sched("thread", workers=1, solve_fn=wedged)
+    sched.start()
+    sched.submit(ServeJob(request=SolveRequest(system=_small_system(),
+                                               iter_lim=5),
+                          nominal_gb=10.0))
+    assert not sched.wait_for_outcomes(1, timeout=0.2)
     release.set()
-    sched._threads[0].join(10.0)
-    assert not sched._threads[0].is_alive()
+    assert sched.wait_for_outcomes(1, timeout=10.0)
+    assert len(sched.drain().completed) == 1

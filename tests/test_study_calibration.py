@@ -62,6 +62,11 @@ def test_average_p_headlines(study):
         0.97, abs=0.03
     )
     assert study.average_p("PSTL+V") == pytest.approx(0.62, abs=0.10)
+    # Averaged over the sizes, HIP is the most portable, SYCL+ACPP
+    # second.
+    avg = {port: study.average_p(port) for port in study.port_keys}
+    assert sorted(avg, key=avg.get, reverse=True)[:2] == ["HIP",
+                                                         "SYCL+ACPP"]
 
 
 def test_cuda_nvidia_only_per_size(study):
@@ -99,6 +104,21 @@ def test_fastest_ports_match_paper(study):
     assert study.best_port(30.0, "V100") == "HIP"
     for size in (10.0, 30.0, 60.0):
         assert study.best_port(size, "MI250X") == "OMP+V"
+        # Fig. 4: on every NVIDIA platform the winner is CUDA or HIP.
+        for platform in study.platforms(size):
+            if platform != "MI250X":
+                assert study.best_port(size, platform) in ("CUDA", "HIP")
+
+
+def test_newer_nvidia_platforms_are_faster_for_every_port(study):
+    """Fig. 4: iteration time falls T4 -> V100 -> A100 -> H100 for
+    every port that runs there, at every size."""
+    for size in (10.0, 30.0, 60.0):
+        order = [p for p in ("T4", "V100", "A100", "H100")
+                 if p in study.platforms(size)]
+        for port, row in study.times(size).items():
+            series = [row[p] for p in order if row.get(p) is not None]
+            assert series == sorted(series, reverse=True), (size, port)
 
 
 def test_dpcpp_best_platform_is_t4_at_10gb(study):
@@ -176,6 +196,26 @@ def test_pstl_60gb_h100_nvcpp_slightly_better(study):
     eff = study.efficiencies(60.0)
     assert eff["PSTL+V"]["H100"] == pytest.approx(0.79, abs=0.06)
     assert eff["PSTL+V"]["H100"] > eff["PSTL+ACPP"]["H100"]
+
+
+def test_sycl_acpp_uniformly_close_to_best(study):
+    """SYCL+ACPP 'achieves similar application efficiencies across all
+    the tested hardware': never the best anywhere, never far from it."""
+    for size in (10.0, 30.0, 60.0):
+        acpp = [v for v in study.efficiencies(size)["SYCL+ACPP"].values()
+                if v is not None]
+        assert max(acpp) < 1.0, size
+        assert min(acpp) > 0.7, size
+
+
+def test_self_normalization_peaks_at_one(study):
+    """The artifact's per-port normalization: every supported port
+    scores exactly 1.0 on its own best platform."""
+    for port, row in study.efficiencies(10.0,
+                                        normalization="self").items():
+        values = [v for v in row.values() if v is not None]
+        if values:
+            assert max(values) == pytest.approx(1.0), port
 
 
 def test_cas_loop_cliff_on_mi250x(study):
