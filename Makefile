@@ -25,7 +25,8 @@ telemetry-smoke:
 # End-to-end smoke of the CLI (about a minute): the example serving
 # scenarios (plain, gang, sessions, tuning) on the thread backend, the plain
 # one again on spawned worker processes over the shared-memory store
-# with an assertion that the run unlinked every segment it published,
+# with an assertion that the run left no segment beyond those live
+# before it (a concurrent run's segments are not its leaks),
 # the incremental re-solve demo (nonzero exit unless warm starts save
 # iterations), and the fault-injection matrix on 4 simulated ranks
 # (nonzero exit unless every scenario recovers to the fault-free
@@ -35,8 +36,9 @@ smoke:
 	$(PYTHON) -m repro.cli serve --scenario examples/gang_scenario.json
 	$(PYTHON) -m repro.cli serve --scenario examples/sessions_scenario.json
 	$(PYTHON) -m repro.cli serve --scenario examples/tuning_serve_scenario.json
-	$(PYTHON) -m repro.cli serve --scenario examples/serve_scenario.json --backend process
-	$(PYTHON) -c "from repro.serve import active_segments as a; segs = a(); assert not segs, f'leaked shm segments: {segs}'; print('shm segments: none leaked')"
+	before="$$($(PYTHON) -c "from repro.serve import active_segments as a; print(' '.join(a()))")" && \
+	$(PYTHON) -m repro.cli serve --scenario examples/serve_scenario.json --backend process && \
+	SHM_BEFORE="$$before" $(PYTHON) -c "import os; from repro.serve import active_segments as a; segs = sorted(set(a()) - set(os.environ['SHM_BEFORE'].split())); assert not segs, f'leaked shm segments: {segs}'; print('shm segments: none leaked')"
 	$(PYTHON) -m repro.cli sessions --size-gb 0.005 --steps 3
 	$(PYTHON) -m repro.cli chaos --size-gb 0.005 --ranks 4
 

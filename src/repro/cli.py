@@ -172,50 +172,38 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.frameworks import port_by_key
     from repro.gpu.platforms import device_by_name
+    from repro.tuning import (
+        TunedConfigCache,
+        TuningService,
+        default_spec,
+        size_class_for,
+    )
 
     port, device = port_by_key(args.port), device_by_name(args.device)
     if not port.supports(device):
         print(f"repro-gaia tune: {port.key} cannot target {device.name}",
               file=sys.stderr)
         return 2
-    if args.cache_dir is not None:
-        # Service mode: route the sweep through the online tuning
-        # service so repeats are cache hits and the result persists.
-        from repro.tuning import (
-            TunedConfigCache,
-            TuningService,
-            default_spec,
-            size_class_for,
-        )
-
-        service = TuningService(
-            cache=TunedConfigCache(args.cache_dir))
-        spec = default_spec(args.port, args.device,
+    service = TuningService(cache=TunedConfigCache(args.cache_dir))
+    try:
+        spec = default_spec(port.key, device.name,
                             size_class_for(args.size_gb).label)
         config = service.tune(spec)
-        print(f"{spec.port_key} on {spec.platform} "
-              f"[{spec.size_class} class]: "
-              f"best geometry = {config.block_size} threads/block, "
-              f"atomic grid cap = {config.atomic_cap} x SMs")
-        print(f"default {config.default_iteration_s:.4f} s -> tuned "
-              f"{config.tuned_iteration_s:.4f} s "
-              f"({config.gain:.1%} reduction)")
-        print(f"host kernels: {config.host_kernels}")
-        stats = service.cache.stats()
-        print(f"cache: {spec.digest()[:16]}... "
-              f"({stats['hits']} hits / {stats['misses']} misses, "
-              f"{stats['entries']} entries in {args.cache_dir})")
-        return 0
-
-    from repro.frameworks import tune_port
-    from repro.system.sizing import dims_from_gb
-
-    result = tune_port(port, device, dims_from_gb(args.size_gb))
-    print(f"{result.port_key} on {result.device_name}: "
-          f"best geometry = {result.best_block_size} threads/block, "
-          f"atomic grid cap = {result.best_atomic_cap} x SMs")
-    print(f"default {result.default_time:.4f} s -> tuned "
-          f"{result.best_time:.4f} s ({result.gain:.1%} reduction)")
+    except ValueError as exc:  # an untunable cell or a bad size
+        print(f"repro-gaia tune: {exc}", file=sys.stderr)
+        return 2
+    print(f"{spec.port_key} on {spec.platform} "
+          f"[{spec.size_class} class]: "
+          f"best geometry = {config.block_size} threads/block, "
+          f"atomic grid cap = {config.atomic_cap} x SMs")
+    print(f"default {config.default_iteration_s:.4f} s -> tuned "
+          f"{config.tuned_iteration_s:.4f} s "
+          f"({config.gain:.1%} reduction)")
+    print(f"host kernels: {config.host_kernels}")
+    stats = service.cache.stats()
+    print(f"cache: {spec.digest()[:16]}... "
+          f"({stats['hits']} hits / {stats['misses']} misses, "
+          f"{stats['entries']} entries in {args.cache_dir or 'memory'})")
     return 0
 
 
@@ -555,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     error (exit status 2, one line), not a traceback; ``tune --port``
     offers only the ports with geometry control somewhere.
     """
-    from repro.frameworks.base import GeometryPolicy
     from repro.frameworks.registry import ALL_PORTS
     from repro.gpu.platforms import ALL_DEVICES
 
@@ -563,8 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     devices = tuple(device.name for device in ALL_DEVICES)
     tunable = tuple(
         port.key for port in ALL_PORTS
-        if all(port.vendor_support(device).geometry
-               is not GeometryPolicy.FIXED_256
+        if any(port.tunable(device)
                for device in ALL_DEVICES if port.supports(device)))
     parser = argparse.ArgumentParser(
         prog="repro-gaia",
@@ -641,12 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tune", help="sweep kernel geometry for one port")
     t.add_argument("--port", default="CUDA", choices=tunable)
     t.add_argument("--device", default="T4", choices=devices)
-    t.add_argument("--size-gb", type=float, default=10.0)
+    t.add_argument("--size-gb", type=float, default=10.0,
+                   help="problem size; the sweep runs its size class's "
+                        "representative (10/30/60 GB)")
     t.add_argument("--cache-dir", default=None,
-                   help="route the sweep through the online tuning "
-                        "service with a disk-persisted config cache "
-                        "at this directory (repeats are pure cache "
-                        "hits; see docs/tuning.md)")
+                   help="persist tuned configs in a disk cache at this "
+                        "directory (repeats are pure cache hits; see "
+                        "docs/tuning.md) instead of in memory")
     t.set_defaults(fn=_cmd_tune)
 
     tb = sub.add_parser("tables", help="print Tables I-IV")

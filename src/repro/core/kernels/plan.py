@@ -35,8 +35,8 @@ the achievable efficiency.  This module is the tuned counterpart.
 - **Immutable**: the plan holds one matrix and no scratch state, so
   one compiled operator may be applied from several threads at once.
 
-:func:`select_strategies` is the shape-based heuristic (re-exported
-through :mod:`repro.frameworks.tuning`) that decides when the plan
+:func:`select_strategies` is the shape-based heuristic (the tuning
+sweep records its choice per size class) that decides when the plan
 pays for itself, and :func:`resolve_kernels` reads the
 ``(gather_strategy, scatter_strategy)`` pair
 :class:`~repro.core.aprod.AprodOperator` takes as the spelling of one

@@ -47,12 +47,6 @@ from repro.frameworks.executor import (
     model_setup,
     run_modeled,
 )
-from repro.frameworks.tuning import (
-    HostTuningResult,
-    TuningResult,
-    tune_host_kernels,
-    tune_port,
-)
 from repro.frameworks.scaling import (
     ClusterSpec,
     ScalingCurve,
@@ -88,10 +82,6 @@ __all__ = [
     "model_iteration",
     "model_setup",
     "run_modeled",
-    "TuningResult",
-    "tune_port",
-    "HostTuningResult",
-    "tune_host_kernels",
     "ClusterSpec",
     "ScalingCurve",
     "ScalingPoint",

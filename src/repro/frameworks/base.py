@@ -184,6 +184,17 @@ class Port:
         """Runtime abstraction cost (multiplicative, >= 1)."""
         return self.vendor_support(device).overhead
 
+    def tunable(self, device: DeviceSpec) -> bool:
+        """True when the port sets its own kernel geometry on ``device``.
+
+        Only :attr:`GeometryPolicy.TUNED` has a geometry to sweep:
+        PSTL's fixed 256 threads/block and the compiler default of the
+        tuning-oblivious ports (§V-B) are not the port's to choose.
+        Raises :class:`UnsupportedPlatform` when the port cannot target
+        ``device`` at all.
+        """
+        return self.vendor_support(device).geometry is GeometryPolicy.TUNED
+
     def geometry(
         self,
         device: DeviceSpec,

@@ -21,6 +21,7 @@ Two variants of the CUDA port model the §V-B production comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.gpu.memory import DeviceMemory, DeviceOutOfMemory
 from repro.gpu.profiler import KernelEvent, Profiler
 from repro.obs.telemetry import Telemetry
 from repro.gpu.stream import StreamSchedule
-from repro.gpu.timing import KernelTiming, kernel_time
+from repro.gpu.timing import KernelTiming, KernelWork, kernel_time
 from repro.gpu.workload import build_iteration_workload
 from repro.system.sizing import device_footprint_bytes, system_size_gb
 from repro.system.structure import SystemDims
@@ -164,6 +165,79 @@ def memory_pressure_factor(
     return 1.0 + port.pressure_sensitivity * excess
 
 
+@dataclass(frozen=True)
+class Launch:
+    """One modeled kernel launch: its work, geometry, stream and time."""
+
+    work: KernelWork
+    config: LaunchConfig
+    stream: int
+    timing: KernelTiming
+
+
+@dataclass(frozen=True)
+class LaunchSequence:
+    """The launches of one modeled iteration, in launch order."""
+
+    aprod1: tuple[Launch, ...]
+    aprod2: tuple[Launch, ...]
+    #: Overlapped makespan of the aprod2 launches on their streams.
+    aprod2_makespan: float
+    vector: Launch
+    #: Launches the vector-op bundle stands for.
+    vector_launches: int
+
+
+def _launch_sequence(
+    port: Port,
+    device: DeviceSpec,
+    dims: SystemDims,
+    geometry: Callable[[bool], LaunchConfig],
+    *,
+    serialize_aprod2: bool = False,
+) -> LaunchSequence:
+    """Run the modeled iteration's launch sequence once.
+
+    aprod1's four row-parallel kernels run back to back on stream 0;
+    the colliding aprod2 kernels are overlapped on streams when the
+    port manages streams (§IV) unless ``serialize_aprod2``; the BLAS-1
+    vector updates close the iteration as one bundle.
+    ``geometry(atomic_region)`` chooses each launch's config, so the
+    port's own policy, an explicit sweep candidate and the ablation's
+    compiler default all time the same launches.
+
+    The only code that runs this sequence; its three readers are
+    :func:`model_iteration`, the tuning sweep's per-candidate evaluator
+    (:mod:`repro.tuning.sweep`) and the timeline view
+    (:func:`repro.gpu.trace.trace_iteration`).
+    """
+    overhead = port.overhead(device)
+    workload = build_iteration_workload(dims)
+
+    def launch(work: KernelWork, stream: int) -> Launch:
+        atomic = bool(work.atomic_updates)
+        config = geometry(atomic)
+        mode = port.atomic_mode(device) if atomic else AtomicMode.NONE
+        return Launch(work, config, stream,
+                      kernel_time(device, work, config, atomic_mode=mode,
+                                  overhead_factor=overhead))
+
+    aprod1 = tuple(launch(w, 0) for w in workload.aprod1)
+    overlap = port.uses_streams and not serialize_aprod2
+    aprod2 = tuple(launch(w, i if overlap else 0)
+                   for i, w in enumerate(workload.aprod2))
+    schedule = StreamSchedule()
+    for a in aprod2:
+        schedule.submit(a.stream, a.timing)
+    return LaunchSequence(
+        aprod1=aprod1,
+        aprod2=aprod2,
+        aprod2_makespan=schedule.makespan(),
+        vector=launch(workload.vector_ops, 0),
+        vector_launches=workload.vector_launches,
+    )
+
+
 def model_iteration(
     port: Port,
     device: DeviceSpec,
@@ -191,7 +265,7 @@ def model_iteration(
         raise ValueError(
             f"unknown variant {variant!r}; expected one of {VARIANTS}"
         )
-    support = port.vendor_support(device)  # raises UnsupportedPlatform
+    port.vendor_support(device)  # raises UnsupportedPlatform
 
     # Capacity check: the coefficient data plus solver vectors must fit.
     mem = DeviceMemory(device)
@@ -201,53 +275,26 @@ def model_iteration(
         size_gb = system_size_gb(dims)
     production = variant == "production"
     tuned = tuned and not production
-    overhead = support.overhead
-    workload = build_iteration_workload(dims)
-    m = dims.n_obs
-
-    def launch(work, *, atomic_region: bool, mode: AtomicMode
-               ) -> KernelTiming:
-        cfg: LaunchConfig = port.geometry(
-            device, m, atomic_region=atomic_region and tuned, tuned=tuned
-        )
-        t = kernel_time(device, work, cfg, atomic_mode=mode,
-                        overhead_factor=overhead)
-        if profiler is not None:
-            profiler.record(KernelEvent(name=work.name, config=cfg,
-                                        timing=t))
-        if telemetry is not None:
-            telemetry.counter(
-                "executor.kernel_launches",
-                port=port.key, device=device.name, kernel=work.name,
-            ).inc()
-            telemetry.histogram(
-                "executor.kernel_time_s",
-                port=port.key, device=device.name, kernel=work.name,
-            ).observe(t.total)
-        return t
-
-    # aprod1: four row-parallel kernels, back to back on one stream.
-    t_aprod1 = sum(
-        launch(w, atomic_region=False, mode=AtomicMode.NONE).total
-        for w in workload.aprod1
+    seq = _launch_sequence(
+        port, device, dims,
+        lambda atomic: port.geometry(device, dims.n_obs,
+                                     atomic_region=atomic, tuned=tuned),
+        serialize_aprod2=production,
     )
+    for a in (*seq.aprod1, *seq.aprod2, seq.vector):
+        if profiler is not None:
+            profiler.record(KernelEvent(name=a.work.name, config=a.config,
+                                        timing=a.timing))
+        if telemetry is not None:
+            labels = dict(port=port.key, device=device.name,
+                          kernel=a.work.name)
+            telemetry.counter("executor.kernel_launches", **labels).inc()
+            telemetry.histogram("executor.kernel_time_s",
+                                **labels).observe(a.timing.total)
 
-    # aprod2: the colliding kernels, overlapped on streams when the
-    # port manages streams (§IV).
-    schedule = StreamSchedule()
-    for i, w in enumerate(workload.aprod2):
-        mode = (
-            port.atomic_mode(device) if w.atomic_updates else AtomicMode.NONE
-        )
-        timing = launch(w, atomic_region=bool(w.atomic_updates), mode=mode)
-        schedule.submit(i if port.uses_streams and not production else 0,
-                        timing)
-    t_aprod2 = schedule.makespan()
-
-    # BLAS-1 vector updates: a handful of short launches.
-    t_vec = launch(workload.vector_ops, atomic_region=False,
-                   mode=AtomicMode.NONE).total
-    t_vec += (workload.vector_launches - 1) * device.launch_overhead_us * 1e-6
+    # The vector-op bundle pays its remaining short launches.
+    t_vec = seq.vector.timing.total
+    t_vec += (seq.vector_launches - 1) * device.launch_overhead_us * 1e-6
 
     residual = port.residual(device, size_gb)
     if production:
@@ -255,8 +302,8 @@ def model_iteration(
     return IterationModel(
         port_key=port.key,
         device_name=device.name,
-        aprod1_time=t_aprod1,
-        aprod2_time=t_aprod2,
+        aprod1_time=sum(a.timing.total for a in seq.aprod1),
+        aprod2_time=seq.aprod2_makespan,
         vector_time=t_vec,
         pressure_factor=memory_pressure_factor(port, device, dims),
         residual_factor=residual,

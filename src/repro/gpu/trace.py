@@ -13,11 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.frameworks.base import Port
-from repro.gpu.atomics import AtomicMode
+from repro.frameworks.executor import _launch_sequence
 from repro.gpu.device import DeviceSpec
-from repro.gpu.stream import StreamSchedule
-from repro.gpu.timing import kernel_time
-from repro.gpu.workload import build_iteration_workload
 from repro.system.structure import SystemDims
 
 
@@ -104,58 +101,41 @@ def trace_iteration(
 ) -> IterationTrace:
     """Build the timeline of one modeled iteration.
 
-    aprod1 kernels run back to back on stream 0; aprod2 kernels are
-    placed on streams per the port's stream usage, serialized on the
-    shared memory system exactly as
+    A layout of the executor's one launch sequence: aprod1 kernels back
+    to back on stream 0; aprod2 kernels on their streams, serialized on
+    the shared memory system exactly as
     :meth:`repro.gpu.stream.StreamSchedule.makespan` prices them (each
     kernel's data phase starts when the previous kernel's data phase
     ends, regardless of stream); the vector-op bundle closes the
     iteration.
     """
-    port.vendor_support(device)  # raises UnsupportedPlatform early
-    workload = build_iteration_workload(dims)
-    overhead = port.overhead(device)
+    seq = _launch_sequence(
+        port, device, dims,
+        lambda atomic: port.geometry(device, dims.n_obs,
+                                     atomic_region=atomic, tuned=tuned),
+    )
     trace = IterationTrace(port_key=port.key, device_name=device.name)
 
     clock = 0.0
-    m = dims.n_obs
-    for w in workload.aprod1:
-        cfg = port.geometry(device, m, atomic_region=False, tuned=tuned)
-        t = kernel_time(device, w, cfg, atomic_mode=AtomicMode.NONE,
-                        overhead_factor=overhead)
-        trace.events.append(TraceEvent(name=w.name, stream=0,
-                                       start=clock, duration=t.total))
-        clock += t.total
+    for a in seq.aprod1:
+        trace.events.append(TraceEvent(name=a.work.name, stream=0,
+                                       start=clock,
+                                       duration=a.timing.total))
+        clock += a.timing.total
 
     # aprod2: streams overlap launches; the data phases serialize.
-    schedule = StreamSchedule()
-    timings = []
-    for i, w in enumerate(workload.aprod2):
-        mode = (port.atomic_mode(device) if w.atomic_updates
-                else AtomicMode.NONE)
-        cfg = port.geometry(device, m,
-                            atomic_region=bool(w.atomic_updates) and tuned,
-                            tuned=tuned)
-        t = kernel_time(device, w, cfg, atomic_mode=mode,
-                        overhead_factor=overhead)
-        stream = i if port.uses_streams else 0
-        schedule.submit(stream, t)
-        timings.append((w.name, stream, t))
-    aprod2_start = clock
-    data_clock = clock
-    for name, stream, t in timings:
+    aprod2_start = data_clock = clock
+    for a in seq.aprod2:
+        t = a.timing
         duration = max(t.memory, t.compute) + t.atomics
         trace.events.append(
-            TraceEvent(name=name, stream=stream, start=data_clock,
-                       duration=duration)
+            TraceEvent(name=a.work.name, stream=a.stream,
+                       start=data_clock, duration=duration)
         )
         data_clock += duration
-    clock = max(data_clock, aprod2_start + schedule.makespan())
+    clock = max(data_clock, aprod2_start + seq.aprod2_makespan)
 
-    cfg = port.geometry(device, m, tuned=tuned)
-    t = kernel_time(device, workload.vector_ops, cfg,
-                    atomic_mode=AtomicMode.NONE,
-                    overhead_factor=overhead)
-    trace.events.append(TraceEvent(name="vector_ops", stream=0,
-                                   start=clock, duration=t.total))
+    trace.events.append(TraceEvent(name=seq.vector.work.name, stream=0,
+                                   start=clock,
+                                   duration=seq.vector.timing.total))
     return trace

@@ -41,11 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.frameworks.base import (
-    GeometryPolicy,
-    Port,
-    UnsupportedPlatform,
-)
+from repro.frameworks.base import Port, UnsupportedPlatform
 from repro.frameworks.executor import model_iteration, model_setup
 from repro.frameworks.executors_future import PSTL_EXECUTORS
 from repro.frameworks.registry import ALL_PORTS
@@ -254,8 +250,7 @@ class PlacementCostModel:
             except (UnsupportedPlatform, DeviceOutOfMemory):
                 continue
             tuned = False
-            if (aware and port.vendor_support(device).geometry
-                    is GeometryPolicy.TUNED):
+            if aware and port.tunable(device):
                 cfg = self.tuned_cache.get(
                     default_spec(port.key, device.name, size_class))
                 if cfg is not None:

@@ -1,13 +1,16 @@
 """Online kernel-geometry autotuning (``docs/tuning.md``).
 
-The one-shot sweeps of :mod:`repro.frameworks.tuning` turned into a
-service the serve layer can lean on:
+The §V-B geometry sweep, written once, as a service the serve layer
+can lean on:
 
 - :mod:`~repro.tuning.sizeclass` -- 10/30/60 GB bucketing so a
   handful of sweeps covers every job size;
-- :mod:`~repro.tuning.sweep` -- :class:`SweepSpec` identities (the
-  content address), :class:`TunedConfig` results, and the
-  :class:`GeometrySweeper` that evaluates them;
+- :mod:`~repro.tuning.sweep` -- the candidate grid,
+  :class:`SweepSpec` identities (the content address),
+  :class:`TunedConfig` results, and the :class:`GeometrySweeper`, the
+  only sweep, which times each candidate through the executor's one
+  modeled launch sequence and refuses a port that is not
+  :meth:`~repro.frameworks.base.Port.tunable` on the platform;
 - :mod:`~repro.tuning.cache` -- the disk-persisted, LRU-fronted
   :class:`TunedConfigCache` with the ``serve.tuning.*`` counters and
   the generation signal price memos key on;

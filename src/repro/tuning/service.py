@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.api import PlacementConstraints, SolveRequest
-from repro.frameworks.base import GeometryPolicy
 from repro.gpu.platforms import device_by_name
 from repro.obs import Telemetry
 from repro.tuning.cache import TunedConfigCache
@@ -80,20 +79,14 @@ def tunable_ports_for(platform: str,
                       ) -> tuple[str, ...]:
     """The subset of ``ports`` that is sweepable on ``platform``.
 
-    Sweepable = the port targets the device's vendor at all, and its
-    geometry policy there is :attr:`GeometryPolicy.TUNED` (compiler-
-    default and fixed-256 ports have nothing to sweep).
+    Sweepable = the port targets the device's vendor at all and is
+    :meth:`~repro.frameworks.base.Port.tunable` there (compiler-default
+    and fixed-256 ports have nothing to sweep).
     """
     device = device_by_name(platform)
-    out = []
-    for key in ports:
-        port = resolve_port(key)
-        if not port.supports(device):
-            continue
-        if port.vendor_support(device).geometry is not GeometryPolicy.TUNED:
-            continue
-        out.append(key)
-    return tuple(out)
+    candidates = (resolve_port(key) for key in ports)
+    return tuple(port.key for port in candidates
+                 if port.supports(device) and port.tunable(device))
 
 
 @dataclass
@@ -126,12 +119,6 @@ class TuningService:
         config = self.sweeper.sweep(spec)
         self.cache.put(config)
         return config
-
-    def tune_cell(self, port_key: str, platform: str,
-                  nominal_gb: float) -> TunedConfig:
-        """Convenience: tune the default spec covering one job size."""
-        return self.tune(default_spec(
-            port_key, platform, size_class_for(nominal_gb).label))
 
     # -- background-job packaging ------------------------------------
     def covering_specs(

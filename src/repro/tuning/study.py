@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.frameworks.base import GeometryPolicy, Port, UnsupportedPlatform
+from repro.frameworks.base import Port, UnsupportedPlatform
 from repro.frameworks.executor import model_iteration
 from repro.frameworks.registry import ALL_PORTS
 from repro.gpu.device import DeviceSpec
@@ -54,9 +54,6 @@ class TuningStudyResult:
         default_factory=dict)
     ootb_times: dict[float, TimeTable] = field(default_factory=dict)
     tuned_times: dict[float, TimeTable] = field(default_factory=dict)
-    #: (port, platform, size-class) cells where a tuned config applied.
-    tuned_cells: list[tuple[str, str, str]] = field(
-        default_factory=list)
 
     def p_scores(self, size_gb: float, *,
                  tuned: bool) -> dict[str, float]:
@@ -157,13 +154,10 @@ def run_tuning_study(
                     tuned[port.key][name] = None
                     continue
                 ootb[port.key][name] = t0
-                support = port.vendor_support(device)
-                if support.geometry is GeometryPolicy.TUNED:
+                if port.tunable(device):
                     cfg = service.tune(
                         default_spec(port.key, name, label))
                     tuned[port.key][name] = t0 * cfg.ratio
-                    result.tuned_cells.append(
-                        (port.key, name, label))
                 else:
                     tuned[port.key][name] = t0
         result.ootb_times[size] = ootb

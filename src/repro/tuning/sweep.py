@@ -1,46 +1,55 @@
-"""Sweep specs, tuned configs, and the online geometry sweeper.
+"""The geometry sweep: specs, tuned configs, and the one sweeper.
 
-The one-shot sweep already exists
-(:func:`repro.frameworks.tuning.tune_port`); what the online service
-adds is *identity*.  A :class:`SweepSpec` names one tuning cell --
-port x platform x size-class x candidate grid x model version -- and
-its :meth:`~SweepSpec.digest` is the content address the
-:class:`~repro.tuning.cache.TunedConfigCache` stores results under:
-same spec, same digest, same bytes, forever.  Bump
-:data:`MODEL_VERSION` whenever the analytic kernel model changes
+The paper hand-tunes the CUDA/HIP/SYCL kernel geometry per platform
+for "up to 40% reduction in iteration time" (§V-B), and notes that
+different platforms need different tuning.  :class:`GeometrySweeper`
+reproduces that search: it times every deduplicated
+``(threads_per_block, atomic_cap)`` candidate of
+:func:`geometry_candidates` through the executor's one modeled launch
+sequence and keeps the best against the out-of-the-box ``(256,
+None)``, plus the host kernel set
+:func:`~repro.core.kernels.plan.select_strategies` picks for the same
+shape.  Only a port whose geometry is its own to choose on the
+platform (:meth:`~repro.frameworks.base.Port.tunable`) can be swept.
+
+What the online service adds is *identity*.  A :class:`SweepSpec`
+names one tuning cell -- port x platform x size-class x candidate
+grid x model version -- and its :meth:`~SweepSpec.digest` is the
+content address the :class:`~repro.tuning.cache.TunedConfigCache`
+stores results under: same spec, same digest, same bytes, forever.
+Bump :data:`MODEL_VERSION` whenever the analytic kernel model changes
 meaning and every old entry silently becomes a miss instead of a lie.
-
-:class:`GeometrySweeper` evaluates a spec: the deduplicated
-``(threads_per_block, atomic_cap)`` grid from
-:func:`repro.frameworks.tuning.geometry_candidates` through
-:func:`repro.frameworks.tuning.iteration_time_with_geometry`, plus the
-host-side plan selection from
-:func:`repro.frameworks.tuning.tune_host_kernels`.  It counts model
-evaluations (``tuning.model_evals``) so tests -- and the acceptance
-criterion "second run is a pure cache hit" -- can prove a repeat
-costs zero.
+The sweeper counts model evaluations (``tuning.model_evals``) so
+tests -- and the acceptance criterion "second run is a pure cache
+hit" -- can prove a repeat costs zero.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
-from repro.frameworks.base import GeometryPolicy, Port
+from repro.core.kernels.plan import select_strategies
+from repro.frameworks.base import Port
+from repro.frameworks.executor import _launch_sequence
 from repro.frameworks.executors_future import PSTL_EXECUTORS
 from repro.frameworks.registry import PORTS_BY_KEY
-from repro.frameworks.tuning import (
-    CANDIDATE_BLOCK_SIZES,
-    CANDIDATE_GRID_CAPS,
-    geometry_candidates,
-    iteration_time_with_geometry,
-    tune_host_kernels,
-)
+from repro.gpu.device import DeviceSpec
+from repro.gpu.kernel import grid_for
 from repro.gpu.platforms import device_by_name
 from repro.obs import Telemetry
 from repro.system.sizing import dims_from_gb
+from repro.system.structure import SystemDims
 from repro.tuning.sizeclass import size_class_by_label
+
+#: Block sizes swept by the tuner.
+CANDIDATE_BLOCK_SIZES = (32, 64, 128, 256, 512)
+
+#: Atomic-region grid caps swept, as multiples of the SM count
+#: (None = uncapped full grid).
+CANDIDATE_GRID_CAPS = (None, 16, 8, 4, 2)
 
 #: Version of the analytic kernel model the sweeps run through.  Part
 #: of every sweep-spec digest: bumping it (when the model's meaning
@@ -51,6 +60,51 @@ MODEL_VERSION = 1
 #: Ports the sweeper can resolve that live outside the paper roster
 #: (the projected C++26 executors port is servable, so it is tunable).
 _EXTRA_PORTS: dict[str, Port] = {PSTL_EXECUTORS.key: PSTL_EXECUTORS}
+
+
+def geometry_candidates(
+    device: DeviceSpec,
+    n_obs: int,
+    block_sizes: tuple[int, ...] = CANDIDATE_BLOCK_SIZES,
+    grid_caps: tuple[int | None, ...] = CANDIDATE_GRID_CAPS,
+) -> list[tuple[int, int | None]]:
+    """The deduplicated ``(threads_per_block, atomic_cap)`` sweep grid.
+
+    A cap of ``c`` limits the atomic-region grid to ``c * sm_count``
+    blocks; when that bound meets or exceeds the full grid
+    (``ceil(n_obs / tpb)`` blocks) the capped geometry is *identical*
+    to the uncapped one, so evaluating it would time the same launch
+    twice under two keys.  Such aliases collapse onto ``(tpb, None)``
+    here, before anything is timed.
+    """
+    out: list[tuple[int, int | None]] = []
+    for tpb in block_sizes:
+        full_blocks = max(1, math.ceil(n_obs / tpb))
+        for cap in grid_caps:
+            if cap is not None and cap * device.sm_count >= full_blocks:
+                continue  # alias of (tpb, None): cap never binds
+            out.append((tpb, cap))
+    return out
+
+
+def _candidate_time(port: Port, device: DeviceSpec, dims: SystemDims,
+                    block_size: int, atomic_cap: int | None) -> float:
+    """Unscaled seconds of one iteration at one candidate geometry.
+
+    Every launch runs ``block_size`` threads per block, the atomic
+    region's grid capped at ``atomic_cap`` blocks per SM.  The sum is
+    aprod1 + aprod2 + the vector bundle, without the extra vector
+    launches, pressure, residual or time scale of
+    :func:`~repro.frameworks.executor.model_iteration`.
+    """
+    m = dims.n_obs
+    plain = grid_for(m, block_size)
+    cap_blocks = None if atomic_cap is None else atomic_cap * device.sm_count
+    capped = grid_for(m, block_size, max_blocks=cap_blocks)
+    seq = _launch_sequence(port, device, dims,
+                           lambda atomic: capped if atomic else plain)
+    return (sum(a.timing.total for a in seq.aprod1)
+            + seq.aprod2_makespan + seq.vector.timing.total)
 
 
 def resolve_port(port_key: str) -> Port:
@@ -126,7 +180,7 @@ class TunedConfig:
     ``tuned_iteration_s / default_iteration_s`` is the ratio the
     placement cost model applies to its nominal (out-of-the-box)
     estimate; ``host_kernels`` records the host kernel set
-    :func:`~repro.frameworks.tuning.tune_host_kernels` selected for
+    :func:`~repro.core.kernels.plan.select_strategies` selected for
     the size-class representative shape (``"compiled"`` or
     ``"blocks"``).
     """
@@ -212,19 +266,19 @@ class GeometrySweeper:
     def sweep(self, spec: SweepSpec) -> TunedConfig:
         """Run one cell's sweep and return its tuned config.
 
-        Raises ``ValueError`` for ports whose geometry is fixed (the
-        plain PSTL ports; §IV-e), mirroring
-        :func:`repro.frameworks.tuning.tune_port`, and ``KeyError``
-        for unknown ports, platforms, or size classes.
+        Raises ``ValueError`` for a port whose geometry is not its own
+        to choose on the platform (PSTL's fixed 256, §IV-e; the
+        compiler default of OpenMP on NVIDIA), ``UnsupportedPlatform``
+        when it cannot target the platform, and ``KeyError`` for
+        unknown ports, platforms, or size classes.
         """
         tel = Telemetry.or_null(self.telemetry)
         port = resolve_port(spec.port_key)
         device = device_by_name(spec.platform)
         cls = size_class_by_label(spec.size_class)
-        support = port.vendor_support(device)
-        if support.geometry is GeometryPolicy.FIXED_256:
+        if not port.tunable(device):
             raise ValueError(
-                f"{port.key} kernels cannot be tuned "
+                f"{port.key} kernels cannot be tuned on {device.name} "
                 f"(no geometry control)"
             )
         dims = dims_from_gb(cls.representative_gb)
@@ -232,8 +286,6 @@ class GeometrySweeper:
         with tel.span("tuning.sweep", port=spec.port_key,
                       platform=spec.platform,
                       size_class=spec.size_class):
-            evals = 0
-            sweep: dict[tuple[int, int | None], float] = {}
             candidates = geometry_candidates(
                 device, dims.n_obs,
                 block_sizes=spec.block_sizes,
@@ -244,14 +296,14 @@ class GeometrySweeper:
             # for custom candidate grids that omit (256, None).
             if (256, None) not in candidates:
                 candidates = [*candidates, (256, None)]
-            for tpb, cap in candidates:
-                sweep[(tpb, cap)] = iteration_time_with_geometry(
-                    port, device, dims, tpb, cap)
-                evals += 1
+            sweep = {(tpb, cap): _candidate_time(port, device, dims,
+                                                 tpb, cap)
+                     for tpb, cap in candidates}
             (best_tpb, best_cap), best_time = min(
                 sweep.items(), key=lambda kv: kv[1])
-            host = tune_host_kernels(dims)
+            host_kernels = select_strategies(dims).kernels
 
+        evals = len(candidates)
         self.model_evals += evals
         tel.counter("tuning.model_evals").inc(evals)
         return TunedConfig(
@@ -260,6 +312,6 @@ class GeometrySweeper:
             atomic_cap=best_cap,
             tuned_iteration_s=best_time,
             default_iteration_s=sweep[(256, None)],
-            host_kernels=host.selection.kernels,
+            host_kernels=host_kernels,
             model_evals=evals,
         )

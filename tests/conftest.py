@@ -77,5 +77,31 @@ def saved_itns(monkeypatch):
 
 
 @pytest.fixture()
+def own_segments(monkeypatch):
+    """Lists the live shm segments this test published, sorted.
+
+    ``active_segments()`` names every store segment on the host, so a
+    concurrent serving run or benchmark would fail a leak check built
+    on it.  This fixture records the digest of every
+    ``SystemStore.publish`` the test makes and returns a function
+    listing which of their segments are still live.  Names are content
+    addresses: a concurrent run publishing the *same* matrix co-owns
+    the same segment and cannot be told apart.
+    """
+    from repro.serve import shm
+
+    published: set[str] = set()
+    publish = shm.SystemStore.publish
+
+    def recording_publish(store, system):
+        digest = publish(store, system)
+        published.add(shm._segment_name(digest))
+        return digest
+
+    monkeypatch.setattr(shm.SystemStore, "publish", recording_publish)
+    return lambda: sorted(published.intersection(shm.active_segments()))
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -120,7 +120,12 @@ def test_unknown_port_or_device_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_tune_rejects_a_vendor_mismatch_in_one_line(capsys):
-    assert main(["tune", "--port", "CUDA", "--device", "MI250X"]) == 2
-    err = capsys.readouterr().err
-    assert err == "repro-gaia tune: CUDA cannot target MI250X\n"
+@pytest.mark.parametrize("port, device, err", [
+    ("CUDA", "MI250X", "CUDA cannot target MI250X"),
+    ("OMP+LLVM", "T4",
+     "OMP+LLVM kernels cannot be tuned on T4 (no geometry control)"),
+], ids=["vendor-mismatch", "compiler-default"])
+def test_tune_rejects_a_vendor_mismatch_in_one_line(port, device, err,
+                                                    capsys):
+    assert main(["tune", "--port", port, "--device", device]) == 2
+    assert capsys.readouterr().err == f"repro-gaia tune: {err}\n"

@@ -85,7 +85,7 @@ def _semaphores() -> list[str]:
 # shared-memory store
 # ---------------------------------------------------------------------
 
-def test_shm_publish_attach_roundtrip():
+def test_shm_publish_attach_roundtrip(own_segments):
     system = _small_system(with_constraints=True)
     with SystemStore() as store:
         digest = store.publish(system)
@@ -136,10 +136,10 @@ def test_shm_publish_attach_roundtrip():
         # Drop the zero-copy views before the store unlinks, so the
         # mapping can actually close.
         del view, rebuilt, rows, got, want
-    assert active_segments() == []
+    assert own_segments() == []
 
 
-def test_rhs_variants_of_one_matrix_share_one_segment():
+def test_rhs_variants_of_one_matrix_share_one_segment(own_segments):
     """Systems differing only in their right-hand side publish one
     segment, counted once per publish."""
     variants = _rhs_variants(_small_system(seed=24, with_constraints=True),
@@ -149,11 +149,11 @@ def test_rhs_variants_of_one_matrix_share_one_segment():
         digests = {store.publish(v) for v in variants}
         assert digests == {matrix_digest(variants[0])}
         (digest,) = digests
-        assert len(store) == 1 and len(active_segments()) == 1
+        assert len(store) == 1 and len(own_segments()) == 1
         assert store.refcount(digest) == 3
         for _ in variants:
             store.release(digest)
-        assert active_segments() == []
+        assert own_segments() == []
 
 
 def test_no_constraint_set_and_an_empty_one_share_a_segment():
@@ -190,29 +190,29 @@ def test_segment_holds_the_matrix_and_a_json_header_only():
         del buf
 
 
-def test_shm_release_unlinks_eagerly_without_linger():
+def test_shm_release_unlinks_eagerly_without_linger(own_segments):
     store = SystemStore(linger=False)
     digest = store.publish(_small_system())
-    assert len(active_segments()) == 1
+    assert len(own_segments()) == 1
     store.release(digest)  # refcount hits zero -> eager unlink
     assert len(store) == 0
     assert store.refcount(digest) == 0
-    assert active_segments() == []
+    assert own_segments() == []
     store.release(digest)  # releasing an unknown digest is a no-op
     store.close()
 
 
-def test_shm_close_is_idempotent_and_publish_after_close_fails():
+def test_shm_close_is_idempotent_and_publish_after_close_fails(own_segments):
     store = SystemStore()
     store.publish(_small_system())
     store.close()
     store.close()
-    assert active_segments() == []
+    assert own_segments() == []
     with pytest.raises(RuntimeError):
         store.publish(_small_system())
 
 
-def test_concurrent_publish_same_store_keeps_refcounts_exact():
+def test_concurrent_publish_same_store_keeps_refcounts_exact(own_segments):
     """Racing dispatchers publishing one system: one segment, N refs.
 
     Regression test for the publish race: a second publisher must
@@ -243,11 +243,11 @@ def test_concurrent_publish_same_store_keeps_refcounts_exact():
     for _ in range(n):
         store.release(digest)
     assert len(store) == 0  # eager unlink at refcount zero
-    assert active_segments() == []
+    assert own_segments() == []
     store.close()
 
 
-def test_concurrent_publish_across_stores_shares_one_segment():
+def test_concurrent_publish_across_stores_shares_one_segment(own_segments):
     """Two stores racing on the same content co-own one valid segment.
 
     The loser of the create race must wait for the winner's
@@ -274,16 +274,36 @@ def test_concurrent_publish_across_stores_shares_one_segment():
         t.join(30.0)
     assert errors == []
     assert len(set(digests)) == 1
-    assert len(active_segments()) == 1
+    assert len(own_segments()) == 1
     for store in stores:
         view = store.attach(digests[0])
         assert np.array_equal(view.arrays["att_values"], system.att_values)
         del view
         store.close()
-    assert active_segments() == []
+    assert own_segments() == []
 
 
-def test_publish_reclaims_stale_partial_segment(monkeypatch):
+@pytest.fixture()
+def foreign_segment():
+    """A live segment of a second store, published before the test's
+    own leak check starts recording (a concurrent run's segment)."""
+    with SystemStore() as store:
+        digest = store.publish(_small_system(seed=36))
+        yield shm_mod._segment_name(digest)
+
+
+def test_leak_check_ignores_a_foreign_store(foreign_segment, own_segments):
+    assert foreign_segment in active_segments()
+    assert own_segments() == []
+    with SystemStore() as store:
+        store.publish(_small_system(seed=37))
+        (mine,) = own_segments()
+        assert mine != foreign_segment
+    assert own_segments() == []
+    assert foreign_segment in active_segments()
+
+
+def test_publish_reclaims_stale_partial_segment(monkeypatch, own_segments):
     """A crashed run's partial segment is re-created, not served.
 
     The segment exists under the right content address but its
@@ -304,7 +324,7 @@ def test_publish_reclaims_stale_partial_segment(monkeypatch):
         view = store.attach(digest)
         assert np.array_equal(view.arrays["instr_col"], system.instr_col)
         del view
-    assert active_segments() == []
+    assert own_segments() == []
 
 
 class _Planted:
@@ -318,7 +338,7 @@ class _Planted:
 
 
 def test_a_planted_pickle_header_is_reclaimed_never_loaded(
-        monkeypatch, tmp_path):
+        monkeypatch, tmp_path, own_segments):
     """The segment name is a predictable content address, so any local
     process can pre-create it.  A header that is a pickle payload does
     not parse into the JSON schema: the segment is treated as a stale
@@ -350,7 +370,7 @@ def test_a_planted_pickle_header_is_reclaimed_never_loaded(
     finally:
         planted.close()
     assert not marker.exists()
-    assert active_segments() == []
+    assert own_segments() == []
 
 
 def _plant(digest: str, system):
@@ -365,7 +385,8 @@ def _plant(digest: str, system):
     return seg
 
 
-def test_a_schema_valid_segment_with_other_arrays_is_reclaimed(monkeypatch):
+def test_a_schema_valid_segment_with_other_arrays_is_reclaimed(
+        monkeypatch, own_segments):
     """A header in the schema is not enough: a segment whose blocks do
     not hash back to the digest it is named after is reclaimed, and the
     store serves the publisher's own matrix."""
@@ -385,10 +406,11 @@ def test_a_schema_valid_segment_with_other_arrays_is_reclaimed(monkeypatch):
             del view
     finally:
         planted.close()
-    assert active_segments() == []
+    assert own_segments() == []
 
 
-def test_a_segment_others_could_write_is_never_adopted_or_attached():
+def test_a_segment_others_could_write_is_never_adopted_or_attached(
+        own_segments):
     """Right content is not enough either: a segment group- or
     world-writable could be rewritten after validation, so a worker
     refuses it and the publisher re-creates the name as its own."""
@@ -413,7 +435,7 @@ def test_a_segment_others_could_write_is_never_adopted_or_attached():
             view.close()
     finally:
         planted.close()
-    assert active_segments() == []
+    assert own_segments() == []
 
 
 @pytest.mark.parametrize("mutate", [
@@ -517,7 +539,7 @@ def test_request_spec_carries_every_request_field(tmp_path):
 # thread/process equivalence
 # ---------------------------------------------------------------------
 
-def test_process_backend_bitwise_identical_to_thread():
+def test_process_backend_bitwise_identical_to_thread(own_segments):
     """The tentpole contract: same scenario, same bits, either backend.
 
     Also exercises the async front end (submit/start/drain) and the
@@ -549,14 +571,14 @@ def test_process_backend_bitwise_identical_to_thread():
 
     # Worker spans came back rebased onto the parent clock.
     assert any(s.track.startswith("mp/") for s in tel.spans)
-    assert active_segments() == []
+    assert own_segments() == []
 
 
 def _x_by_job(report) -> dict:
     return {o.job.job_id: o.report.x for o in report.completed}
 
 
-def test_process_workers_map_each_matrix_once_and_match_thread():
+def test_process_workers_map_each_matrix_once_and_match_thread(own_segments):
     """Three right-hand sides on each of two matrices: at most one
     mapping per (worker, matrix), every solution bitwise the thread
     backend's, and the pool's named semaphores gone after drain."""
@@ -583,10 +605,10 @@ def test_process_workers_map_each_matrix_once_and_match_thread():
     assert set(got) == set(want) and len(got) == 6
     for job_id, x in want.items():
         assert np.array_equal(got[job_id], x), job_id
-    assert active_segments() == []
+    assert own_segments() == []
 
 
-def test_fused_batch_on_one_segment_is_bitwise_the_thread_batch():
+def test_fused_batch_on_one_segment_is_bitwise_the_thread_batch(own_segments):
     """A 3-member batch of one matrix runs on one mapping and gives the
     thread backend's bits."""
     jobs = [ServeJob(request=SolveRequest(system=system, iter_lim=8,
@@ -604,10 +626,11 @@ def test_fused_batch_on_one_segment_is_bitwise_the_thread_batch():
     assert set(got) == set(want) and len(got) == 3
     for job_id, x in want.items():
         assert np.array_equal(got[job_id], x), job_id
-    assert active_segments() == []
+    assert own_segments() == []
 
 
-def test_every_report_field_but_raw_survives_the_process_boundary():
+def test_every_report_field_but_raw_survives_the_process_boundary(
+        own_segments):
     """The reply crosses as the dataclass it is: whatever the driver
     put on a ``SolveReport`` the thread backend delivers, the process
     backend delivers too (``raw``, the driver's own result object,
@@ -646,10 +669,10 @@ def test_every_report_field_but_raw_survives_the_process_boundary():
     # warm_start needs a session store; every other field was exercised
     assert crossed == {f.name for f in dataclasses.fields(SolveReport)
                        } - {"raw", "placement", "warm_start"}
-    assert active_segments() == []
+    assert own_segments() == []
 
 
-def test_process_backend_inline_fallback_for_injected_solve_fn():
+def test_process_backend_inline_fallback_for_injected_solve_fn(own_segments):
     def stub(request):
         return SolveReport(x=np.zeros(3), stop=StopReason.ATOL_BTOL,
                            itn=1, r2norm=0.0, ranks=1, m=3, n=3)
@@ -662,7 +685,7 @@ def test_process_backend_inline_fallback_for_injected_solve_fn():
     report = sched.run([job])
     assert len(report.completed) == 1
     assert tel.counter("serve.mp.inline").value >= 1
-    assert active_segments() == []
+    assert own_segments() == []
 
 
 # ---------------------------------------------------------------------
@@ -701,7 +724,7 @@ def test_failing_solve_records_failed_outcome_not_dead_dispatcher():
     assert "failed" in report.summary()
 
 
-def test_worker_process_failure_contained_and_pool_survives():
+def test_worker_process_failure_contained_and_pool_survives(own_segments):
     """A solve failing *inside a worker process* fails only its job.
 
     The worker answers with a traceback; the parent must turn that
@@ -732,7 +755,7 @@ def test_worker_process_failure_contained_and_pool_survives():
     assert [o.job.job_id for o in report.completed] == ["good"]
     assert report.stuck_workers == ()
     assert tel.counter("serve.job_failures").value == 1
-    assert active_segments() == []
+    assert own_segments() == []
 
 
 # ---------------------------------------------------------------------
@@ -796,7 +819,8 @@ def test_drain_timeout_surfaces_stuck_worker():
     assert not sched._threads[0].is_alive()
 
 
-def test_drain_returns_when_a_large_task_waits_behind_a_wedged_worker():
+def test_drain_returns_when_a_large_task_waits_behind_a_wedged_worker(
+        own_segments):
     """A task larger than the pipe buffer, queued behind a worker that
     stopped answering, leaves the parent's queue feeder blocked
     mid-write.  The forced stop after the drain timeout must still
@@ -840,7 +864,7 @@ def test_drain_returns_when_a_large_task_waits_behind_a_wedged_worker():
     (report,) = reports
     assert report.stuck_workers == ("serve-w0",)
     assert not worker.is_alive()
-    assert active_segments() == []
+    assert own_segments() == []
     deadline = time.perf_counter() + 10.0
     while (_semaphores() != semaphores
            and time.perf_counter() < deadline):
@@ -848,7 +872,7 @@ def test_drain_returns_when_a_large_task_waits_behind_a_wedged_worker():
     assert _semaphores() == semaphores
 
 
-def test_keyboard_interrupt_leaves_no_processes_or_segments():
+def test_keyboard_interrupt_leaves_no_processes_or_segments(own_segments):
     sched = _sched("process", workers=1, drain_timeout=30.0)
     jobs = [ServeJob(request=SolveRequest(system=_small_system(seed=s),
                                           iter_lim=5),
@@ -867,7 +891,7 @@ def test_keyboard_interrupt_leaves_no_processes_or_segments():
            and time.perf_counter() < deadline):
         time.sleep(0.05)
     assert not any(p.is_alive() for p in procs)
-    assert active_segments() == []
+    assert own_segments() == []
     # The run is closed for good: late submissions bounce.
     late = sched.submit(ServeJob(
         request=SolveRequest(system=_small_system(), iter_lim=5),

@@ -29,7 +29,6 @@ from repro.serve import (
     DevicePool,
     Scheduler,
     ServeJob,
-    active_segments,
 )
 from repro.sessions import SessionStore
 from repro.system.digest import system_digest
@@ -108,7 +107,7 @@ def _route_setup(route, system, store, raises):
                          ids=["returns", "raises"])
 @pytest.mark.parametrize("route", ROUTES)
 def test_every_route_shares_one_epilogue(route, raises, system, tmp_path,
-                                         monkeypatch):
+                                         monkeypatch, own_segments):
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
@@ -148,7 +147,7 @@ def test_every_route_shares_one_epilogue(route, raises, system, tmp_path,
         assert store.parked_keys() == ()
         assert not list(store.root.glob("park-*"))
         assert not list(scratch.iterdir())
-        assert active_segments() == []
+        assert own_segments() == []
 
         failures = tel.counter("serve.job_failures").value
         if raises:

@@ -176,7 +176,7 @@ class TestPreemption:
         assert leftovers == ()
         assert "preempt/park/resume" in report.summary()
 
-    def test_process_backend_bitwise_resume(self, tmp_path):
+    def test_process_backend_bitwise_resume(self, tmp_path, own_segments):
         tel = Telemetry()
         report, by_id, reference, leftovers = run_preemption(
             "process", tmp_path, telemetry=tel)
@@ -187,9 +187,7 @@ class TestPreemption:
         assert "lsqr.iteration" in tel.tracer.span_names()
         assert leftovers == ()
         # The process backend must not leak shared-memory segments.
-        from repro.serve.shm import active_segments
-
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_one_checkpoint_write_per_segment(self, tmp_path,
                                               saved_itns):

@@ -136,10 +136,16 @@ def test_sweeper_counts_model_evals():
         cfg.tuned_iteration_s / cfg.default_iteration_s)
 
 
-def test_fixed_geometry_port_cannot_be_swept():
+@pytest.mark.parametrize("port_key, platform", [
+    ("PSTL+ACPP", "H100"),  # fixed 256 threads/block
+    ("OMP+LLVM", "T4"),     # compiler-default geometry
+    ("OMP+V", "A100"),
+])
+def test_fixed_geometry_port_cannot_be_swept(port_key, platform):
     sweeper = GeometrySweeper()
     with pytest.raises(ValueError, match="cannot be tuned"):
-        sweeper.sweep(default_spec("PSTL+ACPP", "H100", "10GB"))
+        sweeper.sweep(default_spec(port_key, platform, "10GB"))
+    assert sweeper.model_evals == 0
 
 
 def test_tunable_ports_exclude_fixed_and_compiler_default():
@@ -236,7 +242,7 @@ def test_tuned_pricing_discount_and_provenance():
     assert tel.counter("serve.tuning.misses").value > 0
 
     for key in tunable_ports_for("T4"):
-        service.tune_cell(key, "T4", 10.0)
+        service.tune(default_spec(key, "T4", "10GB"))
     warm = model.estimate(10.0, device)
     assert warm.tuned
     assert warm.seconds < cold.seconds
@@ -259,7 +265,7 @@ def test_memo_invalidated_by_cache_generation():
     assert model.estimate(10.0, device) is cold
 
     for key in tunable_ports_for("T4"):
-        service.tune_cell(key, "T4", 10.0)
+        service.tune(default_spec(key, "T4", "10GB"))
     warm = model.estimate(10.0, device)
     assert warm is not cold and warm.tuned
     assert warm.seconds < cold.seconds
@@ -280,7 +286,7 @@ def test_legacy_pricing_unchanged_without_cache():
     cache = TunedConfigCache(None)
     service = TuningService(cache=cache)
     for key in tunable_ports_for("T4"):
-        service.tune_cell(key, "T4", 10.0)
+        service.tune(default_spec(key, "T4", "10GB"))
     aware = PlacementCostModel(tuned_cache=cache)
     warm = aware.estimate(10.0, device_by_name("T4"))
     assert warm.seconds == pytest.approx(est.seconds, rel=1e-3)
