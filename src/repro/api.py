@@ -338,7 +338,7 @@ class SolveRequest:
 
 
 #: :class:`SolveRequest` fields that never cross a process boundary
-#: (the system travels by digest, the other two are live objects).
+#: (the system travels by segment name, the other two are live objects).
 _LIVE_FIELDS = frozenset({"system", "callback", "telemetry"})
 
 
@@ -347,7 +347,7 @@ class RequestSpec:
     """The picklable remainder of a :class:`SolveRequest`.
 
     Everything a solve needs *except* the system (whose matrix travels
-    by matrix digest through the :class:`repro.serve.shm.SystemStore`
+    by segment name through the :class:`repro.serve.shm.SystemStore`
     and whose right-hand side rides beside the spec) and the two
     process-unfriendly live objects (``callback``, ``telemetry`` -- the
     serving layer keeps requests carrying either in the parent

@@ -17,6 +17,8 @@ matrix-vector products ``aprod1`` (``b += A x``) and ``aprod2``
 - :mod:`repro.core.lsqr` -- the serial driver over the engine, with
   damping, warm start, timing hooks and checkpoint dump / resume;
 - :mod:`repro.core.variance` -- standard errors of the solution;
+- :mod:`repro.core.atomic` -- the one atomic file write (temp sibling
+  + ``os.replace``) behind checkpoints, session records and caches;
 - :mod:`repro.core.baseline` -- a textbook LSQR and a SciPy
   cross-check used as comparators.
 """

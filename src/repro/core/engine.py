@@ -40,10 +40,7 @@ the equivalence contract).
 
 from __future__ import annotations
 
-import contextlib
 import enum
-import os
-import tempfile
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -51,6 +48,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.core.atomic import atomic_write
 from repro.obs.telemetry import Telemetry
 
 
@@ -234,15 +232,8 @@ class EngineState:
         )
         if self.var is not None:
             arrays["var"] = self.var
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        with atomic_write(path) as fh:
+            np.savez_compressed(fh, **arrays)
         return path
 
     @classmethod

@@ -20,6 +20,7 @@ Two variants of the CUDA port model the §V-B production comparison:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -376,9 +377,9 @@ def run_modeled(
         run.excluded_reason = f"out of memory: {exc}"
         return run
     run.model = model
-    rng = np.random.default_rng(
-        abs(hash((port.key, device.name, round(size_gb, 3), seed))) % 2**32
-    )
+    # crc32, not hash(): str hashes are salted per process.
+    key = f"{port.key}|{device.name}|{round(size_gb, 3)}|{seed}"
+    rng = np.random.default_rng(zlib.crc32(key.encode()))
     for _ in range(repetitions):
         # Mean of n_iterations iid jittered iterations: the jitter of
         # the mean shrinks with sqrt(n).

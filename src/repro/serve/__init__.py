@@ -24,10 +24,10 @@ into the placement policy.
   :func:`fusion_key`: same matrix digest and shared engine
   configuration) into one batched many-RHS
   :func:`repro.api.solve_batch` sweep;
-- :class:`SystemStore` -- content-addressed shared-memory segments
+- :class:`SystemStore` -- store-private shared-memory segments
   holding the matrix of a :class:`~repro.system.sparse.GaiaSystem`,
-  published once per distinct matrix and attached read-only by matrix
-  digest from worker processes (the right-hand side rides in each
+  published once per distinct matrix and attached read-only by segment
+  name from worker processes (the right-hand side rides in each
   task);
 - :class:`ResultCache` -- deterministic LRU keyed by (system digest,
   config digest); fused-batch members are cached individually

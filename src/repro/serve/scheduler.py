@@ -45,8 +45,8 @@ whatever it is, through one four-stage pipeline:
   ``solve_fn``) on the dispatcher, ``backend="process"`` ships
   picklable request specs and right-hand sides to a pool of spawned
   solve processes that attach the matrix zero-copy from the
-  shared-memory :class:`~repro.serve.shm.SystemStore` by matrix
-  digest.
+  shared-memory :class:`~repro.serve.shm.SystemStore` by segment
+  name.
 - **deliver** -- one ``finally``-guarded epilogue for every route and
   every way out of it: deposit clean solutions in the
   :class:`~repro.sessions.SessionStore`, drop the gang checkpoint

@@ -1,64 +1,59 @@
-"""Content-addressed shared-memory segment store for system matrices.
+"""Store-private shared-memory segments for system matrices.
 
 The process worker pool (``Scheduler(backend="process")``) must hand
 each :class:`~repro.system.sparse.GaiaSystem` to its workers without
 pickling the coefficient arrays through a pipe -- the paper-scale
 60 GB system would be copied once per job.  Instead the parent
 :class:`SystemStore` *publishes* each distinct **matrix** once into a
-:class:`multiprocessing.shared_memory.SharedMemory` segment named by
-its matrix digest (:func:`repro.system.digest.matrix_digest`), and
-every worker :func:`attach`\\ es by digest, mapping the same physical
-pages zero-copy: the matrix a worker solves on is read-only NumPy views
-straight into the segment.  The right-hand side (``known_terms`` and
-the constraint rhs values) is not in the segment: it rides in each
-task, and the worker binds it to the views with
-:meth:`AttachedMatrix.system`.  Jobs that differ only in their
-right-hand side -- the members of a fused batch, a stream of
-re-observations -- share one segment and one worker mapping.
+:class:`multiprocessing.shared_memory.SharedMemory` segment under a
+private, unpredictable name, and every worker :func:`attach`\\ es by
+that name, mapping the same physical pages zero-copy: the matrix a
+worker solves on is read-only NumPy views straight into the segment.
+The right-hand side (``known_terms`` and the constraint rhs values) is
+not in the segment: it rides in each task, and the worker binds it to
+the views with :meth:`AttachedMatrix.system`.  Within one store, jobs
+whose matrices share a digest (:func:`repro.system.digest.matrix_digest`)
+-- the members of a fused batch, a stream of re-observations -- share
+one segment and one worker mapping.
 
 Segment layout (one segment per matrix)::
 
     [8-byte little-endian header length][JSON header][array blocks]
 
-The header is JSON in a fixed schema, never a pickle: the segment name
-is a predictable content address, so any local process could
-pre-create it, and reading its header must not be able to run code.
-It carries the dimension tuple, the ``(name, shape, dtype, offset)``
-table of the blocks -- the seven matrix arrays, then each constraint
-row's ``cols`` and ``vals``, every block 64-byte aligned and written
-with ``np.copyto`` straight into the mapping -- and the constraint
-labels.  A header that does not parse into exactly that schema, with
-every block inside the mapping, makes the segment *not ready*.
-``meta`` is not shipped: it is free-form provenance, irrelevant to the
-numerics, and attached systems get a fresh ``{"shm_digest": ...}``
-marker instead.  Content addressing makes publication idempotent: two
-publishers of byte-identical matrices share one segment.
+The header is JSON in a fixed schema, never a pickle: a worker maps
+whatever lives under the name it was sent, and reading its header must
+not be able to run code.  It carries the dimension tuple, the
+``(name, shape, dtype, offset)`` table of the blocks -- the seven
+matrix arrays, then each constraint row's ``cols`` and ``vals``, every
+block 64-byte aligned and written with ``np.copyto`` straight into the
+mapping -- and the constraint labels.  A header that does not parse
+into exactly that schema, with every block inside the mapping, makes
+the segment *not ready*.  ``meta`` is not shipped: it is free-form
+provenance, irrelevant to the numerics, and attached systems get a
+fresh ``{"shm_segment": ...}`` marker instead.
 
 The header-length field doubles as the **publication marker**: a
 fresh segment is zero-filled, the publisher writes header and array
 blocks first and the length field *last*, so a nonzero length means
-the segment is complete.  A publisher whose create loses the name
-race (:class:`FileExistsError`) co-owns the existing segment only if
-it belongs to this user alone (no group or world write bit), carries
-a complete header in the schema, and its blocks hash back to the
-digest.  Anything else -- a partial leftover of a crashed earlier run,
-a payload another process planted under the predictable name -- is
-unlinked and re-created rather than served under a valid content
-address; :func:`attach` refuses a segment that fails the ownership or
-header check.
+the segment is complete.  A store creates each segment exclusively
+(``O_EXCL``, mode 0600) under ``SEGMENT_PREFIX`` plus 128 random bits,
+draws a new name if one is taken, and never opens, adopts or unlinks a
+name it did not create; :func:`attach` still refuses a segment another
+user owns or could rewrite, or whose header fails the check.
 
 Lifecycle: the parent store refcounts :meth:`SystemStore.release` and
-unlinks either eagerly (``linger=False``) when a count hits zero or at
-:meth:`SystemStore.close`.  Workers keep one attachment per matrix and
-close their mappings when they exit -- the parent owns unlinking.  On
-Python < 3.13 the resource tracker registers *attaching* processes as
-owners too (no ``track=`` parameter), which would double-unlink at
-worker exit -- and because spawned children share the parent's tracker
-process, unregistering *after* the fact would strip the parent's
-legitimate claim.  :func:`attach` therefore suppresses registration
-during the mapping call, keeping single ownership with the publisher
-(``make smoke`` asserts zero leaked segments via
-:func:`active_segments`).
+keeps every segment mapped until :meth:`SystemStore.close` -- the
+serving pattern, where the next job for a hot matrix arrives right
+after the last one released it.  Workers keep one attachment per
+segment and close their mappings when they exit -- the parent owns
+unlinking.  On Python < 3.13 the resource tracker registers
+*attaching* processes as owners too (no ``track=`` parameter), which
+would double-unlink at worker exit -- and because spawned children
+share the parent's tracker process, unregistering *after* the fact
+would strip the parent's legitimate claim.  :func:`attach` therefore
+suppresses registration during the mapping call, keeping single
+ownership with the publisher (``make smoke`` asserts zero leaked
+segments via :func:`active_segments`).
 """
 
 from __future__ import annotations
@@ -66,8 +61,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import threading
-import time
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -87,18 +82,8 @@ SEGMENT_PREFIX = "repro-shm-"
 #: Array blocks are aligned to cache-line boundaries.
 _ALIGN = 64
 
-#: How long ``publish`` waits for a same-name segment created by a
-#: concurrent publisher to carry its completion marker before
-#: declaring it a stale leftover of a crashed run and re-creating it.
-_ADOPT_TIMEOUT_S = 10.0
-
 #: The keys of a segment header, exactly.
 _HEADER_KEYS = frozenset({"dims", "blocks", "constraints", "total"})
-
-
-def _segment_name(digest: str) -> str:
-    """Shared-memory name of one matrix digest (content address)."""
-    return SEGMENT_PREFIX + digest[:40]
 
 
 def _align(offset: int) -> int:
@@ -244,8 +229,29 @@ def _foreign(seg: shared_memory.SharedMemory) -> bool:
     return st.st_uid != os.getuid() or bool(st.st_mode & 0o022)
 
 
+def _create(header: bytes, blocks: list[tuple[np.ndarray, int]],
+            size: int) -> shared_memory.SharedMemory:
+    """Create and fill a segment under a fresh private name.
+
+    ``create=True`` is an exclusive create (mode 0600), so a name some
+    other process already holds raises :class:`FileExistsError` and a
+    new one is drawn.  The plain create (tracker registration
+    included) is deliberate: the store owns unlinking.
+    """
+    while True:
+        name = SEGMENT_PREFIX + secrets.token_hex(16)
+        try:
+            with _TRACK_LOCK:
+                seg = shared_memory.SharedMemory(
+                    name=name, create=True, size=size)
+        except FileExistsError:
+            continue
+        _write_segment(seg, header, blocks)
+        return seg
+
+
 def rhs_of(system: GaiaSystem) -> tuple:
-    """The right-hand side a task carries beside its matrix digest.
+    """The right-hand side a task carries beside its segment name.
 
     ``(known_terms, constraint rhs values)``, the second None for a
     system without a constraint set; :meth:`AttachedMatrix.system`
@@ -264,7 +270,7 @@ class AttachedMatrix:
     built from one attachment shares its pages.
     """
 
-    digest: str
+    name: str
     dims: SystemDims
     #: The seven :data:`~repro.system.sparse.MATRIX_FIELDS` views.
     arrays: dict[str, np.ndarray]
@@ -298,7 +304,7 @@ class AttachedMatrix:
                 for (cols, vals, label), value in zip(rows, rhs)])
         return GaiaSystem(dims=self.dims, known_terms=known_terms,
                           constraints=constraints,
-                          meta={"shm_digest": self.digest},
+                          meta={"shm_segment": self.name},
                           **self.arrays)
 
     def close(self) -> None:
@@ -315,61 +321,35 @@ class AttachedMatrix:
             pass
 
 
-def _views(buf: memoryview, header: dict, digest: str,
+def _views(buf: memoryview, header: dict, name: str,
            shm: shared_memory.SharedMemory | None) -> AttachedMatrix:
     """Read-only views of one segment's matrix (``header`` validated)."""
     base = _align(8 + int.from_bytes(buf[:8], "little"))
     views = {}
-    for name, shape, dtype, offset in header["blocks"]:
+    for block, shape, dtype, offset in header["blocks"]:
         arr = _block(buf, base, shape, dtype, offset)
         arr.flags.writeable = False
-        views[name] = arr
+        views[block] = arr
     labels = header["constraints"]
     rows = None if labels is None else [
         (views[f"constraint{i}.cols"], views[f"constraint{i}.vals"], label)
         for i, label in enumerate(labels)]
     return AttachedMatrix(
-        digest=digest, dims=SystemDims(*header["dims"]),
-        arrays={name: views[name] for name in MATRIX_FIELDS},
+        name=name, dims=SystemDims(*header["dims"]),
+        arrays={field: views[field] for field in MATRIX_FIELDS},
         constraint_rows=rows, _shm=shm)
 
 
-def _adoptable(seg: shared_memory.SharedMemory, digest: str) -> bool:
-    """Whether an existing segment may be served under ``digest``.
-
-    It must be this user's and writable by nobody else, carry a
-    complete header in the schema within ``_ADOPT_TIMEOUT_S`` (a
-    concurrent publisher may still be writing it), and its blocks must
-    hash to ``digest`` -- the matrix digest does not cover the
-    right-hand side, so a zero one is bound for the check.
-    """
-    if _foreign(seg):
-        return False
-    deadline = time.monotonic() + _ADOPT_TIMEOUT_S
-    while (header := _read_header(seg.buf)) is None:
-        if time.monotonic() >= deadline:
-            return False
-        time.sleep(0.01)
-    view = _views(seg.buf, header, digest, None)
-    rows = view.constraint_rows
-    try:
-        system = view.system(np.zeros(view.dims.n_obs),
-                             None if rows is None else [0.0] * len(rows))
-    except (ValueError, TypeError):
-        return False
-    return matrix_digest(system) == digest
-
-
-def attach(digest: str) -> AttachedMatrix:
-    """Map one published matrix by digest (worker side, zero-copy)."""
-    shm = _attach_untracked(_segment_name(digest))
+def attach(name: str) -> AttachedMatrix:
+    """Map one published segment by name (worker side, zero-copy)."""
+    shm = _attach_untracked(name)
     header = None if _foreign(shm) else _read_header(shm.buf)
     if header is None:
         shm.close()
         raise RuntimeError(
-            f"segment for digest {digest!r} is incomplete or foreign "
+            f"segment {name!r} is incomplete or foreign "
             "(publisher crashed mid-write?)")
-    return _views(shm.buf, header, digest, shm)
+    return _views(shm.buf, header, name, shm)
 
 
 def active_segments() -> list[str]:
@@ -386,31 +366,30 @@ def active_segments() -> list[str]:
 
 
 class SystemStore:
-    """Parent-side publisher and owner of matrix segments.
+    """Parent-side publisher and sole owner of matrix segments.
 
-    ``publish`` is idempotent and content-addressed: the matrix digest
-    *is* the key, systems with byte-identical matrices (whatever their
-    right-hand sides) share one segment, and each publish counts one
+    ``publish`` returns the name of the segment holding the system's
+    matrix -- the key :meth:`attach`, :meth:`release` and workers use.
+    Systems with byte-identical matrices (whatever their right-hand
+    sides) share one segment of this store, and each publish counts one
     reference.  The digest of an already-seen system object is memoized
     (by ``id``, with a weakref guard against id reuse) so the hash is
-    paid once per object, not once per job.
-
-    ``linger=True`` (the default) keeps zero-refcount segments mapped
-    until :meth:`close` -- the serving pattern, where the next job for
-    a hot matrix arrives right after the last one released it.
-    ``linger=False`` unlinks eagerly at refcount zero.
+    paid once per object, not once per job.  Segments stay mapped at
+    refcount zero until :meth:`close` unlinks them.
 
     Every mutation (publish/release/close) is serialized by one store
     lock, so concurrent scheduler dispatchers publishing the same
-    matrix cannot hand out a digest while its blocks are still being
+    matrix cannot hand out a name while its blocks are still being
     copied, and refcounts stay exact under concurrent publish/release.
     """
 
-    def __init__(self, *, linger: bool = True) -> None:
-        self.linger = linger
+    def __init__(self) -> None:
         self._lock = threading.Lock()
+        #: segment name -> mapping, and its outstanding publishes.
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._refs: dict[str, int] = {}
+        #: matrix digest -> the name of its segment.
+        self._names: dict[str, str] = {}
         self._closed = False
         #: id(system) -> (weakref, digest) memo; the weakref callback
         #: evicts the entry so a recycled id can never alias.
@@ -433,105 +412,56 @@ class SystemStore:
         return digest
 
     def publish(self, system: GaiaSystem) -> str:
-        """Ensure ``system``'s matrix is in shared memory; return its
-        matrix digest (the key :meth:`attach` and workers map by)."""
+        """Ensure ``system``'s matrix is in shared memory; return the
+        name of its segment."""
         digest = self.digest_of(system)  # hash outside the lock
         with self._lock:
             if self._closed:
                 raise RuntimeError("SystemStore is closed")
-            if digest in self._segments:
-                self._refs[digest] += 1
-                return digest
-            shm = self._create_or_adopt(digest, *_pack(system))
-            self._segments[digest] = shm
-            self._refs[digest] = 1
-            return digest
-
-    def _create_or_adopt(self, digest: str, header: bytes,
-                         blocks: list[tuple[np.ndarray, int]], size: int
-                         ) -> shared_memory.SharedMemory:
-        """Create-and-fill the named segment, or co-own a verified one.
-
-        A same-name segment can already exist for three reasons:
-        another live publisher (a second store in this or another
-        process) is mid-write, a crashed earlier run left a partial
-        segment behind, or some other process planted a payload there.
-        :func:`_adoptable` tells them apart: the segment is co-owned
-        only when it is this user's alone, complete, and holds exactly
-        the matrix ``digest`` names; anything else is unlinked and
-        re-created.  A name another user holds cannot be unlinked, and
-        publishing fails with :class:`PermissionError` rather than
-        serving that user's arrays.  The plain attach (tracker
-        registration included) is deliberate: this store takes unlink
-        responsibility for the segment.
-        """
-        name = _segment_name(digest)
-        while True:
-            try:
-                with _TRACK_LOCK:
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=size)
-            except FileExistsError:
-                pass
-            else:
-                _write_segment(seg, header, blocks)
-                return seg
-            try:
-                seg = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                continue  # unlinked under us; retry the create
-            if _adoptable(seg, digest):
-                return seg
-            try:  # stale, foreign or forged: reclaim the name
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            finally:
-                seg.close()
+            name = self._names.get(digest)
+            if name is None:
+                seg = _create(*_pack(system))
+                name = self._names[digest] = seg.name
+                self._segments[name] = seg
+                self._refs[name] = 0
+            self._refs[name] += 1
+            return name
 
     # -- lifecycle ------------------------------------------------------
-    def attach(self, digest: str) -> AttachedMatrix:
+    def attach(self, name: str) -> AttachedMatrix:
         """In-process zero-copy views of one published matrix."""
         with self._lock:
-            shm = self._segments.get(digest)
+            shm = self._segments.get(name)
         if shm is None:
-            raise KeyError(f"digest {digest!r} is not published")
-        return _views(shm.buf, _read_header(shm.buf), digest, None)
+            raise KeyError(f"segment {name!r} is not published")
+        return _views(shm.buf, _read_header(shm.buf), name, None)
 
-    def refcount(self, digest: str) -> int:
-        """Outstanding publishes of one digest (0 when unknown)."""
+    def refcount(self, name: str) -> int:
+        """Outstanding publishes of one segment (0 when unknown)."""
         with self._lock:
-            return self._refs.get(digest, 0)
+            return self._refs.get(name, 0)
 
-    def release(self, digest: str) -> None:
-        """Drop one reference; unlink at zero unless lingering."""
+    def release(self, name: str) -> None:
+        """Drop one reference (the segment stays until :meth:`close`)."""
         with self._lock:
-            if digest not in self._refs:
-                return
-            self._refs[digest] -= 1
-            if self._refs[digest] <= 0 and not self.linger:
-                self._unlink(digest)
-
-    def _unlink(self, digest: str) -> None:
-        """Drop and unlink one segment (``self._lock`` must be held)."""
-        shm = self._segments.pop(digest, None)
-        self._refs.pop(digest, None)
-        if shm is None:
-            return
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - view still exported
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+            if name in self._refs:
+                self._refs[name] -= 1
 
     def close(self) -> None:
-        """Unlink every segment this store owns (idempotent)."""
+        """Unlink every segment this store created (idempotent)."""
         with self._lock:
-            for digest in list(self._segments):
-                self._unlink(digest)
+            for shm in self._segments.values():
+                try:
+                    shm.close()
+                except BufferError:  # pragma: no cover - view exported
+                    pass
+                try:
+                    shm.unlink()
+                except FileNotFoundError:  # pragma: no cover - gone
+                    pass
+            self._segments.clear()
+            self._refs.clear()
+            self._names.clear()
             self._digest_memo.clear()
             self._closed = True
 

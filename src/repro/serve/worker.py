@@ -11,7 +11,7 @@ runs* is this module's job, behind one small surface:
   sinks), but concurrent numpy solves contend on the GIL.
 - :class:`ProcessBackend` -- a persistent pool of spawned worker
   processes.  Requests travel as picklable
-  :class:`~repro.api.RequestSpec` values plus a *matrix digest* and the
+  :class:`~repro.api.RequestSpec` values plus a *segment name* and the
   right-hand side (``known_terms`` and the constraint rhs values, about
   1 MiB at 134 218 observations); each worker maps every matrix once
   from the shared-memory :mod:`~repro.serve.shm` store, builds the
@@ -118,7 +118,7 @@ class ProcessBackend:
     The parent keeps one task queue and one result queue; a router
     thread resolves results back to the waiting scheduler thread by
     call id.  Workers attach matrices from the shared-memory store by
-    matrix digest (zero-copy) and keep the attachment, so a hot matrix
+    segment name (zero-copy) and keep the attachment, so a hot matrix
     is mapped once per worker, not once per job -- whatever right-hand
     side each job brings.
     """
@@ -188,14 +188,14 @@ class ProcessBackend:
         if not self._offloadable(request):
             self._scheduler.tel.counter("serve.mp.inline").inc()
             return self._scheduler.solve_fn(request)
-        digest = self._store.publish(request.system)
+        name = self._store.publish(request.system)
         collect = isinstance(self._scheduler.tel, Telemetry)
         try:
             report, tel_dump = self._call(
-                ("solve", RequestSpec.from_request(request), digest,
+                ("solve", RequestSpec.from_request(request), name,
                  shm.rhs_of(request.system), collect))
         finally:
-            self._store.release(digest)
+            self._store.release(name)
         self._scheduler.tel.absorb(tel_dump, track_prefix="mp/")
         return report
 
@@ -206,16 +206,16 @@ class ProcessBackend:
                 or not all(self._offloadable(r) for r in requests)):
             self._scheduler.tel.counter("serve.mp.inline").inc()
             return self._scheduler.batch_solve_fn(requests)
-        digests = [self._store.publish(r.system) for r in requests]
+        names = [self._store.publish(r.system) for r in requests]
         specs = [RequestSpec.from_request(r) for r in requests]
         rhs = [shm.rhs_of(r.system) for r in requests]
         collect = isinstance(self._scheduler.tel, Telemetry)
         try:
             reports, tel_dump = self._call(
-                ("batch", specs, digests, rhs, collect))
+                ("batch", specs, names, rhs, collect))
         finally:
-            for digest in digests:
-                self._store.release(digest)
+            for name in names:
+                self._store.release(name)
         self._scheduler.tel.absorb(tel_dump, track_prefix="mp/")
         return reports
 
@@ -385,8 +385,8 @@ class ProcessBackend:
 def worker_main(worker_id: int, task_q, result_q) -> None:
     """Entry point of one spawned solve worker.
 
-    Attaches matrices from the shared-memory store by digest, one
-    mapping per matrix for the worker's lifetime (each new mapping
+    Attaches matrices from the shared-memory store by segment name,
+    one mapping per segment for the worker's lifetime (each new mapping
     ticks ``serve.mp.attach``), builds each job's system over the
     read-only views plus the right-hand side its task carries -- and
     validates it, since that input crossed a process boundary -- runs
@@ -408,10 +408,10 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
     attached: dict[str, shm.AttachedMatrix] = {}
     result_q.put(("ready", worker_id, None, None))
 
-    def _system(digest: str, rhs: tuple, tel: Telemetry | None):
-        matrix = attached.get(digest)
+    def _system(name: str, rhs: tuple, tel: Telemetry | None):
+        matrix = attached.get(name)
         if matrix is None:
-            matrix = attached[digest] = shm.attach(digest)
+            matrix = attached[name] = shm.attach(name)
             Telemetry.or_null(tel).counter("serve.mp.attach").inc()
         return matrix.system(*rhs)
 
@@ -424,17 +424,16 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
             try:
                 tel = Telemetry() if task[-1] else None
                 if kind == "solve":
-                    _, _, spec, digest, rhs, _ = task
-                    request = spec.to_request(_system(digest, rhs, tel),
+                    _, _, spec, name, rhs, _ = task
+                    request = spec.to_request(_system(name, rhs, tel),
                                               telemetry=tel)
                     body = replace(api_solve(request), raw=None)
                 else:
-                    _, _, specs, digests, rhs, _ = task
+                    _, _, specs, names, rhs, _ = task
                     requests = [
-                        spec.to_request(_system(digest, member, tel),
+                        spec.to_request(_system(name, member, tel),
                                         telemetry=tel)
-                        for spec, digest, member in zip(specs, digests,
-                                                        rhs)
+                        for spec, name, member in zip(specs, names, rhs)
                     ]
                     body = [replace(r, raw=None)
                             for r in api_solve_batch(requests)]

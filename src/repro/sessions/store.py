@@ -35,6 +35,7 @@ tick on put/hit/miss/eviction/park/resume.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -46,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.atomic import atomic_write
 from repro.obs.telemetry import Telemetry
 
 #: What reading a record may raise when its file is gone, truncated or
@@ -137,17 +139,10 @@ class SessionStore:
         if x.nbytes > self.budget_bytes:
             return
         path = self.root / f"sol-{digest}.npz"
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, x=x, itn=np.int64(itn),
-                         r2norm=np.float64(r2norm), stop=np.str_(stop),
-                         parent=np.str_(parent or ""))
-            os.replace(tmp, path)
-        except BaseException:
-            with self._suppress_oserror():
-                os.unlink(tmp)
-            raise
+        with atomic_write(path) as fh:
+            np.savez(fh, x=x, itn=np.int64(itn),
+                     r2norm=np.float64(r2norm), stop=np.str_(stop),
+                     parent=np.str_(parent or ""))
         nbytes = path.stat().st_size
         with self._lock:
             self._index.pop(digest, None)
@@ -229,9 +224,8 @@ class SessionStore:
                                devices=tuple(devices))
         sidecar = {"itn": parked.itn, "attempt": parked.attempt,
                    "devices": list(parked.devices)}
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(sidecar))
-        os.replace(tmp, path.with_suffix(".json"))
+        with atomic_write(path.with_suffix(".json")) as fh:
+            fh.write(json.dumps(sidecar).encode())
         with self._lock:
             self._parked[key] = parked
             self.tel.counter("serve.sessions.parked").inc()
@@ -266,7 +260,7 @@ class SessionStore:
             self._parked.pop(key, None)
         path = self.park_path(key)
         for p in (path, path.with_suffix(".json")):
-            with self._suppress_oserror():
+            with contextlib.suppress(OSError):
                 os.unlink(p)
         with self._lock:
             self.tel.counter("serve.sessions.discard").inc()
@@ -357,7 +351,7 @@ class SessionStore:
                and sum(n for _, n, *_ in self._index.values())
                > self.budget_bytes):
             _digest, entry = self._index.popitem(last=False)
-            with self._suppress_oserror():
+            with contextlib.suppress(OSError):
                 os.unlink(entry[0])
             self.evictions += 1
             self.tel.counter("serve.sessions.eviction").inc()
@@ -365,8 +359,3 @@ class SessionStore:
     def _gauge_bytes(self) -> None:
         self.tel.gauge("serve.sessions.bytes").set(
             float(self._bytes_locked()))
-
-    @staticmethod
-    def _suppress_oserror():
-        import contextlib
-        return contextlib.suppress(OSError)

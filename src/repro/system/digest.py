@@ -9,9 +9,10 @@ cheap to compare, and three subsystems key off them:
 - ``repro.serve`` caches solve reports under ``(system digest, config
   digest)`` and fuses many-RHS batches under the :func:`matrix_digest`
   (rhs excluded);
-- ``repro.serve.shm`` publishes one shared-memory segment per matrix
-  under the matrix digest for zero-copy attach by worker processes (the
-  right-hand side rides in each task);
+- ``repro.serve.shm`` shares one shared-memory segment per matrix
+  digest within a store (the segment itself carries a private random
+  name) for zero-copy attach by worker processes (the right-hand side
+  rides in each task);
 - ``repro.sessions`` persists solution vectors under the system digest
   and chains grown systems parent -> child by digest lineage, so a
   re-solve of an incrementally extended system can warm start from its

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.core.atomic import atomic_write
 from repro.obs import Telemetry
 from repro.tuning.sweep import SweepSpec, TunedConfig
 
@@ -83,19 +83,9 @@ class TunedConfigCache:
 
     def _write(self, digest: str, config: TunedConfig) -> None:
         assert self.path is not None
-        data = config.to_json().encode("utf-8")
         # Atomic publish: a reader never observes a half-written file.
-        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, self._file(digest))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self._file(digest)) as fh:
+            fh.write(config.to_json().encode("utf-8"))
 
     # -- the cache protocol ------------------------------------------
     def get(self, spec: SweepSpec) -> TunedConfig | None:

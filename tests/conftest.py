@@ -82,11 +82,9 @@ def own_segments(monkeypatch):
 
     ``active_segments()`` names every store segment on the host, so a
     concurrent serving run or benchmark would fail a leak check built
-    on it.  This fixture records the digest of every
-    ``SystemStore.publish`` the test makes and returns a function
-    listing which of their segments are still live.  Names are content
-    addresses: a concurrent run publishing the *same* matrix co-owns
-    the same segment and cannot be told apart.
+    on it.  This fixture records the segment name every
+    ``SystemStore.publish`` of the test returns and returns a function
+    listing which of those segments are still live.
     """
     from repro.serve import shm
 
@@ -94,9 +92,9 @@ def own_segments(monkeypatch):
     publish = shm.SystemStore.publish
 
     def recording_publish(store, system):
-        digest = publish(store, system)
-        published.add(shm._segment_name(digest))
-        return digest
+        name = publish(store, system)
+        published.add(name)
+        return name
 
     monkeypatch.setattr(shm.SystemStore, "publish", recording_publish)
     return lambda: sorted(published.intersection(shm.active_segments()))

@@ -1,8 +1,14 @@
 """Unit tests for the modeled executor."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.frameworks import model_iteration, port_by_key, run_modeled
 from repro.frameworks.base import UnsupportedPlatform
 from repro.frameworks.executor import memory_pressure_factor
@@ -107,6 +113,25 @@ def test_run_modeled_determinism(dims10):
     a = run_modeled(port_by_key("HIP"), H100, dims10, size_gb=10.0, seed=5)
     b = run_modeled(port_by_key("HIP"), H100, dims10, size_gb=10.0, seed=5)
     assert a.repetition_means == b.repetition_means
+
+
+def test_run_modeled_jitter_is_stable_across_processes():
+    """The jitter seed does not depend on Python's per-process string
+    hash salt: two interpreters with different PYTHONHASHSEED values
+    model the same repetition means."""
+    code = ("from repro.frameworks import port_by_key, run_modeled\n"
+            "from repro.gpu.platforms import H100\n"
+            "from repro.system.sizing import dims_from_gb\n"
+            "run = run_modeled(port_by_key('HIP'), H100, dims_from_gb(10.0),"
+            " size_gb=10.0, seed=5)\n"
+            "print(repr(run.repetition_means))\n")
+    src = str(Path(repro.__file__).parents[1])
+    means = [subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONHASHSEED": hashseed,
+                        "PYTHONPATH": src}).stdout
+        for hashseed in ("1", "2")]
+    assert means[0] == means[1] != ""
 
 
 def test_every_run_fits_the_artifact_budget():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import secrets
 import threading
 import time
 from pathlib import Path
@@ -34,7 +35,7 @@ from repro.serve import (
     active_segments,
 )
 from repro.serve import shm as shm_mod
-from repro.serve.cache import matrix_digest, system_digest
+from repro.serve.cache import system_digest
 from repro.serve.shm import attach
 from repro.system.constraints import ConstraintRow, ConstraintSet
 from repro.system.generator import make_system
@@ -77,8 +78,29 @@ def _rhs_variants(system, n: int, seed: int = 0):
         for _ in range(n)]
 
 
+#: ``/dev/shm`` names of the POSIX semaphores this process created, so
+#: :func:`_semaphores` ignores a concurrent run's.
+_OWN_SEMAPHORES: set[str] = set()
+
+
+@pytest.fixture(autouse=True)
+def _record_semaphores(monkeypatch):
+    from multiprocessing.synchronize import SemLock
+
+    make_name = SemLock._make_name
+
+    def recording_make_name():
+        name = make_name()
+        _OWN_SEMAPHORES.add("sem." + name.lstrip("/"))
+        return name
+
+    monkeypatch.setattr(SemLock, "_make_name",
+                        staticmethod(recording_make_name))
+
+
 def _semaphores() -> list[str]:
-    return sorted(p.name for p in Path("/dev/shm").glob("sem.*"))
+    return sorted(p.name for p in Path("/dev/shm").glob("sem.*")
+                  if p.name in _OWN_SEMAPHORES)
 
 
 # ---------------------------------------------------------------------
@@ -88,26 +110,27 @@ def _semaphores() -> list[str]:
 def test_shm_publish_attach_roundtrip(own_segments):
     system = _small_system(with_constraints=True)
     with SystemStore() as store:
-        digest = store.publish(system)
-        assert digest == matrix_digest(system)
-        assert store.refcount(digest) == 1
+        name = store.publish(system)
+        assert name.startswith(shm_mod.SEGMENT_PREFIX)
+        assert own_segments() == [name]
+        assert store.refcount(name) == 1
 
         # In-process views: every matrix array bit-identical and
         # read-only; the right-hand side is bound by ``system()``.
-        view = store.attach(digest)
+        view = store.attach(name)
         assert list(view.arrays) == list(MATRIX_FIELDS)
-        for name in MATRIX_FIELDS:
-            got, want = view.arrays[name], getattr(system, name)
+        for field in MATRIX_FIELDS:
+            got, want = view.arrays[field], getattr(system, field)
             assert np.array_equal(got, want)
             assert got.dtype == want.dtype
             assert not got.flags.writeable
         assert view.dims == system.dims
         rebuilt = view.system(system.known_terms,
                               system.constraints.rhs)
-        for name in _ARRAY_FIELDS:
-            got, want = getattr(rebuilt, name), getattr(system, name)
+        for field in _ARRAY_FIELDS:
+            got, want = getattr(rebuilt, field), getattr(system, field)
             assert np.array_equal(got, want) and got.dtype == want.dtype
-        assert rebuilt.meta["shm_digest"] == digest
+        assert rebuilt.meta["shm_segment"] == name
         assert system_digest(rebuilt) == system_digest(system)
         rows = list(rebuilt.constraints)
         assert len(rows) == 1
@@ -121,8 +144,8 @@ def test_shm_publish_attach_roundtrip(own_segments):
         with pytest.raises(ValueError, match="constraint rhs"):
             view.system(system.known_terms)
 
-        # Worker-style attach by digest (fresh mapping).
-        att = attach(digest)
+        # Worker-style attach by name (fresh mapping).
+        att = attach(name)
         worker_side = att.system(system.known_terms,
                                  system.constraints.rhs)
         assert system_digest(worker_side) == system_digest(system)
@@ -130,8 +153,8 @@ def test_shm_publish_attach_roundtrip(own_segments):
         att.close()
 
         # Republishing the same object is memoized + refcounted.
-        assert store.publish(system) == digest
-        assert store.refcount(digest) == 2
+        assert store.publish(system) == name
+        assert store.refcount(name) == 2
         assert len(store) == 1
         # Drop the zero-copy views before the store unlinks, so the
         # mapping can actually close.
@@ -141,19 +164,22 @@ def test_shm_publish_attach_roundtrip(own_segments):
 
 def test_rhs_variants_of_one_matrix_share_one_segment(own_segments):
     """Systems differing only in their right-hand side publish one
-    segment, counted once per publish."""
+    segment, counted once per publish and kept until close."""
     variants = _rhs_variants(_small_system(seed=24, with_constraints=True),
                              3)
     assert len({system_digest(v) for v in variants}) == 3
-    with SystemStore(linger=False) as store:
-        digests = {store.publish(v) for v in variants}
-        assert digests == {matrix_digest(variants[0])}
-        (digest,) = digests
-        assert len(store) == 1 and len(own_segments()) == 1
-        assert store.refcount(digest) == 3
+    with SystemStore() as store:
+        names = {store.publish(v) for v in variants}
+        assert len(names) == 1
+        (name,) = names
+        assert len(store) == 1 and own_segments() == [name]
+        assert store.refcount(name) == 3
         for _ in variants:
-            store.release(digest)
-        assert own_segments() == []
+            store.release(name)
+        assert store.refcount(name) == 0
+        assert own_segments() == [name]  # mapped until close
+        store.release("unknown")  # releasing an unknown name is a no-op
+    assert own_segments() == []
 
 
 def test_no_constraint_set_and_an_empty_one_share_a_segment():
@@ -161,9 +187,9 @@ def test_no_constraint_set_and_an_empty_one_share_a_segment():
     bare = dataclasses.replace(_small_system(seed=31), constraints=None)
     empty = dataclasses.replace(bare, constraints=ConstraintSet())
     with SystemStore() as store:
-        digest = store.publish(bare)
-        assert store.publish(empty) == digest and len(store) == 1
-        view = store.attach(digest)
+        name = store.publish(bare)
+        assert store.publish(empty) == name and len(store) == 1
+        view = store.attach(name)
         assert view.system(bare.known_terms).constraints is None
         assert len(view.system(empty.known_terms, ()).constraints) == 0
         del view
@@ -175,8 +201,8 @@ def test_segment_holds_the_matrix_and_a_json_header_only():
     pickle."""
     system = _small_system(seed=28, with_constraints=True)
     with SystemStore() as store:
-        digest = store.publish(system)
-        buf = store._segments[digest].buf
+        name = store.publish(system)
+        buf = store._segments[name].buf
         hlen = int.from_bytes(buf[:8], "little")
         header = json.loads(bytes(buf[8:8 + hlen]))
         assert [b[0] for b in header["blocks"]] == list(MATRIX_FIELDS) + [
@@ -188,18 +214,6 @@ def test_segment_holds_the_matrix_and_a_json_header_only():
             + sum(r.cols.nbytes + r.vals.nbytes for r in system.constraints))
         assert header["total"] < matrix_bytes + 64 * 9
         del buf
-
-
-def test_shm_release_unlinks_eagerly_without_linger(own_segments):
-    store = SystemStore(linger=False)
-    digest = store.publish(_small_system())
-    assert len(own_segments()) == 1
-    store.release(digest)  # refcount hits zero -> eager unlink
-    assert len(store) == 0
-    assert store.refcount(digest) == 0
-    assert own_segments() == []
-    store.release(digest)  # releasing an unknown digest is a no-op
-    store.close()
 
 
 def test_shm_close_is_idempotent_and_publish_after_close_fails(own_segments):
@@ -216,70 +230,85 @@ def test_concurrent_publish_same_store_keeps_refcounts_exact(own_segments):
     """Racing dispatchers publishing one system: one segment, N refs.
 
     Regression test for the publish race: a second publisher must
-    never overwrite the refcount of (or hand out a digest into) a
+    never overwrite the refcount of (or hand out a name into) a
     segment another thread is still writing.
     """
     system = _small_system(seed=23)
-    store = SystemStore(linger=False)
+    store = SystemStore()
     n = 8
     barrier = threading.Barrier(n)
+    names: list[str] = []
 
     def pub():
         barrier.wait()
-        store.publish(system)
+        names.append(store.publish(system))
 
     threads = [threading.Thread(target=pub) for _ in range(n)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(30.0)
-    digest = store.digest_of(system)
-    assert digest == matrix_digest(system)
-    assert len(store) == 1
-    assert store.refcount(digest) == n
-    view = store.attach(digest)
+    (name,) = set(names)
+    assert len(names) == n and len(store) == 1
+    assert store.refcount(name) == n
+    view = store.attach(name)
     assert np.array_equal(view.arrays["astro_values"], system.astro_values)
     del view
     for _ in range(n):
-        store.release(digest)
-    assert len(store) == 0  # eager unlink at refcount zero
-    assert own_segments() == []
+        store.release(name)
+    assert store.refcount(name) == 0
     store.close()
+    assert own_segments() == []
 
 
-def test_concurrent_publish_across_stores_shares_one_segment(own_segments):
-    """Two stores racing on the same content co-own one valid segment.
-
-    The loser of the create race must wait for the winner's
-    publication marker before handing out the digest, so attached
-    arrays are never partially written.
-    """
+def test_concurrent_publish_across_stores_owns_separate_segments(
+        own_segments):
+    """Four stores racing on the same content each create their own
+    complete segment: no name is shared, adopted or waited on."""
     system = _small_system(seed=22)
     stores = [SystemStore() for _ in range(4)]
     barrier = threading.Barrier(len(stores))
-    digests: list[str] = []
+    names: list[str | None] = [None] * len(stores)
     errors: list[BaseException] = []
 
-    def pub(store):
+    def pub(i):
         try:
             barrier.wait()
-            digests.append(store.publish(system))
+            names[i] = stores[i].publish(system)
         except BaseException as exc:  # pragma: no cover - fail loud
             errors.append(exc)
 
-    threads = [threading.Thread(target=pub, args=(s,)) for s in stores]
+    threads = [threading.Thread(target=pub, args=(i,))
+               for i in range(len(stores))]
     for t in threads:
         t.start()
     for t in threads:
         t.join(30.0)
     assert errors == []
-    assert len(set(digests)) == 1
-    assert len(own_segments()) == 1
-    for store in stores:
-        view = store.attach(digests[0])
+    assert len(set(names)) == 4
+    assert own_segments() == sorted(names)
+    for store, name in zip(stores, names):
+        view = attach(name)
         assert np.array_equal(view.arrays["att_values"], system.att_values)
-        del view
+        view.close()
         store.close()
+    assert own_segments() == []
+
+
+def test_two_stores_publishing_one_matrix_own_separate_segments(
+        own_segments):
+    """Closing one store never unlinks what another store serves."""
+    system = _small_system(seed=38, with_constraints=True)
+    a, b = SystemStore(), SystemStore()
+    a_name, b_name = a.publish(system), b.publish(system)
+    assert a_name != b_name
+    a.close()
+    assert b.refcount(b_name) == 1
+    view = attach(b_name)
+    for field in MATRIX_FIELDS:
+        assert np.array_equal(view.arrays[field], getattr(system, field))
+    view.close()
+    b.close()
     assert own_segments() == []
 
 
@@ -288,8 +317,7 @@ def foreign_segment():
     """A live segment of a second store, published before the test's
     own leak check starts recording (a concurrent run's segment)."""
     with SystemStore() as store:
-        digest = store.publish(_small_system(seed=36))
-        yield shm_mod._segment_name(digest)
+        yield store.publish(_small_system(seed=36))
 
 
 def test_leak_check_ignores_a_foreign_store(foreign_segment, own_segments):
@@ -303,27 +331,51 @@ def test_leak_check_ignores_a_foreign_store(foreign_segment, own_segments):
     assert foreign_segment in active_segments()
 
 
-def test_publish_reclaims_stale_partial_segment(monkeypatch, own_segments):
-    """A crashed run's partial segment is re-created, not served.
+@pytest.fixture()
+def planted():
+    """Plant a segment the way any local process could; unlinked after.
 
-    The segment exists under the right content address but its
-    publication marker (header-length field, written last) is still
-    zero -- publish must notice, unlink the leftover and write a
-    fresh complete segment instead of co-owning garbage.
+    Yields a function ``(payload) -> (name, segment)`` that creates a
+    fresh prefixed segment holding ``payload``: raw header bytes with
+    the publication marker set, or a system's matrix in the schema.
     """
     from multiprocessing import shared_memory
 
-    monkeypatch.setattr(shm_mod, "_ADOPT_TIMEOUT_S", 0.2)
-    system = _small_system(seed=21)
-    digest = matrix_digest(system)
-    stale = shared_memory.SharedMemory(
-        name=shm_mod._segment_name(digest), create=True, size=1 << 16)
-    stale.close()
+    segments = []
+
+    def plant(payload):
+        name = shm_mod.SEGMENT_PREFIX + "planted-" + secrets.token_hex(8)
+        if isinstance(payload, bytes):
+            seg = shared_memory.SharedMemory(name=name, create=True,
+                                             size=1 << 16)
+            seg.buf[8:8 + len(payload)] = payload
+            seg.buf[:8] = len(payload).to_bytes(8, "little")
+        else:
+            header, blocks, size = shm_mod._pack(payload)
+            seg = shared_memory.SharedMemory(name=name, create=True,
+                                             size=size)
+            shm_mod._write_segment(seg, header, blocks)
+        segments.append(seg)
+        return name, seg
+
+    yield plant
+    for seg in segments:
+        seg.close()
+        seg.unlink()
+
+
+def test_publish_draws_a_new_name_when_one_is_taken(planted, monkeypatch,
+                                                    own_segments):
+    """A store never opens, adopts or unlinks a segment it did not
+    create: a taken name is skipped, and its segment outlives close."""
+    system = _small_system(seed=39)
+    taken, _ = planted(system)
+    fresh = secrets.token_hex(16)
+    draws = iter([taken.removeprefix(shm_mod.SEGMENT_PREFIX), fresh])
+    monkeypatch.setattr(shm_mod.secrets, "token_hex", lambda n: next(draws))
     with SystemStore() as store:
-        assert store.publish(system) == digest
-        view = store.attach(digest)
-        assert np.array_equal(view.arrays["instr_col"], system.instr_col)
-        del view
+        assert store.publish(system) == shm_mod.SEGMENT_PREFIX + fresh
+    assert taken in active_segments()
     assert own_segments() == []
 
 
@@ -337,104 +389,41 @@ class _Planted:
         return (open, (str(self.path), "w"))
 
 
-def test_a_planted_pickle_header_is_reclaimed_never_loaded(
-        monkeypatch, tmp_path, own_segments):
-    """The segment name is a predictable content address, so any local
-    process can pre-create it.  A header that is a pickle payload does
-    not parse into the JSON schema: the segment is treated as a stale
-    leftover and re-created, and the payload never runs -- neither in
-    the publisher nor in an attaching worker."""
+def test_attach_refuses_a_planted_pickle_header_and_never_loads_it(
+        tmp_path, planted):
+    """A header that is a pickle payload does not parse into the JSON
+    schema: attaching the segment fails, and the payload never runs."""
     import pickle
-    from multiprocessing import shared_memory
 
-    monkeypatch.setattr(shm_mod, "_ADOPT_TIMEOUT_S", 0.2)
     marker = tmp_path / "payload-ran"
     payload = pickle.dumps(_Planted(marker))
     pickle.loads(payload).close()  # the payload is live ...
     marker.unlink()  # ... and its trace is gone again
-    system = _small_system(seed=27)
-    digest = matrix_digest(system)
-    planted = shared_memory.SharedMemory(
-        name=shm_mod._segment_name(digest), create=True, size=1 << 16)
-    planted.buf[8:8 + len(payload)] = payload
-    planted.buf[:8] = len(payload).to_bytes(8, "little")
-    try:
-        with pytest.raises(RuntimeError, match="incomplete or foreign"):
-            attach(digest)
-        with SystemStore() as store:
-            assert store.publish(system) == digest
-            view = attach(digest)
-            assert np.array_equal(view.arrays["glob_values"],
-                                  system.glob_values)
-            view.close()
-    finally:
-        planted.close()
+    name, _ = planted(payload)
+    with pytest.raises(RuntimeError, match="incomplete or foreign"):
+        attach(name)
     assert not marker.exists()
-    assert own_segments() == []
 
 
-def _plant(digest: str, system):
-    """A complete segment under ``digest``'s name holding ``system``'s
-    matrix, created the way any local process could."""
-    from multiprocessing import shared_memory
-
-    header, blocks, size = shm_mod._pack(system)
-    seg = shared_memory.SharedMemory(
-        name=shm_mod._segment_name(digest), create=True, size=size)
-    shm_mod._write_segment(seg, header, blocks)
-    return seg
-
-
-def test_a_schema_valid_segment_with_other_arrays_is_reclaimed(
-        monkeypatch, own_segments):
-    """A header in the schema is not enough: a segment whose blocks do
-    not hash back to the digest it is named after is reclaimed, and the
-    store serves the publisher's own matrix."""
-    monkeypatch.setattr(shm_mod, "_ADOPT_TIMEOUT_S", 0.2)
-    system = _small_system(seed=33, with_constraints=True)
-    other = _small_system(seed=34, with_constraints=True)
-    assert other.dims == system.dims
-    digest = matrix_digest(system)
-    planted = _plant(digest, other)
-    try:
-        with SystemStore() as store:
-            assert store.publish(system) == digest
-            view = store.attach(digest)
-            for name in MATRIX_FIELDS:
-                assert np.array_equal(view.arrays[name],
-                                      getattr(system, name)), name
-            del view
-    finally:
-        planted.close()
-    assert own_segments() == []
-
-
-def test_a_segment_others_could_write_is_never_adopted_or_attached(
-        own_segments):
-    """Right content is not enough either: a segment group- or
-    world-writable could be rewritten after validation, so a worker
-    refuses it and the publisher re-creates the name as its own."""
+def test_attach_refuses_a_segment_others_could_write(planted,
+                                                     own_segments):
+    """Right content is not enough: a segment group- or world-writable
+    could be rewritten after validation, so a worker refuses it; the
+    store's own segments are this user's alone."""
     import os
 
     system = _small_system(seed=35)
-    digest = matrix_digest(system)
-    planted = _plant(digest, system)
-    os.fchmod(planted._fd, 0o666)
-    try:
-        with pytest.raises(RuntimeError, match="incomplete or foreign"):
-            attach(digest)
-        with SystemStore() as store:
-            assert store.publish(system) == digest
-            path = Path("/dev/shm") / shm_mod._segment_name(digest)
-            assert path.stat().st_mode & 0o077 == 0
-            # The planted mapping is detached from the served one.
-            np.ndarray(8, dtype=np.uint8, buffer=planted.buf)[:] = 0
-            view = attach(digest)
-            assert np.array_equal(view.arrays["astro_values"],
-                                  system.astro_values)
-            view.close()
-    finally:
-        planted.close()
+    name, seg = planted(system)
+    os.fchmod(seg._fd, 0o666)
+    with pytest.raises(RuntimeError, match="incomplete or foreign"):
+        attach(name)
+    with SystemStore() as store:
+        mine = store.publish(system)
+        assert (Path("/dev/shm") / mine).stat().st_mode & 0o077 == 0
+        view = attach(mine)
+        assert np.array_equal(view.arrays["astro_values"],
+                              system.astro_values)
+        view.close()
     assert own_segments() == []
 
 

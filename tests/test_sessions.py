@@ -9,6 +9,7 @@ solution equivalence, and ``resume_from`` across every driver
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -118,6 +119,28 @@ class TestSessionStore:
             assert parked is not None
             assert parked.attempt == 2
             assert parked.devices == ("V100", "A100")
+
+    def test_a_failed_park_write_leaves_no_debris(self, tmp_path,
+                                                  monkeypatch):
+        """A park whose sidecar write fails leaves neither a temporary
+        file nor a torn sidecar: the previous park stays readable."""
+        with SessionStore(tmp_path) as store:
+            np.savez(store.park_path("job-4"), itn=np.int64(3))
+            store.park("job-4", itn=3, attempt=1)
+            sidecar = store.park_path("job-4").with_suffix(".json")
+            before = sidecar.read_bytes()
+            files = sorted(tmp_path.iterdir())
+
+            def no_space(src, dst):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(os, "replace", no_space)
+            with pytest.raises(OSError, match="disk full"):
+                store.park("job-4", itn=5, attempt=2)
+            monkeypatch.undo()
+            assert sorted(tmp_path.iterdir()) == files
+            assert sidecar.read_bytes() == before
+            assert store.parked("job-4").itn == 3
 
     def test_owned_tempdir_cleanup(self):
         store = SessionStore(None)
