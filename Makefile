@@ -26,7 +26,9 @@ telemetry-smoke:
 # scenarios (plain, gang, sessions, tuning) on the thread backend, the plain
 # one again on spawned worker processes over the shared-memory store
 # with an assertion that the run left no segment beyond those live
-# before it (a concurrent run's segments are not its leaks),
+# before it (a concurrent run's segments are not its leaks) and that
+# it hashed no job's matrix twice (serve.digest_passes at most one per
+# admitted job: each one is published),
 # the incremental re-solve demo (nonzero exit unless warm starts save
 # iterations), and the fault-injection matrix on 4 simulated ranks
 # (nonzero exit unless every scenario recovers to the fault-free
@@ -37,8 +39,11 @@ smoke:
 	$(PYTHON) -m repro.cli serve --scenario examples/sessions_scenario.json
 	$(PYTHON) -m repro.cli serve --scenario examples/tuning_serve_scenario.json
 	before="$$($(PYTHON) -c "from repro.serve import active_segments as a; print(' '.join(a()))")" && \
-	$(PYTHON) -m repro.cli serve --scenario examples/serve_scenario.json --backend process && \
-	SHM_BEFORE="$$before" $(PYTHON) -c "import os; from repro.serve import active_segments as a; segs = sorted(set(a()) - set(os.environ['SHM_BEFORE'].split())); assert not segs, f'leaked shm segments: {segs}'; print('shm segments: none leaked')"
+	run="$$(mktemp)" && \
+	$(PYTHON) -m repro.cli serve --scenario examples/serve_scenario.json --backend process --json "$$run" && \
+	SHM_BEFORE="$$before" $(PYTHON) -c "import os; from repro.serve import active_segments as a; segs = sorted(set(a()) - set(os.environ['SHM_BEFORE'].split())); assert not segs, f'leaked shm segments: {segs}'; print('shm segments: none leaked')" && \
+	$(PYTHON) -c "import json, sys; d = json.load(open(sys.argv[1])); jobs = d['completed'] + d['failed']; assert d['digest_passes'] <= jobs, f\"{d['digest_passes']:g} digest passes for {jobs} jobs\"; print(f\"digest passes: {d['digest_passes']:g} for {jobs} jobs\")" "$$run" && \
+	rm -f "$$run"
 	$(PYTHON) -m repro.cli sessions --size-gb 0.005 --steps 3
 	$(PYTHON) -m repro.cli chaos --size-gb 0.005 --ranks 4
 

@@ -25,7 +25,7 @@ all of them coherently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -47,6 +47,7 @@ from repro.resilience import (
     ResilientDistributedLSQR,
     RetryPolicy,
 )
+from repro.system.digest import digests
 from repro.system.sparse import GaiaSystem
 
 #: ``SolveRequest.strategy`` presets mapped to the kernel strategy
@@ -310,6 +311,46 @@ class SolveRequest:
             raise ValueError("x0 warm starts are serial-only")
 
     @property
+    def digests(self) -> tuple[str, str]:
+        """``(system digest, matrix digest)`` of :attr:`system`.
+
+        One SHA-256 pass (:func:`repro.system.digest.digests`), taken
+        the first time a consumer asks and kept on this object -- the
+        cache key, the fusion key, the shared-memory publish and the
+        session store all read it here.  It is not a field, so
+        ``dataclasses.replace`` never carries a pair to a request over
+        another system; :meth:`derive` carries it to one over the same
+        system.  Mutate a system in place only before building the
+        request that solves it.
+        """
+        pair = self.__dict__.get("_digests")
+        if pair is None:
+            pair = digests(self.system)
+            object.__setattr__(self, "_digests", pair)
+        return pair
+
+    @property
+    def hashed(self) -> bool:
+        """Whether :attr:`digests` has been taken on this object."""
+        return "_digests" in self.__dict__
+
+    def derive(self, **changes) -> "SolveRequest":
+        """This request with ``changes``, over the same system.
+
+        ``dataclasses.replace`` that keeps the digest pair, so a
+        request the serving layer derives (a warm-start seed, a
+        re-derived fault seed, a slice, a gang's rank count) is not
+        hashed again.
+        """
+        if "system" in changes:
+            raise ValueError("derive keeps the system; build a new "
+                             "request for another one")
+        derived = replace(self, **changes)
+        if self.hashed:
+            object.__setattr__(derived, "_digests", self.digests)
+        return derived
+
+    @property
     def strategies(self) -> tuple[str, str]:
         """The preset's ``(gather, scatter)`` kernel strategy pair."""
         return STRATEGY_PRESETS[self.strategy]
@@ -566,12 +607,10 @@ def _solve_with_sessions(request: SolveRequest,
         seed_request,
         stamp_warm_start,
     )
-    from repro.system.digest import system_digest
 
-    digest = system_digest(request.system)
-    request, warm = seed_request(sessions, request, digest=digest)
-    report = solve(request)
-    record_if_clean(sessions, request.system, report, digest=digest)
+    seeded, warm = seed_request(sessions, request)
+    report = solve(seeded)
+    record_if_clean(sessions, request, report)
     return stamp_warm_start(report, warm)
 
 

@@ -525,6 +525,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "stuck_workers": list(report.stuck_workers),
             "completed": len(report.completed),
             "rejected": len(report.rejected),
+            "failed": len(report.failed),
+            "digest_passes": tel.counter("serve.digest_passes").value,
             "preemptions": report.preemptions,
             "placements": [dataclasses.asdict(p)
                            for p in report.placement_log],

@@ -23,7 +23,10 @@ covers exactly the engine parameters every batch member must agree on
 (excluding the per-member ``damp``/``seed``/``x0``).  Two requests
 with equal :func:`fusion_key` may solve as one
 :func:`repro.api.solve_batch` batch; their full cache keys still
-differ, so each member caches individually.
+differ, so each member caches individually.  Both keys read the
+request's one digest pass (:attr:`repro.api.SolveRequest.digests`),
+so a job whose fusion key was taken pays nothing more for its cache
+key.
 
 Eviction is LRU with a fixed capacity; hits, misses and evictions tick
 ``serve.cache.*`` counters.  All methods are thread-safe.
@@ -80,8 +83,8 @@ def shared_config_digest(request: SolveRequest) -> str:
 
 
 def request_key(request: SolveRequest) -> CacheKey:
-    """The cache key of one request."""
-    return (system_digest(request.system), config_digest(request))
+    """The cache key of one request (reads its digest pair)."""
+    return (request.digests[0], config_digest(request))
 
 
 def fusion_key(request: SolveRequest) -> FusionKey:
@@ -91,7 +94,7 @@ def fusion_key(request: SolveRequest) -> FusionKey:
     same shared engine configuration and may be coalesced into one
     batched solve; see ``docs/serving.md`` ("request fusion").
     """
-    return (matrix_digest(request.system), shared_config_digest(request))
+    return (request.digests[1], shared_config_digest(request))
 
 
 class ResultCache:

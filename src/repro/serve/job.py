@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.api import PlacementConstraints, SolveRequest
+from repro.serve.cache import fusion_key
 from repro.system.sizing import (
     device_footprint_gb,
     dims_from_gb,
@@ -191,6 +192,13 @@ class ServeJob:
                 and r.checkpoint_path is None
                 and r.resume_from is None)
 
+    @property
+    def fusion_shape(self) -> tuple:
+        """The placement half of :meth:`fusion_key`: footprint,
+        framework and constraints -- cheap, no hashing."""
+        return (self.nominal_gb, self.footprint_gb,
+                self.request.framework, self.constraints)
+
     def fusion_key(self) -> tuple:
         """The coalescing compatibility key (requires :attr:`fusible`).
 
@@ -198,16 +206,12 @@ class ServeJob:
         the same shared engine configuration, claim the same
         footprint, and pin the same device/framework -- everything the
         scheduler needs to run them as one batched solve on one lane.
-        Computed lazily (the digests hash the coefficient arrays) and
-        memoized per job.
+        The matrix half reads the request's digest pair
+        (:attr:`repro.api.SolveRequest.digests`); the key is memoized
+        per job.
         """
         cached = getattr(self, "_fusion_key", None)
         if cached is None:
-            from repro.serve.cache import fusion_key as _fusion_key
-
-            cached = _fusion_key(self.request) + (
-                self.nominal_gb, self.footprint_gb,
-                self.request.framework, self.constraints,
-            )
-            self._fusion_key = cached
+            cached = self._fusion_key = (fusion_key(self.request)
+                                         + self.fusion_shape)
         return cached

@@ -7,9 +7,12 @@ whose nominal footprint fits no device in the pool -- and cannot
 shard across several as a gang -- is rejected immediately (the
 paper's "60 GB fits only H100/MI250X" constraint, enforced at the
 door), and a full queue sheds load (``max_queue_depth`` backpressure
-bound).  Admitted jobs wait in ascending ``(priority, submission
-order)``.  From there ``workers`` dispatcher threads push every job,
-whatever it is, through one four-stage pipeline:
+bound).  Admission also takes the job's one digest pass
+(:attr:`~repro.api.SolveRequest.digests`), before the lock and only
+when some stage will read it.  Admitted jobs wait in ascending
+``(priority, submission order)``.  From there ``workers`` dispatcher
+threads push every job, whatever it is, through one four-stage
+pipeline:
 
 - **place** (under the lock) -- take the highest-priority queued job
   that fits some lane's *current* free memory, on the cheapest lane
@@ -161,10 +164,8 @@ class _Member:
     log_index: int = -1
     report: SolveReport | None = None
     result: object | None = None
-    #: Deposit ``report`` in the session store at deliver (under
-    #: ``digest`` when the run stage already hashed the system).
+    #: Deposit ``report`` in the session store at deliver.
     record: bool = False
-    digest: str | None = None
 
 
 @dataclass
@@ -499,6 +500,12 @@ class Scheduler:
         gang_ranks = None
         if not priced and self._gang_eligible(job):
             gang_ranks = self._gang_feasible_ranks(job)
+        if self._reads_digests(job, priced) and not job.request.hashed:
+            # The job's one digest pass, taken here, before the lock:
+            # every later reader (cache key, fusion key, publish,
+            # session record) finds it on the request.
+            job.request.digests
+            self.tel.counter("serve.digest_passes").inc()
         with self._cond:
             if self._closed:
                 decision = AdmissionDecision.REJECTED_CLOSED
@@ -671,6 +678,21 @@ class Scheduler:
                 self.sessions.close()
 
     # -- stage 1: place (lock held, except for submit's capacity test) ---
+    def _reads_digests(self, job: ServeJob, priced: list) -> bool:
+        """Will any stage read this job's digest pair?
+
+        The process backend's publish does on every route; the result
+        cache, fusion and the session store do off the gang route (a
+        job no single lane prices), which bypasses all three.
+        """
+        if job.work_fn is not None:
+            return False
+        if self._backend.publishes(job.request):
+            return True
+        return bool(priced) and (
+            self.cache is not None or self.sessions is not None
+            or (self.max_fuse > 1 and job.fusible))
+
     def _priced(self, job: ServeJob, *, ranks: int = 1,
                 now: bool = False, exclude: Iterable[str] = ()
                 ) -> list[tuple[DeviceLane, CostEstimate]]:
@@ -820,9 +842,12 @@ class Scheduler:
         fusion_key` matches the leader's and whose footprint still
         fits the lane's free memory; each taken sibling is reserved on
         the lane under its own job id (the fusion key pins the
-        footprint, so every member charges the leader's amount).
+        footprint, so every member charges the leader's amount).  The
+        cheap placement half of the key is compared first: a candidate
+        shaped like the leader prices like it, so admission already
+        took its digest pass and no matrix is hashed under the lock.
         """
-        key = leader.fusion_key()
+        shape, key = leader.fusion_shape, leader.fusion_key()
         picked: list[tuple[int, _Member]] = []
         order = sorted(range(len(self._queue)),
                        key=lambda i: self._queue[i][0])
@@ -830,7 +855,8 @@ class Scheduler:
             if len(picked) + 1 >= self.max_fuse:
                 break
             _, cand, enq = self._queue[qi]
-            if (cand.fusible and cand.fusion_key() == key
+            if (cand.fusible and cand.fusion_shape == shape
+                    and cand.fusion_key() == key
                     and lane.fits_now(cand.reserve_gb)):
                 self.pool.reserve(lane.lane_id, cand.reserve_gb,
                                   cand.job_id)
@@ -1092,12 +1118,10 @@ class Scheduler:
                 self._mark_hit(m)
                 return None
             if d.attempt > 0 and request.resilience is not None:
-                request = replace(request, seed=d.seed)
+                request = request.derive(seed=d.seed)
             warm = None
             if self.sessions is not None:
-                m.digest = key[0] if key is not None else None
-                request, warm = seed_request(self.sessions, request,
-                                             digest=m.digest)
+                request, warm = seed_request(self.sessions, request)
             # Only a clean first attempt is publishable: re-placed
             # attempts ran under a redrawn fault seed, degraded/
             # aborted results must not be served to future twins, and
@@ -1179,8 +1203,7 @@ class Scheduler:
                  else 2 * base.system.dims.n_params)
         ckpt = str(self.sessions.park_path(job.job_id))
         while True:
-            request = replace(
-                base,
+            request = base.derive(
                 checkpoint_every=self.preempt_slice,
                 iter_lim=min(d.done_itn + self.preempt_slice, total),
                 checkpoint_path=ckpt,
@@ -1220,20 +1243,20 @@ class Scheduler:
         lane's faults must not replay on its replacement).
         """
         m = d.members[0]
-        request = replace(m.job.request, ranks=len(d.lanes))
+        request = m.job.request.derive(ranks=len(d.lanes))
         ckpt: str | None = None
         if request.resilience is not None:
             if d.ckpt_dir is None:
                 d.ckpt_dir = tempfile.mkdtemp(
                     prefix=f"gang-{m.job.job_id}-")
             ckpt = os.path.join(d.ckpt_dir, "gang-ckpt.npz")
-            request = replace(request, checkpoint_path=ckpt)
+            request = request.derive(checkpoint_path=ckpt)
             if d.attempt > 0:
                 kept_deaths = tuple(
                     death for death in request.resilience.rank_deaths
                     if death[0] not in d.dead)
-                request = replace(
-                    request, seed=d.seed, resume_from=ckpt,
+                request = request.derive(
+                    seed=d.seed, resume_from=ckpt,
                     resilience=replace(request.resilience,
                                        rank_deaths=kept_deaths))
         with self.tel.span("serve.gang", job_id=m.job.job_id,
@@ -1279,8 +1302,6 @@ class Scheduler:
                     continue
                 if key is None:
                     key = ("nocache", m.job.job_id)
-                else:
-                    m.digest = key[0]
                 groups.setdefault(key, []).append(m)
             requests = [group[0].job.request
                         for group in groups.values()]
@@ -1346,8 +1367,8 @@ class Scheduler:
         if ok and self.sessions is not None:
             for m in d.members:
                 if m.record and m.report is not None:
-                    record_if_clean(self.sessions, m.job.request.system,
-                                    m.report, digest=m.digest)
+                    record_if_clean(self.sessions, m.job.request,
+                                    m.report)
         if d.ckpt_dir is not None:
             shutil.rmtree(d.ckpt_dir, ignore_errors=True)
         if d.route == "sliced" and not d.parked:

@@ -14,7 +14,10 @@ not in the segment: it rides in each task, and the worker binds it to
 the views with :meth:`AttachedMatrix.system`.  Within one store, jobs
 whose matrices share a digest (:func:`repro.system.digest.matrix_digest`)
 -- the members of a fused batch, a stream of re-observations -- share
-one segment and one worker mapping.
+one segment and one worker mapping.  The digest is the one the job
+already took: one pass per job, carried by the request
+(:attr:`repro.api.SolveRequest.digests`), handed to
+:meth:`SystemStore.publish`, which hashes only when called without it.
 
 Segment layout (one segment per matrix)::
 
@@ -63,7 +66,6 @@ import math
 import os
 import secrets
 import threading
-import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
@@ -372,10 +374,8 @@ class SystemStore:
     matrix -- the key :meth:`attach`, :meth:`release` and workers use.
     Systems with byte-identical matrices (whatever their right-hand
     sides) share one segment of this store, and each publish counts one
-    reference.  The digest of an already-seen system object is memoized
-    (by ``id``, with a weakref guard against id reuse) so the hash is
-    paid once per object, not once per job.  Segments stay mapped at
-    refcount zero until :meth:`close` unlinks them.
+    reference.  Segments stay mapped at refcount zero until
+    :meth:`close` unlinks them.
 
     Every mutation (publish/release/close) is serialized by one store
     lock, so concurrent scheduler dispatchers publishing the same
@@ -391,30 +391,21 @@ class SystemStore:
         #: matrix digest -> the name of its segment.
         self._names: dict[str, str] = {}
         self._closed = False
-        #: id(system) -> (weakref, digest) memo; the weakref callback
-        #: evicts the entry so a recycled id can never alias.
-        self._digest_memo: dict[int, tuple[weakref.ref, str]] = {}
 
     # -- publishing -----------------------------------------------------
-    def digest_of(self, system: GaiaSystem) -> str:
-        """The (memoized) matrix digest of one system object."""
-        key = id(system)
-        memo = self._digest_memo.get(key)
-        if memo is not None and memo[0]() is system:
-            return memo[1]
-        digest = matrix_digest(system)
-        try:
-            ref = weakref.ref(system,
-                              lambda _: self._digest_memo.pop(key, None))
-            self._digest_memo[key] = (ref, digest)
-        except TypeError:  # pragma: no cover - unweakrefable subclass
-            pass
-        return digest
-
-    def publish(self, system: GaiaSystem) -> str:
+    def publish(self, system: GaiaSystem, digest: str | None = None
+                ) -> str:
         """Ensure ``system``'s matrix is in shared memory; return the
-        name of its segment."""
-        digest = self.digest_of(system)  # hash outside the lock
+        name of its segment.
+
+        ``digest`` is the system's matrix digest when the caller has
+        it (the process backend passes the request's); without it the
+        matrix is hashed here, outside the lock.  Nothing is
+        remembered per system object: a system mutated in place and
+        published again gets the segment of its new content.
+        """
+        if digest is None:
+            digest = matrix_digest(system)
         with self._lock:
             if self._closed:
                 raise RuntimeError("SystemStore is closed")
@@ -462,7 +453,6 @@ class SystemStore:
             self._segments.clear()
             self._refs.clear()
             self._names.clear()
-            self._digest_memo.clear()
             self._closed = True
 
     def __len__(self) -> int:

@@ -84,6 +84,10 @@ class ThreadBackend:
         """Always ready."""
         return True
 
+    def publishes(self, request: SolveRequest) -> bool:
+        """Nothing is published: the solve reads the caller's arrays."""
+        return False
+
     def solve(self, request: SolveRequest) -> SolveReport:
         """One solve on the calling thread."""
         return self._scheduler.solve_fn(request)
@@ -178,17 +182,23 @@ class ProcessBackend:
         return self._ready.wait(timeout)
 
     # -- execution ------------------------------------------------------
-    def _offloadable(self, request: SolveRequest) -> bool:
+    def publishes(self, request: SolveRequest) -> bool:
+        """Would this request run in a worker, over a published matrix?
+
+        Publishing keys segments by the request's matrix digest, so
+        the scheduler takes the request's digest pass up front for
+        exactly these requests.
+        """
         return (request.callback is None
                 and request.telemetry is None
                 and self._scheduler.solve_fn is api_solve)
 
     def solve(self, request: SolveRequest) -> SolveReport:
         """One solve in a worker process (or inline if unshippable)."""
-        if not self._offloadable(request):
+        if not self.publishes(request):
             self._scheduler.tel.counter("serve.mp.inline").inc()
             return self._scheduler.solve_fn(request)
-        name = self._store.publish(request.system)
+        name = self._store.publish(request.system, request.digests[1])
         collect = isinstance(self._scheduler.tel, Telemetry)
         try:
             report, tel_dump = self._call(
@@ -203,10 +213,11 @@ class ProcessBackend:
                     ) -> list[SolveReport]:
         """One fused many-RHS batch in a worker process."""
         if (self._scheduler.batch_solve_fn is not api_solve_batch
-                or not all(self._offloadable(r) for r in requests)):
+                or not all(self.publishes(r) for r in requests)):
             self._scheduler.tel.counter("serve.mp.inline").inc()
             return self._scheduler.batch_solve_fn(requests)
-        names = [self._store.publish(r.system) for r in requests]
+        names = [self._store.publish(r.system, r.digests[1])
+                 for r in requests]
         specs = [RequestSpec.from_request(r) for r in requests]
         rhs = [shm.rhs_of(r.system) for r in requests]
         collect = isinstance(self._scheduler.tel, Telemetry)

@@ -102,8 +102,7 @@ def record_solution(store: SessionStore, system: GaiaSystem,
     return digest
 
 
-def seed_request(store: SessionStore, request: SolveRequest, *,
-                 digest: str | None = None
+def seed_request(store: SessionStore, request: SolveRequest
                  ) -> tuple[SolveRequest, WarmStart | None]:
     """Seed an eligible request's ``x0`` from the store.
 
@@ -112,29 +111,34 @@ def seed_request(store: SessionStore, request: SolveRequest, *,
     over the store, and a ``resume_from`` solve continues its own
     checkpoint.  Returns the (possibly seeded) request and the
     resolved :class:`WarmStart`, ``None`` when the request is
-    ineligible or nothing usable is stored.
+    ineligible or nothing usable is stored.  The store is looked up
+    under the request's own digest pair
+    (:attr:`~repro.api.SolveRequest.digests`), which the seeded
+    request carries on.
     """
     if (request.ranks != 1 or request.resilience is not None
             or request.x0 is not None
             or request.resume_from is not None):
         return request, None
-    warm = resolve_warm_start(store, request.system, digest=digest)
+    warm = resolve_warm_start(store, request.system,
+                              digest=request.digests[0])
     if warm is None:
         return request, None
-    return replace(request, x0=warm.x0), warm
+    return request.derive(x0=warm.x0), warm
 
 
-def record_if_clean(store: SessionStore, system: GaiaSystem,
-                    report: SolveReport, *,
-                    digest: str | None = None) -> str | None:
-    """:func:`record_solution`, guarded by the "clean stop" test.
+def record_if_clean(store: SessionStore, request: SolveRequest,
+                    report: SolveReport) -> str | None:
+    """:func:`record_solution` of the request's system under its
+    digest pair, guarded by the "clean stop" test.
 
     A DEGRADED / ABORTED_FAULTS solution reflects injected faults, not
     the system, and must never seed a future solve.
     """
     if report.stop in (StopReason.DEGRADED, StopReason.ABORTED_FAULTS):
         return None
-    return record_solution(store, system, report, digest=digest)
+    return record_solution(store, request.system, report,
+                           digest=request.digests[0])
 
 
 def stamp_warm_start(report: SolveReport,

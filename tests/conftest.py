@@ -91,8 +91,8 @@ def own_segments(monkeypatch):
     published: set[str] = set()
     publish = shm.SystemStore.publish
 
-    def recording_publish(store, system):
-        name = publish(store, system)
+    def recording_publish(store, system, digest=None):
+        name = publish(store, system, digest)
         published.add(name)
         return name
 

@@ -81,7 +81,8 @@ class _Recorder:
 def test_arrays_are_hashed_as_buffers_not_byte_copies():
     system = _pinned((_GLOB, 11, True))
     sink = _Recorder()
-    digest_mod._hash_matrix(sink, system, include_rhs=True)
+    digest_mod._hash_matrix(sink, system)
+    digest_mod._hash_rest(sink, system, include_rhs=True)
     arrays = sink.fed[1:]  # after the dimension tuple
     n_rows = len(system.constraints)
     assert len(arrays) == len(MATRIX_FIELDS) + 1 + 3 * n_rows
