@@ -41,11 +41,11 @@ from repro.core.lsqr import (
 )
 from repro.dist.runner import DistributedLSQR, DistributedResult
 from repro.obs.telemetry import Telemetry
-from repro.resilience import (
-    FaultPlan,
+from repro.resilience.faults import FaultPlan
+from repro.resilience.policy import RetryPolicy
+from repro.resilience.recovery import (
     ResilienceReport,
     ResilientDistributedLSQR,
-    RetryPolicy,
 )
 from repro.system.digest import digests
 from repro.system.sparse import GaiaSystem
@@ -85,9 +85,9 @@ class ResilienceConfig:
     the fault-plan and retry-jitter seeds from the request's single
     ``seed``, so a config is reusable across requests and the whole
     chaos schedule follows the one seed.  Field semantics match
-    :class:`~repro.resilience.FaultPlan`,
-    :class:`~repro.resilience.RetryPolicy` and
-    :class:`~repro.resilience.ResilientDistributedLSQR`.
+    :class:`~repro.resilience.faults.FaultPlan`,
+    :class:`~repro.resilience.policy.RetryPolicy` and
+    :class:`~repro.resilience.recovery.ResilientDistributedLSQR`.
     """
 
     # fault plan
@@ -602,7 +602,7 @@ def solve(request: SolveRequest, *,
 def _solve_with_sessions(request: SolveRequest,
                          sessions: "object") -> SolveReport:
     """Session-aware wrapper: warm-start seed, solve, record back."""
-    from repro.sessions import (
+    from repro.sessions.warmstart import (
         record_if_clean,
         seed_request,
         stamp_warm_start,

@@ -453,11 +453,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from repro.obs.telemetry import Telemetry
-    from repro.serve import (
-        Scenario,
-        load_scenario,
-        run_scenario,
-    )
+    from repro.serve.scenario import Scenario, load_scenario, run_scenario
 
     scenario = (load_scenario(args.scenario) if args.scenario
                 else Scenario())

@@ -23,42 +23,11 @@ matrix-vector products ``aprod1`` (``b += A x``) and ``aprod2``
   cross-check used as comparators.
 """
 
-from repro.core.aprod import AprodOperator, aprod1, aprod2
-from repro.core.engine import (
-    EngineState,
-    LSQRStepEngine,
-    ReductionBackend,
-    SerialReduction,
-)
-from repro.core.lsqr import LSQRResult, StopReason, lsqr_solve
-from repro.core.precond import ColumnScaling
-from repro.core.baseline import scipy_reference, textbook_lsqr
-from repro.core.variance import standard_errors
-from repro.core.cgls import CGLSResult, cgls_solve
+from repro.core.cgls import cgls_solve
 from repro.core.convergence import (
     ConvergenceHistory,
     lsqr_solve_reorthogonalized,
     orthogonality_drift,
 )
-
-__all__ = [
-    "AprodOperator",
-    "aprod1",
-    "aprod2",
-    "EngineState",
-    "LSQRStepEngine",
-    "ReductionBackend",
-    "SerialReduction",
-    "LSQRResult",
-    "StopReason",
-    "lsqr_solve",
-    "ColumnScaling",
-    "scipy_reference",
-    "textbook_lsqr",
-    "standard_errors",
-    "CGLSResult",
-    "cgls_solve",
-    "ConvergenceHistory",
-    "lsqr_solve_reorthogonalized",
-    "orthogonality_drift",
-]
+from repro.core.lsqr import lsqr_solve
+from repro.core.variance import standard_errors

@@ -5,7 +5,7 @@
 - ``aprod1``:  ``b_hat = A @ x``          (Eq. 3)
 - ``aprod2``:  ``x_hat += A.T @ b_hat``   (Eq. 4)
 
-:class:`AprodOperator` binds a :class:`~repro.system.GaiaSystem` to
+:class:`AprodOperator` binds a :class:`~repro.system.sparse.GaiaSystem` to
 exactly one *kernel set* over its observation block:
 
 - ``blocks`` -- :class:`~repro.core.kernels.blocks.BlockKernels`, the
@@ -33,11 +33,7 @@ import numpy as np
 
 from repro.core.kernels import gather_scatter
 from repro.core.kernels.blocks import BlockKernels
-from repro.core.kernels.plan import (  # noqa: F401 (re-exported names)
-    FUSED_KERNEL_NAMES,
-    AprodPlan,
-    resolve_kernels,
-)
+from repro.core.kernels.plan import AprodPlan, resolve_kernels
 from repro.obs.telemetry import Telemetry
 from repro.system.sparse import GaiaSystem
 
@@ -267,7 +263,7 @@ def _row_blocks(system: GaiaSystem
                 ) -> Iterator[tuple[int, int, GaiaSystem]]:
     """``(lo, hi, rows lo:hi)`` down ``system``'s observation block in
     :data:`~repro.core.kernels.gather_scatter.CHUNK_ROWS` steps; each
-    block is a view (:meth:`~repro.system.GaiaSystem.row_range`)."""
+    block is a view (:meth:`~repro.system.sparse.GaiaSystem.row_range`)."""
     m, step = system.dims.n_obs, gather_scatter.CHUNK_ROWS
     for lo in range(0, m, step):
         hi = min(m, lo + step)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.lsqr import Aprod
+from repro.core.engine import Aprod
 from repro.system.sparse import GaiaSystem
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.aprod import AprodOperator
-from repro.core.lsqr import Aprod, resolve_rhs
+from repro.core.engine import Aprod
+from repro.core.lsqr import resolve_rhs
 from repro.core.precond import prepare
 from repro.system.sparse import GaiaSystem
 

@@ -16,7 +16,7 @@ happen*:
 
 The drivers (:func:`repro.core.lsqr.lsqr_solve`,
 :class:`repro.dist.runner.DistributedLSQR`,
-:class:`repro.resilience.ResilientDistributedLSQR`) own policy:
+:class:`repro.resilience.recovery.ResilientDistributedLSQR`) own policy:
 right-hand sides, preconditioning, iteration budgets, timing and
 result types.  The engine owns the numerics.  Its entire iteration
 state is the explicit, serializable :class:`EngineState` -- with ``u``

@@ -25,27 +25,3 @@ by system shape.  The Fig. 6 port emulation is a ``blocks`` variant
 (:class:`repro.validation.compare.PortKernels`: RMW-atomic scatter,
 star-sorted astrometric reduction).
 """
-
-from repro.core.kernels.blocks import BlockKernels
-from repro.core.kernels.gather_scatter import (
-    CHUNK_ROWS,
-    column_sq_norms,
-    gather_dot,
-    scatter_add,
-)
-from repro.core.kernels.plan import (
-    AprodPlan,
-    StrategySelection,
-    select_strategies,
-)
-
-__all__ = [
-    "BlockKernels",
-    "CHUNK_ROWS",
-    "column_sq_norms",
-    "gather_dot",
-    "scatter_add",
-    "AprodPlan",
-    "StrategySelection",
-    "select_strategies",
-]

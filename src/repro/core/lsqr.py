@@ -125,7 +125,7 @@ def lsqr_solve(
     Parameters
     ----------
     system:
-        A :class:`~repro.system.GaiaSystem` (the right-hand side is its
+        A :class:`~repro.system.sparse.GaiaSystem` (the right-hand side is its
         own, including constraint rows; the kernels resolve by system
         shape, see :func:`~repro.core.kernels.plan.select_strategies`),
         an :class:`~repro.core.aprod.AprodOperator` built with the
@@ -143,7 +143,7 @@ def lsqr_solve(
         to ``2 * n``.
     precondition:
         Apply the Jacobi column scaling (only available when ``system``
-        is a :class:`~repro.system.GaiaSystem` or when the operator is
+        is a :class:`~repro.system.sparse.GaiaSystem` or when the operator is
         an :class:`~repro.core.aprod.AprodOperator`).
     calc_var:
         Accumulate the ``var`` estimate of ``diag((A^T A)^-1)`` used
@@ -304,7 +304,7 @@ def lsqr_solve_batch(
     Parameters
     ----------
     system:
-        The shared matrix: a :class:`~repro.system.GaiaSystem`
+        The shared matrix: a :class:`~repro.system.sparse.GaiaSystem`
         (compiled with ``batch_hint=K``, so the columns a stacked
         product allocates count against the plan budget), an
         :class:`~repro.core.aprod.AprodOperator` built with the

@@ -181,7 +181,7 @@ def prepare(
 ) -> tuple[Aprod, ColumnScaling]:
     """The (operator the engine iterates on, its ``ColumnScaling``) pair.
 
-    ``system`` is a :class:`~repro.system.GaiaSystem` (compiled here
+    ``system`` is a :class:`~repro.system.sparse.GaiaSystem` (compiled here
     with the ``"auto"`` kernels for a trailing batch of ``batch``,
     reporting to ``telemetry``), an :class:`AprodOperator` the caller
     built with its own strategies, or any raw

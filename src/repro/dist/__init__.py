@@ -18,39 +18,5 @@ without an MPI runtime:
   protocol and distributed variance accumulation.
 """
 
-from repro.dist.comm import CollectiveBus, SimComm
-from repro.dist.decomposition import (
-    RankBlock,
-    load_balance_report,
-    partition_by_rows,
-    slice_system,
-)
-from repro.dist.runner import (
-    CommReduction,
-    DistributedLSQR,
-    DistributedResult,
-    distributed_lsqr_solve,
-)
-from repro.dist.profile import (
-    CommProfile,
-    ProfiledComm,
-    SolveCommReport,
-    profile_distributed_solve,
-)
-
-__all__ = [
-    "SimComm",
-    "CollectiveBus",
-    "RankBlock",
-    "partition_by_rows",
-    "slice_system",
-    "load_balance_report",
-    "CommReduction",
-    "DistributedLSQR",
-    "DistributedResult",
-    "distributed_lsqr_solve",
-    "CommProfile",
-    "ProfiledComm",
-    "SolveCommReport",
-    "profile_distributed_solve",
-]
+from repro.dist.decomposition import partition_by_rows
+from repro.dist.runner import distributed_lsqr_solve

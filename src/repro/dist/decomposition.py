@@ -178,7 +178,7 @@ def slice_system(system: GaiaSystem, block: RankBlock) -> GaiaSystem:
 
     The local system shares the *global* unknown space (the dims keep
     the global parameter counts) but holds only the block's
-    observation rows (:meth:`~repro.system.GaiaSystem.row_range`); the
+    observation rows (:meth:`~repro.system.sparse.GaiaSystem.row_range`); the
     constraint set rides with its owner.
     """
     return system.row_range(

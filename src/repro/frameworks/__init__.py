@@ -27,71 +27,7 @@ substrate; :mod:`repro.frameworks.registry` holds the full roster and
 the software/flag tables (Tables I-IV).
 """
 
-from repro.frameworks.base import GeometryPolicy, Port, UnsupportedPlatform
-from repro.frameworks.registry import (
-    ALL_PORTS,
-    CLUSTER_GPU_TABLE,
-    COMPILE_FLAGS_AMD,
-    COMPILE_FLAGS_NVIDIA,
-    PORT_CONFIGS,
-    PORTS_BY_KEY,
-    SOFTWARE_VERSIONS_NVIDIA,
-    port_by_key,
-    port_from_config,
-)
-from repro.frameworks.executor import (
-    IterationModel,
-    ModeledRun,
-    breakdown_table,
-    model_iteration,
-    model_setup,
-    run_modeled,
-)
-from repro.frameworks.scaling import (
-    ClusterSpec,
-    ScalingCurve,
-    ScalingPoint,
-    strong_scaling,
-    weak_scaling,
-)
 from repro.frameworks.executors_future import PSTL_EXECUTORS
-from repro.frameworks.flags import (
-    all_compile_commands,
-    compile_command,
-    gpu_arch_token,
-    resolve_flags,
-)
-from repro.frameworks.port_matrix import capability_matrix, port_row
-
-__all__ = [
-    "GeometryPolicy",
-    "Port",
-    "UnsupportedPlatform",
-    "ALL_PORTS",
-    "PORT_CONFIGS",
-    "PORTS_BY_KEY",
-    "port_by_key",
-    "port_from_config",
-    "SOFTWARE_VERSIONS_NVIDIA",
-    "COMPILE_FLAGS_NVIDIA",
-    "COMPILE_FLAGS_AMD",
-    "CLUSTER_GPU_TABLE",
-    "IterationModel",
-    "ModeledRun",
-    "breakdown_table",
-    "model_iteration",
-    "model_setup",
-    "run_modeled",
-    "ClusterSpec",
-    "ScalingCurve",
-    "ScalingPoint",
-    "weak_scaling",
-    "strong_scaling",
-    "PSTL_EXECUTORS",
-    "gpu_arch_token",
-    "resolve_flags",
-    "compile_command",
-    "all_compile_commands",
-    "capability_matrix",
-    "port_row",
-]
+from repro.frameworks.flags import compile_command
+from repro.frameworks.registry import port_by_key
+from repro.frameworks.scaling import strong_scaling, weak_scaling

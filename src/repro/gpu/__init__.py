@@ -25,82 +25,4 @@ Absolute seconds are calibrated to the same order of magnitude as the
 paper; all figure reproductions depend only on *relative* efficiency.
 """
 
-from repro.gpu.device import DeviceSpec, Vendor
-from repro.gpu.platforms import (
-    A100,
-    ALL_DEVICES,
-    DEVICES_BY_NAME,
-    H100,
-    MI250X,
-    T4,
-    V100,
-    device_by_name,
-)
-from repro.gpu.interconnect import (
-    LINKS_BY_NAME,
-    LinkSpec,
-    allreduce_seconds,
-    device_fabric,
-    gang_link,
-    link_between,
-)
-from repro.gpu.memory import DeviceMemory, DeviceOutOfMemory
-from repro.gpu.kernel import LaunchConfig, geometry_efficiency, grid_for
-from repro.gpu.atomics import AtomicMode, atomic_time
-from repro.gpu.timing import KernelTiming, kernel_time
-from repro.gpu.stream import StreamSchedule
-from repro.gpu.profiler import KernelEvent, Profiler
-from repro.gpu.energy import (
-    BOARD_TDP_W,
-    EnergyEstimate,
-    energy_efficiency_table,
-    energy_per_iteration,
-)
-from repro.gpu.occupancy import (
-    KernelResources,
-    OccupancyResult,
-    occupancy,
-    occupancy_table,
-)
-from repro.gpu.roofline import RooflineReport, roofline_report
-
-__all__ = [
-    "DeviceSpec",
-    "Vendor",
-    "T4",
-    "V100",
-    "A100",
-    "H100",
-    "MI250X",
-    "ALL_DEVICES",
-    "DEVICES_BY_NAME",
-    "device_by_name",
-    "LinkSpec",
-    "LINKS_BY_NAME",
-    "device_fabric",
-    "link_between",
-    "gang_link",
-    "allreduce_seconds",
-    "DeviceMemory",
-    "DeviceOutOfMemory",
-    "LaunchConfig",
-    "geometry_efficiency",
-    "grid_for",
-    "AtomicMode",
-    "atomic_time",
-    "KernelTiming",
-    "kernel_time",
-    "StreamSchedule",
-    "KernelEvent",
-    "Profiler",
-    "BOARD_TDP_W",
-    "EnergyEstimate",
-    "energy_per_iteration",
-    "energy_efficiency_table",
-    "KernelResources",
-    "OccupancyResult",
-    "occupancy",
-    "occupancy_table",
-    "RooflineReport",
-    "roofline_report",
-]
+from repro.gpu.energy import energy_efficiency_table

@@ -80,7 +80,7 @@ class IterationTrace:
         with the kernel name and this trace's port; the makespan lands
         in a ``trace.makespan_s`` gauge.  Use
         ``to_chrome_trace()["traceEvents"]`` as ``extra_events`` of
-        :func:`repro.obs.to_chrome_trace` to merge the timeline into
+        :func:`repro.obs.export.to_chrome_trace` to merge the timeline into
         the span trace for Perfetto.
         """
         for e in self.events:

@@ -22,32 +22,5 @@ reproduction's single measurement substrate:
 Naming conventions are documented in ``docs/observability.md``.
 """
 
-from repro.obs.export import (
-    to_chrome_trace,
-    to_flat_json,
-    to_markdown,
-    write_chrome_trace,
-    write_flat_json,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.span import Span, SpanRecord, Tracer, share
-from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "Span",
-    "SpanRecord",
-    "Telemetry",
-    "Tracer",
-    "share",
-    "to_chrome_trace",
-    "to_flat_json",
-    "to_markdown",
-    "write_chrome_trace",
-    "write_flat_json",
-]
+from repro.obs.export import to_markdown, write_chrome_trace, write_flat_json
+from repro.obs.telemetry import Telemetry

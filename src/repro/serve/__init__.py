@@ -7,8 +7,9 @@ operational fact -- solves are gated by device memory; only
 H100-class boards and one MI250X GCD hold the 60 GB system -- turned
 into the placement policy.
 
-- :class:`DevicePool` / :class:`DeviceLane` -- platform entries from
-  :mod:`repro.gpu.platforms` with tracked free memory and per-device
+- :class:`DevicePool` / :class:`~repro.serve.pool.DeviceLane` --
+  platform entries from :mod:`repro.gpu.platforms` with tracked free
+  memory and per-device
   FIFO work lanes (``per_gcd=True`` by default, so MI250X placement
   uses the 64 GB a single solve can address);
 - :class:`Scheduler` -- priority-queue admission with memory-fit +
@@ -21,8 +22,8 @@ into the placement policy.
   :class:`SystemStore`), and re-placement of DEGRADED/ABORTED
   resilient solves on a different device; with ``max_fuse > 1`` it
   also coalesces fusion-compatible queued requests (equal
-  :func:`fusion_key`: same matrix digest and shared engine
-  configuration) into one batched many-RHS
+  :func:`~repro.serve.cache.fusion_key`: same matrix digest and shared
+  engine configuration) into one batched many-RHS
   :func:`repro.api.solve_batch` sweep;
 - :class:`SystemStore` -- store-private shared-memory segments
   holding the matrix of a :class:`~repro.system.sparse.GaiaSystem`,
@@ -36,86 +37,18 @@ into the placement policy.
   -- pass ``sessions=`` -- to warm-start re-solves from exact-digest
   or ancestor solutions and to park/resume preempted solves; see
   ``docs/sessions.md``);
-- :class:`LoadGenerator` -- seeded open-loop streams of mixed
-  10/30/60 GB-shaped (scaled-down) jobs;
-- :func:`run_scenario` -- one JSON scenario file to a full
-  :class:`ServeReport` (the ``repro-gaia serve`` subcommand).
+- :class:`~repro.serve.loadgen.LoadGenerator` -- seeded open-loop
+  streams of mixed 10/30/60 GB-shaped (scaled-down) jobs;
+- :func:`~repro.serve.scenario.run_scenario` -- one JSON scenario file
+  to a full :class:`~repro.serve.scheduler.ServeReport` (the
+  ``repro-gaia serve`` subcommand).
 
 See ``docs/serving.md`` for the architecture and the knobs.
 """
 
-from repro.serve.cache import (
-    ResultCache,
-    config_digest,
-    fusion_key,
-    matrix_digest,
-    request_key,
-    shared_config_digest,
-    system_digest,
-)
-from repro.serve.cost import (
-    CostEstimate,
-    GangEstimate,
-    PlacementCostModel,
-)
+from repro.serve.cache import ResultCache
+from repro.serve.cost import PlacementCostModel
 from repro.serve.job import AdmissionDecision, ServeJob
-from repro.serve.loadgen import LoadGenerator, LoadSpec
-from repro.serve.pool import (
-    MEMORY_EPSILON_GB,
-    DeviceLane,
-    DevicePool,
-)
-from repro.serve.scenario import (
-    Scenario,
-    build_scheduler,
-    load_scenario,
-    parse_scenario,
-    run_scenario,
-)
-from repro.serve.scheduler import (
-    BACKENDS,
-    JobOutcome,
-    Scheduler,
-    ServeReport,
-)
-from repro.serve.shm import AttachedMatrix, SystemStore, active_segments
-from repro.serve.worker import (
-    BackendAborted,
-    ProcessBackend,
-    ThreadBackend,
-)
-
-__all__ = [
-    "AdmissionDecision",
-    "AttachedMatrix",
-    "BACKENDS",
-    "BackendAborted",
-    "CostEstimate",
-    "DeviceLane",
-    "DevicePool",
-    "GangEstimate",
-    "JobOutcome",
-    "MEMORY_EPSILON_GB",
-    "LoadGenerator",
-    "LoadSpec",
-    "PlacementCostModel",
-    "ProcessBackend",
-    "ResultCache",
-    "Scenario",
-    "Scheduler",
-    "ServeJob",
-    "ServeReport",
-    "SystemStore",
-    "ThreadBackend",
-    "active_segments",
-    "build_scheduler",
-    "config_digest",
-    "fusion_key",
-    "load_scenario",
-    "matrix_digest",
-    "parse_scenario",
-    "request_key",
-    "run_scenario",
-    "shared_config_digest",
-    "system_digest",
-]
+from repro.serve.pool import DevicePool
+from repro.serve.scheduler import Scheduler
+from repro.serve.shm import SystemStore, active_segments

@@ -16,11 +16,12 @@ digest)``:
 
 Request *fusion* (batching compatible queued jobs into one
 many-RHS solve) needs a coarser pair of hashes: the
-:func:`matrix_digest` covers the matrix only -- coefficients, indices
-and constraint *rows*, excluding the right-hand side (``known_terms``
-and constraint rhs values) -- and the :func:`shared_config_digest`
-covers exactly the engine parameters every batch member must agree on
-(excluding the per-member ``damp``/``seed``/``x0``).  Two requests
+:func:`~repro.system.digest.matrix_digest` covers the matrix only --
+coefficients, indices and constraint *rows*, excluding the right-hand
+side (``known_terms`` and constraint rhs values) -- and the
+:func:`shared_config_digest` covers exactly the engine parameters every
+batch member must agree on (excluding the per-member
+``damp``/``seed``/``x0``).  Two requests
 with equal :func:`fusion_key` may solve as one
 :func:`repro.api.solve_batch` batch; their full cache keys still
 differ, so each member caches individually.  Both keys read the
@@ -42,15 +43,6 @@ from typing import Iterable
 
 from repro.api import SolveReport, SolveRequest
 from repro.obs.telemetry import Telemetry
-
-# The content digests live with the system layer now (so
-# ``repro.sessions`` can address lineage without importing the serving
-# stack); re-exported here because every historical caller imported
-# them from this module.
-from repro.system.digest import (  # noqa: F401  (re-export)
-    matrix_digest,
-    system_digest,
-)
 
 CacheKey = tuple[str, str]
 FusionKey = tuple[str, str]

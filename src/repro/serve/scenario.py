@@ -88,7 +88,7 @@ from repro.serve.cost import PlacementCostModel
 from repro.serve.loadgen import LoadGenerator, LoadSpec
 from repro.serve.pool import DevicePool
 from repro.serve.scheduler import Scheduler, ServeReport
-from repro.sessions import SessionStore
+from repro.sessions.store import SessionStore
 from repro.tuning.cache import TunedConfigCache
 from repro.tuning.service import TUNING_PRIORITY, TuningService
 

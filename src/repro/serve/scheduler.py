@@ -114,12 +114,6 @@ from repro.api import solve as api_solve
 from repro.api import solve_batch as api_solve_batch
 from repro.core.engine import StopReason
 from repro.obs.telemetry import Telemetry
-from repro.sessions import (
-    SessionStore,
-    record_if_clean,
-    seed_request,
-    stamp_warm_start,
-)
 from repro.serve.cache import ResultCache
 from repro.serve.cost import CostEstimate, GangEstimate, PlacementCostModel
 from repro.serve.job import AdmissionDecision, ServeJob
@@ -129,6 +123,12 @@ from repro.serve.worker import (
     BackendAborted,
     ProcessBackend,
     ThreadBackend,
+)
+from repro.sessions.store import SessionStore
+from repro.sessions.warmstart import (
+    record_if_clean,
+    seed_request,
+    stamp_warm_start,
 )
 
 #: Worker-backend names accepted by :class:`Scheduler`.

@@ -12,14 +12,15 @@ removes is a direct wall-clock win.  This subsystem makes a solve a
   metadata, parent digest), with an LRU byte budget, atomic writes
   and ``serve.sessions.*`` telemetry; it also parks the
   :class:`~repro.core.engine.EngineState` archive of preempted solves;
-- :func:`resolve_warm_start` / :class:`WarmStart` -- exact-digest or
+- :func:`resolve_warm_start` /
+  :class:`~repro.sessions.warmstart.WarmStart` -- exact-digest or
   nearest-ancestor ``x0`` resolution, consumed by
   ``api.solve(..., sessions=store)`` and the serve scheduler;
 - :func:`record_solution` -- deposits a finished report back into the
   store, chaining the parent link;
-- :func:`seed_request` / :func:`record_if_clean` /
-  :func:`stamp_warm_start` -- the eligibility, record-guard and
-  provenance steps both consumers share;
+- ``seed_request`` / ``record_if_clean`` / ``stamp_warm_start``
+  (:mod:`~repro.sessions.warmstart`) -- the eligibility, record-guard
+  and provenance steps both consumers share;
 - preempt/checkpoint/resume -- the scheduler side lives in
   :mod:`repro.serve.scheduler` (``preempt_slice``): a low-priority
   solve runs as checkpointed slices, parks here when a more urgent
@@ -30,28 +31,5 @@ See ``docs/sessions.md`` for the store layout, the lineage model and
 the preemption state machine.
 """
 
-from repro.sessions.store import (
-    ParkedSession,
-    SessionRecord,
-    SessionStore,
-)
-from repro.sessions.warmstart import (
-    WarmStart,
-    record_if_clean,
-    record_solution,
-    resolve_warm_start,
-    seed_request,
-    stamp_warm_start,
-)
-
-__all__ = [
-    "ParkedSession",
-    "SessionRecord",
-    "SessionStore",
-    "WarmStart",
-    "record_if_clean",
-    "record_solution",
-    "resolve_warm_start",
-    "seed_request",
-    "stamp_warm_start",
-]
+from repro.sessions.store import SessionStore
+from repro.sessions.warmstart import record_solution, resolve_warm_start

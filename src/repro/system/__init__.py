@@ -28,70 +28,8 @@ non-zero.  This subpackage provides:
   path.
 """
 
-from repro.system.structure import (
-    ASTRO_PARAMS_PER_STAR,
-    ATT_AXES,
-    ATT_BLOCK_SIZE,
-    ATT_PARAMS_PER_ROW,
-    GLOB_PARAMS_PER_ROW,
-    INSTR_PARAMS_PER_ROW,
-    NNZ_PER_ROW,
-    SystemDims,
-)
-from repro.system.sparse import GaiaSystem
-from repro.system.digest import matrix_digest, system_digest
-from repro.system.generator import (
-    make_observation_block,
-    make_system,
-    make_system_with_solution,
-)
-from repro.system.sizing import (
-    BYTES_PER_OBSERVATION,
-    dims_from_gb,
-    device_footprint_bytes,
-    system_size_gb,
-    system_from_gb,
-)
-from repro.system.solution import SolutionSections, split_solution
-from repro.system.constraints import ConstraintSet, attitude_null_space_constraints
 from repro.system.dataset import load_system, save_system
-from repro.system.storage import StorageFootprint, mission_dims, storage_comparison
-from repro.system.merge import (
-    append_observations,
-    concatenate_systems,
-    split_rows,
-)
-
-__all__ = [
-    "ASTRO_PARAMS_PER_STAR",
-    "ATT_AXES",
-    "ATT_BLOCK_SIZE",
-    "ATT_PARAMS_PER_ROW",
-    "GLOB_PARAMS_PER_ROW",
-    "INSTR_PARAMS_PER_ROW",
-    "NNZ_PER_ROW",
-    "SystemDims",
-    "GaiaSystem",
-    "matrix_digest",
-    "system_digest",
-    "make_observation_block",
-    "make_system",
-    "make_system_with_solution",
-    "BYTES_PER_OBSERVATION",
-    "dims_from_gb",
-    "device_footprint_bytes",
-    "system_size_gb",
-    "system_from_gb",
-    "SolutionSections",
-    "split_solution",
-    "ConstraintSet",
-    "attitude_null_space_constraints",
-    "load_system",
-    "save_system",
-    "StorageFootprint",
-    "mission_dims",
-    "storage_comparison",
-    "append_observations",
-    "concatenate_systems",
-    "split_rows",
-]
+from repro.system.generator import make_system, make_system_with_solution
+from repro.system.sizing import dims_from_gb
+from repro.system.storage import mission_dims, storage_comparison
+from repro.system.structure import SystemDims

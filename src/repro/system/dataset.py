@@ -1,4 +1,4 @@
-"""On-disk (de)serialization of :class:`~repro.system.GaiaSystem`.
+"""On-disk (de)serialization of :class:`~repro.system.sparse.GaiaSystem`.
 
 Systems are stored as a single compressed ``.npz`` archive holding the
 compressed-storage arrays, the dimension record and a JSON-encoded

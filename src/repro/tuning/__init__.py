@@ -26,50 +26,7 @@ cost model imports *us*, and the two service-side touch points
 (ServeJob packaging, the ablation's cost models) import lazily.
 """
 
-from repro.tuning.ablation import AblationResult, run_ablation
 from repro.tuning.cache import TunedConfigCache
-from repro.tuning.service import (
-    DEFAULT_TUNABLE_PORTS,
-    PROBE_GB,
-    TUNING_PRIORITY,
-    TuningService,
-    tunable_ports_for,
-)
-from repro.tuning.sizeclass import (
-    SIZE_CLASSES,
-    SizeClass,
-    size_class_by_label,
-    size_class_for,
-)
-from repro.tuning.study import TuningStudyResult, run_tuning_study
-from repro.tuning.sweep import (
-    MODEL_VERSION,
-    GeometrySweeper,
-    SweepSpec,
-    TunedConfig,
-    default_spec,
-    resolve_port,
-)
-
-__all__ = [
-    "AblationResult",
-    "DEFAULT_TUNABLE_PORTS",
-    "GeometrySweeper",
-    "MODEL_VERSION",
-    "PROBE_GB",
-    "SIZE_CLASSES",
-    "SizeClass",
-    "SweepSpec",
-    "TUNING_PRIORITY",
-    "TunedConfig",
-    "TunedConfigCache",
-    "TuningService",
-    "TuningStudyResult",
-    "default_spec",
-    "resolve_port",
-    "run_ablation",
-    "run_tuning_study",
-    "size_class_by_label",
-    "size_class_for",
-    "tunable_ports_for",
-]
+from repro.tuning.service import TuningService
+from repro.tuning.sizeclass import size_class_for
+from repro.tuning.sweep import GeometrySweeper, default_spec

@@ -30,7 +30,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.core.atomic import atomic_write
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.tuning.sweep import SweepSpec, TunedConfig
 
 

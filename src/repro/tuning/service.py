@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from repro.api import PlacementConstraints, SolveRequest
 from repro.gpu.platforms import device_by_name
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.tuning.cache import TunedConfigCache
 from repro.tuning.sizeclass import size_class_for
 from repro.tuning.sweep import (

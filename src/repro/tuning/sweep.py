@@ -39,7 +39,7 @@ from repro.frameworks.registry import PORTS_BY_KEY
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import grid_for
 from repro.gpu.platforms import device_by_name
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.system.sizing import dims_from_gb
 from repro.system.structure import SystemDims
 from repro.tuning.sizeclass import size_class_by_label

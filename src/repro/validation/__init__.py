@@ -14,48 +14,11 @@ by a different algorithm (block Gauss-Seidel over each star's 5 x 5
 Gram, AGIS's iteration style) and cross-checks a solve against it.
 """
 
-from repro.validation.agis import (
-    AgisComparison,
-    agis_like_solution,
-    compare_with_agis,
-)
+from repro.validation.agis import compare_with_agis
 from repro.validation.compare import (
-    MICROARCSEC_THRESHOLD_UAS,
-    PortSolution,
-    SectionComparison,
-    ValidationComparison,
     compare_solutions,
     solve_as_port,
     solve_production_reference,
 )
-from repro.validation.report import ValidationReport, run_validation
-from repro.validation.fig6 import (
-    Fig6Scatter,
-    ascii_scatter,
-    fig6_scatter,
-    render_fig6,
-    save_fig6_data,
-)
-from repro.validation.montecarlo import MonteCarloResult, run_monte_carlo
-
-__all__ = [
-    "AgisComparison",
-    "agis_like_solution",
-    "compare_with_agis",
-    "MICROARCSEC_THRESHOLD_UAS",
-    "PortSolution",
-    "SectionComparison",
-    "ValidationComparison",
-    "compare_solutions",
-    "solve_as_port",
-    "solve_production_reference",
-    "ValidationReport",
-    "run_validation",
-    "Fig6Scatter",
-    "fig6_scatter",
-    "ascii_scatter",
-    "render_fig6",
-    "save_fig6_data",
-    "MonteCarloResult",
-    "run_monte_carlo",
-]
+from repro.validation.fig6 import fig6_scatter, render_fig6
+from repro.validation.report import run_validation

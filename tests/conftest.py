@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.system import SystemDims, make_system
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 
 
 @pytest.fixture(scope="session")

@@ -29,11 +29,12 @@ from hypothesis import strategies as st
 
 from repro.api import SolveRequest, solve, solve_batch
 import loop_reference
-from repro.core.aprod import FUSED_KERNEL_NAMES, AprodOperator
+from repro.core.aprod import AprodOperator
 from repro.core.engine import LSQRStepEngine, SerialReduction
-from repro.core.kernels import BlockKernels
+from repro.core.kernels.blocks import BlockKernels
 from repro.core.kernels.gather_scatter import CHUNK_ROWS, column_sq_norms
 from repro.core.kernels.plan import (
+    FUSED_KERNEL_NAMES,
     FUSED_GATHER,
     FUSED_MIN_OBS,
     KERNEL_SET_SPELLINGS,
@@ -45,10 +46,11 @@ from repro.core.kernels.plan import (
 )
 from repro.core.lsqr import lsqr_solve
 from repro.core.precond import ColumnScaling, PreconditionedAprod
-from repro.dist import partition_by_rows
-from repro.dist.decomposition import slice_system
+from repro.dist.decomposition import partition_by_rows, slice_system
 from repro.obs.telemetry import Telemetry
-from repro.system import GaiaSystem, SystemDims, make_system
+from repro.system.generator import make_system
+from repro.system.sparse import GaiaSystem
+from repro.system.structure import SystemDims
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import cgls_solve, lsqr_solve
 from repro.core.aprod import AprodOperator
-from repro.frameworks import port_by_key
+from repro.core.cgls import cgls_solve
+from repro.core.lsqr import lsqr_solve
+from repro.frameworks.registry import port_by_key
 from repro.frameworks.sensitivity import (
     NEXTGEN_AMD,
     NEXTGEN_NVIDIA,
@@ -173,7 +174,7 @@ def test_whatif_platforms_preserve_ranking():
 
 
 def test_nextgen_boards_are_faster():
-    from repro.frameworks import model_iteration
+    from repro.frameworks.executor import model_iteration
 
     dims = dims_from_gb(10.0)
     hip = port_by_key("HIP")

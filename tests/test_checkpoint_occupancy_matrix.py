@@ -1,19 +1,13 @@
-"""Tests for checkpoint/restart, occupancy and the capability matrix."""
+"""Tests for checkpoint/restart and the capability matrix."""
 
 import numpy as np
 import pytest
 
-from repro.core import lsqr_solve
 from repro.core.engine import EngineState, LSQRStepEngine
+from repro.core.lsqr import lsqr_solve
 from repro.core.precond import prepare
 from repro.frameworks.port_matrix import capability_matrix, port_row
 from repro.frameworks.registry import port_by_key
-from repro.gpu.occupancy import (
-    KernelResources,
-    occupancy,
-    occupancy_table,
-)
-from repro.gpu.platforms import H100, MI250X, T4
 
 
 # ----------------------------------------------------------------------
@@ -124,46 +118,6 @@ def test_iter_lim_respected(small_system, tmp_path):
                         checkpoint_every=5, checkpoint_path=path)
     state = EngineState.load(path)
     assert result.itn == state.itn == 5 and not state.done
-
-
-# ----------------------------------------------------------------------
-# Occupancy
-# ----------------------------------------------------------------------
-def test_occupancy_limits():
-    r = occupancy(T4, 256)
-    assert r.blocks_per_sm >= 1
-    assert 0 < r.occupancy <= 1
-    # 1024-thread blocks with 40 regs/thread are register-limited.
-    big = occupancy(T4, 1024)
-    assert big.limiter == "registers"
-    assert big.blocks_per_sm == 1
-
-
-def test_occupancy_warp_rounding():
-    # 33 threads on a 64-wide wavefront machine occupies a full wave.
-    r = occupancy(MI250X, 33)
-    assert r.resident_threads % 64 == 0
-
-
-def test_smem_limits_occupancy():
-    heavy = occupancy(H100, 128,
-                      KernelResources(registers_per_thread=32,
-                                      smem_per_block=48 * 1024))
-    assert heavy.limiter == "smem"
-    assert heavy.blocks_per_sm == 2
-
-
-def test_occupancy_validation():
-    with pytest.raises(ValueError):
-        occupancy(T4, 0)
-    with pytest.raises(ValueError):
-        KernelResources(registers_per_thread=0)
-
-
-def test_occupancy_table_renders():
-    text = occupancy_table(H100)
-    assert "Occupancy on H100" in text
-    assert "limiter" in text and "256" in text
 
 
 # ----------------------------------------------------------------------

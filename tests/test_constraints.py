@@ -82,8 +82,8 @@ def test_constraints_pull_axis_sums_toward_zero(small_dims):
     comparative: solving WITH the rows yields smaller |sum(axis)| than
     solving WITHOUT them on the same data.
     """
-    from repro.core import lsqr_solve
-    from repro.system import make_system
+    from repro.core.lsqr import lsqr_solve
+    from repro.system.generator import make_system
     from repro.system.generator import draw_true_solution
     from repro.system.solution import split_solution
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import lsqr_solve
 from repro.core.convergence import (
     ConvergenceHistory,
     lsqr_solve_reorthogonalized,
     orthogonality_drift,
 )
+from repro.core.lsqr import lsqr_solve
 
 
 @pytest.fixture()

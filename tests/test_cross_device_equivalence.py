@@ -11,9 +11,9 @@ rounding -- but never beyond the validation tolerance.
 import numpy as np
 import pytest
 
-from repro.frameworks import port_by_key
+from repro.frameworks.registry import port_by_key
 from repro.gpu.platforms import A100, H100, MI250X
-from repro.validation import compare_solutions, solve_as_port
+from repro.validation.compare import compare_solutions, solve_as_port
 
 
 @pytest.fixture(scope="module")

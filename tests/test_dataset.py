@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.system import load_system, make_system, save_system
+from repro.system.dataset import load_system, save_system
+from repro.system.generator import make_system
 
 
 def test_save_load_roundtrip(tmp_path, small_system):
@@ -37,7 +38,7 @@ def test_roundtrip_without_constraints(tmp_path, small_dims):
 
 
 def test_loaded_system_solves_identically(tmp_path, small_system):
-    from repro.core import lsqr_solve
+    from repro.core.lsqr import lsqr_solve
 
     loaded = load_system(save_system(small_system, tmp_path / "s.npz"))
     a = lsqr_solve(small_system, atol=1e-10, btol=1e-10)

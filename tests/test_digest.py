@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.system import digest as digest_mod
-from repro.system import make_system
 from repro.system.digest import matrix_digest, system_digest
+from repro.system.generator import make_system
 from repro.system.sparse import MATRIX_FIELDS
 from repro.system.structure import SystemDims
 

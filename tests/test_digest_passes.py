@@ -25,17 +25,16 @@ import pytest
 from repro.api import PlacementConstraints, SolveReport, SolveRequest, solve
 from repro.core.engine import StopReason
 from repro.obs.telemetry import Telemetry
-from repro.serve import (
-    DevicePool,
-    ResultCache,
-    Scheduler,
-    ServeJob,
-    SystemStore,
-)
-from repro.sessions import SessionStore
-from repro.system import SystemDims, make_system
+from repro.serve.cache import ResultCache
+from repro.serve.job import ServeJob
+from repro.serve.pool import DevicePool
+from repro.serve.scheduler import Scheduler
+from repro.serve.shm import SystemStore
+from repro.sessions.store import SessionStore
 from repro.system import digest as digest_mod
+from repro.system.generator import make_system
 from repro.system.sparse import MATRIX_FIELDS
+from repro.system.structure import SystemDims
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 

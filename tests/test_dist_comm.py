@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dist import CollectiveBus, SimComm
+from repro.dist.comm import CollectiveBus, SimComm
 
 
 def run(size, fn, *args):

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import lsqr_solve
 from repro.core.aprod import AprodOperator
-from repro.dist import (
-    distributed_lsqr_solve,
-    partition_by_rows,
-    slice_system,
-)
+from repro.core.lsqr import lsqr_solve
+from repro.dist.decomposition import partition_by_rows, slice_system
+from repro.dist.runner import distributed_lsqr_solve
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +112,7 @@ def test_max_over_ranks_timing_protocol(small_system):
 
 
 def test_distributed_standard_errors_match_serial(small_system):
-    from repro.core import standard_errors
+    from repro.core.variance import standard_errors
 
     serial = lsqr_solve(small_system, atol=1e-12, btol=1e-12)
     dist = distributed_lsqr_solve(small_system, 3, atol=1e-12)

@@ -25,11 +25,11 @@ import pytest
 from repro.api import ResilienceConfig, SolveRequest, solve
 from repro.core.aprod import AprodOperator
 from repro.core.kernels.plan import FUSED_MIN_OBS, AprodPlan
-from repro.dist import partition_by_rows
+from repro.dist.decomposition import partition_by_rows
 from repro.serve.job import ServeJob
 from repro.serve.pool import DevicePool
 from repro.serve.scheduler import Scheduler
-from repro.sessions import SessionStore
+from repro.sessions.store import SessionStore
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 

@@ -8,11 +8,14 @@ portability study -> report.  One test, every subsystem.
 import numpy as np
 import pytest
 
-from repro.core import lsqr_solve, standard_errors
-from repro.dist import distributed_lsqr_solve
-from repro.portability import run_study
-from repro.system import SystemDims, make_system
-from repro.validation import compare_with_agis, run_validation
+from repro.core.lsqr import lsqr_solve
+from repro.core.variance import standard_errors
+from repro.dist.runner import distributed_lsqr_solve
+from repro.portability.study import run_study
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
+from repro.validation.agis import compare_with_agis
+from repro.validation.report import run_validation
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.api import STRATEGY_PRESETS
-from repro.core import lsqr_solve
 from repro.core.aprod import AprodOperator
 from repro.core.engine import (
     EngineState,
@@ -23,11 +22,12 @@ from repro.core.engine import (
     SerialReduction,
     StopReason,
 )
+from repro.core.lsqr import lsqr_solve
 from repro.core.precond import ColumnScaling, PreconditionedAprod, prepare
-from repro.dist import DistributedLSQR, distributed_lsqr_solve
-from repro.obs import Telemetry
-from repro.obs.telemetry import NULL_TELEMETRY
-from repro.system import SystemDims, make_system
+from repro.dist.runner import DistributedLSQR, distributed_lsqr_solve
+from repro.obs.telemetry import Telemetry, NULL_TELEMETRY
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 from loop_reference import lsqr_loop
 
 

@@ -35,11 +35,7 @@ from repro.api import (
     solve_batch,
 )
 from repro.core.aprod import AprodOperator
-from repro.core.engine import (
-    ISTOP_RUNNING,
-    BatchedLSQRStepEngine,
-    StopReason,
-)
+from repro.core.engine import ISTOP_RUNNING, BatchedLSQRStepEngine, StopReason
 from repro.core.kernels.plan import (
     FUSED_MIN_OBS,
     PLAN_BUDGET_BYTES,
@@ -49,7 +45,8 @@ from repro.core.kernels.plan import (
 from repro.core.lsqr import lsqr_solve, lsqr_solve_batch
 from repro.core.precond import prepare
 from repro.obs.telemetry import Telemetry
-from repro.system import SystemDims, make_system
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 
 # ----------------------------------------------------------------------
 # Strategies and helpers

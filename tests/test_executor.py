@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 import repro
-from repro.frameworks import model_iteration, port_by_key, run_modeled
 from repro.frameworks.base import UnsupportedPlatform
-from repro.frameworks.executor import memory_pressure_factor
-from repro.frameworks.registry import ALL_PORTS
-from repro.gpu import Profiler
+from repro.frameworks.executor import (
+    model_iteration,
+    run_modeled,
+    memory_pressure_factor,
+)
+from repro.frameworks.registry import port_by_key, ALL_PORTS
 from repro.gpu.memory import DeviceOutOfMemory
 from repro.gpu.platforms import ALL_DEVICES, A100, H100, MI250X, T4, V100
+from repro.gpu.profiler import Profiler
 from repro.system.sizing import dims_from_gb
 
 
@@ -119,7 +122,8 @@ def test_run_modeled_jitter_is_stable_across_processes():
     """The jitter seed does not depend on Python's per-process string
     hash salt: two interpreters with different PYTHONHASHSEED values
     model the same repetition means."""
-    code = ("from repro.frameworks import port_by_key, run_modeled\n"
+    code = ("from repro.frameworks.executor import run_modeled\n"
+            "from repro.frameworks.registry import port_by_key\n"
             "from repro.gpu.platforms import H100\n"
             "from repro.system.sizing import dims_from_gb\n"
             "run = run_modeled(port_by_key('HIP'), H100, dims_from_gb(10.0),"

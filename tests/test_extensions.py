@@ -4,14 +4,16 @@ port, architectural efficiency, exporters, row-blocked kernels."""
 import numpy as np
 import pytest
 
-from repro.core import lsqr_solve
-from repro.frameworks import PSTL_EXECUTORS, port_by_key
-from repro.frameworks.registry import ALL_PORTS
+from repro.core.lsqr import lsqr_solve
+from repro.frameworks.executors_future import PSTL_EXECUTORS
+from repro.frameworks.registry import port_by_key, ALL_PORTS
 from repro.gpu.platforms import ALL_DEVICES, H100, MI250X, T4
-from repro.portability import (
+from repro.portability.arch import (
     architectural_efficiency,
     architectural_p,
     iteration_bytes,
+)
+from repro.portability.export import (
     read_measurements_csv,
     study_records,
     write_csv,
@@ -36,7 +38,7 @@ def test_warm_start_from_exact_solution_keeps_it(small_dims):
     """Starting at the exact solution, the computed correction is
     negligible: LSQR works on the shifted problem b - A x0 ~ rounding
     noise and whatever it resolves there cannot move x."""
-    from repro.system import make_system_with_solution
+    from repro.system.generator import make_system_with_solution
 
     system, x_true = make_system_with_solution(small_dims, seed=8,
                                                noise_sigma=0.0)

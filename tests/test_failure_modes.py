@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import cgls_solve, lsqr_solve
-from repro.core.lsqr import StopReason
-from repro.system import GaiaSystem, SystemDims, make_system
+from repro.core.cgls import cgls_solve
+from repro.core.engine import StopReason
+from repro.core.lsqr import lsqr_solve
+from repro.system.generator import make_system
+from repro.system.sparse import GaiaSystem
+from repro.system.structure import SystemDims
 
 
 @pytest.fixture()
@@ -97,7 +100,7 @@ def test_study_excludes_never_crash():
 def test_comm_timeout_on_missing_message():
     import queue
 
-    from repro.dist import CollectiveBus
+    from repro.dist.comm import CollectiveBus
 
     def body(comm):
         if comm.rank == 0:

@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.frameworks import (
+from repro.frameworks.flags import (
     all_compile_commands,
     compile_command,
     gpu_arch_token,
-    port_by_key,
     resolve_flags,
 )
-from repro.frameworks.registry import ALL_PORTS
+from repro.frameworks.registry import port_by_key, ALL_PORTS
 from repro.gpu.platforms import ALL_DEVICES, A100, H100, MI250X, T4, V100
-from repro.portability import diff_studies
+from repro.portability.compare_runs import diff_studies
 from repro.portability.study import run_study
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.aprod import aprod1
-from repro.system import SystemDims, make_system, make_system_with_solution
+from repro.system.generator import make_system, make_system_with_solution
+from repro.system.structure import SystemDims
 
 
 def test_generator_is_deterministic(small_dims):

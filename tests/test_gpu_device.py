@@ -4,18 +4,17 @@ import dataclasses
 
 import pytest
 
-from repro.gpu import (
+from repro.gpu.device import DeviceSpec, Vendor
+from repro.gpu.platforms import (
     ALL_DEVICES,
     A100,
     H100,
     MI250X,
     T4,
     V100,
-    DeviceSpec,
-    Vendor,
     device_by_name,
+    CLUSTER_OF_DEVICE,
 )
-from repro.gpu.platforms import CLUSTER_OF_DEVICE
 
 
 def test_roster_matches_paper():

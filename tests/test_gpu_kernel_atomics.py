@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.gpu import AtomicMode, LaunchConfig, atomic_time, kernel_time
-from repro.gpu.atomics import collision_pressure
+from repro.gpu.atomics import AtomicMode, atomic_time, collision_pressure
 from repro.gpu.kernel import (
+    LaunchConfig,
     default_geometry,
     geometry_efficiency,
     grid_for,
     tuned_geometry,
 )
 from repro.gpu.platforms import ALL_DEVICES, H100, MI250X, T4
-from repro.gpu.timing import KernelWork
+from repro.gpu.timing import kernel_time, KernelWork
 from repro.gpu.workload import build_iteration_workload
 from repro.system.sizing import dims_from_gb
 

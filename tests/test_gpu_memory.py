@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.gpu import DeviceMemory, DeviceOutOfMemory
-from repro.gpu.memory import CoherenceMode, fits
+from repro.gpu.memory import (
+    DeviceMemory,
+    DeviceOutOfMemory,
+    CoherenceMode,
+    fits,
+)
 from repro.gpu.platforms import T4, V100
 
 

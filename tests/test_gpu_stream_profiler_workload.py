@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.gpu import KernelTiming, Profiler, StreamSchedule
 from repro.gpu.kernel import grid_for
-from repro.gpu.profiler import KernelEvent
+from repro.gpu.profiler import Profiler, KernelEvent
+from repro.gpu.stream import StreamSchedule
+from repro.gpu.timing import KernelTiming
 from repro.gpu.workload import build_iteration_workload
-from repro.system import SystemDims
+from repro.system.structure import SystemDims
 
 
 def _timing(name="k", launch=1e-6, memory=1e-3, compute=1e-4,

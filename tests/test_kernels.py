@@ -15,7 +15,8 @@ import pytest
 
 import loop_reference
 from repro.core.aprod import AprodOperator
-from repro.core.kernels import BlockKernels, gather_scatter
+from repro.core.kernels import gather_scatter
+from repro.core.kernels.blocks import BlockKernels
 from repro.core.kernels.gather_scatter import CHUNK_ROWS
 from repro.validation.compare import (
     PortKernels,

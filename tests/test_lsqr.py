@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import lsqr_solve
 from repro.core.aprod import AprodOperator
-from repro.core.lsqr import StopReason
+from repro.core.engine import StopReason
+from repro.core.lsqr import lsqr_solve
 
 
 def test_matches_scipy_reference(small_system):
@@ -17,7 +17,7 @@ def test_matches_scipy_reference(small_system):
 
 
 def test_recovers_generating_solution(small_dims):
-    from repro.system import make_system_with_solution
+    from repro.system.generator import make_system_with_solution
 
     system, x_true = make_system_with_solution(small_dims, seed=4,
                                                noise_sigma=0.0)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import cgls_solve, lsqr_solve
-from repro.system import SystemDims, make_system
+from repro.core.cgls import cgls_solve
+from repro.core.lsqr import lsqr_solve
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 
 _dims = SystemDims(n_stars=8, n_obs=160, n_deg_freedom_att=6,
                    n_instr_params=10, n_glob_params=1)

@@ -1,21 +1,16 @@
-"""Tests for system merging, the p3-compat export and the breakdown
-table."""
+"""Tests for system merging and the breakdown table."""
 
 import numpy as np
 import pytest
 
-from repro.core import lsqr_solve
-from repro.frameworks import breakdown_table
+from repro.core.lsqr import lsqr_solve
+from repro.frameworks.executor import breakdown_table
 from repro.frameworks.registry import ALL_PORTS
 from repro.gpu.platforms import H100, MI250X
-from repro.portability import p3_records, run_study, write_p3_csv
-from repro.system import (
-    SystemDims,
-    concatenate_systems,
-    make_system,
-    split_rows,
-)
+from repro.system.generator import make_system
+from repro.system.merge import concatenate_systems, split_rows
 from repro.system.sizing import dims_from_gb
+from repro.system.structure import SystemDims
 
 
 # ----------------------------------------------------------------------
@@ -70,37 +65,9 @@ def test_split_bounds(small_system):
 
 
 # ----------------------------------------------------------------------
-# p3-analysis-library export
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def study():
-    return run_study(sizes=(10.0,), jitter=0.0, repetitions=1)
-
-
-def test_p3_records_skip_unsupported(study):
-    records = p3_records(study)
-    # 8 ports x 5 platforms minus the CUDA-on-AMD hole.
-    assert len(records) == 8 * 5 - 1
-    apps = {r["application"] for r in records}
-    assert apps == set(study.port_keys)
-    assert not any(
-        r["application"] == "CUDA" and r["platform"] == "MI250X"
-        for r in records
-    )
-
-
-def test_p3_csv_schema(study, tmp_path):
-    path = write_p3_csv(study, tmp_path / "p3.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "problem,application,platform,fom"
-    assert all("AVU-GSR 10GB" in ln for ln in lines[1:])
-    assert len(lines) == 40
-
-
-# ----------------------------------------------------------------------
 # Breakdown table
 # ----------------------------------------------------------------------
-def test_breakdown_table_phases_sum(study):
+def test_breakdown_table_phases_sum():
     text = breakdown_table(ALL_PORTS, H100, dims_from_gb(10.0),
                            size_gb=10.0)
     lines = text.splitlines()

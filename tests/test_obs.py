@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (
-    MetricsRegistry,
-    Telemetry,
+from repro.obs.export import (
     to_chrome_trace,
     to_flat_json,
     to_markdown,
     write_chrome_trace,
     write_flat_json,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 
 
 class FakeClock:
@@ -265,7 +265,7 @@ def test_markdown_summary_empty_telemetry():
 # Cross-process dump/absorb (the worker-pool wire format)
 # ----------------------------------------------------------------------
 def test_dump_absorb_merges_metrics_and_rebases_spans():
-    from repro.obs import NullTelemetry
+    from repro.obs.telemetry import NullTelemetry
 
     remote = Telemetry()
     with remote.span("solve", job="j1"):

@@ -15,14 +15,14 @@ import pytest
 from repro.cli import main
 from repro.core.lsqr import lsqr_solve
 from repro.dist.runner import distributed_lsqr_solve
-from repro.frameworks import port_by_key
 from repro.frameworks.executor import model_iteration
+from repro.frameworks.registry import port_by_key
 from repro.gpu.kernel import grid_for
 from repro.gpu.platforms import device_by_name
 from repro.gpu.profiler import KernelEvent, Profiler
 from repro.gpu.timing import KernelTiming
 from repro.gpu.trace import trace_iteration
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.validation.compare import port_operator
 
 ITERATION_PHASES = ("lsqr.aprod1", "lsqr.normalize", "lsqr.aprod2",
@@ -55,7 +55,8 @@ def test_aprod_spans_dominate_iteration():
     the tiny shared fixture the per-phase spans are microseconds and
     the share is timing-flaky inside a full suite run.
     """
-    from repro.system import SystemDims, make_system
+    from repro.system.structure import SystemDims
+    from repro.system.generator import make_system
     dims = SystemDims(n_stars=150, n_obs=9000, n_deg_freedom_att=24,
                       n_instr_params=24, n_glob_params=1)
     system = make_system(dims, seed=7, noise_sigma=1e-10)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.portability import diff_studies, load_study, save_study
+from repro.portability.compare_runs import diff_studies
+from repro.portability.persistence import load_study, save_study
 from repro.portability.study import run_study
-from repro.system import SystemDims, make_system
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 
 
 # ----------------------------------------------------------------------

@@ -2,22 +2,24 @@
 
 import pytest
 
-from repro.frameworks import (
-    ALL_PORTS,
-    PORTS_BY_KEY,
+from repro.frameworks.base import (
     GeometryPolicy,
     UnsupportedPlatform,
-    port_by_key,
+    Port,
+    VendorSupport,
 )
-from repro.frameworks.base import Port, VendorSupport
 from repro.frameworks.registry import (
+    ALL_PORTS,
+    PORTS_BY_KEY,
+    port_by_key,
     CLUSTER_GPU_TABLE,
     COMPILE_FLAGS_AMD,
     COMPILE_FLAGS_NVIDIA,
     SOFTWARE_VERSIONS_NVIDIA,
     cpp_standard,
 )
-from repro.gpu import AtomicMode, Vendor
+from repro.gpu.atomics import AtomicMode
+from repro.gpu.device import Vendor
 from repro.gpu.platforms import H100, MI250X, T4
 
 

@@ -4,13 +4,16 @@ standard-error validation."""
 import numpy as np
 import pytest
 
-from repro.dist import profile_distributed_solve
-from repro.dist.profile import CommProfile, _payload_bytes
+from repro.dist.profile import (
+    profile_distributed_solve,
+    CommProfile,
+    _payload_bytes,
+)
 from repro.gpu.platforms import ALL_DEVICES, H100, T4
 from repro.gpu.roofline import roofline_report
-from repro.system import SystemDims
 from repro.system.sizing import dims_from_gb
-from repro.validation import run_monte_carlo
+from repro.system.structure import SystemDims
+from repro.validation.montecarlo import run_monte_carlo
 
 
 # ----------------------------------------------------------------------
@@ -41,7 +44,7 @@ def test_profile_summary_renders(comm_report):
 
 
 def test_profiled_solve_matches_unprofiled(small_system):
-    from repro.dist import distributed_lsqr_solve
+    from repro.dist.runner import distributed_lsqr_solve
 
     plain = distributed_lsqr_solve(small_system, 3, atol=1e-10)
     profiled = profile_distributed_solve(small_system, 3, atol=1e-10)

@@ -12,7 +12,8 @@ from repro.portability.metrics import (
     harmonic_mean,
     pennycook_p,
 )
-from repro.system import SystemDims, make_system
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 from repro.validation.compare import PortOperator
 
 # ----------------------------------------------------------------------
@@ -165,7 +166,7 @@ def test_adding_a_worse_platform_lowers_p(effs, extra):
 @settings(max_examples=10, deadline=None)
 @given(system=system_strategy())
 def test_serialization_roundtrip_property(system, tmp_path_factory):
-    from repro.system import load_system, save_system
+    from repro.system.dataset import load_system, save_system
 
     path = tmp_path_factory.mktemp("ds") / "sys.npz"
     loaded = load_system(save_system(system, path))
@@ -178,7 +179,7 @@ def test_serialization_roundtrip_property(system, tmp_path_factory):
 @given(dims=dims_strategy, seed=st.integers(0, 2**16),
        n_ranks=st.integers(1, 5))
 def test_partition_reassembly_roundtrip(dims, seed, n_ranks):
-    from repro.dist import partition_by_rows, slice_system
+    from repro.dist.decomposition import partition_by_rows, slice_system
 
     system = make_system(dims, seed=seed)
     n_ranks = min(n_ranks, dims.n_stars)

@@ -7,31 +7,27 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.api import (
-    STRATEGY_PRESETS,
-    ResilienceConfig,
-    SolveRequest,
-    solve,
-)
+from repro.api import STRATEGY_PRESETS, ResilienceConfig, SolveRequest, solve
 from repro.core.aprod import AprodOperator
 from repro.core.convergence import NormExplosionGuard
 from repro.core.engine import EngineState, StopReason
-from repro.dist import DistributedLSQR
 from repro.dist.decomposition import (
     RankBlock,
     gather_state,
     partition_by_rows,
     shard_state,
 )
-from repro.obs import Telemetry, to_markdown
-from repro.resilience import (
+from repro.dist.runner import DistributedLSQR
+from repro.obs.export import to_markdown
+from repro.obs.telemetry import Telemetry
+from repro.resilience.faults import (
     FaultKind,
     FaultPlan,
-    ResilientDistributedLSQR,
-    RetryPolicy,
     UnrecoverableFault,
+    PH_NORMALIZE,
 )
-from repro.resilience.faults import PH_NORMALIZE
+from repro.resilience.policy import RetryPolicy
+from repro.resilience.recovery import ResilientDistributedLSQR
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.frameworks import (
-    ClusterSpec,
-    port_by_key,
-    strong_scaling,
-    weak_scaling,
-)
+from repro.frameworks.registry import port_by_key
+from repro.frameworks.scaling import ClusterSpec, strong_scaling, weak_scaling
 from repro.gpu.platforms import A100, H100
 
 

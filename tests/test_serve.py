@@ -18,21 +18,18 @@ from repro.api import (
 )
 from repro.core.engine import StopReason
 from repro.obs.telemetry import Telemetry
-from repro.serve import (
-    AdmissionDecision,
-    DevicePool,
-    LoadGenerator,
-    LoadSpec,
-    PlacementCostModel,
-    ResultCache,
+from repro.serve.cache import ResultCache, request_key
+from repro.serve.cost import PlacementCostModel
+from repro.serve.job import AdmissionDecision, ServeJob
+from repro.serve.loadgen import LoadGenerator, LoadSpec
+from repro.serve.pool import DevicePool
+from repro.serve.scenario import (
     Scenario,
-    Scheduler,
-    ServeJob,
     load_scenario,
     parse_scenario,
-    request_key,
     run_scenario,
 )
+from repro.serve.scheduler import Scheduler
 
 DETERMINISTIC_SPEC = LoadSpec(n_jobs=10, distinct_systems=3,
                               scale=1e-4, iter_lim=30, seed=5,

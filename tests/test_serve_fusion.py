@@ -18,28 +18,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import (
-    PlacementConstraints,
-    SolveReport,
-    SolveRequest,
-    solve,
-)
+from repro.api import PlacementConstraints, SolveReport, SolveRequest, solve
 from repro.core.engine import StopReason
 from repro.obs.telemetry import Telemetry
-from repro.serve import (
-    DevicePool,
-    LoadGenerator,
-    LoadSpec,
+from repro.serve.cache import (
     ResultCache,
-    Scheduler,
-    ServeJob,
     fusion_key,
-    matrix_digest,
-    parse_scenario,
     request_key,
     shared_config_digest,
 )
-from repro.system import SystemDims, make_system
+from repro.serve.job import ServeJob
+from repro.serve.loadgen import LoadGenerator, LoadSpec
+from repro.serve.pool import DevicePool
+from repro.serve.scenario import parse_scenario
+from repro.serve.scheduler import Scheduler
+from repro.system.digest import matrix_digest
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 
 SMALL_DIMS = SystemDims(n_stars=20, n_obs=600, n_deg_freedom_att=12,
                         n_instr_params=18, n_glob_params=1)
@@ -402,7 +397,7 @@ def test_scheduler_rejects_bad_max_fuse():
 def test_fused_stream_end_to_end_scenario():
     """A whole scenario with fusion on: everything completes, fused
     batches form, and every report matches its solo solve."""
-    from repro.serve import build_scheduler
+    from repro.serve.scenario import build_scheduler
 
     tel = Telemetry()
     scenario = parse_scenario({

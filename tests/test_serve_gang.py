@@ -43,15 +43,11 @@ from repro.gpu.interconnect import (
     link_between,
 )
 from repro.gpu.platforms import placement_devices
-from repro.serve import (
-    AdmissionDecision,
-    DevicePool,
-    MEMORY_EPSILON_GB,
-    PlacementCostModel,
-    Scheduler,
-    ServeJob,
-    parse_scenario,
-)
+from repro.serve.cost import PlacementCostModel
+from repro.serve.job import AdmissionDecision, ServeJob
+from repro.serve.pool import DevicePool, MEMORY_EPSILON_GB
+from repro.serve.scenario import parse_scenario
+from repro.serve.scheduler import Scheduler
 from repro.system.generator import make_system
 from repro.system.sizing import dims_from_gb, shard_footprint_gb
 
@@ -444,7 +440,7 @@ def test_scenario_mixed_layout_rejected():
 def test_gang_example_scenario_loads():
     from pathlib import Path
 
-    from repro.serve import load_scenario
+    from repro.serve.scenario import load_scenario
 
     scenario = load_scenario(
         Path(__file__).resolve().parent.parent / "examples"

@@ -24,20 +24,14 @@ from hypothesis import strategies as st
 from repro.api import RequestSpec, SolveReport, SolveRequest
 from repro.core.engine import StopReason
 from repro.obs.telemetry import Telemetry
-from repro.serve import (
-    AdmissionDecision,
-    DevicePool,
-    LoadGenerator,
-    LoadSpec,
-    Scheduler,
-    ServeJob,
-    SystemStore,
-    active_segments,
-)
 from repro.serve import shm as shm_mod
-from repro.serve.cache import system_digest
-from repro.serve.shm import attach
+from repro.serve.job import AdmissionDecision, ServeJob
+from repro.serve.loadgen import LoadGenerator, LoadSpec
+from repro.serve.pool import DevicePool
+from repro.serve.scheduler import Scheduler
+from repro.serve.shm import SystemStore, active_segments, attach
 from repro.system.constraints import ConstraintRow, ConstraintSet
+from repro.system.digest import system_digest
 from repro.system.generator import make_system
 from repro.system.sizing import dims_from_gb
 from repro.system.sparse import MATRIX_FIELDS

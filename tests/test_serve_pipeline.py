@@ -24,13 +24,10 @@ from repro.api import (
     solve_batch,
 )
 from repro.obs.telemetry import Telemetry
-from repro.serve import (
-    AdmissionDecision,
-    DevicePool,
-    Scheduler,
-    ServeJob,
-)
-from repro.sessions import SessionStore
+from repro.serve.job import AdmissionDecision, ServeJob
+from repro.serve.pool import DevicePool
+from repro.serve.scheduler import Scheduler
+from repro.sessions.store import SessionStore
 from repro.system.digest import system_digest
 from repro.system.generator import make_system
 from repro.system.sizing import dims_from_gb

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from repro.api import SolveRequest, solve
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.serve.job import ServeJob
 from repro.serve.loadgen import LoadGenerator, LoadSpec
 from repro.serve.pool import DevicePool
 from repro.serve.scheduler import Scheduler
-from repro.sessions import SessionStore
+from repro.sessions.store import SessionStore
 from repro.system.generator import make_observation_block, make_system
 from repro.system.merge import append_observations
 from repro.system.sizing import dims_from_gb

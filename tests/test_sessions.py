@@ -20,19 +20,13 @@ from repro.api import ResilienceConfig, SolveRequest, solve
 from repro.core.aprod import aprod1
 from repro.core.engine import EngineState
 from repro.core.lsqr import lsqr_solve
-from repro.sessions import (
-    SessionStore,
-    record_solution,
-    resolve_warm_start,
-)
-from repro.system import (
-    SystemDims,
-    append_observations,
-    make_observation_block,
-    make_system,
-    system_digest,
-)
+from repro.sessions.store import SessionStore
+from repro.sessions.warmstart import record_solution, resolve_warm_start
+from repro.system.digest import system_digest
+from repro.system.generator import make_observation_block, make_system
+from repro.system.merge import append_observations
 from repro.system.sizing import dims_from_gb
+from repro.system.structure import SystemDims
 
 DIMS = SystemDims(n_stars=8, n_obs=160, n_deg_freedom_att=8,
                   n_instr_params=10, n_glob_params=0)

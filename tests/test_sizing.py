@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.system import (
+from repro.system.sizing import (
     BYTES_PER_OBSERVATION,
     dims_from_gb,
     device_footprint_bytes,
     system_from_gb,
     system_size_gb,
+    device_footprint_gb,
 )
-from repro.system.sizing import device_footprint_gb
 
 
 def test_bytes_per_observation_accounting():

@@ -4,24 +4,22 @@ cross-check."""
 import numpy as np
 import pytest
 
-from repro.core import lsqr_solve
+from repro.core.lsqr import lsqr_solve
+from repro.frameworks.registry import port_by_key
+from repro.gpu.platforms import H100
 from repro.solver_sim import (
     _check_solutions_agree,
     compare_frameworks,
     solvergaia_sim,
 )
-from repro.validation import (
-    agis_like_solution,
-    compare_with_agis,
+from repro.validation.agis import agis_like_solution, compare_with_agis
+from repro.validation.compare import solve_as_port, solve_production_reference
+from repro.validation.fig6 import (
     ascii_scatter,
     fig6_scatter,
     render_fig6,
     save_fig6_data,
-    solve_as_port,
-    solve_production_reference,
 )
-from repro.frameworks import port_by_key
-from repro.gpu.platforms import H100
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.system import GaiaSystem, make_system
-from repro.system.sparse import MATRIX_FIELDS
+from repro.system.generator import make_system
+from repro.system.sparse import GaiaSystem, MATRIX_FIELDS
 from repro.system.structure import SystemDims
 
 

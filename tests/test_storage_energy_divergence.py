@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.frameworks import port_by_key
-from repro.frameworks.registry import ALL_PORTS
-from repro.gpu import BOARD_TDP_W, energy_efficiency_table, energy_per_iteration
-from repro.gpu.energy import board_power
+from repro.frameworks.registry import port_by_key, ALL_PORTS
 from repro.gpu.device import DeviceSpec, Vendor
+from repro.gpu.energy import (
+    BOARD_TDP_W,
+    energy_efficiency_table,
+    energy_per_iteration,
+    board_power,
+)
 from repro.gpu.platforms import ALL_DEVICES, H100, MI250X, T4
 from repro.portability.divergence import (
     code_divergence,
@@ -15,8 +18,8 @@ from repro.portability.divergence import (
     navigation_chart,
     port_source_descriptor,
 )
-from repro.system import mission_dims, storage_comparison
 from repro.system.sizing import dims_from_gb
+from repro.system.storage import mission_dims, storage_comparison
 
 
 # ----------------------------------------------------------------------

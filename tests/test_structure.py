@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.system import SystemDims
 from repro.system.structure import (
+    SystemDims,
     ASTRO_PARAMS_PER_STAR,
     ATT_PARAMS_PER_ROW,
     GLOB_PARAMS_PER_ROW,

@@ -9,8 +9,8 @@ the relations the paper reports.
 import pytest
 
 from repro.gpu.device import Vendor
-from repro.portability import run_study
 from repro.portability.cascade import efficiency_cascade
+from repro.portability.study import run_study
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.dist import load_balance_report, partition_by_rows
+from repro.dist.decomposition import load_balance_report, partition_by_rows
 from repro.portability.study import platforms_for_size, run_study
 
 
@@ -34,7 +34,7 @@ def test_load_balance_report(small_system):
 
 
 def test_skewed_distribution_shows_imbalance(small_dims):
-    from repro.system import make_system
+    from repro.system.generator import make_system
 
     skewed = make_system(small_dims, seed=9,
                          obs_distribution="powerlaw")

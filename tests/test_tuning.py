@@ -6,11 +6,10 @@ shape is ``dims_from_gb(10.0)``.
 
 import pytest
 
-from repro.frameworks import port_by_key
+from repro.frameworks.registry import port_by_key
 from repro.gpu.platforms import A100, H100, MI250X, T4, V100
 from repro.system.sizing import dims_from_gb
-from repro.tuning import GeometrySweeper, SweepSpec
-from repro.tuning.sweep import geometry_candidates
+from repro.tuning.sweep import GeometrySweeper, SweepSpec, geometry_candidates
 
 
 def _sweep(key, device, **grid):

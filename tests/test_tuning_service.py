@@ -23,22 +23,21 @@ from repro.api import SolveReport, SolveRequest
 from repro.core.engine import StopReason
 from repro.gpu.platforms import device_by_name
 from repro.obs.telemetry import Telemetry
-from repro.serve import DevicePool, Scheduler, ServeJob
 from repro.serve.cost import PlacementCostModel
+from repro.serve.job import ServeJob
+from repro.serve.pool import DevicePool
 from repro.serve.scenario import parse_scenario, run_scenario
-from repro.tuning import (
-    GeometrySweeper,
-    MODEL_VERSION,
+from repro.serve.scheduler import Scheduler
+from repro.tuning.ablation import run_ablation
+from repro.tuning.cache import TunedConfigCache
+from repro.tuning.service import TuningService, tunable_ports_for
+from repro.tuning.sizeclass import (
     SIZE_CLASSES,
-    TunedConfigCache,
-    TuningService,
-    default_spec,
-    run_ablation,
-    run_tuning_study,
     size_class_by_label,
     size_class_for,
-    tunable_ports_for,
 )
+from repro.tuning.study import run_tuning_study
+from repro.tuning.sweep import GeometrySweeper, MODEL_VERSION, default_spec
 
 import numpy as np
 

@@ -7,14 +7,15 @@ from repro.api import SolveRequest, solve
 from repro.core.kernels.plan import FUSED_MIN_OBS
 from repro.frameworks.registry import ALL_PORTS, port_by_key
 from repro.gpu.platforms import H100, MI250X
-from repro.system import SystemDims, make_system
-from repro.validation import (
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
+from repro.validation.compare import (
     PortSolution,
     compare_solutions,
-    run_validation,
     solve_as_port,
     solve_production_reference,
 )
+from repro.validation.report import run_validation
 
 
 @pytest.fixture(scope="module")

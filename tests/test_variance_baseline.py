@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import lsqr_solve, standard_errors, textbook_lsqr
 from repro.core.aprod import AprodOperator
-from repro.core.baseline import scipy_reference
+from repro.core.baseline import textbook_lsqr, scipy_reference
+from repro.core.lsqr import lsqr_solve
 from repro.core.variance import (
+    standard_errors,
     MICROARCSEC_RAD,
     residual_variance,
     to_microarcsec,
