@@ -49,7 +49,10 @@ class BlockKernels:
             ("att", system.att_values, system.att_columns()),
             ("instr", system.instr_values, system.instr_columns()),
         )
-        self.glob = system.glob_values[:, 0] if d.n_glob_params else None
+        # A contiguous copy (8 B a row): BLAS dot sums a strided
+        # operand in another order.
+        self.glob = (np.ascontiguousarray(system.glob_values[:, 0])
+                     if d.n_glob_params else None)
         self.glob_col = d.glob_offset
         lanes = [(name, values.shape[1]) for name, values, _ in self.blocks]
         if self.glob is not None:

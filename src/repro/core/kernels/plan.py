@@ -11,9 +11,12 @@ the achievable efficiency.  This module is the tuned counterpart.
 
 - **Generate** (:class:`AprodPlan`): the observation block is compiled
   once to ``A_obs`` in CSR (:meth:`~repro.system.sparse.GaiaSystem.
-  observation_csr`, the one site that packs the four blocks) -- O(nnz),
-  no sort of any kind, never canonicalized.  Its transpose is the CSC
-  *view* of the same three arrays: nothing is built for it.
+  observation_csr`) -- O(nnz), no sort of any kind, never
+  canonicalized.  Its values *are* the system's coefficient block
+  (:attr:`~repro.system.sparse.GaiaSystem.coefficients`, wrapped, not
+  copied); only the 4 B column index per coefficient is packed.  Its
+  transpose is the CSC *view* of the same three arrays: nothing is
+  built for it.
 - **Apply**: both products and their ``K``-wide forms go through the
   format's native kernels over that one matrix (the column norms read
   its arrays a row block at a time).
@@ -34,6 +37,8 @@ the achievable efficiency.  This module is the tuned counterpart.
   kernel_plan.md``).
 - **Immutable**: the plan holds one matrix and no scratch state, so
   one compiled operator may be applied from several threads at once.
+  It aliases the system's coefficients, so a system mutated in place
+  while a solve runs on it gives undefined results.
 
 :func:`select_strategies` is the shape-based heuristic (the tuning
 sweep records its choice per size class) that decides when the plan
@@ -75,14 +80,15 @@ KERNEL_SET_SPELLINGS = {
 FUSED_KERNEL_NAMES = ("aprod1_fused", "aprod2_fused")
 
 #: Below this observation count the one-off plan build (packing the
-#: nnz coefficients) is not worth any per-iteration win, and the
+#: nnz column indices) is not worth any per-iteration win, and the
 #: heuristic keeps the block kernels.
 FUSED_MIN_OBS = 4096
 
-#: Memory budget of one plan.  Past this the heuristic falls back to
-#: the row-blocked block kernels, which hold about half the bytes and
-#: allocate one row block at a time, instead of materializing the
-#: compiled matrix.
+#: Memory budget of one plan: what :func:`plan_workspace_bytes` counts
+#: (the index block, the row pointers and a batch's stacked columns).
+#: Past this the heuristic falls back to the block kernels, which run
+#: a batch one member at a time, instead of materializing the compiled
+#: matrix.
 PLAN_BUDGET_BYTES = 4 << 30
 
 
@@ -125,9 +131,9 @@ class AprodPlan:
 
     @property
     def workspace_nbytes(self) -> int:
-        """Bytes held by the matrix (values, indices, row pointers)."""
-        return sum(arr.nbytes for arr in
-                   (self.A.data, self.A.indices, self.A.indptr))
+        """Bytes the plan allocated: the column indices and the row
+        pointers (the values are the system's coefficient block)."""
+        return self.A.indices.nbytes + self.A.indptr.nbytes
 
     def aprod1(self, x: np.ndarray, obs_out: np.ndarray) -> None:
         """``obs_out += A_obs @ x``."""
@@ -182,17 +188,17 @@ class StrategySelection:
 def plan_workspace_bytes(dims: SystemDims, batch: int = 1) -> int:
     """Predicted memory footprint of an :class:`AprodPlan`.
 
-    What the matrix holds -- 12 B per coefficient (an 8 B value and a
-    4 B index) plus the row-pointer array -- and, for every member past
-    the first, the operand and result columns a stacked product
-    allocates while it runs.  At ``batch=1`` this is
-    :attr:`AprodPlan.workspace_nbytes`.  (Past 2**31 coefficients SciPy
-    switches to 8 B indices; such a plan is over the budget either
-    way.)
+    What the plan allocates -- a 4 B column index per coefficient plus
+    the row-pointer array; the 8 B values are the system's own block --
+    and, for every member past the first, the operand and result
+    columns a stacked product allocates while it runs.  At ``batch=1``
+    this is :attr:`AprodPlan.workspace_nbytes`.  (Past 2**31
+    coefficients SciPy switches to 8 B indices; such a plan is over the
+    budget either way.)
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    held = 12 * dims.nnz + 4 * (dims.n_obs + 1)
+    held = 4 * dims.nnz + 4 * (dims.n_obs + 1)
     return held + (batch - 1) * 8 * (dims.n_obs + dims.n_params)
 
 
@@ -202,14 +208,13 @@ def select_strategies(dims: SystemDims, batch: int = 1
 
     Mirrors the paper's per-platform geometry tuning (§IV/§V-B) on the
     host: the compiled plan wins once its one-off build cost (packing
-    the nnz coefficients) amortizes over the iterations and the matrix
+    the nnz column indices) amortizes over the iterations and the plan
     fits the budget.
 
     - tiny systems (``n_obs`` < :data:`FUSED_MIN_OBS`): the block
       kernels -- the plan build dominates;
     - oversized plans (footprint past :data:`PLAN_BUDGET_BYTES`): the
-      block kernels, row-blocked, so they hold about half the plan's
-      bytes and allocate one row block at a time;
+      block kernels, which run a batch one member at a time;
     - everything else: the compiled matrix.
 
     ``batch`` is the intended trailing batch width: every further

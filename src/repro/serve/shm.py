@@ -11,7 +11,10 @@ that name, mapping the same physical pages zero-copy: the matrix a
 worker solves on is read-only NumPy views straight into the segment.
 The right-hand side (``known_terms`` and the constraint rhs values) is
 not in the segment: it rides in each task, and the worker binds it to
-the views with :meth:`AttachedMatrix.system`.  Within one store, jobs
+the views with :meth:`AttachedMatrix.system`.  The coefficients are
+one block in the segment, as they are in a system, so a worker's
+compiled plan wraps the shared pages as its values instead of copying
+them.  Within one store, jobs
 whose matrices share a digest (:func:`repro.system.digest.matrix_digest`)
 -- the members of a fused batch, a stream of re-observations -- share
 one segment and one worker mapping.  The digest is the one the job
@@ -26,10 +29,12 @@ Segment layout (one segment per matrix)::
 The header is JSON in a fixed schema, never a pickle: a worker maps
 whatever lives under the name it was sent, and reading its header must
 not be able to run code.  It carries the dimension tuple, the
-``(name, shape, dtype, offset)`` table of the blocks -- the seven
-matrix arrays, then each constraint row's ``cols`` and ``vals``, every
-block 64-byte aligned and written with ``np.copyto`` straight into the
-mapping -- and the constraint labels.  A header that does not parse
+``(name, shape, dtype, offset)`` table of the blocks -- the
+:data:`~repro.system.sparse.STORAGE_FIELDS` (the ``(n_obs,
+nnz_per_row)`` coefficient block and the three index arrays), then
+each constraint row's ``cols`` and ``vals``, every block 64-byte
+aligned and written with ``np.copyto`` straight into the mapping --
+and the constraint labels.  A header that does not parse
 into exactly that schema, with every block inside the mapping, makes
 the segment *not ready*.  ``meta`` is not shipped: it is free-form
 provenance, irrelevant to the numerics, and attached systems get a
@@ -74,7 +79,12 @@ import numpy as np
 
 from repro.system.constraints import ConstraintRow, ConstraintSet
 from repro.system.digest import matrix_digest
-from repro.system.sparse import MATRIX_FIELDS, GaiaSystem
+from repro.system.sparse import (
+    MATRIX_FIELDS,
+    STORAGE_FIELDS,
+    GaiaSystem,
+    split_coefficients,
+)
 from repro.system.structure import SystemDims
 
 #: Every segment the store creates is named with this prefix, which is
@@ -94,7 +104,7 @@ def _align(offset: int) -> int:
 
 def _block_names(labels: list[str] | None) -> list[str]:
     """Block names of a matrix with these constraint labels, in order."""
-    names = list(MATRIX_FIELDS)
+    names = list(STORAGE_FIELDS)
     for i in range(len(labels or ())):
         names += [f"constraint{i}.cols", f"constraint{i}.vals"]
     return names
@@ -106,7 +116,7 @@ def _pack(system: GaiaSystem
     d = system.dims
     rows = system.constraints
     labels = None if rows is None else [r.label for r in rows]
-    arrays = [getattr(system, name) for name in MATRIX_FIELDS]
+    arrays = [getattr(system, name) for name in STORAGE_FIELDS]
     arrays += [arr for r in rows or () for arr in (r.cols, r.vals)]
     table = []
     blocks: list[tuple[np.ndarray, int]] = []
@@ -269,12 +279,14 @@ class AttachedMatrix:
     """Zero-copy, read-only views of one published matrix.
 
     :meth:`system` binds a right-hand side to the views; every system
-    built from one attachment shares its pages.
+    built from one attachment shares its pages and its four coefficient
+    views (so its coefficient block is the segment's).
     """
 
     name: str
     dims: SystemDims
-    #: The seven :data:`~repro.system.sparse.MATRIX_FIELDS` views.
+    #: The seven :data:`~repro.system.sparse.MATRIX_FIELDS` views (the
+    #: four coefficient sections slice the segment's one block).
     arrays: dict[str, np.ndarray]
     #: ``(cols, vals, label)`` of each constraint row, or None when the
     #: published system had no constraint set.
@@ -332,6 +344,7 @@ def _views(buf: memoryview, header: dict, name: str,
         arr = _block(buf, base, shape, dtype, offset)
         arr.flags.writeable = False
         views[block] = arr
+    views.update(split_coefficients(views["coefficients"]))
     labels = header["constraints"]
     rows = None if labels is None else [
         (views[f"constraint{i}.cols"], views[f"constraint{i}.vals"], label)

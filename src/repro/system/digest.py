@@ -31,8 +31,12 @@ solved through a new request.
 
 The hex values are outputs -- session record names, warm-start
 provenance, cache keys -- and stay byte-identical across releases.
-Arrays are fed to SHA-256 as buffers (C order, exactly the bytes
-``tobytes()`` would give) with no intermediate copy.
+Every array is hashed as its C-order bytes, exactly what ``tobytes()``
+would give.  A contiguous array is fed to SHA-256 as its buffer; a
+strided one -- each coefficient section is a column slice of the
+system's one coefficient block -- is copied a row range of at most
+:data:`CHUNK_BYTES` at a time into one reused staging block, so the
+copy stays cache-resident and never grows with the system.
 
 The functions lived in ``repro.serve.cache`` first; they moved here so
 the ``system`` and ``sessions`` layers can address content without
@@ -47,6 +51,30 @@ import numpy as np
 
 from repro.system.sparse import MATRIX_FIELDS, GaiaSystem
 
+#: Upper bound of the staging copy a strided array is hashed through.
+CHUNK_BYTES = 256 << 10
+
+
+def _feed(h: "hashlib._Hash", arr: np.ndarray) -> None:
+    """Feed ``arr``'s C-order bytes into ``h``: its own buffer when it
+    is contiguous, else row ranges of at most :data:`CHUNK_BYTES`
+    copied through one reused staging block."""
+    if arr.flags.c_contiguous:
+        h.update(arr)
+        return
+    if arr.ndim == 2 and arr.strides[1] == arr.itemsize:
+        # Rows that are contiguous in themselves (a column slice of a
+        # block) are staged as one opaque record each, not element by
+        # element.
+        arr = arr.view(np.dtype((np.void, arr.shape[1] * arr.itemsize)))
+    step = max(1, CHUNK_BYTES // max(arr[:1].nbytes, 1))
+    stage = np.empty_like(arr[:step], order="C")
+    for lo in range(0, arr.shape[0], step):
+        rows = arr[lo:lo + step]
+        chunk = stage[:rows.shape[0]]
+        np.copyto(chunk, rows)
+        h.update(chunk)
+
 
 def _hash_matrix(h: "hashlib._Hash", system: GaiaSystem) -> None:
     """Feed the prefix both digests share into ``h``: the dimension
@@ -55,7 +83,7 @@ def _hash_matrix(h: "hashlib._Hash", system: GaiaSystem) -> None:
     h.update(repr((d.n_stars, d.n_obs, d.n_deg_freedom_att,
                    d.n_instr_params, d.n_glob_params)).encode())
     for name in MATRIX_FIELDS:
-        h.update(np.ascontiguousarray(getattr(system, name)))
+        _feed(h, getattr(system, name))
 
 
 def _hash_rest(h: "hashlib._Hash", system: GaiaSystem,

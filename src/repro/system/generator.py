@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.system.constraints import attitude_null_space_constraints
-from repro.system.sparse import GaiaSystem
+from repro.system.sparse import GaiaSystem, split_coefficients
 from repro.system.structure import (
     ASTRO_PARAMS_PER_STAR,
     ATT_AXES,
@@ -88,6 +88,35 @@ def _sorted_distinct_columns(
     base = rng.integers(0, n_cols - k + 1, size=(n_rows, k))
     base.sort(axis=1)
     return (base + np.arange(k)).astype(np.int32)
+
+
+#: Rows per coefficient draw: each section is drawn a row range at a
+#: time into its slice of the block, so no section-sized temporary is
+#: allocated.  A generator's stream does not depend on how its draws
+#: are split, so the coefficients are those of one whole-section draw.
+_DRAW_ROWS = 8192
+
+
+def _draw_coefficients(rng: np.random.Generator, n_rows: int,
+                       dims: SystemDims) -> np.ndarray:
+    """The ``(n_rows, nnz_per_row)`` coefficient block, section by section.
+
+    Partial derivatives of the observable w.r.t. the unknowns: order
+    unity for astro/attitude, smaller for the instrumental and global
+    sections (as in the real design matrix).
+    """
+    block = np.empty((n_rows, dims.nnz_per_row))
+    sections = split_coefficients(block)
+    for name, scale in (("astro_values", 1.0), ("att_values", 0.5),
+                        ("instr_values", 0.2), ("glob_values", 0.1)):
+        view = sections[name]
+        for lo in range(0, n_rows, _DRAW_ROWS):
+            rows = view[lo:lo + _DRAW_ROWS]
+            rows[...] = rng.normal(scale=scale, size=rows.shape)
+    # Guarantee a well-conditioned astrometric diagonal block.
+    astro = sections["astro_values"]
+    astro[:, 0] += np.sign(astro[:, 0]) + 0.5
+    return block
 
 
 def make_system(
@@ -165,26 +194,14 @@ def make_system(
         rng, m, INSTR_PARAMS_PER_ROW, dims.n_instr_params
     )
 
-    # Coefficients: partial derivatives of the observable w.r.t. the
-    # unknowns, order unity for astro/attitude, smaller for the
-    # instrumental and global sections (as in the real design matrix).
-    astro_values = rng.normal(loc=0.0, scale=1.0,
-                              size=(m, ASTRO_PARAMS_PER_STAR))
-    # Guarantee a well-conditioned astrometric diagonal block.
-    astro_values[:, 0] += np.sign(astro_values[:, 0]) + 0.5
-    att_values = rng.normal(scale=0.5, size=(m, ATT_PARAMS_PER_ROW))
-    instr_values = rng.normal(scale=0.2, size=(m, INSTR_PARAMS_PER_ROW))
-    glob_values = rng.normal(scale=0.1, size=(m, dims.n_glob_params))
+    coefficients = _draw_coefficients(rng, m, dims)
 
     if shuffle_rows:
         perm = rng.permutation(m)
         matrix_index_astro = matrix_index_astro[perm]
         matrix_index_att = matrix_index_att[perm]
         instr_col = instr_col[perm]
-        astro_values = astro_values[perm]
-        att_values = att_values[perm]
-        instr_values = instr_values[perm]
-        glob_values = glob_values[perm]
+        coefficients = np.take(coefficients, perm, axis=0)
 
     if x_true is None:
         x_true = draw_true_solution(dims, rng)
@@ -195,13 +212,10 @@ def make_system(
 
     system = GaiaSystem(
         dims=dims,
-        astro_values=astro_values,
+        **split_coefficients(coefficients),
         matrix_index_astro=matrix_index_astro,
-        att_values=att_values,
         matrix_index_att=matrix_index_att,
-        instr_values=instr_values,
         instr_col=instr_col,
-        glob_values=glob_values,
         known_terms=np.zeros(m),
         constraints=(
             attitude_null_space_constraints(dims) if with_constraints else None
@@ -286,23 +300,14 @@ def make_observation_block(
     instr_col = _sorted_distinct_columns(
         rng, n_new, INSTR_PARAMS_PER_ROW, d.n_instr_params
     )
-    astro_values = rng.normal(loc=0.0, scale=1.0,
-                              size=(n_new, ASTRO_PARAMS_PER_STAR))
-    astro_values[:, 0] += np.sign(astro_values[:, 0]) + 0.5
-    att_values = rng.normal(scale=0.5, size=(n_new, ATT_PARAMS_PER_ROW))
-    instr_values = rng.normal(scale=0.2,
-                              size=(n_new, INSTR_PARAMS_PER_ROW))
-    glob_values = rng.normal(scale=0.1, size=(n_new, d.n_glob_params))
+    coefficients = _draw_coefficients(rng, n_new, dims)
 
     block = GaiaSystem(
         dims=dims,
-        astro_values=astro_values,
+        **split_coefficients(coefficients),
         matrix_index_astro=matrix_index_astro,
-        att_values=att_values,
         matrix_index_att=matrix_index_att,
-        instr_values=instr_values,
         instr_col=instr_col,
-        glob_values=glob_values,
         known_terms=np.zeros(n_new),
         constraints=None,
         meta={

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.system.sparse import GaiaSystem
+from repro.system.sparse import GaiaSystem, split_coefficients
 
 
 def concatenate_systems(
@@ -32,7 +32,11 @@ def concatenate_systems(
     With ``resort`` (default) the merged rows are re-sorted by star so
     the astrometric fast path and the star-aligned decomposition keep
     working; the constraint set is taken from ``a`` (they describe the
-    same unknown space).
+    same unknown space).  Each merged array is allocated once and each
+    input's rows are written straight to their merged positions: no
+    concatenated intermediate, so a merge holds the two inputs and the
+    result, and a growing chain leaves no result-sized holes in the
+    heap.
     """
     da, db = a.dims, b.dims
     same_space = (
@@ -49,26 +53,31 @@ def concatenate_systems(
     from dataclasses import replace
 
     dims = replace(da, n_obs=da.n_obs + db.n_obs)
-
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate([getattr(a, name), getattr(b, name)],
-                              axis=0)
-
-    arrays = {
-        name: cat(name)
-        for name in ("astro_values", "matrix_index_astro", "att_values",
-                     "matrix_index_att", "instr_values", "instr_col",
-                     "glob_values", "known_terms")
-    }
+    rows = (slice(0, da.n_obs), slice(da.n_obs, dims.n_obs))
     if resort:
-        order = np.argsort(arrays["matrix_index_astro"], kind="stable")
-        arrays = {name: arr[order] for name, arr in arrays.items()}
+        stars = np.concatenate([a.matrix_index_astro, b.matrix_index_astro])
+        order = np.argsort(stars, kind="stable")
+        # Where each input row lands: the inverse of the sort order.
+        where = np.empty_like(order)
+        where[order] = np.arange(dims.n_obs)
+        rows = (where[rows[0]], where[rows[1]])
+
+    arrays = {}
+    for name in ("coefficients", "matrix_index_astro", "matrix_index_att",
+                 "instr_col", "known_terms"):
+        parts = (getattr(a, name), getattr(b, name))
+        merged = np.empty((dims.n_obs,) + parts[0].shape[1:],
+                          dtype=np.result_type(*parts))
+        for part, at in zip(parts, rows):
+            merged[at] = part
+        arrays[name] = merged
 
     return GaiaSystem(
         dims=dims,
         constraints=a.constraints,
         meta={"merged_from": (a.dims.n_obs, b.dims.n_obs),
               "resorted": resort},
+        **split_coefficients(arrays.pop("coefficients")),
         **arrays,
     )
 
@@ -128,26 +137,10 @@ def split_rows(system: GaiaSystem, row: int) -> tuple[GaiaSystem,
     Both halves keep the full unknown space; the constraint set rides
     with the first half (matching the merge convention).
     """
-    from dataclasses import replace
-
     m = system.dims.n_obs
     if not 0 < row < m:
         raise ValueError(f"row must be in (0, {m}), got {row}")
-
-    def piece(sl: slice, with_constraints: bool) -> GaiaSystem:
-        return GaiaSystem(
-            dims=replace(system.dims,
-                         n_obs=(sl.stop or m) - (sl.start or 0)),
-            astro_values=system.astro_values[sl],
-            matrix_index_astro=system.matrix_index_astro[sl],
-            att_values=system.att_values[sl],
-            matrix_index_att=system.matrix_index_att[sl],
-            instr_values=system.instr_values[sl],
-            instr_col=system.instr_col[sl],
-            glob_values=system.glob_values[sl],
-            known_terms=system.known_terms[sl],
-            constraints=system.constraints if with_constraints else None,
-            meta={"split_from": m},
-        )
-
-    return piece(slice(0, row), True), piece(slice(row, m), False)
+    meta = {"split_from": m}
+    return (system.row_range(0, row, constraints=system.constraints,
+                             meta=meta),
+            system.row_range(row, m, meta=dict(meta)))

@@ -16,7 +16,7 @@ import pytest
 from repro.system import digest as digest_mod
 from repro.system.digest import matrix_digest, system_digest
 from repro.system.generator import make_system
-from repro.system.sparse import MATRIX_FIELDS
+from repro.system.sparse import MATRIX_FIELDS, VALUE_FIELDS
 from repro.system.structure import SystemDims
 
 _GLOB = SystemDims(n_stars=20, n_obs=600, n_deg_freedom_att=12,
@@ -69,24 +69,45 @@ def test_layout_does_not_change_the_digest():
 
 
 class _Recorder:
-    """A hash sink that records what each ``update`` was handed."""
+    """A hash sink that records what each ``update`` was handed, and the
+    bytes it held then (a staging block is reused)."""
 
     def __init__(self):
         self.fed = []
+        self.bytes = []
 
     def update(self, data):
         self.fed.append(data)
+        self.bytes.append(data.tobytes() if isinstance(data, np.ndarray)
+                          else bytes(data))
 
 
 def test_arrays_are_hashed_as_buffers_not_byte_copies():
-    system = _pinned((_GLOB, 11, True))
+    """Contiguous arrays are fed as their own buffers; each coefficient
+    section -- a strided column slice of the system's block -- is fed
+    as its C-order bytes in row chunks of at most ``CHUNK_BYTES``, and
+    no chunk holds all ``n_obs`` rows (no full-section copy)."""
+    dims = SystemDims(n_stars=2000, n_obs=40_000, n_deg_freedom_att=40,
+                      n_instr_params=60, n_glob_params=1)
+    system = make_system(dims, seed=11, noise_sigma=1e-10)
     sink = _Recorder()
     digest_mod._hash_matrix(sink, system)
     digest_mod._hash_rest(sink, system, include_rhs=True)
-    arrays = sink.fed[1:]  # after the dimension tuple
-    n_rows = len(system.constraints)
-    assert len(arrays) == len(MATRIX_FIELDS) + 1 + 3 * n_rows
-    copies = [d for d in arrays if isinstance(d, bytes)
-              and len(d) >= system.dims.n_obs]
-    assert copies == []
-    assert sink.fed[1] is system.astro_values
+    fed = iter(zip(sink.fed[1:], sink.bytes[1:]))  # after the dims
+    for name in MATRIX_FIELDS:
+        arr = getattr(system, name)
+        if name in VALUE_FIELDS:
+            assert not arr.flags.c_contiguous, name
+        if arr.flags.c_contiguous:
+            assert next(fed)[0] is arr, name
+            continue
+        got = b""
+        while len(got) < arr.nbytes:
+            chunk, data = next(fed)
+            assert isinstance(chunk, np.ndarray), name
+            assert chunk.nbytes <= digest_mod.CHUNK_BYTES, name
+            assert chunk.shape[0] < dims.n_obs, name
+            got += data
+        assert got == arr.tobytes(), name
+    assert next(fed)[0] is system.known_terms
+    assert len(list(fed)) == 3 * len(system.constraints)

@@ -150,20 +150,38 @@ def test_every_source_module_has_a_docstring():
         assert head.startswith('"""'), f"{path} lacks a module docstring"
 
 
-def test_usage_doc_imports_resolve():
-    """Every `from repro... import ...` line in docs/usage.md works."""
-    text = (ROOT / "docs" / "usage.md").read_text()
-    imports = [ln.strip() for ln in text.splitlines()
-               if ln.strip().startswith("from repro")]
-    assert imports
-    checked = 0
-    for stmt in imports:
-        # Skip multi-line imports (unbalanced parentheses in one line).
-        if stmt.count("(") != stmt.count(")"):
-            continue
-        exec(stmt, {})  # noqa: S102 - doc verification
-        checked += 1
-    assert checked >= 10
+#: A fenced code block of a Markdown file: ``(language, body)``.
+_FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.S | re.M)
+
+
+def _doc_imports():
+    """``(doc, statement, wrapped)`` of every ``from repro... import`` in
+    a fenced python block of ``docs/*.md``, found by parsing the block,
+    so an import wrapped over several lines counts like any other."""
+    for doc in sorted((ROOT / "docs").glob("*.md")):
+        for lang, body in _FENCE.findall(doc.read_text()):
+            if lang not in ("python", "py"):
+                continue
+            for node in ast.walk(ast.parse(body, filename=doc.name)):
+                if (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").split(".")[0] == "repro"):
+                    yield (doc.name, ast.unparse(node),
+                           node.end_lineno > node.lineno)
+
+
+def test_doc_imports_resolve():
+    """Every ``from repro... import`` in a python block of ``docs/``
+    works, parenthesised multi-line imports included."""
+    imports = list(_doc_imports())
+    assert {"usage.md", "observability.md", "sessions.md"} <= {
+        doc for doc, _, _ in imports}
+    assert any(wrapped for _, _, wrapped in imports)
+    for doc, stmt, _ in imports:
+        try:
+            exec(stmt, {})  # noqa: S102 - doc verification
+        except ImportError as exc:
+            raise AssertionError(f"docs/{doc}: {stmt}: {exc}") from exc
+    assert len(imports) >= 50
 
 
 def test_pyproject_console_script_points_at_main():

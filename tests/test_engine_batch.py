@@ -422,10 +422,10 @@ def test_batch_multiplier_pushes_selection_off_the_fused_plan():
                       n_glob_params=1)
     solo = select_strategies(dims)
     assert solo.kernels == "compiled"
-    wide = select_strategies(dims, batch=256)
+    wide = select_strategies(dims, batch=512)
     assert wide.kernels == "blocks"
-    assert "batch=256" in wide.reason
-    assert plan_workspace_bytes(dims, 256) > PLAN_BUDGET_BYTES
+    assert "batch=512" in wide.reason
+    assert plan_workspace_bytes(dims, 512) > PLAN_BUDGET_BYTES
 
 
 def test_plan_workspace_bytes_monotone_in_batch():

@@ -1,5 +1,7 @@
 """Failure-injection tests: degenerate inputs and broken states."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from repro.core.cgls import cgls_solve
 from repro.core.engine import StopReason
 from repro.core.lsqr import lsqr_solve
 from repro.system.generator import make_system
-from repro.system.sparse import GaiaSystem
 from repro.system.structure import SystemDims
 
 
@@ -17,12 +18,9 @@ def rank_deficient_system(small_dims):
     so its five columns are exactly zero (a rank-deficient design)."""
     system = make_system(small_dims, seed=31, noise_sigma=0.0,
                          with_constraints=False)
-    broken = GaiaSystem.__new__(GaiaSystem)
-    broken.__dict__.update(system.__dict__)
     values = system.astro_values.copy()
     values[system.star_ids == 3] = 0.0  # star 3 observed but blind
-    broken.astro_values = values
-    return broken
+    return replace(system, astro_values=values)
 
 
 def test_zero_columns_survive_preconditioning(rank_deficient_system):
@@ -45,12 +43,10 @@ def test_conlim_stop_on_near_singular(small_dims):
     """A nearly dependent column pair trips the condition-limit stop
     instead of looping forever."""
     system = make_system(small_dims, seed=32, noise_sigma=1e-12)
-    broken = GaiaSystem.__new__(GaiaSystem)
-    broken.__dict__.update(system.__dict__)
     values = system.att_values.copy()
     # Make two attitude columns nearly collinear via their rows.
     values[:, 1] = values[:, 0] * (1 + 1e-13)
-    broken.att_values = values
+    broken = replace(system, att_values=values)
     res = lsqr_solve(broken, atol=0.0, btol=0.0, conlim=1e6,
                      iter_lim=5000)
     assert res.istop in (StopReason.CONLIM_WARN, StopReason.CONLIM_EPS,

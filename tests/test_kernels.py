@@ -193,7 +193,9 @@ def test_glob_aprod2_strategies_agree(small_system, rng, strategy):
     the loop reference's scatter into the one column.  No other block
     touches the global column."""
     d = small_system.dims
-    values = small_system.glob_values[:, 0]
+    # The column as a contiguous vector: BLAS dot sums a strided
+    # operand (a column of the coefficient block) in another order.
+    values = np.ascontiguousarray(small_system.glob_values[:, 0])
     y = rng.normal(size=d.n_obs)
     out = np.zeros(d.n_params)
     if strategy == "loop":

@@ -52,6 +52,24 @@ def test_merge_keeps_star_sorting(small_system):
     assert np.all(np.diff(merged.star_ids) >= 0)
 
 
+@pytest.mark.parametrize("resort", [True, False])
+def test_merge_is_the_stable_sort_of_the_concatenation(small_dims, resort):
+    """Reference: each merged array is the two inputs concatenated and,
+    when resorting, taken in stable star order -- bit for bit."""
+    a = make_system(small_dims, seed=3)
+    b = make_system(small_dims, seed=4, shuffle_rows=True,
+                    with_constraints=False)
+    merged = concatenate_systems(a, b, resort=resort)
+    stars = np.concatenate([a.matrix_index_astro, b.matrix_index_astro])
+    order = (np.argsort(stars, kind="stable") if resort
+             else np.arange(stars.size))
+    for name in ("coefficients", "matrix_index_astro", "matrix_index_att",
+                 "instr_col", "known_terms"):
+        want = np.concatenate([getattr(a, name), getattr(b, name)])[order]
+        got = getattr(merged, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def test_merge_rejects_different_spaces(small_system, noglob_system):
     with pytest.raises(ValueError, match="unknown spaces"):
         concatenate_systems(small_system, noglob_system)

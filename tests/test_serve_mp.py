@@ -190,17 +190,20 @@ def test_no_constraint_set_and_an_empty_one_share_a_segment():
 
 
 def test_segment_holds_the_matrix_and_a_json_header_only():
-    """The segment is the seven matrix arrays and the constraint rows'
-    ``cols``/``vals`` behind a JSON header: no right-hand side, no
-    pickle."""
+    """The segment is the coefficient block, the three index arrays and
+    the constraint rows' ``cols``/``vals`` behind a JSON header: no
+    right-hand side, no pickle."""
     system = _small_system(seed=28, with_constraints=True)
     with SystemStore() as store:
         name = store.publish(system)
         buf = store._segments[name].buf
         hlen = int.from_bytes(buf[:8], "little")
         header = json.loads(bytes(buf[8:8 + hlen]))
-        assert [b[0] for b in header["blocks"]] == list(MATRIX_FIELDS) + [
-            "constraint0.cols", "constraint0.vals"]
+        assert [b[0] for b in header["blocks"]] == [
+            "coefficients", "matrix_index_astro", "matrix_index_att",
+            "instr_col", "constraint0.cols", "constraint0.vals"]
+        assert header["blocks"][0][1] == [system.dims.n_obs,
+                                          system.dims.nnz_per_row]
         assert header["constraints"] == ["test-row"]
         assert all(b[3] % 64 == 0 for b in header["blocks"])
         matrix_bytes = (

@@ -1,5 +1,7 @@
 """Unit tests for the compressed storage scheme."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -64,12 +66,14 @@ def test_observation_csr_is_the_reference_packing(request, fixture):
 
 
 def test_observation_csr_hands_scipy_its_final_arrays(small_system):
-    """The index and value blocks are packed once, in their final
-    dtype, and SciPy keeps them as they are: no conversion copy."""
+    """The index block is packed once, in its final dtype, the values
+    are the system's coefficient block, and SciPy keeps both as they
+    are: no conversion copy."""
     a = small_system.observation_csr()
     block = (small_system.dims.n_obs, small_system.dims.nnz_per_row)
-    for arr in (a.data, a.indices):
-        assert arr.base is not None and arr.base.shape == block
+    assert a.indices.base is not None and a.indices.base.shape == block
+    assert np.shares_memory(a.data, small_system.coefficients)
+    assert np.array_equal(a.data, small_system.coefficients.reshape(-1))
     assert a.indices.dtype == a.indptr.dtype == np.int32
 
 
@@ -177,21 +181,15 @@ def test_rhs_appends_constraint_rows(small_system):
 
 
 def test_validate_rejects_bad_shapes(small_system):
-    broken = GaiaSystem.__new__(GaiaSystem)
-    broken.__dict__.update(small_system.__dict__)
-    broken.astro_values = small_system.astro_values[:, :4]
     with pytest.raises(ValueError, match="astro_values"):
-        broken.validate()
+        replace(small_system, astro_values=small_system.astro_values[:, :4])
 
 
 def test_validate_rejects_nonfinite(small_system):
-    broken = GaiaSystem.__new__(GaiaSystem)
-    broken.__dict__.update(small_system.__dict__)
     bad = small_system.att_values.copy()
     bad[0, 0] = np.nan
-    broken.att_values = bad
     with pytest.raises(ValueError, match="non-finite"):
-        broken.validate()
+        replace(small_system, att_values=bad)
 
 
 def test_validate_rejects_misaligned_astro_index(small_system):
