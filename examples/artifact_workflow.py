@@ -9,7 +9,8 @@ same solution.
 Run:  python examples/artifact_workflow.py
 """
 
-from repro.frameworks import compile_command, port_by_key
+from repro.frameworks.flags import compile_command
+from repro.frameworks.registry import port_by_key
 from repro.frameworks.port_matrix import capability_matrix
 from repro.gpu.platforms import H100, MI250X
 from repro.solver_sim import _check_solutions_agree, compare_frameworks

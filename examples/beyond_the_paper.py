@@ -14,14 +14,14 @@ Four analyses the paper motivates but does not run:
 Run:  python examples/beyond_the_paper.py
 """
 
-from repro.frameworks import PSTL_EXECUTORS, port_by_key
-from repro.frameworks.registry import ALL_PORTS
-from repro.gpu import energy_efficiency_table
+from repro.frameworks.executors_future import PSTL_EXECUTORS
+from repro.frameworks.registry import ALL_PORTS, port_by_key
+from repro.gpu.energy import energy_efficiency_table
 from repro.gpu.platforms import ALL_DEVICES
 from repro.portability import navigation_chart
 from repro.portability.study import run_study
-from repro.system import mission_dims, storage_comparison
 from repro.system.sizing import dims_from_gb
+from repro.system.storage import mission_dims, storage_comparison
 
 
 def main() -> None:

@@ -11,14 +11,15 @@ Run:  python examples/convergence_study.py
 
 import numpy as np
 
-from repro.core import (
+from repro.core.cgls import cgls_solve
+from repro.core.convergence import (
     ConvergenceHistory,
-    cgls_solve,
-    lsqr_solve,
     lsqr_solve_reorthogonalized,
     orthogonality_drift,
 )
-from repro.system import SystemDims, make_system
+from repro.core.lsqr import lsqr_solve
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 from repro.validation import compare_with_agis
 
 

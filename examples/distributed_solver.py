@@ -9,9 +9,10 @@ Run:  python examples/distributed_solver.py
 
 import numpy as np
 
-from repro.core import lsqr_solve
+from repro.core.lsqr import lsqr_solve
 from repro.dist import distributed_lsqr_solve, partition_by_rows
-from repro.system import SystemDims, make_system
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 
 
 def main() -> None:

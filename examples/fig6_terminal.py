@@ -7,9 +7,10 @@ the one-to-one line -- every marker must sit on it.
 Run:  python examples/fig6_terminal.py
 """
 
-from repro.frameworks import port_by_key
+from repro.frameworks.registry import port_by_key
 from repro.gpu.platforms import H100, MI250X
-from repro.system import SystemDims, make_system
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 from repro.validation import (
     fig6_scatter,
     render_fig6,

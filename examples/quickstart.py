@@ -10,10 +10,11 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import lsqr_solve, standard_errors
 from repro.core.baseline import scipy_reference
-from repro.core.variance import to_microarcsec
-from repro.system import SystemDims, make_system_with_solution
+from repro.core.lsqr import lsqr_solve
+from repro.core.variance import standard_errors, to_microarcsec
+from repro.system.generator import make_system_with_solution
+from repro.system.structure import SystemDims
 from repro.system.solution import split_solution
 
 

@@ -8,7 +8,7 @@ to ~40% of the iteration time.
 Run:  python examples/tuning_sweep.py
 """
 
-from repro.frameworks import port_by_key
+from repro.frameworks.registry import port_by_key
 from repro.gpu.platforms import ALL_DEVICES
 from repro.system.sizing import dims_from_gb
 from repro.tuning import GeometrySweeper, default_spec, size_class_for

@@ -12,7 +12,8 @@ import numpy as np
 
 from repro.frameworks.registry import port_by_key
 from repro.gpu.platforms import H100, MI250X
-from repro.system import SystemDims, make_system
+from repro.system.generator import make_system
+from repro.system.structure import SystemDims
 from repro.validation import (
     compare_solutions,
     run_validation,

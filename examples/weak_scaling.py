@@ -7,7 +7,8 @@ strong scaling of one 60 GB problem, for two contrasting ports.
 Run:  python examples/weak_scaling.py
 """
 
-from repro.frameworks import port_by_key, strong_scaling, weak_scaling
+from repro.frameworks.registry import port_by_key
+from repro.frameworks.scaling import strong_scaling, weak_scaling
 from repro.gpu.platforms import A100, H100
 
 

@@ -33,7 +33,9 @@ import numpy as np
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.system import dims_from_gb, make_system, save_system
+    from repro.system.dataset import save_system
+    from repro.system.generator import make_system
+    from repro.system.sizing import dims_from_gb
 
     dims = dims_from_gb(args.size_gb)
     print(dims.describe())
@@ -48,7 +50,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # the CLI only loads/generates the system and formats the report.
     from repro.api import SolveRequest, solve
     from repro.core.variance import to_microarcsec
-    from repro.system import load_system, make_system, dims_from_gb
+    from repro.system.dataset import load_system
+    from repro.system.generator import make_system
+    from repro.system.sizing import dims_from_gb
 
     if args.dataset:
         system = load_system(args.dataset)
@@ -85,7 +89,8 @@ CHAOS_SCENARIOS: dict[str, dict] = {
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.api import ResilienceConfig, SolveRequest, solve
-    from repro.system import make_system, dims_from_gb
+    from repro.system.generator import make_system
+    from repro.system.sizing import dims_from_gb
 
     system = make_system(dims_from_gb(args.size_gb), seed=args.seed,
                          noise_sigma=args.noise)
@@ -153,7 +158,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.system import SystemDims, make_system
+    from repro.system.generator import make_system
+    from repro.system.structure import SystemDims
     from repro.validation import run_validation
 
     dims = SystemDims(
@@ -170,7 +176,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.frameworks import port_by_key
+    from repro.frameworks.registry import port_by_key
     from repro.gpu.platforms import device_by_name
     from repro.tuning import (
         TunedConfigCache,
@@ -208,7 +214,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    from repro.frameworks import port_by_key, strong_scaling, weak_scaling
+    from repro.frameworks.registry import port_by_key
+    from repro.frameworks.scaling import strong_scaling, weak_scaling
     from repro.gpu.platforms import device_by_name
 
     port = port_by_key(args.port)
@@ -229,8 +236,8 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    from repro.frameworks import port_by_key
-    from repro.gpu import energy_efficiency_table
+    from repro.frameworks.registry import port_by_key
+    from repro.gpu.energy import energy_efficiency_table
     from repro.gpu.platforms import ALL_DEVICES
     from repro.system.sizing import dims_from_gb
 
@@ -265,7 +272,7 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_storage(args: argparse.Namespace) -> int:
-    from repro.system import mission_dims, storage_comparison
+    from repro.system.storage import mission_dims, storage_comparison
     from repro.system.sizing import dims_from_gb
 
     dims = mission_dims() if args.mission else dims_from_gb(args.size_gb)
@@ -318,8 +325,8 @@ TELEMETRY_SIZES = {
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from repro.core import lsqr_solve
-    from repro.frameworks import port_by_key
+    from repro.core.lsqr import lsqr_solve
+    from repro.frameworks.registry import port_by_key
     from repro.frameworks.executor import model_iteration
     from repro.gpu.platforms import device_by_name
     from repro.gpu.profiler import Profiler
@@ -330,7 +337,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         write_chrome_trace,
         write_flat_json,
     )
-    from repro.system import SystemDims, make_system
+    from repro.system.generator import make_system
+    from repro.system.structure import SystemDims
 
     n_stars, obs_per_star = TELEMETRY_SIZES[args.size]
     dims = SystemDims(
@@ -713,9 +721,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "stuck instead of hanging the run)")
     sv.add_argument("--tuning", action="store_true",
                     help="enable the online tuning service regardless "
-                         "of the scenario: tuning-aware placement "
-                         "prices plus low-priority background "
-                         "geometry sweeps (see docs/tuning.md)")
+                         "of the scenario: the pool x load-mix "
+                         "geometry sweeps fill the tuned-config cache "
+                         "before the run, and placement prices from "
+                         "it (see docs/tuning.md)")
     sv.add_argument("--allow-gang", action="store_true",
                     help="let too-large jobs shard across multiple "
                          "lanes as a gang-scheduled multi-rank solve "

@@ -22,12 +22,3 @@ matrix-vector products ``aprod1`` (``b += A x``) and ``aprod2``
 - :mod:`repro.core.baseline` -- a textbook LSQR and a SciPy
   cross-check used as comparators.
 """
-
-from repro.core.cgls import cgls_solve
-from repro.core.convergence import (
-    ConvergenceHistory,
-    lsqr_solve_reorthogonalized,
-    orthogonality_drift,
-)
-from repro.core.lsqr import lsqr_solve
-from repro.core.variance import standard_errors

@@ -26,8 +26,3 @@ LSQR iteration workload through a port on a device of the GPU
 substrate; :mod:`repro.frameworks.registry` holds the full roster and
 the software/flag tables (Tables I-IV).
 """
-
-from repro.frameworks.executors_future import PSTL_EXECUTORS
-from repro.frameworks.flags import compile_command
-from repro.frameworks.registry import port_by_key
-from repro.frameworks.scaling import strong_scaling, weak_scaling

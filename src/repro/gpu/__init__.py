@@ -24,5 +24,3 @@ quantities that govern the paper's results --
 Absolute seconds are calibrated to the same order of magnitude as the
 paper; all figure reproductions depend only on *relative* efficiency.
 """
-
-from repro.gpu.energy import energy_efficiency_table

@@ -32,8 +32,8 @@ historical behavior (the always-tuned §V-B table) byte for byte.
 Estimates are deterministic (the executor model is analytic) and
 memoized per ``(size, device, framework)``.  Tuning-aware memos also
 record the cache *generation* they were priced under and recompute
-when a background sweep has landed since -- a stale price can never
-outlive a newer tuned entry (see ``docs/tuning.md``).
+when a sweep has landed in a shared cache since -- a stale price can
+never outlive a newer tuned entry (see ``docs/tuning.md``).
 """
 
 from __future__ import annotations

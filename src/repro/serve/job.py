@@ -20,8 +20,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
-
 from repro.api import PlacementConstraints, SolveRequest
 from repro.serve.cache import fusion_key
 from repro.system.sizing import (
@@ -60,14 +58,6 @@ class ServeJob:
     admission and placement charge against ``DeviceSpec.memory_gb``.
     ``arrival_s`` is an optional open-loop arrival offset relative to
     the start of the run (0 = already queued).
-
-    A job with a ``work_fn`` is a **background job** (the tuning
-    service's sweep probes): it goes through admission, the priority
-    queue, and lane placement exactly like a solve -- that contention
-    is the point -- but the dispatcher calls ``work_fn()`` instead of
-    the solve backend and records its return value as
-    ``JobOutcome.result``.  Background jobs ride at a low (high-
-    numbered) priority so interactive traffic always outranks them.
     """
 
     request: SolveRequest
@@ -76,8 +66,6 @@ class ServeJob:
     arrival_s: float = 0.0
     job_id: str = ""
     footprint_gb: float = field(default=0.0)
-    #: Background work to run on the placed lane instead of a solve.
-    work_fn: Callable[[], object] | None = None
 
     def __post_init__(self) -> None:
         if self.nominal_gb <= 0:
@@ -120,12 +108,10 @@ class ServeJob:
         request must not already be distributed, and must carry nothing
         the distributed engine forbids (``damp``/``x0``) or that the
         gang path manages itself (``checkpoint_path`` -- migration owns
-        the checkpoint file).  Background work functions never
-        gang.
+        the checkpoint file).
         """
         r = self.request
-        return (self.work_fn is None
-                and r.ranks == 1
+        return (r.ranks == 1
                 and r.damp == 0.0
                 and r.x0 is None
                 and r.checkpoint_path is None
@@ -137,11 +123,6 @@ class ServeJob:
         return shard * (1.0 + self.constraints.memory_headroom)
 
     @property
-    def is_background(self) -> bool:
-        """True for work-function (non-solve) jobs."""
-        return self.work_fn is not None
-
-    @property
     def fusible(self) -> bool:
         """Can this job ride in a fused many-RHS batch at all?
 
@@ -150,10 +131,8 @@ class ServeJob:
         checkpointing, checkpoint resumes and per-request telemetry
         sinks all need the solo driver (their side effects cannot be
         demultiplexed from a shared batched sweep, which always starts
-        cold).  Background work functions never fuse.
+        cold).
         """
-        if self.work_fn is not None:
-            return False
         r = self.request
         return (r.ranks == 1
                 and r.resilience is None
@@ -172,25 +151,15 @@ class ServeJob:
         segments, each resuming the previous one's
         :class:`~repro.core.engine.EngineState` archive, so a more
         urgent arrival can park it mid-solve.  Only a *plain* serial
-        request is admitted: a caller-provided resilience config would
+        request is admitted -- a :attr:`fusible` one without
+        ``damp``/``x0``: a caller-provided resilience config would
         change the numerics (each slice restart would reset its fault
         streams), callbacks / telemetry / explicit checkpointing need
-        the solo driver's side channels, ``damp``/``x0``/``ranks > 1``
-        jobs have not been let in yet, and background work functions
-        never slice.
+        the solo driver's side channels, and ``damp``/``x0``/``ranks > 1``
+        jobs have not been let in yet.
         """
-        if self.work_fn is not None:
-            return False
-        r = self.request
-        return (r.ranks == 1
-                and r.damp == 0.0
-                and r.x0 is None
-                and r.resilience is None
-                and r.callback is None
-                and r.telemetry is None
-                and r.checkpoint_every is None
-                and r.checkpoint_path is None
-                and r.resume_from is None)
+        return (self.fusible and self.request.damp == 0.0
+                and self.request.x0 is None)
 
     @property
     def fusion_shape(self) -> tuple:

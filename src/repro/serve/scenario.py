@@ -9,13 +9,12 @@ scenario like::
                     "max_fuse": 1, "include_projected": false,
                     "allow_gang": false, "max_shards": 1,
                     "memory_headroom": 0.0,
-                    "tuning": {"enabled": false, "budget_jobs": 8,
-                               "priority": 100, "cache_dir": null}},
+                    "tuning": {"enabled": false, "cache_dir": null}},
       "scheduler": {"workers": 4, "max_queue_depth": 32,
                     "cache_capacity": 64, "max_replacements": 1,
                     "drain_timeout_s": 60.0, "mp_workers": null},
       "sessions": {"enabled": false, "dir": null, "budget_mb": 64,
-                   "preempt_slice": null, "max_preemptions": 8},
+                   "preempt_slice": null},
       "load": {"n_jobs": 16, "mix": {"10": 0.5, "30": 0.3, "60": 0.2},
                "distinct_systems": 4, "rhs_variants": 1,
                "scale": 2e-4, "seed": 0,
@@ -32,10 +31,11 @@ backend, fusion, the cost-model roster, and the gang-sharding knobs
 that feed each generated request's :class:`~repro.api.
 PlacementConstraints` (``allow_gang``/``max_shards``/
 ``memory_headroom``).  ``scheduler`` keeps only queueing/execution
-capacity.  An unknown top-level key or ``scheduler`` key is an error
-that names the key -- a placement knob left under ``scheduler``, or a
-pre-``placement`` ``pool``/``tuning`` section, must not be silently
-ignored.
+capacity.  An unknown key in any section but ``load`` (whose keys are
+:class:`~repro.serve.loadgen.LoadSpec`'s fields) is an error that
+names the key -- a typo, a placement knob left under ``scheduler``, or
+a pre-``placement`` ``pool``/``tuning`` section must not silently run
+the default.
 
 ``mix`` maps nominal GB to weight; ``per_gcd`` resolves the MI250X to
 its 64 GB single-GCD entry for memory-fit decisions (see
@@ -68,10 +68,9 @@ off each other when a session store is attached.
 pricing (see ``docs/tuning.md``): the cost model prices
 out-of-the-box and discounts with entries from a
 :class:`~repro.tuning.cache.TunedConfigCache` (persisted under
-``cache_dir`` when set), while a
-:class:`~repro.tuning.service.TuningService` enqueues up to
-``budget_jobs`` geometry-sweep background jobs at ``priority`` (far
-below interactive 0) covering the pool x load-mix cells.  See
+``cache_dir`` when set), which :func:`build_scheduler` fills -- one
+:meth:`~repro.tuning.service.TuningService.tune` per cell of the pool
+x load-mix covering set -- before the scheduler serves a job.  See
 ``docs/serving.md``.
 """
 
@@ -90,7 +89,7 @@ from repro.serve.pool import DevicePool
 from repro.serve.scheduler import Scheduler, ServeReport
 from repro.sessions.store import SessionStore
 from repro.tuning.cache import TunedConfigCache
-from repro.tuning.service import TUNING_PRIORITY, TuningService
+from repro.tuning.service import TuningService
 
 
 @dataclass(frozen=True)
@@ -111,12 +110,9 @@ class Scenario:
     #: (None = min(workers, cpu count); dispatch width and execution
     #: width are decoupled).
     mp_workers: int | None = None
-    #: Tuning-aware placement pricing + background sweep jobs.
+    #: Tuning-aware placement pricing over a cache tuned before the
+    #: run.
     tuning_enabled: bool = False
-    #: Max sweep jobs enqueued per run (the covering set, truncated).
-    tuning_budget_jobs: int = 8
-    #: Admission priority of the sweeps (must sort below interactive).
-    tuning_priority: int = TUNING_PRIORITY
     #: Disk directory for the tuned-config cache (None = memory only).
     tuning_cache_dir: str | None = None
     #: Gang-sharding knobs threaded into every generated request's
@@ -132,7 +128,6 @@ class Scenario:
     #: Iteration slice length for preemptible low-priority jobs
     #: (None = preemption off; requires ``sessions_enabled``).
     preempt_slice: int | None = None
-    max_preemptions: int = 8
     load: LoadSpec = field(default_factory=LoadSpec)
 
     def constraints(self) -> PlacementConstraints | None:
@@ -152,33 +147,45 @@ class Scenario:
         )
 
 
-#: The sections a scenario document may carry, and the keys of the
-#: ``scheduler`` section (queueing/execution capacity only).
+#: The sections a scenario document may carry, and the keys of each
+#: section ``parse_scenario`` reads (``load`` is checked by
+#: :class:`~repro.serve.loadgen.LoadSpec` itself).
 _SECTIONS = ("placement", "scheduler", "sessions", "load")
 _SCHEDULER_KEYS = ("workers", "max_queue_depth", "cache_capacity",
                    "max_replacements", "drain_timeout_s", "mp_workers")
+_PLACEMENT_KEYS = ("devices", "per_gcd", "backend", "max_fuse",
+                   "include_projected", "allow_gang", "max_shards",
+                   "memory_headroom", "tuning")
+_TUNING_KEYS = ("enabled", "cache_dir")
+_SESSIONS_KEYS = ("enabled", "dir", "budget_mb", "preempt_slice")
 
 
 def _reject_unknown(where: str, doc: dict, known: tuple[str, ...]) -> None:
     unknown = sorted(set(doc) - set(known))
     if unknown:
+        hint = (" (pool/backend/fusion/gang/tuning knobs live in the "
+                "'placement' section)"
+                if where in ("scenario", "scheduler") else "")
         raise ValueError(
             f"unknown {where} key(s) {unknown}; expected a subset of "
-            f"{list(known)} (pool/backend/fusion/gang/tuning knobs "
-            "live in the 'placement' section)")
+            f"{list(known)}{hint}")
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a :class:`Scenario` from a decoded JSON document.
 
-    Unknown top-level and ``scheduler`` keys raise with the key named.
+    An unknown key in any section but ``load`` raises with the key
+    named.
     """
     _reject_unknown("scenario", doc, _SECTIONS)
     sched = doc.get("scheduler", {})
     _reject_unknown("scheduler", sched, _SCHEDULER_KEYS)
     placement = doc.get("placement", {})
+    _reject_unknown("placement", placement, _PLACEMENT_KEYS)
     tuning = placement.get("tuning", {})
+    _reject_unknown("placement.tuning", tuning, _TUNING_KEYS)
     sessions = doc.get("sessions", {})
+    _reject_unknown("sessions", sessions, _SESSIONS_KEYS)
     if (sessions.get("preempt_slice") is not None
             and not sessions.get("enabled", False)):
         raise ValueError(
@@ -214,10 +221,6 @@ def parse_scenario(doc: dict) -> Scenario:
                     if sched.get("mp_workers") is not None else None),
         tuning_enabled=bool(tuning.get("enabled",
                                        Scenario.tuning_enabled)),
-        tuning_budget_jobs=int(tuning.get("budget_jobs",
-                                          Scenario.tuning_budget_jobs)),
-        tuning_priority=int(tuning.get("priority",
-                                       Scenario.tuning_priority)),
         tuning_cache_dir=(str(tuning["cache_dir"])
                           if tuning.get("cache_dir") is not None
                           else None),
@@ -236,8 +239,6 @@ def parse_scenario(doc: dict) -> Scenario:
         preempt_slice=(int(sessions["preempt_slice"])
                        if sessions.get("preempt_slice") is not None
                        else None),
-        max_preemptions=int(sessions.get(
-            "max_preemptions", Scenario.max_preemptions)),
         load=LoadSpec(**load_doc),
     )
 
@@ -252,22 +253,23 @@ def build_scheduler(scenario: Scenario,
     """The scheduler a scenario describes (fresh pool and cache).
 
     With ``tuning_enabled`` the placement cost model is built around a
-    :class:`~repro.tuning.cache.TunedConfigCache` and the resulting
-    :class:`~repro.tuning.service.TuningService` is attached as
-    ``scheduler.tuning`` (the run driver uses it to enqueue the
-    background sweeps; placements report ``tuned`` provenance).
+    :class:`~repro.tuning.cache.TunedConfigCache`, and a
+    :class:`~repro.tuning.service.TuningService` tunes every cell of
+    the pool x load-mix covering set into it before this returns: the
+    whole table costs a fraction of a second of analytic model, so
+    every placement of the run prices from it (``tuned`` provenance).
     """
     pool = DevicePool(scenario.devices, per_gcd=scenario.per_gcd,
                       telemetry=telemetry)
     cache = (ResultCache(scenario.cache_capacity, telemetry=telemetry)
              if scenario.cache_capacity > 0 else None)
-    tuning: TuningService | None = None
     if scenario.tuning_enabled:
         tuned_cache = TunedConfigCache(scenario.tuning_cache_dir,
                                        telemetry=telemetry)
-        tuning = TuningService(cache=tuned_cache,
-                               priority=scenario.tuning_priority,
-                               telemetry=telemetry)
+        tuning = TuningService(cache=tuned_cache, telemetry=telemetry)
+        sizes = tuple(size for size, _ in scenario.load.mix)
+        for spec in tuning.covering_specs(scenario.devices, sizes):
+            tuning.tune(spec)
         cost_model = PlacementCostModel(
             include_projected=scenario.include_projected,
             tuned_cache=tuned_cache)
@@ -293,31 +295,12 @@ def build_scheduler(scenario: Scenario,
         mp_workers=scenario.mp_workers,
         sessions=sessions_store,
         preempt_slice=scenario.preempt_slice,
-        max_preemptions=scenario.max_preemptions,
         telemetry=telemetry,
     )
-    scheduler.tuning = tuning
     # The scheduler owns (and closes at drain) a store it was built
     # around; callers passing their own store to Scheduler() keep it.
     scheduler._own_sessions = sessions_store is not None
     return scheduler
-
-
-def tuning_jobs(scenario: Scenario, scheduler: Scheduler) -> list:
-    """The background sweep jobs a tuning-enabled scenario enqueues.
-
-    A covering set over the scenario's pool and load-mix sizes,
-    truncated to ``tuning_budget_jobs``; empty when tuning is off.
-    The sweeps ride at the scenario's tuning priority, so they only
-    run when no interactive job is runnable.
-    """
-    if scheduler.tuning is None:
-        return []
-    service: TuningService = scheduler.tuning
-    sizes = tuple(size for size, _ in scenario.load.mix)
-    specs = service.covering_specs(scenario.devices, sizes)
-    return service.background_jobs(specs,
-                                   budget=scenario.tuning_budget_jobs)
 
 
 def run_scenario(scenario: Scenario,
@@ -326,5 +309,4 @@ def run_scenario(scenario: Scenario,
     scheduler = build_scheduler(scenario, telemetry=telemetry)
     jobs = LoadGenerator(scenario.load,
                          constraints=scenario.constraints()).jobs()
-    jobs += tuning_jobs(scenario, scheduler)
     return scheduler.run(jobs)

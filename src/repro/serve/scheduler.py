@@ -27,8 +27,8 @@ pipeline:
 - **open** -- the one place that accounts queue wait, builds the
   :class:`~repro.api.Placement` of an attempt and appends it to the
   placement log.
-- **run** -- the only route-specific stage: five small attempt bodies
-  under one retry loop.  A background ``work_fn``; a *solo* solve
+- **run** -- the only route-specific stage: four small attempt bodies
+  under one retry loop.  A *solo* solve
   (:class:`~repro.serve.cache.ResultCache` lookup, single-flight
   coalescing, session warm start); a *sliced* solve
   (``preempt_slice``: checkpointed iteration slices that a starved
@@ -138,6 +138,10 @@ BACKENDS = ("thread", "process")
 REPLACE_ON: tuple[StopReason, ...] = (StopReason.DEGRADED,
                                      StopReason.ABORTED_FAULTS)
 
+#: How often one sliced solve may be parked before it runs to the end
+#: uninterrupted (``docs/sessions.md``): the starvation bound.
+MAX_PREEMPTIONS = 8
+
 #: Stream tag for deriving the fault-plan seed of a re-placed attempt
 #: (a different physical device sees a different fault realization).
 _STREAM_REPLACEMENT = 3
@@ -163,7 +167,6 @@ class _Member:
     placements: list[Placement] = field(default_factory=list)
     log_index: int = -1
     report: SolveReport | None = None
-    result: object | None = None
     #: Deposit ``report`` in the session store at deliver.
     record: bool = False
 
@@ -218,10 +221,6 @@ class JobOutcome:
     #: Why an admitted job produced no report (a solve that raised --
     #: e.g. a worker-process traceback); None for clean outcomes.
     error: str | None = None
-    #: Return value of a background job's ``work_fn`` (a tuning
-    #: sweep's :class:`~repro.tuning.sweep.TunedConfig`); None for
-    #: solve jobs, which report via ``report``.
-    result: object | None = None
 
     @property
     def placement(self) -> Placement | None:
@@ -260,22 +259,10 @@ class ServeReport:
 
     @property
     def failed(self) -> list[JobOutcome]:
-        """Admitted outcomes whose work raised instead of reporting.
-
-        A background job reports through ``result`` rather than
-        ``report``, so only an *errored* background outcome counts as
-        failed.
-        """
+        """Admitted outcomes whose solve raised instead of reporting."""
         return [o for o in self.outcomes
                 if o.decision is AdmissionDecision.ADMITTED
-                and o.report is None
-                and (o.job.work_fn is None or o.error is not None)]
-
-    @property
-    def background(self) -> list[JobOutcome]:
-        """Outcomes of background (work-function) jobs."""
-        return [o for o in self.outcomes
-                if o.job.work_fn is not None]
+                and o.report is None]
 
     @property
     def throughput_jobs_per_s(self) -> float:
@@ -320,12 +307,6 @@ class ServeReport:
             lines.append(
                 f"request fusion: {len(fused)} job(s) solved in "
                 f"{batches} fused batch(es)")
-        background = self.background
-        if background:
-            ok = sum(1 for o in background if o.error is None)
-            lines.append(
-                f"background tuning: {ok}/{len(background)} sweep(s) "
-                f"completed")
         tuned = sum(1 for p in self.placement_log if p.tuned)
         if tuned:
             lines.append(
@@ -373,12 +354,9 @@ class Scheduler:
         max_fuse: int = 1,
         backend: str = "thread",
         drain_timeout: float = 60.0,
-        mp_context: str = "spawn",
         mp_workers: int | None = None,
-        store: SystemStore | None = None,
         sessions: SessionStore | None = None,
         preempt_slice: int | None = None,
-        max_preemptions: int = 8,
         telemetry: Telemetry | None = None,
         solve_fn: Callable[[SolveRequest], SolveReport] = api_solve,
         batch_solve_fn: Callable[[list[SolveRequest]],
@@ -407,9 +385,6 @@ class Scheduler:
             raise ValueError(
                 "preempt_slice requires a sessions store: preempted "
                 "solves park their checkpoint in it")
-        if max_preemptions < 0:
-            raise ValueError(
-                f"max_preemptions must be >= 0, got {max_preemptions}")
         self.pool = pool
         self.workers = workers
         self.cache = cache
@@ -422,10 +397,6 @@ class Scheduler:
         self.tel = Telemetry.or_null(telemetry)
         self.solve_fn = solve_fn
         self.batch_solve_fn = batch_solve_fn
-        #: The :class:`~repro.tuning.service.TuningService` feeding a
-        #: tuning-aware cost model, when the scenario enabled one
-        #: (set by :func:`repro.serve.scenario.build_scheduler`).
-        self.tuning = None
         #: Session-lifecycle store (``docs/sessions.md``): warm-start
         #: resolution for plain serial jobs, solution recording, and
         #: the parking lot for preempted sliced solves.
@@ -434,16 +405,14 @@ class Scheduler:
         #: as checkpointed ``preempt_slice``-iteration segments so a
         #: more urgent starved arrival can park them mid-solve.
         self.preempt_slice = preempt_slice
-        self.max_preemptions = max_preemptions
         #: True when the scheduler created the sessions store itself
         #: and must close it on drain/abort (set by
         #: :func:`repro.serve.scenario.build_scheduler`).
         self._own_sessions = False
         self._preemptions = 0
-        self._own_store = backend == "process" and store is None
-        self._store = (store if store is not None
-                       else SystemStore() if backend == "process"
-                       else None)
+        #: The process backend's shared-memory segments; the scheduler
+        #: owns the store and closes it at drain/abort.
+        self._store = SystemStore() if backend == "process" else None
         if backend == "process":
             # Dispatch width (``workers``: admission, placement, queue
             # management) and execution width (how many solves actually
@@ -456,8 +425,7 @@ class Scheduler:
                                else max(1, min(workers,
                                                os.cpu_count() or 1)))
             self._backend = ProcessBackend(self, workers=self.mp_workers,
-                                           store=self._store,
-                                           mp_context=mp_context)
+                                           store=self._store)
         else:
             self.mp_workers = None
             self._backend = ThreadBackend(self)
@@ -497,9 +465,9 @@ class Scheduler:
         # footprint does a gang-eligible job shard across lanes -- the
         # §V-B exclusion becomes a decomposition instead of a
         # rejection.
-        gang_ranks = None
+        gang = None
         if not priced and self._gang_eligible(job):
-            gang_ranks = self._gang_feasible_ranks(job)
+            gang = next(self._gangs(job, now=False), None)
         if self._reads_digests(job, priced) and not job.request.hashed:
             # The job's one digest pass, taken here, before the lock:
             # every later reader (cache key, fusion key, publish,
@@ -509,7 +477,7 @@ class Scheduler:
         with self._cond:
             if self._closed:
                 decision = AdmissionDecision.REJECTED_CLOSED
-            elif not priced and gang_ranks is None:
+            elif not priced and gang is None:
                 decision = AdmissionDecision.REJECTED_TOO_LARGE
             elif len(self._queue) >= self.max_queue_depth:
                 decision = AdmissionDecision.REJECTED_BACKPRESSURE
@@ -522,9 +490,9 @@ class Scheduler:
                                                 decision=decision))
                 self._cond.notify_all()
                 return decision
-            if not priced and gang_ranks is not None:
+            if not priced:
                 self.tel.counter("serve.gang.admitted",
-                                 ranks=str(gang_ranks)).inc()
+                                 ranks=str(gang[1].ranks)).inc()
             self._enqueue(job)
             self._cond.notify()
             return decision
@@ -638,10 +606,7 @@ class Scheduler:
         if not self._drained:
             self._drained = True
             self._backend.stop(force=bool(stuck))
-            if self._own_store and self._store is not None:
-                self._store.close()
-            if self._own_sessions and self.sessions is not None:
-                self.sessions.close()
+            self._close_stores()
         t0 = self._t_start if self._t_start is not None \
             else time.perf_counter()
         wall = time.perf_counter() - t0
@@ -672,10 +637,14 @@ class Scheduler:
         if not self._drained:
             self._drained = True
             self._backend.kill()
-            if self._own_store and self._store is not None:
-                self._store.close()
-            if self._own_sessions and self.sessions is not None:
-                self.sessions.close()
+            self._close_stores()
+
+    def _close_stores(self) -> None:
+        """Unlink the segment store and close an owned session store."""
+        if self._store is not None:
+            self._store.close()
+        if self._own_sessions and self.sessions is not None:
+            self.sessions.close()
 
     # -- stage 1: place (lock held, except for submit's capacity test) ---
     def _reads_digests(self, job: ServeJob, priced: list) -> bool:
@@ -685,8 +654,6 @@ class Scheduler:
         cache, fusion and the session store do off the gang route (a
         job no single lane prices), which bypasses all three.
         """
-        if job.work_fn is not None:
-            return False
         if self._backend.publishes(job.request):
             return True
         return bool(priced) and (
@@ -742,53 +709,32 @@ class Scheduler:
         return (cons.allow_gang and cons.max_shards >= 2
                 and job.gang_compatible)
 
-    def _gang_feasible_ranks(self, job: ServeJob) -> int | None:
-        """Smallest rank count an empty pool could gang this job at.
+    def _gangs(self, job: ServeJob, *, now: bool):
+        """Each feasible gang: ``(lanes, gang_estimate, per_lane_charge)``.
 
-        The admission-time capacity test: for each R up to the
-        constraints' shard budget, are there R lanes whose *total*
-        memory holds a shard (plus headroom) and a non-None gang
-        price?  Mirrors what :meth:`_choose_gang` will later check
-        against *current* free memory, so an admitted gang job can
-        always eventually place once the pool drains.
+        For every rank count R up to the constraints' shard budget, R
+        lanes that hold a shard (plus headroom) -- on their *total*
+        memory in pool order (admission: could the job ever gang?) or,
+        with ``now``, the R cheapest by :meth:`_cheapest` on their
+        *current* free memory (placement) -- priced as one solve by
+        :meth:`~repro.serve.cost.PlacementCostModel.estimate_gang`
+        (slowest shard + modeled allreduce comm).  Admission takes the
+        first gang, placement the cheapest: more ranks shrink the
+        shards but grow the comm term, so the link model arbitrates.
+        Both ask the same question, so an admitted gang job can always
+        eventually place once the pool drains.
         """
         for ranks in range(2, job.constraints.max_shards + 1):
-            lanes = [lane for lane, _ in self._priced(job, ranks=ranks)]
+            priced = (self._cheapest(job, ranks=ranks) if now
+                      else self._priced(job, ranks=ranks))
+            lanes = [lane for lane, _ in priced[:ranks]]
             if len(lanes) < ranks:
                 continue
-            if self.cost_model.estimate_gang(
-                    job.nominal_gb,
-                    tuple(lane.spec for lane in lanes[:ranks]),
-                    framework=job.request.framework) is not None:
-                return ranks
-        return None
-
-    def _choose_gang(self, job: ServeJob):
-        """Cheapest gang of lanes whose free memory holds the shards.
-
-        For each candidate rank count the R cheapest lanes by the
-        per-shard price (:meth:`_cheapest`) are taken, and the
-        combination is priced by
-        :meth:`~repro.serve.cost.PlacementCostModel.estimate_gang`
-        (slowest shard + modeled allreduce comm).  The best total
-        across rank counts wins -- more ranks shrink the shards but
-        grow the comm term, so the link model arbitrates.
-        Returns ``(lanes, gang_estimate, per_lane_charge)`` or None.
-        """
-        best = None
-        for ranks in range(2, job.constraints.max_shards + 1):
-            chosen = [lane for lane, _
-                      in self._cheapest(job, ranks=ranks)[:ranks]]
-            if len(chosen) < ranks:
-                continue
             gang_est = self.cost_model.estimate_gang(
-                job.nominal_gb, tuple(lane.spec for lane in chosen),
+                job.nominal_gb, tuple(lane.spec for lane in lanes),
                 framework=job.request.framework)
-            if gang_est is None:
-                continue
-            if best is None or gang_est.seconds < best[1].seconds:
-                best = (chosen, gang_est, job.shard_reserve_gb(ranks))
-        return best
+            if gang_est is not None:
+                yield lanes, gang_est, job.shard_reserve_gb(ranks)
 
     def _next_placeable(self):
         """Highest-priority queued job that fits free memory somewhere.
@@ -814,7 +760,8 @@ class Scheduler:
                 lane, est = ranked[0]
                 return idx, [lane], est, job.reserve_gb
             if self._gang_eligible(job) and not self._priced(job):
-                gang = self._choose_gang(job)
+                gang = min(self._gangs(job, now=True), default=None,
+                           key=lambda g: g[1].seconds)
                 if gang is not None:
                     return (idx,) + gang
         return None
@@ -907,9 +854,7 @@ class Scheduler:
                              ranks=str(est.ranks)).inc()
         else:
             self.pool.reserve(d.lanes[0], charge, job.job_id)
-            if job.work_fn is not None:
-                d.route = "work"
-            elif self._sliceable(job):
+            if self._sliceable(job):
                 d.route = "sliced"
                 parked = self.sessions.claim(job.job_id)
                 if parked is not None:
@@ -1075,20 +1020,6 @@ class Scheduler:
                              _STREAM_REPLACEMENT + d.attempt)
         return True
 
-    def _attempt_work(self, d: _Dispatch) -> None:
-        """Run a background job's work function on its placed lane.
-
-        The job already went through admission, the priority queue and
-        placement like any solve (the contention *is* the exercise);
-        here the dispatcher simply runs ``work_fn`` while holding the
-        lane reservation and keeps the return value for the outcome.
-        """
-        m = d.members[0]
-        with self.tel.span("serve.background", job_id=m.job.job_id,
-                           device=d.lanes[0]):
-            m.result = m.job.work_fn()
-        self.tel.counter("serve.background_jobs").inc()
-
     def _attempt_solo(self, d: _Dispatch) -> list[int] | None:
         """One solve: cache and single-flight lookup, warm start, solve."""
         m = d.members[0]
@@ -1217,7 +1148,7 @@ class Scheduler:
                 m.report, m.record = report, True
                 return
             with self._cond:
-                if (d.attempt < self.max_preemptions
+                if (d.attempt < MAX_PREEMPTIONS
                         and self._preempt_wanted(job, d.lanes[0])):
                     d.parked = True
                     return
@@ -1382,7 +1313,7 @@ class Scheduler:
                         if ok and m.report is not None else None),
                 placements=tuple(m.placements),
                 queue_wait_s=m.wait_s, exec_s=busy,
-                error=error, result=m.result)
+                error=error)
             for m in d.members]
         with self._cond:
             for lane_id in d.lanes:

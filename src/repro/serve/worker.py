@@ -130,12 +130,11 @@ class ProcessBackend:
     name = "process"
 
     def __init__(self, scheduler: "Scheduler", *, workers: int,
-                 store: "shm.SystemStore",
-                 mp_context: str = "spawn") -> None:
+                 store: "shm.SystemStore") -> None:
         self._scheduler = scheduler
         self._store = store
         self._workers = workers
-        self._ctx = mp.get_context(mp_context)
+        self._ctx = mp.get_context("spawn")
         self._procs: list[mp.process.BaseProcess] = []
         self._task_q = None
         self._result_q = None

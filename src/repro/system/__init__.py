@@ -27,9 +27,3 @@ non-zero.  This subpackage provides:
   lineage-chaining :func:`append_observations` incremental-growth
   path.
 """
-
-from repro.system.dataset import load_system, save_system
-from repro.system.generator import make_system, make_system_with_solution
-from repro.system.sizing import dims_from_gb
-from repro.system.storage import mission_dims, storage_comparison
-from repro.system.structure import SystemDims

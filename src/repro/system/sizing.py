@@ -3,9 +3,9 @@
 The paper parameterizes every experiment by the memory footprint of the
 coefficient data (10/30/60 GB problems; 42/306 GB validation datasets).
 This module converts between that footprint and concrete
-:class:`~repro.system.SystemDims`, and computes the *device* footprint
-used by the GPU memory model (coefficients stay resident on the device
-for the whole solve, §IV-a).
+:class:`~repro.system.structure.SystemDims`, and computes the *device*
+footprint used by the GPU memory model (coefficients stay resident on
+the device for the whole solve, §IV-a).
 """
 
 from __future__ import annotations

@@ -133,7 +133,8 @@ class GaiaSystem:
     Attributes
     ----------
     dims:
-        Dimension bookkeeping (see :class:`repro.system.SystemDims`).
+        Dimension bookkeeping (see
+        :class:`repro.system.structure.SystemDims`).
     astro_values:
         ``(n_obs, 5)`` float64 astrometric coefficients.
     matrix_index_astro:

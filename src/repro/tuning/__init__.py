@@ -15,15 +15,16 @@ can lean on:
   :class:`TunedConfigCache` with the ``serve.tuning.*`` counters and
   the generation signal price memos key on;
 - :mod:`~repro.tuning.service` -- :class:`TuningService`:
-  compute-at-most-once :meth:`~TuningService.tune` plus packaging of
-  sweeps as low-priority background ServeJobs;
+  compute-at-most-once :meth:`~TuningService.tune` plus the covering
+  set of cells a pool and load mix can price, which a tuning-enabled
+  serving run tunes before it serves;
 - :mod:`~repro.tuning.study` -- Pennycook P tuned vs. out-of-the-box;
 - :mod:`~repro.tuning.ablation` -- the E38 tuned-vs-nominal placement
   A/B.
 
 Nothing here imports :mod:`repro.serve` at module scope; the serve
-cost model imports *us*, and the two service-side touch points
-(ServeJob packaging, the ablation's cost models) import lazily.
+cost model imports *us*, and the ablation's cost models are imported
+lazily.
 """
 
 from repro.tuning.cache import TunedConfigCache

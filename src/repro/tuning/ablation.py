@@ -19,8 +19,9 @@ touches a high-gain device it is strictly better.
 This module is deliberately a *planner*, not the live scheduler: a
 deterministic greedy assignment with no threads, queues, or arrival
 jitter, so the A/B isolates the pricing signal.  The live path is
-exercised separately (`tuning`-enabled scenarios through
-:func:`repro.serve.scenario.run_scenario`).
+exercised separately: a ``tuning``-enabled scenario's
+:func:`repro.serve.scenario.build_scheduler` tunes the same covering
+set into the cache before the run, so every placement prices tuned.
 """
 
 from __future__ import annotations

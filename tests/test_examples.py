@@ -91,20 +91,29 @@ def test_examples_directory_complete():
 def test_tuning_serve_scenario_example():
     """The tuning-enabled scenario file runs end to end.
 
-    Background sweeps all complete, at least one interactive placement
-    is priced from a tuned cache entry, and every interactive job
-    still succeeds.
+    The tuned-config cache holds every cell of the pool x load-mix
+    covering set before the first placement, every placement whose
+    winning port is tunable on its device prices from it, and every
+    job completes.
     """
-    from repro.serve.scenario import load_scenario, run_scenario
+    from repro.frameworks.registry import port_by_key
+    from repro.serve.loadgen import LoadGenerator
+    from repro.serve.scenario import build_scheduler, load_scenario
+    from repro.tuning.service import TuningService
 
     scenario = load_scenario(EXAMPLES / "tuning_serve_scenario.json")
     assert scenario.tuning_enabled
-    assert scenario.tuning_budget_jobs == 6
-    report = run_scenario(scenario)
-    background = report.background
-    assert len(background) == scenario.tuning_budget_jobs
-    assert all(o.error is None and o.result is not None
-               for o in background)
+    scheduler = build_scheduler(scenario)
+    cache = scheduler.cost_model.tuned_cache
+    specs = TuningService().covering_specs(
+        scenario.devices, [size for size, _ in scenario.load.mix])
+    assert specs and all(spec in cache for spec in specs)
+
+    report = scheduler.run(LoadGenerator(
+        scenario.load, constraints=scenario.constraints()).jobs())
     assert len(report.completed) == scenario.load.n_jobs
     assert not report.failed
-    assert any(p.tuned for p in report.placement_log)
+    lanes = {lane.lane_id: lane.spec for lane in scheduler.pool.lanes}
+    tunable = [p for p in report.placement_log
+               if port_by_key(p.port_key).tunable(lanes[p.device])]
+    assert tunable and all(p.tuned for p in tunable)

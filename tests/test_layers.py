@@ -13,7 +13,8 @@ function-local ones included):
   ``repro.api``'s are function-local, so importing the API loads no
   GPU model;
 - a spawned process worker (``import repro.serve.worker``) loads no
-  study, validation, tuning-study or scenario module;
+  study, validation, tuning-study or scenario module, and none of the
+  solver-side modules only the CLI and examples use;
 - a package ``__init__`` binds only names that ``bench/``,
   ``repro.cli`` or ``examples/`` import through that package.
 """
@@ -88,10 +89,15 @@ def test_the_package_root_imports_nothing():
 
 #: Modules a process worker has no use for: the modeled study, the
 #: validation harness, the tuning study and ablation, the scenario
-#: runner and the load generator.
+#: runner and the load generator, and the modules only the CLI and
+#: examples use, which a package ``__init__`` re-exporting them would
+#: load into every worker.
 NOT_IN_A_WORKER = ("repro.portability", "repro.validation",
                    "repro.tuning.study", "repro.tuning.ablation",
-                   "repro.serve.scenario", "repro.serve.loadgen")
+                   "repro.serve.scenario", "repro.serve.loadgen",
+                   "repro.core.cgls", "repro.system.dataset",
+                   "repro.system.storage", "repro.frameworks.flags",
+                   "repro.frameworks.scaling", "repro.gpu.energy")
 
 
 def test_a_process_worker_loads_no_study_or_scenario_module():

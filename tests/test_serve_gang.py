@@ -391,7 +391,7 @@ def test_scenario_placement_section_roundtrip():
         "placement": {"devices": ["V100", "V100"], "allow_gang": True,
                       "max_shards": 2, "memory_headroom": 0.1,
                       "backend": "thread", "max_fuse": 2,
-                      "tuning": {"enabled": True, "budget_jobs": 3}},
+                      "tuning": {"enabled": True}},
         "scheduler": {"workers": 2},
         "load": {"n_jobs": 4},
     }
@@ -400,7 +400,7 @@ def test_scenario_placement_section_roundtrip():
     assert scenario.allow_gang and scenario.max_shards == 2
     assert scenario.memory_headroom == pytest.approx(0.1)
     assert scenario.max_fuse == 2
-    assert scenario.tuning_enabled and scenario.tuning_budget_jobs == 3
+    assert scenario.tuning_enabled
     cons = scenario.constraints()
     assert cons is not None and cons.allow_gang
     assert cons.memory_headroom == pytest.approx(0.1)
@@ -421,6 +421,14 @@ def test_scenario_legacy_layout_rejected():
          "include_projected"),
         ({"scheduler": {"store_solutions_mb": 1.0}},
          "store_solutions_mb"),
+        # Typos and removed knobs in the nested sections, too.
+        ({"placement": {"max_fues": 2}}, "max_fues"),
+        ({"placement": {"tuning": {"budget_jobz": 8}}}, "budget_jobz"),
+        ({"placement": {"tuning": {"budget_jobs": 8}}}, "budget_jobs"),
+        ({"placement": {"tuning": {"priority": 100}}}, "priority"),
+        ({"sessions": {"enabeld": True}}, "enabeld"),
+        ({"sessions": {"enabled": True, "max_preemptions": 8}},
+         "max_preemptions"),
     ]:
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_scenario(doc)

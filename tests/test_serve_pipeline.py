@@ -1,7 +1,7 @@
 """The scheduler's one execution pipeline, seen from outside.
 
-Every job -- background work, solo solve, sliced solve, gang, fused
-batch -- goes through the same place -> open -> run -> deliver stages
+Every job -- solo solve, sliced solve, gang, fused batch -- goes
+through the same place -> open -> run -> deliver stages
 (``docs/serving.md``, "Execution pipeline").  These tests hold the
 shared epilogue to one contract on every route, whether the solve
 returns or raises, and lock down what the deliver stage records in the
@@ -32,7 +32,7 @@ from repro.system.digest import system_digest
 from repro.system.generator import make_system
 from repro.system.sizing import dims_from_gb
 
-ROUTES = ("work", "solo", "sliced", "gang", "batch")
+ROUTES = ("solo", "sliced", "gang", "batch")
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +57,7 @@ def _route_setup(route, system, store, raises):
     kwargs: dict = {}
     if raises:
         kwargs["solve_fn"] = _boom
-    if route == "work":
-        jobs = [ServeJob(request=SolveRequest(system=system),
-                         nominal_gb=10.0, priority=50, job_id="bg",
-                         work_fn=_boom if raises else (lambda: "swept"))]
-    elif route == "solo":
+    if route == "solo":
         jobs = [ServeJob(request=SolveRequest(system=system, iter_lim=12),
                          nominal_gb=10.0, job_id="solo")]
     elif route == "sliced":
@@ -117,7 +113,7 @@ def test_every_route_shares_one_epilogue(route, raises, system, tmp_path,
         report = sched.run()
 
         # The job really took the route under test.
-        marker = {"work": "serve.background", "solo": "serve.job",
+        marker = {"solo": "serve.job",
                   "sliced": "serve.slice", "gang": "serve.gang",
                   "batch": "serve.batch"}[route]
         assert marker in {span.name for span in tel.spans}
@@ -151,17 +147,14 @@ def test_every_route_shares_one_epilogue(route, raises, system, tmp_path,
             assert failures == len(jobs)
             assert len(report.failed) == len(jobs)
             for outcome in report.outcomes:
-                assert outcome.report is None and outcome.result is None
+                assert outcome.report is None
                 assert "injected failure" in outcome.error
         else:
             assert failures == 0 and not report.failed
             for outcome in report.outcomes:
                 assert outcome.error is None
-                if route == "work":
-                    assert outcome.result == "swept"
-                else:
-                    assert outcome.report.job_id == outcome.job.job_id
-                    assert outcome.report.placement == outcome.placement
+                assert outcome.report.job_id == outcome.job.job_id
+                assert outcome.report.placement == outcome.placement
 
 
 def test_relocated_attempts_each_log_one_placement(system):

@@ -18,7 +18,7 @@ from repro.obs.telemetry import Telemetry
 from repro.serve.job import ServeJob
 from repro.serve.loadgen import LoadGenerator, LoadSpec
 from repro.serve.pool import DevicePool
-from repro.serve.scheduler import Scheduler
+from repro.serve.scheduler import MAX_PREEMPTIONS, Scheduler
 from repro.sessions.store import SessionStore
 from repro.system.generator import make_observation_block, make_system
 from repro.system.merge import append_observations
@@ -208,6 +208,35 @@ class TestPreemption:
         assert report.completed[0].report.itn == 10
         assert len(tel.tracer.find("serve.slice")) == 5
         assert saved_itns == [2, 4, 6, 8, 10]
+
+    def test_park_bound_then_runs_to_completion(self, tmp_path):
+        """A sliced solve that every slice boundary would park is
+        parked exactly ``MAX_PREEMPTIONS`` times, then runs to the end
+        uninterrupted; the finished report is still the serial solve."""
+        system = make_system(dims_from_gb(0.003), seed=0,
+                             noise_sigma=1e-9)
+        request = SolveRequest(system=system, iter_lim=40)
+        tel = Telemetry()
+        with SessionStore(tmp_path) as store:
+            sched = Scheduler(DevicePool(("V100",)), workers=1,
+                              sessions=store, preempt_slice=2,
+                              telemetry=tel)
+            sched._preempt_wanted = lambda job, lane_id: True
+            sched.submit(ServeJob(request=request, nominal_gb=10.0,
+                                  priority=5, job_id="sliced"))
+            report = sched.run()
+            leftovers = store.parked_keys()
+        reference = solve(request)
+        # The last dispatch has slices left after the bound is hit.
+        assert reference.itn > 2 * (MAX_PREEMPTIONS + 1)
+        assert report.preemptions == MAX_PREEMPTIONS
+        assert (tel.counter("serve.sessions.preemption").value
+                == MAX_PREEMPTIONS)
+        assert [p.attempt for p in report.placement_log] == list(
+            range(MAX_PREEMPTIONS + 1))
+        (outcome,) = report.completed
+        assert leftovers == ()
+        assert_the_serial_report(outcome.report, reference, tel)
 
     def test_priority_zero_never_sliced(self, tmp_path):
         # Default traffic stays on the cached fast path: priority 0

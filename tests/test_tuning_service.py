@@ -3,9 +3,9 @@
 Covers :mod:`repro.tuning` end to end: size-class bucketing
 properties, sweep-spec content addressing, the disk-persisted
 tuned-config cache (hit/miss/stale accounting, byte-stable entries,
-LRU eviction), background sweep jobs riding the serve scheduler
-below interactive traffic, and the tuning-aware placement cost model
-with its generation-counter memo invalidation.
+LRU eviction), the tuning-aware placement cost model with its
+generation-counter memo invalidation, and a tuning-enabled scenario
+that fills the cache before it serves.
 """
 
 from __future__ import annotations
@@ -13,21 +13,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import SolveReport, SolveRequest
-from repro.core.engine import StopReason
 from repro.gpu.platforms import device_by_name
 from repro.obs.telemetry import Telemetry
 from repro.serve.cost import PlacementCostModel
-from repro.serve.job import ServeJob
-from repro.serve.pool import DevicePool
 from repro.serve.scenario import parse_scenario, run_scenario
-from repro.serve.scheduler import Scheduler
 from repro.tuning.ablation import run_ablation
 from repro.tuning.cache import TunedConfigCache
 from repro.tuning.service import TuningService, tunable_ports_for
@@ -38,15 +32,6 @@ from repro.tuning.sizeclass import (
 )
 from repro.tuning.study import run_tuning_study
 from repro.tuning.sweep import GeometrySweeper, MODEL_VERSION, default_spec
-
-import numpy as np
-
-
-def _stub_solve(request: SolveRequest) -> SolveReport:
-    return SolveReport(
-        x=np.zeros(1), stop=StopReason.ATOL_BTOL, itn=1, r2norm=0.0,
-        ranks=request.ranks, m=1, n=1,
-    )
 
 
 # ---------------------------------------------------------------------
@@ -311,110 +296,15 @@ def test_tuning_raises_the_p_of_a_tunable_port():
 
 
 # ---------------------------------------------------------------------
-# background sweeps through the scheduler
-# ---------------------------------------------------------------------
-
-def test_interactive_never_queued_behind_sweeps(small_system):
-    """Sweeps submitted *first* still dispatch after interactive."""
-    service = TuningService()
-    specs = service.covering_specs(("T4",), (10.0,))[:3]
-    sweeps = service.background_jobs(specs)
-    sched = Scheduler(DevicePool(("T4",)), workers=1,
-                      solve_fn=_stub_solve)
-    for job in sweeps:
-        sched.submit(job)
-    interactive = ServeJob(
-        request=SolveRequest(system=small_system, iter_lim=5,
-                             job_id="interactive"),
-        nominal_gb=10.0)
-    sched.submit(interactive)
-    report = sched.run()
-
-    order = [p.job_id for p in report.placement_log]
-    assert order[0] == "interactive"
-    assert len(report.background) == len(sweeps)
-    for outcome in report.background:
-        assert outcome.error is None
-        assert outcome.result is not None
-        assert outcome.result.model_evals > 0
-    # The service's cache now covers every submitted cell.
-    assert all(spec in service.cache for spec in specs)
-
-
-def test_drain_completes_inflight_sweeps(small_system):
-    """Graceful shutdown waits for a sweep already on a lane."""
-    started, gate = threading.Event(), threading.Event()
-    service = TuningService()
-    spec = default_spec("CUDA", "T4", "10GB")
-
-    def slow_sweep():
-        started.set()
-        assert gate.wait(10.0)
-        return service.tune(spec)
-
-    job = ServeJob(
-        request=SolveRequest(system=small_system, iter_lim=1,
-                             job_id="slow-sweep"),
-        nominal_gb=0.001, priority=100, work_fn=slow_sweep)
-    sched = Scheduler(DevicePool(("T4",)), workers=1,
-                      solve_fn=_stub_solve)
-    sched.submit(job)
-    sched.start()
-    assert started.wait(10.0)
-
-    reports: list = []
-    drainer = threading.Thread(
-        target=lambda: reports.append(sched.drain()))
-    drainer.start()
-    gate.set()
-    drainer.join(30.0)
-    assert not drainer.is_alive()
-    (report,) = reports
-    (outcome,) = report.background
-    assert outcome.error is None
-    assert outcome.result.spec == spec
-    assert not report.stuck_workers
-
-
-def test_failed_sweep_is_contained(small_system):
-    """A raising work_fn becomes a failed outcome, not a crash."""
-
-    def boom():
-        raise RuntimeError("sweep exploded")
-
-    job = ServeJob(
-        request=SolveRequest(system=small_system, iter_lim=1,
-                             job_id="bad-sweep"),
-        nominal_gb=0.001, priority=100, work_fn=boom)
-    sched = Scheduler(DevicePool(("T4",)), workers=1,
-                      solve_fn=_stub_solve)
-    sched.submit(job)
-    report = sched.run()
-    (outcome,) = report.background
-    assert outcome.error is not None
-    assert report.failed == [outcome]
-
-
-def test_background_jobs_respect_budget_and_priority():
-    service = TuningService()
-    specs = service.covering_specs(("T4", "V100"), (10.0, 30.0))
-    jobs = service.background_jobs(specs, budget=3)
-    assert len(jobs) == 3
-    for job in jobs:
-        assert job.is_background and not job.fusible
-        assert job.priority == service.priority > 0
-    with pytest.raises(ValueError, match="priority"):
-        TuningService(priority=0)
-
-
-# ---------------------------------------------------------------------
 # scenario integration
 # ---------------------------------------------------------------------
 
 def test_tuning_scenario_counters_and_provenance():
+    """A tuning-enabled scenario tunes its covering set before it
+    serves, so every placement prices from the filled cache."""
     scenario = parse_scenario({
         "placement": {"devices": ["T4"], "per_gcd": False,
-                      "tuning": {"enabled": True, "budget_jobs": 2}},
+                      "tuning": {"enabled": True}},
         "scheduler": {"workers": 1, "cache_capacity": 0},
         "load": {"n_jobs": 2, "mix": {"10": 1.0},
                  "distinct_systems": 1, "scale": 1e-4,
@@ -422,9 +312,8 @@ def test_tuning_scenario_counters_and_provenance():
     })
     tel = Telemetry()
     report = run_scenario(scenario, telemetry=tel)
-    assert len(report.background) == 2
-    assert tel.counter("serve.background_jobs").value == 2
-    assert (tel.counter("serve.tuning.background_submitted").value
-            == 2)
-    assert tel.counter("serve.tuning.put").value == 2
-    assert "background tuning: 2/2" in report.summary()
+    cells = len(tunable_ports_for("T4"))
+    assert tel.counter("serve.tuning.put").value == cells
+    assert len(report.completed) == 2 and not report.failed
+    assert all(p.tuned for p in report.placement_log)
+    assert "tuned placement prices: 2/2" in report.summary()
