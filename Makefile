@@ -30,9 +30,10 @@ telemetry-smoke:
 # it hashed no job's matrix twice (serve.digest_passes at most one per
 # admitted job: each one is published),
 # the incremental re-solve demo (nonzero exit unless warm starts save
-# iterations), and the fault-injection matrix on 4 simulated ranks
+# iterations), the fault-injection matrix on 4 simulated ranks
 # (nonzero exit unless every scenario recovers to the fault-free
-# solution).
+# solution), and a scenario with an unknown `load` key, which must exit
+# 2 with one stderr line.
 smoke:
 	$(PYTHON) -m repro.cli serve --scenario examples/serve_scenario.json
 	$(PYTHON) -m repro.cli serve --scenario examples/gang_scenario.json
@@ -46,6 +47,11 @@ smoke:
 	rm -f "$$run"
 	$(PYTHON) -m repro.cli sessions --size-gb 0.005 --steps 3
 	$(PYTHON) -m repro.cli chaos --size-gb 0.005 --ranks 4
+	bad="$$(mktemp)" && echo '{"load": {"n_jobz": 3}}' > "$$bad" && \
+	{ err="$$($(PYTHON) -m repro.cli serve --scenario "$$bad" 2>&1 >/dev/null)"; code=$$?; } ; \
+	rm -f "$$bad"; echo "$$err"; \
+	test "$$code" -eq 2 && test "$$(printf '%s\n' "$$err" | wc -l)" -eq 1 && \
+	echo "malformed scenario: exit 2, one stderr line"
 
 # Parent/change A/B of the benchmark (bench/): PAIRS alternating pairs
 # of `bench/run.py --all` on BASE (exported with `git archive` into a

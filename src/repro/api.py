@@ -26,7 +26,6 @@ all of them coherently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +51,12 @@ from repro.system.sparse import GaiaSystem
 
 #: ``SolveRequest.strategy`` presets mapped to the kernel strategy
 #: pair ``(gather, scatter)`` of :class:`~repro.core.aprod.
-#: AprodOperator`.  ``fused`` is the compiled-plan fast path (one CSR
-#: product each way); ``classic`` is the four-kernel production-style
-#: path.
+#: AprodOperator`.  Both run the compiled plan (one CSR product each
+#: way); they differ only in name, so requests that spell them
+#: differently do not share a cache entry or a batch.
 STRATEGY_PRESETS: dict[str, tuple[str, str]] = {
     "auto": ("auto", "auto"),
     "fused": ("fused", "sorted_segment"),
-    "classic": ("vectorized", "bincount"),
 }
 
 #: Fixed stream tags for deriving independent sub-seeds from the one
@@ -670,7 +668,7 @@ def solve_batch(requests: "list[SolveRequest] | tuple[SolveRequest, ...]"
     btol = first.btol if first.btol is not None else first.atol
     B = np.stack([r.system.rhs().astype(np.float64) for r in requests])
     results = lsqr_solve_batch(
-        _operator(first, batch=len(requests)), B,
+        _operator(first), B,
         damps=[r.damp for r in requests],
         atol=first.atol, btol=btol, conlim=first.conlim,
         iter_lim=first.iter_lim,
@@ -682,13 +680,9 @@ def solve_batch(requests: "list[SolveRequest] | tuple[SolveRequest, ...]"
     return [_report(req, res) for req, res in zip(requests, results)]
 
 
-def _operator(request: SolveRequest, *, batch: int = 1) -> AprodOperator:
-    """The request's kernel operator: its preset's strategies."""
-    gather, scatter = request.strategies
-    return AprodOperator(
-        request.system, gather_strategy=gather, scatter_strategy=scatter,
-        batch_hint=batch, telemetry=request.telemetry,
-    )
+def _operator(request: SolveRequest) -> AprodOperator:
+    """The request's kernel operator (the compiled plan)."""
+    return AprodOperator(request.system, telemetry=request.telemetry)
 
 
 def _report(request: SolveRequest,
@@ -727,13 +721,10 @@ def _solve_serial(request: SolveRequest) -> SolveReport:
 
 def _solve_spmd(request: SolveRequest) -> SolveReport:
     """The SPMD driver, inside the recovery driver when asked for."""
-    gather, scatter = request.strategies
     driver = DistributedLSQR(
         request.system, request.ranks,
         precondition=request.precondition,
         calc_var=request.calc_var,
-        local_operator=partial(AprodOperator, gather_strategy=gather,
-                               scatter_strategy=scatter),
         telemetry=request.telemetry,
     )
     stopping = dict(atol=request.atol, btol=request.btol,

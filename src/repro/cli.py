@@ -64,7 +64,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ranks=args.ranks,
         atol=args.atol,
         iter_lim=args.iterations,
-        strategy=args.strategy,
         seed=args.seed,
     ))
     print(report.summary())
@@ -205,7 +204,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     print(f"default {config.default_iteration_s:.4f} s -> tuned "
           f"{config.tuned_iteration_s:.4f} s "
           f"({config.gain:.1%} reduction)")
-    print(f"host kernels: {config.host_kernels}")
     stats = service.cache.stats()
     print(f"cache: {spec.digest()[:16]}... "
           f"({stats['hits']} hits / {stats['misses']} misses, "
@@ -463,8 +461,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.telemetry import Telemetry
     from repro.serve.scenario import Scenario, load_scenario, run_scenario
 
-    scenario = (load_scenario(args.scenario) if args.scenario
-                else Scenario())
+    try:
+        scenario = (load_scenario(args.scenario) if args.scenario
+                    else Scenario())
+    except (OSError, ValueError) as exc:  # unreadable or malformed
+        print(f"repro-gaia serve: {exc}", file=sys.stderr)
+        return 2
     if args.workers is not None:
         scenario = dataclasses.replace(scenario, workers=args.workers)
     if args.max_fuse is not None:
@@ -578,11 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--noise", type=float, default=1e-9)
     s.add_argument("--atol", type=float, default=1e-10)
     s.add_argument("--iterations", type=int, default=None)
-    s.add_argument("--strategy", default="auto",
-                   choices=("auto", "fused", "classic"),
-                   help="kernel strategy preset (auto = shape "
-                        "heuristic; fused = the compiled CSR matrix; "
-                        "classic = four-kernel production-style path)")
     s.add_argument("--ranks", type=int, default=1,
                    help="run the distributed driver on N simulated "
                         "MPI ranks (same step engine, same stopping "

@@ -6,22 +6,19 @@
 - ``aprod2``:  ``x_hat += A.T @ b_hat``   (Eq. 4)
 
 :class:`AprodOperator` binds a :class:`~repro.system.sparse.GaiaSystem` to
-exactly one *kernel set* over its observation block:
-
-- ``blocks`` -- :class:`~repro.core.kernels.blocks.BlockKernels`, the
-  paper's four per-submatrix kernels;
-- ``compiled`` -- :class:`~repro.core.kernels.plan.AprodPlan`, ``A_obs``
-  as one SciPy CSR matrix applied both ways through the library's own
-  kernels.
+one kernel set over its observation block, the compiled
+:class:`~repro.core.kernels.plan.AprodPlan`, at every size and batch
+width: the paper tunes one kernel geometry per platform and runs it.
+The validation's port emulation
+(:class:`repro.validation.compare.PortOperator`) swaps in the block
+kernels.
 
 Each product checks shapes, makes one call into the set, reports the
 set's per-kernel work to a profiler hook (the Python analogue of
 running under ``nsys``/``rocprof``) and applies the constraint rows
-appended below the observation block.  ``"auto"`` picks the set from
-the system shape via :func:`~repro.core.kernels.plan.select_strategies`
--- the host analogue of the paper's per-platform kernel tuning.
+appended below the observation block.
 
-The one-shot :func:`aprod1` and :func:`column_sq_norms` stream a system
+The one-shot :func:`aprod1` and :func:`column_sq_norms` compile a system
 one row block at a time instead of binding an operator to it.
 """
 
@@ -32,16 +29,12 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.kernels import gather_scatter
-from repro.core.kernels.blocks import BlockKernels
-from repro.core.kernels.plan import AprodPlan, resolve_kernels
+from repro.core.kernels.plan import STRATEGY_PAIRS, AprodPlan
 from repro.obs.telemetry import Telemetry
 from repro.system.sparse import GaiaSystem
 
 #: Hook signature: (kernel_name, rows, nnz) -> None.
 KernelHook = Callable[[str, int, int], None]
-
-#: Kernel-set class by the name :func:`resolve_kernels` returns.
-KERNEL_SETS = {"blocks": BlockKernels, "compiled": AprodPlan}
 
 
 def _check(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
@@ -71,20 +64,11 @@ class AprodOperator:
     ----------
     system:
         The bound system.
-    gather_strategy, scatter_strategy:
-        The pair spells the kernel set: ``"fused"`` /
-        ``"sorted_segment"`` the compiled plan, ``"vectorized"`` /
-        ``"bincount"`` the block kernels, ``"auto"`` / ``"auto"`` (the
-        default) the shape heuristic's choice.  Any other pair raises
-        ``ValueError`` (see :func:`~repro.core.kernels.plan.
-        resolve_kernels`).
-    batch_hint:
-        Intended trailing batch width of the callers (1 = single
-        solve).  Only consulted by ``"auto"``: a stacked product
-        allocates its operand and result columns per member, so a wide
-        enough batch may resolve to the block kernels where a solo
-        caller would compile a plan (see
-        :func:`~repro.core.kernels.plan.select_strategies`).
+    gather_strategy, scatter_strategy, batch_hint:
+        Accepted for callers that still spell them: the pair must be
+        one of :data:`~repro.core.kernels.plan.STRATEGY_PAIRS` (any
+        other raises ``ValueError``), ``batch_hint`` at least 1.
+        Neither changes the kernels: every operator compiles the plan.
     kernel_hook:
         Optional callable invoked for each kernel a product runs with
         ``(name, rows, nnz)``; a ``K``-wide product reports each kernel
@@ -95,8 +79,7 @@ class AprodOperator:
         ``aprod.kernel_nnz`` counters (labeled by kernel name), the
         CPU-side analogue of the per-kernel launch counts ``nsys``
         reports.  Building a plan additionally sets the
-        ``aprod.plan_build_ms`` and ``aprod.plan_workspace_bytes``
-        gauges.
+        ``aprod.plan_build_ms`` and ``aprod.plan_bytes`` gauges.
     """
 
     def __init__(
@@ -109,25 +92,27 @@ class AprodOperator:
         kernel_hook: KernelHook | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
+        if (gather_strategy, scatter_strategy) not in STRATEGY_PAIRS:
+            raise ValueError(
+                f"gather_strategy={gather_strategy!r}, scatter_strategy="
+                f"{scatter_strategy!r}: expected one of {STRATEGY_PAIRS}")
         if batch_hint < 1:
             raise ValueError(f"batch_hint must be >= 1, got {batch_hint}")
         self.system = system
-        self.batch_hint = batch_hint
         self.kernel_hook = kernel_hook
         self.telemetry = telemetry
         #: The one kernel set every product calls.
-        self.kernels = self._build_kernels(resolve_kernels(
-            gather_strategy, scatter_strategy, system.dims, batch_hint))
+        self.kernels = self._build_kernels()
 
-    def _build_kernels(self, name: str) -> AprodPlan | BlockKernels:
-        """The kernel set ``name`` over :attr:`system` (built once)."""
-        kernels = KERNEL_SETS[name](self.system)
-        if isinstance(kernels, AprodPlan) and self.telemetry is not None:
+    def _build_kernels(self) -> AprodPlan:
+        """The plan over :attr:`system` (built once)."""
+        plan = AprodPlan(self.system)
+        if self.telemetry is not None:
             self.telemetry.gauge("aprod.plan_build_ms").set(
-                kernels.build_seconds * 1e3)
-            self.telemetry.gauge("aprod.plan_workspace_bytes").set(
-                float(kernels.workspace_nbytes))
-        return kernels
+                plan.build_seconds * 1e3)
+            self.telemetry.gauge("aprod.plan_bytes").set(
+                float(plan.workspace_nbytes))
+        return plan
 
     # ------------------------------------------------------------------
     @property
@@ -137,7 +122,7 @@ class AprodOperator:
 
     @property
     def plan(self) -> AprodPlan | None:
-        """The compiled plan, when that is the operator's kernel set."""
+        """The compiled plan (None on a port emulation)."""
         return self.kernels if isinstance(self.kernels, AprodPlan) else None
 
     @property
@@ -179,9 +164,8 @@ class AprodOperator:
         """``out += A.T @ y`` over observation and constraint rows.
 
         Returns the (n_params,) accumulator; allocates it when ``out``
-        is None.  Both kernel sets sum every unknown in an order fixed
-        when the set is built, so repeated applications are bitwise
-        identical.
+        is None.  Every unknown sums in an order fixed when the kernel
+        set is built, so repeated applications are bitwise identical.
         """
         sysm = self.system
         m = sysm.dims.n_obs
@@ -200,9 +184,8 @@ class AprodOperator:
 
         ``X`` is ``(K, n_params)`` batch-major; returns the
         ``(K, n_rows)`` accumulator (allocated when ``out`` is None).
-        The compiled plan reads the matrix once for the whole batch
-        (one CSR product over the stacked operand); the block kernels
-        run per member.  Either way member ``j`` is bitwise
+        The plan reads the matrix once for the whole batch (one CSR
+        product over the stacked operand), and member ``j`` is bitwise
         ``aprod1(X[j])``.
         """
         sysm = self.system
@@ -221,8 +204,7 @@ class AprodOperator:
         """``out[j] += A.T @ Y[j]`` for a stacked batch of row vectors.
 
         ``Y`` is ``(K, n_rows)``; returns the ``(K, n_params)``
-        accumulator.  Member ``j`` is bitwise ``aprod2(Y[j])`` on
-        either kernel set.
+        accumulator.  Member ``j`` is bitwise ``aprod2(Y[j])``.
         """
         sysm = self.system
         m = sysm.dims.n_obs
@@ -237,11 +219,8 @@ class AprodOperator:
 
     # ------------------------------------------------------------------
     def column_sq_norms(self) -> np.ndarray:
-        """Squared column norms of ``A`` (observations + constraints).
-
-        Both kernel sets sum each column in row-major order, so the
-        norms are bitwise the same whichever set the operator holds.
-        """
+        """Squared column norms of ``A`` (observations + constraints),
+        each column summed in row-major order."""
         out = np.zeros(self.system.dims.n_params)
         self.kernels.column_sq_norms(out)
         _add_constraint_sq_norms(self.system, out)
@@ -282,18 +261,15 @@ def _add_constraint_sq_norms(system: GaiaSystem, out: np.ndarray) -> None:
 def aprod1(system: GaiaSystem, x: np.ndarray) -> np.ndarray:
     """One-shot ``A @ x``, compiled one row block at a time.
 
-    The kernel set is resolved once, from the whole system's dims (a
-    short tail block still runs the set the whole operator would), and
-    each row block writes its own rows.  Rows are independent, so the
-    result is bitwise ``AprodOperator(system).aprod1(x)``, while the
-    call holds one block of compiled kernels, not the whole system's.
+    Each row block's plan writes its own rows.  Rows are independent,
+    so the result is bitwise ``AprodOperator(system).aprod1(x)``, while
+    the call holds one block's plan, not the whole system's.
     """
     d = system.dims
     _check("x", x, (d.n_params,))
     out = np.zeros(system.n_rows)
-    kernel_set = KERNEL_SETS[resolve_kernels("auto", "auto", d)]
     for lo, hi, rows in _row_blocks(system):
-        kernel_set(rows).aprod1(x, out[lo:hi])
+        AprodPlan(rows).aprod1(x, out[lo:hi])
     if system.constraints is not None:
         out[d.n_obs:] += system.constraints.apply_forward(x)
     return out
@@ -308,14 +284,16 @@ def aprod2(system: GaiaSystem, y: np.ndarray) -> np.ndarray:
 def column_sq_norms(system: GaiaSystem) -> np.ndarray:
     """One-shot squared column norms of ``A``, streamed by row block.
 
-    Each row block's block kernels add into one zeroed accumulator,
-    then the constraint rows are added once: every column sums its
-    terms in row-major order, bitwise
-    :meth:`AprodOperator.column_sq_norms` on either kernel set, while
-    the pass holds one block's column indices, not the system's.
+    Each row block's packed columns (the plan's packing, no plan kept)
+    add into one zeroed accumulator, then the constraint rows are added
+    once: every column sums its terms in row-major order, bitwise
+    :meth:`AprodOperator.column_sq_norms`, while the pass holds one
+    block's column indices, not the system's.
     """
     out = np.zeros(system.dims.n_params)
-    for _, _, rows in _row_blocks(system):
-        BlockKernels(rows).column_sq_norms(out)
+    for lo, hi, rows in _row_blocks(system):
+        a, shape = rows.observation_csr(), (hi - lo, system.dims.nnz_per_row)
+        gather_scatter.column_sq_norms(a.data.reshape(shape),
+                                       a.indices.reshape(shape), out)
     _add_constraint_sq_norms(system, out)
     return out

@@ -1,4 +1,4 @@
-"""CGLS: the classic alternative to LSQR on the normal equations.
+"""CGLS: the textbook alternative to LSQR on the normal equations.
 
 LSQR is mathematically equivalent to conjugate gradients applied to
 ``A^T A x = A^T b`` (CGLS) in exact arithmetic, but numerically more

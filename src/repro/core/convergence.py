@@ -121,7 +121,7 @@ def lsqr_solve_reorthogonalized(
     """LSQR with full reorthogonalization of the right Lanczos vectors.
 
     Keeps every generated ``v`` and re-projects each new one against
-    all predecessors (classical Gram-Schmidt, twice).  Costs O(itn * n)
+    all predecessors (Gram-Schmidt, twice).  Costs O(itn * n)
     memory and O(itn^2 * n) work -- a diagnostic tool for small
     systems, quantifying how far plain LSQR drifts on ill-conditioned
     sphere reconstructions.
@@ -144,8 +144,8 @@ def lsqr_solve_reorthogonalized(
             # LSQR calls aprod2 either fresh (initialization) or with
             # out = -beta * v_prev; either way the result, before
             # normalization, is the next Lanczos direction.
-            # Re-project against every stored basis vector (classical
-            # Gram-Schmidt, applied twice for stability).
+            # Re-project against every stored basis vector
+            # (Gram-Schmidt, applied twice for stability).
             for _ in range(2):
                 for q in basis:
                     v -= np.dot(q, v) * q

@@ -290,7 +290,7 @@ def resume_state(resume_from: "str | Path | EngineState",
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _plan_workspace_bytes(op: Aprod) -> int:
+def _plan_nbytes(op: Aprod) -> int:
     """Bytes of the operator's plan workspaces, when it exposes them."""
     plan = getattr(op, "plan", None)
     if plan is None:
@@ -458,7 +458,7 @@ class LSQRStepEngine:
         """Bytes preallocated for the hot loop (engine vectors plus the
         operator's plan workspaces, when it exposes them)."""
         return (self._dk.nbytes + self._tmp.nbytes
-                + _plan_workspace_bytes(self.op))
+                + _plan_nbytes(self.op))
 
     # ------------------------------------------------------------------
     def start(self, b_local: np.ndarray) -> EngineState:
@@ -732,7 +732,7 @@ class BatchedLSQRStepEngine:
         """Bytes preallocated for the batched hot loop (engine stacks
         plus the operator's plan workspaces, when it exposes them)."""
         return (self._Uws.nbytes + self._Vws.nbytes + self._dk.nbytes
-                + self._tmp.nbytes + _plan_workspace_bytes(self.op))
+                + self._tmp.nbytes + _plan_nbytes(self.op))
 
     # ------------------------------------------------------------------
     def start(self, B: np.ndarray) -> BatchedEngineState:

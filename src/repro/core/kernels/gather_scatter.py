@@ -1,4 +1,8 @@
-"""Shared gather-dot and scatter-add primitives of the block kernels.
+"""Gather-dot and scatter-add primitives of the block kernels.
+
+The block kernels are the Fig. 6 port emulation
+(:mod:`repro.validation.compare`); the column-norm pass below is also
+the plan's.
 
 Every ``aprod1`` kernel is a row-parallel *gather-dot*:
 ``out[i] += sum_j values[i, j] * x[cols[i, j]]`` -- trivially parallel,
@@ -82,7 +86,7 @@ def column_sq_norms(
 ) -> None:
     """Accumulate per-column sums of squared coefficients into ``out``.
 
-    The Jacobi column preconditioner's pass, for both kernel sets.  It
+    The Jacobi column preconditioner's pass, for every kernel set.  It
     walks :data:`CHUNK_ROWS` row blocks, squares each into one reused
     buffer and adds the squares straight into ``out`` with
     ``np.add.at``, one entry at a time in row-major order.  Every

@@ -1,12 +1,14 @@
 """The compiled ``aprod`` plan: one SciPy CSR matrix per bound system.
 
-The block kernels (:mod:`repro.core.kernels.blocks`) mirror the GPU
-ports kernel-for-kernel, which is faithful but leaves the host analogue
-of the paper's central tuning axis unexploited: §III-B identifies
+The host's one production kernel set.  §III-B identifies
 ``aprod1``/``aprod2`` as the two dominant, memory-bound costs of every
 LSQR iteration, and §IV shows that how the ``aprod2`` scatter
 collisions are resolved (RMW atomics vs. CAS loops) decides up to half
-the achievable efficiency.  This module is the tuned counterpart.
+the achievable efficiency; the paper tunes one geometry per platform
+and runs it.  The four per-submatrix kernels of the GPU ports live on
+only as the validation's port emulation
+(:mod:`repro.validation.compare`), which the plan beats
+at every size measured (``docs/kernel_plan.md``).
 *Generating* the operator is kept apart from *applying* it:
 
 - **Generate** (:class:`AprodPlan`): the observation block is compiled
@@ -40,18 +42,12 @@ the achievable efficiency.  This module is the tuned counterpart.
   It aliases the system's coefficients, so a system mutated in place
   while a solve runs on it gives undefined results.
 
-:func:`select_strategies` is the shape-based heuristic (the tuning
-sweep records its choice per size class) that decides when the plan
-pays for itself, and :func:`resolve_kernels` reads the
-``(gather_strategy, scatter_strategy)`` pair
-:class:`~repro.core.aprod.AprodOperator` takes as the spelling of one
-kernel set.  ``docs/kernel_plan.md`` has the measurements.
+``docs/kernel_plan.md`` has the measurements.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 # Module level, never inside the build (``observation_csr`` imports it
@@ -61,35 +57,19 @@ import scipy.sparse  # noqa: F401
 
 from repro.core.kernels.gather_scatter import column_sq_norms
 from repro.system.sparse import GaiaSystem
-from repro.system.structure import SystemDims
 
 #: The ``gather_strategy`` / ``scatter_strategy`` spelling of the
-#: compiled set (the names predate the CSR matrix; ``bench/`` and
-#: ``SolveRequest.strategies`` spell them).
+#: plan (the names predate the CSR matrix; ``SolveRequest.strategies``
+#: spells them).
 FUSED_GATHER = "fused"
 SORTED_SEGMENT_SCATTER = "sorted_segment"
 
-#: The strategy pair that spells each kernel set; ``("auto", "auto")``
-#: leaves the choice to :func:`select_strategies`.
-KERNEL_SET_SPELLINGS = {
-    (FUSED_GATHER, SORTED_SEGMENT_SCATTER): "compiled",
-    ("vectorized", "bincount"): "blocks",
-}
+#: The ``(gather_strategy, scatter_strategy)`` pairs
+#: :class:`~repro.core.aprod.AprodOperator` accepts; both name the plan.
+STRATEGY_PAIRS = (("auto", "auto"), (FUSED_GATHER, SORTED_SEGMENT_SCATTER))
 
-#: Kernel names the compiled set reports (one kernel per direction).
+#: Kernel names the plan reports (one kernel per direction).
 FUSED_KERNEL_NAMES = ("aprod1_fused", "aprod2_fused")
-
-#: Below this observation count the one-off plan build (packing the
-#: nnz column indices) is not worth any per-iteration win, and the
-#: heuristic keeps the block kernels.
-FUSED_MIN_OBS = 4096
-
-#: Memory budget of one plan: what :func:`plan_workspace_bytes` counts
-#: (the index block, the row pointers and a batch's stacked columns).
-#: Past this the heuristic falls back to the block kernels, which run
-#: a batch one member at a time, instead of materializing the compiled
-#: matrix.
-PLAN_BUDGET_BYTES = 4 << 30
 
 
 # ----------------------------------------------------------------------
@@ -164,103 +144,9 @@ class AprodPlan:
         ``A.data`` / ``A.indices`` are ``(n_obs, k_total)`` blocks in
         storage order, and :func:`~repro.core.kernels.gather_scatter.
         column_sq_norms` walks them a row block at a time: each column
-        adds its terms in row-major order, as the block kernels'
-        per-section passes do -- bitwise the same norms -- and the pass
-        allocates one row block of squares, not an nnz-sized copy.
+        adds its terms in row-major order, and the pass allocates one
+        row block of squares, not an nnz-sized copy.
         """
         shape = (self.n_obs, self.k_total)
         column_sq_norms(self.A.data.reshape(shape),
                         self.A.indices.reshape(shape), out)
-
-
-# ----------------------------------------------------------------------
-# Shape heuristic
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StrategySelection:
-    """The host kernel set for one system shape: ``"compiled"`` (an
-    :class:`AprodPlan`) or ``"blocks"`` (the block kernels)."""
-
-    kernels: str
-    reason: str
-
-
-def plan_workspace_bytes(dims: SystemDims, batch: int = 1) -> int:
-    """Predicted memory footprint of an :class:`AprodPlan`.
-
-    What the plan allocates -- a 4 B column index per coefficient plus
-    the row-pointer array; the 8 B values are the system's own block --
-    and, for every member past the first, the operand and result
-    columns a stacked product allocates while it runs.  At ``batch=1``
-    this is :attr:`AprodPlan.workspace_nbytes`.  (Past 2**31
-    coefficients SciPy switches to 8 B indices; such a plan is over the
-    budget either way.)
-    """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    held = 4 * dims.nnz + 4 * (dims.n_obs + 1)
-    return held + (batch - 1) * 8 * (dims.n_obs + dims.n_params)
-
-
-def select_strategies(dims: SystemDims, batch: int = 1
-                      ) -> StrategySelection:
-    """Choose the host kernel set from the system shape alone.
-
-    Mirrors the paper's per-platform geometry tuning (§IV/§V-B) on the
-    host: the compiled plan wins once its one-off build cost (packing
-    the nnz column indices) amortizes over the iterations and the plan
-    fits the budget.
-
-    - tiny systems (``n_obs`` < :data:`FUSED_MIN_OBS`): the block
-      kernels -- the plan build dominates;
-    - oversized plans (footprint past :data:`PLAN_BUDGET_BYTES`): the
-      block kernels, which run a batch one member at a time;
-    - everything else: the compiled matrix.
-
-    ``batch`` is the intended trailing batch width: every further
-    member adds the columns a stacked product allocates
-    (:func:`plan_workspace_bytes`), so a system that compiles a plan
-    solo can exceed the budget once enough members ride on it -- the
-    heuristic then falls back to the block kernels for the whole batch.
-    """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    if dims.n_obs < FUSED_MIN_OBS:
-        return StrategySelection(
-            kernels="blocks",
-            reason=(f"n_obs={dims.n_obs} < {FUSED_MIN_OBS}: plan build "
-                    "would dominate; block kernels"),
-        )
-    footprint = plan_workspace_bytes(dims, batch)
-    if footprint > PLAN_BUDGET_BYTES:
-        return StrategySelection(
-            kernels="blocks",
-            reason=(f"plan workspaces ({footprint / 2**30:.1f} GiB at "
-                    f"batch={batch}) exceed the budget; row-blocked "
-                    "block kernels"),
-        )
-    return StrategySelection(
-        kernels="compiled",
-        reason=(f"n_obs={dims.n_obs}: fused plan amortizes "
-                f"({footprint / 2**20:.0f} MiB workspaces at "
-                f"batch={batch})"),
-    )
-
-
-def resolve_kernels(gather: str, scatter: str, dims: SystemDims,
-                    batch: int = 1) -> str:
-    """The kernel set a ``(gather_strategy, scatter_strategy)`` pair
-    names: one of :data:`KERNEL_SET_SPELLINGS`, or ``("auto", "auto")``
-    for :func:`select_strategies`'s choice at trailing width ``batch``.
-    """
-    if (gather, scatter) == ("auto", "auto"):
-        return select_strategies(dims, batch).kernels
-    try:
-        return KERNEL_SET_SPELLINGS[gather, scatter]
-    except KeyError:
-        spellings = ", ".join(f"{g!r}/{s!r} ({name})" for (g, s), name
-                              in KERNEL_SET_SPELLINGS.items())
-        raise ValueError(
-            f"gather_strategy={gather!r}, scatter_strategy={scatter!r} "
-            f"name no one kernel set; expected {spellings} or "
-            "'auto'/'auto'") from None

@@ -126,10 +126,9 @@ def lsqr_solve(
     ----------
     system:
         A :class:`~repro.system.sparse.GaiaSystem` (the right-hand side is its
-        own, including constraint rows; the kernels resolve by system
-        shape, see :func:`~repro.core.kernels.plan.select_strategies`),
-        an :class:`~repro.core.aprod.AprodOperator` built with the
-        caller's own kernel strategies, or any object satisfying the
+        own, including constraint rows; it is compiled to the plan), an
+        :class:`~repro.core.aprod.AprodOperator` the caller built (a
+        port emulation, a kernel hook), or any object satisfying the
         :class:`Aprod` protocol together with an explicit ``b``.
     b:
         Right-hand side; required for raw operators, optional for an
@@ -298,18 +297,17 @@ def lsqr_solve_batch(
     member per iteration with one batched ``aprod`` pass each way, and
     members that converge early freeze (their own ``itn``/``istop``)
     while the rest keep iterating.  Member ``j``'s result matches
-    ``lsqr_solve(system_with_b_j, damp=damps[j], ...)`` bitwise, on
-    every kernel preset (``tests/test_engine_batch.py``).
+    ``lsqr_solve(system_with_b_j, damp=damps[j], ...)`` bitwise
+    (``tests/test_engine_batch.py``).
 
     Parameters
     ----------
     system:
         The shared matrix: a :class:`~repro.system.sparse.GaiaSystem`
-        (compiled with ``batch_hint=K``, so the columns a stacked
-        product allocates count against the plan budget), an
-        :class:`~repro.core.aprod.AprodOperator` built with the
-        caller's own strategies / ``batch_hint``, or any
-        :class:`~repro.core.engine.BatchedAprod` operator.
+        (compiled to the plan, whose stacked products read it once per
+        batch), an :class:`~repro.core.aprod.AprodOperator` the caller
+        built, or any :class:`~repro.core.engine.BatchedAprod`
+        operator.
         Unlike the single-solve driver the stacked right-hand sides
         are always explicit -- many RHS over one matrix is the whole
         point.
@@ -344,7 +342,7 @@ def lsqr_solve_batch(
         np.asarray(damps, dtype=np.float64), (K,)
     ).copy()
 
-    op, scaling = prepare(system, precondition=precondition, batch=K,
+    op, scaling = prepare(system, precondition=precondition,
                           telemetry=telemetry)
     m, n = op.shape
     if B.shape[1] != m:

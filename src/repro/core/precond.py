@@ -10,8 +10,8 @@ differ by orders of magnitude -- converge together.
 :func:`prepare` is the one operator-preparation step of every solve
 driver (serial, batched, CGLS, the convergence
 diagnostics and both SPMD drivers): drivers *take* an operator and
-never build one, so the kernel-strategy vocabulary stays on
-:class:`~repro.core.aprod.AprodOperator`.
+never build one, so which kernels run is decided where the
+:class:`~repro.core.aprod.AprodOperator` is built.
 """
 
 from __future__ import annotations
@@ -176,15 +176,13 @@ def prepare(
     *,
     precondition: bool = True,
     scaling: ColumnScaling | None = None,
-    batch: int = 1,
     telemetry: Telemetry | None = None,
 ) -> tuple[Aprod, ColumnScaling]:
     """The (operator the engine iterates on, its ``ColumnScaling``) pair.
 
-    ``system`` is a :class:`~repro.system.sparse.GaiaSystem` (compiled here
-    with the ``"auto"`` kernels for a trailing batch of ``batch``,
+    ``system`` is a :class:`~repro.system.sparse.GaiaSystem` (compiled here,
     reporting to ``telemetry``), an :class:`AprodOperator` the caller
-    built with its own strategies, or any raw
+    built (a port emulation, a kernel hook), or any raw
     :class:`~repro.core.engine.Aprod`.  ``precondition`` wraps it in
     its Jacobi column scaling (raw operators cannot expose column
     norms) and ``False`` returns it as is, with the identity scaling.
@@ -192,7 +190,7 @@ def prepare(
     the row-sliced SPMD case, where the norms sum over every rank's
     rows (:meth:`ColumnScaling.from_system`).
     """
-    op = (AprodOperator(system, batch_hint=batch, telemetry=telemetry)
+    op = (AprodOperator(system, telemetry=telemetry)
           if isinstance(system, GaiaSystem) else system)
     if scaling is None:
         if not precondition:

@@ -145,8 +145,9 @@ class DistributedLSQR:
     """Driver binding a system to a rank count.
 
     ``local_operator`` builds one rank's kernel operator from its row
-    block; the default compiles the ``"auto"`` kernels,
-    ``functools.partial(AprodOperator, ...)`` picks others.
+    block; the default compiles the plan, and a port emulation
+    (:class:`repro.validation.compare.PortOperator`) or a
+    ``functools.partial(AprodOperator, kernel_hook=...)`` fits too.
 
     With ``telemetry``, each rank thread traces ``dist.iteration``
     spans containing exactly the two per-iteration ``dist.comm_epoch``

@@ -1,6 +1,6 @@
 """Roofline analysis of the solver's kernels.
 
-Places every kernel of one LSQR iteration on the classic roofline:
+Places every kernel of one LSQR iteration on the roofline model:
 arithmetic intensity (flops per byte actually moved, including the
 transaction-amplified random accesses) against the device's ridge
 point (`fp64_peak / bandwidth_peak`).  The AVU-GSR kernels sit far

@@ -77,7 +77,7 @@ x load-mix covering set -- before the scheduler serves a job.  See
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.api import PlacementConstraints
@@ -148,8 +148,8 @@ class Scenario:
 
 
 #: The sections a scenario document may carry, and the keys of each
-#: section ``parse_scenario`` reads (``load`` is checked by
-#: :class:`~repro.serve.loadgen.LoadSpec` itself).
+#: section ``parse_scenario`` reads (``load``'s are
+#: :class:`~repro.serve.loadgen.LoadSpec`'s fields).
 _SECTIONS = ("placement", "scheduler", "sessions", "load")
 _SCHEDULER_KEYS = ("workers", "max_queue_depth", "cache_capacity",
                    "max_replacements", "drain_timeout_s", "mp_workers")
@@ -174,7 +174,7 @@ def _reject_unknown(where: str, doc: dict, known: tuple[str, ...]) -> None:
 def parse_scenario(doc: dict) -> Scenario:
     """Build a :class:`Scenario` from a decoded JSON document.
 
-    An unknown key in any section but ``load`` raises with the key
+    An unknown key in any section raises ``ValueError`` with the key
     named.
     """
     _reject_unknown("scenario", doc, _SECTIONS)
@@ -192,6 +192,8 @@ def parse_scenario(doc: dict) -> Scenario:
             "sessions.preempt_slice requires sessions.enabled: "
             "preempted solves park their checkpoint in the store")
     load_doc = dict(doc.get("load", {}))
+    _reject_unknown("load", load_doc,
+                    tuple(f.name for f in fields(LoadSpec)))
     if "mix" in load_doc:
         load_doc["mix"] = tuple(
             (float(size), float(weight))

@@ -143,7 +143,8 @@ class ProcessBackend:
         self._pending: dict[int, _Call] = {}
         self._next_call = 0
         self._ready = threading.Event()
-        self._ready_count = 0
+        #: Ids of the workers that reported ``ready`` (imports done).
+        self._ready_ids: set[int] = set()
         self._stopping = False
         self._started = False
 
@@ -279,8 +280,7 @@ class ProcessBackend:
                     if dead:
                         self._pending.clear()
                 for call in orphaned:
-                    call.error = ("every worker process died before "
-                                  "answering")
+                    call.error = self._death_note()
                     call.event.set()
                 if done or dead:
                     return
@@ -289,8 +289,8 @@ class ProcessBackend:
                 return
             kind = msg[0]
             if kind == "ready":
-                self._ready_count += 1
-                if self._ready_count >= self._workers:
+                self._ready_ids.add(msg[1])
+                if len(self._ready_ids) >= self._workers:
                     self._ready.set()
                 continue
             if kind == "exit":
@@ -305,6 +305,22 @@ class ProcessBackend:
             else:
                 call.error = body
             call.event.set()
+
+    def _death_note(self) -> str:
+        """Why no call can be answered: each worker's exit code and
+        whether it ever reported ready."""
+        states = ", ".join(
+            f"{p.name} exit code {p.exitcode}, "
+            + ("ready" if i in self._ready_ids else "never ready")
+            for i, p in enumerate(self._procs))
+        note = f"every worker process died before answering ({states})"
+        if not self._ready_ids:
+            note += (
+                "; none finished starting: a spawned worker re-imports "
+                "the driver script, so a script that builds a "
+                "process-backend Scheduler at import time needs an "
+                "`if __name__ == \"__main__\":` guard")
+        return note
 
     # -- shutdown -------------------------------------------------------
     def stop(self, force: bool = False, timeout: float = 5.0) -> None:

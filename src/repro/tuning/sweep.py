@@ -7,9 +7,8 @@ reproduces that search: it times every deduplicated
 ``(threads_per_block, atomic_cap)`` candidate of
 :func:`geometry_candidates` through the executor's one modeled launch
 sequence and keeps the best against the out-of-the-box ``(256,
-None)``, plus the host kernel set
-:func:`~repro.core.kernels.plan.select_strategies` picks for the same
-shape.  Only a port whose geometry is its own to choose on the
+None)``.  (The host's own kernels are not tuned: every size runs the
+compiled plan, :mod:`repro.core.kernels.plan`.)  Only a port whose geometry is its own to choose on the
 platform (:meth:`~repro.frameworks.base.Port.tunable`) can be swept.
 
 What the online service adds is *identity*.  A :class:`SweepSpec`
@@ -31,7 +30,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from repro.core.kernels.plan import select_strategies
 from repro.frameworks.base import Port
 from repro.frameworks.executor import _launch_sequence
 from repro.frameworks.executors_future import PSTL_EXECUTORS
@@ -179,10 +177,7 @@ class TunedConfig:
 
     ``tuned_iteration_s / default_iteration_s`` is the ratio the
     placement cost model applies to its nominal (out-of-the-box)
-    estimate; ``host_kernels`` records the host kernel set
-    :func:`~repro.core.kernels.plan.select_strategies` selected for
-    the size-class representative shape (``"compiled"`` or
-    ``"blocks"``).
+    estimate.
     """
 
     spec: SweepSpec
@@ -190,7 +185,6 @@ class TunedConfig:
     atomic_cap: int | None
     tuned_iteration_s: float
     default_iteration_s: float
-    host_kernels: str
     model_evals: int
 
     @property
@@ -220,7 +214,6 @@ class TunedConfig:
                 "atomic_cap": self.atomic_cap,
                 "tuned_iteration_s": self.tuned_iteration_s,
                 "default_iteration_s": self.default_iteration_s,
-                "host_kernels": self.host_kernels,
                 "model_evals": self.model_evals,
             },
             sort_keys=True,
@@ -229,6 +222,8 @@ class TunedConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TunedConfig":
+        """Parse :meth:`to_json`'s output; a key it no longer writes
+        (a file from an older release) is ignored."""
         doc = json.loads(text)
         spec_doc = doc["spec"]
         spec = SweepSpec(
@@ -245,7 +240,6 @@ class TunedConfig:
             atomic_cap=doc["atomic_cap"],
             tuned_iteration_s=doc["tuned_iteration_s"],
             default_iteration_s=doc["default_iteration_s"],
-            host_kernels=doc["host_kernels"],
             model_evals=doc["model_evals"],
         )
 
@@ -301,7 +295,6 @@ class GeometrySweeper:
                      for tpb, cap in candidates}
             (best_tpb, best_cap), best_time = min(
                 sweep.items(), key=lambda kv: kv[1])
-            host_kernels = select_strategies(dims).kernels
 
         evals = len(candidates)
         self.model_evals += evals
@@ -312,6 +305,5 @@ class GeometrySweeper:
             atomic_cap=best_cap,
             tuned_iteration_s=best_time,
             default_iteration_s=sweep[(256, None)],
-            host_kernels=host_kernels,
             model_evals=evals,
         )

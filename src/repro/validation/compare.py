@@ -8,10 +8,13 @@ standard-error differences below the 10 micro-arcsecond target.  The
 functions here compute exactly those quantities, per solution section.
 
 Ports differ from production in how ``aprod2`` resolves its scatter
-collisions.  :class:`PortKernels` is the block kernel set with a port's
+collisions.  :class:`BlockKernels` is the paper's four per-submatrix
+kernels on the host, :class:`PortKernels` that set with a port's
 summation order, and :func:`port_operator` the operator a port's
 execution on a device corresponds to; the production reference is the
-same emulation with the atomic scatter on every block.
+same emulation with the atomic scatter on every block.  The host's own
+solves run the compiled plan (:mod:`repro.core.kernels.plan`); these
+kernel sets exist only to be compared against.
 """
 
 from __future__ import annotations
@@ -21,7 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.aprod import AprodOperator
-from repro.core.kernels.blocks import BlockKernels
+from repro.core.kernels.gather_scatter import (
+    column_sq_norms,
+    gather_dot,
+    scatter_add,
+)
 from repro.core.lsqr import LSQRResult, lsqr_solve
 from repro.core.variance import MICROARCSEC_RAD, standard_errors
 from repro.frameworks.base import Port
@@ -91,16 +98,109 @@ class ValidationComparison:
         )
 
 
+class BlockKernels:
+    """``A_obs`` as its four coefficient blocks, applied block by block.
+
+    The CUDA production code runs ``aprod1`` and ``aprod2`` as four
+    kernels each -- ``aprod{1,2}_Kernel_astro/att/instr/glob()`` (§IV).
+    This is that decomposition on the host:
+
+    - **astro / att / instr**: a row-blocked gather-dot for ``aprod1``
+      and a keyed scatter-add for ``aprod2``
+      (:mod:`~repro.core.kernels.gather_scatter`) over each block's
+      coefficients and global columns.  The columns are reconstructed
+      once from the compressed indices (``matrixIndexAstro`` /
+      ``matrixIndexAtt`` / ``instrCol``, §III-B) and reused every
+      iteration, as the GPU ports keep their index arrays
+      device-resident.
+    - **glob**: at most one coefficient per row, all in the one global
+      (PPN-gamma) column.  ``aprod1`` is a broadcast multiply;
+      ``aprod2`` degenerates to one dot product, the tree reduction the
+      tuned GPU ports use where a naive atomic has the worst contention
+      of the four.
+
+    The products have the signatures of
+    :class:`~repro.core.kernels.plan.AprodPlan`'s: they cover the
+    observation rows only and accumulate into a caller-owned ``out``.
+    :attr:`work` is the ``(kernel, rows, nnz)`` each direction reports.
+    """
+
+    def __init__(self, system: GaiaSystem) -> None:
+        d = system.dims
+        self.n_obs = d.n_obs
+        #: ``(name, values, cols)`` of the three column blocks, in
+        #: submission order.
+        self.blocks = (
+            ("astro", system.astro_values, system.astro_columns()),
+            ("att", system.att_values, system.att_columns()),
+            ("instr", system.instr_values, system.instr_columns()),
+        )
+        # A contiguous copy (8 B a row): BLAS dot sums a strided
+        # operand in another order.
+        self.glob = (np.ascontiguousarray(system.glob_values[:, 0])
+                     if d.n_glob_params else None)
+        self.glob_col = d.glob_offset
+        lanes = [(name, values.shape[1]) for name, values, _ in self.blocks]
+        if self.glob is not None:
+            lanes.append(("glob", 1))
+        m = d.n_obs
+        self.work = {
+            product: tuple((f"{product}_{name}", m, m * k)
+                           for name, k in lanes)
+            for product in ("aprod1", "aprod2")
+        }
+
+    def aprod1(self, x: np.ndarray, obs_out: np.ndarray) -> None:
+        """``obs_out += A_obs @ x``, block by block."""
+        for _, values, cols in self.blocks:
+            gather_dot(values, cols, x, obs_out)
+        if self.glob is not None:
+            obs_out += self.glob * x[self.glob_col]
+
+    def aprod2(self, y_obs: np.ndarray, out: np.ndarray) -> None:
+        """``out += A_obs.T @ y_obs``, block by block, glob last."""
+        for name, values, cols in self.blocks:
+            self.scatter_block(name, values, cols, y_obs, out)
+        if self.glob is not None:
+            out[self.glob_col] += float(np.dot(self.glob, y_obs))
+
+    def scatter_block(self, name: str, values: np.ndarray, cols: np.ndarray,
+                      y_obs: np.ndarray, out: np.ndarray) -> None:
+        """One block's ``aprod2`` scatter (the ports' variation point)."""
+        scatter_add(values, cols, y_obs, out)
+
+    def aprod1_batch(self, X: np.ndarray, obs_out: np.ndarray) -> None:
+        """``obs_out[j] += A_obs @ X[j]``, one member at a time."""
+        for j in range(X.shape[0]):
+            self.aprod1(X[j], obs_out[j])
+
+    def aprod2_batch(self, Y_obs: np.ndarray, out: np.ndarray) -> None:
+        """``out[j] += A_obs.T @ Y_obs[j]``, one member at a time."""
+        for j in range(Y_obs.shape[0]):
+            self.aprod2(Y_obs[j], out[j])
+
+    def column_sq_norms(self, out: np.ndarray) -> None:
+        """Accumulate the squared column norms of ``A_obs`` into ``out``:
+        one row-major pass per block (the blocks own disjoint columns)."""
+        for _, values, cols in self.blocks:
+            column_sq_norms(values, cols, out)
+        if self.glob is not None:
+            column_sq_norms(self.glob[:, None],
+                            np.broadcast_to(self.glob_col, (self.n_obs, 1)),
+                            out)
+
+
 class PortKernels(BlockKernels):
     """The block kernels with one port's ``aprod2`` summation order.
 
     Ports whose atomics are native RMW add into a column in an
     unordered scatter (``np.add.at``, ``atomic=True``); CAS-loop ports
     retry in key order, which is the block kernels' own keyed
-    reduction.  Tuned language-level ports additionally take the
-    astrometric collision-free fast path on star-sorted data
-    (``star_sorted=True``): one segment sum per star writes each star's
-    five unknowns exactly once (§IV).  The global column stays one dot
+    reduction (``atomic=False, star_sorted=False`` is
+    :class:`BlockKernels` itself).  Tuned language-level ports
+    additionally take the astrometric collision-free fast path on
+    star-sorted data (``star_sorted=True``): one segment sum per star
+    writes each star's five unknowns exactly once (§IV).  The global column stays one dot
     product either way.  The results differ only in floating-point
     rounding -- the very differences the §V-C validation is designed to
     bound.
@@ -152,10 +252,9 @@ class PortOperator(AprodOperator):
     def __init__(self, system: GaiaSystem, *, atomic: bool,
                  star_sorted: bool, **operator_kwargs) -> None:
         self._port = dict(atomic=atomic, star_sorted=star_sorted)
-        super().__init__(system, gather_strategy="vectorized",
-                         scatter_strategy="bincount", **operator_kwargs)
+        super().__init__(system, **operator_kwargs)
 
-    def _build_kernels(self, name: str) -> PortKernels:
+    def _build_kernels(self) -> PortKernels:
         return PortKernels(self.system, **self._port)
 
 
@@ -178,9 +277,9 @@ def solve_production_reference(
 ) -> PortSolution:
     """The stand-in for the CUDA code in production on Leonardo.
 
-    Runs the solver on the production kernel configuration (plain
-    atomic scatter on every block, the block kernels at every size) to
-    full convergence with variance accumulation.
+    Runs the solver on the production kernel configuration (the block
+    kernels with a plain atomic scatter on every block) to full
+    convergence with variance accumulation.
     """
     res = lsqr_solve(
         PortOperator(system, atomic=True, star_sorted=False),

@@ -53,9 +53,8 @@ def noglob_system(noglob_dims):
 
 @pytest.fixture(scope="session")
 def plan_system():
-    """Big enough that every block of a 3-rank split sits above
-    ``FUSED_MIN_OBS``: ``auto`` and ``fused`` really compile a plan,
-    serially and per rank."""
+    """15 000 rows: two ``CHUNK_ROWS`` row blocks, and a 3-rank split
+    whose rank blocks are each thousands of rows."""
     dims = SystemDims(n_stars=600, n_obs=15000, n_deg_freedom_att=12,
                       n_instr_params=18, n_glob_params=1)
     return make_system(dims, seed=7, noise_sigma=1e-9)

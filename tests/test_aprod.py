@@ -1,5 +1,7 @@
 """Unit tests for the aprod dispatch layer."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -89,15 +91,20 @@ def test_column_sq_norms_match_csr(small_system):
 
 
 def test_kernel_hook_sees_all_kernels(small_system, rng):
-    seen = []
-    op = AprodOperator(small_system,
-                       kernel_hook=lambda name, rows, nnz: seen.append(name))
-    op.aprod1(rng.normal(size=op.shape[1]))
-    op.aprod2(rng.normal(size=op.shape[0]))
-    assert seen == [
-        "aprod1_astro", "aprod1_att", "aprod1_instr", "aprod1_glob",
-        "aprod2_astro", "aprod2_att", "aprod2_instr", "aprod2_glob",
-    ]
+    """The plan runs one kernel per direction; the port emulation runs
+    the paper's four per-submatrix kernels."""
+    for op, kernels in (
+            (AprodOperator, ["aprod1_fused", "aprod2_fused"]),
+            (partial(PortOperator, atomic=True, star_sorted=False), [
+                "aprod1_astro", "aprod1_att", "aprod1_instr", "aprod1_glob",
+                "aprod2_astro", "aprod2_att", "aprod2_instr",
+                "aprod2_glob"])):
+        seen = []
+        op = op(small_system,
+                kernel_hook=lambda name, rows, nnz: seen.append(name))
+        op.aprod1(rng.normal(size=op.shape[1]))
+        op.aprod2(rng.normal(size=op.shape[0]))
+        assert seen == kernels
 
 
 def test_linear_operator_adapter(small_system, rng):

@@ -3,7 +3,8 @@
 Property-based pins of the four plan products against the ``loop``
 reference kernels (random shapes, duplicate-column collisions, keys
 repeated inside a row, unoccupied columns, zero rows), plus the
-plan/operator integration contracts: strategy auto-resolution,
+plan/operator integration contracts: one kernel set (the plan) at
+every size, the plan against the production-reference port emulation,
 empty-glob systems, bitwise determinism (two applications; member ``j``
 of a stacked product against the single product; two threads on one
 operator), telemetry side channels, and the memory accounting the
@@ -31,18 +32,13 @@ from repro.api import SolveRequest, solve, solve_batch
 import loop_reference
 from repro.core.aprod import AprodOperator
 from repro.core.engine import LSQRStepEngine, SerialReduction
-from repro.core.kernels.blocks import BlockKernels
 from repro.core.kernels.gather_scatter import CHUNK_ROWS, column_sq_norms
 from repro.core.kernels.plan import (
     FUSED_KERNEL_NAMES,
     FUSED_GATHER,
-    FUSED_MIN_OBS,
-    KERNEL_SET_SPELLINGS,
-    PLAN_BUDGET_BYTES,
     SORTED_SEGMENT_SCATTER,
+    STRATEGY_PAIRS,
     AprodPlan,
-    plan_workspace_bytes,
-    select_strategies,
 )
 from repro.core.lsqr import lsqr_solve
 from repro.core.precond import ColumnScaling, PreconditionedAprod
@@ -51,6 +47,7 @@ from repro.obs.telemetry import Telemetry
 from repro.system.generator import make_system
 from repro.system.sparse import GaiaSystem
 from repro.system.structure import SystemDims
+from repro.validation.compare import PortKernels, PortOperator
 
 
 # ----------------------------------------------------------------------
@@ -175,13 +172,12 @@ def test_fused_gather_bounds_and_shape_checks():
 
 
 # ----------------------------------------------------------------------
-# Plan vs the classic operator on real systems
+# Plan vs the production-reference port emulation on real systems
 # ----------------------------------------------------------------------
 def _fused_and_reference(system):
     fused = AprodOperator(system, gather_strategy=FUSED_GATHER,
                           scatter_strategy=SORTED_SEGMENT_SCATTER)
-    ref = AprodOperator(system, gather_strategy="vectorized",
-                        scatter_strategy="bincount")
+    ref = PortOperator(system, atomic=True, star_sorted=False)
     return fused, ref
 
 
@@ -227,7 +223,7 @@ def test_plan_emits_fused_kernel_telemetry(small_system, rng):
     op = AprodOperator(small_system, gather_strategy="fused",
                        scatter_strategy="sorted_segment", telemetry=tel)
     assert tel.metrics.gauge("aprod.plan_build_ms").value >= 0.0
-    assert (tel.metrics.gauge("aprod.plan_workspace_bytes").value
+    assert (tel.metrics.gauge("aprod.plan_bytes").value
             == float(op.plan.workspace_nbytes))
     op.aprod1(rng.normal(size=op.shape[1]))
     op.aprod2(rng.normal(size=op.shape[0]))
@@ -237,47 +233,42 @@ def test_plan_emits_fused_kernel_telemetry(small_system, rng):
 
 
 # ----------------------------------------------------------------------
-# The shape heuristic
+# One production kernel set
 # ----------------------------------------------------------------------
-def test_auto_resolves_classic_below_min_obs(small_system):
-    op = AprodOperator(small_system)  # fixtures sit below FUSED_MIN_OBS
-    assert small_system.dims.n_obs < FUSED_MIN_OBS
-    assert isinstance(op.kernels, BlockKernels)
-    assert op.plan is None
+def test_auto_compiles_a_plan_on_a_60_row_system():
+    """No size threshold: the smallest system compiles the plan too."""
+    dims = SystemDims(n_stars=2, n_obs=60, n_deg_freedom_att=4,
+                      n_instr_params=6, n_glob_params=1)
+    op = AprodOperator(make_system(dims, seed=3))
+    assert isinstance(op.kernels, AprodPlan)
+    assert op.plan is op.kernels
+    assert op.plan.n_obs == 60
 
 
 def test_auto_resolves_fused_above_min_obs():
-    dims = SystemDims(n_stars=200, n_obs=FUSED_MIN_OBS,
+    """At 4 096 rows ``auto`` compiles the plan, 24 entries a row."""
+    dims = SystemDims(n_stars=200, n_obs=4096,
                       n_deg_freedom_att=24, n_instr_params=30,
                       n_glob_params=1)
-    assert select_strategies(dims).kernels == "compiled"
     op = AprodOperator(make_system(dims, seed=3))
     assert op.plan is not None
     assert op.plan.k_total == 24
 
 
-def test_auto_falls_back_to_chunked_past_budget():
-    huge = SystemDims(n_stars=60_000_000, n_obs=3_000_000_000,
-                      n_deg_freedom_att=24, n_instr_params=60,
-                      n_glob_params=1)
-    assert plan_workspace_bytes(huge) > PLAN_BUDGET_BYTES
-    selection = select_strategies(huge)
-    assert selection.kernels == "blocks"
-    assert "row-blocked" in selection.reason
-
-
 def test_explicit_strategies_remain_selectable(small_system, rng):
-    """Each spelling of a kernel set selects it, whatever ``auto`` would
-    pick, and the two sets agree."""
+    """Both accepted spellings compile the plan and give the same bits;
+    any other pair is refused, naming the accepted ones."""
     x = rng.normal(size=small_system.dims.n_params)
     results = []
-    for (gather, scatter), name in KERNEL_SET_SPELLINGS.items():
+    for gather, scatter in STRATEGY_PAIRS:
         op = AprodOperator(small_system, gather_strategy=gather,
                            scatter_strategy=scatter)
-        assert isinstance(op.kernels, {"compiled": AprodPlan,
-                                       "blocks": BlockKernels}[name])
+        assert isinstance(op.kernels, AprodPlan)
         results.append(op.aprod1(x))
-    np.testing.assert_allclose(results[0], results[1], rtol=1e-12)
+    assert np.array_equal(results[0], results[1])
+    with pytest.raises(ValueError, match="sorted_segment"):
+        AprodOperator(small_system, gather_strategy="vectorized",
+                      scatter_strategy="bincount")
 
 
 # ----------------------------------------------------------------------
@@ -438,12 +429,12 @@ def derived_columns(monkeypatch):
     return derived
 
 
-@pytest.mark.parametrize("preset", ["auto", "fused", "classic"])
+@pytest.mark.parametrize("preset", ["auto", "fused"])
 def test_an_operator_holds_exactly_one_kernel_set(
         small_system, plan_system, derived_columns, preset):
-    """By construction, on both sides of ``FUSED_MIN_OBS``: an operator
-    holds one plan or one set of block columns, never both, and derives
-    the block columns once for whichever it builds."""
+    """By construction, at every size: an operator holds one plan and
+    derives the block columns once, to pack it.  The port emulation
+    holds its block kernels instead, never a plan beside them."""
     for system in (small_system, plan_system):
         derived_columns.clear()
         gather, scatter = SolveRequest(system=system,
@@ -453,12 +444,12 @@ def test_an_operator_holds_exactly_one_kernel_set(
         assert sorted(derived_columns) == ["astro_columns", "att_columns",
                                            "instr_columns"]
         held = [value for value in vars(op).values()
-                if isinstance(value, (AprodPlan, BlockKernels))]
-        assert held == [op.kernels]
-        assert (op.plan is None) == isinstance(op.kernels, BlockKernels)
-        if preset == "auto":
-            assert (op.plan is not None) == (
-                system.dims.n_obs >= FUSED_MIN_OBS)
+                if isinstance(value, (AprodPlan, PortKernels))]
+        assert held == [op.kernels] and op.plan is op.kernels
+    port = PortOperator(small_system, atomic=True, star_sorted=False)
+    held = [value for value in vars(port).values()
+            if isinstance(value, (AprodPlan, PortKernels))]
+    assert held == [port.kernels] and port.plan is None
 
 
 @pytest.fixture()
@@ -551,7 +542,7 @@ def _stacked_product_peak(plan, width):
 
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("shape", [
-    dict(n_stars=200, n_obs=FUSED_MIN_OBS, n_deg_freedom_att=24,
+    dict(n_stars=200, n_obs=4096, n_deg_freedom_att=24,
          n_instr_params=30, n_glob_params=1),
     dict(n_stars=300, n_obs=8948, n_deg_freedom_att=12,
          n_instr_params=18, n_glob_params=0),
@@ -559,15 +550,17 @@ def _stacked_product_peak(plan, width):
          n_instr_params=60, n_glob_params=1),
 ])
 def test_plan_workspace_bytes_is_what_a_plan_holds(shape, batch):
-    """The number ``select_strategies`` budgets with and the tuning
-    report quotes is the footprint of the plan it stands for: the matrix,
-    plus what a ``batch``-wide product allocates over a 1-wide one."""
+    """What a plan holds is its 4 B index per coefficient and its row
+    pointers (the values are the system's block), and a ``batch``-wide
+    product allocates only each further member's operand and result
+    columns over a 1-wide one: no second matrix, whatever the width."""
     dims = SystemDims(**shape)
+    expected = (4 * dims.nnz + 4 * (dims.n_obs + 1)
+                + (batch - 1) * 8 * (dims.n_obs + dims.n_params))
     plan = AprodPlan(make_system(dims, seed=1))
     held = (plan.workspace_nbytes + _stacked_product_peak(plan, batch)
             - _stacked_product_peak(plan, 1))
     # numpy stages the transposed result of a stacked product through
     # its fixed-size ufunc buffer: a constant, not a per-member cost.
     staging = 8 * np.getbufsize() if batch > 1 else 0
-    assert (abs(plan_workspace_bytes(dims, batch) - held)
-            <= 0.01 * held + staging)
+    assert abs(expected - held) <= 0.01 * held + staging

@@ -129,3 +129,26 @@ def test_tune_rejects_a_vendor_mismatch_in_one_line(port, device, err,
                                                     capsys):
     assert main(["tune", "--port", port, "--device", device]) == 2
     assert capsys.readouterr().err == f"repro-gaia tune: {err}\n"
+
+
+@pytest.mark.parametrize("doc, key", [
+    ('{"load": {"n_jobz": 3}}', "n_jobz"),
+    ('{"placement": {"max_fues": 2}}', "max_fues"),
+], ids=["load", "placement"])
+def test_serve_rejects_a_malformed_scenario_in_one_line(tmp_path, doc, key,
+                                                        capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(doc)
+    assert main(["serve", "--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-gaia serve: unknown ")
+    assert f"'{key}'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_solve_has_no_kernel_strategy_flag(capsys):
+    """Every solve runs the compiled plan: there is no kernel to pick."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--strategy", "fused"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strategy" in capsys.readouterr().err

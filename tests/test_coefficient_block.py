@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.api import SolveRequest, solve, solve_batch
-from repro.core.kernels.plan import AprodPlan, plan_workspace_bytes
+from repro.core.kernels.plan import AprodPlan
 from repro.serve.shm import SystemStore
 from repro.system.generator import make_observation_block, make_system
 from repro.system.merge import append_observations
@@ -152,7 +152,6 @@ def test_the_plan_allocates_indices_only(plan_system):
     assert np.shares_memory(plan.A.data, plan_system.coefficients)
     d = plan_system.dims
     assert plan.workspace_nbytes == 4 * d.nnz + 4 * (d.n_obs + 1)
-    assert plan.workspace_nbytes == plan_workspace_bytes(d)
 
 
 def test_serial_solve_wraps_the_block(plan_system, plans):

@@ -25,18 +25,22 @@ _NOGLOB = SystemDims(n_stars=25, n_obs=750, n_deg_freedom_att=10,
                      n_instr_params=15, n_glob_params=0)
 
 #: (dims, seed, with_constraints) -> (system_digest, matrix_digest).
+#: The system digests were restated once, when generation of systems
+#: below 4 096 rows moved to the compiled plan: their known terms
+#: moved in the last bit, and the hashing code did not change (the old
+#: terms still hash to the old values).  The matrix digests never moved.
 PINS = {
     (_GLOB, 11, True): (
-        "89a14911dfe54fad0a81b5922973cffdb190efa3749e34dfa59908b064e4e51a",
+        "6cb75f48dd17bcf79b5ee03212854a83152c6080c9bc486c83a9d4863efda10c",
         "4eb85d9b9c4491563f56d89f4795fbcd603c8739b2a70d579f14c212ade38981"),
     (_GLOB, 11, False): (
-        "a7bc3ea053be2296c07c64cdac155b1873bc577421dc94ac89a44f647a7092ac",
+        "b04ca9e5b0a6d2c3be9611ca460a32262525ba6747ce37e3aa519220427078f6",
         "63a755feba44955f279b79328141020aebd10b37b1be603f2559ea08e6da02a3"),
     (_NOGLOB, 23, True): (
-        "d195f895ce5a0a70f91ae79881da65ce21d3c9abe4d9cac8b39246b979bcec18",
+        "a1ba4a15b9b556ddad72cb898f866e9ce0728735d46985211bc438fb537ef143",
         "c76b23f293f3b77ff8002616ff2b0718ffec37b3c01ec1498826a004876f8a5a"),
     (_NOGLOB, 23, False): (
-        "4e92cc5f829e1827ec08d2013f7f3d2503583a4d22bc4c4a798f8647daeeb20c",
+        "99c07a428d5d229cd72a25631f3049675480df31594dff7687ef93d903aaa683",
         "b20510fe0e7ec63eeb2a509772dc7976b5baae4a62dea2bdb91c01796abeedb3"),
 }
 

@@ -2,8 +2,8 @@
 
 Every solve driver consumes one ``prepare`` step
 (:func:`repro.core.precond.prepare`) and never builds its own
-operator, so the kernel-strategy vocabulary stays on
-``AprodOperator``, the preconditioner is assembled in one module, the
+operator, so which kernels run is decided where an ``AprodOperator``
+is built, the preconditioner is assembled in one module, the
 SPMD rank loop exists once, the Paige & Saunders update and its
 stopping chain exist once, and solver state has one on-disk format
 with one serializer (``EngineState.save`` / ``.load``).  The AST
@@ -24,8 +24,7 @@ import pytest
 
 from repro.api import ResilienceConfig, SolveRequest, solve
 from repro.core.aprod import AprodOperator
-from repro.core.kernels.plan import FUSED_MIN_OBS, AprodPlan
-from repro.dist.decomposition import partition_by_rows
+from repro.core.kernels.plan import AprodPlan
 from repro.serve.job import ServeJob
 from repro.serve.pool import DevicePool
 from repro.serve.scheduler import Scheduler
@@ -199,10 +198,6 @@ def plans_built(monkeypatch):
 
 
 def test_spmd_solves_compile_one_plan_per_rank(plan_system, plans_built):
-    # "auto" compiles a plan only above FUSED_MIN_OBS, so the count
-    # discriminates only when every rank block is that large.
-    assert all(b.n_rows >= FUSED_MIN_OBS
-               for b in partition_by_rows(plan_system, 3))
     solve(SolveRequest(system=plan_system, iter_lim=3,
                        resilience=ResilienceConfig()))
     assert len(plans_built) == 1

@@ -5,17 +5,16 @@ This file is the contract the batched solve path
 :func:`repro.core.lsqr.lsqr_solve_batch`, :func:`repro.api.solve_batch`)
 is pinned by:
 
-- on every kernel preset (``classic``, ``fused``, ``auto``) every
-  member of a batched solve is *bitwise* identical to the serial solve
-  of that member alone -- trajectory (``itn``, ``istop``), solution,
-  residual norms and variance estimates: the block kernels loop per
-  member, and member ``j`` of a stacked CSR product adds its terms in
-  the order of the single product;
+- on every kernel preset (``fused``, ``auto``: both the compiled
+  plan) every member of a batched solve is *bitwise* identical to the
+  serial solve of that member alone -- trajectory (``itn``,
+  ``istop``), solution, residual norms and variance estimates: member
+  ``j`` of a stacked CSR product adds its terms in the order of the
+  single product.  The port emulation's block kernels
+  (``vectorized`` / ``bincount``) loop per member, so its batch is
+  bitwise too;
 - early-converging members freeze (their own ``itn``/``istop``) while
-  the rest of the batch keeps iterating;
-- the auto strategy heuristic never selects a fused plan whose
-  workspaces exceed the budget once the batch multiplier is applied
-  (satellite: plan-budget property).
+  the rest of the batch keeps iterating.
 """
 
 from __future__ import annotations
@@ -36,17 +35,12 @@ from repro.api import (
 )
 from repro.core.aprod import AprodOperator
 from repro.core.engine import ISTOP_RUNNING, BatchedLSQRStepEngine, StopReason
-from repro.core.kernels.plan import (
-    FUSED_MIN_OBS,
-    PLAN_BUDGET_BYTES,
-    plan_workspace_bytes,
-    select_strategies,
-)
 from repro.core.lsqr import lsqr_solve, lsqr_solve_batch
 from repro.core.precond import prepare
 from repro.obs.telemetry import Telemetry
 from repro.system.generator import make_system
 from repro.system.structure import SystemDims
+from repro.validation.compare import PortOperator
 
 # ----------------------------------------------------------------------
 # Strategies and helpers
@@ -84,7 +78,10 @@ def batch_case(draw):
 
 
 def _operator(system, gather, scatter, **kw):
-    """Drivers take an operator: the strategies live on AprodOperator."""
+    """Drivers take an operator.  ``vectorized`` / ``bincount`` spells
+    the block kernels, the port emulation with the keyed scatter."""
+    if (gather, scatter) == ("vectorized", "bincount"):
+        return PortOperator(system, atomic=False, star_sorted=False, **kw)
     return AprodOperator(system, gather_strategy=gather,
                          scatter_strategy=scatter, **kw)
 
@@ -102,7 +99,7 @@ def _batched_results(system, members, damps, *, gather, scatter,
                      iter_lim=30, **kw):
     B = np.stack([m.rhs() for m in members])
     return lsqr_solve_batch(
-        _operator(system, gather, scatter, batch_hint=len(members)), B,
+        _operator(system, gather, scatter), B,
         damps=damps, iter_lim=iter_lim, **kw)
 
 
@@ -170,11 +167,10 @@ def test_warm_start_members_match_serial(small_system):
            rng.normal(scale=1e-2, size=n)]
     members = [small_system] * 3
     damps = [0.0, 0.0, 1e-3]
-    serial = [lsqr_solve(_operator(m, "vectorized", "bincount"),
-                         damp=d, iter_lim=25, x0=x0)
+    serial = [lsqr_solve(AprodOperator(m), damp=d, iter_lim=25, x0=x0)
               for m, d, x0 in zip(members, damps, x0s)]
     batched = lsqr_solve_batch(
-        _operator(small_system, "vectorized", "bincount", batch_hint=3),
+        AprodOperator(small_system),
         np.stack([m.rhs() for m in members]),
         damps=damps, x0s=x0s, iter_lim=25)
     for b, s in zip(batched, serial):
@@ -191,11 +187,10 @@ def test_early_stop_staggering_freezes_members(small_system):
     run exactly even though siblings kept the batch iterating."""
     damps = [50.0, 0.0, 1e-3, 10.0]
     members = [small_system] * len(damps)
-    serial = _serial_results(members, damps, gather="vectorized",
-                             scatter="bincount", iter_lim=60)
+    serial = _serial_results(members, damps, gather="auto",
+                             scatter="auto", iter_lim=60)
     batched = _batched_results(small_system, members, damps,
-                               gather="vectorized", scatter="bincount",
-                               iter_lim=60)
+                               gather="auto", scatter="auto", iter_lim=60)
     itns = [s.itn for s in serial]
     assert len(set(itns)) > 1, "test needs staggered convergence"
     for b, s in zip(batched, serial):
@@ -210,7 +205,7 @@ def test_batched_engine_telemetry_counts_member_iterations(
     damps = [50.0, 0.0]
     members = [small_system] * 2
     batched = _batched_results(small_system, members, damps,
-                               gather="vectorized", scatter="bincount",
+                               gather="auto", scatter="auto",
                                iter_lim=60, telemetry=tel)
     total_member_itns = sum(b.itn for b in batched)
     assert tel.counter("lsqr_batch.member_iterations").value == \
@@ -224,10 +219,7 @@ def test_batched_engine_telemetry_counts_member_iterations(
 # ----------------------------------------------------------------------
 
 def test_batched_state_active_done_and_abort(small_system):
-    from repro.core.aprod import AprodOperator
-
-    op = AprodOperator(small_system, gather_strategy="vectorized",
-                       scatter_strategy="bincount", batch_hint=3)
+    op = AprodOperator(small_system)
     engine = BatchedLSQRStepEngine(op, batch=3)
     B = np.stack([small_system.rhs()] * 3)
     state = engine.start(B)
@@ -273,8 +265,8 @@ def test_member_checkpoint_resumes_through_the_serial_driver(
     batched = _batched_results(small_system, members, damps,
                                gather=gather, scatter=scatter, iter_lim=40)
 
-    op, _ = prepare(_operator(small_system, gather, scatter, batch_hint=3),
-                    precondition=True, batch=3)
+    op, _ = prepare(_operator(small_system, gather, scatter),
+                    precondition=True)
     engine = BatchedLSQRStepEngine(op, batch=3, damps=damps)
     state = engine.start(np.stack([m.rhs() for m in members]))
     for _ in range(7):
@@ -298,10 +290,7 @@ def test_batched_workspace_bytes_is_what_the_engine_holds(small_system):
 
 
 def test_batched_engine_rejects_bad_shapes(small_system):
-    from repro.core.aprod import AprodOperator
-
-    op = AprodOperator(small_system, gather_strategy="vectorized",
-                       scatter_strategy="bincount")
+    op = AprodOperator(small_system)
     engine = BatchedLSQRStepEngine(op, batch=2)
     with pytest.raises(ValueError):
         engine.start(small_system.rhs())  # 1-D, not (K, m)
@@ -324,7 +313,7 @@ def test_solve_batch_matches_solve_reports(small_system):
             known_terms=small_system.known_terms + rng.normal(
                 scale=1e-8, size=small_system.known_terms.shape))
         requests.append(SolveRequest(
-            system=system, damp=damp, iter_lim=40, strategy="classic",
+            system=system, damp=damp, iter_lim=40, strategy="fused",
             seed=j, job_id=f"member-{j}"))
     reports = solve_batch(requests)
     assert [r.job_id for r in reports] == \
@@ -388,60 +377,7 @@ def test_lsqr_solve_batch_validates_b(small_system):
 
 
 # ----------------------------------------------------------------------
-# Satellite: the auto heuristic respects the budget under batching
-# ----------------------------------------------------------------------
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n_stars=st.integers(1, 10**6),
-    n_obs=st.integers(1, 10**7),
-    n_att=st.integers(4, 5000),
-    n_instr=st.integers(6, 5000),
-    n_glob=st.integers(0, 1),
-    batch=st.integers(1, 64),
-)
-def test_auto_never_selects_fused_plan_over_budget(
-        n_stars, n_obs, n_att, n_instr, n_glob, batch):
-    """select_strategies with a batch width must never choose the
-    fused plan when the batched workspaces exceed the budget."""
-    dims = SystemDims(n_stars=n_stars, n_obs=n_obs,
-                      n_deg_freedom_att=n_att, n_instr_params=n_instr,
-                      n_glob_params=n_glob)
-    sel = select_strategies(dims, batch=batch)
-    if sel.kernels == "compiled":
-        assert plan_workspace_bytes(dims, batch) <= PLAN_BUDGET_BYTES
-        assert n_obs >= FUSED_MIN_OBS
-
-
-def test_batch_multiplier_pushes_selection_off_the_fused_plan():
-    """A shape that compiles a fused plan solo falls back to the
-    row-blocked block kernels once the batch multiplier blows the
-    budget -- the satellite scenario this heuristic exists for."""
-    dims = SystemDims(n_stars=1000, n_obs=2_000_000,
-                      n_deg_freedom_att=100, n_instr_params=100,
-                      n_glob_params=1)
-    solo = select_strategies(dims)
-    assert solo.kernels == "compiled"
-    wide = select_strategies(dims, batch=512)
-    assert wide.kernels == "blocks"
-    assert "batch=512" in wide.reason
-    assert plan_workspace_bytes(dims, 512) > PLAN_BUDGET_BYTES
-
-
-def test_plan_workspace_bytes_monotone_in_batch():
-    dims = SystemDims(n_stars=50, n_obs=5000, n_deg_freedom_att=10,
-                      n_instr_params=10, n_glob_params=1)
-    sizes = [plan_workspace_bytes(dims, k) for k in (1, 2, 4, 8)]
-    assert sizes == sorted(sizes)
-    assert sizes[0] < sizes[1]
-    with pytest.raises(ValueError):
-        plan_workspace_bytes(dims, 0)
-    with pytest.raises(ValueError):
-        select_strategies(dims, batch=0)
-
-
-# ----------------------------------------------------------------------
-# Above FUSED_MIN_OBS: one stacked CSR product per direction
+# One stacked CSR product per direction
 # ----------------------------------------------------------------------
 
 def _spmm_scale_system():
@@ -450,28 +386,28 @@ def _spmm_scale_system():
     return make_system(dims, seed=7, noise_sigma=1e-9)
 
 
-def test_classic_presets_run_the_block_kernels_in_a_batch():
+def test_a_batch_runs_one_plan_kernel_and_the_emulation_four():
+    """The plan reports one kernel for a 4-wide product; the port
+    emulation's block kernels report their four, once per product."""
     system = _spmm_scale_system()
     calls = []
-    op = AprodOperator(system, batch_hint=4,
-                       kernel_hook=lambda name, *_: calls.append(name))
-    assert op.plan is not None  # auto at this size
+    op = AprodOperator(system, kernel_hook=lambda name, *_: calls.append(
+        name))
     op.aprod1_batch(np.zeros((4, system.dims.n_params)))
     assert calls == ["aprod1_fused"]
 
     calls.clear()
-    op = AprodOperator(system, gather_strategy="vectorized",
-                       scatter_strategy="bincount", batch_hint=4,
-                       kernel_hook=lambda name, *_: calls.append(name))
-    op.aprod1_batch(np.zeros((1, system.dims.n_params)))
-    assert "aprod1_fused" not in calls and "aprod1_astro" in calls
+    op = PortOperator(system, atomic=True, star_sorted=False,
+                      kernel_hook=lambda name, *_: calls.append(name))
+    op.aprod1_batch(np.zeros((4, system.dims.n_params)))
+    assert calls == ["aprod1_astro", "aprod1_att", "aprod1_instr",
+                     "aprod1_glob"]
 
 
 def test_spmm_batch_matches_serial_fused_solves():
-    """A K=8 batch on the ``auto`` preset at a size where it compiles
-    the plan: every member bitwise its serial solve."""
+    """A K=8 batch on the ``auto`` preset at 4 500 rows: every member
+    bitwise its serial solve."""
     system = _spmm_scale_system()
-    assert system.dims.n_obs >= FUSED_MIN_OBS
     rng = np.random.default_rng(5)
     members = [system] + [
         dataclasses.replace(

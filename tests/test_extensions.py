@@ -206,15 +206,16 @@ def test_json_export(mini_study, tmp_path):
 # Row-blocked (chunked) block kernels
 # ----------------------------------------------------------------------
 def test_chunked_strategies_agree(plan_system, rng):
-    """The block kernels walk 15 000 observations in two row blocks and
-    agree with the compiled set."""
+    """The block kernels (the port emulation with the keyed scatter)
+    walk 15 000 observations in two row blocks and agree with the
+    compiled plan."""
     from repro.core.aprod import AprodOperator
+    from repro.validation.compare import PortOperator
 
     x = rng.normal(size=plan_system.dims.n_params)
     y = rng.normal(size=plan_system.n_rows)
     compiled = AprodOperator(plan_system)
-    blocks = AprodOperator(plan_system, gather_strategy="vectorized",
-                           scatter_strategy="bincount")
+    blocks = PortOperator(plan_system, atomic=False, star_sorted=False)
     assert compiled.plan is not None and blocks.plan is None
     assert np.allclose(blocks.aprod1(x), compiled.aprod1(x), rtol=1e-12)
     assert np.allclose(blocks.aprod2(y), compiled.aprod2(y), rtol=1e-11)

@@ -1,5 +1,8 @@
 """Unit tests for the block kernels' primitives and the port variants.
 
+The block kernels are the Fig. 6 port emulation
+(:mod:`repro.validation.compare`); production runs the compiled plan.
+
 Every gather and scatter must agree with the pure-Python loop
 reference (``tests/loop_reference.py``), which is itself pinned against
 a dense product -- the kernels differ only in floating-point summation
@@ -16,9 +19,9 @@ import pytest
 import loop_reference
 from repro.core.aprod import AprodOperator
 from repro.core.kernels import gather_scatter
-from repro.core.kernels.blocks import BlockKernels
 from repro.core.kernels.gather_scatter import CHUNK_ROWS
 from repro.validation.compare import (
+    BlockKernels,
     PortKernels,
     atomic_scatter,
     star_segment_scatter,
@@ -93,15 +96,18 @@ def test_gather_accumulates_into_out(gs_case):
 
 
 def test_unknown_strategies_rejected(small_system):
-    """A strategy pair spells one kernel set or is refused, naming the
-    sets: an unknown value, a removed one, and a pair naming two sets."""
+    """A strategy pair spells the plan or is refused, naming the
+    accepted pairs: an unknown value, removed ones (the block kernels'
+    ``vectorized`` / ``bincount`` among them), and mixed pairs."""
     for pair in (dict(gather_strategy="magic"),
                  dict(scatter_strategy="atomic"),
                  dict(gather_strategy="chunked", scatter_strategy="chunked"),
+                 dict(gather_strategy="vectorized",
+                      scatter_strategy="bincount"),
                  dict(gather_strategy="fused", scatter_strategy="bincount"),
                  dict(gather_strategy="vectorized",
                       scatter_strategy="sorted_segment")):
-        with pytest.raises(ValueError, match="compiled.*blocks"):
+        with pytest.raises(ValueError, match="'fused', 'sorted_segment'"):
             AprodOperator(small_system, **pair)
 
 

@@ -8,7 +8,9 @@ sequence, so no second copy of the kernel-time or stream arithmetic
 can drift from it.  Whether a port's geometry is its own to sweep on a
 device is decided by ``Port.tunable`` alone, so the sweeper, the
 covering set, the tuning study, placement pricing and the CLI give one
-answer.
+answer.  The host runs one production kernel set, the compiled plan:
+the paper's block kernels exist only as the validation's port
+emulation, so nothing outside ``validation/`` builds or names them.
 """
 
 import ast
@@ -71,3 +73,22 @@ def test_one_rule_decides_what_is_tunable():
     assert {where for where, _ in compared} == {
         "frameworks/base.py:Port.tunable",
         "frameworks/base.py:Port.geometry"}
+
+
+def _named(name):
+    """Modules that reference ``name`` in code (a name, an attribute or
+    an import), docstrings and comments aside."""
+    return {
+        module for module, tree in _trees() for node in ast.walk(tree)
+        if name in (getattr(node, "id", None), getattr(node, "attr", None))
+        or (isinstance(node, ast.alias) and node.name == name)
+    }
+
+
+def test_the_block_kernels_are_the_validations_alone():
+    kernel_sets = ("BlockKernels", "PortKernels")
+    assert set().union(*map(_callers, kernel_sets)) == {
+        "validation/compare.py"}
+    for kernels in kernel_sets:
+        assert {module.split("/")[0] for module in _named(kernels)} == {
+            "validation"}, kernels

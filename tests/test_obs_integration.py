@@ -80,9 +80,9 @@ def test_solve_metrics_match_result(small_system):
     # aprod1 kernels run once per iteration; aprod2 also runs in the
     # initialization (v = A^T u), hence the +1.
     calls = tel.metrics.counter_value
-    assert calls("aprod.kernel_calls", kernel="aprod1_astro") == res.itn
+    assert calls("aprod.kernel_calls", kernel="aprod1_fused") == res.itn
     assert calls("aprod.kernel_calls",
-                 kernel="aprod2_astro") == res.itn + 1
+                 kernel="aprod2_fused") == res.itn + 1
 
 
 def test_uninstrumented_solve_unchanged(small_system):

@@ -120,7 +120,7 @@ def test_norm_explosion_guard():
 # Recovery: rank death -> degraded completion (the acceptance scenario)
 
 
-@pytest.mark.parametrize("strategy", ["fused", "classic"])
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_PRESETS))
 def test_rank_death_recovers_to_fault_free_solution(small_system, strategy):
     """4-rank solve with rank 2 dying at iteration 7 completes via
     checkpoint recovery on 3 ranks; the solution matches the
@@ -339,9 +339,7 @@ def test_checkpoint_path_writes_global_snapshots(small_system, tmp_path):
 def _batched_engine(system, k):
     from repro.core.engine import BatchedLSQRStepEngine
 
-    op = AprodOperator(system, gather_strategy="vectorized",
-                       scatter_strategy="bincount", batch_hint=k)
-    return BatchedLSQRStepEngine(op, batch=k)
+    return BatchedLSQRStepEngine(AprodOperator(system), batch=k)
 
 
 def _member_rhs(system, k):

@@ -1,16 +1,16 @@
 """One copy of the coefficients per solve: the one-pass reads stream.
 
-The column norms (on either kernel set and for the SPMD global
-scaling) and the one-shot ``aprod1`` of the generators each read a
-system once, a ``CHUNK_ROWS`` row block at a time, so the only
-nnz-sized allocation of a preconditioned solve is the compiled kernel
-set it iterates on.  The ``tracemalloc`` pins below bound each pass by
-what it is allowed to hold -- the plan (or nothing), one row block and
-O(m + n) vectors -- at a size where any nnz-sized transient breaks the
-bound.  The remaining tests pin the bits: a short tail block runs the
-kernel set the whole system resolves to, so every generated right-hand
-side stays what it was (the hashes were recorded before the passes
-were row-blocked).
+The column norms (on the plan and for the SPMD global scaling) and the
+one-shot ``aprod1`` of the generators each read a system once, a
+``CHUNK_ROWS`` row block at a time, so the only nnz-sized allocation of
+a preconditioned solve is the compiled plan it iterates on.  The
+``tracemalloc`` pins below bound each pass by what it is allowed to
+hold -- the plan (or nothing), one row block and O(m + n) vectors -- at
+a size where any nnz-sized transient breaks the bound.  The remaining
+tests pin the bits: every row block, a short tail block included,
+compiles the plan, so every generated right-hand side of a system of
+4 096 rows or more stays what it was (the hashes were recorded before
+the passes were row-blocked).
 """
 
 import hashlib
@@ -21,7 +21,6 @@ import pytest
 
 from repro.core.aprod import AprodOperator, aprod1
 from repro.core.kernels.gather_scatter import CHUNK_ROWS
-from repro.core.kernels.plan import FUSED_MIN_OBS, plan_workspace_bytes
 from repro.core.precond import ColumnScaling
 from repro.system.generator import make_observation_block, make_system
 from repro.system.sizing import dims_from_gb
@@ -57,7 +56,8 @@ def test_building_and_scaling_a_plan_holds_one_copy(mid_system):
     def build():
         ColumnScaling.from_operator(AprodOperator(mid_system))
 
-    plan = plan_workspace_bytes(mid_system.dims)
+    d = mid_system.dims
+    plan = 4 * d.nnz + 4 * (d.n_obs + 1)  # int32 indices + row pointers
     assert _peak(build) <= _allowed(mid_system, held=plan)
 
 
@@ -80,11 +80,10 @@ def test_global_scaling_holds_one_block(mid_system):
 @pytest.mark.parametrize("gb", [0.002, 0.006])
 def test_one_shot_aprod1_is_the_operators_product(gb, small_system):
     """Pin: bitwise the whole operator's ``aprod1``.  Both sizes end in
-    a tail block below ``FUSED_MIN_OBS`` (756 and 2 268 rows) that must
-    still run the compiled set; ``small_system`` runs the block
-    kernels."""
+    a short tail block (756 and 2 268 rows), and ``small_system`` is
+    one short block."""
     system = make_system(dims_from_gb(gb), seed=5, noise_sigma=1e-9)
-    assert system.dims.n_obs % CHUNK_ROWS < FUSED_MIN_OBS
+    assert system.dims.n_obs % CHUNK_ROWS < 4096
     for s in (system, small_system):
         x = np.random.default_rng(6).normal(size=s.dims.n_params)
         assert np.array_equal(aprod1(s, x), AprodOperator(s).aprod1(x))
@@ -119,7 +118,7 @@ KNOWN_TERMS_SHA = {
 def test_generated_known_terms_are_pinned(gb):
     """Pin: the generators' right-hand sides, bit for bit."""
     system = make_system(dims_from_gb(gb), seed=28, noise_sigma=1e-9)
-    assert system.dims.n_obs > FUSED_MIN_OBS
+    assert system.dims.n_obs > 4096
     got = {(gb, None): system.known_terms}
     for n in (5000, 9000):
         got[gb, n] = make_observation_block(system, n, seed=29).known_terms

@@ -55,7 +55,6 @@ def _variant(v: int, system=BASE):
 def _job(job_id: str, *, variant=0, nominal_gb=10.0, system=None,
          **request_kwargs) -> ServeJob:
     request_kwargs.setdefault("iter_lim", 40)
-    request_kwargs.setdefault("strategy", "classic")
     request = SolveRequest(
         system=system if system is not None else _variant(variant),
         job_id=job_id, **request_kwargs)
@@ -215,7 +214,7 @@ def test_a_resuming_job_is_not_fused(tmp_path):
     """A fused batch starts every member cold, so fusing a request
     that carries ``resume_from`` would silently drop it."""
     ckpt = tmp_path / "state.npz"
-    solve(SolveRequest(system=_variant(2), iter_lim=5, strategy="classic",
+    solve(SolveRequest(system=_variant(2), iter_lim=5,
                        checkpoint_every=5, checkpoint_path=ckpt))
     resuming = _job("b", variant=2, resume_from=ckpt)
     assert not resuming.fusible

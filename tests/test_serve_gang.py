@@ -429,6 +429,7 @@ def test_scenario_legacy_layout_rejected():
         ({"sessions": {"enabeld": True}}, "enabeld"),
         ({"sessions": {"enabled": True, "max_preemptions": 8}},
          "max_preemptions"),
+        ({"load": {"n_jobz": 3}}, "n_jobz"),
     ]:
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_scenario(doc)

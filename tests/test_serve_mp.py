@@ -492,7 +492,7 @@ def test_request_spec_carries_every_request_field(tmp_path):
     system = _small_system()
     common = dict(
         atol=1e-9, btol=1e-8, conlim=1e6, iter_lim=17,
-        precondition=False, calc_var=False, strategy="classic", seed=42,
+        precondition=False, calc_var=False, strategy="fused", seed=42,
         checkpoint_every=4, checkpoint_path=tmp_path / "out.npz",
         job_id="rt-2", framework="CUDA",
         constraints=PlacementConstraints(priority=3),
@@ -677,6 +677,53 @@ def test_process_backend_inline_fallback_for_injected_solve_fn(own_segments):
 # ---------------------------------------------------------------------
 # failure containment
 # ---------------------------------------------------------------------
+
+#: A driver script without the ``__main__`` guard: every spawned worker
+#: re-imports it, tries to start a pool of its own while bootstrapping,
+#: and dies before it reports ready.
+_UNGUARDED_DRIVER = """
+from repro.api import SolveRequest
+from repro.serve.job import ServeJob
+from repro.serve.pool import DevicePool
+from repro.serve.scheduler import Scheduler
+from repro.system.generator import make_system
+from repro.system.sizing import dims_from_gb
+
+sched = Scheduler(DevicePool(("A100",)), workers=1, backend="process",
+                  mp_workers=2)
+sched.start()
+sched.submit(ServeJob(request=SolveRequest(
+    system=make_system(dims_from_gb(0.0005), seed=1)), nominal_gb=10.0))
+for outcome in sched.drain(timeout=60).failed:
+    print("ERROR:", outcome.error.splitlines()[-1])
+"""
+
+
+def test_workers_dead_at_startup_name_the_cause(tmp_path):
+    """When every worker dies before answering, the failed outcome
+    carries each worker's exit code, that none reported ready, and the
+    ``__main__``-guard hint."""
+    import os
+    import subprocess
+    import sys
+
+    script = tmp_path / "driver.py"
+    script.write_text(_UNGUARDED_DRIVER)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    errors = [line for line in done.stdout.splitlines()
+              if line.startswith("ERROR:")]
+    assert len(errors) == 1, done.stdout + done.stderr
+    [error] = errors
+    assert "every worker process died before answering" in error
+    assert error.count("never ready") == 2
+    assert "serve-mp0 exit code 1" in error
+    assert "serve-mp1 exit code 1" in error
+    assert 'if __name__ == "__main__":' in error
+
 
 def test_failing_solve_records_failed_outcome_not_dead_dispatcher():
     """A raising solve must not kill the dispatcher or strand drain.

@@ -91,7 +91,7 @@ def _route_setup(route, system, store, raises):
             kwargs["batch_solve_fn"] = _boom
         jobs = [ServeJob(
             request=SolveRequest(system=_variant(system, v), iter_lim=12,
-                                 strategy="classic", job_id=f"rhs-{v}"),
+                                 job_id=f"rhs-{v}"),
             nominal_gb=10.0, job_id=f"rhs-{v}") for v in range(3)]
     return pool, kwargs, jobs
 
@@ -183,7 +183,7 @@ def test_fused_batch_members_record_sessions(system, tmp_path):
     members = [_variant(system, v) for v in range(4)]
     jobs = [ServeJob(
         request=SolveRequest(system=member, iter_lim=12,
-                             strategy="classic", job_id=f"rhs-{v}"),
+                             job_id=f"rhs-{v}"),
         nominal_gb=10.0, job_id=f"rhs-{v}")
         for v, member in enumerate(members)]
     with SessionStore(tmp_path) as store:

@@ -177,15 +177,12 @@ def test_model_version_bump_marks_cell_stale(tmp_path):
 
 
 def test_a_pre_change_entry_is_a_miss_not_a_crash(tmp_path):
-    """An entry in the format from before the host kernel set was one
-    field (``host_gather`` / ``host_scatter`` / ``host_astro_scatter``),
-    at its spec's own digest: the index and ``get`` both skip it, and
-    the service re-sweeps over it."""
+    """An entry in an older format that lacks a field the current one
+    reads (here ``model_evals``), at its spec's own digest: the index
+    and ``get`` both skip it, and the service re-sweeps over it."""
     spec = default_spec("CUDA", "T4", "10GB")
     doc = json.loads(GeometrySweeper().sweep(spec).to_json())
-    del doc["host_kernels"]
-    doc.update(host_gather="vectorized", host_scatter="bincount",
-               host_astro_scatter="bincount")
+    del doc["model_evals"]
     entry = tmp_path / f"{spec.digest()}.json"
     entry.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     cache = TunedConfigCache(tmp_path)
@@ -193,8 +190,23 @@ def test_a_pre_change_entry_is_a_miss_not_a_crash(tmp_path):
     assert cache.get(spec) is None
     assert cache.misses == 1 and cache.hits == 0
     cfg = TuningService(cache=cache).tune(spec)
-    assert cfg.host_kernels in ("compiled", "blocks")
     assert entry.read_bytes() == cfg.to_json().encode()
+
+
+def test_an_entry_with_the_retired_host_kernel_field_is_a_hit(tmp_path):
+    """A file written while a config still recorded the host kernel set
+    (``host_kernels``; every size now runs the compiled plan) reads as
+    the same config: same spec, same model version, same geometry."""
+    spec = default_spec("CUDA", "T4", "10GB")
+    cfg = GeometrySweeper().sweep(spec)
+    doc = json.loads(cfg.to_json())
+    assert "host_kernels" not in doc
+    doc["host_kernels"] = "compiled"
+    entry = tmp_path / f"{spec.digest()}.json"
+    entry.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    cache = TunedConfigCache(tmp_path)
+    assert cache.get(spec) == cfg
+    assert cache.hits == 1 and cache.misses == 0
 
 
 def test_cache_lru_eviction():

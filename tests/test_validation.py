@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.api import SolveRequest, solve
-from repro.core.kernels.plan import FUSED_MIN_OBS
 from repro.frameworks.registry import ALL_PORTS, port_by_key
 from repro.gpu.platforms import H100, MI250X
 from repro.system.generator import make_system
@@ -125,9 +124,9 @@ def test_summary_renders(val_system):
 
 def test_compiled_plan_passes_the_fig6_gate():
     """The SSV-C gate on the kernel no port emulation runs: a
-    ``strategy="fused"`` solve (the compiled CSR pair) of a system big
-    enough that ``auto`` would pick it too."""
-    dims = SystemDims(n_stars=150, n_obs=FUSED_MIN_OBS + 404,
+    ``strategy="fused"`` solve (the compiled CSR matrix, what ``auto``
+    runs too)."""
+    dims = SystemDims(n_stars=150, n_obs=4500,
                       n_deg_freedom_att=12, n_instr_params=24,
                       n_glob_params=0)
     system = make_system(dims, seed=13, noise_sigma=1e-9)
@@ -143,11 +142,11 @@ def test_compiled_plan_passes_the_fig6_gate():
 
 def test_the_production_reference_runs_block_kernels_at_every_size(
         monkeypatch):
-    """At a size where ``auto`` compiles a plan, the reference still
-    holds the block kernels alone and runs nothing but them."""
+    """The reference holds the block kernels alone, never a plan, and
+    runs nothing but them."""
     from repro.validation import compare
 
-    dims = SystemDims(n_stars=150, n_obs=FUSED_MIN_OBS + 404,
+    dims = SystemDims(n_stars=150, n_obs=4500,
                       n_deg_freedom_att=12, n_instr_params=24,
                       n_glob_params=0)
     system = make_system(dims, seed=13, noise_sigma=1e-9)
