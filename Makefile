@@ -32,8 +32,9 @@ telemetry-smoke:
 # the incremental re-solve demo (nonzero exit unless warm starts save
 # iterations), the fault-injection matrix on 4 simulated ranks
 # (nonzero exit unless every scenario recovers to the fault-free
-# solution), and a scenario with an unknown `load` key, which must exit
-# 2 with one stderr line.
+# solution), and four malformed scenarios (an unknown `load` key, an
+# unknown backend, `max_fuse` 0, a non-numeric `n_jobs`), each of which
+# must exit 2 with one stderr line.
 smoke:
 	$(PYTHON) -m repro.cli serve --scenario examples/serve_scenario.json
 	$(PYTHON) -m repro.cli serve --scenario examples/gang_scenario.json
@@ -47,11 +48,13 @@ smoke:
 	rm -f "$$run"
 	$(PYTHON) -m repro.cli sessions --size-gb 0.005 --steps 3
 	$(PYTHON) -m repro.cli chaos --size-gb 0.005 --ranks 4
-	bad="$$(mktemp)" && echo '{"load": {"n_jobz": 3}}' > "$$bad" && \
-	{ err="$$($(PYTHON) -m repro.cli serve --scenario "$$bad" 2>&1 >/dev/null)"; code=$$?; } ; \
-	rm -f "$$bad"; echo "$$err"; \
-	test "$$code" -eq 2 && test "$$(printf '%s\n' "$$err" | wc -l)" -eq 1 && \
-	echo "malformed scenario: exit 2, one stderr line"
+	for doc in '{"load": {"n_jobz": 3}}' '{"placement": {"backend": "gpu"}}' \
+	           '{"placement": {"max_fuse": 0}}' '{"load": {"n_jobs": "many"}}'; do \
+	  bad="$$(mktemp)" && echo "$$doc" > "$$bad" && \
+	  { err="$$($(PYTHON) -m repro.cli serve --scenario "$$bad" 2>&1 >/dev/null)"; code=$$?; } ; \
+	  rm -f "$$bad"; echo "$$err"; \
+	  test "$$code" -eq 2 && test "$$(printf '%s\n' "$$err" | wc -l)" -eq 1 || exit 1; \
+	done; echo "malformed scenarios: exit 2, one stderr line each"
 
 # Parent/change A/B of the benchmark (bench/): PAIRS alternating pairs
 # of `bench/run.py --all` on BASE (exported with `git archive` into a

@@ -11,6 +11,8 @@ matrix-vector products ``aprod1`` (``b += A x``) and ``aprod2``
   :class:`~repro.core.aprod.AprodOperator`;
 - :mod:`repro.core.precond` -- the column-scaling (Jacobi)
   preconditioner of the customized LSQR;
+- :mod:`repro.core.gram` -- every star's 5 x 5 astrometric Gram and
+  the under-observed stars (rank < 5);
 - :mod:`repro.core.engine` -- the single Paige & Saunders step engine
   (bidiagonalization + Givens update, full stopping rules, variance
   accumulation) parameterized by a pluggable ``ReductionBackend``;

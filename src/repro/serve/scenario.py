@@ -86,7 +86,7 @@ from repro.serve.cache import ResultCache
 from repro.serve.cost import PlacementCostModel
 from repro.serve.loadgen import LoadGenerator, LoadSpec
 from repro.serve.pool import DevicePool
-from repro.serve.scheduler import Scheduler, ServeReport
+from repro.serve.scheduler import Scheduler, ServeReport, check_settings
 from repro.sessions.store import SessionStore
 from repro.tuning.cache import TunedConfigCache
 from repro.tuning.service import TuningService
@@ -171,11 +171,36 @@ def _reject_unknown(where: str, doc: dict, known: tuple[str, ...]) -> None:
             f"{list(known)}{hint}")
 
 
+def _reject_non_numbers(load: dict) -> None:
+    """Every ``load`` value but ``mix`` and ``priorities`` is a number
+    (``arrival_rate_hz`` may be null)."""
+    for key, value in load.items():
+        number = (isinstance(value, (int, float))
+                  and not isinstance(value, bool))
+        if not (number or key in ("mix", "priorities")
+                or (key == "arrival_rate_hz" and value is None)):
+            raise ValueError(f"load.{key} must be a number, got {value!r}")
+
+
+def _check_values(scenario: Scenario) -> Scenario:
+    """``scenario`` if its scheduler and placement accept its values."""
+    check_settings(workers=scenario.workers,
+                   max_queue_depth=scenario.max_queue_depth,
+                   max_fuse=scenario.max_fuse, backend=scenario.backend,
+                   drain_timeout=scenario.drain_timeout_s,
+                   mp_workers=scenario.mp_workers,
+                   preempt_slice=scenario.preempt_slice)
+    scenario.constraints()
+    return scenario
+
+
 def parse_scenario(doc: dict) -> Scenario:
     """Build a :class:`Scenario` from a decoded JSON document.
 
-    An unknown key in any section raises ``ValueError`` with the key
-    named.
+    An unknown key in any section, a ``load`` value that is not a
+    number, or a value the scheduler or the placement constraints
+    would refuse (an unknown backend, a count below 1) raises
+    ``ValueError`` with the key named.
     """
     _reject_unknown("scenario", doc, _SECTIONS)
     sched = doc.get("scheduler", {})
@@ -194,6 +219,7 @@ def parse_scenario(doc: dict) -> Scenario:
     load_doc = dict(doc.get("load", {}))
     _reject_unknown("load", load_doc,
                     tuple(f.name for f in fields(LoadSpec)))
+    _reject_non_numbers(load_doc)
     if "mix" in load_doc:
         load_doc["mix"] = tuple(
             (float(size), float(weight))
@@ -202,7 +228,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if "priorities" in load_doc:
         load_doc["priorities"] = tuple(int(p)
                                        for p in load_doc["priorities"])
-    return Scenario(
+    return _check_values(Scenario(
         devices=tuple(placement.get("devices",
                                     Scenario.devices)),
         per_gcd=bool(placement.get("per_gcd", Scenario.per_gcd)),
@@ -242,7 +268,7 @@ def parse_scenario(doc: dict) -> Scenario:
                        if sessions.get("preempt_slice") is not None
                        else None),
         load=LoadSpec(**load_doc),
-    )
+    ))
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -339,6 +339,25 @@ class ServeReport:
         return "\n".join(lines)
 
 
+def check_settings(*, workers: int, max_queue_depth: int, max_fuse: int,
+                   backend: str, drain_timeout: float,
+                   mp_workers: int | None, preempt_slice: int | None
+                   ) -> None:
+    """Raise ``ValueError`` naming the first value :class:`Scheduler`
+    refuses (scenario files are checked with it before a run)."""
+    for name, value in (("workers", workers),
+                        ("max_queue_depth", max_queue_depth),
+                        ("max_fuse", max_fuse), ("mp_workers", mp_workers),
+                        ("preempt_slice", preempt_slice)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {list(BACKENDS)}, "
+                         f"got {backend!r}")
+    if drain_timeout <= 0:
+        raise ValueError(f"drain_timeout must be > 0, got {drain_timeout}")
+
+
 class Scheduler:
     """Admission control + placement + execution over a device pool."""
 
@@ -362,25 +381,10 @@ class Scheduler:
         batch_solve_fn: Callable[[list[SolveRequest]],
                                  list[SolveReport]] = api_solve_batch,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1, got {max_queue_depth}")
-        if max_fuse < 1:
-            raise ValueError(f"max_fuse must be >= 1, got {max_fuse}")
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected "
-                             f"one of {BACKENDS}")
-        if drain_timeout <= 0:
-            raise ValueError(
-                f"drain_timeout must be > 0, got {drain_timeout}")
-        if mp_workers is not None and mp_workers < 1:
-            raise ValueError(
-                f"mp_workers must be >= 1, got {mp_workers}")
-        if preempt_slice is not None and preempt_slice < 1:
-            raise ValueError(
-                f"preempt_slice must be >= 1, got {preempt_slice}")
+        check_settings(workers=workers, max_queue_depth=max_queue_depth,
+                       max_fuse=max_fuse, backend=backend,
+                       drain_timeout=drain_timeout, mp_workers=mp_workers,
+                       preempt_slice=preempt_slice)
         if preempt_slice is not None and sessions is None:
             raise ValueError(
                 "preempt_slice requires a sessions store: preempted "

@@ -15,7 +15,10 @@ Layout: one directory, two kinds of files.
   final residual norm, stop-reason name, and the parent digest.
   Written atomically (temp file + ``os.replace``) so a crash mid-write
   never leaves a truncated record, and re-indexed by a directory scan
-  on reopen, so a store survives the process that filled it.
+  on reopen, so a store survives the process that filled it.  A record
+  found unreadable (torn or corrupted behind the store's back) is
+  renamed ``quarantined-sol-<digest>.npz``: out of the scan, never
+  re-read, and left for inspection.
 - ``park-<job id>.npz`` + ``park-<job id>.json`` -- a *parked* solve:
   the :class:`~repro.core.engine.EngineState` archive of a preempted
   job (written by its solve driver straight into :meth:`park_path`)
@@ -53,6 +56,10 @@ from repro.obs.telemetry import Telemetry
 #: What reading a record may raise when its file is gone, truncated or
 #: foreign: such a record is dropped from the index, never served.
 _UNREADABLE = (OSError, KeyError, ValueError, zipfile.BadZipFile)
+
+#: Prefix an unreadable record is renamed under (the scan reads only
+#: ``sol-*.npz``).
+QUARANTINE_PREFIX = "quarantined-"
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,7 @@ class SessionStore:
         self.ancestor_hits = 0
         self.misses = 0
         self.evictions = 0
+        self.quarantined = 0
         self._reindex()
 
     # ------------------------------------------------------------------
@@ -167,9 +175,13 @@ class SessionStore:
         except _UNREADABLE:
             # A record deleted, truncated or corrupted behind our back
             # (e.g. a concurrent store over the same directory, a
-            # crash mid-copy): forget it, and the solve runs cold.
+            # crash mid-copy): quarantine it, and the solve runs cold
+            # -- unless a put replaced the record meanwhile.
             with self._lock:
-                self._index.pop(digest, None)
+                if self._index.get(digest) is entry:
+                    del self._index[digest]
+                    self._quarantine(path)
+                    self._gauge_bytes()
             return None
         return SessionRecord(digest=digest, x=x, itn=itn,
                              r2norm=r2norm, stop=stop, parent=parent,
@@ -278,6 +290,7 @@ class SessionStore:
                 "ancestor_hits": self.ancestor_hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "quarantined": self.quarantined,
                 "records": len(self._index),
                 "parked": len(self._parked),
                 "bytes": self._bytes_locked(),
@@ -316,6 +329,7 @@ class SessionStore:
                     stop = str(npz["stop"])
                     parent = str(npz["parent"]) or None
             except _UNREADABLE:
+                self._quarantine(path)
                 continue
             self._index[digest] = (path, path.stat().st_size, itn,
                                    r2norm, stop, parent)
@@ -355,6 +369,15 @@ class SessionStore:
                 os.unlink(entry[0])
             self.evictions += 1
             self.tel.counter("serve.sessions.eviction").inc()
+
+    def _quarantine(self, path: Path) -> None:
+        """Move an unreadable record out of the ``sol-*.npz`` scan."""
+        try:
+            os.replace(path, path.with_name(QUARANTINE_PREFIX + path.name))
+        except OSError:  # already gone: nothing left to re-read
+            return
+        self.quarantined += 1
+        self.tel.counter("serve.sessions.quarantined").inc()
 
     def _gauge_bytes(self) -> None:
         self.tel.gauge("serve.sessions.bytes").set(

@@ -10,11 +10,11 @@ summation orders, exactly like different GPU scatter schedules) and
 the harness performs the same comparisons.
 
 :mod:`repro.validation.agis` reaches the same least-squares solution
-by a different algorithm (block Gauss-Seidel over each star's 5 x 5
-Gram, AGIS's iteration style) and cross-checks a solve against it.
+by a different algorithm (a direct elimination of each star's 5 x 5
+Gram, as AGIS treats each source), with the exact variances, and
+cross-checks a solve against it.
 """
 
-from repro.validation.agis import compare_with_agis
 from repro.validation.compare import (
     compare_solutions,
     solve_as_port,

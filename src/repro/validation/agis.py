@@ -5,9 +5,17 @@ astrometric solution; the AVU-GSR pipeline exists to *verify* it
 (AVU = Astrometric Verification Unit), so Fig. 1 ends in a comparison
 of the de-rotated GSR solution against AGIS.  Here the independent
 solution is computed by a genuinely different algorithm on the same
-data -- block Gauss-Seidel sweeps alternating between the star and
-nuisance blocks, which is exactly AGIS's iteration style -- so the
-comparison crosses two independent solvers, as in the real pipeline.
+data -- a direct star elimination, the way AGIS (Lindegren et al.
+2012) treats each source -- so the comparison crosses two independent
+solvers, as in the real pipeline.
+
+The elimination is one pass over the star Gram stack
+(:func:`repro.core.gram.star_grams`): factor each star's 5 x 5 block,
+eliminate the stars onto the shared attitude + instrumental + global
+section, solve that reduced normal matrix by Cholesky and
+back-substitute the stars.  The same factors give the exact
+``diag((A^T A)^-1)``, which LSQR's ``var`` only bounds from below
+until its Krylov space fills.
 """
 
 from __future__ import annotations
@@ -15,11 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
+import scipy.sparse as sp
 
-from repro.core.aprod import AprodOperator
+from repro.core.gram import RANK_RTOL, star_grams
 from repro.system.solution import split_solution
 from repro.system.sparse import GaiaSystem
 from repro.system.structure import ASTRO_PARAMS_PER_STAR
+
+#: Astrometric unknowns per block of the exact-variance product
+#: ``(G^-1 C) L^-T`` (a dense 4 096 x n_shared block at a time).
+_VAR_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -29,95 +43,78 @@ class AgisComparison:
     rms_diff_astro: float
     max_diff_astro: float
     frac_within_tol: float
-    n_sweeps: int
 
     def passed(self, tol: float) -> bool:
         """True when the solutions agree to ``tol`` (radians)."""
         return self.rms_diff_astro < tol and self.frac_within_tol > 0.99
 
 
-def agis_like_solution(
-    system: GaiaSystem,
-    *,
-    n_sweeps: int = 40,
-    tol: float = 1e-14,
-) -> tuple[np.ndarray, int]:
-    """Block Gauss-Seidel (AGIS-style) solution of the same system.
+def _eliminate(system: GaiaSystem):
+    """``(x, R, K, L, under_observed)`` of the star elimination.
 
-    Alternates exact least-squares updates of (a) the astrometric
-    block -- embarrassingly parallel per star thanks to the block
-    diagonal -- and (b) the shared attitude+instrumental+global block,
-    each against the current residual.  Converges to the same
-    least-squares solution as LSQR on full-rank systems, by a very
-    different route.
+    ``R`` is the block-diagonal whitening factor with ``R^T R`` each
+    star's inverse Gram (its pseudo-inverse for an under-observed
+    star), ``K = R A_astro^T A_shared`` the whitened cross block and
+    ``L`` the Cholesky factor of the reduced normal matrix
+    ``A_shared^T A_shared - K^T K``.  The shared section must be
+    determined (the attitude null-space constraint rows make it so);
+    otherwise that factorization raises ``LinAlgError``.
     """
     d = system.dims
-    op = AprodOperator(system)
-    b = system.rhs()
-    x = np.zeros(d.n_params)
+    grams, weak = star_grams(system)
+    whiten = np.empty_like(grams)
+    full = np.ones(d.n_stars, dtype=bool)
+    full[weak] = False
+    whiten[full] = np.linalg.inv(np.linalg.cholesky(grams[full]))
+    lam, vec = np.linalg.eigh(grams[weak])
+    keep = lam > RANK_RTOL * lam[:, -1:]
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
+    whiten[weak] = inv_sqrt[:, :, None] * vec.transpose(0, 2, 1)
+    stars = np.arange(d.n_stars + 1)
+    r = sp.bsr_matrix((whiten, stars[:-1], stars),
+                      shape=(d.att_offset, d.att_offset))
 
-    # Precompute per-star normal blocks (5x5 each).
-    star = system.star_ids
-    order = np.argsort(star, kind="stable")
-    sorted_star = star[order]
-    boundaries = np.concatenate(
-        [[0], np.flatnonzero(np.diff(sorted_star)) + 1,
-         [sorted_star.size]]
-    )
-
-    shared_slice = slice(d.att_offset, d.n_params)
-    prev = x.copy()
-    sweeps_done = 0
-    for sweep in range(n_sweeps):
-        sweeps_done = sweep + 1
-        # (a) star block: for each star, solve its own 5x5 normal
-        # system against the residual with the shared block frozen.
-        r = b - op.aprod1(x)
-        for k in range(boundaries.size - 1):
-            rows = order[boundaries[k]:boundaries[k + 1]]
-            s = sorted_star[boundaries[k]]
-            a_star = system.astro_values[rows]  # (n_k, 5)
-            rhs = a_star.T @ (r[rows] + a_star @ x[
-                s * ASTRO_PARAMS_PER_STAR:
-                (s + 1) * ASTRO_PARAMS_PER_STAR])
-            gram = a_star.T @ a_star
-            x[s * ASTRO_PARAMS_PER_STAR:(s + 1) * ASTRO_PARAMS_PER_STAR] \
-                = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-
-        # (b) shared block: least squares on the residual with the
-        # star block frozen (dense solve on the small shared space).
-        r = b - op.aprod1(x)
-        shared = _shared_design(system)
-        rhs = shared.T @ (r + shared @ x[shared_slice])
-        gram = shared.T @ shared
-        x[shared_slice] = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-
-        delta = float(np.linalg.norm(x - prev))
-        if delta <= tol * max(float(np.linalg.norm(x)), 1e-300):
-            break
-        prev = x.copy()
-    return x, sweeps_done
+    a, b = system.to_scipy_csr(), system.rhs()
+    a_astro, a_shared = a[:, :d.att_offset], a[:, d.att_offset:]
+    k = (r @ (a_astro.T @ a_shared)).tocsr()
+    k_b = r @ (a_astro.T @ b)
+    reduced = (a_shared.T @ a_shared).toarray() - (k.T @ k).toarray()
+    low = la.cholesky(reduced, lower=True)
+    x_shared = la.cho_solve((low, True), a_shared.T @ b - k.T @ k_b)
+    x_astro = r.T @ (k_b - k @ x_shared)
+    return np.concatenate([x_astro, x_shared]), r, k, low, weak
 
 
-def _shared_design(system: GaiaSystem) -> np.ndarray:
-    """Dense design matrix of the shared (non-astrometric) columns.
+def agis_like_solution(system: GaiaSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares ``x`` and the exact ``diag((A^T A)^-1)``.
 
-    Small systems only: (n_rows, n_att + n_instr + n_glob).
+    With ``N = [[G, C], [C^T, H]]`` split into stars and the shared
+    section and ``S = H - C^T G^-1 C = L L^T``, the shared variances
+    are ``diag(S^-1)`` and a star's are ``diag(G^-1)`` plus the squared
+    row norms of ``(G^-1 C) L^-T``, formed a row block at a time.  An
+    under-observed star's five unknowns are not determined: they get
+    the minimum-norm values within the star and variance ``inf``.
     """
-    d = system.dims
-    a = system.to_scipy_csr()
-    return np.asarray(a[:, d.att_offset:].todense())
+    x, r, k, low, weak = _eliminate(system)
+    l_inv = la.solve_triangular(low, np.eye(low.shape[0]), lower=True)
+    var_shared = np.einsum("ij,ij->j", l_inv, l_inv)
+    var_astro = (r.data**2).sum(axis=1).reshape(-1)
+    w = (r.T @ k).tocsr()
+    for lo in range(0, w.shape[0], _VAR_BLOCK_ROWS):
+        v = w[lo:lo + _VAR_BLOCK_ROWS] @ l_inv.T
+        var_astro[lo:lo + _VAR_BLOCK_ROWS] += np.einsum("ij,ij->i", v, v)
+    var_astro.reshape(-1, ASTRO_PARAMS_PER_STAR)[weak] = np.inf
+    return x, np.concatenate([var_astro, var_shared])
 
 
 def compare_with_agis(
     system: GaiaSystem,
     gsr_solution: np.ndarray,
     *,
-    n_sweeps: int = 40,
     tol_rad: float = 1e-10,
 ) -> AgisComparison:
-    """Cross-check a GSR solution against the AGIS-style solution."""
-    agis_x, sweeps = agis_like_solution(system, n_sweeps=n_sweeps)
+    """Cross-check a GSR solution against the star-elimination solution."""
+    agis_x = _eliminate(system)[0]
     gsr_astro = split_solution(gsr_solution, system.dims).astrometric
     agis_astro = split_solution(agis_x, system.dims).astrometric
     diff = gsr_astro - agis_astro
@@ -125,5 +122,4 @@ def compare_with_agis(
         rms_diff_astro=float(np.sqrt(np.mean(diff**2))),
         max_diff_astro=float(np.max(np.abs(diff))),
         frac_within_tol=float(np.mean(np.abs(diff) < tol_rad)),
-        n_sweeps=sweeps,
     )

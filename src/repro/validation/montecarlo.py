@@ -6,6 +6,12 @@ solve many noise realizations of the same system, measure the
 empirical scatter of the solutions around the generating truth, and
 compare it with the per-realization estimated errors.  A calibrated
 estimator has pulls ``(x - x_true)/se`` of unit variance.
+
+Two estimators are measured on the same draws: LSQR's truncated
+``var`` (the paper's, which Fig. 6 reads) and the exact
+``diag((A^T A)^-1)`` of the star elimination
+(:func:`repro.validation.agis.agis_like_solution`), both scaled by the
+solve's residual variance.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.lsqr import lsqr_solve
-from repro.core.variance import standard_errors
+from repro.core.variance import residual_variance, standard_errors
 from repro.system.generator import draw_true_solution, make_system
 from repro.system.structure import SystemDims
+from repro.validation.agis import agis_like_solution
 
 
 @dataclass(frozen=True)
@@ -28,14 +35,21 @@ class MonteCarloResult:
     empirical_sigma: np.ndarray   # per-parameter scatter of solutions
     mean_estimated_se: np.ndarray
     pull_std: float               # std of (x - truth)/se over everything
+    mean_exact_se: np.ndarray     # the same from the exact variances
+
+    def _median_ratio(self, se: np.ndarray) -> float:
+        nz = self.empirical_sigma > 0
+        return float(np.median(se[nz] / self.empirical_sigma[nz]))
 
     @property
     def median_se_ratio(self) -> float:
         """Median estimated/empirical sigma (1 = perfectly calibrated)."""
-        nz = self.empirical_sigma > 0
-        return float(np.median(
-            self.mean_estimated_se[nz] / self.empirical_sigma[nz]
-        ))
+        return self._median_ratio(self.mean_estimated_se)
+
+    @property
+    def median_exact_ratio(self) -> float:
+        """Median exact/empirical sigma."""
+        return self._median_ratio(self.mean_exact_se)
 
     def calibrated(self, *, lo: float = 0.3, hi: float = 1.5) -> bool:
         """The estimator is usable: neither wildly over- nor
@@ -66,6 +80,7 @@ def run_monte_carlo(
 
     solutions = np.empty((n_realizations, dims.n_params))
     estimated = np.empty((n_realizations, dims.n_params))
+    exact = np.empty((n_realizations, dims.n_params))
     for k in range(n_realizations):
         system = make_system(
             dims, seed=rng.integers(0, 2**31), noise_sigma=noise_sigma,
@@ -74,6 +89,8 @@ def run_monte_carlo(
         res = lsqr_solve(system, atol=atol, btol=atol)
         solutions[k] = res.x
         estimated[k] = standard_errors(res)
+        exact[k] = np.sqrt(agis_like_solution(system)[1]
+                           * residual_variance(res))
 
     # Note: each realization also redraws the coefficients (the
     # generator seeds everything together), so the ensemble scatter
@@ -87,4 +104,5 @@ def run_monte_carlo(
         empirical_sigma=empirical,
         mean_estimated_se=mean_se,
         pull_std=float(pulls.std()),
+        mean_exact_se=exact.mean(axis=0),
     )

@@ -146,6 +146,21 @@ def test_serve_rejects_a_malformed_scenario_in_one_line(tmp_path, doc, key,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ('{"placement": {"backend": "gpu"}}', "backend"),
+    ('{"placement": {"max_fuse": 0}}', "max_fuse"),
+    ('{"load": {"n_jobs": "many"}}', "load.n_jobs"),
+], ids=["backend", "max_fuse", "n_jobs"])
+def test_serve_rejects_a_malformed_scenario_value_in_one_line(
+        tmp_path, doc, key, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(doc)
+    assert main(["serve", "--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro-gaia serve: {key} must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_solve_has_no_kernel_strategy_flag(capsys):
     """Every solve runs the compiled plan: there is no kernel to pick."""
     with pytest.raises(SystemExit) as exc:

@@ -43,8 +43,7 @@ def test_full_artifact_workflow(workflow_system):
     assert report.all_passed, report.summary()
 
     # 3. Independent AGIS-style cross-check.
-    comparison = compare_with_agis(system, serial.x, n_sweeps=80,
-                                   tol_rad=1e-11)
+    comparison = compare_with_agis(system, serial.x, tol_rad=1e-11)
     assert comparison.passed(1e-10)
 
     # 4. The solution is physically sane: standard errors positive,

@@ -127,6 +127,27 @@ def test_pulls_have_unit_order_scale(mc_result):
     assert 0.5 < mc_result.pull_std < 4.0
 
 
+@pytest.fixture(scope="module")
+def mc_0002():
+    """25 noise draws of a 0.002 GB system (1 879 unknowns)."""
+    return run_monte_carlo(dims_from_gb(0.002), n_realizations=25,
+                           noise_sigma=1e-9, seed=7)
+
+
+def test_exact_standard_errors_are_calibrated(mc_0002):
+    """The star elimination's exact variances give standard errors at
+    the empirical scatter of the solutions."""
+    assert 0.9 <= mc_0002.median_exact_ratio <= 1.1
+
+
+def test_lsqr_standard_errors_are_truncated_at_0002gb(mc_0002):
+    """LSQR's var stops after ~60 of 1 879 Krylov directions and stays a
+    lower bound: its standard errors sit well below the scatter (0.15x
+    measured) -- the defect the exact variances document."""
+    assert mc_0002.median_se_ratio < 0.5
+    assert mc_0002.median_se_ratio < 0.5 * mc_0002.median_exact_ratio
+
+
 def test_empirical_scatter_tracks_noise_level():
     dims = SystemDims(n_stars=12, n_obs=360, n_deg_freedom_att=8,
                       n_instr_params=12, n_glob_params=1)

@@ -20,6 +20,7 @@ from repro.api import ResilienceConfig, SolveRequest, solve
 from repro.core.aprod import aprod1
 from repro.core.engine import EngineState
 from repro.core.lsqr import lsqr_solve
+from repro.obs.telemetry import Telemetry
 from repro.sessions.store import SessionStore
 from repro.sessions.warmstart import record_solution, resolve_warm_start
 from repro.system.digest import system_digest
@@ -278,26 +279,44 @@ class TestWarmStart:
             assert "warm start" in again.summary()
 
     def test_a_truncated_record_is_a_cold_solve(self, tmp_path):
-        """A record cut to half its size (a torn copy) is forgotten,
-        not served: the session solve completes cold, and a reopened
-        store indexes the records that are whole."""
+        """A record cut to half its size (a torn copy) is quarantined,
+        not served: the session solve completes cold, bitwise a fresh
+        cold solve, the torn file is moved out of the ``sol-*.npz``
+        scan, and a reopened store neither indexes nor re-reads it."""
         system, other = tiny_system(), tiny_system(seed=1)
+        record = tmp_path / f"sol-{system_digest(system)}.npz"
+        moved = tmp_path / f"quarantined-{record.name}"
 
         def truncate():
-            path = tmp_path / f"sol-{system_digest(system)}.npz"
-            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+            torn = record.read_bytes()[:record.stat().st_size // 2]
+            record.write_bytes(torn)
+            return torn
 
-        with SessionStore(tmp_path) as store:
-            cold = solve(SolveRequest(system=system), sessions=store)
+        tel = Telemetry()
+        with SessionStore(tmp_path, telemetry=tel) as store:
+            solve(SolveRequest(system=system), sessions=store)
             solve(SolveRequest(system=other), sessions=store)
-            truncate()
+            torn = truncate()
             again = solve(SolveRequest(system=system), sessions=store)
+            assert store.stats()["quarantined"] == 1
+        assert tel.counter("serve.sessions.quarantined").value == 1
+        fresh = solve(SolveRequest(system=system))
         assert again.warm_start is None
-        np.testing.assert_array_equal(again.x, cold.x)
-        truncate()
+        assert again.itn == fresh.itn
+        np.testing.assert_array_equal(again.x, fresh.x)
+        np.testing.assert_array_equal(again.var, fresh.var)
+        assert moved.read_bytes() == torn
+        # The cold re-solve recorded a whole record; tear that one too.
+        torn = truncate()
         with SessionStore(tmp_path) as store:
             assert len(store) == 1
             assert store.get(system_digest(other)) is not None
+            assert store.stats()["quarantined"] == 1
+        assert moved.read_bytes() == torn and not record.exists()
+        with SessionStore(tmp_path) as store:
+            assert len(store) == 1
+            assert store.stats()["quarantined"] == 0
+        assert moved.read_bytes() == torn
 
     def test_resolve_warm_start_miss(self, tmp_path):
         with SessionStore(tmp_path) as store:
